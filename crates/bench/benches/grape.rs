@@ -1,22 +1,20 @@
 //! Benchmarks of the GRAPE engine: one exact gradient evaluation and one full
-//! fixed-duration optimization on one- and two-qubit targets, plus the
-//! `grape_kernel` group comparing the seed's allocate-per-call gradient path
-//! against the reused [`GrapeWorkspace`] kernel and the `grape_smallmat` group
-//! comparing the dynamic workspace kernel against the const-generic
-//! `SmallMatrix` fast path, and the `profile_overhead` group gating the armed
+//! fixed-duration optimization on one- and two-qubit targets, the
+//! `grape_smallmat` group timing one reused-workspace gradient on stack storage
+//! at 1q/2q/3q, the `grape_seeding` group comparing cold against table-seeded
+//! duration searches, and the `profile_overhead` group gating the armed
 //! compile-phase profiler to under five percent of the warm gradient path. The
-//! measurements (and the speedups they imply) are written to `BENCH_grape.json`
-//! in the workspace root.
+//! measurements are written to `BENCH_grape.json` in the workspace root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use vqc_pulse::grape::{fidelity_gradient, optimize_pulse, GrapeOptions};
+use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
 use vqc_pulse::{
-    profile, DeviceModel, EigenMemo, GrapeWorkspace, KernelPolicy, PulseSequence, SeedEntry,
-    TableConfig, TranspositionTable,
+    profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
+    TranspositionTable,
 };
 use vqc_sim::gates;
 
@@ -34,8 +32,13 @@ fn bench_grape(c: &mut Criterion) {
         let device = DeviceModel::qubits_line(qubits);
         let target = if qubits == 1 { gates::h() } else { gates::cx() };
         let pulse = PulseSequence::seeded_guess(&device, 10, 0.5, 1);
+        // A fresh workspace per call: what one cold gradient costs end to end.
         group.bench_function(format!("gradient_{qubits}q_10slices"), |b| {
-            b.iter(|| fidelity_gradient(black_box(&target), black_box(&device), black_box(&pulse)))
+            b.iter(|| {
+                let mut workspace = GrapeWorkspace::new(black_box(&device), pulse.num_slices());
+                workspace.set_target(&device, black_box(&target));
+                workspace.fidelity_gradient(black_box(&pulse))
+            })
         });
     }
 
@@ -57,64 +60,26 @@ fn bench_grape(c: &mut Criterion) {
     group.finish();
 }
 
-/// Before/after comparison of one gradient iteration: the seed path rebuilt and
-/// heap-allocated every slice eigensystem, propagator, and partial product per call
-/// (reproduced faithfully by constructing a fresh workspace each iteration, which
-/// is exactly what the allocating `fidelity_gradient` wrapper does); the kernel
-/// path reuses one [`GrapeWorkspace`] across iterations, the way
-/// `try_optimize_pulse` now runs.
-fn bench_grape_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("grape_kernel");
-    group.sample_size(30);
-
-    for (qubits, slices) in [(1usize, 24usize), (2, 24)] {
-        let device = DeviceModel::qubits_line(qubits);
-        let target = if qubits == 1 { gates::h() } else { gates::cx() };
-        let pulse = PulseSequence::seeded_guess(&device, slices, 0.5, 1);
-
-        // The seed path: a fresh dynamic workspace per call. Pinned to
-        // ForceDynamic so the static fast path cannot leak into the baseline
-        // and silently inflate (or deflate) the historical speedup series.
-        group.bench_function(format!("seed_alloc_{qubits}q_{slices}slices"), |b| {
-            b.iter(|| {
-                let mut workspace = GrapeWorkspace::with_kernel(
-                    black_box(&device),
-                    slices,
-                    KernelPolicy::ForceDynamic,
-                );
-                workspace.set_target(&device, &target);
-                workspace.fidelity_gradient(black_box(&pulse))
-            })
-        });
-
-        let mut workspace =
-            GrapeWorkspace::with_kernel(&device, slices, KernelPolicy::ForceDynamic);
-        workspace.set_target(&device, &target);
-        group.bench_function(format!("workspace_{qubits}q_{slices}slices"), |b| {
-            b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
-        });
-    }
-
-    group.finish();
-}
-
-/// The const-generic fast path against the dynamic workspace kernel, on the same
-/// reused-workspace footing: `smallmat_*` runs the `SmallMatrix` engine that
-/// `GrapeWorkspace::new` binds for 2/4/16-dimensional devices, against the
-/// `workspace_*` dynamic numbers from [`bench_grape_kernel`].
+/// One reused-workspace gradient — the way `try_optimize_pulse` runs — on the
+/// stack storage `GrapeWorkspace::new` binds for 1q/2q/3q blocks (N = 2, 4, 8).
 fn bench_grape_smallmat(c: &mut Criterion) {
     let mut group = c.benchmark_group("grape_smallmat");
     group.sample_size(30);
 
-    for (qubits, slices) in [(1usize, 24usize), (2, 24)] {
+    let slices = 24;
+    for qubits in [1usize, 2, 3] {
         let device = DeviceModel::qubits_line(qubits);
-        let target = if qubits == 1 { gates::h() } else { gates::cx() };
+        let target = match qubits {
+            1 => gates::h(),
+            2 => gates::cx(),
+            _ => gates::cx().kron(&gates::h()),
+        };
         let pulse = PulseSequence::seeded_guess(&device, slices, 0.5, 1);
 
         let mut workspace = GrapeWorkspace::new(&device, slices);
         assert!(
             workspace.uses_static_kernel(),
-            "{qubits}q device must bind the SmallMatrix engine"
+            "{qubits}q device must run on stack storage"
         );
         workspace.set_target(&device, &target);
         group.bench_function(format!("smallmat_{qubits}q_{slices}slices"), |b| {
@@ -244,7 +209,7 @@ fn bench_grape_seeding(c: &mut Criterion) {
 }
 
 /// The compile-phase profiler's cost on the warm GRAPE gradient path: the same
-/// reused `SmallMatrix` workspace measured disarmed (the production default,
+/// reused stack-storage workspace measured disarmed (the production default,
 /// where every instrumentation point is one relaxed atomic load) and armed
 /// (`VQC_PROFILE=1`, where the Lap marks read the monotonic clock and bump
 /// thread-local accumulators). [`emit_summary`] asserts the armed/disarmed
@@ -260,7 +225,7 @@ fn bench_profile_overhead(c: &mut Criterion) {
     let mut workspace = GrapeWorkspace::new(&device, 24);
     assert!(
         workspace.uses_static_kernel(),
-        "the overhead gate must measure the production 2q fast path"
+        "the overhead gate must measure the production 2q stack instance"
     );
     workspace.set_target(&device, &target);
 
@@ -284,12 +249,11 @@ fn bench_profile_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-/// Writes the `grape_kernel`/`grape_smallmat` measurements, the per-size
-/// kernel-over-seed speedups, and the static-over-dynamic speedups as
-/// `BENCH_grape.json` in the workspace root, alongside `host_parallelism` and a
-/// unix timestamp (so the single-CPU caveat on these numbers is
-/// machine-checkable, as in `BENCH_runtime.json`). Skipped under `--test` smoke
-/// runs.
+/// Writes every group's measurements, the profiler-overhead ratio, and the
+/// seeding iteration reduction as `BENCH_grape.json` in the workspace root,
+/// alongside `host_parallelism` and a unix timestamp (so the single-CPU caveat
+/// on these numbers is machine-checkable, as in `BENCH_runtime.json`). Skipped
+/// under `--test` smoke runs.
 fn emit_summary(c: &mut Criterion) {
     if c.test_mode() {
         return;
@@ -303,7 +267,7 @@ fn emit_summary(c: &mut Criterion) {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut json = format!(
-        "{{\n  \"benchmark\": \"grape\",\n  \"workload\": \"fidelity_gradient_iteration_seed_alloc_vs_reused_workspace_vs_smallmat\",\n  \"host_parallelism\": {host_parallelism},\n  \"timestamp_unix_s\": {timestamp_unix_s},\n  \"results\": [\n",
+        "{{\n  \"benchmark\": \"grape\",\n  \"workload\": \"fidelity_gradient_iteration_on_a_reused_workspace\",\n  \"host_parallelism\": {host_parallelism},\n  \"timestamp_unix_s\": {timestamp_unix_s},\n  \"results\": [\n",
     );
     for (index, result) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -316,56 +280,7 @@ fn emit_summary(c: &mut Criterion) {
             if index + 1 == results.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ],\n  \"kernel_speedup_over_seed\": {\n");
-    let mean_of = |group: &str, name: String| {
-        results
-            .iter()
-            .find(|r| r.group == group && r.name == name)
-            .map(|r| r.mean_ns)
-    };
-    let mut speedups = Vec::new();
-    for (qubits, slices) in [(1usize, 24usize), (2, 24)] {
-        if let (Some(seed), Some(kernel)) = (
-            mean_of(
-                "grape_kernel",
-                format!("seed_alloc_{qubits}q_{slices}slices"),
-            ),
-            mean_of(
-                "grape_kernel",
-                format!("workspace_{qubits}q_{slices}slices"),
-            ),
-        ) {
-            speedups.push(format!(
-                "    \"{qubits}q_{slices}slices\": {:.3}",
-                seed / kernel
-            ));
-        }
-    }
-    json.push_str(&speedups.join(",\n"));
-    json.push_str("\n  },\n  \"smallmat_speedup_over_workspace\": {\n");
-    let mut static_speedups = Vec::new();
-    for (qubits, slices) in [(1usize, 24usize), (2, 24)] {
-        if let (Some(dynamic), Some(fast)) = (
-            mean_of(
-                "grape_kernel",
-                format!("workspace_{qubits}q_{slices}slices"),
-            ),
-            mean_of(
-                "grape_smallmat",
-                format!("smallmat_{qubits}q_{slices}slices"),
-            ),
-        ) {
-            let speedup = dynamic / fast;
-            assert!(
-                speedup >= 2.0,
-                "SmallMatrix fast path is only {speedup:.2}x over the dynamic kernel \
-                 for {qubits}q_{slices}slices (target: >=2x)"
-            );
-            static_speedups.push(format!("    \"{qubits}q_{slices}slices\": {speedup:.3}"));
-        }
-    }
-    json.push_str(&static_speedups.join(",\n"));
-    json.push_str("\n  },\n");
+    json.push_str("  ],\n");
 
     // The profiler's observability budget: arming `VQC_PROFILE` may not slow
     // the warm gradient path by more than five percent. Compared on `min_ns`
@@ -422,7 +337,6 @@ fn emit_summary(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_grape,
-    bench_grape_kernel,
     bench_grape_smallmat,
     bench_grape_seeding,
     bench_profile_overhead,

@@ -128,42 +128,6 @@ pub fn parameter_count(device: &DeviceModel, num_slices: usize) -> usize {
     device.num_controls() * num_slices
 }
 
-/// Trace infidelity of a pulse against a device-space target, together with its exact
-/// gradient with respect to every control amplitude.
-#[derive(Debug, Clone)]
-pub struct FidelityGradient {
-    /// `1 - |Tr(V† U)|² / d²` for the zero-padded (device-space) target, where `d` is
-    /// the qubit-subspace dimension.
-    pub infidelity: f64,
-    /// `gradient[k][t]` = ∂(infidelity)/∂u_k(t).
-    pub gradient: Vec<Vec<f64>>,
-}
-
-/// Computes the trace infidelity of a pulse and its exact gradient.
-///
-/// The target is a `2^n x 2^n` unitary on the device's *qubit subspace*; it is
-/// zero-padded onto any leakage levels, so the fidelity measures only the action inside
-/// the computational subspace and leaked population counts as error. The gradient of
-/// the *infidelity* is returned, so gradient *descent* reduces the infidelity.
-///
-/// This convenience wrapper allocates a fresh [`GrapeWorkspace`] per call — exactly
-/// what the seed implementation did implicitly. The optimizer loop constructs one
-/// workspace and calls [`GrapeWorkspace::fidelity_gradient`] directly, which is
-/// allocation-free across iterations.
-pub fn fidelity_gradient(
-    target: &Matrix,
-    device: &DeviceModel,
-    pulse: &PulseSequence,
-) -> FidelityGradient {
-    let mut workspace = GrapeWorkspace::new(device, pulse.num_slices());
-    workspace.set_target(device, target);
-    let infidelity = workspace.fidelity_gradient(pulse);
-    FidelityGradient {
-        infidelity,
-        gradient: workspace.gradient().to_vec(),
-    }
-}
-
 /// Runs GRAPE for a target unitary at a fixed total pulse duration.
 ///
 /// The target is a `2^n x 2^n` unitary on the device's qubit subspace; for qutrit
@@ -248,12 +212,12 @@ pub fn try_optimize_pulse_with(
     // iteration loop below performs no heap allocation.
     let mut workspace = GrapeWorkspace::new(device, num_slices);
     workspace.set_target(device, target);
-    let num_controls = workspace.controls().len();
-    let amplitude_limits: Vec<f64> = workspace
-        .controls()
+    let amplitude_limits: Vec<f64> = device
+        .control_hamiltonians()
         .iter()
         .map(|control| control.max_amplitude)
         .collect();
+    let num_controls = amplitude_limits.len();
 
     // ADAM state, one entry per (control, slice).
     let mut m = vec![vec![0.0; num_slices]; num_controls];
@@ -443,45 +407,47 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_differences() {
-        // Validate the exact analytic gradient against a numerical derivative, both
-        // through the allocating wrapper and through a reused GrapeWorkspace (the
-        // path the optimizer iterates on).
-        let device = DeviceModel::qubits_line(2);
-        let target = gates::cx();
-        let dt = 0.5;
-        let pulse = PulseSequence::seeded_guess(&device, 6, dt, 3);
-        let analytic = fidelity_gradient(&target, &device, &pulse);
+        // Validate the exact analytic gradient against a numerical derivative on
+        // the reused GrapeWorkspace the optimizer iterates on, once per storage
+        // shape: 2q and 3q qubit blocks on the stack (N = 4, 8) and a qutrit
+        // on the heap (dim 3).
+        let cases = [
+            (DeviceModel::qubits_line(2), gates::cx()),
+            (DeviceModel::qubits_line(3), gates::cx().kron(&gates::h())),
+            (DeviceModel::qubits_line(1).with_qutrit_levels(), gates::h()),
+        ];
+        for (device, target) in cases {
+            let dim = device.dim();
+            let pulse = PulseSequence::seeded_guess(&device, 6, 0.5, 3);
+            let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
+            workspace.set_target(&device, &target);
+            workspace.fidelity_gradient(&pulse);
+            let analytic = workspace.gradient().to_vec();
 
-        let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-        workspace.set_target(&device, &target);
-        let workspace_infidelity = workspace.fidelity_gradient(&pulse);
-        assert!((workspace_infidelity - analytic.infidelity).abs() < 1e-12);
-
-        let eps = 1e-6;
-        for &(k, t) in &[(0usize, 2usize), (2, 0), (4, 5), (1, 3)] {
-            let mut plus = pulse.clone();
-            plus.set_amplitude(k, t, plus.amplitude(k, t) + eps);
-            let mut minus = pulse.clone();
-            minus.set_amplitude(k, t, minus.amplitude(k, t) - eps);
-            // Drive the probes through the same reused workspace so the test also
-            // catches state leaking between fidelity_gradient calls.
-            let f_plus = workspace.fidelity_gradient(&plus);
-            let f_minus = workspace.fidelity_gradient(&minus);
-            let numeric = (f_plus - f_minus) / (2.0 * eps);
-            let reference = numeric.abs().max(1e-6);
-            assert!(
-                (analytic.gradient[k][t] - numeric).abs() / reference < 1e-3,
-                "control {k} slice {t}: analytic {} vs numeric {numeric}",
-                analytic.gradient[k][t]
-            );
-            let workspace_grad = {
+            let eps = 1e-6;
+            let last = device.num_controls() - 1;
+            for &(k, t) in &[(0usize, 2usize), (last / 2, 0), (last, 5), (1, 3)] {
+                let mut plus = pulse.clone();
+                plus.set_amplitude(k, t, plus.amplitude(k, t) + eps);
+                let mut minus = pulse.clone();
+                minus.set_amplitude(k, t, minus.amplitude(k, t) - eps);
+                // Drive the probes through the same reused workspace so the test also
+                // catches state leaking between fidelity_gradient calls.
+                let f_plus = workspace.fidelity_gradient(&plus);
+                let f_minus = workspace.fidelity_gradient(&minus);
+                let numeric = (f_plus - f_minus) / (2.0 * eps);
+                let reference = numeric.abs().max(1e-6);
+                assert!(
+                    (analytic[k][t] - numeric).abs() / reference < 1e-3,
+                    "dim {dim} control {k} slice {t}: analytic {} vs numeric {numeric}",
+                    analytic[k][t]
+                );
                 workspace.fidelity_gradient(&pulse);
-                workspace.gradient()[k][t]
-            };
-            assert!(
-                (workspace_grad - analytic.gradient[k][t]).abs() < 1e-12,
-                "workspace gradient must match the allocating wrapper exactly"
-            );
+                assert!(
+                    (workspace.gradient()[k][t] - analytic[k][t]).abs() < 1e-12,
+                    "dim {dim}: re-evaluating the pulse after the probes must reproduce the gradient"
+                );
+            }
         }
     }
 

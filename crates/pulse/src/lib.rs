@@ -72,4 +72,4 @@ pub use minimum_time::SearchSeed;
 pub use profile::{CompileProfile, Phase, PHASE_COUNT};
 pub use pulse::PulseSequence;
 pub use transposition::{SeedEntry, TableConfig, TranspositionTable, WarmStartStats};
-pub use workspace::{GrapeWorkspace, KernelPolicy};
+pub use workspace::GrapeWorkspace;

@@ -48,7 +48,7 @@ pub const PHASE_COUNT: usize = 7;
 /// A compile-pipeline phase that wall time is attributed to.
 ///
 /// The first five phases are charged inside the gradient kernels
-/// (`GrapeWorkspace` / `StaticEngine`); the last two wrap whole optimizer
+/// (the one `GrapeWorkspace` engine body); the last two wrap whole optimizer
 /// invocations in `minimum_time.rs` and `hyperparam.rs` and therefore record
 /// *self time* — the search/tuning overhead beyond the kernel phases nested
 /// within them.

@@ -33,36 +33,24 @@ impl Propagation {
 }
 
 /// Builds the Hamiltonian of one time slice: `H(t) = H_drift + Σ_k u_k(t) H_k`.
+///
+/// The GRAPE engine assembles its own slice Hamiltonians from packed nonzero
+/// lists; this dense construction is the independent form the Taylor
+/// cross-check and the benchmarks use.
 pub fn slice_hamiltonian(
     drift: &Matrix,
     controls: &[ControlHamiltonian],
     pulse: &PulseSequence,
     t: usize,
 ) -> Matrix {
-    let mut h = Matrix::zeros(drift.rows(), drift.cols());
-    slice_hamiltonian_into(drift, controls, pulse, t, &mut h);
-    h
-}
-
-/// Writes the Hamiltonian of one time slice into `out` without allocating.
-///
-/// # Panics
-///
-/// Panics if `out` does not have the drift's shape.
-pub fn slice_hamiltonian_into(
-    drift: &Matrix,
-    controls: &[ControlHamiltonian],
-    pulse: &PulseSequence,
-    t: usize,
-    out: &mut Matrix,
-) {
-    out.copy_from(drift);
+    let mut h = drift.clone();
     for (k, control) in controls.iter().enumerate() {
         let amp = pulse.amplitude(k, t);
         if amp != 0.0 {
-            out.add_scaled_assign(C64::from_real(amp), &control.operator);
+            h.add_scaled_assign(C64::from_real(amp), &control.operator);
         }
     }
+    h
 }
 
 /// Propagates a pulse on a device, returning all intermediate products.
@@ -75,39 +63,26 @@ pub fn slice_hamiltonian_into(
 ///
 /// Panics if the pulse was built for a different number of controls than the device.
 pub fn propagate(device: &DeviceModel, pulse: &PulseSequence) -> Propagation {
-    let controls = device.control_hamiltonians();
-    assert_eq!(
-        controls.len(),
-        pulse.num_controls(),
-        "pulse has {} waveforms but the device has {} controls",
-        pulse.num_controls(),
-        controls.len()
-    );
-    let mut workspace = GrapeWorkspace::new(device, pulse.num_slices());
-    workspace.propagate(pulse);
+    let propagation = GrapeWorkspace::new(device, pulse.num_slices()).propagate(pulse);
 
     // The Taylor expm is the independent reference implementation: on systems small
     // enough to pay for it, every debug build verifies the shared
     // eigendecomposition propagator against it.
     #[cfg(debug_assertions)]
     if device.dim() <= 4 {
-        let drift = device.drift();
+        let (drift, controls) = (device.drift(), device.control_hamiltonians());
         let dt = pulse.dt_ns();
-        for t in 0..pulse.num_slices() {
+        for (t, slice_unitary) in propagation.slice_unitaries.iter().enumerate() {
             let h = slice_hamiltonian(&drift, &controls, pulse, t);
             let taylor = vqc_linalg::expm::expm(&h.scale(C64::new(0.0, -dt)));
             debug_assert!(
-                workspace.slice_unitaries()[t].approx_eq(&taylor, 1e-10),
+                slice_unitary.approx_eq(&taylor, 1e-10),
                 "eigendecomposition and Taylor propagators disagree at slice {t}"
             );
         }
     }
 
-    Propagation {
-        slice_unitaries: workspace.slice_unitaries().to_vec(),
-        forward: workspace.forward().to_vec(),
-        backward: workspace.backward().to_vec(),
-    }
+    propagation
 }
 
 /// Convenience wrapper returning only the total evolution operator of a pulse.

@@ -2,9 +2,9 @@
 //!
 //! A counting global allocator wraps the system allocator; the tests below warm
 //! a [`GrapeWorkspace`] up once and then assert that further `fidelity_gradient`
-//! calls never touch the heap — on the const-generic `SmallMatrix` fast path,
-//! on the pinned dynamic kernel, and on memo-replayed iterations (the
-//! [`EigenMemo`] may allocate while arming on a miss, but a hit must be free).
+//! calls never touch the heap — on stack (`SmallMatrix`) storage, on heap
+//! (`Matrix`) storage, and on memo-replayed iterations (the [`EigenMemo`] may
+//! allocate while arming on a miss, but a hit must be free).
 //! The counters are per-thread and libtest runs each test on its own thread, so
 //! the tests cannot perturb each other. This is the acceptance gate for the
 //! allocation-free kernel: any regression that re-introduces a per-iteration
@@ -14,8 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use vqc_pulse::{
-    profile, DeviceModel, EigenMemo, GrapeWorkspace, KernelPolicy, PulseSequence, SeedEntry,
-    TableConfig, TranspositionTable,
+    profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
+    TranspositionTable,
 };
 use vqc_sim::gates;
 
@@ -79,26 +79,29 @@ fn count_steady_state(workspace: &mut GrapeWorkspace, pulse: &PulseSequence) -> 
 
 #[test]
 fn fidelity_gradient_is_allocation_free_after_workspace_construction() {
-    // A two-qubit block is the representative GRAPE workload: 11 controls, 4x4
-    // matrices, several slices — and at dim 4 the workspace binds the
-    // `SmallMatrix` fast path, so this gates the static engine.
-    let device = DeviceModel::qubits_line(2);
-    let target = gates::cx();
-    let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 7);
+    // A two-qubit block is the representative GRAPE workload (11 controls, 4x4
+    // matrices); the three-qubit block is the N = 8 instance the compiler
+    // plans on the benchmark's own circuits. Both run on stack storage.
+    for (device, target) in [
+        (DeviceModel::qubits_line(2), gates::cx()),
+        (DeviceModel::qubits_line(3), gates::cx().kron(&gates::h())),
+    ] {
+        let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 7);
+        let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
+        assert!(
+            workspace.uses_static_kernel(),
+            "a {}-qubit device must run on stack storage",
+            device.num_qubits()
+        );
+        workspace.set_target(&device, &target);
 
-    let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-    let escape_hatch_set = std::env::var("VQC_SMALL_MATRIX").is_ok();
-    assert!(
-        escape_hatch_set || workspace.uses_static_kernel(),
-        "a 2-qubit device must bind the SmallMatrix engine"
-    );
-    workspace.set_target(&device, &target);
-
-    assert_eq!(
-        count_steady_state(&mut workspace, &pulse),
-        0,
-        "the static fidelity_gradient allocated on the heap after workspace construction"
-    );
+        assert_eq!(
+            count_steady_state(&mut workspace, &pulse),
+            0,
+            "the dim-{} fidelity_gradient allocated on the heap after workspace construction",
+            device.dim()
+        );
+    }
 }
 
 #[test]
@@ -143,20 +146,21 @@ fn profiler_gradient_path_is_allocation_free_armed_and_silent_disarmed() {
 }
 
 #[test]
-fn forced_dynamic_kernel_is_also_allocation_free() {
-    let device = DeviceModel::qubits_line(2);
-    let target = gates::cx();
+fn heap_storage_is_also_allocation_free() {
+    // A qutrit (dim 3) has no stack instance: the same engine body runs over
+    // heap `Matrix` rows, whose buffers are all sized at construction.
+    let device = DeviceModel::qubits_line(1).with_qutrit_levels();
+    let target = gates::h();
     let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 7);
 
-    let mut workspace =
-        GrapeWorkspace::with_kernel(&device, pulse.num_slices(), KernelPolicy::ForceDynamic);
+    let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
     assert!(!workspace.uses_static_kernel());
     workspace.set_target(&device, &target);
 
     assert_eq!(
         count_steady_state(&mut workspace, &pulse),
         0,
-        "the dynamic fidelity_gradient allocated on the heap after workspace construction"
+        "the heap-storage fidelity_gradient allocated after workspace construction"
     );
 }
 
