@@ -1,7 +1,7 @@
 //! Benchmarks of the GRAPE engine: one exact gradient evaluation and one full
 //! fixed-duration optimization on one- and two-qubit targets, the
 //! `grape_smallmat` group timing one reused-workspace gradient on stack storage
-//! at 1q/2q/3q, the `grape_seeding` group comparing cold against table-seeded
+//! at 1q/2q/3q/4q, the `grape_seeding` group comparing cold against table-seeded
 //! duration searches, and the `profile_overhead` group gating the armed
 //! compile-phase profiler to under five percent of the warm gradient path. The
 //! measurements are written to `BENCH_grape.json` in the workspace root.
@@ -61,18 +61,19 @@ fn bench_grape(c: &mut Criterion) {
 }
 
 /// One reused-workspace gradient — the way `try_optimize_pulse` runs — on the
-/// stack storage `GrapeWorkspace::new` binds for 1q/2q/3q blocks (N = 2, 4, 8).
+/// stack storage `GrapeWorkspace::new` binds for 1q–4q blocks (N = 2, 4, 8, 16).
 fn bench_grape_smallmat(c: &mut Criterion) {
     let mut group = c.benchmark_group("grape_smallmat");
     group.sample_size(30);
 
     let slices = 24;
-    for qubits in [1usize, 2, 3] {
+    for qubits in [1usize, 2, 3, 4] {
         let device = DeviceModel::qubits_line(qubits);
         let target = match qubits {
             1 => gates::h(),
             2 => gates::cx(),
-            _ => gates::cx().kron(&gates::h()),
+            3 => gates::cx().kron(&gates::h()),
+            _ => gates::cx().kron(&gates::cx()),
         };
         let pulse = PulseSequence::seeded_guess(&device, slices, 0.5, 1);
 

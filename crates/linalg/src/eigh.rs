@@ -4,7 +4,9 @@
 //! control amplitude; that derivative has a closed form in the eigenbasis of `H`
 //! (the Daleckii–Krein formula), so the pulse optimizer diagonalizes each slice
 //! Hamiltonian. The matrices involved are small (≤ 81x81), where Jacobi is simple,
-//! numerically robust, and plenty fast.
+//! numerically robust, and plenty fast. (The optimizer's own Hamiltonians are real
+//! symmetric and go through the `f64` solver in [`crate::real`]; this is the general
+//! Hermitian solver, and that one's test oracle.)
 
 use crate::{Matrix, C64};
 
@@ -19,9 +21,8 @@ pub struct EighResult {
 
 /// Reusable scratch buffers for [`eigh_into`].
 ///
-/// GRAPE diagonalizes one slice Hamiltonian per time slice per iteration; reusing
-/// one workspace across all of them removes every per-call heap allocation from the
-/// Jacobi sweep.
+/// Reusing one workspace across many diagonalizations removes every per-call heap
+/// allocation from the Jacobi sweep.
 #[derive(Debug, Clone)]
 pub struct EighWorkspace {
     /// Hermitian working copy that the Jacobi rotations reduce to diagonal form.
@@ -76,7 +77,7 @@ pub fn eigh(a: &Matrix) -> EighResult {
 /// `eigenvalues` is cleared and refilled in ascending order; `eigenvectors` is
 /// overwritten with the corresponding unitary basis (columns permuted to match the
 /// sorted eigenvalues). Returns the number of Jacobi sweeps executed before
-/// convergence (the per-phase profiler in `vqc-pulse` tallies these).
+/// convergence.
 ///
 /// # Panics
 ///

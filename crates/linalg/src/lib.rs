@@ -11,6 +11,10 @@
 //!   [`Matrix::dagger_into`], [`Matrix::scale_into`], [`Matrix::add_scaled_into`],
 //!   [`eigh_into`]) that write into caller-owned buffers, which is what lets the
 //!   GRAPE optimizer iterate without touching the heap.
+//! * [`small`] and [`real`] — the GRAPE hot-loop storages: inline const-generic
+//!   [`SmallMatrix`] with unrolled complex kernels, and its `f64` companions
+//!   [`RealSmallMatrix`] / [`RealMatrix`] with the real-symmetric eigensolver and
+//!   the mixed real·complex products a real-symmetric Hamiltonian allows.
 //! * [`Vector`] — a dense complex column vector used for quantum state vectors.
 //! * [`expm`](expm::expm) — the matrix exponential via scaling-and-squaring with a
 //!   truncated Taylor series, which is the workhorse of pulse propagation in GRAPE.
@@ -44,6 +48,7 @@ mod error;
 pub mod expm;
 pub mod fidelity;
 mod matrix;
+pub mod real;
 pub mod small;
 mod vector;
 
@@ -51,6 +56,7 @@ pub use complex::C64;
 pub use eigh::{eigh, eigh_into, EighResult, EighWorkspace};
 pub use error::LinalgError;
 pub use matrix::Matrix;
+pub use real::{RealMatrix, RealSmallMatrix};
 pub use small::{SmallEighWorkspace, SmallMatrix};
 pub use vector::Vector;
 

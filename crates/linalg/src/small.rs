@@ -1,8 +1,8 @@
 //! Const-generic small-matrix kernels for the GRAPE hot loop.
 //!
-//! Every matrix inside a GRAPE run has one of three statically known sizes —
-//! 2×2, 4×4, or 16×16 for 1q/2q/4q qubit blocks — so the dynamic [`Matrix`]
-//! kernels pay for generality they never use: runtime bounds checks, pointer
+//! Every matrix inside a GRAPE run on a qubit device has one of four statically
+//! known sizes — 2×2, 4×4, 8×8, or 16×16 for 1q–4q blocks — so the dynamic
+//! [`Matrix`] kernels pay for generality they never use: runtime bounds checks, pointer
 //! chasing through `Vec` storage, and loop trip counts the compiler cannot see.
 //! [`SmallMatrix<N>`] stores its entries inline as `[[C64; N]; N]` and expresses
 //! the same `_into` kernel family ([`SmallMatrix::matmul_into`],
@@ -16,6 +16,10 @@
 //! dynamic [`crate::eigh_into`] — identical eigenvalues, eigenvectors equal up
 //! to the inherent per-column phase freedom — which the parity suite checks via
 //! reconstruction.
+//!
+//! The GRAPE engine itself diagonalizes real-symmetric Hamiltonians with the
+//! `f64` solver in [`crate::real`]; this Hermitian [`eigh_into`] is the
+//! general-purpose API and the oracle that solver is tested against.
 //!
 //! The kernels are *branch-free*: unlike the dynamic `matmul_into`, there is no
 //! per-element zero test — on dense 2×2/4×4 inputs the test costs more than the
@@ -135,6 +139,18 @@ impl<const N: usize> SmallMatrix<N> {
         &mut self.rows
     }
 
+    /// The `N * N` entries as one row-major slice.
+    #[inline]
+    pub fn as_slice(&self) -> &[C64] {
+        self.rows.as_flattened()
+    }
+
+    /// Mutable view of the `N * N` row-major entries.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [C64] {
+        self.rows.as_flattened_mut()
+    }
+
     /// Iterates over all entries in row-major order.
     pub fn entries(&self) -> impl Iterator<Item = C64> + '_ {
         self.rows.iter().flatten().copied()
@@ -233,9 +249,8 @@ impl<const N: usize> SmallMatrix<N> {
 
 /// Reusable scratch buffers for the const-generic [`eigh_into`].
 ///
-/// The GRAPE fast path diagonalizes one slice Hamiltonian per time slice per
-/// iteration; one workspace serves all of them with zero heap traffic (the
-/// buffers are plain inline arrays).
+/// One workspace serves any number of diagonalizations with zero heap traffic
+/// (the buffers are plain inline arrays).
 #[derive(Debug, Clone)]
 pub struct SmallEighWorkspace<const N: usize> {
     /// Hermitian working copy that the Jacobi rotations reduce to diagonal form.
@@ -279,8 +294,7 @@ impl<const N: usize> SmallEighWorkspace<N> {
 ///
 /// Returns the number of Jacobi sweeps performed: 0 for the closed-form
 /// `N == 2` path, otherwise the sweep count the cyclic iteration needed to
-/// converge — the per-phase profiler in `vqc-pulse` tallies these to expose
-/// how well warm-started eigenbases pay off.
+/// converge.
 pub fn eigh_into<const N: usize>(
     a: &SmallMatrix<N>,
     workspace: &mut SmallEighWorkspace<N>,

@@ -222,7 +222,7 @@ pub fn try_optimize_pulse_with(
     // ADAM state, one entry per (control, slice).
     let mut m = vec![vec![0.0; num_slices]; num_controls];
     let mut v = vec![vec![0.0; num_slices]; num_controls];
-    let (beta1, beta2, eps) = (0.9, 0.999, 1e-8);
+    let (beta1, beta2, eps) = (0.9_f64, 0.999_f64, 1e-8);
 
     let mut cost_history = Vec::with_capacity(options.max_iterations);
     let mut best_infidelity = f64::INFINITY;
@@ -281,10 +281,14 @@ pub fn try_optimize_pulse_with(
         }
 
         // --- parameter update -------------------------------------------------------
+        // The ADAM bias corrections depend on the iteration only.
+        let bias1 = 1.0 - beta1.powi(iterations as i32);
+        let bias2 = 1.0 - beta2.powi(iterations as i32);
+        let gradient = workspace.gradient();
         for t in 0..num_slices {
             for k in 0..num_controls {
                 let u_kt = pulse.amplitude(k, t);
-                let mut grad = workspace.gradient()[k][t];
+                let mut grad = gradient[k][t];
                 grad += 2.0 * options.amplitude_penalty * u_kt * dt;
                 if options.smoothness_penalty > 0.0 {
                     if t > 0 {
@@ -304,8 +308,8 @@ pub fn try_optimize_pulse_with(
 
                 m[k][t] = beta1 * m[k][t] + (1.0 - beta1) * grad;
                 v[k][t] = beta2 * v[k][t] + (1.0 - beta2) * grad * grad;
-                let m_hat = m[k][t] / (1.0 - beta1.powi(iterations as i32));
-                let v_hat = v[k][t] / (1.0 - beta2.powi(iterations as i32));
+                let m_hat = m[k][t] / bias1;
+                let v_hat = v[k][t] / bias2;
                 let step = learning_rate * m_hat / (v_hat.sqrt() + eps);
                 // Clamping inline keeps the hardware amplitude limits enforced
                 // without the per-iteration `clamp_to_device` pass (which rebuilt

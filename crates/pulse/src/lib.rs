@@ -16,7 +16,9 @@
 //!   terms (infidelity, amplitude, smoothness regularization), and convergence control.
 //! * [`workspace`] — the reusable [`GrapeWorkspace`]: every buffer one GRAPE run
 //!   needs, allocated once per optimization so the iteration kernel never touches
-//!   the heap.
+//!   the heap. The device Hamiltonians are real symmetric, so the kernel
+//!   diagonalizes and rotates them in `f64` and is complex only from the
+//!   propagators on.
 //! * [`memo`] — the [`EigenMemo`] cache of slice-Hamiltonian eigendecompositions,
 //!   shared across the duration search's probes and hyperparameter re-tuning.
 //! * [`profile`] — phase-scoped compile-time accounting: a [`CompileProfile`]

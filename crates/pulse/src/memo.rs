@@ -2,12 +2,14 @@
 //!
 //! The duration binary search in [`crate::minimum_time`] and the hyperparameter
 //! grid in `vqc-core` launch many GRAPE runs against the *same* device, and
-//! those runs repeatedly diagonalize identical slice Hamiltonians: every probe
-//! starts from the same seeded guess, warm-started probes revisit converged
-//! amplitudes, and re-tuning replays whole trajectories. A slice Hamiltonian is
-//! fully determined by `(Δt, control amplitudes)`, so an [`EigenMemo`] keyed by
-//! the quantized amplitude vector returns the cached `(λ, V)` pair instead of
-//! re-running Jacobi.
+//! some of those runs diagonalize identical slice Hamiltonians: probes that
+//! restart from the same seeded guess, and re-tuning passes that replay a
+//! trajectory. A slice Hamiltonian is fully determined by
+//! `(Δt, control amplitudes)`, so an [`EigenMemo`] keyed by the quantized
+//! amplitude vector returns the cached `(λ, V)` pair instead of re-running
+//! Jacobi. Only exact replays hit: the driver benchmark measures a hit ratio
+//! of 2.6e-4 on a cold pre-compute pass, which makes this module a delete
+//! candidate (ROADMAP item 3) rather than a pillar.
 //!
 //! The memo is allocation-free on a hit: the lookup key is built in a reusable
 //! scratch buffer and borrowed straight into the map (`Box<[i64]>` keys are
@@ -16,7 +18,6 @@
 //! `crates/pulse/tests/alloc_free.rs` asserts.
 
 use std::collections::HashMap;
-use vqc_linalg::C64;
 
 /// Quantization step for memo keys, in the amplitude unit (rad/ns) and
 /// nanoseconds for Δt. Two Hamiltonians whose parameters agree to within half a
@@ -29,12 +30,13 @@ pub const AMPLITUDE_QUANTUM: f64 = 1e-9;
 /// early-trajectory entries that probes actually share.
 const DEFAULT_CAPACITY: usize = 32_768;
 
-/// One cached eigendecomposition: `H = V · diag(λ) · V†`.
+/// One cached eigendecomposition: `H = V · diag(λ) · Vᵀ`. Slice Hamiltonians
+/// are real symmetric, so the eigenvectors are stored as reals.
 #[derive(Debug, Clone)]
 struct EigenEntry {
     lambdas: Box<[f64]>,
     /// Row-major eigenvector matrix, `dim * dim` entries.
-    vectors: Box<[C64]>,
+    vectors: Box<[f64]>,
 }
 
 /// A per-run cache of slice-Hamiltonian eigendecompositions keyed by
@@ -93,7 +95,7 @@ impl EigenMemo {
         dim: usize,
         dt_ns: f64,
         amplitudes: impl Iterator<Item = f64>,
-        on_hit: impl FnOnce(&[f64], &[C64]),
+        on_hit: impl FnOnce(&[f64], &[f64]),
     ) -> bool {
         self.key.clear();
         self.key.push(dim as i64);
@@ -114,7 +116,7 @@ impl EigenMemo {
     /// Files a freshly computed eigendecomposition under the key armed by the
     /// last missed [`EigenMemo::probe_with`]. A no-op if no probe is armed, or
     /// if the memo is at capacity (the system is simply not cached).
-    pub fn store_probed(&mut self, lambdas: &[f64], vectors: impl Iterator<Item = C64>) {
+    pub fn store_probed(&mut self, lambdas: &[f64], vectors: impl Iterator<Item = f64>) {
         if !self.armed {
             return;
         }
@@ -161,17 +163,13 @@ impl EigenMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vqc_linalg::c64;
 
     #[test]
     fn probe_miss_then_store_then_hit() {
         let mut memo = EigenMemo::new();
         let amps = [0.25, -0.5];
         assert!(!memo.probe_with(2, 0.5, amps.iter().copied(), |_, _| panic!("miss expected")));
-        memo.store_probed(
-            &[-1.0, 1.0],
-            [c64(1.0, 0.0), C64::ZERO, C64::ZERO, c64(0.0, 1.0)].into_iter(),
-        );
+        memo.store_probed(&[-1.0, 1.0], [1.0, 0.0, 0.0, -1.0].into_iter());
         assert_eq!(memo.len(), 1);
 
         let mut seen = None;
@@ -180,7 +178,7 @@ mod tests {
         }));
         let (lambdas, vectors) = seen.expect("hit closure must run");
         assert_eq!(lambdas, vec![-1.0, 1.0]);
-        assert_eq!(vectors[3], c64(0.0, 1.0));
+        assert_eq!(vectors[3], -1.0);
         assert_eq!(memo.hits(), 1);
         assert_eq!(memo.misses(), 1);
     }
@@ -188,7 +186,7 @@ mod tests {
     #[test]
     fn keys_distinguish_dim_dt_and_amplitudes() {
         let mut memo = EigenMemo::new();
-        let store = |m: &mut EigenMemo| m.store_probed(&[0.0], [C64::ONE].into_iter());
+        let store = |m: &mut EigenMemo| m.store_probed(&[0.0], [1.0].into_iter());
         assert!(!memo.probe_with(1, 0.5, [0.1].into_iter(), |_, _| {}));
         store(&mut memo);
         // Same amplitudes, different dt or dim: miss.
@@ -218,9 +216,9 @@ mod tests {
     fn capacity_bounds_inserts() {
         let mut memo = EigenMemo::with_capacity(1);
         assert!(!memo.probe_with(1, 0.5, [0.0].into_iter(), |_, _| {}));
-        memo.store_probed(&[0.0], [C64::ONE].into_iter());
+        memo.store_probed(&[0.0], [1.0].into_iter());
         assert!(!memo.probe_with(1, 0.5, [1.0].into_iter(), |_, _| {}));
-        memo.store_probed(&[1.0], [C64::ONE].into_iter());
+        memo.store_probed(&[1.0], [1.0].into_iter());
         assert_eq!(memo.len(), 1, "full memo must reject new entries");
         assert_eq!(memo.rejected_inserts(), 1);
         // The retained entry still hits.
@@ -230,7 +228,7 @@ mod tests {
     #[test]
     fn store_without_armed_probe_is_a_noop() {
         let mut memo = EigenMemo::new();
-        memo.store_probed(&[0.0], [C64::ONE].into_iter());
+        memo.store_probed(&[0.0], [1.0].into_iter());
         assert!(memo.is_empty());
     }
 }

@@ -15,58 +15,79 @@
 //! matrix in a GRAPE run has a dimension fixed by the device, so the workspace
 //! picks the storage from `device.dim()` at construction and nothing else:
 //! inline const-generic [`SmallMatrix`] for dims 2/4/8/16 — every width a
-//! compiler with `max_block_width = 4` can plan on a qubit device (fully
-//! unrolled matmuls, a closed-form 2×2 eigensolver, algebraic Jacobi) — and
-//! heap [`Matrix`] rows for every other dimension (qutrit devices at
-//! 3/9/27/81, qubit lines wider than four). Both instances run the same body,
-//! so their gradients agree to machine precision; the in-crate parity tests
-//! hold them to 1e-12 at every stack dimension.
+//! compiler with `max_block_width = 4` can plan on a qubit device — and heap
+//! [`Matrix`] rows for every other dimension (qutrit devices at 3/9/27/81,
+//! qubit lines wider than four). Both instances run the same body, so their
+//! gradients agree to machine precision; the in-crate parity tests hold them
+//! to 1e-12 at every stack dimension.
+//!
+//! The engine is real where the physics is real. Every Hamiltonian a
+//! [`DeviceModel`] produces is real symmetric (Appendix A: charge `a + a†`,
+//! flux `a†a`, coupling `(a + a†)(a + a†)`, zero drift), so slice
+//! Hamiltonians, their eigenvectors, the warm-start rotation `VᵀHV` and the
+//! Jacobi solver run in `f64` on the storage's real companion;
+//! only the phases `e^{-iΔtλ}`, the propagators and their partial products are
+//! complex, and the products between the two are mixed real·complex kernels.
+//! The engine's constructor asserts the premise, so there is no complex
+//! fallback.
 //!
 //! The workspace is also the single home of the eigendecomposition-based slice
-//! propagator `U_t = V e^{-iΔtΛ} V†`; [`crate::propagate`] drives the same path (the
+//! propagator `U_t = V e^{-iΔtΛ} Vᵀ`; [`crate::propagate`] drives the same path (the
 //! Taylor [`vqc_linalg::expm`] stays as an independent reference that a debug
 //! assertion checks it against). The engine can consult an [`EigenMemo`] so
-//! repeated slice Hamiltonians — ubiquitous across duration probes and
-//! hyperparameter re-tuning — skip the diagonalization entirely.
+//! a slice Hamiltonian seen before skips the diagonalization.
 
 use crate::memo::EigenMemo;
 use crate::profile::{self, Phase};
 use crate::propagate::Propagation;
-use crate::{DeviceModel, PulseSequence};
+use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
 use std::fmt::Debug;
-use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
-use vqc_linalg::{eigh_into, EighWorkspace, Matrix, C64};
+use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, SmallMatrix, C64};
 
-/// The square complex matrix storage an [`Engine`] runs over: entry access, the
-/// two allocation-free `_into` products, and the matching Hermitian
-/// eigensolver. Exactly two implementations exist — stack [`SmallMatrix`] and
-/// heap [`Matrix`] — and every method forwards to the kernel `vqc-linalg`
-/// already has for that type.
-trait Storage: Clone + Debug {
-    /// Reusable eigensolver scratch for this storage.
-    type Eigh: Clone + Debug;
+/// The square real matrix storage of an [`Engine`]'s Hamiltonians and
+/// eigenvectors: the three products they enter and the symmetric eigensolver.
+/// Like [`Storage`], every method forwards to the `vqc-linalg` kernel for that
+/// type.
+trait RealStorage: Clone + Debug {
+    /// The complex storage of the same dimension.
+    type Complex;
 
-    /// Copies a square dynamic matrix into this storage.
-    fn from_matrix(source: &Matrix) -> Self;
-    /// Eigensolver scratch for `dim × dim` matrices.
-    fn eigh_scratch(dim: usize) -> Self::Eigh;
+    fn zeros(dim: usize) -> Self;
     /// The matrix dimension (a compile-time constant on the stack).
     fn dim(&self) -> usize;
     /// Row-major entries — the layout [`EigenMemo`] files eigenvectors in.
+    fn entries(&self) -> &[f64];
+    fn entries_mut(&mut self) -> &mut [f64];
+    /// Writes `self · rhs` into `out`.
+    fn mul_into(&self, rhs: &Self, out: &mut Self);
+    /// Writes `selfᵀ` into `out`.
+    fn transpose_into(&self, out: &mut Self);
+    /// Writes `self · rhs` into the complex `out`.
+    fn mul_complex_into(&self, rhs: &Self::Complex, out: &mut Self::Complex);
+    /// Diagonalizes symmetric `self` — consumed as the solver's working copy —
+    /// into ascending `lambdas` and the matching `vectors` columns; returns the
+    /// Jacobi sweep count.
+    fn diagonalize(&mut self, lambdas: &mut [f64], vectors: &mut Self) -> usize;
+}
+
+/// The square complex matrix storage an [`Engine`] runs over: entry access and
+/// the allocation-free `_into` products. Exactly two implementations exist —
+/// stack [`SmallMatrix`] and heap [`Matrix`] — each paired with its real
+/// companion.
+trait Storage: Clone + Debug {
+    /// The real storage of the same dimension.
+    type Real: RealStorage<Complex = Self>;
+
+    /// Copies a square dynamic matrix into this storage.
+    fn from_matrix(source: &Matrix) -> Self;
+    /// The matrix dimension (a compile-time constant on the stack).
+    fn dim(&self) -> usize;
     fn entries(&self) -> &[C64];
     fn entries_mut(&mut self) -> &mut [C64];
     /// Writes `self · rhs` into `out`.
     fn mul_into(&self, rhs: &Self, out: &mut Self);
-    /// Writes `self†` into `out`.
-    fn adjoint_into(&self, out: &mut Self);
-    /// Diagonalizes Hermitian `self` into ascending `lambdas` and the matching
-    /// `vectors` columns; returns the Jacobi sweep count.
-    fn diagonalize(
-        &self,
-        scratch: &mut Self::Eigh,
-        lambdas: &mut [f64],
-        vectors: &mut Self,
-    ) -> usize;
+    /// Writes `self · rhs` into `out`, for a real `rhs`.
+    fn mul_real_into(&self, rhs: &Self::Real, out: &mut Self);
 
     fn at(&self, row: usize, col: usize) -> C64 {
         self.entries()[row * self.dim() + col]
@@ -77,55 +98,98 @@ trait Storage: Clone + Debug {
     }
 }
 
-impl<const N: usize> Storage for SmallMatrix<N> {
-    type Eigh = SmallEighWorkspace<N>;
+impl<const N: usize> RealStorage for RealSmallMatrix<N> {
+    type Complex = SmallMatrix<N>;
 
-    fn from_matrix(source: &Matrix) -> Self {
-        SmallMatrix::from_matrix(source)
-    }
-    fn eigh_scratch(_dim: usize) -> Self::Eigh {
-        SmallEighWorkspace::new()
+    fn zeros(_dim: usize) -> Self {
+        Self::ZERO
     }
     fn dim(&self) -> usize {
         N
     }
-    fn entries(&self) -> &[C64] {
-        self.rows().as_flattened()
+    fn entries(&self) -> &[f64] {
+        self.as_slice()
     }
-    fn entries_mut(&mut self) -> &mut [C64] {
-        self.rows_mut().as_flattened_mut()
+    fn entries_mut(&mut self) -> &mut [f64] {
+        self.as_mut_slice()
     }
     #[inline]
     fn mul_into(&self, rhs: &Self, out: &mut Self) {
         self.matmul_into(rhs, out);
     }
     #[inline]
-    fn adjoint_into(&self, out: &mut Self) {
-        self.dagger_into(out);
+    fn transpose_into(&self, out: &mut Self) {
+        RealSmallMatrix::transpose_into(self, out);
     }
     #[inline]
-    fn diagonalize(
-        &self,
-        scratch: &mut Self::Eigh,
-        lambdas: &mut [f64],
-        vectors: &mut Self,
-    ) -> usize {
-        // audit:allow(unwrap): the engine slices exactly `dim` eigenvalues per time slice
-        let lambdas = lambdas.try_into().expect("one eigenvalue per dimension");
-        small::eigh_into(self, scratch, lambdas, vectors)
+    fn mul_complex_into(&self, rhs: &SmallMatrix<N>, out: &mut SmallMatrix<N>) {
+        RealSmallMatrix::mul_complex_into(self, rhs, out);
+    }
+    #[inline]
+    fn diagonalize(&mut self, lambdas: &mut [f64], vectors: &mut Self) -> usize {
+        self.eigh_in_place(lambdas, vectors)
+    }
+}
+
+impl<const N: usize> Storage for SmallMatrix<N> {
+    type Real = RealSmallMatrix<N>;
+
+    fn from_matrix(source: &Matrix) -> Self {
+        SmallMatrix::from_matrix(source)
+    }
+    fn dim(&self) -> usize {
+        N
+    }
+    fn entries(&self) -> &[C64] {
+        self.as_slice()
+    }
+    fn entries_mut(&mut self) -> &mut [C64] {
+        self.as_mut_slice()
+    }
+    #[inline]
+    fn mul_into(&self, rhs: &Self, out: &mut Self) {
+        self.matmul_into(rhs, out);
+    }
+    #[inline]
+    fn mul_real_into(&self, rhs: &RealSmallMatrix<N>, out: &mut Self) {
+        SmallMatrix::mul_real_into(self, rhs, out);
+    }
+}
+
+impl RealStorage for RealMatrix {
+    type Complex = Matrix;
+
+    fn zeros(dim: usize) -> Self {
+        RealMatrix::zeros(dim)
+    }
+    fn dim(&self) -> usize {
+        RealMatrix::dim(self)
+    }
+    fn entries(&self) -> &[f64] {
+        self.as_slice()
+    }
+    fn entries_mut(&mut self) -> &mut [f64] {
+        self.as_mut_slice()
+    }
+    fn mul_into(&self, rhs: &Self, out: &mut Self) {
+        self.matmul_into(rhs, out);
+    }
+    fn transpose_into(&self, out: &mut Self) {
+        RealMatrix::transpose_into(self, out);
+    }
+    fn mul_complex_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        RealMatrix::mul_complex_into(self, rhs, out);
+    }
+    fn diagonalize(&mut self, lambdas: &mut [f64], vectors: &mut Self) -> usize {
+        self.eigh_in_place(lambdas, vectors)
     }
 }
 
 impl Storage for Matrix {
-    /// [`eigh_into`] refills a `Vec`, so the scratch carries one beside the
-    /// Jacobi buffers; its contents are copied out into the engine's slice.
-    type Eigh = (EighWorkspace, Vec<f64>);
+    type Real = RealMatrix;
 
     fn from_matrix(source: &Matrix) -> Self {
         source.clone()
-    }
-    fn eigh_scratch(dim: usize) -> Self::Eigh {
-        (EighWorkspace::new(dim), Vec::with_capacity(dim))
     }
     fn dim(&self) -> usize {
         self.rows()
@@ -139,19 +203,31 @@ impl Storage for Matrix {
     fn mul_into(&self, rhs: &Self, out: &mut Self) {
         self.matmul_into(rhs, out);
     }
-    fn adjoint_into(&self, out: &mut Self) {
-        self.dagger_into(out);
+    fn mul_real_into(&self, rhs: &RealMatrix, out: &mut Self) {
+        Matrix::mul_real_into(self, rhs, out);
     }
-    fn diagonalize(
-        &self,
-        (scratch, sorted): &mut Self::Eigh,
-        lambdas: &mut [f64],
-        vectors: &mut Self,
-    ) -> usize {
-        let sweeps = eigh_into(self, scratch, sorted, vectors);
-        lambdas.copy_from_slice(sorted);
-        sweeps
-    }
+}
+
+/// The entries of a device Hamiltonian term as reals.
+///
+/// # Panics
+///
+/// Panics, naming `label`, if any entry has an imaginary part: the engine's
+/// kernels are real-symmetric throughout, so such an operator is a bug in the
+/// device model rather than an input to degrade on.
+fn real_entries<'a>(label: &'a str, operator: &'a Matrix) -> impl Iterator<Item = f64> + 'a {
+    let cols = operator.cols();
+    let entries = operator.as_slice().iter().enumerate();
+    entries.map(move |(index, value)| {
+        assert!(
+            value.im == 0.0,
+            "{label} has the complex entry {value} at ({}, {}); \
+             the GRAPE engine runs on real-symmetric Hamiltonians only",
+            index / cols,
+            index % cols
+        );
+        value.re
+    })
 }
 
 /// The GRAPE engine: the entire hot loop, written once over a [`Storage`].
@@ -166,32 +242,36 @@ impl Storage for Matrix {
 struct Engine<S: Storage> {
     num_slices: usize,
     qubit_dim: f64,
-    drift: S,
+    drift: S::Real,
     /// `(row-major index, entry)` nonzeros of each control operator, in
     /// row-major order.
-    control_sparse: Vec<Vec<(usize, C64)>>,
+    control_sparse: Vec<Vec<(usize, f64)>>,
     /// `(padded target)†`, set by [`GrapeWorkspace::set_target`].
     target_dagger: Option<S>,
 
     // --- packed per-slice buffer families ------------------------------------------
-    slice_h: Vec<S>,
-    slice_v: Vec<S>,
-    slice_vdag: Vec<S>,
+    /// Assembled each propagation, then consumed by the eigensolver.
+    slice_h: Vec<S::Real>,
+    slice_v: Vec<S::Real>,
+    /// `slice_v[t]ᵀ`, refreshed by the propagator pass.
+    slice_vt: Vec<S::Real>,
     /// `dim` ascending eigenvalues per slice, slice-major.
     lambdas: Vec<f64>,
     /// `e^{-iΔtλ}` for each entry of `lambdas`.
     phases: Vec<C64>,
     slice_u: Vec<S>,
     forward: Vec<S>,
-    /// `backward[T-1]` is the identity: written at construction, never after.
+    /// The gradient's co-state, `backward[t] = target† · U_{T-1} ⋯ U_{t+1}`:
+    /// swept only once a target is set.
     backward: Vec<S>,
 
     // --- iteration scratch ----------------------------------------------------------
-    eigh: S::Eigh,
+    real_a: S::Real,
+    real_b: S::Real,
     scratch_a: S,
     scratch_b: S,
     scratch_c: S,
-    /// Whether `slice_v`/`slice_vdag` hold a converged eigenbasis from a prior
+    /// Whether `slice_v`/`slice_vt` hold a converged eigenbasis from a prior
     /// propagation, enabling the warm-started Jacobi path.
     warmed: bool,
     /// `gradient[k][t] = ∂(infidelity)/∂u_k(t)` after a `fidelity_gradient` call.
@@ -200,40 +280,62 @@ struct Engine<S: Storage> {
 
 impl<S: Storage> Engine<S> {
     fn new(device: &DeviceModel, num_slices: usize) -> Self {
-        let dim = device.dim();
-        let nonzero = |(_, value): &(usize, C64)| value.re != 0.0 || value.im != 0.0;
-        let control_sparse = device
-            .control_hamiltonians()
+        Self::from_hamiltonians(
+            &device.drift(),
+            &device.control_hamiltonians(),
+            device.qubit_dim(),
+            num_slices,
+        )
+    }
+
+    /// [`Engine::new`] on explicit operators (so the realness assert can be
+    /// shown operators no [`DeviceModel`] produces).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the drift or a control operator has a complex entry.
+    fn from_hamiltonians(
+        drift_operator: &Matrix,
+        controls: &[ControlHamiltonian],
+        qubit_dim: usize,
+        num_slices: usize,
+    ) -> Self {
+        let dim = drift_operator.rows();
+        let control_sparse = controls
             .iter()
             .map(|control| {
-                let entries = control.operator.as_slice().iter().copied().enumerate();
-                entries.filter(nonzero).collect()
+                let entries = real_entries(&control.label, &control.operator).enumerate();
+                entries.filter(|&(_, value)| value != 0.0).collect()
             })
             .collect();
+        let real_zero = S::Real::zeros(dim);
+        let mut drift = real_zero.clone();
+        let drift_entries: Vec<f64> = real_entries("the drift", drift_operator).collect();
+        drift.entries_mut().copy_from_slice(&drift_entries);
         let zero = S::from_matrix(&Matrix::zeros(dim, dim));
+        let real_family = || vec![real_zero.clone(); num_slices];
         let family = || vec![zero.clone(); num_slices];
-        let mut backward = family();
-        backward[num_slices - 1] = S::from_matrix(&Matrix::identity(dim));
         Engine {
             num_slices,
-            qubit_dim: device.qubit_dim() as f64,
-            drift: S::from_matrix(&device.drift()),
+            qubit_dim: qubit_dim as f64,
+            drift,
             control_sparse,
             target_dagger: None,
-            slice_h: family(),
-            slice_v: family(),
-            slice_vdag: family(),
+            slice_h: real_family(),
+            slice_v: real_family(),
+            slice_vt: real_family(),
             lambdas: vec![0.0; num_slices * dim],
             phases: vec![C64::ZERO; num_slices * dim],
             slice_u: family(),
             forward: family(),
-            backward,
-            eigh: S::eigh_scratch(dim),
+            backward: family(),
+            real_a: real_zero.clone(),
+            real_b: real_zero.clone(),
             scratch_a: zero.clone(),
             scratch_b: zero.clone(),
             scratch_c: zero.clone(),
             warmed: false,
-            gradient: vec![vec![0.0; num_slices]; device.num_controls()],
+            gradient: vec![vec![0.0; num_slices]; controls.len()],
         }
     }
 
@@ -245,16 +347,15 @@ impl<S: Storage> Engine<S> {
         for (k, entries) in self.control_sparse.iter().enumerate() {
             let amp = pulse.amplitude(k, t);
             if amp != 0.0 {
-                let scale = C64::from_real(amp);
                 for &(index, value) in entries {
-                    hamiltonian[index] += value * scale;
+                    hamiltonian[index] += value * amp;
                 }
             }
         }
     }
 
     /// Diagonalizes `slice_h[t]` into slice `t`'s eigensystem, returning the
-    /// Jacobi sweep count. (`slice_vdag` still holds the previous propagation's
+    /// Jacobi sweep count. (`slice_vt` still holds the previous propagation's
     /// bases here; the propagator pass refreshes it only after every
     /// eigensystem is done.)
     fn eigensolve(&mut self, t: usize) -> usize {
@@ -262,20 +363,18 @@ impl<S: Storage> Engine<S> {
         let lambdas = &mut self.lambdas[t * dim..][..dim];
         let v = &mut self.slice_v[t];
         if !self.warmed {
-            return self.slice_h[t].diagonalize(&mut self.eigh, lambdas, v);
+            return self.slice_h[t].diagonalize(lambdas, v);
         }
         // Warm-started Jacobi: rotate H into this slice's previous eigenbasis,
-        // H' = V† H V. Between optimizer iterations the amplitudes move only
+        // H' = Vᵀ H V. Between optimizer iterations the amplitudes move only
         // slightly, so H' is nearly diagonal and the sweep count collapses (to
         // zero when the slice is re-evaluated unchanged). Compose
         // V ← V_prev · V' after.
-        self.slice_vdag[t].mul_into(&self.slice_h[t], &mut self.scratch_b);
-        self.scratch_b.mul_into(v, &mut self.scratch_c);
-        let sweeps = self
-            .scratch_c
-            .diagonalize(&mut self.eigh, lambdas, &mut self.scratch_b);
-        v.mul_into(&self.scratch_b, &mut self.scratch_a);
-        v.entries_mut().copy_from_slice(self.scratch_a.entries());
+        self.slice_vt[t].mul_into(&self.slice_h[t], &mut self.real_a);
+        self.real_a.mul_into(v, &mut self.real_b);
+        let sweeps = self.real_b.diagonalize(lambdas, &mut self.real_a);
+        v.mul_into(&self.real_a, &mut self.real_b);
+        v.entries_mut().copy_from_slice(self.real_b.entries());
         sweeps
     }
 
@@ -354,8 +453,9 @@ impl<S: Storage> Engine<S> {
             lap.mark(Phase::Eigendecomposition);
         }
 
-        // Propagator pass: U_t = V · diag(phases) · V† (scale the columns of V,
-        // then multiply); V† is cached for the gradient pass.
+        // Propagator pass: U_t = V · (diag(phases) · Vᵀ) — scale the rows of Vᵀ,
+        // then one real·complex product; Vᵀ is kept for the next warm start
+        // and the gradient pass.
         for t in 0..self.num_slices {
             let lambdas = &self.lambdas[t * dim..][..dim];
             let phases = &mut self.phases[t * dim..][..dim];
@@ -363,14 +463,15 @@ impl<S: Storage> Engine<S> {
                 *phase = C64::cis(-dt * lambda);
             }
             let v = &self.slice_v[t];
-            v.adjoint_into(&mut self.slice_vdag[t]);
-            for r in 0..dim {
-                for (c, &phase) in phases.iter().enumerate() {
-                    self.scratch_a.put(r, c, v.at(r, c) * phase);
+            v.transpose_into(&mut self.slice_vt[t]);
+            let scaled = self.scratch_a.entries_mut().chunks_exact_mut(dim);
+            let rows = self.slice_vt[t].entries().chunks_exact(dim);
+            for ((scaled_row, row), &phase) in scaled.zip(rows).zip(phases.iter()) {
+                for (slot, &entry) in scaled_row.iter_mut().zip(row) {
+                    *slot = phase * entry;
                 }
             }
-            self.scratch_a
-                .mul_into(&self.slice_vdag[t], &mut self.slice_u[t]);
+            v.mul_complex_into(&self.scratch_a, &mut self.slice_u[t]);
         }
 
         // Forward sweep: forward[t] = U_t · forward[t-1].
@@ -382,11 +483,16 @@ impl<S: Storage> Engine<S> {
             self.slice_u[t].mul_into(&head[t - 1], &mut tail[0]);
         }
 
-        // Backward sweep: backward[t] = backward[t+1] · U_{t+1}, from the
-        // identity `new` left in the last slot.
-        for t in (0..self.num_slices - 1).rev() {
-            let (head, tail) = self.backward.split_at_mut(t + 1);
-            tail[0].mul_into(&self.slice_u[t + 1], &mut head[t]);
+        // Backward sweep, seeded with the target so the gradient pass finds
+        // target† · U_{T-1} ⋯ U_{t+1} ready-made: backward[t] = backward[t+1] · U_{t+1}.
+        if let Some(target_dagger) = &self.target_dagger {
+            self.backward[self.num_slices - 1]
+                .entries_mut()
+                .copy_from_slice(target_dagger.entries());
+            for t in (0..self.num_slices - 1).rev() {
+                let (head, tail) = self.backward.split_at_mut(t + 1);
+                tail[0].mul_into(&self.slice_u[t + 1], &mut head[t]);
+            }
         }
         lap.mark(Phase::Propagation);
 
@@ -409,7 +515,7 @@ impl<S: Storage> Engine<S> {
             panic!("set_target must be called before fidelity_gradient");
         };
 
-        // overlap = Tr(V† U_total) / d, computed as Σ_ik V†[i,k]·U[k,i] in O(dim²).
+        // overlap = Tr(V_target† U_total) / d, as Σ_ik V_target†[i,k]·U[k,i] in O(dim²).
         let total = &self.forward[self.num_slices - 1];
         let mut overlap = C64::ZERO;
         for i in 0..dim {
@@ -422,29 +528,29 @@ impl<S: Storage> Engine<S> {
         let conj_overlap = overlap.conj();
 
         // --- exact gradient via the Daleckii–Krein formula ---------------------------
-        // For slice t: U_total = backward[t] · U_t · forward[t-1], and
-        //   ∂U_t/∂u_k = V (Γ ∘ (V† H_k V)) V†,
+        // For slice t: U_total = (U_{T-1} ⋯ U_{t+1}) · U_t · forward[t-1], and
+        //   ∂U_t/∂u_k = V (Γ ∘ (Vᵀ H_k V)) Vᵀ,
         // where Γ_ij is the divided difference of f(λ) = e^{-iΔtλ} at (λ_i, λ_j).
-        // Writing M' = forward[t-1] · V_target† · backward[t] and P = V† M' V,
+        // Writing M' = forward[t-1] · backward[t] (the target is already inside
+        // backward[t]) and P = Vᵀ M' V,
         //   Tr(V_target† ∂U_total/∂u_k) = Σ_ab H_k[a,b] · G[a,b]
-        // with  G = conj(V) · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k. To stay in
-        // plain matmul kernels, G is computed as conj(V · conj(Pᵀ ∘ Γ) · V†): the
-        // conjugation folds into building T = conj(Pᵀ ∘ Γ) and into the final
-        // contraction.
+        // with  G = V · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k. V is real, so
+        // conj(G) = V · conj(Pᵀ ∘ Γ) · Vᵀ: the conjugation folds into building
+        // T = conj(Pᵀ ∘ Γ) and into the final contraction, and all four
+        // products around V are mixed real·complex kernels.
         for t in 0..self.num_slices {
-            // m' = forward[t-1] · target† · backward[t]   (forward[-1] = identity)
-            if t == 0 {
-                target_dagger.mul_into(&self.backward[0], &mut self.scratch_b);
+            // m' = forward[t-1] · backward[t]   (forward[-1] = identity)
+            let m_prime = if t == 0 {
+                &self.backward[0]
             } else {
-                self.forward[t - 1].mul_into(target_dagger, &mut self.scratch_a);
-                self.scratch_a
-                    .mul_into(&self.backward[t], &mut self.scratch_b);
-            }
+                self.forward[t - 1].mul_into(&self.backward[t], &mut self.scratch_b);
+                &self.scratch_b
+            };
             let v = &self.slice_v[t];
-            let vdag = &self.slice_vdag[t];
-            // p = V† · m' · V
-            vdag.mul_into(&self.scratch_b, &mut self.scratch_a);
-            self.scratch_a.mul_into(v, &mut self.scratch_c);
+            let vt = &self.slice_vt[t];
+            // p = Vᵀ · m' · V
+            vt.mul_complex_into(m_prime, &mut self.scratch_a);
+            self.scratch_a.mul_real_into(v, &mut self.scratch_c);
 
             let lambdas = &self.lambdas[t * dim..][..dim];
             let phases = &self.phases[t * dim..][..dim];
@@ -460,15 +566,15 @@ impl<S: Storage> Engine<S> {
                         .put(j, i, (self.scratch_c.at(i, j) * gamma).conj());
                 }
             }
-            // conj(G) = V · T · V†
-            v.mul_into(&self.scratch_b, &mut self.scratch_a);
-            self.scratch_a.mul_into(vdag, &mut self.scratch_c);
+            // conj(G) = V · T · Vᵀ
+            v.mul_complex_into(&self.scratch_b, &mut self.scratch_a);
+            self.scratch_a.mul_real_into(vt, &mut self.scratch_c);
             let g_conj = self.scratch_c.entries();
 
             for (k, entries) in self.control_sparse.iter().enumerate() {
                 let mut contraction = C64::ZERO;
                 for &(index, h_ab) in entries {
-                    contraction += h_ab * g_conj[index].conj();
+                    contraction += g_conj[index].conj() * h_ab;
                 }
                 let dg = contraction / dim_f;
                 let dfidelity = 2.0 * (conj_overlap * dg).re;
@@ -480,15 +586,21 @@ impl<S: Storage> Engine<S> {
         infidelity
     }
 
-    /// Copies the last propagation's products out as dynamic matrices.
+    /// Copies the last propagation's products out as dynamic matrices. The
+    /// engine's own backward family carries the target, so the public,
+    /// identity-seeded one is multiplied out here.
     fn export(&self) -> Propagation {
         let dim = self.drift.dim();
         let dynamic = |m: &S| Matrix::from_vec(dim, dim, m.entries().to_vec());
-        let export = |family: &[S]| family.iter().map(dynamic).collect();
+        let slice_unitaries: Vec<Matrix> = self.slice_u.iter().map(dynamic).collect();
+        let mut backward = vec![Matrix::identity(dim); self.num_slices];
+        for t in (0..self.num_slices - 1).rev() {
+            backward[t] = backward[t + 1].matmul(&slice_unitaries[t + 1]);
+        }
         Propagation {
-            slice_unitaries: export(&self.slice_u),
-            forward: export(&self.forward),
-            backward: export(&self.backward),
+            slice_unitaries,
+            forward: self.forward.iter().map(dynamic).collect(),
+            backward,
         }
     }
 }
@@ -643,6 +755,41 @@ mod tests {
             !GrapeWorkspace::new(&qutrit, 4).uses_static_kernel(),
             "dim 3 runs on the heap instance"
         );
+    }
+
+    #[test]
+    fn every_device_hamiltonian_is_real_with_zero_drift() {
+        let devices = (1..=4)
+            .map(DeviceModel::qubits_line)
+            .chain([DeviceModel::qubits_grid(2, 2)])
+            .chain((1..=2).map(|n| DeviceModel::qubits_line(n).with_qutrit_levels()));
+        for device in devices {
+            assert_eq!(
+                device.drift().max_abs(),
+                0.0,
+                "the rotating frame has no drift"
+            );
+            for control in device.control_hamiltonians() {
+                let entries = control.operator.as_slice();
+                assert!(
+                    entries.iter().all(|entry| entry.im == 0.0),
+                    "{} on a dim-{} device is not real",
+                    control.label,
+                    device.dim()
+                );
+            }
+            // The engine's own assert agrees.
+            GrapeWorkspace::new(&device, 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "charge[0] has the complex entry")]
+    fn a_complex_control_is_rejected_by_name() {
+        let device = DeviceModel::qubits_line(1);
+        let mut controls = device.control_hamiltonians();
+        controls[0].operator = gates::y();
+        Engine::<SmallMatrix<2>>::from_hamiltonians(&device.drift(), &controls, 2, 4);
     }
 
     /// One engine over `S` with the (qubit-device) target bound.
