@@ -1,9 +1,10 @@
 //! The [`PartialCompiler`]: one API over the four compilation strategies.
 
-use crate::blocking::{aggregate_blocks_with_cap, Block, ParameterPolicy};
-use crate::hyperparam::{tune_hyperparameters, HyperparameterGrid};
+use crate::blocking::{Block, ParameterPolicy};
+use crate::hyperparam::{tune_hyperparameters_keeping_winner, HyperparameterGrid};
 use crate::latency::{LatencyEstimate, LatencyModel};
 use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
+use crate::plan::{self, BlockRecord, CacheSlot, CompilationPlan, PlanCache, PlanCacheStats};
 use crate::schedule::schedule_blocks;
 use crate::CompileError;
 use serde::{Deserialize, Serialize};
@@ -13,7 +14,10 @@ use std::time::Instant;
 use vqc_circuit::timing::{critical_path_ns, GateTimes};
 use vqc_circuit::{passes, Circuit};
 use vqc_pulse::grape::GrapeOptions;
-use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
+use vqc_pulse::minimum_time::{
+    minimum_pulse_time_after_opening, minimum_pulse_time_seeded, MinimumTimeOptions,
+    MinimumTimeResult,
+};
 use vqc_pulse::profile::{self, CompileProfile, Phase};
 use vqc_pulse::{DeviceModel, EigenMemo, SeedEntry};
 use vqc_sim::circuit_unitary;
@@ -53,7 +57,7 @@ impl Strategy {
         }
     }
 
-    fn parameter_policy(&self) -> Option<ParameterPolicy> {
+    pub(crate) fn parameter_policy(&self) -> Option<ParameterPolicy> {
         match self {
             Strategy::GateBased => None,
             Strategy::StrictPartial => Some(ParameterPolicy::Forbid),
@@ -203,52 +207,6 @@ impl CompilationReport {
     }
 }
 
-/// The blocking decision for one circuit under one strategy: everything the
-/// per-block compilation steps need, produced once by [`PartialCompiler::plan`].
-///
-/// Splitting planning from block compilation is what lets `vqc-runtime` compile the
-/// independent blocks of a plan on a worker pool: each block's
-/// [`PartialCompiler::compile_block_outcome`] call is side-effect-free apart from
-/// inserts into the shared [`PulseCache`], so blocks can run in any order and in
-/// parallel, and [`PartialCompiler::assemble`] folds the outcomes back into the same
-/// [`CompilationReport`] the sequential path produces.
-#[derive(Debug, Clone)]
-pub struct CompilationPlan {
-    /// The optimized, basis-lowered circuit the blocks index into.
-    pub prepared: Circuit,
-    /// Gate-based critical-path duration of the prepared circuit (ns).
-    pub gate_based_duration_ns: f64,
-    /// The aggregated blocks (empty for the gate-based strategy).
-    pub blocks: Vec<Block>,
-    /// Strategy the plan was made for.
-    pub strategy: Strategy,
-}
-
-impl CompilationPlan {
-    /// The key under which a block's pulse-level work is cached, or `None` when the
-    /// block needs no GRAPE work at all (single-gate lookup blocks, gate-based
-    /// strategy). Two blocks with the same key perform identical GRAPE work, so a
-    /// concurrent runtime deduplicates in-flight compilations on this key.
-    pub fn dedup_key(&self, block: &Block, params: &[f64]) -> Option<BlockKey> {
-        if self.strategy == Strategy::GateBased || block.len() <= 1 {
-            return None;
-        }
-        let subcircuit = block.to_circuit(&self.prepared);
-        if self.uses_structural_key(block) {
-            Some(BlockKey::structural(&subcircuit))
-        } else {
-            Some(BlockKey::from_bound_circuit(&subcircuit.bind(params)))
-        }
-    }
-
-    /// Whether this plan caches the block's pulse-level work under a *structural*
-    /// (θ-independent) key: flexible runtime blocks cache their tuning per
-    /// subcircuit structure, everything else per bound circuit.
-    fn uses_structural_key(&self, block: &Block) -> bool {
-        self.strategy == Strategy::FlexiblePartial && !block.is_fixed()
-    }
-}
-
 /// The result of compiling one block of a [`CompilationPlan`]: the per-block report
 /// plus the compilation latency the work incurred, attributed to its phase.
 #[derive(Debug, Clone)]
@@ -261,11 +219,13 @@ pub struct BlockOutcome {
     pub runtime: LatencyEstimate,
 }
 
-/// The partial compiler: owns the configuration and a shared pulse cache.
+/// The partial compiler: owns the configuration, a shared pulse cache, and the
+/// plans of the circuits it has seen.
 #[derive(Debug)]
 pub struct PartialCompiler {
     options: CompilerOptions,
     cache: Arc<dyn PulseCache>,
+    plans: PlanCache,
 }
 
 impl PartialCompiler {
@@ -278,7 +238,11 @@ impl PartialCompiler {
     /// Creates a compiler backed by an externally owned cache (e.g. the sharded
     /// cache of `vqc-runtime`, shared across compilers and requests).
     pub fn with_cache(options: CompilerOptions, cache: Arc<dyn PulseCache>) -> Self {
-        PartialCompiler { options, cache }
+        PartialCompiler {
+            options,
+            cache,
+            plans: PlanCache::default(),
+        }
     }
 
     /// The compiler's configuration.
@@ -294,6 +258,12 @@ impl PartialCompiler {
     /// A cloneable handle to the shared pulse cache.
     pub fn shared_cache(&self) -> Arc<dyn PulseCache> {
         Arc::clone(&self.cache)
+    }
+
+    /// How many [`PartialCompiler::plan`] calls the plan cache served and how many
+    /// planned from scratch.
+    pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        self.plans.stats()
     }
 
     /// Optimizes and lowers a circuit to the compilation basis — the preparation every
@@ -321,8 +291,8 @@ impl PartialCompiler {
     ) -> Result<CompilationReport, CompileError> {
         let plan = self.plan(circuit, params, strategy)?;
         let mut outcomes = Vec::with_capacity(plan.blocks.len());
-        for block in &plan.blocks {
-            outcomes.push(self.compile_block_outcome(&plan, block, params)?);
+        for (block, record) in plan.blocks.iter().zip(&plan.records) {
+            outcomes.push(self.compile_record(plan.strategy, block, record, params)?);
         }
         Ok(self.assemble(&plan, outcomes))
     }
@@ -331,6 +301,10 @@ impl PartialCompiler {
     /// pulse-level work. The returned plan's blocks are independent: they can be fed
     /// to [`PartialCompiler::compile_block_outcome`] in any order (or concurrently)
     /// and folded back with [`PartialCompiler::assemble`].
+    ///
+    /// Nothing in a plan depends on the values in `params`, so each
+    /// `(circuit, strategy)` is planned once: later calls with an equal circuit
+    /// return the stored plan (a shared handle) from a small recency-evicted cache.
     ///
     /// # Errors
     ///
@@ -342,36 +316,24 @@ impl PartialCompiler {
         params: &[f64],
         strategy: Strategy,
     ) -> Result<CompilationPlan, CompileError> {
-        let required = circuit
-            .parameter_indices()
-            .into_iter()
-            .max()
-            .map(|m| m + 1)
-            .unwrap_or(0);
-        if params.len() < required {
+        let fingerprint = plan::fingerprint(circuit, strategy);
+        let plan = match self.plans.get(fingerprint, circuit, strategy) {
+            Some(plan) => plan,
+            None => {
+                // Built outside the cache's lock: two threads may plan the same
+                // circuit at once, and the second insert finds the first.
+                let plan = CompilationPlan::build(circuit, strategy, &self.options);
+                self.plans.insert(fingerprint, plan.clone());
+                plan
+            }
+        };
+        if params.len() < plan.required_parameters {
             return Err(CompileError::MissingParameters {
                 supplied: params.len(),
-                required,
+                required: plan.required_parameters,
             });
         }
-
-        let prepared = self.prepare(circuit);
-        let gate_based_duration_ns = critical_path_ns(&prepared, &self.options.gate_times);
-        let blocks = match strategy.parameter_policy() {
-            None => Vec::new(),
-            Some(policy) => aggregate_blocks_with_cap(
-                &prepared,
-                self.options.max_block_width,
-                policy,
-                self.options.max_block_ops,
-            ),
-        };
-        Ok(CompilationPlan {
-            prepared,
-            gate_based_duration_ns,
-            blocks,
-            strategy,
-        })
+        Ok(plan)
     }
 
     /// Folds per-block outcomes back into the report [`PartialCompiler::compile`]
@@ -460,23 +422,23 @@ impl PartialCompiler {
         block: &Block,
         params: &[f64],
     ) -> f64 {
-        if plan.strategy == Strategy::GateBased || block.len() <= 1 {
-            return 0.0;
-        }
-        // Build the subcircuit once: the cache key (mirroring
-        // [`CompilationPlan::dedup_key`]) and the model fallback share it, so a
-        // cold batch does not pay double circuit construction per block.
-        let subcircuit = block.to_circuit(&plan.prepared);
-        let bound = subcircuit.bind(params);
-        let key = if plan.uses_structural_key(block) {
-            BlockKey::structural(&subcircuit)
-        } else {
-            BlockKey::from_bound_circuit(&bound)
-        };
-        if let Some(observed) = self.cache.observed_cost(&key) {
+        plan.dedup_key(block, params).map_or(0.0, |key| {
+            self.estimate_keyed_block_cost_seconds(plan, block, &key)
+        })
+    }
+
+    /// [`PartialCompiler::estimate_block_cost_seconds`] for a caller that already
+    /// holds the block's cache key from [`CompilationPlan::dedup_key`].
+    pub fn estimate_keyed_block_cost_seconds(
+        &self,
+        plan: &CompilationPlan,
+        block: &Block,
+        key: &BlockKey,
+    ) -> f64 {
+        if let Some(observed) = self.cache.observed_cost(key) {
             return observed;
         }
-        let window_ns = critical_path_ns(&bound, &self.options.gate_times);
+        let window_ns = plan.record(block).gate_based_ns;
         let model = self.model_block_cost_seconds(block.qubits.len(), window_ns);
         // Once enough (estimate, observation) pairs have been recorded, the fitted
         // model→host scale converts the paper-scale estimate into calibrated host
@@ -509,238 +471,186 @@ impl PartialCompiler {
     /// Compiles a single block of a plan, returning its report together with the
     /// latency it incurred in each phase. Results of pulse-level work are cached in
     /// the shared [`PulseCache`], so re-compiling an identical block is a lookup.
+    ///
+    /// The plan may come from another compiler: its per-block records carry the
+    /// gate times and sample period of the compiler that made it.
     pub fn compile_block_outcome(
         &self,
         plan: &CompilationPlan,
         block: &Block,
         params: &[f64],
     ) -> Result<BlockOutcome, CompileError> {
-        let mut precompute = LatencyEstimate::default();
-        let mut runtime = LatencyEstimate::default();
-        let report = self.compile_block(
-            &plan.prepared,
-            block,
-            params,
-            plan.strategy,
-            &mut precompute,
-            &mut runtime,
-        )?;
-        Ok(BlockOutcome {
-            report,
-            precompute,
-            runtime,
-        })
+        self.compile_record(plan.strategy, block, &plan.record(block), params)
     }
 
-    /// Compiles a single block, updating the latency accumulators of the phase the work
-    /// belongs to under the given strategy.
-    fn compile_block(
+    fn compile_record(
         &self,
-        prepared: &Circuit,
-        block: &Block,
-        params: &[f64],
         strategy: Strategy,
-        precompute: &mut LatencyEstimate,
-        runtime: &mut LatencyEstimate,
-    ) -> Result<BlockCompilation, CompileError> {
-        let subcircuit = block.to_circuit(prepared);
-        let bound = subcircuit.bind(params);
-        let gate_based_ns = critical_path_ns(&bound, &self.options.gate_times);
+        block: &Block,
+        record: &BlockRecord,
+        params: &[f64],
+    ) -> Result<BlockOutcome, CompileError> {
+        self.resolve_without_pulse_work(block, record, params)
+            .or_else(|key| self.compile_missed(strategy, block, record, params, key))
+    }
 
-        // Single-gate blocks are exactly what the lookup table already stores (Table 1
-        // durations are themselves GRAPE-derived), so no pulse optimization is needed.
-        if block.len() <= 1 {
-            return Ok(BlockCompilation {
-                qubits: block.qubits.clone(),
-                num_ops: block.len(),
-                duration_ns: gate_based_ns,
-                gate_based_ns,
-                grape_iterations: 0,
-                used_grape: false,
-                converged: true,
-                cached: false,
-                measured_seconds: 0.0,
-                profile: CompileProfile::default(),
-            });
-        }
-
-        let width = block.qubits.len();
-        let device = DeviceModel::qubits_line(width);
-        let slices = (gate_based_ns / self.options.grape.dt_ns).ceil().max(1.0) as usize;
-        let dim = device.dim();
-        let controls = device.num_controls();
-
-        match strategy {
-            Strategy::GateBased => {
-                unreachable!("gate-based compilation never reaches block compilation")
-            }
-            Strategy::StrictPartial | Strategy::FullGrape => {
-                let (cached_entry, cached, measured, block_profile) =
-                    self.grape_block(&subcircuit, &bound, &device, gate_based_ns)?;
-                // Latency is only paid when the pulse library misses; a cache hit is a
-                // (near-instant) lookup.
-                if !cached {
-                    let estimate = LatencyEstimate {
-                        grape_iterations: cached_entry.grape_iterations,
-                        estimated_seconds: self.options.latency_model.estimate_seconds(
-                            cached_entry.grape_iterations,
-                            slices,
-                            dim,
-                            controls,
-                        ),
-                        measured_seconds: measured,
-                    };
-                    // Strict partial compilation only ever GRAPE-compiles Fixed blocks,
-                    // and does so before the variational loop starts; full GRAPE pays
-                    // the same work at every iteration (with a fresh θ, so it rarely
-                    // hits the cache).
-                    match strategy {
-                        Strategy::StrictPartial => precompute.accumulate(&estimate),
-                        _ => runtime.accumulate(&estimate),
-                    }
-                }
-                Ok(BlockCompilation {
-                    qubits: block.qubits.clone(),
-                    num_ops: block.len(),
-                    duration_ns: cached_entry.duration_ns,
-                    gate_based_ns,
-                    grape_iterations: cached_entry.grape_iterations,
-                    used_grape: true,
-                    converged: cached_entry.converged,
-                    cached,
-                    measured_seconds: measured,
-                    profile: block_profile,
+    /// The outcome of a block that needs no pulse-level work — a single-gate
+    /// lookup block, or one probe of the cache slot its record names that hits —
+    /// or else the key the missing work is to be filed under.
+    fn resolve_without_pulse_work(
+        &self,
+        block: &Block,
+        record: &BlockRecord,
+        params: &[f64],
+    ) -> Result<BlockOutcome, BlockKey> {
+        let bound_key;
+        let key = match &record.slot {
+            // Single-gate blocks are exactly what the lookup table already stores
+            // (Table 1 durations are themselves GRAPE-derived), so no pulse
+            // optimization is needed.
+            CacheSlot::Lookup => {
+                return Ok(BlockOutcome {
+                    report: lookup_report(block, record),
+                    precompute: LatencyEstimate::default(),
+                    runtime: LatencyEstimate::default(),
                 })
             }
-            Strategy::FlexiblePartial => {
-                if block.is_fixed() {
-                    // Fixed blocks are pre-compiled exactly as in strict partial
-                    // compilation.
-                    let (cached_entry, cached, measured, block_profile) =
-                        self.grape_block(&subcircuit, &bound, &device, gate_based_ns)?;
-                    if !cached {
-                        precompute.accumulate(&LatencyEstimate {
-                            grape_iterations: cached_entry.grape_iterations,
-                            estimated_seconds: self.options.latency_model.estimate_seconds(
-                                cached_entry.grape_iterations,
-                                slices,
-                                dim,
-                                controls,
-                            ),
-                            measured_seconds: measured,
-                        });
-                    }
-                    return Ok(BlockCompilation {
-                        qubits: block.qubits.clone(),
-                        num_ops: block.len(),
-                        duration_ns: cached_entry.duration_ns,
-                        gate_based_ns,
-                        grape_iterations: cached_entry.grape_iterations,
-                        used_grape: true,
-                        converged: cached_entry.converged,
-                        cached,
-                        measured_seconds: measured,
-                        profile: block_profile,
-                    });
-                }
+            CacheSlot::Block(key) | CacheSlot::Tuning(key) => key,
+            CacheSlot::BoundBlock => {
+                bound_key = BlockKey::from_bound_circuit(&record.subcircuit.bind(params));
+                &bound_key
+            }
+        };
+        let hit = if let CacheSlot::Tuning(_) = record.slot {
+            self.cache
+                .tuning(key)
+                .map(|tuning| self.tuned_outcome(block, record, &tuning))
+        } else {
+            self.cache
+                .block(key)
+                .map(|entry| grape_outcome(block, record, &entry))
+        };
+        hit.ok_or_else(|| key.clone())
+    }
 
-                let structural_key = BlockKey::structural(&subcircuit);
-                let (tuning, cached, tuning_measured, block_profile) =
-                    match self.cache.tuning(&structural_key) {
-                        Some(entry) => (entry, true, 0.0, CompileProfile::default()),
-                        None => {
-                            let started = Instant::now();
-                            profile::begin_block();
-                            let entry = self.tune_flexible_block(
-                                &structural_key,
-                                &bound,
-                                &device,
-                                gate_based_ns,
-                            )?;
-                            let measured = started.elapsed().as_secs_f64();
-                            let block_profile = profile::take_block().unwrap_or_default();
-                            precompute.accumulate(&LatencyEstimate {
-                                grape_iterations: entry.precompute_iterations,
-                                estimated_seconds: self.options.latency_model.estimate_seconds(
-                                    entry.precompute_iterations,
-                                    slices,
-                                    dim,
-                                    controls,
-                                ),
-                                measured_seconds: measured,
-                            });
-                            // Record before inserting, as in `grape_block`: the insert's
-                            // eviction metadata then reflects the measured tuning cost.
-                            // No calibration sample is recorded here: the measured time
-                            // covers a whole hyperparameter grid of GRAPE probes plus a
-                            // duration search, while `model_block_cost_seconds` models a
-                            // single block compilation — pairing the two would inflate
-                            // the fitted scale for every unseen block. The observed
-                            // cost above already ranks this key correctly.
-                            self.cache.record_observed_cost(&structural_key, measured);
-                            self.cache.insert_tuning(structural_key, entry.clone());
-                            (entry, false, measured, block_profile)
-                        }
-                    };
-
-                // At runtime every new θ needs one GRAPE run at the pre-computed
-                // duration with the tuned hyperparameters; its cost is the tuned
-                // convergence profile recorded during pre-compute.
-                runtime.accumulate(&LatencyEstimate {
-                    grape_iterations: tuning.runtime_iterations,
-                    estimated_seconds: self.options.latency_model.estimate_seconds(
-                        tuning.runtime_iterations,
-                        slices,
-                        dim,
-                        controls,
-                    ),
-                    measured_seconds: 0.0,
-                });
-
-                let duration_ns = if tuning.converged {
+    /// The outcome of a flexible single-θ block served from its cached tuning. At
+    /// runtime every new θ needs one GRAPE run at the pre-computed duration with
+    /// the tuned hyperparameters; its cost is the tuned convergence profile
+    /// recorded during pre-compute.
+    fn tuned_outcome(
+        &self,
+        block: &Block,
+        record: &BlockRecord,
+        tuning: &CachedTuning,
+    ) -> BlockOutcome {
+        BlockOutcome {
+            report: BlockCompilation {
+                duration_ns: if tuning.converged {
                     tuning.duration_ns
                 } else {
-                    gate_based_ns
-                };
-                Ok(BlockCompilation {
-                    qubits: block.qubits.clone(),
-                    num_ops: block.len(),
-                    duration_ns,
-                    gate_based_ns,
-                    grape_iterations: tuning.runtime_iterations,
-                    used_grape: tuning.converged,
-                    converged: tuning.converged,
-                    cached,
-                    measured_seconds: tuning_measured,
-                    profile: block_profile,
-                })
-            }
+                    record.gate_based_ns
+                },
+                grape_iterations: tuning.runtime_iterations,
+                used_grape: tuning.converged,
+                converged: tuning.converged,
+                cached: true,
+                ..lookup_report(block, record)
+            },
+            precompute: LatencyEstimate::default(),
+            runtime: self.latency_of(record, tuning.runtime_iterations, 0.0),
         }
     }
 
-    /// Minimum-time GRAPE compilation of a bound block, with caching. Returns the
-    /// cached entry, whether it was a cache hit, and the wall-clock seconds of
-    /// GRAPE work this call performed (`0.0` on a hit). Real compilations record
-    /// their observed cost *before* inserting the entry, so the cache's eviction
-    /// metadata ranks the fresh entry by what it actually cost to produce.
+    /// The latency-model estimate of `grape_iterations` spent on this block.
+    fn latency_of(
+        &self,
+        record: &BlockRecord,
+        grape_iterations: usize,
+        measured_seconds: f64,
+    ) -> LatencyEstimate {
+        LatencyEstimate {
+            grape_iterations,
+            estimated_seconds: self.options.latency_model.estimate_seconds(
+                grape_iterations,
+                record.slices,
+                record.dim,
+                record.controls,
+            ),
+            measured_seconds,
+        }
+    }
+
+    /// Does the pulse-level work of a block whose probe missed, files the result
+    /// under `key`, and books the latency on the phase the work belongs to under
+    /// the strategy.
+    fn compile_missed(
+        &self,
+        strategy: Strategy,
+        block: &Block,
+        record: &BlockRecord,
+        params: &[f64],
+        key: BlockKey,
+    ) -> Result<BlockOutcome, CompileError> {
+        let bound = record.subcircuit.bind(params);
+        let device = DeviceModel::qubits_line(block.qubits.len());
+        let upper_bound_ns = record.gate_based_ns;
+        let (mut outcome, measured, block_profile) = if let CacheSlot::Tuning(_) = record.slot {
+            let started = Instant::now();
+            profile::begin_block();
+            let tuning = self.tune_flexible_block(&key, &bound, &device, upper_bound_ns)?;
+            let measured = started.elapsed().as_secs_f64();
+            let block_profile = profile::take_block().unwrap_or_default();
+            let mut outcome = self.tuned_outcome(block, record, &tuning);
+            outcome.precompute = self.latency_of(record, tuning.precompute_iterations, measured);
+            // Record before inserting, as in `grape_block`: the insert's eviction
+            // metadata then reflects the measured tuning cost. No calibration
+            // sample is recorded here: the measured time covers a whole
+            // hyperparameter grid of GRAPE probes plus a duration search, while
+            // `model_block_cost_seconds` models a single block compilation —
+            // pairing the two would inflate the fitted scale for every unseen
+            // block. The observed cost already ranks this key correctly.
+            self.cache.record_observed_cost(&key, measured);
+            self.cache.insert_tuning(key, tuning);
+            (outcome, measured, block_profile)
+        } else {
+            let (entry, measured, block_profile) =
+                self.grape_block(key, &record.subcircuit, &bound, &device, upper_bound_ns)?;
+            let mut outcome = grape_outcome(block, record, &entry);
+            // Strict and flexible partial compilation GRAPE-compile Fixed blocks
+            // before the variational loop starts; full GRAPE pays the same work at
+            // every iteration (with a fresh θ, so it rarely hits the cache).
+            let latency = self.latency_of(record, entry.grape_iterations, measured);
+            match strategy {
+                Strategy::FullGrape => outcome.runtime = latency,
+                _ => outcome.precompute = latency,
+            }
+            (outcome, measured, block_profile)
+        };
+        outcome.report.cached = false;
+        outcome.report.measured_seconds = measured;
+        outcome.report.profile = block_profile;
+        Ok(outcome)
+    }
+
+    /// Minimum-time GRAPE compilation of a bound block the cache does not hold,
+    /// filed under `key`. Returns the cached entry, the wall-clock seconds of GRAPE
+    /// work, and its profile. The observed cost is recorded *before* inserting the
+    /// entry, so the cache's eviction metadata ranks the fresh entry by what it
+    /// actually cost to produce.
     ///
-    /// On a bound-cache miss the compiler probes the transposition table under
-    /// the block's *structural* key: a neighbor with the same structure at a
-    /// different θ seeds the duration search's window and warm-starts its probes
-    /// (Figure 4: structure, not binding, dominates GRAPE behavior). The finished
-    /// search is folded back into the table either way, so every real compile
-    /// deepens the warm-start index.
+    /// The compiler probes the transposition table under the block's *structural*
+    /// key: a neighbor with the same structure at a different θ seeds the duration
+    /// search's window and warm-starts its probes (Figure 4: structure, not
+    /// binding, dominates GRAPE behavior). The finished search is folded back into
+    /// the table either way, so every real compile deepens the warm-start index.
     fn grape_block(
         &self,
+        key: BlockKey,
         subcircuit: &Circuit,
         bound: &Circuit,
         device: &DeviceModel,
         upper_bound_ns: f64,
-    ) -> Result<(CachedBlock, bool, f64, CompileProfile), CompileError> {
-        let key = BlockKey::from_bound_circuit(bound);
-        if let Some(entry) = self.cache.block(&key) {
-            return Ok((entry, true, 0.0, CompileProfile::default()));
-        }
+    ) -> Result<(CachedBlock, f64, CompileProfile), CompileError> {
         let structural_key = BlockKey::structural(subcircuit);
         // The timer starts before the warm-start probe so the MemoProbe phase
         // falls inside the measured window the profile attributes.
@@ -789,7 +699,7 @@ impl PartialCompiler {
         self.record_search_feedback(&structural_key, &self.options.grape, false, &result);
         self.cache
             .record_memo_outcome(memo.hits(), memo.misses(), memo.rejected_inserts());
-        Ok((entry, false, measured, block_profile))
+        Ok((entry, measured, block_profile))
     }
 
     /// Folds a finished duration search back into the warm-start index: the
@@ -843,6 +753,9 @@ impl PartialCompiler {
             let _probe = profile::scope(Phase::MemoProbe);
             self.cache.seed(structural_key)
         };
+        // The grid's winning run, kept when it can stand in for the search's
+        // opening probe, and the iterations it cost (counted by the grid already).
+        let mut opening = None;
         let (learning_rate, decay_rate, grid_iterations, fallback_runtime) = match &seed {
             Some(entry) if entry.tuned && entry.converged() => (
                 entry.learning_rate,
@@ -851,13 +764,19 @@ impl PartialCompiler {
                 self.options.grape.max_iterations,
             ),
             _ => {
-                let tuning = tune_hyperparameters(
+                let (tuning, winner) = tune_hyperparameters_keeping_winner(
                     bound_reference,
                     device,
                     upper_bound_ns,
                     &self.options.grape,
                     &self.options.hyperparameter_grid,
                 )?;
+                // Without a table seed the search opens cold at the upper bound
+                // under the tuned options: target, duration, options and guess
+                // are the winning candidate's, so its run is handed in.
+                if seed.is_none() {
+                    opening = Some(winner);
+                }
                 (
                     tuning.learning_rate,
                     tuning.decay_rate,
@@ -874,15 +793,25 @@ impl PartialCompiler {
         let search = MinimumTimeOptions::new(0.0, upper_bound_ns)
             .with_precision(self.options.search_precision_ns);
         let mut memo = EigenMemo::new();
-        let search_seed = seed.as_ref().map(SeedEntry::search_seed);
-        let mintime = minimum_pulse_time_seeded(
-            &target,
-            device,
-            &search,
-            &tuned_options,
-            &mut memo,
-            search_seed.as_ref(),
-        )?;
+        let reused_iterations = opening.as_ref().map_or(0, |run| run.iterations);
+        let mintime = match opening {
+            Some(opening) => minimum_pulse_time_after_opening(
+                &target,
+                device,
+                &search,
+                &tuned_options,
+                &mut memo,
+                opening,
+            )?,
+            None => minimum_pulse_time_seeded(
+                &target,
+                device,
+                &search,
+                &tuned_options,
+                &mut memo,
+                seed.as_ref().map(SeedEntry::search_seed).as_ref(),
+            )?,
+        };
         self.record_search_feedback(structural_key, &tuned_options, true, &mintime);
         self.cache
             .record_memo_outcome(memo.hits(), memo.misses(), memo.rejected_inserts());
@@ -900,9 +829,43 @@ impl PartialCompiler {
                 upper_bound_ns
             },
             converged: mintime.converged,
-            precompute_iterations: grid_iterations + mintime.total_iterations(),
+            precompute_iterations: grid_iterations + mintime.total_iterations() - reused_iterations,
             runtime_iterations,
         })
+    }
+}
+
+/// The report of a block served by the Table-1 lookup table — and the base every
+/// GRAPE-backed report overrides.
+fn lookup_report(block: &Block, record: &BlockRecord) -> BlockCompilation {
+    BlockCompilation {
+        qubits: block.qubits.clone(),
+        num_ops: block.len(),
+        duration_ns: record.gate_based_ns,
+        gate_based_ns: record.gate_based_ns,
+        grape_iterations: 0,
+        used_grape: false,
+        converged: true,
+        cached: false,
+        measured_seconds: 0.0,
+        profile: CompileProfile::default(),
+    }
+}
+
+/// The outcome of a GRAPE block served from the pulse cache: latency is only paid
+/// when the library misses, a hit is a (near-instant) lookup.
+fn grape_outcome(block: &Block, record: &BlockRecord, entry: &CachedBlock) -> BlockOutcome {
+    BlockOutcome {
+        report: BlockCompilation {
+            duration_ns: entry.duration_ns,
+            grape_iterations: entry.grape_iterations,
+            used_grape: true,
+            converged: entry.converged,
+            cached: true,
+            ..lookup_report(block, record)
+        },
+        precompute: LatencyEstimate::default(),
+        runtime: LatencyEstimate::default(),
     }
 }
 
@@ -1296,6 +1259,74 @@ mod tests {
             report.precompute.grape_iterations
         );
         assert!(again.pulse_duration_ns <= again.gate_based_duration_ns + 1e-9);
+    }
+
+    #[test]
+    fn flexible_tuning_reuses_the_grid_winner_as_the_opening_probe() {
+        // The tuned search's cold opening probe repeats the winning grid
+        // candidate bit for bit, so the compiler hands that run in. What it
+        // caches must equal what the two public steps produce run back to back,
+        // with the winner's iterations counted once.
+        let compiler = compiler();
+        let circuit = example_circuit();
+        let params = [0.4, 1.2];
+        let plan = compiler
+            .plan(&circuit, &params, Strategy::FlexiblePartial)
+            .unwrap();
+        let mut checked = 0;
+        for block in plan.blocks.iter().filter(|b| !b.is_fixed() && b.len() > 1) {
+            let key = plan.dedup_key(block, &params).unwrap();
+            compiler
+                .compile_block_outcome(&plan, block, &params)
+                .unwrap();
+            let cached = compiler.library().tuning(&key).expect("tuning is cached");
+
+            let bound = block.to_circuit(&plan.prepared).bind(&params);
+            let device = DeviceModel::qubits_line(block.qubits.len());
+            let upper = critical_path_ns(&bound, &compiler.options().gate_times);
+            let grid = crate::hyperparam::tune_hyperparameters(
+                &bound,
+                &device,
+                upper,
+                &compiler.options().grape,
+                &compiler.options().hyperparameter_grid,
+            )
+            .unwrap();
+            let tuned = compiler
+                .options()
+                .grape
+                .with_hyperparameters(grid.learning_rate, grid.decay_rate);
+            let search = MinimumTimeOptions::new(0.0, upper)
+                .with_precision(compiler.options().search_precision_ns);
+            let repeated = minimum_pulse_time_seeded(
+                &circuit_unitary(&bound),
+                &device,
+                &search,
+                &tuned,
+                &mut EigenMemo::new(),
+                None,
+            )
+            .unwrap();
+            assert_eq!(
+                repeated.probes[0].iterations, grid.runtime_iterations,
+                "the opening probe repeats the winning candidate"
+            );
+            assert_eq!(cached.learning_rate, grid.learning_rate);
+            assert_eq!(cached.decay_rate, grid.decay_rate);
+            assert_eq!(cached.converged, repeated.converged);
+            if repeated.converged {
+                assert_eq!(cached.duration_ns, repeated.duration_ns);
+                let best = repeated.best.as_ref().unwrap();
+                assert_eq!(cached.runtime_iterations, best.iterations);
+            }
+            assert_eq!(
+                cached.precompute_iterations,
+                grid.total_probe_iterations() + repeated.total_iterations()
+                    - grid.runtime_iterations
+            );
+            checked += 1;
+        }
+        assert!(checked > 0, "the example has flexible single-θ blocks");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use vqc_circuit::Circuit;
-use vqc_pulse::grape::{try_optimize_pulse_with, GrapeOptions};
+use vqc_pulse::grape::{try_optimize_pulse_with, GrapeOptions, GrapeResult};
 use vqc_pulse::profile::{self, Phase};
 use vqc_pulse::{DeviceModel, EigenMemo, PulseError};
 use vqc_sim::circuit_unitary;
@@ -117,9 +117,24 @@ pub fn tune_hyperparameters(
     base: &GrapeOptions,
     grid: &HyperparameterGrid,
 ) -> Result<TuningResult, PulseError> {
+    tune_hyperparameters_keeping_winner(bound_subcircuit, device, duration_ns, base, grid)
+        .map(|(tuning, _)| tuning)
+}
+
+/// [`tune_hyperparameters`], also returning the winning candidate's GRAPE run: a
+/// cold run at `duration_ns` under the tuned options, which is exactly the opening
+/// probe of the duration search that follows tuning.
+pub(crate) fn tune_hyperparameters_keeping_winner(
+    bound_subcircuit: &Circuit,
+    device: &DeviceModel,
+    duration_ns: f64,
+    base: &GrapeOptions,
+    grid: &HyperparameterGrid,
+) -> Result<(TuningResult, GrapeResult), PulseError> {
     assert!(!grid.is_empty(), "hyperparameter grid must not be empty");
     let target = circuit_unitary(bound_subcircuit);
     let mut probes = Vec::with_capacity(grid.len());
+    let mut runs = Vec::with_capacity(grid.len());
     // Every candidate starts from the same seeded guess and revisits overlapping
     // amplitude trajectories, so one shared eigendecomposition memo serves the
     // whole grid.
@@ -144,11 +159,13 @@ pub fn tune_hyperparameters(
             infidelity: result.infidelity,
             converged: result.converged,
         });
+        runs.push(result);
     }
 
-    let best = probes
+    let winner = probes
         .iter()
-        .min_by(|a, b| {
+        .enumerate()
+        .min_by(|(_, a), (_, b)| {
             (
                 !a.converged,
                 if a.converged {
@@ -174,15 +191,16 @@ pub fn tune_hyperparameters(
         })
         // audit:allow(unwrap): the tuning grid is a non-empty compile-time constant
         .expect("grid is non-empty")
-        .clone();
-
-    Ok(TuningResult {
+        .0;
+    let best = probes[winner].clone();
+    let tuning = TuningResult {
         learning_rate: best.learning_rate,
         decay_rate: best.decay_rate,
         runtime_iterations: best.iterations,
         converged: best.converged,
         probes,
-    })
+    };
+    Ok((tuning, runs.swap_remove(winner)))
 }
 
 #[cfg(test)]

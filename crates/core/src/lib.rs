@@ -54,14 +54,15 @@ mod error;
 pub mod hyperparam;
 pub mod latency;
 mod library;
+mod plan;
 pub mod schedule;
 
 pub use compiler::{
-    BlockCompilation, BlockOutcome, CompilationPlan, CompilationReport, CompilerOptions,
-    PartialCompiler, Strategy,
+    BlockCompilation, BlockOutcome, CompilationReport, CompilerOptions, PartialCompiler, Strategy,
 };
 pub use error::CompileError;
 pub use latency::{CostCalibration, LatencyEstimate, LatencyModel, MIN_CALIBRATION_SAMPLES};
 pub use library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
+pub use plan::{CompilationPlan, PlanCacheStats, PlanData};
 pub use vqc_pulse::profile::{self, CompileProfile, Phase, PHASE_COUNT};
 pub use vqc_pulse::{PulseSequence, SeedEntry, TableConfig, TranspositionTable, WarmStartStats};

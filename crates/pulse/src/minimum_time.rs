@@ -168,41 +168,89 @@ pub fn minimum_pulse_time_seeded(
     memo: &mut EigenMemo,
     seed: Option<&SearchSeed>,
 ) -> Result<MinimumTimeResult, PulseError> {
-    let mut probes = Vec::new();
-    // Converged pulses by duration, the warm-start pool for later probes.
-    let mut converged_pulses: Vec<(f64, PulseSequence)> = Vec::new();
-
     let upper = search.upper_bound_ns.max(grape.dt_ns);
     let seed_pulse = seed.and_then(|s| s.pulse.as_ref());
-    // A usable seed window needs a finite converged duration at or below the
-    // gate-based upper bound; anything above it degenerates to the cold search
-    // (the seed's pulse, if any, still warm-starts the opening probe). A seed
-    // exactly at the upper bound opens no smaller, but its non-converging lower
-    // bound still raises the bisection floor.
-    let seed_upper = seed
-        .and_then(|s| s.converged_duration_ns)
-        .filter(|d| d.is_finite() && *d > 0.0)
-        .map(|d| d.max(grape.dt_ns))
-        .filter(|d| *d <= upper);
-
     // Probe the opening duration first: the neighbor's converged duration when
     // seeded, else the upper bound — where a failure means falling back to
     // gate-based compilation for this block.
-    let first = seed_upper.unwrap_or(upper);
+    let first = seed_window(seed, upper, grape).unwrap_or(upper);
     // Each probe runs under a DurationProbe scope: the scope records *self
     // time* (ADAM bookkeeping, convergence control, pulse resampling) while
     // the kernel phases inside the probe charge themselves, so the profiler's
     // per-phase sum still bounds the block's wall time.
-    let result = {
+    let opening = {
         let _probe = profile::scope(Phase::DurationProbe);
         try_optimize_pulse_with(target, device, first, grape, seed_pulse, Some(&mut *memo))?
     };
-    probes.push(SearchProbe {
+    search_after_opening(target, device, search, grape, memo, seed, opening)
+}
+
+/// [`minimum_pulse_time_with_memo`] for a caller that has already run the cold
+/// search's opening probe — GRAPE at the window's upper bound, with `grape` and no
+/// warm start — and hands the result in rather than have it repeated. Flexible
+/// partial compilation's hyperparameter grid evaluates every candidate at exactly
+/// that point, so the winning candidate's run *is* the tuned search's opening probe.
+/// The probe is listed in the result like any other.
+///
+/// # Errors
+///
+/// Same as [`minimum_pulse_time`].
+///
+/// # Panics
+///
+/// Panics if `opening` was not run at the window's upper bound.
+pub fn minimum_pulse_time_after_opening(
+    target: &Matrix,
+    device: &DeviceModel,
+    search: &MinimumTimeOptions,
+    grape: &GrapeOptions,
+    memo: &mut EigenMemo,
+    opening: GrapeResult,
+) -> Result<MinimumTimeResult, PulseError> {
+    let upper = search.upper_bound_ns.max(grape.dt_ns);
+    assert_eq!(
+        opening.pulse.num_slices(),
+        (upper / grape.dt_ns).round() as usize,
+        "the opening probe must have run at the search's upper bound"
+    );
+    search_after_opening(target, device, search, grape, memo, None, opening)
+}
+
+/// The neighbor's converged duration, when it opens a usable window: finite and
+/// at or below the gate-based upper bound. Anything above it degenerates to the
+/// cold search (the seed's pulse, if any, still warm-starts the opening probe). A
+/// seed exactly at the upper bound opens no smaller, but its non-converging lower
+/// bound still raises the bisection floor.
+fn seed_window(seed: Option<&SearchSeed>, upper: f64, grape: &GrapeOptions) -> Option<f64> {
+    seed.and_then(|s| s.converged_duration_ns)
+        .filter(|d| d.is_finite() && *d > 0.0)
+        .map(|d| d.max(grape.dt_ns))
+        .filter(|d| *d <= upper)
+}
+
+/// The search from its second probe on: `result` is the opening probe's outcome,
+/// run at the seed's window if it has one and at the upper bound otherwise.
+fn search_after_opening(
+    target: &Matrix,
+    device: &DeviceModel,
+    search: &MinimumTimeOptions,
+    grape: &GrapeOptions,
+    memo: &mut EigenMemo,
+    seed: Option<&SearchSeed>,
+    result: GrapeResult,
+) -> Result<MinimumTimeResult, PulseError> {
+    let upper = search.upper_bound_ns.max(grape.dt_ns);
+    let seed_pulse = seed.and_then(|s| s.pulse.as_ref());
+    let seed_upper = seed_window(seed, upper, grape);
+    let first = seed_upper.unwrap_or(upper);
+    // Converged pulses by duration, the warm-start pool for later probes.
+    let mut converged_pulses: Vec<(f64, PulseSequence)> = Vec::new();
+    let mut probes = vec![SearchProbe {
         duration_ns: first,
         converged: result.converged,
         infidelity: result.infidelity,
         iterations: result.iterations,
-    });
+    }];
 
     let mut hi;
     let mut lo;

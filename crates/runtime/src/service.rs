@@ -360,7 +360,7 @@ struct SubmissionInner {
 /// Result assembly state of one job of a submission.
 #[derive(Debug)]
 struct JobSlot {
-    plan: Option<Arc<CompilationPlan>>,
+    plan: Option<CompilationPlan>,
     outcomes: Vec<Option<BlockOutcome>>,
     remaining: usize,
     result: Option<Result<CompilationReport, CompileError>>,
@@ -538,7 +538,7 @@ struct TaskBody {
     submission: Arc<SubmissionState>,
     job: usize,
     block: usize,
-    plan: Arc<CompilationPlan>,
+    plan: CompilationPlan,
     params: Arc<Vec<f64>>,
     key: Option<BlockKey>,
     cost: f64,
@@ -590,7 +590,7 @@ struct Waiter {
     submission: Arc<SubmissionState>,
     job: usize,
     block: usize,
-    plan: Arc<CompilationPlan>,
+    plan: CompilationPlan,
     params: Arc<Vec<f64>>,
 }
 
@@ -853,22 +853,19 @@ impl ServiceCore {
             return;
         }
 
-        // Plan every job. Planning is the expensive prefix (transpile passes and
-        // blocking); it runs here on the scheduler thread, off the submit path and
-        // outside every lock.
+        // Plan every job. The compiler keeps the plans of the circuits it has
+        // seen, so for a resubmitted ansatz this is a lookup; a new circuit pays
+        // the transpile passes and blocking here on the scheduler thread, off the
+        // submit path and outside every lock.
         /// One planned job: its shared plan (absent on error), its parameter
         /// binding, and its planning error if any.
-        type PlannedJob = (
-            Option<Arc<CompilationPlan>>,
-            Arc<Vec<f64>>,
-            Option<CompileError>,
-        );
+        type PlannedJob = (Option<CompilationPlan>, Arc<Vec<f64>>, Option<CompileError>);
         let planned: Vec<PlannedJob> = match &state.kind {
             SubmissionKind::Batch(jobs) => jobs
                 .iter()
                 .map(
                     |job| match self.compiler.plan(&job.circuit, &job.params, job.strategy) {
-                        Ok(plan) => (Some(Arc::new(plan)), Arc::new(job.params.clone()), None),
+                        Ok(plan) => (Some(plan), Arc::new(job.params.clone()), None),
                         Err(error) => (None, Arc::new(job.params.clone()), Some(error)),
                     },
                 )
@@ -886,10 +883,7 @@ impl ServiceCore {
                     .unwrap_or(0);
                 // Planning only consults params for the length check, which is
                 // re-done per binding below; zeros of the required length stand in.
-                let shared = self
-                    .compiler
-                    .plan(circuit, &vec![0.0; required], *strategy)
-                    .map(Arc::new);
+                let shared = self.compiler.plan(circuit, &vec![0.0; required], *strategy);
                 parameter_sets
                     .iter()
                     .map(|params| {
@@ -904,18 +898,16 @@ impl ServiceCore {
                                     required,
                                 }),
                             ),
-                            Ok(plan) => (Some(Arc::clone(plan)), params, None),
+                            Ok(plan) => (Some(plan.clone()), params, None),
                         }
                     })
                     .collect()
             }
         };
 
-        // Estimate block costs before taking the scheduler lock (each estimate may
-        // walk the block's subcircuit). Estimates are memoized per (plan, block):
-        // every binding of an iterations submission shares one estimate.
+        // Key and cost every block before taking the scheduler lock. Both read the
+        // plan's per-block record; only a keyed block has a cost to look up.
         let lpt = self.schedule == SchedulePolicy::Lpt;
-        let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
         struct PlannedTask {
             job: usize,
             block: usize,
@@ -929,17 +921,13 @@ impl ServiceCore {
             }
             // audit:allow(unwrap): error jobs are filtered out on the line above
             let plan = plan.as_ref().expect("non-error jobs have plans");
-            for block_index in 0..plan.blocks.len() {
-                let block = &plan.blocks[block_index];
+            for (block_index, block) in plan.blocks.iter().enumerate() {
                 let key = plan.dedup_key(block, params);
-                let cost = if lpt {
-                    let memo_key = (Arc::as_ptr(plan) as usize, block_index);
-                    *memo.entry(memo_key).or_insert_with(|| {
-                        self.compiler
-                            .estimate_block_cost_seconds(plan, block, params)
-                    })
-                } else {
-                    0.0
+                let cost = match &key {
+                    Some(key) if lpt => self
+                        .compiler
+                        .estimate_keyed_block_cost_seconds(plan, block, key),
+                    _ => 0.0,
                 };
                 tasks.push(PlannedTask {
                     job: job_index,
@@ -1029,7 +1017,7 @@ impl ServiceCore {
                     job: task.job,
                     block: task.block,
                     // audit:allow(unwrap): tasks are created during plan expansion, after the plan is set
-                    plan: Arc::clone(plan.as_ref().expect("tasks come from planned jobs")),
+                    plan: plan.clone().expect("tasks come from planned jobs"),
                     params: Arc::clone(params),
                     key: task.key.clone(),
                     cost: task.cost,
@@ -1043,7 +1031,7 @@ impl ServiceCore {
                             submission: Arc::clone(&state),
                             job: task.job,
                             block: task.block,
-                            plan: Arc::clone(&body.plan),
+                            plan: body.plan.clone(),
                             params: Arc::clone(&body.params),
                         });
                         self.coalesced.fetch_add(1, Ordering::Relaxed);

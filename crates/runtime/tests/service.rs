@@ -805,3 +805,53 @@ fn handle_status_progresses_and_wait_is_repeatable() {
     assert!(clone.wait().unwrap()[0].is_ok(), "wait repeats on clones");
     assert_eq!(handle.priority(), Priority::NORMAL);
 }
+
+/// A circuit whose strict blocking is one single-gate block per operation: a
+/// parameterized rotation on each qubit.
+fn lookup_only_circuit() -> Circuit {
+    let mut circuit = Circuit::new(3);
+    for qubit in 0..3 {
+        circuit.rz_expr(qubit, vqc_circuit::ParamExpr::theta(qubit));
+    }
+    circuit
+}
+
+/// A cancel racing the expansion (now a plan-cache lookup, so the window is a
+/// few microseconds) must still leave the handle and the counters in agreement:
+/// every submission is either canceled or completed, exactly once, and every
+/// admission slot comes back.
+#[test]
+fn cancels_racing_the_expansion_keep_the_books_balanced() {
+    let runtime = CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1).with_service(
+            ServiceOptions::default()
+                .with_queue_depth(2)
+                .with_backpressure(Backpressure::Reject),
+        ),
+    );
+    let rounds = 200;
+    let mut canceled_rounds = 0;
+    for round in 0..rounds {
+        let handle = runtime
+            .submit(
+                Submission::single(
+                    lookup_only_circuit(),
+                    [0.1, 0.2, 0.01 * round as f64],
+                    Strategy::StrictPartial,
+                )
+                .with_client(4),
+            )
+            .expect("the previous round gave its slot back");
+        if handle.cancel() {
+            canceled_rounds += 1;
+            assert!(matches!(handle.wait(), Err(SubmitError::Canceled)));
+        } else {
+            assert!(handle.wait().unwrap()[0].is_ok());
+        }
+    }
+    let metrics = runtime.client_metrics(4);
+    assert_eq!(metrics.submissions, rounds);
+    assert_eq!(metrics.canceled, canceled_rounds);
+    assert_eq!(metrics.completed, rounds - canceled_rounds);
+}

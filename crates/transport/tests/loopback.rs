@@ -732,7 +732,12 @@ fn remote_shutdown_drains_and_stops_the_server() {
         job.wait().expect("drained, not canceled")[0].is_ok(),
         "a shutdown must drain in-flight submissions to their reports"
     );
-    client.shutdown_server().unwrap();
+    // A repeated request is idempotent, and it may find the drained server already
+    // closing this connection: `Disconnected` then means "already stopped".
+    assert!(matches!(
+        client.shutdown_server(),
+        Ok(()) | Err(RemoteError::Disconnected)
+    ));
     server.wait(); // returns once the listener thread exits
     assert_eq!(runtime.metrics().unique_compilations, 1);
 }
