@@ -1,8 +1,9 @@
 //! Benchmarks of the GRAPE engine: one exact gradient evaluation and one full
 //! fixed-duration optimization on one- and two-qubit targets, the
 //! `grape_smallmat` group timing one reused-workspace gradient on stack storage
-//! at 1q/2q/3q/4q, the `grape_seeding` group comparing cold against table-seeded
-//! duration searches, and the `profile_overhead` group gating the armed
+//! at 1q/2q/3q/4q, the `grape_lanes` group timing the LiH-sized 4q × 40-slice
+//! gradient as one lane and as two, the `grape_seeding` group comparing cold
+//! against table-seeded duration searches, and the `profile_overhead` group gating the armed
 //! compile-phase profiler to under five percent of the warm gradient path. The
 //! measurements are written to `BENCH_grape.json` in the workspace root.
 
@@ -13,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
 use vqc_pulse::{
-    profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
+    lanes, profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
     TranspositionTable,
 };
 use vqc_sim::gates;
@@ -91,6 +92,33 @@ fn bench_grape_smallmat(c: &mut Criterion) {
     group.finish();
 }
 
+/// The block the lanes exist for — 4 qubits, 40 slices, LiH's widest — as one
+/// lane and as two. The one-lane pass holds the helper itself, so every claim
+/// the workspace makes is refused: the same body, the second lane's share run
+/// by the calling thread. On a single-CPU host there is no helper and both
+/// passes are the one-lane form (`host_parallelism` in the summary says so).
+fn bench_grape_lanes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("grape_lanes");
+    group.sample_size(30);
+
+    let device = DeviceModel::qubits_line(4);
+    let target = gates::cx().kron(&gates::cx());
+    let pulse = PulseSequence::seeded_guess(&device, 40, 0.5, 1);
+    let mut workspace = GrapeWorkspace::new(&device, 40);
+    workspace.set_target(&device, &target);
+
+    let held = lanes::claim(device.dim(), 40);
+    group.bench_function("one_lane_4q_40slices", |b| {
+        b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+    });
+    drop(held);
+    group.bench_function("two_lanes_4q_40slices", |b| {
+        b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+    });
+
+    group.finish();
+}
+
 /// Folds one finished duration search into the transposition-table entry for
 /// its structure, the way `PartialCompiler::record_search_feedback` does: the
 /// failed lower bound is the deepest non-converging probe, every probe lands in
@@ -145,13 +173,12 @@ fn bench_grape_seeding(c: &mut Criterion) {
         b.iter(|| {
             let mut total = 0u64;
             for &theta in &fresh_thetas {
-                let mut memo = EigenMemo::new();
                 let result = minimum_pulse_time_seeded(
                     black_box(&gates::rz(theta)),
                     &device,
                     &search,
                     &grape,
-                    &mut memo,
+                    &mut EigenMemo::new(),
                     None,
                 )
                 .expect("cold search");
@@ -170,10 +197,15 @@ fn bench_grape_seeding(c: &mut Criterion) {
     // Prime the table once with the largest-angle binding, exactly as the
     // compiler's first encounter with the structure would.
     let table = TranspositionTable::new(TableConfig::default());
-    let mut memo = EigenMemo::new();
-    let primed =
-        minimum_pulse_time_seeded(&gates::rz(2.4), &device, &search, &grape, &mut memo, None)
-            .expect("priming search");
+    let primed = minimum_pulse_time_seeded(
+        &gates::rz(2.4),
+        &device,
+        &search,
+        &grape,
+        &mut EigenMemo::new(),
+        None,
+    )
+    .expect("priming search");
     assert!(primed.converged, "the priming binding must converge");
     record_search(&table, STRUCTURE_KEY, &primed);
 
@@ -183,13 +215,12 @@ fn bench_grape_seeding(c: &mut Criterion) {
             for &theta in &fresh_thetas {
                 let seed = table.probe(&STRUCTURE_KEY).expect("primed entry");
                 let search_seed = seed.search_seed();
-                let mut memo = EigenMemo::new();
                 let result = minimum_pulse_time_seeded(
                     black_box(&gates::rz(theta)),
                     &device,
                     &search,
                     &grape,
-                    &mut memo,
+                    &mut EigenMemo::new(),
                     Some(&search_seed),
                 )
                 .expect("seeded search");
@@ -303,6 +334,19 @@ fn emit_summary(c: &mut Criterion) {
         "the armed profiler costs {overhead_ratio:.3}x of the disarmed gradient \
          path ({armed_ns:.1}ns vs {disarmed_ns:.1}ns; budget: <1.05x)"
     );
+    // One lane against two on the widest block, with how often the helper was
+    // granted over the whole bench process.
+    let one_lane_ns = min_of("grape_lanes", "one_lane_4q_40slices")
+        .expect("the grape_lanes one-lane pass must have run");
+    let two_lanes_ns = min_of("grape_lanes", "two_lanes_4q_40slices")
+        .expect("the grape_lanes two-lane pass must have run");
+    let lane_stats = lanes::stats();
+    json.push_str(&format!(
+        "  \"lanes\": {{\n    \"one_lane_min_ns\": {one_lane_ns:.1},\n    \"two_lanes_min_ns\": {two_lanes_ns:.1},\n    \"one_over_two\": {:.3},\n    \"claimed\": {},\n    \"refused\": {}\n  }},\n",
+        one_lane_ns / two_lanes_ns,
+        lane_stats.claimed,
+        lane_stats.refused,
+    ));
     json.push_str(&format!(
         "  \"profile_overhead\": {{\n    \"disarmed_min_ns\": {disarmed_ns:.1},\n    \"armed_min_ns\": {armed_ns:.1},\n    \"armed_over_disarmed\": {overhead_ratio:.3}\n  }},\n"
     ));
@@ -339,6 +383,7 @@ criterion_group!(
     benches,
     bench_grape,
     bench_grape_smallmat,
+    bench_grape_lanes,
     bench_grape_seeding,
     bench_profile_overhead,
     emit_summary

@@ -663,14 +663,13 @@ impl PartialCompiler {
         let target = circuit_unitary(bound);
         let search = MinimumTimeOptions::new(0.0, upper_bound_ns)
             .with_precision(self.options.search_precision_ns);
-        let mut memo = EigenMemo::new();
         let search_seed = seed.as_ref().map(SeedEntry::search_seed);
         let result = minimum_pulse_time_seeded(
             &target,
             device,
             &search,
             &self.options.grape,
-            &mut memo,
+            &mut EigenMemo::new(),
             search_seed.as_ref(),
         )?;
         let measured = started.elapsed().as_secs_f64();
@@ -697,8 +696,6 @@ impl PartialCompiler {
         }
         self.cache.insert_block(key, entry.clone());
         self.record_search_feedback(&structural_key, &self.options.grape, false, &result);
-        self.cache
-            .record_memo_outcome(memo.hits(), memo.misses(), memo.rejected_inserts());
         Ok((entry, measured, block_profile))
     }
 
@@ -792,29 +789,21 @@ impl PartialCompiler {
         let target = circuit_unitary(bound_reference);
         let search = MinimumTimeOptions::new(0.0, upper_bound_ns)
             .with_precision(self.options.search_precision_ns);
-        let mut memo = EigenMemo::new();
         let reused_iterations = opening.as_ref().map_or(0, |run| run.iterations);
         let mintime = match opening {
-            Some(opening) => minimum_pulse_time_after_opening(
-                &target,
-                device,
-                &search,
-                &tuned_options,
-                &mut memo,
-                opening,
-            )?,
+            Some(opening) => {
+                minimum_pulse_time_after_opening(&target, device, &search, &tuned_options, opening)?
+            }
             None => minimum_pulse_time_seeded(
                 &target,
                 device,
                 &search,
                 &tuned_options,
-                &mut memo,
+                &mut EigenMemo::new(),
                 seed.as_ref().map(SeedEntry::search_seed).as_ref(),
             )?,
         };
         self.record_search_feedback(structural_key, &tuned_options, true, &mintime);
-        self.cache
-            .record_memo_outcome(memo.hits(), memo.misses(), memo.rejected_inserts());
         let runtime_iterations = mintime
             .best
             .as_ref()

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use vqc_circuit::Circuit;
 use vqc_pulse::grape::{try_optimize_pulse_with, GrapeOptions, GrapeResult};
 use vqc_pulse::profile::{self, Phase};
-use vqc_pulse::{DeviceModel, EigenMemo, PulseError};
+use vqc_pulse::{DeviceModel, PulseError};
 use vqc_sim::circuit_unitary;
 
 /// The grid of hyperparameter candidates to evaluate.
@@ -135,23 +135,12 @@ pub(crate) fn tune_hyperparameters_keeping_winner(
     let target = circuit_unitary(bound_subcircuit);
     let mut probes = Vec::with_capacity(grid.len());
     let mut runs = Vec::with_capacity(grid.len());
-    // Every candidate starts from the same seeded guess and revisits overlapping
-    // amplitude trajectories, so one shared eigendecomposition memo serves the
-    // whole grid.
-    let mut memo = EigenMemo::new();
     for (learning_rate, decay_rate) in grid.candidates() {
         let options = base.with_hyperparameters(learning_rate, decay_rate);
         // Profiled as self time: the kernel phases inside the candidate run
         // charge themselves, the scope keeps only the grid's own overhead.
         let _candidate = profile::scope(Phase::HyperparamTuning);
-        let result = try_optimize_pulse_with(
-            &target,
-            device,
-            duration_ns,
-            &options,
-            None,
-            Some(&mut memo),
-        )?;
+        let result = try_optimize_pulse_with(&target, device, duration_ns, &options, None)?;
         probes.push(HyperparamProbe {
             learning_rate,
             decay_rate,

@@ -182,11 +182,7 @@ pub trait PulseCache: Send + Sync + std::fmt::Debug {
     /// seeded-vs-cold warm-start accounting. The default implementation drops it.
     fn record_search_outcome(&self, _seeded: bool, _grape_iterations: u64) {}
 
-    /// Adds one compilation's [`vqc_pulse::EigenMemo`] counter totals to the
-    /// warm-start accounting. The default implementation drops them.
-    fn record_memo_outcome(&self, _hits: u64, _misses: u64, _rejected: u64) {}
-
-    /// Current warm-start counters (table and memo traffic, seeded-vs-cold
+    /// Current warm-start counters (table traffic, seeded-vs-cold
     /// iteration totals). The default implementation reports zeroes.
     fn warm_start_stats(&self) -> WarmStartStats {
         WarmStartStats::default()
@@ -296,10 +292,6 @@ impl PulseCache for PulseLibrary {
 
     fn record_search_outcome(&self, seeded: bool, grape_iterations: u64) {
         self.seeds.record_search_outcome(seeded, grape_iterations);
-    }
-
-    fn record_memo_outcome(&self, hits: u64, misses: u64, rejected: u64) {
-        self.seeds.record_memo_outcome(hits, misses, rejected);
     }
 
     fn warm_start_stats(&self) -> WarmStartStats {
@@ -493,11 +485,9 @@ mod tests {
         assert_eq!(found, entry);
 
         PulseCache::record_search_outcome(&library, true, 40);
-        PulseCache::record_memo_outcome(&library, 5, 2, 0);
         let stats = PulseCache::warm_start_stats(&library);
         assert_eq!(stats.table_hits, 1);
         assert_eq!(stats.seeded_iterations, 40);
-        assert_eq!(stats.memo_hits, 5);
     }
 
     #[test]

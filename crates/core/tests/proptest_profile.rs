@@ -26,10 +26,17 @@ fn fast_options() -> CompilerOptions {
     options
 }
 
-/// A fully bound two-qubit entangling block — aggregates into one Fixed GRAPE
-/// block under `StrictPartial`, the profiled compile path.
-fn one_block_circuit(phase_a: f64, phase_b: f64, variant: u8) -> Circuit {
-    let mut circuit = Circuit::new(2);
+/// A fully bound entangling block on `width` qubits — aggregates into one
+/// Fixed GRAPE block under `StrictPartial`, the profiled compile path. At
+/// width 3 the block is wide enough for two-lane iterations, where the helper
+/// thread's share of a phase must show up in the caller's profile as wall
+/// time only.
+fn one_block_circuit(width: usize, phase_a: f64, phase_b: f64, variant: u8) -> Circuit {
+    let mut circuit = Circuit::new(width);
+    for qubit in 2..width {
+        circuit.h(qubit);
+        circuit.cx(qubit - 1, qubit);
+    }
     circuit.h(0);
     if variant.is_multiple_of(2) {
         circuit.h(1);
@@ -45,7 +52,7 @@ fn one_block_circuit(phase_a: f64, phase_b: f64, variant: u8) -> Circuit {
 
 proptest! {
     // GRAPE per case keeps this modest; 12 distinct blocks still cover the
-    // duration-search / memo / propagation phase mix.
+    // duration-search / table-probe / propagation phase mix.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Armed, every freshly compiled block's phase durations sum to at most
@@ -56,13 +63,14 @@ proptest! {
     /// into a report.
     #[test]
     fn phase_durations_sum_to_at_most_measured_seconds(
+        width in 2usize..4,
         phase_a in 0.1..3.0f64,
         phase_b in 0.1..3.0f64,
         variant in 0u8..6,
     ) {
         profile::set_armed(true);
         let compiler = PartialCompiler::new(fast_options());
-        let circuit = one_block_circuit(phase_a, phase_b, variant);
+        let circuit = one_block_circuit(width, phase_a, phase_b, variant);
         let report = compiler
             .compile(&circuit, &[], Strategy::StrictPartial)
             .expect("fast-effort compile succeeds");

@@ -9,7 +9,7 @@
 //! The optimizer is ADAM with exponential learning-rate decay — the two hyperparameters
 //! that flexible partial compilation tunes per subcircuit (Section 7.2).
 
-use crate::memo::EigenMemo;
+use crate::lanes;
 use crate::workspace::GrapeWorkspace;
 use crate::{DeviceModel, PulseError, PulseSequence};
 use serde::{Deserialize, Serialize};
@@ -161,17 +161,14 @@ pub fn try_optimize_pulse(
     duration_ns: f64,
     options: &GrapeOptions,
 ) -> Result<GrapeResult, PulseError> {
-    try_optimize_pulse_with(target, device, duration_ns, options, None, None)
+    try_optimize_pulse_with(target, device, duration_ns, options, None)
 }
 
-/// [`try_optimize_pulse`] with an optional warm start and eigendecomposition memo.
-///
-/// * `warm_start` — a previously optimized pulse (for the same device) to resample
-///   onto this run's slice grid as the initial guess, instead of the seeded sine
-///   guess. Ignored if its control count does not match the device. The duration
-///   binary search uses this to start each probe from the nearest converged one.
-/// * `memo` — a shared [`EigenMemo`]; slice Hamiltonians already diagonalized by
-///   any earlier run using the same memo are reused instead of recomputed.
+/// [`try_optimize_pulse`] with an optional warm start: a previously optimized
+/// pulse (for the same device) to resample onto this run's slice grid as the
+/// initial guess, instead of the seeded sine guess. Ignored if its control count
+/// does not match the device. The duration binary search uses this to start each
+/// probe from the nearest converged one.
 ///
 /// # Errors
 ///
@@ -182,7 +179,6 @@ pub fn try_optimize_pulse_with(
     duration_ns: f64,
     options: &GrapeOptions,
     warm_start: Option<&PulseSequence>,
-    mut memo: Option<&mut EigenMemo>,
 ) -> Result<GrapeResult, PulseError> {
     if target.shape() != (device.qubit_dim(), device.qubit_dim()) {
         return Err(PulseError::DimensionMismatch {
@@ -199,6 +195,9 @@ pub fn try_optimize_pulse_with(
     }
 
     let dt = options.dt_ns;
+    // This thread is busy with GRAPE until the run returns: what the lane
+    // helper's claim rule counts as an occupied CPU.
+    let _in_flight = lanes::enter_run();
 
     let mut pulse = match warm_start {
         Some(warm) if warm.num_controls() == device.num_controls() => {
@@ -235,10 +234,7 @@ pub fn try_optimize_pulse_with(
     for iter in 0..options.max_iterations {
         iterations = iter + 1;
 
-        let infidelity = match memo.as_deref_mut() {
-            Some(m) => workspace.fidelity_gradient_with_memo(&pulse, m),
-            None => workspace.fidelity_gradient(&pulse),
-        };
+        let infidelity = workspace.fidelity_gradient(&pulse);
 
         if infidelity < best_infidelity {
             best_infidelity = infidelity;
@@ -288,7 +284,7 @@ pub fn try_optimize_pulse_with(
         for t in 0..num_slices {
             for k in 0..num_controls {
                 let u_kt = pulse.amplitude(k, t);
-                let mut grad = gradient[k][t];
+                let mut grad = gradient[t * num_controls + k];
                 grad += 2.0 * options.amplitude_penalty * u_kt * dt;
                 if options.smoothness_penalty > 0.0 {
                     if t > 0 {
@@ -427,6 +423,7 @@ mod tests {
             workspace.set_target(&device, &target);
             workspace.fidelity_gradient(&pulse);
             let analytic = workspace.gradient().to_vec();
+            let at = |k: usize, t: usize| t * device.num_controls() + k;
 
             let eps = 1e-6;
             let last = device.num_controls() - 1;
@@ -442,13 +439,13 @@ mod tests {
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
                 let reference = numeric.abs().max(1e-6);
                 assert!(
-                    (analytic[k][t] - numeric).abs() / reference < 1e-3,
+                    (analytic[at(k, t)] - numeric).abs() / reference < 1e-3,
                     "dim {dim} control {k} slice {t}: analytic {} vs numeric {numeric}",
-                    analytic[k][t]
+                    analytic[at(k, t)]
                 );
                 workspace.fidelity_gradient(&pulse);
                 assert!(
-                    (workspace.gradient()[k][t] - analytic[k][t]).abs() < 1e-12,
+                    (workspace.gradient()[at(k, t)] - analytic[at(k, t)]).abs() < 1e-12,
                     "dim {dim}: re-evaluating the pulse after the probes must reproduce the gradient"
                 );
             }

@@ -19,11 +19,13 @@
 //!   the heap. The device Hamiltonians are real symmetric, so the kernel
 //!   diagonalizes and rotates them in `f64` and is complex only from the
 //!   propagators on.
-//! * [`memo`] — the [`EigenMemo`] cache of slice-Hamiltonian eigendecompositions,
-//!   shared across the duration search's probes and hyperparameter re-tuning.
+//! * [`lanes`] — the second lane of a wide block's iteration: one process-wide
+//!   helper thread that runs half of each phase when a CPU is free, bit for bit.
+//! * [`memo`] — the inert [`EigenMemo`] handle the driver benchmark still
+//!   constructs; the engine no longer consults a memo.
 //! * [`profile`] — phase-scoped compile-time accounting: a [`CompileProfile`]
 //!   attributing each block's wall time to Hamiltonian assembly, eigensolves
-//!   (with Jacobi sweep counts), propagation, gradient contraction, memo/table
+//!   (with Jacobi sweep counts), propagation, gradient contraction, table
 //!   probes, duration probes, and hyperparameter tuning. Disarmed it costs a
 //!   single branch per instrumentation point; armed (`VQC_PROFILE=1`) it stays
 //!   allocation-free.
@@ -58,6 +60,7 @@
 mod device;
 mod error;
 pub mod grape;
+pub mod lanes;
 pub mod memo;
 pub mod minimum_time;
 pub mod profile;

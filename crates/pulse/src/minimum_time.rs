@@ -6,13 +6,10 @@
 //! GRAPE-compiled blocks are never slower than the gate-based baseline — the property
 //! the paper's aggregation scheme is designed to preserve.
 //!
-//! Probes share work two ways: each bisection probe warm-starts from the converged
-//! pulse of the nearest-duration probe so far (resampled onto the new slice grid),
-//! and every probe shares one [`EigenMemo`] so slice Hamiltonians revisited across
-//! probes — or across re-tuned searches via
-//! [`minimum_pulse_time_with_memo`] — skip their eigendecomposition.
+//! Probes share work: each bisection probe warm-starts from the converged pulse
+//! of the nearest-duration probe so far (resampled onto the new slice grid).
 //!
-//! A third sharing axis crosses *blocks*: [`minimum_pulse_time_seeded`] accepts a
+//! A second sharing axis crosses *blocks*: [`minimum_pulse_time_seeded`] accepts a
 //! [`SearchSeed`] from a structural neighbor (a previously compiled binding of the
 //! same subcircuit structure, via [`crate::transposition::TranspositionTable`]) and
 //! opens the bisection at the neighbor's converged window — first probe at the
@@ -124,28 +121,10 @@ pub fn minimum_pulse_time(
     search: &MinimumTimeOptions,
     grape: &GrapeOptions,
 ) -> Result<MinimumTimeResult, PulseError> {
-    let mut memo = EigenMemo::new();
-    minimum_pulse_time_with_memo(target, device, search, grape, &mut memo)
+    minimum_pulse_time_seeded(target, device, search, grape, &mut EigenMemo::new(), None)
 }
 
-/// [`minimum_pulse_time`] against a caller-owned [`EigenMemo`], so repeated searches
-/// on the same device — hyperparameter re-tuning in particular replays whole
-/// trajectories — reuse each other's slice eigendecompositions.
-///
-/// # Errors
-///
-/// Same as [`minimum_pulse_time`].
-pub fn minimum_pulse_time_with_memo(
-    target: &Matrix,
-    device: &DeviceModel,
-    search: &MinimumTimeOptions,
-    grape: &GrapeOptions,
-    memo: &mut EigenMemo,
-) -> Result<MinimumTimeResult, PulseError> {
-    minimum_pulse_time_seeded(target, device, search, grape, memo, None)
-}
-
-/// [`minimum_pulse_time_with_memo`] warm-started from a structural neighbor.
+/// [`minimum_pulse_time`] warm-started from a structural neighbor.
 ///
 /// With a usable seed — a converged neighbor duration strictly inside the search
 /// window — the first probe runs at the neighbor's converged duration with the
@@ -157,6 +136,9 @@ pub fn minimum_pulse_time_with_memo(
 /// fewer iterations. Without a usable window the seed's pulse (if any) still
 /// warm-starts the upper-bound probe.
 ///
+/// The [`EigenMemo`] parameter is inert (see the type): the driver benchmark
+/// calls this signature and a performance change may not edit it.
+///
 /// # Errors
 ///
 /// Same as [`minimum_pulse_time`].
@@ -165,7 +147,7 @@ pub fn minimum_pulse_time_seeded(
     device: &DeviceModel,
     search: &MinimumTimeOptions,
     grape: &GrapeOptions,
-    memo: &mut EigenMemo,
+    _memo: &mut EigenMemo,
     seed: Option<&SearchSeed>,
 ) -> Result<MinimumTimeResult, PulseError> {
     let upper = search.upper_bound_ns.max(grape.dt_ns);
@@ -180,12 +162,12 @@ pub fn minimum_pulse_time_seeded(
     // per-phase sum still bounds the block's wall time.
     let opening = {
         let _probe = profile::scope(Phase::DurationProbe);
-        try_optimize_pulse_with(target, device, first, grape, seed_pulse, Some(&mut *memo))?
+        try_optimize_pulse_with(target, device, first, grape, seed_pulse)?
     };
-    search_after_opening(target, device, search, grape, memo, seed, opening)
+    search_after_opening(target, device, search, grape, seed, opening)
 }
 
-/// [`minimum_pulse_time_with_memo`] for a caller that has already run the cold
+/// [`minimum_pulse_time`] for a caller that has already run the cold
 /// search's opening probe — GRAPE at the window's upper bound, with `grape` and no
 /// warm start — and hands the result in rather than have it repeated. Flexible
 /// partial compilation's hyperparameter grid evaluates every candidate at exactly
@@ -204,7 +186,6 @@ pub fn minimum_pulse_time_after_opening(
     device: &DeviceModel,
     search: &MinimumTimeOptions,
     grape: &GrapeOptions,
-    memo: &mut EigenMemo,
     opening: GrapeResult,
 ) -> Result<MinimumTimeResult, PulseError> {
     let upper = search.upper_bound_ns.max(grape.dt_ns);
@@ -213,7 +194,7 @@ pub fn minimum_pulse_time_after_opening(
         (upper / grape.dt_ns).round() as usize,
         "the opening probe must have run at the search's upper bound"
     );
-    search_after_opening(target, device, search, grape, memo, None, opening)
+    search_after_opening(target, device, search, grape, None, opening)
 }
 
 /// The neighbor's converged duration, when it opens a usable window: finite and
@@ -235,7 +216,6 @@ fn search_after_opening(
     device: &DeviceModel,
     search: &MinimumTimeOptions,
     grape: &GrapeOptions,
-    memo: &mut EigenMemo,
     seed: Option<&SearchSeed>,
     result: GrapeResult,
 ) -> Result<MinimumTimeResult, PulseError> {
@@ -276,7 +256,7 @@ fn search_after_opening(
         // needs no retry — the probe already was the full-window opener.)
         let retry = {
             let _probe = profile::scope(Phase::DurationProbe);
-            try_optimize_pulse_with(target, device, upper, grape, seed_pulse, Some(&mut *memo))?
+            try_optimize_pulse_with(target, device, upper, grape, seed_pulse)?
         };
         probes.push(SearchProbe {
             duration_ns: upper,
@@ -326,7 +306,7 @@ fn search_after_opening(
             .map(|(_, pulse)| pulse.clone());
         let result = {
             let _probe = profile::scope(Phase::DurationProbe);
-            try_optimize_pulse_with(target, device, mid, grape, warm.as_ref(), Some(&mut *memo))?
+            try_optimize_pulse_with(target, device, mid, grape, warm.as_ref())?
         };
         probes.push(SearchProbe {
             duration_ns: mid,
@@ -411,38 +391,6 @@ mod tests {
         assert!(result.best.is_none());
     }
 
-    #[test]
-    fn shared_memo_accumulates_hits_across_searches() {
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.0, 2.0).with_precision(0.5);
-        let mut memo = EigenMemo::new();
-        let first = minimum_pulse_time_with_memo(
-            &gates::rz(1.0),
-            &device,
-            &search,
-            &fast_grape(),
-            &mut memo,
-        )
-        .unwrap();
-        assert!(first.converged);
-        let cold_hits = memo.hits();
-        assert!(!memo.is_empty());
-        let second = minimum_pulse_time_with_memo(
-            &gates::rz(1.0),
-            &device,
-            &search,
-            &fast_grape(),
-            &mut memo,
-        )
-        .unwrap();
-        assert!(second.converged);
-        assert!(
-            memo.hits() > cold_hits,
-            "a replayed search must reuse cached eigendecompositions"
-        );
-        assert_eq!(first.duration_ns, second.duration_ns);
-    }
-
     /// Builds the seed a transposition-table entry would hold after `result`.
     fn seed_from(result: &MinimumTimeResult, search: &MinimumTimeOptions) -> SearchSeed {
         let failed_below = result
@@ -466,13 +414,12 @@ mod tests {
         assert!(cold.converged && !cold.seeded);
 
         let seed = seed_from(&cold, &search);
-        let mut memo = EigenMemo::new();
         let seeded = minimum_pulse_time_seeded(
             &gates::rz(1.0),
             &device,
             &search,
             &fast_grape(),
-            &mut memo,
+            &mut EigenMemo::new(),
             Some(&seed),
         )
         .unwrap();
@@ -500,13 +447,12 @@ mod tests {
             converged_duration_ns: Some(0.8),
             pulse: None,
         };
-        let mut memo = EigenMemo::new();
         let result = minimum_pulse_time_seeded(
             &gates::x(),
             &device,
             &search,
             &fast_grape(),
-            &mut memo,
+            &mut EigenMemo::new(),
             Some(&seed),
         )
         .unwrap();
@@ -538,13 +484,12 @@ mod tests {
             converged_duration_ns: Some(5.0),
             pulse: cold.best.as_ref().map(|b| b.pulse.clone()),
         };
-        let mut memo = EigenMemo::new();
         let result = minimum_pulse_time_seeded(
             &gates::rz(1.0),
             &device,
             &search,
             &fast_grape(),
-            &mut memo,
+            &mut EigenMemo::new(),
             Some(&seed),
         )
         .unwrap();

@@ -111,8 +111,7 @@ impl PulseSequence {
     /// interpolation, preserving the pulse shape across a duration change. This
     /// is how the duration binary search warm-starts each probe from the nearest
     /// converged one. Resampling onto the same `(num_slices, dt_ns)` grid is an
-    /// exact copy, so warm-started slices can still hit the eigendecomposition
-    /// memo.
+    /// exact copy.
     ///
     /// # Panics
     ///

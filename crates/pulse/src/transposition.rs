@@ -215,10 +215,10 @@ impl SeedEntry {
     }
 }
 
-/// Point-in-time warm-start effectiveness counters: table and [`EigenMemo`]
-/// traffic plus seeded-vs-cold GRAPE iteration totals.
-///
-/// [`EigenMemo`]: crate::EigenMemo
+/// Point-in-time warm-start effectiveness counters: table traffic plus
+/// seeded-vs-cold GRAPE iteration totals. The `memo_*` fields are those of the
+/// retired [`EigenMemo`](crate::EigenMemo): snapshot- and wire-serialised and
+/// read by the driver benchmark, so they stay, and read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmStartStats {
     /// Table probes answered from a stored entry.
@@ -229,11 +229,11 @@ pub struct WarmStartStats {
     pub table_rejected: u64,
     /// Entries displaced by a deeper record or the byte budget.
     pub table_evictions: u64,
-    /// Eigendecomposition memo hits across compilations.
+    /// Always 0 (retired memo).
     pub memo_hits: u64,
-    /// Eigendecomposition memo misses across compilations.
+    /// Always 0 (retired memo).
     pub memo_misses: u64,
-    /// Memo inserts rejected at capacity.
+    /// Always 0 (retired memo).
     pub memo_rejected: u64,
     /// Total GRAPE iterations spent by table-seeded searches.
     pub seeded_iterations: u64,
@@ -266,9 +266,6 @@ struct TableCounters {
     misses: AtomicU64,
     rejected: AtomicU64,
     evictions: AtomicU64,
-    memo_hits: AtomicU64,
-    memo_misses: AtomicU64,
-    memo_rejected: AtomicU64,
     seeded_iterations: AtomicU64,
     cold_iterations: AtomicU64,
 }
@@ -385,17 +382,6 @@ impl<K> TranspositionTable<K> {
         }
     }
 
-    /// Adds one compilation's [`EigenMemo`](crate::EigenMemo) counter deltas.
-    pub fn record_memo_outcome(&self, hits: u64, misses: u64, rejected: u64) {
-        self.counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-        self.counters
-            .memo_misses
-            .fetch_add(misses, Ordering::Relaxed);
-        self.counters
-            .memo_rejected
-            .fetch_add(rejected, Ordering::Relaxed);
-    }
-
     /// Current warm-start counters.
     pub fn stats(&self) -> WarmStartStats {
         WarmStartStats {
@@ -403,9 +389,9 @@ impl<K> TranspositionTable<K> {
             table_misses: self.counters.misses.load(Ordering::Relaxed),
             table_rejected: self.counters.rejected.load(Ordering::Relaxed),
             table_evictions: self.counters.evictions.load(Ordering::Relaxed),
-            memo_hits: self.counters.memo_hits.load(Ordering::Relaxed),
-            memo_misses: self.counters.memo_misses.load(Ordering::Relaxed),
-            memo_rejected: self.counters.memo_rejected.load(Ordering::Relaxed),
+            memo_hits: 0,
+            memo_misses: 0,
+            memo_rejected: 0,
             seeded_iterations: self.counters.seeded_iterations.load(Ordering::Relaxed),
             cold_iterations: self.counters.cold_iterations.load(Ordering::Relaxed),
         }
@@ -743,19 +729,14 @@ mod tests {
     }
 
     #[test]
-    fn search_and_memo_outcomes_aggregate() {
+    fn search_outcomes_aggregate() {
         let table: TranspositionTable<u64> = TranspositionTable::new(TableConfig::default());
         table.record_search_outcome(true, 40);
         table.record_search_outcome(false, 100);
         table.record_search_outcome(true, 10);
-        table.record_memo_outcome(7, 3, 1);
         let stats = table.stats();
         assert_eq!(stats.seeded_iterations, 50);
         assert_eq!(stats.cold_iterations, 100);
-        assert_eq!(
-            (stats.memo_hits, stats.memo_misses, stats.memo_rejected),
-            (7, 3, 1)
-        );
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! counting-allocator test asserts.
 //!
 //! The propagation pass and the Daleckii–Krein gradient pass are each written
-//! once, in [`Engine`], generic over the crate-private [`Storage`] trait. Every
+//! once, in [`Engine`], generic over the crate-private [`Storage`] trait, as
+//! phases over slice ranges: a wide block's iteration runs them as two lanes,
+//! the second on the [`crate::lanes`] helper thread, bit for bit. Every
 //! matrix in a GRAPE run has a dimension fixed by the device, so the workspace
 //! picks the storage from `device.dim()` at construction and nothing else:
 //! inline const-generic [`SmallMatrix`] for dims 2/4/8/16 — every width a
@@ -34,10 +36,9 @@
 //! The workspace is also the single home of the eigendecomposition-based slice
 //! propagator `U_t = V e^{-iΔtΛ} Vᵀ`; [`crate::propagate`] drives the same path (the
 //! Taylor [`vqc_linalg::expm`] stays as an independent reference that a debug
-//! assertion checks it against). The engine can consult an [`EigenMemo`] so
-//! a slice Hamiltonian seen before skips the diagonalization.
+//! assertion checks it against).
 
-use crate::memo::EigenMemo;
+use crate::lanes::{self, Claim};
 use crate::profile::{self, Phase};
 use crate::propagate::Propagation;
 use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
@@ -48,14 +49,14 @@ use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, SmallMatrix, C64};
 /// eigenvectors: the three products they enter and the symmetric eigensolver.
 /// Like [`Storage`], every method forwards to the `vqc-linalg` kernel for that
 /// type.
-trait RealStorage: Clone + Debug {
+trait RealStorage: Clone + Debug + Send + Sync {
     /// The complex storage of the same dimension.
     type Complex;
 
     fn zeros(dim: usize) -> Self;
     /// The matrix dimension (a compile-time constant on the stack).
     fn dim(&self) -> usize;
-    /// Row-major entries — the layout [`EigenMemo`] files eigenvectors in.
+    /// Row-major entries.
     fn entries(&self) -> &[f64];
     fn entries_mut(&mut self) -> &mut [f64];
     /// Writes `self · rhs` into `out`.
@@ -74,7 +75,7 @@ trait RealStorage: Clone + Debug {
 /// the allocation-free `_into` products. Exactly two implementations exist —
 /// stack [`SmallMatrix`] and heap [`Matrix`] — each paired with its real
 /// companion.
-trait Storage: Clone + Debug {
+trait Storage: Clone + Debug + Send + Sync {
     /// The real storage of the same dimension.
     type Real: RealStorage<Complex = Self>;
 
@@ -230,17 +231,10 @@ fn real_entries<'a>(label: &'a str, operator: &'a Matrix) -> impl Iterator<Item 
     })
 }
 
-/// The GRAPE engine: the entire hot loop, written once over a [`Storage`].
-///
-/// All per-slice buffer families are packed `Vec`s — one contiguous allocation
-/// each on the stack storage — so the blocked passes of [`Engine::propagate`]
-/// (Hamiltonian pass, eigensystem pass, propagator pass, forward sweep,
-/// backward sweep) stream through cache-resident data. Control operators are
-/// kept as row-major nonzero lists, so Hamiltonian assembly and the gradient
-/// contraction touch only the entries a drive actually has.
+/// What every lane of an iteration reads and none writes: the device's
+/// Hamiltonian terms and the target.
 #[derive(Debug, Clone)]
-struct Engine<S: Storage> {
-    num_slices: usize,
+struct Model<S: Storage> {
     qubit_dim: f64,
     drift: S::Real,
     /// `(row-major index, entry)` nonzeros of each control operator, in
@@ -248,8 +242,28 @@ struct Engine<S: Storage> {
     control_sparse: Vec<Vec<(usize, f64)>>,
     /// `(padded target)†`, set by [`GrapeWorkspace::set_target`].
     target_dagger: Option<S>,
+}
 
-    // --- packed per-slice buffer families ------------------------------------------
+impl<S: Storage> Model<S> {
+    /// `H_t = drift + Σ_k u_k(t) · H_k` over the packed nonzero lists.
+    fn assemble(&self, pulse: &PulseSequence, t: usize, hamiltonian: &mut S::Real) {
+        let hamiltonian = hamiltonian.entries_mut();
+        hamiltonian.copy_from_slice(self.drift.entries());
+        for (k, entries) in self.control_sparse.iter().enumerate() {
+            let amp = pulse.amplitude(k, t);
+            if amp != 0.0 {
+                for &(index, value) in entries {
+                    hamiltonian[index] += value * amp;
+                }
+            }
+        }
+    }
+}
+
+/// The packed per-slice buffer families of an [`Engine`]: what the
+/// diagonalization and the sweeps fill and the gradient contraction reads.
+#[derive(Debug, Clone)]
+struct Families<S: Storage> {
     /// Assembled each propagation, then consumed by the eigensolver.
     slice_h: Vec<S::Real>,
     slice_v: Vec<S::Real>,
@@ -264,18 +278,261 @@ struct Engine<S: Storage> {
     /// The gradient's co-state, `backward[t] = target† · U_{T-1} ⋯ U_{t+1}`:
     /// swept only once a target is set.
     backward: Vec<S>,
+}
 
-    // --- iteration scratch ----------------------------------------------------------
+/// One lane's scratch matrices.
+#[derive(Debug, Clone)]
+struct Scratch<S: Storage> {
     real_a: S::Real,
     real_b: S::Real,
-    scratch_a: S,
-    scratch_b: S,
-    scratch_c: S,
+    a: S,
+    b: S,
+    c: S,
+}
+
+/// One lane's share of the per-slice families the diagonalization pass fills:
+/// slices `first..first + u.len()` of each.
+struct Slices<'a, S: Storage> {
+    first: usize,
+    h: &'a mut [S::Real],
+    v: &'a mut [S::Real],
+    vt: &'a mut [S::Real],
+    lambdas: &'a mut [f64],
+    phases: &'a mut [C64],
+    u: &'a mut [S],
+}
+
+impl<S: Storage> Slices<'_, S> {
+    /// The first `mid` slices and the rest, as two disjoint lanes.
+    fn split_at(self, mid: usize, dim: usize) -> (Self, Self) {
+        let (h, h_rest) = self.h.split_at_mut(mid);
+        let (v, v_rest) = self.v.split_at_mut(mid);
+        let (vt, vt_rest) = self.vt.split_at_mut(mid);
+        let (lambdas, lambdas_rest) = self.lambdas.split_at_mut(mid * dim);
+        let (phases, phases_rest) = self.phases.split_at_mut(mid * dim);
+        let (u, u_rest) = self.u.split_at_mut(mid);
+        let first = self.first;
+        (
+            Slices {
+                first,
+                h,
+                v,
+                vt,
+                lambdas,
+                phases,
+                u,
+            },
+            Slices {
+                first: first + mid,
+                h: h_rest,
+                v: v_rest,
+                vt: vt_rest,
+                lambdas: lambdas_rest,
+                phases: phases_rest,
+                u: u_rest,
+            },
+        )
+    }
+}
+
+/// Diagonalizes symmetric `h` into ascending `lambdas` and the eigenvector
+/// columns `v`, returning the Jacobi sweep count. With `warmed`, `v` and `vt`
+/// hold the slice's eigenbasis from the previous propagation (`vt` is
+/// refreshed only by the propagator pass, after this).
+fn eigensolve<S: Storage>(
+    h: &mut S::Real,
+    vt: &S::Real,
+    v: &mut S::Real,
+    lambdas: &mut [f64],
+    warmed: bool,
+    scratch: &mut Scratch<S>,
+) -> usize {
+    if !warmed {
+        return h.diagonalize(lambdas, v);
+    }
+    // Warm-started Jacobi: rotate H into this slice's previous eigenbasis,
+    // H' = Vᵀ H V. Between optimizer iterations the amplitudes move only
+    // slightly, so H' is nearly diagonal and the sweep count collapses (to
+    // zero when the slice is re-evaluated unchanged). Compose
+    // V ← V_prev · V' after.
+    let (real_a, real_b) = (&mut scratch.real_a, &mut scratch.real_b);
+    vt.mul_into(h, real_a);
+    real_a.mul_into(v, real_b);
+    let sweeps = real_b.diagonalize(lambdas, real_a);
+    v.mul_into(real_a, real_b);
+    v.entries_mut().copy_from_slice(real_b.entries());
+    sweeps
+}
+
+/// Phase 1 of an iteration, for one lane's slices: Hamiltonians, then
+/// eigensystems, then propagators, each streaming through its packed family.
+/// It is pass-major so an armed profiler pays one `mark` per pass rather than
+/// per slice. Returns the lane's Jacobi sweeps.
+fn diagonalize<S: Storage>(
+    model: &Model<S>,
+    pulse: &PulseSequence,
+    warmed: bool,
+    slices: Slices<'_, S>,
+    scratch: &mut Scratch<S>,
+    mut mark: impl FnMut(Phase),
+) -> u64 {
+    let dim = model.drift.dim();
+    let dt = pulse.dt_ns();
+    for (i, h) in slices.h.iter_mut().enumerate() {
+        model.assemble(pulse, slices.first + i, h);
+    }
+    mark(Phase::HamiltonianAssembly);
+    let mut sweeps = 0u64;
+    for (i, h) in slices.h.iter_mut().enumerate() {
+        let lambdas = &mut slices.lambdas[i * dim..][..dim];
+        sweeps += eigensolve(h, &slices.vt[i], &mut slices.v[i], lambdas, warmed, scratch) as u64;
+    }
+    mark(Phase::Eigendecomposition);
+
+    // Propagator pass: U_t = V · (diag(phases) · Vᵀ) — scale the rows of Vᵀ,
+    // then one real·complex product; Vᵀ is kept for the next warm start and
+    // the gradient pass.
+    for (i, u) in slices.u.iter_mut().enumerate() {
+        let lambdas = &slices.lambdas[i * dim..][..dim];
+        let phases = &mut slices.phases[i * dim..][..dim];
+        for (phase, &lambda) in phases.iter_mut().zip(lambdas) {
+            *phase = C64::cis(-dt * lambda);
+        }
+        let v = &slices.v[i];
+        v.transpose_into(&mut slices.vt[i]);
+        let scaled = scratch.a.entries_mut().chunks_exact_mut(dim);
+        let rows = slices.vt[i].entries().chunks_exact(dim);
+        for ((scaled_row, row), &phase) in scaled.zip(rows).zip(phases.iter()) {
+            for (slot, &entry) in scaled_row.iter_mut().zip(row) {
+                *slot = phase * entry;
+            }
+        }
+        v.mul_complex_into(&scratch.a, u);
+    }
+    sweeps
+}
+
+/// Phase 2, one lane: `forward[t] = U_t · forward[t-1]`.
+fn sweep_forward<S: Storage>(u: &[S], forward: &mut [S]) {
+    forward[0].entries_mut().copy_from_slice(u[0].entries());
+    for t in 1..u.len() {
+        let (head, tail) = forward.split_at_mut(t);
+        u[t].mul_into(&head[t - 1], &mut tail[0]);
+    }
+}
+
+/// Phase 2, the other lane: the gradient's co-state, seeded with the target so
+/// the contraction finds `target† · U_{T-1} ⋯ U_{t+1}` ready-made:
+/// `backward[t] = backward[t+1] · U_{t+1}`.
+fn sweep_backward<S: Storage>(u: &[S], target_dagger: &S, backward: &mut [S]) {
+    let last = u.len() - 1;
+    backward[last]
+        .entries_mut()
+        .copy_from_slice(target_dagger.entries());
+    for t in (0..last).rev() {
+        let (head, tail) = backward.split_at_mut(t + 1);
+        tail[0].mul_into(&u[t + 1], &mut head[t]);
+    }
+}
+
+/// Phase 3, for one lane's slices `first..`: the exact gradient via the
+/// Daleckii–Krein formula, into the lane's slice-major share of the gradient.
+///
+/// For slice t: U_total = (U_{T-1} ⋯ U_{t+1}) · U_t · forward[t-1], and
+///   ∂U_t/∂u_k = V (Γ ∘ (Vᵀ H_k V)) Vᵀ,
+/// where Γ_ij is the divided difference of f(λ) = e^{-iΔtλ} at (λ_i, λ_j).
+/// Writing M' = forward[t-1] · backward[t] (the target is already inside
+/// backward[t]) and P = Vᵀ M' V,
+///   Tr(V_target† ∂U_total/∂u_k) = Σ_ab H_k[a,b] · G[a,b]
+/// with  G = V · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k. V is real, so
+/// conj(G) = V · conj(Pᵀ ∘ Γ) · Vᵀ: the conjugation folds into building
+/// T = conj(Pᵀ ∘ Γ) and into the final contraction, and all four products
+/// around V are mixed real·complex kernels.
+fn contract<S: Storage>(
+    model: &Model<S>,
+    families: &Families<S>,
+    dt: f64,
+    conj_overlap: C64,
+    first: usize,
+    gradient: &mut [f64],
+    scratch: &mut Scratch<S>,
+) {
+    let dim = model.drift.dim();
+    let num_controls = model.control_sparse.len();
+    for n in 0..gradient.len() / num_controls.max(1) {
+        let t = first + n;
+        // m' = forward[t-1] · backward[t]   (forward[-1] = identity)
+        let m_prime = if t == 0 {
+            &families.backward[0]
+        } else {
+            families.forward[t - 1].mul_into(&families.backward[t], &mut scratch.b);
+            &scratch.b
+        };
+        let v = &families.slice_v[t];
+        let vt = &families.slice_vt[t];
+        // p = Vᵀ · m' · V
+        vt.mul_complex_into(m_prime, &mut scratch.a);
+        scratch.a.mul_real_into(v, &mut scratch.c);
+
+        let lambdas = &families.lambdas[t * dim..][..dim];
+        let phases = &families.phases[t * dim..][..dim];
+        // T = conj(Pᵀ ∘ Γ), written into scratch.b.
+        for i in 0..dim {
+            for j in 0..dim {
+                let gamma = if (lambdas[i] - lambdas[j]).abs() < 1e-10 {
+                    C64::new(0.0, -dt) * phases[i]
+                } else {
+                    (phases[i] - phases[j]) * (1.0 / (lambdas[i] - lambdas[j]))
+                };
+                scratch.b.put(j, i, (scratch.c.at(i, j) * gamma).conj());
+            }
+        }
+        // conj(G) = V · T · Vᵀ
+        v.mul_complex_into(&scratch.b, &mut scratch.a);
+        scratch.a.mul_real_into(vt, &mut scratch.c);
+        let g_conj = scratch.c.entries();
+
+        let slots = &mut gradient[n * num_controls..][..num_controls];
+        for (slot, entries) in slots.iter_mut().zip(&model.control_sparse) {
+            let mut contraction = C64::ZERO;
+            for &(index, h_ab) in entries {
+                contraction += g_conj[index].conj() * h_ab;
+            }
+            let dg = contraction / model.qubit_dim;
+            let dfidelity = 2.0 * (conj_overlap * dg).re;
+            *slot = -dfidelity;
+        }
+    }
+}
+
+/// The GRAPE engine: the entire hot loop, written once over a [`Storage`].
+///
+/// An iteration is three phases, each a pair of lanes over disjoint halves of
+/// the buffers ([`lanes::pair`]): [`diagonalize`] on slices `0..mid` beside
+/// `mid..T`, [`sweep_forward`] beside [`sweep_backward`], [`contract`] on
+/// `0..mid` beside `mid..T`. With a [`lanes::Claim`] the second lane of each
+/// pair runs on the helper thread and `mid = T/2`; without one both run here
+/// and `mid = T`, so the second lane's ranges are empty. Every product,
+/// association order and warm-start state is per slice and each lane has its
+/// own [`Scratch`], so the two forms are bit-identical.
+///
+/// All per-slice buffer families are packed `Vec`s — one contiguous allocation
+/// each on the stack storage — so the passes stream through cache-resident
+/// data. Control operators are kept as row-major nonzero lists, so Hamiltonian
+/// assembly and the gradient contraction touch only the entries a drive
+/// actually has.
+#[derive(Debug, Clone)]
+struct Engine<S: Storage> {
+    num_slices: usize,
+    model: Model<S>,
+    families: Families<S>,
+    scratch: [Scratch<S>; 2],
     /// Whether `slice_v`/`slice_vt` hold a converged eigenbasis from a prior
     /// propagation, enabling the warm-started Jacobi path.
     warmed: bool,
-    /// `gradient[k][t] = ∂(infidelity)/∂u_k(t)` after a `fidelity_gradient` call.
-    gradient: Vec<Vec<f64>>,
+    /// `gradient[t * num_controls + k] = ∂(infidelity)/∂u_k(t)` after a
+    /// `fidelity_gradient` call: slice-major, so a lane's slices are one run.
+    gradient: Vec<f64>,
 }
 
 impl<S: Storage> Engine<S> {
@@ -315,86 +572,62 @@ impl<S: Storage> Engine<S> {
         let zero = S::from_matrix(&Matrix::zeros(dim, dim));
         let real_family = || vec![real_zero.clone(); num_slices];
         let family = || vec![zero.clone(); num_slices];
-        Engine {
-            num_slices,
-            qubit_dim: qubit_dim as f64,
-            drift,
-            control_sparse,
-            target_dagger: None,
-            slice_h: real_family(),
-            slice_v: real_family(),
-            slice_vt: real_family(),
-            lambdas: vec![0.0; num_slices * dim],
-            phases: vec![C64::ZERO; num_slices * dim],
-            slice_u: family(),
-            forward: family(),
-            backward: family(),
+        let scratch = Scratch {
             real_a: real_zero.clone(),
             real_b: real_zero.clone(),
-            scratch_a: zero.clone(),
-            scratch_b: zero.clone(),
-            scratch_c: zero.clone(),
+            a: zero.clone(),
+            b: zero.clone(),
+            c: zero.clone(),
+        };
+        Engine {
+            num_slices,
+            model: Model {
+                qubit_dim: qubit_dim as f64,
+                drift,
+                control_sparse,
+                target_dagger: None,
+            },
+            families: Families {
+                slice_h: real_family(),
+                slice_v: real_family(),
+                slice_vt: real_family(),
+                lambdas: vec![0.0; num_slices * dim],
+                phases: vec![C64::ZERO; num_slices * dim],
+                slice_u: family(),
+                forward: family(),
+                backward: family(),
+            },
+            scratch: [scratch.clone(), scratch],
             warmed: false,
-            gradient: vec![vec![0.0; num_slices]; controls.len()],
+            gradient: vec![0.0; num_slices * controls.len()],
         }
     }
 
-    /// `H_t = drift + Σ_k u_k(t) · H_k` over the packed nonzero lists, into
-    /// `slice_h[t]`.
-    fn assemble(&mut self, pulse: &PulseSequence, t: usize) {
-        let hamiltonian = self.slice_h[t].entries_mut();
-        hamiltonian.copy_from_slice(self.drift.entries());
-        for (k, entries) in self.control_sparse.iter().enumerate() {
-            let amp = pulse.amplitude(k, t);
-            if amp != 0.0 {
-                for &(index, value) in entries {
-                    hamiltonian[index] += value * amp;
-                }
-            }
+    /// Where the second lane's slices start: half way when `claim` lends it a
+    /// thread, at the end (an empty lane) otherwise.
+    fn lane_split(&self, two_lanes: bool) -> usize {
+        if two_lanes {
+            self.num_slices / 2
+        } else {
+            self.num_slices
         }
     }
 
-    /// Diagonalizes `slice_h[t]` into slice `t`'s eigensystem, returning the
-    /// Jacobi sweep count. (`slice_vt` still holds the previous propagation's
-    /// bases here; the propagator pass refreshes it only after every
-    /// eigensystem is done.)
-    fn eigensolve(&mut self, t: usize) -> usize {
-        let dim = self.drift.dim();
-        let lambdas = &mut self.lambdas[t * dim..][..dim];
-        let v = &mut self.slice_v[t];
-        if !self.warmed {
-            return self.slice_h[t].diagonalize(lambdas, v);
-        }
-        // Warm-started Jacobi: rotate H into this slice's previous eigenbasis,
-        // H' = Vᵀ H V. Between optimizer iterations the amplitudes move only
-        // slightly, so H' is nearly diagonal and the sweep count collapses (to
-        // zero when the slice is re-evaluated unchanged). Compose
-        // V ← V_prev · V' after.
-        self.slice_vt[t].mul_into(&self.slice_h[t], &mut self.real_a);
-        self.real_a.mul_into(v, &mut self.real_b);
-        let sweeps = self.real_b.diagonalize(lambdas, &mut self.real_a);
-        v.mul_into(&self.real_a, &mut self.real_b);
-        v.entries_mut().copy_from_slice(self.real_b.entries());
-        sweeps
-    }
-
-    /// The blocked propagation pass: per-slice eigensystems, then propagators,
-    /// then the forward and backward partial-product sweeps, each streaming
-    /// through one packed buffer family.
-    ///
-    /// The plain (no-memo) path — the warm GRAPE gradient loop the
-    /// `profile_overhead` bench gates — is phase-major: Hamiltonians for every
-    /// slice land in the packed `slice_h` buffer, then every slice
-    /// eigendecomposes, so the armed profiler pays one [`profile::Lap`] mark
-    /// per *pass* rather than per slice. The memo path stays slice-major
-    /// because [`EigenMemo::store_probed`] files under the key of the last
-    /// missed probe; its per-slice hashing dwarfs a tick read anyway.
+    /// Phases 1 and 2: per-slice eigensystems and propagators, then the
+    /// forward and backward partial-product sweeps. `lap` is the calling
+    /// thread's; the helper's share of a phase shows up in it as wall time
+    /// only.
     ///
     /// # Panics
     ///
     /// Panics if the pulse geometry is not the one this engine was allocated for.
-    fn propagate(&mut self, pulse: &PulseSequence, memo: Option<&mut EigenMemo>) {
-        let num_controls = self.control_sparse.len();
+    fn propagate(
+        &mut self,
+        pulse: &PulseSequence,
+        mut claim: Option<&mut Claim>,
+        lap: &mut profile::Lap,
+    ) {
+        let num_controls = self.model.control_sparse.len();
         assert_eq!(
             pulse.num_controls(),
             num_controls,
@@ -408,92 +641,40 @@ impl<S: Storage> Engine<S> {
             self.num_slices,
             pulse.num_slices()
         );
-        let dim = self.drift.dim();
-        let dt = pulse.dt_ns();
-        let mut lap = profile::Lap::start();
+        let mid = self.lane_split(claim.is_some());
+        let (model, warmed, families) = (&self.model, self.warmed, &mut self.families);
+        let all = Slices {
+            first: 0,
+            h: &mut families.slice_h,
+            v: &mut families.slice_v,
+            vt: &mut families.slice_vt,
+            lambdas: &mut families.lambdas,
+            phases: &mut families.phases,
+            u: &mut families.slice_u,
+        };
+        let (near, far) = all.split_at(mid, model.drift.dim());
+        let [near_scratch, far_scratch] = &mut self.scratch;
+        let (mut near_sweeps, mut far_sweeps) = (0, 0);
+        lanes::pair(
+            claim.as_deref_mut(),
+            || {
+                let mark = |phase| lap.mark(phase);
+                near_sweeps = diagonalize(model, pulse, warmed, near, near_scratch, mark);
+            },
+            || far_sweeps = diagonalize(model, pulse, warmed, far, far_scratch, |_| {}),
+        );
+        lap.add_sweeps(near_sweeps + far_sweeps);
 
-        if let Some(m) = memo {
-            for t in 0..self.num_slices {
-                let lambdas = &mut self.lambdas[t * dim..][..dim];
-                let v = &mut self.slice_v[t];
-                let hit = m.probe_with(
-                    dim,
-                    dt,
-                    (0..num_controls).map(|k| pulse.amplitude(k, t)),
-                    |cached_lambdas, cached_vectors| {
-                        lambdas.copy_from_slice(cached_lambdas);
-                        v.entries_mut().copy_from_slice(cached_vectors);
-                    },
-                );
-                lap.mark(Phase::MemoProbe);
-                if hit {
-                    continue;
+        let (slice_u, backward) = (&families.slice_u, &mut families.backward);
+        lanes::pair(
+            claim,
+            || sweep_forward(slice_u, &mut families.forward),
+            || {
+                if let Some(target_dagger) = &model.target_dagger {
+                    sweep_backward(slice_u, target_dagger, backward);
                 }
-                self.assemble(pulse, t);
-                lap.mark(Phase::HamiltonianAssembly);
-                let sweeps = self.eigensolve(t);
-                lap.add_sweeps(sweeps as u64);
-                lap.mark(Phase::Eigendecomposition);
-                m.store_probed(
-                    &self.lambdas[t * dim..][..dim],
-                    self.slice_v[t].entries().iter().copied(),
-                );
-                lap.mark(Phase::MemoProbe);
-            }
-        } else {
-            for t in 0..self.num_slices {
-                self.assemble(pulse, t);
-            }
-            lap.mark(Phase::HamiltonianAssembly);
-            let mut total_sweeps = 0u64;
-            for t in 0..self.num_slices {
-                total_sweeps += self.eigensolve(t) as u64;
-            }
-            lap.add_sweeps(total_sweeps);
-            lap.mark(Phase::Eigendecomposition);
-        }
-
-        // Propagator pass: U_t = V · (diag(phases) · Vᵀ) — scale the rows of Vᵀ,
-        // then one real·complex product; Vᵀ is kept for the next warm start
-        // and the gradient pass.
-        for t in 0..self.num_slices {
-            let lambdas = &self.lambdas[t * dim..][..dim];
-            let phases = &mut self.phases[t * dim..][..dim];
-            for (phase, &lambda) in phases.iter_mut().zip(lambdas) {
-                *phase = C64::cis(-dt * lambda);
-            }
-            let v = &self.slice_v[t];
-            v.transpose_into(&mut self.slice_vt[t]);
-            let scaled = self.scratch_a.entries_mut().chunks_exact_mut(dim);
-            let rows = self.slice_vt[t].entries().chunks_exact(dim);
-            for ((scaled_row, row), &phase) in scaled.zip(rows).zip(phases.iter()) {
-                for (slot, &entry) in scaled_row.iter_mut().zip(row) {
-                    *slot = phase * entry;
-                }
-            }
-            v.mul_complex_into(&self.scratch_a, &mut self.slice_u[t]);
-        }
-
-        // Forward sweep: forward[t] = U_t · forward[t-1].
-        self.forward[0]
-            .entries_mut()
-            .copy_from_slice(self.slice_u[0].entries());
-        for t in 1..self.num_slices {
-            let (head, tail) = self.forward.split_at_mut(t);
-            self.slice_u[t].mul_into(&head[t - 1], &mut tail[0]);
-        }
-
-        // Backward sweep, seeded with the target so the gradient pass finds
-        // target† · U_{T-1} ⋯ U_{t+1} ready-made: backward[t] = backward[t+1] · U_{t+1}.
-        if let Some(target_dagger) = &self.target_dagger {
-            self.backward[self.num_slices - 1]
-                .entries_mut()
-                .copy_from_slice(target_dagger.entries());
-            for t in (0..self.num_slices - 1).rev() {
-                let (head, tail) = self.backward.split_at_mut(t + 1);
-                tail[0].mul_into(&self.slice_u[t + 1], &mut head[t]);
-            }
-        }
+            },
+        );
         lap.mark(Phase::Propagation);
 
         // Every slice now holds a converged eigenbasis the next propagation can
@@ -502,85 +683,41 @@ impl<S: Storage> Engine<S> {
     }
 
     /// Propagates `pulse`, then computes its trace infidelity against the
-    /// target and writes the exact gradient into `self.gradient[k][t]`.
-    fn fidelity_gradient(&mut self, pulse: &PulseSequence, memo: Option<&mut EigenMemo>) -> f64 {
-        self.propagate(pulse, memo);
-        // The overlap and Daleckii–Krein contraction below are one contiguous
-        // stretch: a single lap pair charges it all to GradientContraction.
+    /// target and writes the exact gradient into `self.gradient`, as two lanes
+    /// when `claim` lends the helper thread.
+    fn fidelity_gradient(&mut self, pulse: &PulseSequence, mut claim: Option<&mut Claim>) -> f64 {
         let mut lap = profile::Lap::start();
-        let dim = self.drift.dim();
-        let dim_f = self.qubit_dim;
-        let dt = pulse.dt_ns();
-        let Some(target_dagger) = self.target_dagger.as_ref() else {
+        self.propagate(pulse, claim.as_deref_mut(), &mut lap);
+        let model = &self.model;
+        let Some(target_dagger) = model.target_dagger.as_ref() else {
             panic!("set_target must be called before fidelity_gradient");
         };
+        let dim = model.drift.dim();
 
         // overlap = Tr(V_target† U_total) / d, as Σ_ik V_target†[i,k]·U[k,i] in O(dim²).
-        let total = &self.forward[self.num_slices - 1];
+        let total = &self.families.forward[self.num_slices - 1];
         let mut overlap = C64::ZERO;
         for i in 0..dim {
             for k in 0..dim {
                 overlap += target_dagger.at(i, k) * total.at(k, i);
             }
         }
-        overlap = overlap * (1.0 / dim_f);
+        overlap = overlap * (1.0 / model.qubit_dim);
         let infidelity = 1.0 - overlap.norm_sqr();
         let conj_overlap = overlap.conj();
 
-        // --- exact gradient via the Daleckii–Krein formula ---------------------------
-        // For slice t: U_total = (U_{T-1} ⋯ U_{t+1}) · U_t · forward[t-1], and
-        //   ∂U_t/∂u_k = V (Γ ∘ (Vᵀ H_k V)) Vᵀ,
-        // where Γ_ij is the divided difference of f(λ) = e^{-iΔtλ} at (λ_i, λ_j).
-        // Writing M' = forward[t-1] · backward[t] (the target is already inside
-        // backward[t]) and P = Vᵀ M' V,
-        //   Tr(V_target† ∂U_total/∂u_k) = Σ_ab H_k[a,b] · G[a,b]
-        // with  G = V · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k. V is real, so
-        // conj(G) = V · conj(Pᵀ ∘ Γ) · Vᵀ: the conjugation folds into building
-        // T = conj(Pᵀ ∘ Γ) and into the final contraction, and all four
-        // products around V are mixed real·complex kernels.
-        for t in 0..self.num_slices {
-            // m' = forward[t-1] · backward[t]   (forward[-1] = identity)
-            let m_prime = if t == 0 {
-                &self.backward[0]
-            } else {
-                self.forward[t - 1].mul_into(&self.backward[t], &mut self.scratch_b);
-                &self.scratch_b
-            };
-            let v = &self.slice_v[t];
-            let vt = &self.slice_vt[t];
-            // p = Vᵀ · m' · V
-            vt.mul_complex_into(m_prime, &mut self.scratch_a);
-            self.scratch_a.mul_real_into(v, &mut self.scratch_c);
-
-            let lambdas = &self.lambdas[t * dim..][..dim];
-            let phases = &self.phases[t * dim..][..dim];
-            // T = conj(Pᵀ ∘ Γ), written into scratch_b.
-            for i in 0..dim {
-                for j in 0..dim {
-                    let gamma = if (lambdas[i] - lambdas[j]).abs() < 1e-10 {
-                        C64::new(0.0, -dt) * phases[i]
-                    } else {
-                        (phases[i] - phases[j]) * (1.0 / (lambdas[i] - lambdas[j]))
-                    };
-                    self.scratch_b
-                        .put(j, i, (self.scratch_c.at(i, j) * gamma).conj());
-                }
-            }
-            // conj(G) = V · T · Vᵀ
-            v.mul_complex_into(&self.scratch_b, &mut self.scratch_a);
-            self.scratch_a.mul_real_into(vt, &mut self.scratch_c);
-            let g_conj = self.scratch_c.entries();
-
-            for (k, entries) in self.control_sparse.iter().enumerate() {
-                let mut contraction = C64::ZERO;
-                for &(index, h_ab) in entries {
-                    contraction += g_conj[index].conj() * h_ab;
-                }
-                let dg = contraction / dim_f;
-                let dfidelity = 2.0 * (conj_overlap * dg).re;
-                self.gradient[k][t] = -dfidelity;
-            }
-        }
+        let mid = self.lane_split(claim.is_some());
+        let families = &self.families;
+        let dt = pulse.dt_ns();
+        let (near, far) = self.gradient.split_at_mut(mid * model.control_sparse.len());
+        let [near_scratch, far_scratch] = &mut self.scratch;
+        lanes::pair(
+            claim,
+            || contract(model, families, dt, conj_overlap, 0, near, near_scratch),
+            || contract(model, families, dt, conj_overlap, mid, far, far_scratch),
+        );
+        // The overlap and the contraction are one contiguous stretch of this
+        // thread's time: a single mark charges it all to GradientContraction.
         lap.mark(Phase::GradientContraction);
 
         infidelity
@@ -590,16 +727,16 @@ impl<S: Storage> Engine<S> {
     /// engine's own backward family carries the target, so the public,
     /// identity-seeded one is multiplied out here.
     fn export(&self) -> Propagation {
-        let dim = self.drift.dim();
+        let dim = self.model.drift.dim();
         let dynamic = |m: &S| Matrix::from_vec(dim, dim, m.entries().to_vec());
-        let slice_unitaries: Vec<Matrix> = self.slice_u.iter().map(dynamic).collect();
+        let slice_unitaries: Vec<Matrix> = self.families.slice_u.iter().map(dynamic).collect();
         let mut backward = vec![Matrix::identity(dim); self.num_slices];
         for t in (0..self.num_slices - 1).rev() {
             backward[t] = backward[t + 1].matmul(&slice_unitaries[t + 1]);
         }
         Propagation {
             slice_unitaries,
-            forward: self.forward.iter().map(dynamic).collect(),
+            forward: self.families.forward.iter().map(dynamic).collect(),
             backward,
         }
     }
@@ -679,14 +816,15 @@ impl GrapeWorkspace {
     pub fn set_target(&mut self, device: &DeviceModel, target: &Matrix) {
         let padded_dagger = device.pad_qubit_unitary(target).dagger();
         with_engine!(&mut self.kernel, engine => {
-            assert_eq!(device.dim(), engine.drift.dim(), "workspace built for another device");
-            engine.target_dagger = Some(Storage::from_matrix(&padded_dagger));
+            assert_eq!(device.dim(), engine.model.drift.dim(), "workspace built for another device");
+            engine.model.target_dagger = Some(Storage::from_matrix(&padded_dagger));
         });
     }
 
-    /// The gradient filled by the last [`GrapeWorkspace::fidelity_gradient`] call:
-    /// `gradient()[k][t] = ∂(infidelity)/∂u_k(t)`.
-    pub fn gradient(&self) -> &[Vec<f64>] {
+    /// The gradient filled by the last [`GrapeWorkspace::fidelity_gradient`]
+    /// call, slice-major:
+    /// `gradient()[t * num_controls + k] = ∂(infidelity)/∂u_k(t)`.
+    pub fn gradient(&self) -> &[f64] {
         with_engine!(&self.kernel, engine => &engine.gradient)
     }
 
@@ -700,7 +838,7 @@ impl GrapeWorkspace {
     /// Panics if the pulse shape does not match the workspace.
     pub fn propagate(&mut self, pulse: &PulseSequence) -> Propagation {
         with_engine!(&mut self.kernel, engine => {
-            engine.propagate(pulse, None);
+            engine.propagate(pulse, None, &mut profile::Lap::start());
             engine.export()
         })
     }
@@ -708,29 +846,18 @@ impl GrapeWorkspace {
     /// Computes the trace infidelity of a pulse against the configured target and
     /// its exact gradient (via the Daleckii–Krein divided-difference formula),
     /// storing the gradient in [`GrapeWorkspace::gradient`] and returning the
-    /// infidelity. Performs no heap allocation.
+    /// infidelity. Performs no heap allocation. A wide block's call borrows
+    /// the [`crate::lanes`] helper thread when a CPU is free; the result does
+    /// not depend on whether it did.
     ///
     /// # Panics
     ///
     /// Panics if no target was set or the pulse shape does not match the workspace.
     pub fn fidelity_gradient(&mut self, pulse: &PulseSequence) -> f64 {
-        with_engine!(&mut self.kernel, engine => engine.fidelity_gradient(pulse, None))
-    }
-
-    /// [`GrapeWorkspace::fidelity_gradient`] with an [`EigenMemo`]: slices whose
-    /// `(Δt, amplitudes)` were seen before reuse the cached eigensystem instead
-    /// of re-diagonalizing. Allocation-free on memo hits; a miss allocates only
-    /// the inserted cache entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no target was set or the pulse shape does not match the workspace.
-    pub fn fidelity_gradient_with_memo(
-        &mut self,
-        pulse: &PulseSequence,
-        memo: &mut EigenMemo,
-    ) -> f64 {
-        with_engine!(&mut self.kernel, engine => engine.fidelity_gradient(pulse, Some(memo)))
+        with_engine!(&mut self.kernel, engine => {
+            let mut claim = lanes::claim(engine.model.drift.dim(), engine.num_slices);
+            engine.fidelity_gradient(pulse, claim.as_mut())
+        })
     }
 }
 
@@ -792,11 +919,25 @@ mod tests {
         Engine::<SmallMatrix<2>>::from_hamiltonians(&device.drift(), &controls, 2, 4);
     }
 
-    /// One engine over `S` with the (qubit-device) target bound.
+    /// One engine over `S` with the target bound (zero-padded onto any
+    /// leakage levels, as [`GrapeWorkspace::set_target`] does).
     fn engine_for<S: Storage>(device: &DeviceModel, target: &Matrix, slices: usize) -> Engine<S> {
         let mut engine = Engine::<S>::new(device, slices);
-        engine.target_dagger = Some(S::from_matrix(&target.dagger()));
+        let padded_dagger = device.pad_qubit_unitary(target).dagger();
+        engine.model.target_dagger = Some(S::from_matrix(&padded_dagger));
         engine
+    }
+
+    /// A pulse on `device` whose amplitudes are a cyclic read of `amps` (which
+    /// covers any control count the device exposes).
+    fn pulse_from(device: &DeviceModel, slices: usize, dt_ns: f64, amps: &[f64]) -> PulseSequence {
+        let mut pulse = PulseSequence::zeros(device.num_controls(), slices, dt_ns);
+        for k in 0..device.num_controls() {
+            for t in 0..slices {
+                pulse.set_amplitude(k, t, amps[(k * slices + t) % amps.len()]);
+            }
+        }
+        pulse
     }
 
     fn assert_agree<A: Storage, B: Storage>(
@@ -810,23 +951,19 @@ mod tests {
             stack.1,
             heap.1
         );
-        for (k, (stack_row, heap_row)) in stack.0.gradient.iter().zip(&heap.0.gradient).enumerate()
-        {
-            for (t, (a, b)) in stack_row.iter().zip(heap_row).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-12,
-                    "{what}: control {k} slice {t} differs by {:e}",
-                    (a - b).abs()
-                );
-            }
+        for (index, (a, b)) in stack.0.gradient.iter().zip(&heap.0.gradient).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-12,
+                "{what}: gradient entry {index} differs by {:e}",
+                (a - b).abs()
+            );
         }
     }
 
     /// Instantiates the one engine body with both storages on a `width`-qubit
     /// line (`N = 2^width`) and holds their infidelities and gradients to
-    /// 1e-12: on a cold first pulse, on a second pulse that warm-starts every
-    /// slice's Jacobi from the first pulse's eigenbasis, and on a memoized
-    /// pair of calls whose second replays every slice out of the [`EigenMemo`].
+    /// 1e-12: on a cold first pulse, and on a second pulse that warm-starts
+    /// every slice's Jacobi from the first pulse's eigenbasis.
     fn stack_and_heap_agree<const N: usize>(
         width: usize,
         amps: &[f64],
@@ -837,17 +974,7 @@ mod tests {
         assert_eq!(device.dim(), N);
         let target = (1..width).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
         let slices = 6;
-        // A cyclic read of `amps` covers any control count the device exposes.
-        let pulse_from = |amps: &[f64]| {
-            let mut pulse = PulseSequence::zeros(device.num_controls(), slices, dt_ns);
-            for k in 0..device.num_controls() {
-                for t in 0..slices {
-                    pulse.set_amplitude(k, t, amps[(k * slices + t) % amps.len()]);
-                }
-            }
-            pulse
-        };
-        let pulses = [pulse_from(amps), pulse_from(perturbed)];
+        let pulses = [amps, perturbed].map(|amps| pulse_from(&device, slices, dt_ns, amps));
 
         let mut stack = engine_for::<SmallMatrix<N>>(&device, &target, slices);
         let mut heap = engine_for::<Matrix>(&device, &target, slices);
@@ -857,19 +984,115 @@ mod tests {
             assert_agree((&stack, on_stack), (&heap, on_heap), what);
         }
         assert!(stack.warmed && heap.warmed);
+    }
 
-        let mut memoized = engine_for::<SmallMatrix<N>>(&device, &target, slices);
-        let mut memoized_heap = engine_for::<Matrix>(&device, &target, slices);
-        let (mut memo, mut heap_memo) = (EigenMemo::new(), EigenMemo::new());
-        let reference = heap.fidelity_gradient(&pulses[0], None);
-        for what in ["memo arming", "memo replay"] {
-            let on_stack = memoized.fidelity_gradient(&pulses[0], Some(&mut memo));
-            let on_heap = memoized_heap.fidelity_gradient(&pulses[0], Some(&mut heap_memo));
-            assert_agree((&memoized, on_stack), (&heap, reference), what);
-            assert_agree((&memoized, on_stack), (&memoized_heap, on_heap), what);
+    /// Runs the engine over `S` as one lane and as two (the helper forced,
+    /// whatever the block's width) and holds the infidelity and every gradient
+    /// entry to the same bits, on a cold pulse and on a warm-started one.
+    fn one_and_two_lanes_agree<S: Storage>(
+        device: &DeviceModel,
+        slices: usize,
+        amps: &[f64],
+        perturbed: &[f64],
+        dt_ns: f64,
+    ) {
+        let Some(mut claim) = lanes::hold() else {
+            return; // a single-CPU host has one form only
+        };
+        let width = device.num_qubits();
+        let target = (1..width).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
+        let mut one = engine_for::<S>(device, &target, slices);
+        let mut two = engine_for::<S>(device, &target, slices);
+        for (amps, what) in [(amps, "cold"), (perturbed, "warm-started")] {
+            let pulse = pulse_from(device, slices, dt_ns, amps);
+            let alone = one.fidelity_gradient(&pulse, None);
+            let paired = two.fidelity_gradient(&pulse, Some(&mut claim));
+            let dim = device.dim();
+            assert_eq!(
+                alone.to_bits(),
+                paired.to_bits(),
+                "dim {dim}, {slices} slices, {what}: infidelity {alone:e} vs {paired:e}"
+            );
+            for (index, (a, b)) in one.gradient.iter().zip(&two.gradient).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "dim {dim}, {slices} slices, {what}: gradient entry {index}, {a:e} vs {b:e}"
+                );
+            }
         }
-        assert_eq!(memo.hits(), slices as u64, "the replay must hit the memo");
-        assert_eq!(heap_memo.hits(), slices as u64);
+    }
+
+    /// Slice counts a lane split must survive: one slice (an empty first
+    /// lane), two, odd counts, and counts on either side of the engage
+    /// threshold of [`lanes::claim`].
+    const LANE_SLICE_COUNTS: [usize; 8] = [1, 2, 3, 5, 7, 8, 13, 24];
+
+    proptest! {
+        // A 4q case is ~64 2q cases per eigensolve; two engines, two pulses.
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn one_and_two_lanes_agree_bit_for_bit(
+            pick in 0..LANE_SLICE_COUNTS.len(),
+            amps in prop::collection::vec(-1.0..1.0f64, 64),
+            perturbed in prop::collection::vec(-1.0..1.0f64, 64),
+            dt in 0.1..1.0f64,
+        ) {
+            let slices = LANE_SLICE_COUNTS[pick];
+            let two_qutrits = DeviceModel::qubits_line(2).with_qutrit_levels();
+            assert_eq!(two_qutrits.dim(), 9);
+            one_and_two_lanes_agree::<SmallMatrix<8>>(
+                &DeviceModel::qubits_line(3), slices, &amps, &perturbed, dt,
+            );
+            one_and_two_lanes_agree::<SmallMatrix<16>>(
+                &DeviceModel::qubits_line(4), slices, &amps, &perturbed, dt,
+            );
+            one_and_two_lanes_agree::<Matrix>(&two_qutrits, slices, &amps, &perturbed, dt);
+        }
+    }
+
+    /// A 4-qubit, 40-slice iteration whose pulse is ragged: every waveform but
+    /// the first stops at `ragged_at`, so assembling any later slice panics —
+    /// in the second lane only when `ragged_at` is past the split, in both
+    /// lanes when it is before. Returns the panic the caller saw.
+    fn ragged_two_lane_iteration(ragged_at: usize) -> Box<dyn std::any::Any + Send> {
+        let device = DeviceModel::qubits_line(4);
+        let target = (1..4).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
+        let mut pulse = PulseSequence::seeded_guess(&device, 40, 0.5, 3);
+        for waveform in pulse.waveforms_mut().iter_mut().skip(1) {
+            waveform.truncate(ragged_at);
+        }
+        lanes::within_deadline(move || {
+            let mut claim = lanes::hold().expect("the host has a helper");
+            let mut engine = engine_for::<SmallMatrix<16>>(&device, &target, 40);
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.fidelity_gradient(&pulse, Some(&mut claim));
+            }))
+            .expect_err("a ragged pulse must panic")
+        })
+    }
+
+    #[test]
+    fn a_lane_panic_reaches_the_caller_and_the_next_run_gets_two_lanes() {
+        if !lanes::available() {
+            return;
+        }
+        // Slices 20..40 are the helper's: 30 faults lane 1 alone, 5 both lanes.
+        for ragged_at in [30, 5] {
+            let payload = ragged_two_lane_iteration(ragged_at);
+            let message = lanes::panic_message(payload.as_ref());
+            assert!(
+                message.contains("index out of bounds"),
+                "ragged at {ragged_at}: unexpected panic {message:?}"
+            );
+            // The unwind released the helper and it still serves.
+            lanes::within_deadline(|| {
+                let amps: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
+                let device = DeviceModel::qubits_line(4);
+                one_and_two_lanes_agree::<SmallMatrix<16>>(&device, 40, &amps, &amps, 0.5);
+            });
+        }
     }
 
     proptest! {
@@ -937,35 +1160,6 @@ mod tests {
                     slice_unitary.approx_eq(&taylor, 1e-12),
                     "dim {} slice {t} diverges from the Taylor reference",
                     device.dim()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn memoized_gradient_matches_and_hits_on_replay() {
-        let device = DeviceModel::qubits_line(2);
-        let target = gates::cx();
-        let pulse = PulseSequence::seeded_guess(&device, 6, 0.5, 3);
-
-        let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-        workspace.set_target(&device, &target);
-        let plain = workspace.fidelity_gradient(&pulse);
-        let reference: Vec<Vec<f64>> = workspace.gradient().to_vec();
-
-        let mut memo = EigenMemo::new();
-        let first = workspace.fidelity_gradient_with_memo(&pulse, &mut memo);
-        assert_eq!(memo.misses(), pulse.num_slices() as u64);
-        let second = workspace.fidelity_gradient_with_memo(&pulse, &mut memo);
-        assert_eq!(memo.hits(), pulse.num_slices() as u64);
-
-        assert!((first - plain).abs() < 1e-15);
-        assert!((second - plain).abs() < 1e-15);
-        for (k, reference_row) in reference.iter().enumerate() {
-            for (t, &expected) in reference_row.iter().enumerate() {
-                assert!(
-                    (workspace.gradient()[k][t] - expected).abs() < 1e-15,
-                    "memoized gradient must be identical"
                 );
             }
         }

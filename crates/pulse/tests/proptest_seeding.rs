@@ -123,9 +123,8 @@ proptest! {
             converged_duration_ns: Some(cold.duration_ns),
             pulse: cold.best.as_ref().map(|b| b.pulse.clone()),
         };
-        let mut memo = EigenMemo::new();
         let seeded = minimum_pulse_time_seeded(
-            &target, &device, &search, &grape, &mut memo, Some(&seed),
+            &target, &device, &search, &grape, &mut EigenMemo::new(), Some(&seed),
         )
         .unwrap();
         prop_assert!(seeded.converged);

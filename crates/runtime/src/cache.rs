@@ -681,10 +681,6 @@ impl PulseCache for ShardedPulseCache {
         self.seeds.record_search_outcome(seeded, grape_iterations);
     }
 
-    fn record_memo_outcome(&self, hits: u64, misses: u64, rejected: u64) {
-        self.seeds.record_memo_outcome(hits, misses, rejected);
-    }
-
     fn warm_start_stats(&self) -> WarmStartStats {
         self.seeds.stats()
     }
