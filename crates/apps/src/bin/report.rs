@@ -454,7 +454,7 @@ fn print_summary(run: &RunSummary) {
                 fmt_duration(phase.p50),
             );
         }
-        println!("    {} Jacobi sweeps", run.jacobi_sweeps);
+        println!("    {} eigensolver iterations", run.jacobi_sweeps);
     }
     let warm = &run.warm_start;
     println!(

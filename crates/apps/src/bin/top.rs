@@ -164,7 +164,7 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
         }
         if snapshot.jacobi_sweeps > 0 {
             out.push_str(&format!(
-                "  {} Jacobi sweeps across all eigendecompositions\n",
+                "  {} eigensolver iterations across all eigendecompositions\n",
                 snapshot.jacobi_sweeps
             ));
         }

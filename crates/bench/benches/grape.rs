@@ -2,17 +2,29 @@
 //! fixed-duration optimization on one- and two-qubit targets, the
 //! `grape_smallmat` group timing one reused-workspace gradient on stack storage
 //! at 1q/2q/3q/4q, the `grape_lanes` group timing the LiH-sized 4q × 40-slice
-//! gradient as one lane and as two, the `grape_seeding` group comparing cold
-//! against table-seeded duration searches, and the `profile_overhead` group gating the armed
-//! compile-phase profiler to under five percent of the warm gradient path. The
-//! measurements are written to `BENCH_grape.json` in the workspace root.
+//! gradient as one lane and as two, the `eigh_real` group timing the two
+//! real-symmetric eigensolver bodies on device Hamiltonians at N = 4/8/16 (the
+//! evidence for the solver's dimension rule), the `grape_seeding` group
+//! comparing cold against table-seeded duration searches, and the
+//! `profile_overhead` group gating the armed compile-phase profiler to under
+//! five percent of the warm gradient path. The measurements are written to
+//! `BENCH_grape.json` in the workspace root.
+//!
+//! Every reused-workspace group evaluates a *moving* pulse: it walks a recorded
+//! ADAM trajectory ([`Trajectory`]) back and forth, so each evaluation sees
+//! amplitudes one optimizer step away from the last — what an iteration of
+//! `try_optimize_pulse` sees. Re-evaluating one unchanged pulse would time the
+//! single input a warm-started Jacobi solves in zero sweeps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
+use vqc_linalg::real::{eigh_jacobi, eigh_ql};
+use vqc_linalg::{Matrix, RealSmallMatrix};
 use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
+use vqc_pulse::propagate::slice_hamiltonian;
 use vqc_pulse::{
     lanes, profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
     TranspositionTable,
@@ -24,6 +36,66 @@ use vqc_sim::gates;
 /// seeding speedup before writing `BENCH_grape.json`).
 static SEEDING_COLD_ITERS: AtomicU64 = AtomicU64::new(0);
 static SEEDING_SEEDED_ITERS: AtomicU64 = AtomicU64::new(0);
+
+/// Optimizer steps in a recorded trajectory.
+const STEPS: usize = 60;
+
+/// The pulses ADAM visits over its first [`STEPS`] iterations from the seeded
+/// guess (the update of `try_optimize_pulse` at `GrapeOptions::fast()`
+/// hyperparameters, amplitudes clamped to the device), read back and forth so
+/// consecutive evaluations are always one optimizer step apart.
+struct Trajectory {
+    pulses: Vec<PulseSequence>,
+    cursor: usize,
+}
+
+impl Trajectory {
+    fn record(device: &DeviceModel, target: &Matrix, slices: usize) -> Self {
+        let options = GrapeOptions::fast();
+        let (beta1, beta2, eps) = (0.9_f64, 0.999_f64, 1e-8);
+        let limits: Vec<f64> = device
+            .control_hamiltonians()
+            .iter()
+            .map(|control| control.max_amplitude)
+            .collect();
+        let mut workspace = GrapeWorkspace::new(device, slices);
+        workspace.set_target(device, target);
+        let mut pulse = PulseSequence::seeded_guess(device, slices, options.dt_ns, options.seed);
+        pulse.clamp_to_device(device);
+        let mut moments = vec![(0.0, 0.0); slices * limits.len()];
+        let mut learning_rate = options.learning_rate;
+        let mut pulses = Vec::with_capacity(STEPS);
+        for step in 1..=STEPS as i32 {
+            pulses.push(pulse.clone());
+            workspace.fidelity_gradient(&pulse);
+            let slots = moments.iter_mut().zip(workspace.gradient());
+            for (index, ((m, v), &grad)) in slots.enumerate() {
+                let (t, k) = (index / limits.len(), index % limits.len());
+                *m = beta1 * *m + (1.0 - beta1) * grad;
+                *v = beta2 * *v + (1.0 - beta2) * grad * grad;
+                let m_hat = *m / (1.0 - beta1.powi(step));
+                let v_hat = *v / (1.0 - beta2.powi(step));
+                let moved = pulse.amplitude(k, t) - learning_rate * m_hat / (v_hat.sqrt() + eps);
+                pulse.set_amplitude(k, t, moved.clamp(-limits[k], limits[k]));
+            }
+            learning_rate *= options.decay_rate;
+        }
+        Trajectory { pulses, cursor: 0 }
+    }
+
+    /// Back to the first pulse, so two passes walk the same inputs.
+    fn rewind(&mut self) {
+        self.cursor = 0;
+    }
+
+    /// The next pulse of the walk 0, 1, …, STEPS−1, STEPS−2, …, 1, 0, 1, ….
+    fn advance(&mut self) -> &PulseSequence {
+        let period = 2 * (STEPS - 1);
+        let phase = self.cursor % period;
+        self.cursor += 1;
+        &self.pulses[phase.min(period - phase)]
+    }
+}
 
 fn bench_grape(c: &mut Criterion) {
     let mut group = c.benchmark_group("grape");
@@ -61,8 +133,9 @@ fn bench_grape(c: &mut Criterion) {
     group.finish();
 }
 
-/// One reused-workspace gradient — the way `try_optimize_pulse` runs — on the
-/// stack storage `GrapeWorkspace::new` binds for 1q–4q blocks (N = 2, 4, 8, 16).
+/// One reused-workspace gradient of a moving pulse — the way
+/// `try_optimize_pulse` runs — on the stack storage `GrapeWorkspace::new`
+/// binds for 1q–4q blocks (N = 2, 4, 8, 16).
 fn bench_grape_smallmat(c: &mut Criterion) {
     let mut group = c.benchmark_group("grape_smallmat");
     group.sample_size(30);
@@ -76,7 +149,7 @@ fn bench_grape_smallmat(c: &mut Criterion) {
             3 => gates::cx().kron(&gates::h()),
             _ => gates::cx().kron(&gates::cx()),
         };
-        let pulse = PulseSequence::seeded_guess(&device, slices, 0.5, 1);
+        let mut trajectory = Trajectory::record(&device, &target, slices);
 
         let mut workspace = GrapeWorkspace::new(&device, slices);
         assert!(
@@ -85,7 +158,7 @@ fn bench_grape_smallmat(c: &mut Criterion) {
         );
         workspace.set_target(&device, &target);
         group.bench_function(format!("smallmat_{qubits}q_{slices}slices"), |b| {
-            b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+            b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
         });
     }
 
@@ -103,20 +176,94 @@ fn bench_grape_lanes(c: &mut Criterion) {
 
     let device = DeviceModel::qubits_line(4);
     let target = gates::cx().kron(&gates::cx());
-    let pulse = PulseSequence::seeded_guess(&device, 40, 0.5, 1);
+    let mut trajectory = Trajectory::record(&device, &target, 40);
     let mut workspace = GrapeWorkspace::new(&device, 40);
     workspace.set_target(&device, &target);
 
     let held = lanes::claim(device.dim(), 40);
     group.bench_function("one_lane_4q_40slices", |b| {
-        b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+        b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
     });
     drop(held);
+    trajectory.rewind();
     group.bench_function("two_lanes_4q_40slices", |b| {
-        b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+        b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
     });
 
     group.finish();
+}
+
+/// The middle slice's Hamiltonian at every step of a `qubits`-qubit trajectory,
+/// as the engine's real storage.
+fn device_hamiltonians<const N: usize>(qubits: usize) -> Vec<RealSmallMatrix<N>> {
+    let device = DeviceModel::qubits_line(qubits);
+    assert_eq!(device.dim(), N);
+    let target = (1..qubits).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
+    let slices = 24;
+    let (drift, controls) = (device.drift(), device.control_hamiltonians());
+    let trajectory = Trajectory::record(&device, &target, slices);
+    let hamiltonian = |pulse| {
+        let h = slice_hamiltonian(&drift, &controls, pulse, slices / 2);
+        RealSmallMatrix::from_fn(|r, c| h[(r, c)].re)
+    };
+    trajectory.pulses.iter().map(hamiltonian).collect()
+}
+
+/// The two real-symmetric eigensolver bodies on the Hamiltonians one slice
+/// takes along an ADAM trajectory, [`STEPS`] solves per sample: Householder–QL
+/// and Jacobi from a cold start, and Jacobi warm-started the way the engine
+/// does it below `QL_MIN_DIM` — rotate into the previous step's eigenbasis,
+/// solve, compose. The dimension rule reads off these rows: warm Jacobi at 4,
+/// QL at 8 and 16.
+fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
+    let mut group = c.benchmark_group("eigh_real");
+    group.sample_size(30);
+    let hamiltonians = device_hamiltonians::<N>(qubits);
+    let mut lambdas = [0.0; N];
+    let (mut v, mut vt) = (RealSmallMatrix::<N>::ZERO, RealSmallMatrix::<N>::ZERO);
+    let (mut a, mut b) = (v, v);
+
+    for (name, body) in [
+        (
+            "ql",
+            eigh_ql as fn(usize, &mut [f64], &mut [f64], &mut [f64]) -> usize,
+        ),
+        ("jacobi_cold", eigh_jacobi),
+    ] {
+        group.bench_function(format!("{name}_n{N}_x{STEPS}"), |bench| {
+            bench.iter(|| {
+                for h in &hamiltonians {
+                    a = *black_box(h);
+                    body(N, a.as_mut_slice(), &mut lambdas, v.as_mut_slice());
+                    black_box(&v);
+                }
+            })
+        });
+    }
+    group.bench_function(format!("jacobi_warm_n{N}_x{STEPS}"), |bench| {
+        bench.iter(|| {
+            a = hamiltonians[STEPS - 1];
+            eigh_jacobi(N, a.as_mut_slice(), &mut lambdas, v.as_mut_slice());
+            v.transpose_into(&mut vt);
+            // Backwards, so the first warm solve is one step from the cold one.
+            for h in hamiltonians.iter().rev() {
+                vt.matmul_into(black_box(h), &mut a);
+                a.matmul_into(&v, &mut b);
+                eigh_jacobi(N, b.as_mut_slice(), &mut lambdas, a.as_mut_slice());
+                v.matmul_into(&a, &mut b);
+                v = b;
+                v.transpose_into(&mut vt);
+                black_box(&v);
+            }
+        })
+    });
+    group.finish();
+}
+
+fn bench_eigh_real(c: &mut Criterion) {
+    bench_eigh_real_at::<4>(c, 2);
+    bench_eigh_real_at::<8>(c, 3);
+    bench_eigh_real_at::<16>(c, 4);
 }
 
 /// Folds one finished duration search into the transposition-table entry for
@@ -241,7 +388,7 @@ fn bench_grape_seeding(c: &mut Criterion) {
 }
 
 /// The compile-phase profiler's cost on the warm GRAPE gradient path: the same
-/// reused stack-storage workspace measured disarmed (the production default,
+/// reused stack-storage workspace, walking the same trajectory, measured disarmed (the production default,
 /// where every instrumentation point is one relaxed atomic load) and armed
 /// (`VQC_PROFILE=1`, where the Lap marks read the monotonic clock and bump
 /// thread-local accumulators). [`emit_summary`] asserts the armed/disarmed
@@ -253,7 +400,7 @@ fn bench_profile_overhead(c: &mut Criterion) {
 
     let device = DeviceModel::qubits_line(2);
     let target = gates::cx();
-    let pulse = PulseSequence::seeded_guess(&device, 24, 0.5, 1);
+    let mut trajectory = Trajectory::record(&device, &target, 24);
     let mut workspace = GrapeWorkspace::new(&device, 24);
     assert!(
         workspace.uses_static_kernel(),
@@ -263,13 +410,14 @@ fn bench_profile_overhead(c: &mut Criterion) {
 
     profile::set_armed(false);
     group.bench_function("disarmed_2q_24slices", |b| {
-        b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+        b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
     });
 
     profile::set_armed(true);
     profile::begin_block();
+    trajectory.rewind();
     group.bench_function("armed_2q_24slices", |b| {
-        b.iter(|| workspace.fidelity_gradient(black_box(&pulse)))
+        b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
     });
     let block = profile::take_block();
     profile::set_armed(false);
@@ -299,7 +447,7 @@ fn emit_summary(c: &mut Criterion) {
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut json = format!(
-        "{{\n  \"benchmark\": \"grape\",\n  \"workload\": \"fidelity_gradient_iteration_on_a_reused_workspace\",\n  \"host_parallelism\": {host_parallelism},\n  \"timestamp_unix_s\": {timestamp_unix_s},\n  \"results\": [\n",
+        "{{\n  \"benchmark\": \"grape\",\n  \"workload\": \"fidelity_gradient_of_a_moving_pulse_on_a_reused_workspace\",\n  \"host_parallelism\": {host_parallelism},\n  \"timestamp_unix_s\": {timestamp_unix_s},\n  \"results\": [\n",
     );
     for (index, result) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -350,6 +498,34 @@ fn emit_summary(c: &mut Criterion) {
     json.push_str(&format!(
         "  \"profile_overhead\": {{\n    \"disarmed_min_ns\": {disarmed_ns:.1},\n    \"armed_min_ns\": {armed_ns:.1},\n    \"armed_over_disarmed\": {overhead_ratio:.3}\n  }},\n"
     ));
+    // The eigensolver's dimension rule, per solve on device Hamiltonians: the
+    // rule's two sides must be the cheaper body where the rule puts them.
+    let per_solve = |body: &str, n: usize| {
+        let pass = min_of("eigh_real", &format!("{body}_n{n}_x{STEPS}"));
+        pass.expect("the eigh_real group must have run") / STEPS as f64
+    };
+    let mut rows = Vec::new();
+    for n in [4, 8, 16] {
+        let (ql, cold, warm) = (
+            per_solve("ql", n),
+            per_solve("jacobi_cold", n),
+            per_solve("jacobi_warm", n),
+        );
+        let ql_side = n >= vqc_linalg::real::QL_MIN_DIM;
+        assert!(
+            (ql < warm) == ql_side,
+            "at {n}x{n} the dimension rule picks {} but QL takes {ql:.0} ns a solve \
+             and warm-started Jacobi {warm:.0} ns",
+            if ql_side { "QL" } else { "Jacobi" }
+        );
+        rows.push(format!(
+            "    \"n{n}\": {{\"ql\": {ql:.1}, \"jacobi_cold\": {cold:.1}, \"jacobi_warm\": {warm:.1}}}"
+        ));
+    }
+    json.push_str(&format!(
+        "  \"eigh_real_ns_per_solve\": {{\n{}\n  }},\n",
+        rows.join(",\n")
+    ));
 
     // The warm-start index's headline number: total GRAPE iterations across a
     // repeat-structure pass, cold vs table-seeded. Asserted before the file is
@@ -384,6 +560,7 @@ criterion_group!(
     bench_grape,
     bench_grape_smallmat,
     bench_grape_lanes,
+    bench_eigh_real,
     bench_grape_seeding,
     bench_profile_overhead,
     emit_summary

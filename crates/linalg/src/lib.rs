@@ -11,10 +11,11 @@
 //!   [`Matrix::dagger_into`], [`Matrix::scale_into`], [`Matrix::add_scaled_into`],
 //!   [`eigh_into`]) that write into caller-owned buffers, which is what lets the
 //!   GRAPE optimizer iterate without touching the heap.
-//! * [`small`] and [`real`] — the GRAPE hot-loop storages: inline const-generic
-//!   [`SmallMatrix`] with unrolled complex kernels, and its `f64` companions
-//!   [`RealSmallMatrix`] / [`RealMatrix`] with the real-symmetric eigensolver and
-//!   the mixed real·complex products a real-symmetric Hamiltonian allows.
+//! * [`real`] — the GRAPE hot-loop storages: inline const-generic
+//!   [`RealSmallMatrix`] and heap [`RealMatrix`], with the `f64` product and
+//!   the eigensolvers a real-symmetric Hamiltonian allows.
+//! * [`small`] — inline const-generic complex [`SmallMatrix`] with unrolled
+//!   kernels and a Hermitian `eigh_into`: the oracle [`real`] is held to.
 //! * [`Vector`] — a dense complex column vector used for quantum state vectors.
 //! * [`expm`](expm::expm) — the matrix exponential via scaling-and-squaring with a
 //!   truncated Taylor series, which is the workhorse of pulse propagation in GRAPE.

@@ -2,46 +2,61 @@
 //!
 //! Every Hamiltonian the gmon device model produces — charge `a + a†`, flux
 //! `a†a`, coupling `(a + a†)(a + a†)`, zero drift — is real symmetric, so its
-//! eigenvectors are real too. Storing them as [`C64`](crate::C64) makes every
-//! eigensolver rotation and every product against them do two to four times
-//! the arithmetic the data needs. This module is the real companion of the
-//! complex storages: inline [`RealSmallMatrix<N>`] beside
-//! [`SmallMatrix<N>`](crate::SmallMatrix) and flat heap [`RealMatrix`] beside
-//! [`Matrix`](crate::Matrix), each with the four products GRAPE multiplies
-//! eigenvectors through (real·real, transpose, real·complex, complex·real)
-//! and a real-symmetric Jacobi eigensolver.
+//! eigenvectors are real too, and the GRAPE engine keeps every *complex*
+//! matrix planar: a pair `(re, im)` of the real storages below. This module is
+//! therefore all the linear algebra the engine runs on: inline
+//! [`RealSmallMatrix<N>`] and flat heap [`RealMatrix`], each with the real
+//! product (plain and accumulating, which is all a planar complex product
+//! takes), the transpose and the symmetric eigensolver. Each kernel body
+//! exists once, over flat row-major `f64` slices; on the inline storage the
+//! dimension is a constant after inlining, so its loops unroll and vectorize.
 //!
-//! Each kernel body exists once, over flat row-major slices, and both storages
-//! forward to it: `matmul` is generic over the scalar types, so the three
-//! products are one loop nest, and `eigh_symmetric` is the one Jacobi body.
-//! On the inline storage the dimension is a constant after inlining, so the
-//! loops unroll exactly as the complex [`SmallMatrix`](crate::SmallMatrix)
-//! kernels do. The complex [`small::eigh_into`](crate::small::eigh_into) and
+//! **One eigensolver per dimension**, chosen from `n` alone: the closed form
+//! at 2, cyclic Jacobi ([`eigh_jacobi`]) below [`QL_MIN_DIM`], Householder
+//! tridiagonalization + implicit-shift QL ([`eigh_ql`]) from there up. Jacobi
+//! wins on small matrices *when the caller warm-starts it* by rotating into a
+//! previous eigenbasis (a 4×4 device Hamiltonian: 0.49 µs against 0.71 µs);
+//! QL costs the same whatever the input, and from 8×8 a cold QL beats rotate +
+//! warm Jacobi + compose (16×16: 10.2 µs against 17.5 µs). The complex
+//! [`small::eigh_into`](crate::small::eigh_into) and
 //! [`eigh_into`](crate::eigh_into) stay as the general Hermitian solvers, and
 //! as the oracle the parity suite holds this module to.
 
-use crate::{Matrix, SmallMatrix};
-use std::ops::{AddAssign, Mul};
+/// Column-block width of the heap product; the inline storage uses its row.
+const HEAP_BLOCK: usize = 8;
 
-/// Writes the row-major `n x n` product `lhs · rhs` into `out`. The scalar
-/// types are free, so this is real·real, real·complex and complex·real alike;
-/// the k-ordered accumulation matches [`SmallMatrix::matmul_into`].
+/// Writes the row-major `n x n` product `lhs · rhs` into `out` — or, given
+/// `onto: Some(sign)`, adds `sign · lhs · rhs` to what `out` holds —
+/// accumulating over `k` in order. An output row is built in column blocks of
+/// `W` entries that stay in registers for the whole `k` loop (one block on the
+/// inline storage, where `W = n`), and whatever `n % W` columns are left over
+/// in place. This is the one product loop nest of the GRAPE engine.
 #[inline(always)]
-fn matmul<A, B, O>(n: usize, lhs: &[A], rhs: &[B], out: &mut [O])
-where
-    A: Copy + Mul<B, Output = O>,
-    B: Copy,
-    O: Copy + Default + AddAssign,
-{
+fn matmul<const W: usize>(n: usize, lhs: &[f64], rhs: &[f64], onto: Option<f64>, out: &mut [f64]) {
     assert!(
         lhs.len() == n * n && rhs.len() == n * n && out.len() == n * n,
         "real-kernel product expects {n}x{n} operands"
     );
+    let sign = onto.unwrap_or(1.0);
     for (out_row, lhs_row) in out.chunks_exact_mut(n).zip(lhs.chunks_exact(n)) {
-        out_row.fill(O::default());
+        let (blocks, rest) = out_row.as_chunks_mut::<W>();
+        for (index, block) in blocks.iter_mut().enumerate() {
+            let mut sums = if onto.is_some() { *block } else { [0.0; W] };
+            for (&a, rhs_row) in lhs_row.iter().zip(rhs.chunks_exact(n)) {
+                let b = &rhs_row.as_chunks::<W>().0[index];
+                for (sum, &b) in sums.iter_mut().zip(b) {
+                    *sum += sign * a * b;
+                }
+            }
+            *block = sums;
+        }
+        let done = n - rest.len();
+        if onto.is_none() {
+            rest.fill(0.0);
+        }
         for (&a, rhs_row) in lhs_row.iter().zip(rhs.chunks_exact(n)) {
-            for (slot, &b) in out_row.iter_mut().zip(rhs_row) {
-                *slot += a * b;
+            for (sum, &b) in rest.iter_mut().zip(&rhs_row[done..]) {
+                *sum += sign * a * b;
             }
         }
     }
@@ -117,11 +132,51 @@ fn eigh_symmetric_2(a: &[f64], eigenvalues: &mut [f64], vectors: &mut [f64]) {
     }
 }
 
-/// The one real-symmetric eigensolver body, over flat row-major storage:
-/// `a = V · diag(λ) · Vᵀ` with `λ` ascending in `eigenvalues` and the matching
-/// orthonormal columns in `vectors`. `a` is consumed as the working copy; its
-/// contents afterwards are unspecified. Returns the Jacobi sweep count — 0 on
-/// the closed-form `n == 2` path.
+/// Narrowest dimension solved by [`eigh_ql`]. Below it the solver is Jacobi,
+/// which — unlike QL — gets cheaper the closer its input is to diagonal, so a
+/// caller can warm-start it from a nearby matrix's eigenbasis (`VᵀHV`, solve,
+/// compose); from here up that is a loss.
+pub const QL_MIN_DIM: usize = 8;
+
+/// Sorts `eigenvalues` ascending, carrying the matching eigenvector *rows* of
+/// the row-major `rows` along (selection sort: at most `n` row swaps, no
+/// scratch buffer).
+#[inline(always)]
+fn sort_eigenrows(n: usize, eigenvalues: &mut [f64], rows: &mut [f64]) {
+    for i in 0..n {
+        let mut least = i;
+        for j in (i + 1)..n {
+            if eigenvalues[j] < eigenvalues[least] {
+                least = j;
+            }
+        }
+        if least != i {
+            eigenvalues.swap(i, least);
+            let (head, tail) = rows.split_at_mut(least * n);
+            head[i * n..][..n].swap_with_slice(&mut tail[..n]);
+        }
+    }
+}
+
+/// The symmetric eigensolver of both storages, under the contract of
+/// [`RealSmallMatrix::eigh_in_place`]: exactly one body per dimension, and
+/// that body's iteration count.
+#[inline(always)]
+fn eigh_symmetric(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
+    match n {
+        2 => {
+            assert!(a.len() == 4 && vectors.len() == 4 && eigenvalues.len() == 2);
+            eigh_symmetric_2(a, eigenvalues, vectors);
+            0
+        }
+        _ if n < QL_MIN_DIM => eigh_jacobi(n, a, eigenvalues, vectors),
+        _ => eigh_ql(n, a, eigenvalues, vectors),
+    }
+}
+
+/// Cyclic Jacobi on the symmetric part of the row-major `n x n` matrix `a`
+/// (the contract of [`RealSmallMatrix::eigh_in_place`]); returns the sweep
+/// count, 0 for an input that is already diagonal to working precision.
 ///
 /// The sweep schedule, convergence criteria and algebraic rotation (two square
 /// roots, no trigonometry) are those of the complex
@@ -129,16 +184,14 @@ fn eigh_symmetric_2(a: &[f64], eigenvalues: &mut [f64], vectors: &mut [f64]) {
 /// a rotation recomputes rows `p` and `q` only and mirrors them into the two
 /// columns, and the eigenvectors accumulate as *rows* (of `Vᵀ`), so every
 /// arithmetic loop runs over contiguous memory.
+///
+/// Panics unless `a` and `vectors` hold `n * n` entries and `eigenvalues` `n`.
 #[inline(always)]
-fn eigh_symmetric(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
+pub fn eigh_jacobi(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
     assert!(
         a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
         "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
     );
-    if n == 2 {
-        eigh_symmetric_2(a, eigenvalues, vectors);
-        return 0;
-    }
     // Work on the symmetric part to be robust against tiny asymmetries.
     for r in 0..n {
         for c in (r + 1)..n {
@@ -208,24 +261,11 @@ fn eigh_symmetric(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mu
         }
     }
 
-    // Sort ascending (selection sort: at most n row swaps, no scratch buffer),
-    // then turn the eigenvector rows into columns.
     for (i, value) in eigenvalues.iter_mut().enumerate() {
         *value = a[i * n + i];
     }
-    for i in 0..n {
-        let mut least = i;
-        for j in (i + 1)..n {
-            if eigenvalues[j] < eigenvalues[least] {
-                least = j;
-            }
-        }
-        if least != i {
-            eigenvalues.swap(i, least);
-            let (head, tail) = vectors.split_at_mut(least * n);
-            head[i * n..][..n].swap_with_slice(&mut tail[..n]);
-        }
-    }
+    sort_eigenrows(n, eigenvalues, vectors);
+    // Turn the eigenvector rows into columns.
     for r in 0..n {
         for c in (r + 1)..n {
             vectors.swap(r * n + c, c * n + r);
@@ -234,8 +274,197 @@ fn eigh_symmetric(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mu
     sweeps
 }
 
+/// Householder tridiagonalization followed by implicit-shift QL (EISPACK
+/// `tred2` + `tql2`) on the row-major symmetric `n x n` matrix `a`, under the
+/// contract of [`RealSmallMatrix::eigh_in_place`]; returns the number of QL
+/// iterations (about 1.7 per eigenvalue). The cost does not depend on how
+/// close `a` is to diagonal, so there is nothing to warm-start.
+///
+/// Both stages run on the *transpose* of the textbook's transformation matrix
+/// — `a` itself, which ends up holding `Vᵀ` — so every reflector dot product,
+/// rank-two update and QL plane rotation walks contiguous rows; the one
+/// transpose is the copy into `vectors` at the end. Until then the first `n`
+/// entries of `vectors` serve as the off-diagonal, so the solver needs no
+/// scratch of its own on either storage.
+///
+/// # Panics
+///
+/// Panics unless `n >= 2`, `a` and `vectors` hold `n * n` entries and
+/// `eigenvalues` `n`.
+#[inline(always)]
+pub fn eigh_ql(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
+    assert!(
+        n >= 2 && a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
+        "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
+    );
+    let (w, d, e) = (a, eigenvalues, &mut vectors[..n]);
+    // Fold the symmetric part into the upper triangle, the only one read.
+    for r in 0..n {
+        for c in (r + 1)..n {
+            w[r * n + c] = 0.5 * (w[r * n + c] + w[c * n + r]);
+        }
+    }
+
+    // tred2, reducing rows/columns n-1 down to 1. In the textbook's indices
+    // w[r * n + c] is V[c][r]; a symmetric matrix starts out as its own
+    // transpose.
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+    }
+    for i in (1..n).rev() {
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+                w[i * n + j] = 0.0;
+            }
+        } else {
+            for x in &mut d[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let f = d[i - 1];
+            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            // Store the reflector in row i, then e ← (A·u)/h over the rows above.
+            w[i * n..][..i].copy_from_slice(&d[..i]);
+            e[..i].fill(0.0);
+            for j in 0..i {
+                let f = d[j];
+                let row = &w[j * n..][..i];
+                let mut g = e[j] + row[j] * f;
+                for k in (j + 1)..i {
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
+                }
+                e[j] = g;
+            }
+            let mut f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            // A ← A − u·qᵀ − q·uᵀ on the upper triangle of the leading block.
+            for j in 0..i {
+                let (f, g) = (d[j], e[j]);
+                let row = &mut w[j * n..][..i];
+                for k in j..i {
+                    row[k] -= f * e[k] + g * d[k];
+                }
+                d[j] = w[j * n + i - 1];
+                w[j * n + i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the reflectors into Vᵀ, leading block by leading block.
+    for i in 0..n - 1 {
+        w[i * n + n - 1] = w[i * n + i];
+        w[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (above, below) = w.split_at_mut((i + 1) * n);
+        let reflector = &mut below[..=i];
+        if h != 0.0 {
+            for (slot, &u) in d[..=i].iter_mut().zip(reflector.iter()) {
+                *slot = u / h;
+            }
+            for row in above.chunks_exact_mut(n) {
+                let row = &mut row[..=i];
+                let g: f64 = reflector.iter().zip(row.iter()).map(|(u, x)| u * x).sum();
+                for (x, &u) in row.iter_mut().zip(d[..=i].iter()) {
+                    *x -= g * u;
+                }
+            }
+        }
+        reflector.fill(0.0);
+    }
+    for j in 0..n {
+        d[j] = w[j * n + n - 1];
+        w[j * n + n - 1] = 0.0;
+    }
+    w[n * n - 1] = 1.0;
+
+    // tql2 on the tridiagonal (d, e), rotating the rows of Vᵀ.
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let max_iterations = 60;
+    let (mut shift, mut norm, mut iterations) = (0.0, 0.0f64, 0);
+    for l in 0..n {
+        // A sub-diagonal this far below the largest |d| + |e| seen is zero.
+        // The floor at 1 matches the Jacobi body's absolute tolerance and
+        // keeps p² + e² below from underflowing.
+        norm = norm.max(d[l].abs() + e[l].abs());
+        let negligible = f64::EPSILON * norm.max(1.0);
+        let mut m = l;
+        while m + 1 < n && e[m].abs() > negligible {
+            m += 1;
+        }
+        if m > l {
+            for _ in 0..max_iterations {
+                iterations += 1;
+                // The implicit (Wilkinson) shift.
+                let g = d[l];
+                let p = (d[l + 1] - g) / (2.0 * e[l]);
+                let r = if p < 0.0 {
+                    -(p * p + 1.0).sqrt()
+                } else {
+                    (p * p + 1.0).sqrt()
+                };
+                d[l] = e[l] / (p + r);
+                d[l + 1] = e[l] * (p + r);
+                let dl1 = d[l + 1];
+                let h = g - d[l];
+                for x in &mut d[l + 2..] {
+                    *x -= h;
+                }
+                shift += h;
+                // One QL sweep from m down to l.
+                let mut p = d[m];
+                let el1 = e[l + 1];
+                let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+                let (mut s, mut s2) = (0.0, 0.0);
+                for i in (l..m).rev() {
+                    c3 = c2;
+                    c2 = c;
+                    s2 = s;
+                    let g = c * e[i];
+                    let h = c * p;
+                    let r = (p * p + e[i] * e[i]).sqrt();
+                    e[i + 1] = s * r;
+                    s = e[i] / r;
+                    c = p / r;
+                    p = c * d[i] - s * g;
+                    d[i + 1] = h + s * (c * g + s * d[i]);
+                    rotate_rows(w, n, i, i + 1, c, -s);
+                }
+                let p = -s * s2 * c3 * el1 * e[l] / dl1;
+                e[l] = s * p;
+                d[l] = c * p;
+                if e[l].abs() <= negligible {
+                    break;
+                }
+            }
+        }
+        d[l] += shift;
+        e[l] = 0.0;
+    }
+
+    sort_eigenrows(n, d, w);
+    transpose(n, w, vectors);
+    iterations
+}
+
 /// A dense real matrix whose dimension is a compile-time constant: the real
-/// companion of [`SmallMatrix<N>`], stored inline and row-major as
+/// companion of [`SmallMatrix<N>`](crate::SmallMatrix), stored inline and row-major as
 /// `[[f64; N]; N]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RealSmallMatrix<const N: usize> {
@@ -274,7 +503,14 @@ impl<const N: usize> RealSmallMatrix<N> {
     /// Writes the real product `self · rhs` into `out`.
     #[inline]
     pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
-        matmul(N, self.as_slice(), rhs.as_slice(), out.as_mut_slice());
+        matmul::<N>(N, self.as_slice(), rhs.as_slice(), None, out.as_mut_slice());
+    }
+
+    /// Adds `sign · self · rhs` to `out` (a planar complex product is four of these).
+    #[inline]
+    pub fn matmul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        let onto = Some(sign);
+        matmul::<N>(N, self.as_slice(), rhs.as_slice(), onto, out.as_mut_slice());
     }
 
     /// Writes `selfᵀ` into `out`.
@@ -283,18 +519,14 @@ impl<const N: usize> RealSmallMatrix<N> {
         transpose(N, self.as_slice(), out.as_mut_slice());
     }
 
-    /// Writes the mixed product `self · rhs` (real times complex) into `out`.
-    #[inline]
-    pub fn mul_complex_into(&self, rhs: &SmallMatrix<N>, out: &mut SmallMatrix<N>) {
-        matmul(N, self.as_slice(), rhs.as_slice(), out.as_mut_slice());
-    }
-
     /// Diagonalizes symmetric `self` without heap allocation:
     /// `self = eigenvectors · diag(eigenvalues) · eigenvectorsᵀ`, eigenvalues
     /// ascending. `self` is consumed as the working copy (contents unspecified
-    /// afterwards).
-    /// Closed-form for `N == 2`, cyclic Jacobi otherwise; returns the sweep
-    /// count. Only the symmetric part of `self` influences the result.
+    /// afterwards). Only the symmetric part of `self` influences the result.
+    ///
+    /// The solver is chosen by `N` alone — closed form at 2, [`eigh_jacobi`]
+    /// below [`QL_MIN_DIM`], [`eigh_ql`] from there up — and its iteration
+    /// count is returned: 0, Jacobi sweeps, or implicit-QL iterations.
     ///
     /// # Panics
     ///
@@ -310,15 +542,7 @@ impl<const N: usize> RealSmallMatrix<N> {
     }
 }
 
-impl<const N: usize> SmallMatrix<N> {
-    /// Writes the mixed product `self · rhs` (complex times real) into `out`.
-    #[inline]
-    pub fn mul_real_into(&self, rhs: &RealSmallMatrix<N>, out: &mut Self) {
-        matmul(N, self.as_slice(), rhs.as_slice(), out.as_mut_slice());
-    }
-}
-
-/// A dense square real matrix on the heap: the real companion of [`Matrix`] for
+/// A dense square real matrix on the heap: the real companion of [`Matrix`](crate::Matrix) for
 /// the dimensions [`RealSmallMatrix`] is not instantiated at. Row-major in one
 /// flat `Vec<f64>`.
 #[derive(Debug, Clone, PartialEq)]
@@ -369,7 +593,12 @@ impl RealMatrix {
     ///
     /// Panics if the three dimensions differ (as do all the kernels below).
     pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
-        matmul(self.dim, &self.data, &rhs.data, &mut out.data);
+        matmul::<HEAP_BLOCK>(self.dim, &self.data, &rhs.data, None, &mut out.data);
+    }
+
+    /// Adds `sign · self · rhs` to `out`.
+    pub fn matmul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        matmul::<HEAP_BLOCK>(self.dim, &self.data, &rhs.data, Some(sign), &mut out.data);
     }
 
     /// Writes `selfᵀ` into `out`.
@@ -377,14 +606,8 @@ impl RealMatrix {
         transpose(self.dim, &self.data, &mut out.data);
     }
 
-    /// Writes the mixed product `self · rhs` (real times complex) into `out`.
-    pub fn mul_complex_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        assert!(rhs.is_square() && out.is_square(), "square operands only");
-        matmul(self.dim, &self.data, rhs.as_slice(), out.as_mut_slice());
-    }
-
     /// The heap instance of [`RealSmallMatrix::eigh_in_place`]: the same
-    /// solver body, with the same contract.
+    /// solver bodies under the same dimension rule, with the same contract.
     pub fn eigh_in_place(&mut self, eigenvalues: &mut [f64], eigenvectors: &mut Self) -> usize {
         eigh_symmetric(
             self.dim,
@@ -392,17 +615,5 @@ impl RealMatrix {
             eigenvalues,
             &mut eigenvectors.data,
         )
-    }
-}
-
-impl Matrix {
-    /// Writes the mixed product `self · rhs` (complex times real) into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` and `out` are square with `rhs`'s dimension.
-    pub fn mul_real_into(&self, rhs: &RealMatrix, out: &mut Matrix) {
-        assert!(self.is_square() && out.is_square(), "square operands only");
-        matmul(rhs.dim, self.as_slice(), &rhs.data, out.as_mut_slice());
     }
 }

@@ -1,4 +1,4 @@
-//! Const-generic small-matrix kernels for the GRAPE hot loop.
+//! Const-generic complex small-matrix kernels.
 //!
 //! Every matrix inside a GRAPE run on a qubit device has one of four statically
 //! known sizes — 2×2, 4×4, 8×8, or 16×16 for 1q–4q blocks — so the dynamic
@@ -17,9 +17,10 @@
 //! to the inherent per-column phase freedom — which the parity suite checks via
 //! reconstruction.
 //!
-//! The GRAPE engine itself diagonalizes real-symmetric Hamiltonians with the
-//! `f64` solver in [`crate::real`]; this Hermitian [`eigh_into`] is the
-//! general-purpose API and the oracle that solver is tested against.
+//! The GRAPE engine itself runs on the `f64` storages of [`crate::real`]
+//! (real-symmetric Hamiltonians, planar complex matrices) and calls nothing
+//! here: `SmallMatrix` and this Hermitian [`eigh_into`] are the general complex
+//! API, the real kernels' test oracle, and the benchmark's `linalg.*` rows.
 //!
 //! The kernels are *branch-free*: unlike the dynamic `matmul_into`, there is no
 //! per-element zero test — on dense 2×2/4×4 inputs the test costs more than the
@@ -33,7 +34,7 @@ use crate::{Matrix, C64};
 ///
 /// Storage is row-major and inline (`[[C64; N]; N]`), so a `SmallMatrix` is
 /// `Copy` and a `Vec<SmallMatrix<N>>` is one contiguous allocation — the packed
-/// per-slice storage layout the GRAPE fast path streams through.
+/// per-slice storage layout a hot loop can stream through.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmallMatrix<const N: usize> {
     rows: [[C64; N]; N],

@@ -1,8 +1,9 @@
 //! Property-based parity between the const-generic [`SmallMatrix`] kernels and
 //! the dynamic [`Matrix`] reference implementations, for the four GRAPE
 //! monomorphizations N = 2, 4, 8, 16 — and between the real-symmetric kernels
-//! of `vqc_linalg::real` and the complex ones, at the same four dimensions on
-//! the stack and at 3 and 9 on the heap.
+//! of `vqc_linalg::real` (which the GRAPE engine runs on) and the complex
+//! ones, at the same four dimensions on the stack and at 3, 9 and 27 on the
+//! heap.
 //!
 //! The dynamic path is the ground truth: every unrolled kernel must reproduce
 //! it to near machine precision. The specialized `eigh` is the one exception —
@@ -11,10 +12,12 @@
 //! eigenvalues, spectral reconstruction, and orthonormality rather than by
 //! entrywise comparison of the eigenvector matrix. The real kernels are held
 //! to the complex ones the same way: the complex eigensolvers are the oracle
-//! for the real-symmetric one, and promote-then-complex-matmul for the mixed
-//! products.
+//! for both real-symmetric bodies (Jacobi and Householder–QL, each run at
+//! every dimension, whatever the dimension rule would pick), and
+//! promote-then-complex-matmul for the real and planar products.
 
 use proptest::prelude::*;
+use vqc_linalg::real::{eigh_jacobi, eigh_ql, QL_MIN_DIM};
 use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
 use vqc_linalg::{c64, eigh, Matrix, RealMatrix, RealSmallMatrix, C64};
 
@@ -163,20 +166,23 @@ fn promoted(n: usize, data: &[f64]) -> Matrix {
     Matrix::from_fn(n, n, |r, c| c64(data[r * n + c], 0.0))
 }
 
-/// The real product, the transpose and both mixed products of flat `n x n`
-/// results against promote-then-complex-matmul.
+/// The real product, the transpose and a planar complex product — four real
+/// products, two of them accumulating — of flat `n x n` results against
+/// promote-then-complex-matmul; `b`'s two planes are the planar product's
+/// right-hand side, `(a, aᵀ)` its left.
 fn assert_real_kernels(
     n: usize,
     (a, b): (&[f64], &[C64]),
     (squared, transposed): (&[f64], &[f64]),
-    (real_complex, complex_real): (&[C64], &[C64]),
+    planar: (&[f64], &[f64]),
 ) {
     let (pa, db) = (promoted(n, a), matrix_of(n, b));
+    let lhs = Matrix::from_fn(n, n, |r, c| c64(a[r * n + c], a[c * n + r]));
+    let product = Matrix::from_fn(n, n, |r, c| c64(planar.0[r * n + c], planar.1[r * n + c]));
     for (what, got, expected) in [
         ("real x real", promoted(n, squared), pa.matmul(&pa)),
         ("transpose", promoted(n, transposed), pa.dagger()),
-        ("real x complex", matrix_of(n, real_complex), pa.matmul(&db)),
-        ("complex x real", matrix_of(n, complex_real), db.matmul(&pa)),
+        ("planar complex x complex", product, lhs.matmul(&db)),
     ] {
         assert!(
             got.approx_eq(&expected, 1e-12),
@@ -187,38 +193,42 @@ fn assert_real_kernels(
 
 fn check_real_kernels<const N: usize>(a_data: &[f64], b_data: &[C64]) {
     let a = RealSmallMatrix::<N>::from_fn(|r, c| a_data[r * N + c]);
-    let b = small_of::<N>(b_data);
+    let b_re = RealSmallMatrix::<N>::from_fn(|r, c| b_data[r * N + c].re);
+    let b_im = RealSmallMatrix::<N>::from_fn(|r, c| b_data[r * N + c].im);
+    // Garbage-filled outputs: the kernels overwrite, never accumulate.
     let mut squared = RealSmallMatrix::<N>::from_fn(|r, c| (r + 2 * c) as f64);
-    let mut transposed = squared;
-    let (mut real_complex, mut complex_real) = (dirty::<N>(), dirty::<N>());
+    let (mut transposed, mut re, mut im) = (squared, squared, squared);
     a.matmul_into(&a, &mut squared);
     a.transpose_into(&mut transposed);
-    a.mul_complex_into(&b, &mut real_complex);
-    b.mul_real_into(&a, &mut complex_real);
+    a.matmul_into(&b_re, &mut re);
+    transposed.matmul_onto(-1.0, &b_im, &mut re);
+    a.matmul_into(&b_im, &mut im);
+    transposed.matmul_onto(1.0, &b_re, &mut im);
     assert_real_kernels(
         N,
         (a_data, b_data),
         (squared.as_slice(), transposed.as_slice()),
-        (real_complex.as_slice(), complex_real.as_slice()),
+        (re.as_slice(), im.as_slice()),
     );
 }
 
 fn check_real_kernels_heap(n: usize, a_data: &[f64], b_data: &[C64]) {
     let a = RealMatrix::from_fn(n, |r, c| a_data[r * n + c]);
-    let b = matrix_of(n, b_data);
+    let b_re = RealMatrix::from_fn(n, |r, c| b_data[r * n + c].re);
+    let b_im = RealMatrix::from_fn(n, |r, c| b_data[r * n + c].im);
     let mut squared = RealMatrix::from_fn(n, |r, c| (r + 2 * c) as f64);
-    let mut transposed = squared.clone();
-    let mut real_complex = Matrix::from_fn(n, n, |r, c| c64(1.0 + r as f64, -2.0 - c as f64));
-    let mut complex_real = real_complex.clone();
+    let (mut transposed, mut re, mut im) = (squared.clone(), squared.clone(), squared.clone());
     a.matmul_into(&a, &mut squared);
     a.transpose_into(&mut transposed);
-    a.mul_complex_into(&b, &mut real_complex);
-    b.mul_real_into(&a, &mut complex_real);
+    a.matmul_into(&b_re, &mut re);
+    transposed.matmul_onto(-1.0, &b_im, &mut re);
+    a.matmul_into(&b_im, &mut im);
+    transposed.matmul_onto(1.0, &b_re, &mut im);
     assert_real_kernels(
         n,
         (a_data, b_data),
         (squared.as_slice(), transposed.as_slice()),
-        (real_complex.as_slice(), complex_real.as_slice()),
+        (re.as_slice(), im.as_slice()),
     );
 }
 
@@ -233,6 +243,10 @@ fn assert_real_eigensystem(
     oracle: &[f64],
 ) {
     let tol = 1e-12;
+    assert!(
+        lambdas.windows(2).all(|pair| pair[0] <= pair[1]),
+        "eigenvalues are not ascending at n={n}: {lambdas:?}"
+    );
     for (i, (&real, &complex)) in lambdas.iter().zip(oracle).enumerate() {
         assert!(
             (real - complex).abs() < tol,
@@ -258,7 +272,20 @@ fn assert_real_eigensystem(
     }
 }
 
-/// The real-symmetric stack solver against the complex `small::eigh_into`.
+/// Both solver bodies on flat storage — whichever of them the dimension rule
+/// would pick at `n` — against `oracle`.
+fn assert_both_bodies(n: usize, data: &[f64], oracle: &[f64]) {
+    for body in [eigh_jacobi, eigh_ql] {
+        let mut h = data.to_vec();
+        let mut lambdas = vec![f64::NAN; n];
+        let mut vectors: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
+        body(n, &mut h, &mut lambdas, &mut vectors);
+        assert_real_eigensystem(n, data, &lambdas, &vectors, oracle);
+    }
+}
+
+/// The real-symmetric stack solver, and each of its bodies from 3×3 up,
+/// against the complex `small::eigh_into`.
 fn check_real_eigh<const N: usize>(data: &[f64]) {
     let symmetric = |r: usize, c: usize| 0.5 * (data[r * N + c] + data[c * N + r]);
     let complex_h = SmallMatrix::<N>::from_fn(|r, c| c64(symmetric(r, c), 0.0));
@@ -273,12 +300,15 @@ fn check_real_eigh<const N: usize>(data: &[f64]) {
     let mut h = RealSmallMatrix::<N>::from_fn(|r, c| data[r * N + c]);
     let mut lambdas = [f64::NAN; N];
     let mut vectors = RealSmallMatrix::<N>::from_fn(|r, c| (r + 2 * c) as f64);
-    let sweeps = h.eigh_in_place(&mut lambdas, &mut vectors);
-    assert!(N != 2 || sweeps == 0, "the 2x2 path is closed-form");
+    let iterations = h.eigh_in_place(&mut lambdas, &mut vectors);
+    assert!(N != 2 || iterations == 0, "the 2x2 path is closed-form");
     assert_real_eigensystem(N, data, &lambdas, vectors.as_slice(), &oracle);
+    if N > 2 {
+        assert_both_bodies(N, data, &oracle);
+    }
 }
 
-/// The heap instance of the same solver body against the dynamic complex
+/// The heap instance of the same solver bodies against the dynamic complex
 /// `eigh`.
 fn check_real_eigh_heap(n: usize, data: &[f64]) {
     let symmetric = Matrix::from_fn(n, n, |r, c| {
@@ -291,6 +321,7 @@ fn check_real_eigh_heap(n: usize, data: &[f64]) {
     let mut vectors = RealMatrix::from_fn(n, |r, c| (r + 2 * c) as f64);
     h.eigh_in_place(&mut lambdas, &mut vectors);
     assert_real_eigensystem(n, data, &lambdas, vectors.as_slice(), &oracle);
+    assert_both_bodies(n, data, &oracle);
 }
 
 proptest! {
@@ -385,6 +416,16 @@ proptest! {
 }
 
 proptest! {
+    // Three qutrits: 11x the work of a dim-9 case per solve.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn real_eigh_matches_complex_heap_27(a in arb_reals(27)) {
+        check_real_eigh_heap(27, &a);
+    }
+}
+
+proptest! {
     // N = 16 cases are ~64x the work of N = 4; a smaller case count keeps the
     // suite fast while still sweeping the Jacobi path well past its unrolled
     // 2x2 sibling.
@@ -416,31 +457,78 @@ proptest! {
     }
 }
 
-/// Degenerate and already-diagonal inputs, where a Jacobi solver has rotations
-/// to skip and ties to order: a repeated diagonal in descending order, and
-/// `I ⊗ X`, whose ±1 eigenvalues each repeat `n / 2` times off the diagonal.
+/// The spectra a device really hands the solvers, at every stack dimension and
+/// at heap dims 3, 9 and 27, through the dimension rule and through both
+/// bodies: the zero matrix (every amplitude 0), flux only (already diagonal,
+/// descending, with repeats), one charge drive (`I ⊗ X`: ±1, each `n / 2`-fold
+/// degenerate, off the diagonal), and a dense matrix whose eigenvalues pair up
+/// at gaps on either side of the gradient contraction's 1e-10 degeneracy
+/// threshold.
 #[test]
-fn real_eigh_handles_degenerate_and_diagonal_inputs() {
-    fn diagonal(n: usize) -> Vec<f64> {
+fn real_eigh_handles_the_spectra_a_device_produces() {
+    fn zero(n: usize) -> Vec<f64> {
+        vec![0.0; n * n]
+    }
+    fn flux_only(n: usize) -> Vec<f64> {
         let mut data = vec![0.0; n * n];
         for i in 0..n {
             data[i * n + i] = 2.0 - (i / 2) as f64;
         }
         data
     }
-    fn paired_flips(n: usize) -> Vec<f64> {
+    fn one_charge_drive(n: usize) -> Vec<f64> {
         let mut data = vec![0.0; n * n];
         for i in 0..n - n % 2 {
             data[i * n + (i ^ 1)] = 1.0;
         }
         data
     }
-    for inputs in [diagonal, paired_flips] {
+    /// `Q · diag(λ) · Qᵀ` with `λ` in pairs `(k, k + gap)`, the gaps
+    /// alternating between 0.5e-10 and 2e-10, and `Q` a product of plane
+    /// rotations over every index pair.
+    fn near_degenerate_pairs(n: usize) -> Vec<f64> {
+        let mut data = vec![0.0; n * n];
+        for i in 0..n {
+            let gap = if (i / 2) % 2 == 0 { 0.5e-10 } else { 2e-10 };
+            data[i * n + i] = (i / 2) as f64 * 0.37 - 1.0 + (i % 2) as f64 * gap;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let (sin, cos) = (0.3 + (p * n + q) as f64).sin_cos();
+                for k in 0..n {
+                    let (x, y) = (data[p * n + k], data[q * n + k]);
+                    data[p * n + k] = cos * x + sin * y;
+                    data[q * n + k] = cos * y - sin * x;
+                }
+                for k in 0..n {
+                    let (x, y) = (data[k * n + p], data[k * n + q]);
+                    data[k * n + p] = cos * x + sin * y;
+                    data[k * n + q] = cos * y - sin * x;
+                }
+            }
+        }
+        data
+    }
+    // The stack dimensions below sit on both sides of the rule.
+    const { assert!(4 < QL_MIN_DIM && QL_MIN_DIM <= 8) };
+    let exact: [fn(usize) -> Vec<f64>; 3] = [zero, flux_only, one_charge_drive];
+    // The pairs are for the iterative bodies. The 2x2 closed form builds its
+    // two eigenvectors independently, which is exact enough only because a
+    // device's 2x2 Hamiltonian has a zero corner: its eigenvalues cannot
+    // nearly coincide away from zero.
+    check_real_eigh::<2>(&[0.0, 3e-11, 3e-11, 0.5e-10]);
+    for inputs in exact {
         check_real_eigh::<2>(&inputs(2));
+    }
+    for inputs in exact
+        .into_iter()
+        .chain([near_degenerate_pairs as fn(usize) -> Vec<f64>])
+    {
         check_real_eigh::<4>(&inputs(4));
         check_real_eigh::<8>(&inputs(8));
         check_real_eigh::<16>(&inputs(16));
         check_real_eigh_heap(3, &inputs(3));
         check_real_eigh_heap(9, &inputs(9));
+        check_real_eigh_heap(27, &inputs(27));
     }
 }

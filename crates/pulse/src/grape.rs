@@ -409,18 +409,28 @@ mod tests {
     fn gradient_matches_finite_differences() {
         // Validate the exact analytic gradient against a numerical derivative on
         // the reused GrapeWorkspace the optimizer iterates on, once per storage
-        // shape: 2q and 3q qubit blocks on the stack (N = 4, 8) and a qutrit
-        // on the heap (dim 3).
+        // shape and eigensolver: 2q, 3q and 4q qubit blocks on the stack
+        // (N = 4, 8, 16) and a qutrit on the heap (dim 3) — each on a generic
+        // pulse and on one whose slice 3 is all zero, where the Hamiltonian is
+        // the zero matrix and every divided difference is the degenerate limit.
         let cases = [
             (DeviceModel::qubits_line(2), gates::cx()),
             (DeviceModel::qubits_line(3), gates::cx().kron(&gates::h())),
+            (DeviceModel::qubits_line(4), gates::cx().kron(&gates::cx())),
             (DeviceModel::qubits_line(1).with_qutrit_levels(), gates::h()),
         ];
-        for (device, target) in cases {
+        for ((device, target), idle_slice) in
+            cases.iter().flat_map(|case| [(case, false), (case, true)])
+        {
             let dim = device.dim();
-            let pulse = PulseSequence::seeded_guess(&device, 6, 0.5, 3);
-            let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-            workspace.set_target(&device, &target);
+            let mut pulse = PulseSequence::seeded_guess(device, 6, 0.5, 3);
+            if idle_slice {
+                for k in 0..device.num_controls() {
+                    pulse.set_amplitude(k, 3, 0.0);
+                }
+            }
+            let mut workspace = GrapeWorkspace::new(device, pulse.num_slices());
+            workspace.set_target(device, target);
             workspace.fidelity_gradient(&pulse);
             let analytic = workspace.gradient().to_vec();
             let at = |k: usize, t: usize| t * device.num_controls() + k;
@@ -440,7 +450,8 @@ mod tests {
                 let reference = numeric.abs().max(1e-6);
                 assert!(
                     (analytic[at(k, t)] - numeric).abs() / reference < 1e-3,
-                    "dim {dim} control {k} slice {t}: analytic {} vs numeric {numeric}",
+                    "dim {dim} control {k} slice {t} (idle slice: {idle_slice}): \
+                     analytic {} vs numeric {numeric}",
                     analytic[at(k, t)]
                 );
                 workspace.fidelity_gradient(&pulse);

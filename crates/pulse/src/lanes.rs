@@ -14,8 +14,9 @@
 //!
 //! **The claim rule** ([`claim`]), re-evaluated by every iteration:
 //!
-//! * the block is wide enough to pay for three hand-offs per iteration
-//!   (`MIN_DIM`, `MIN_WORK` — measured constants, not knobs);
+//! * the block is wide and long enough to pay for three hand-offs per
+//!   iteration and for reading what the other CPU wrote (`MIN_DIM`,
+//!   `MIN_SPAN` — measured constants, not knobs);
 //! * a CPU is actually free: GRAPE runs in flight (`enter_run`) plus claimed
 //!   helpers is below `available_parallelism()`, so two busy workers never
 //!   become three spinning threads, and a wide block picks the spare CPU up
@@ -27,7 +28,8 @@
 //! CPUs; with one CPU (`taskset -c 0`) it never exists.
 //!
 //! **Waiting.** A blocked vCPU halts and wakes slowly, so every wait spins
-//! first and only then blocks on a condition variable: for at most 2 ms while
+//! first — giving the CPU up between bursts whenever the peer was last seen on
+//! this very CPU — and only then blocks on a condition variable: for at most 2 ms while
 //! the peer is known to be at work (the helper while claimed, the caller while
 //! the helper runs its job), for 100 µs otherwise — an idle helper is parked,
 //! not spinning. A caller whose job the helper has not picked up by the time
@@ -41,7 +43,7 @@
 //!
 //! This is the only module of the GRAPE kernel with `unsafe` in it: the one
 //! lifetime erasure that lends a stack closure to the helper for the duration
-//! of `Claim::join`.
+//! of `Claim::join`, and the `sched_getcpu` call the waits place themselves by.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -52,16 +54,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Narrowest matrix dimension that engages the helper. A 2-qubit block
-/// (dim 4) spends ~0.5 µs per slice: at 40 slices two lanes take 1.3x as long
+/// (dim 4) spends ~0.7 µs per slice: at 40 slices two lanes take 1.3x as long
 /// as one.
 const MIN_DIM: usize = 8;
 
-/// Least `dim³ · slices` (the iteration's flop scale) that engages the helper:
-/// 16 slices at dim 8, 2 at dim 16. The three hand-offs cost 4–6 µs an
-/// iteration on the 2-CPU benchmark host; measured there, two lanes win from
-/// here up (1.25x at dim 8 × 16, 1.4x at dim 16 × 2, 1.85x at dim 16 × 40) and
-/// lose below (0.86x at dim 16 × 1, 0.8–1.2x at dim 8 × 4–6).
-const MIN_WORK: usize = 8192;
+/// Least `dim · slices` that engages the helper: 8 slices at dim 8, 4 at dim
+/// 16. The three hand-offs and reading what the other CPU wrote cost an
+/// iteration ~11 µs at dim 8 and ~20 µs at dim 16 on the 2-CPU benchmark host.
+/// Measured there, one lane against two: dim 8, 1.18–1.21x at 8 slices,
+/// 1.29–1.34x at 24, 1.36–1.47x at 40, but 1.04–1.16x at 6–7 and 0.81–0.98x at
+/// 4–5; dim 16, 1.22–1.31x at 4 slices, 1.44–1.53x at 8, 1.66x at 24,
+/// 1.75–1.77x at 40, but 0.82–0.89x at 3 (an odd count splits 1 + 2) and
+/// 0.67–0.89x at 1–2.
+const MIN_SPAN: usize = 64;
 
 /// Longest busy-wait for a peer that is known to be at work — the helper
 /// while an iteration holds it, the caller while the helper runs its job: the
@@ -117,6 +122,25 @@ impl Drop for RunGuard {
     }
 }
 
+/// The CPU the calling thread is running on, or `usize::MAX` where the platform
+/// does not say.
+fn current_cpu() -> usize {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getcpu() -> i32;
+        }
+        // SAFETY: `sched_getcpu` takes no arguments and has no preconditions.
+        usize::try_from(unsafe { sched_getcpu() }).unwrap_or(usize::MAX)
+    }
+    #[cfg(not(target_os = "linux"))]
+    usize::MAX
+}
+
+/// The two sides of the mailbox, as indices into [`Helper::on_cpu`].
+const CALLER: usize = 0;
+const HELPER: usize = 1;
+
 /// A job lent to the helper: a closure on the lending thread's stack and the
 /// slot its panic payload comes back in.
 struct Task<'a> {
@@ -127,6 +151,8 @@ struct Task<'a> {
 /// The helper thread's mailbox.
 struct Helper {
     cpus: usize,
+    /// Where each side of the mailbox last saw itself running ([`current_cpu`]).
+    on_cpu: [AtomicUsize; 2],
     /// Whether a [`Claim`] holds the helper.
     claimed: AtomicBool,
     /// The posted, not yet taken, `Task` (as a thin pointer), or null. Whoever
@@ -146,8 +172,13 @@ struct Helper {
 impl Helper {
     /// Spins on `ready` for as long as `patient` says (it is handed the time
     /// the wait began, and asked every 64 spins), then blocks until a
-    /// [`Helper::notify`] after `ready` turned true.
-    fn wait_until(&self, ready: impl Fn() -> bool, mut patient: impl FnMut(Instant) -> bool) {
+    /// [`Helper::notify`] after `ready` turned true. `me` is the side waiting.
+    fn wait_until(
+        &self,
+        me: usize,
+        ready: impl Fn() -> bool,
+        mut patient: impl FnMut(Instant) -> bool,
+    ) {
         if ready() {
             return;
         }
@@ -158,6 +189,16 @@ impl Helper {
                     return;
                 }
                 std::hint::spin_loop();
+            }
+            // When no CPU is really free the scheduler puts both sides on one,
+            // and a spin then keeps the very thread it waits for off it, a
+            // time slice per phase (two lanes at 0.41–0.61x of one, stably).
+            // Give the CPU up, but only then: a yield costs a whole slice when
+            // a third thread takes it (+9 % on the benchmark's LiH loop).
+            let here = current_cpu();
+            self.on_cpu[me].store(here, Ordering::Relaxed);
+            if here == self.on_cpu[1 - me].load(Ordering::Relaxed) {
+                std::thread::yield_now();
             }
         }
         // The lock guards no data, so a poisoned one is as good as a clean one.
@@ -192,6 +233,7 @@ impl Helper {
             // ends the spin is having seen no claim for IDLE_SPIN.
             let mut last_claimed = Instant::now();
             self.wait_until(
+                HELPER,
                 || !self.job.load(Ordering::SeqCst).is_null(),
                 |started| {
                     let now = Instant::now();
@@ -235,6 +277,7 @@ fn helper() -> Option<&'static Helper> {
         }
         let helper: &'static Helper = Box::leak(Box::new(Helper {
             cpus,
+            on_cpu: [AtomicUsize::new(usize::MAX), AtomicUsize::new(usize::MAX)],
             claimed: AtomicBool::new(false),
             job: AtomicPtr::new(ptr::null_mut()),
             done: AtomicBool::new(false),
@@ -275,7 +318,7 @@ impl Drop for Claim {
 /// Claims the helper for one iteration of a `dim`-dimensional, `slices`-slice
 /// block, if the claim rule in the module docs allows it.
 pub fn claim(dim: usize, slices: usize) -> Option<Claim> {
-    if dim < MIN_DIM || dim * dim * dim * slices < MIN_WORK {
+    if dim < MIN_DIM || dim * slices < MIN_SPAN {
         return None;
     }
     let claim = helper().and_then(|helper| {
@@ -326,6 +369,8 @@ impl Claim {
             panic: None,
         };
         let posted: *mut Task<'_> = &mut task;
+        // A caller that never has to wait still tells the helper where it is.
+        helper.on_cpu[CALLER].store(current_cpu(), Ordering::Relaxed);
         helper.done.store(false, Ordering::SeqCst);
         helper.job.store(posted.cast(), Ordering::SeqCst);
         helper.notify();
@@ -335,6 +380,7 @@ impl Claim {
         if helper.job.swap(ptr::null_mut(), Ordering::SeqCst).is_null() {
             // The helper took the job: `task` is its until it says so.
             helper.wait_until(
+                CALLER,
                 || helper.done.load(Ordering::SeqCst),
                 |started| started.elapsed() < BUSY_SPIN,
             );
@@ -404,10 +450,8 @@ mod tests {
     #[test]
     fn narrow_blocks_never_claim() {
         assert!(claim(4, 10_000).is_none(), "dim 4 stays single-lane");
-        assert!(
-            claim(8, 15).is_none(),
-            "15 slices at dim 8 are below the work floor"
-        );
+        assert!(claim(8, 7).is_none(), "7 slices at dim 8 are too few");
+        assert!(claim(16, 3).is_none(), "3 slices at dim 16 are too few");
     }
 
     #[test]

@@ -56,12 +56,13 @@ pub const PHASE_COUNT: usize = 7;
 pub enum Phase {
     /// Assembling a slice Hamiltonian from the device's control operators.
     HamiltonianAssembly,
-    /// Hermitian eigendecomposition of slice Hamiltonians (closed-form 2x2 or
-    /// Jacobi), including rotating into a warm-start eigenbasis. Jacobi sweep
+    /// Symmetric eigendecomposition of slice Hamiltonians: closed-form 2x2,
+    /// Jacobi below dim 8 (including rotating into the warm-start
+    /// eigenbasis), Householder–QL from there up. The solvers' iteration
     /// counts are tallied separately via [`add_sweeps`].
     Eigendecomposition,
-    /// Building slice propagators from eigensystems and the forward/backward
-    /// accumulation sweeps.
+    /// The forward and backward sweeps through the slices' eigenbases (and
+    /// the phases `e^{-iΔtλ}` they scale by).
     Propagation,
     /// The Daleckii–Krein loop and the per-control gradient contraction.
     GradientContraction,
@@ -120,8 +121,11 @@ pub struct CompileProfile {
     pub phase_seconds: [f64; PHASE_COUNT],
     /// Number of times each phase was entered (scopes) or marked (laps).
     pub phase_counts: [u64; PHASE_COUNT],
-    /// Total Jacobi rotation sweeps across all eigendecompositions (0 for
-    /// closed-form 2x2 solves).
+    /// Total eigensolver iterations across all eigendecompositions: Jacobi
+    /// rotation sweeps below dim 8, implicit-QL iterations from dim 8 up
+    /// (about two per eigenvalue), 0 for closed-form 2x2 solves. The field
+    /// keeps the name it had when Jacobi was the only solver: it is wire-,
+    /// journal- and `vqc-top`-visible.
     pub jacobi_sweeps: u64,
 }
 
@@ -296,8 +300,8 @@ pub fn take_block() -> Option<CompileProfile> {
     })
 }
 
-/// Tallies Jacobi rotation sweeps from an eigendecomposition. Single branch
-/// when the thread is not accumulating.
+/// Tallies an eigendecomposition's solver iterations (Jacobi sweeps or
+/// implicit-QL iterations). Single branch when the thread is not accumulating.
 #[inline]
 pub fn add_sweeps(sweeps: u64) {
     ACCUM.with(|a| {
@@ -398,8 +402,9 @@ impl Lap {
         }
     }
 
-    /// Tallies Jacobi sweeps into the lap's stack counter (flushed with the
-    /// phase totals on drop). Self-guarding: a no-op on an inert lap, so the
+    /// Tallies eigensolver iterations (Jacobi sweeps or implicit-QL
+    /// iterations) into the lap's stack counter (flushed with the phase
+    /// totals on drop). Self-guarding: a no-op on an inert lap, so the
     /// kernel needs no `is_active` branch around it.
     #[inline]
     pub fn add_sweeps(&mut self, sweeps: u64) {

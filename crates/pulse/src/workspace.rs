@@ -2,40 +2,49 @@
 //!
 //! GRAPE spends its entire budget evaluating [`GrapeWorkspace::fidelity_gradient`]:
 //! hundreds of optimizer iterations, each diagonalizing every slice Hamiltonian and
-//! multiplying out the forward/backward partial products. The seed implementation
+//! sweeping the forward/backward partial products. The seed implementation
 //! heap-allocated every one of those matrices on every iteration; this workspace
-//! owns all of them — per-slice eigensystems, propagators, partial products, and the
-//! gradient scratch — allocated once per [`crate::grape::try_optimize_pulse`] call
-//! and reused across all iterations. After construction (and one `set_target`),
-//! `fidelity_gradient` performs **zero** heap allocations, which `vqc-pulse`'s
-//! counting-allocator test asserts.
+//! owns all of them — per-slice eigensystems, the eigenbasis partial products, and
+//! the gradient scratch — allocated once per [`crate::grape::try_optimize_pulse`]
+//! call and reused across all iterations. After construction (and one
+//! `set_target`), `fidelity_gradient` performs **zero** heap allocations, which
+//! `vqc-pulse`'s counting-allocator test asserts.
 //!
 //! The propagation pass and the Daleckii–Krein gradient pass are each written
-//! once, in [`Engine`], generic over the crate-private [`Storage`] trait, as
+//! once, in [`Engine`], generic over the crate-private [`RealStorage`] trait, as
 //! phases over slice ranges: a wide block's iteration runs them as two lanes,
 //! the second on the [`crate::lanes`] helper thread, bit for bit. Every
 //! matrix in a GRAPE run has a dimension fixed by the device, so the workspace
 //! picks the storage from `device.dim()` at construction and nothing else:
-//! inline const-generic [`SmallMatrix`] for dims 2/4/8/16 — every width a
+//! inline const-generic [`RealSmallMatrix`] for dims 2/4/8/16 — every width a
 //! compiler with `max_block_width = 4` can plan on a qubit device — and heap
-//! [`Matrix`] rows for every other dimension (qutrit devices at 3/9/27/81,
+//! [`RealMatrix`] for every other dimension (qutrit devices at 3/9/27/81,
 //! qubit lines wider than four). Both instances run the same body, so their
 //! gradients agree to machine precision; the in-crate parity tests hold them
 //! to 1e-12 at every stack dimension.
 //!
-//! The engine is real where the physics is real. Every Hamiltonian a
-//! [`DeviceModel`] produces is real symmetric (Appendix A: charge `a + a†`,
-//! flux `a†a`, coupling `(a + a†)(a + a†)`, zero drift), so slice
-//! Hamiltonians, their eigenvectors, the warm-start rotation `VᵀHV` and the
-//! Jacobi solver run in `f64` on the storage's real companion;
-//! only the phases `e^{-iΔtλ}`, the propagators and their partial products are
-//! complex, and the products between the two are mixed real·complex kernels.
-//! The engine's constructor asserts the premise, so there is no complex
-//! fallback.
+//! **Real storage only.** Every Hamiltonian a [`DeviceModel`] produces is real
+//! symmetric (Appendix A: charge `a + a†`, flux `a†a`, coupling
+//! `(a + a†)(a + a†)`, zero drift), so slice Hamiltonians and their
+//! eigenvectors are `f64` matrices, and every complex matrix of the engine is
+//! [`Planar`]: a pair `(re, im)` of the same real storage. A product with an
+//! eigenvector matrix is then two real products and the one complex·complex
+//! product per slice four — every product of the engine is the same `f64`
+//! loop nest, and nothing multiplies interleaved complex entries. The
+//! engine's constructor asserts the premise, so there is no complex fallback.
 //!
-//! The workspace is also the single home of the eigendecomposition-based slice
-//! propagator `U_t = V e^{-iΔtΛ} Vᵀ`; [`crate::propagate`] drives the same path (the
-//! Taylor [`vqc_linalg::expm`] stays as an independent reference that a debug
+//! **Sweeps in the eigenbasis.** With `H_t = V_t Λ_t V_tᵀ` the slice propagator
+//! is `U_t = V_t D_t V_tᵀ`, `D_t = e^{-iΔtΛ_t}`, and the engine never forms it.
+//! The forward sweep carries `F_t = U_t ⋯ U_0` through each slice's eigenbasis,
+//! `A_t = V_tᵀ·F_{t-1}`, `F_t = V_t·(D_t A_t)`, and the backward sweep carries
+//! the co-state `K_t = target†·U_{T-1} ⋯ U_{t+1}` the same way,
+//! `B_t = K_t·V_t`, `K_{t-1} = (B_t D_t)·V_tᵀ` — four real·planar products per
+//! slice, the diagonal `D_t` applied as a row or column scaling. What the
+//! sweeps keep per slice is `A_t` and `B_t`, and their product is the matrix
+//! the Daleckii–Krein formula wants: `Vᵀ·F_{t-1}·K_t·V = A_t·B_t`.
+//! [`GrapeWorkspace::propagate`] multiplies `U_t` and `F_t` out of the same
+//! buffers for export; [`crate::propagate`] drives that path (the Taylor
+//! [`vqc_linalg::expm`] stays as an independent reference that a debug
 //! assertion checks it against).
 
 use crate::lanes::{self, Claim};
@@ -43,16 +52,14 @@ use crate::profile::{self, Phase};
 use crate::propagate::Propagation;
 use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
 use std::fmt::Debug;
-use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, SmallMatrix, C64};
+use vqc_linalg::real::QL_MIN_DIM;
+use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, C64};
 
-/// The square real matrix storage of an [`Engine`]'s Hamiltonians and
-/// eigenvectors: the three products they enter and the symmetric eigensolver.
-/// Like [`Storage`], every method forwards to the `vqc-linalg` kernel for that
-/// type.
+/// The square real matrix storage an [`Engine`] runs over: entry access and
+/// the allocation-free kernels. Exactly two implementations exist — stack
+/// [`RealSmallMatrix`] and heap [`RealMatrix`] — and every method forwards to
+/// the `vqc-linalg` kernel for that type.
 trait RealStorage: Clone + Debug + Send + Sync {
-    /// The complex storage of the same dimension.
-    type Complex;
-
     fn zeros(dim: usize) -> Self;
     /// The matrix dimension (a compile-time constant on the stack).
     fn dim(&self) -> usize;
@@ -61,47 +68,18 @@ trait RealStorage: Clone + Debug + Send + Sync {
     fn entries_mut(&mut self) -> &mut [f64];
     /// Writes `self · rhs` into `out`.
     fn mul_into(&self, rhs: &Self, out: &mut Self);
+    /// Adds `sign · self · rhs` to `out`.
+    fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self);
     /// Writes `selfᵀ` into `out`.
     fn transpose_into(&self, out: &mut Self);
-    /// Writes `self · rhs` into the complex `out`.
-    fn mul_complex_into(&self, rhs: &Self::Complex, out: &mut Self::Complex);
     /// Diagonalizes symmetric `self` — consumed as the solver's working copy —
-    /// into ascending `lambdas` and the matching `vectors` columns; returns the
-    /// Jacobi sweep count.
+    /// into ascending `lambdas` and the matching `vectors` columns, by the
+    /// solver `vqc-linalg` assigns to this dimension; returns its iteration
+    /// count.
     fn diagonalize(&mut self, lambdas: &mut [f64], vectors: &mut Self) -> usize;
 }
 
-/// The square complex matrix storage an [`Engine`] runs over: entry access and
-/// the allocation-free `_into` products. Exactly two implementations exist —
-/// stack [`SmallMatrix`] and heap [`Matrix`] — each paired with its real
-/// companion.
-trait Storage: Clone + Debug + Send + Sync {
-    /// The real storage of the same dimension.
-    type Real: RealStorage<Complex = Self>;
-
-    /// Copies a square dynamic matrix into this storage.
-    fn from_matrix(source: &Matrix) -> Self;
-    /// The matrix dimension (a compile-time constant on the stack).
-    fn dim(&self) -> usize;
-    fn entries(&self) -> &[C64];
-    fn entries_mut(&mut self) -> &mut [C64];
-    /// Writes `self · rhs` into `out`.
-    fn mul_into(&self, rhs: &Self, out: &mut Self);
-    /// Writes `self · rhs` into `out`, for a real `rhs`.
-    fn mul_real_into(&self, rhs: &Self::Real, out: &mut Self);
-
-    fn at(&self, row: usize, col: usize) -> C64 {
-        self.entries()[row * self.dim() + col]
-    }
-    fn put(&mut self, row: usize, col: usize, value: C64) {
-        let dim = self.dim();
-        self.entries_mut()[row * dim + col] = value;
-    }
-}
-
 impl<const N: usize> RealStorage for RealSmallMatrix<N> {
-    type Complex = SmallMatrix<N>;
-
     fn zeros(_dim: usize) -> Self {
         Self::ZERO
     }
@@ -119,12 +97,12 @@ impl<const N: usize> RealStorage for RealSmallMatrix<N> {
         self.matmul_into(rhs, out);
     }
     #[inline]
-    fn transpose_into(&self, out: &mut Self) {
-        RealSmallMatrix::transpose_into(self, out);
+    fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        self.matmul_onto(sign, rhs, out);
     }
     #[inline]
-    fn mul_complex_into(&self, rhs: &SmallMatrix<N>, out: &mut SmallMatrix<N>) {
-        RealSmallMatrix::mul_complex_into(self, rhs, out);
+    fn transpose_into(&self, out: &mut Self) {
+        RealSmallMatrix::transpose_into(self, out);
     }
     #[inline]
     fn diagonalize(&mut self, lambdas: &mut [f64], vectors: &mut Self) -> usize {
@@ -132,34 +110,7 @@ impl<const N: usize> RealStorage for RealSmallMatrix<N> {
     }
 }
 
-impl<const N: usize> Storage for SmallMatrix<N> {
-    type Real = RealSmallMatrix<N>;
-
-    fn from_matrix(source: &Matrix) -> Self {
-        SmallMatrix::from_matrix(source)
-    }
-    fn dim(&self) -> usize {
-        N
-    }
-    fn entries(&self) -> &[C64] {
-        self.as_slice()
-    }
-    fn entries_mut(&mut self) -> &mut [C64] {
-        self.as_mut_slice()
-    }
-    #[inline]
-    fn mul_into(&self, rhs: &Self, out: &mut Self) {
-        self.matmul_into(rhs, out);
-    }
-    #[inline]
-    fn mul_real_into(&self, rhs: &RealSmallMatrix<N>, out: &mut Self) {
-        SmallMatrix::mul_real_into(self, rhs, out);
-    }
-}
-
 impl RealStorage for RealMatrix {
-    type Complex = Matrix;
-
     fn zeros(dim: usize) -> Self {
         RealMatrix::zeros(dim)
     }
@@ -175,37 +126,64 @@ impl RealStorage for RealMatrix {
     fn mul_into(&self, rhs: &Self, out: &mut Self) {
         self.matmul_into(rhs, out);
     }
+    fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        self.matmul_onto(sign, rhs, out);
+    }
     fn transpose_into(&self, out: &mut Self) {
         RealMatrix::transpose_into(self, out);
-    }
-    fn mul_complex_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        RealMatrix::mul_complex_into(self, rhs, out);
     }
     fn diagonalize(&mut self, lambdas: &mut [f64], vectors: &mut Self) -> usize {
         self.eigh_in_place(lambdas, vectors)
     }
 }
 
-impl Storage for Matrix {
-    type Real = RealMatrix;
+/// A complex matrix as its real and imaginary parts, each on the engine's
+/// real storage.
+#[derive(Debug, Clone)]
+struct Planar<S> {
+    re: S,
+    im: S,
+}
 
+impl<S: RealStorage> Planar<S> {
+    fn zeros(dim: usize) -> Self {
+        Planar {
+            re: S::zeros(dim),
+            im: S::zeros(dim),
+        }
+    }
+
+    /// Splits a square dynamic matrix into its two planes.
     fn from_matrix(source: &Matrix) -> Self {
-        source.clone()
+        let mut planar = Self::zeros(source.rows());
+        for (k, value) in source.as_slice().iter().enumerate() {
+            planar.re.entries_mut()[k] = value.re;
+            planar.im.entries_mut()[k] = value.im;
+        }
+        planar
     }
-    fn dim(&self) -> usize {
-        self.rows()
+
+    /// Writes `lhs · rhs`, for a real `lhs`.
+    #[inline]
+    fn real_times(lhs: &S, rhs: &Self, out: &mut Self) {
+        lhs.mul_into(&rhs.re, &mut out.re);
+        lhs.mul_into(&rhs.im, &mut out.im);
     }
-    fn entries(&self) -> &[C64] {
-        self.as_slice()
+
+    /// Writes `lhs · rhs`, for a real `rhs`.
+    #[inline]
+    fn times_real(lhs: &Self, rhs: &S, out: &mut Self) {
+        lhs.re.mul_into(rhs, &mut out.re);
+        lhs.im.mul_into(rhs, &mut out.im);
     }
-    fn entries_mut(&mut self) -> &mut [C64] {
-        self.as_mut_slice()
-    }
-    fn mul_into(&self, rhs: &Self, out: &mut Self) {
-        self.matmul_into(rhs, out);
-    }
-    fn mul_real_into(&self, rhs: &RealMatrix, out: &mut Self) {
-        Matrix::mul_real_into(self, rhs, out);
+
+    /// Writes the complex product `lhs · rhs`: four real products.
+    #[inline]
+    fn times(lhs: &Self, rhs: &Self, out: &mut Self) {
+        lhs.re.mul_into(&rhs.re, &mut out.re);
+        lhs.im.mul_onto(-1.0, &rhs.im, &mut out.re);
+        lhs.re.mul_into(&rhs.im, &mut out.im);
+        lhs.im.mul_onto(1.0, &rhs.re, &mut out.im);
     }
 }
 
@@ -234,19 +212,19 @@ fn real_entries<'a>(label: &'a str, operator: &'a Matrix) -> impl Iterator<Item 
 /// What every lane of an iteration reads and none writes: the device's
 /// Hamiltonian terms and the target.
 #[derive(Debug, Clone)]
-struct Model<S: Storage> {
+struct Model<S> {
     qubit_dim: f64,
-    drift: S::Real,
+    drift: S,
     /// `(row-major index, entry)` nonzeros of each control operator, in
     /// row-major order.
     control_sparse: Vec<Vec<(usize, f64)>>,
     /// `(padded target)†`, set by [`GrapeWorkspace::set_target`].
-    target_dagger: Option<S>,
+    target_dagger: Option<Planar<S>>,
 }
 
-impl<S: Storage> Model<S> {
+impl<S: RealStorage> Model<S> {
     /// `H_t = drift + Σ_k u_k(t) · H_k` over the packed nonzero lists.
-    fn assemble(&self, pulse: &PulseSequence, t: usize, hamiltonian: &mut S::Real) {
+    fn assemble(&self, pulse: &PulseSequence, t: usize, hamiltonian: &mut S) {
         let hamiltonian = hamiltonian.entries_mut();
         hamiltonian.copy_from_slice(self.drift.entries());
         for (k, entries) in self.control_sparse.iter().enumerate() {
@@ -260,94 +238,61 @@ impl<S: Storage> Model<S> {
     }
 }
 
-/// The packed per-slice buffer families of an [`Engine`]: what the
-/// diagonalization and the sweeps fill and the gradient contraction reads.
+/// One slice's eigensystem: what the diagonalization phase fills and the other
+/// two read.
 #[derive(Debug, Clone)]
-struct Families<S: Storage> {
+struct Eigensystem<S> {
     /// Assembled each propagation, then consumed by the eigensolver.
-    slice_h: Vec<S::Real>,
-    slice_v: Vec<S::Real>,
-    /// `slice_v[t]ᵀ`, refreshed by the propagator pass.
-    slice_vt: Vec<S::Real>,
-    /// `dim` ascending eigenvalues per slice, slice-major.
+    h: S,
+    v: S,
+    /// `vᵀ`, refreshed after each eigensolve.
+    vt: S,
+    /// The eigenvalues, ascending.
     lambdas: Vec<f64>,
-    /// `e^{-iΔtλ}` for each entry of `lambdas`.
-    phases: Vec<C64>,
-    slice_u: Vec<S>,
-    forward: Vec<S>,
-    /// The gradient's co-state, `backward[t] = target† · U_{T-1} ⋯ U_{t+1}`:
-    /// swept only once a target is set.
-    backward: Vec<S>,
+    /// `cos(Δtλ)` and `−sin(Δtλ)`: the two planes of the diagonal `e^{-iΔtλ}`.
+    cos: Vec<f64>,
+    sin: Vec<f64>,
 }
 
-/// One lane's scratch matrices.
-#[derive(Debug, Clone)]
-struct Scratch<S: Storage> {
-    real_a: S::Real,
-    real_b: S::Real,
-    a: S,
-    b: S,
-    c: S,
-}
-
-/// One lane's share of the per-slice families the diagonalization pass fills:
-/// slices `first..first + u.len()` of each.
-struct Slices<'a, S: Storage> {
-    first: usize,
-    h: &'a mut [S::Real],
-    v: &'a mut [S::Real],
-    vt: &'a mut [S::Real],
-    lambdas: &'a mut [f64],
-    phases: &'a mut [C64],
-    u: &'a mut [S],
-}
-
-impl<S: Storage> Slices<'_, S> {
-    /// The first `mid` slices and the rest, as two disjoint lanes.
-    fn split_at(self, mid: usize, dim: usize) -> (Self, Self) {
-        let (h, h_rest) = self.h.split_at_mut(mid);
-        let (v, v_rest) = self.v.split_at_mut(mid);
-        let (vt, vt_rest) = self.vt.split_at_mut(mid);
-        let (lambdas, lambdas_rest) = self.lambdas.split_at_mut(mid * dim);
-        let (phases, phases_rest) = self.phases.split_at_mut(mid * dim);
-        let (u, u_rest) = self.u.split_at_mut(mid);
-        let first = self.first;
-        (
-            Slices {
-                first,
-                h,
-                v,
-                vt,
-                lambdas,
-                phases,
-                u,
-            },
-            Slices {
-                first: first + mid,
-                h: h_rest,
-                v: v_rest,
-                vt: vt_rest,
-                lambdas: lambdas_rest,
-                phases: phases_rest,
-                u: u_rest,
-            },
-        )
+impl<S: RealStorage> Eigensystem<S> {
+    /// Writes `m` with each entry `(r, c)` multiplied by entry `pick(r, c)` of
+    /// the diagonal `D = e^{-iΔtλ}`: `D · m` picking the row, `m · D` the column.
+    #[inline]
+    fn scale(&self, pick: impl Fn(usize, usize) -> usize, m: &Planar<S>, out: &mut Planar<S>) {
+        let dim = self.cos.len();
+        let rows =
+            m.re.entries()
+                .chunks_exact(dim)
+                .zip(m.im.entries().chunks_exact(dim));
+        let out_re = out.re.entries_mut().chunks_exact_mut(dim);
+        let out_rows = out_re.zip(out.im.entries_mut().chunks_exact_mut(dim));
+        for (r, ((re, im), (out_re, out_im))) in rows.zip(out_rows).enumerate() {
+            let entries = re.iter().zip(im).zip(out_re.iter_mut().zip(out_im));
+            for (c, ((x, y), (out_x, out_y))) in entries.enumerate() {
+                let k = pick(r, c);
+                let (cos, sin) = (self.cos[k], self.sin[k]);
+                *out_x = cos * x - sin * y;
+                *out_y = cos * y + sin * x;
+            }
+        }
     }
 }
 
-/// Diagonalizes symmetric `h` into ascending `lambdas` and the eigenvector
-/// columns `v`, returning the Jacobi sweep count. With `warmed`, `v` and `vt`
-/// hold the slice's eigenbasis from the previous propagation (`vt` is
-/// refreshed only by the propagator pass, after this).
-fn eigensolve<S: Storage>(
-    h: &mut S::Real,
-    vt: &S::Real,
-    v: &mut S::Real,
-    lambdas: &mut [f64],
-    warmed: bool,
+/// One lane's scratch matrices.
+type Scratch<S> = [Planar<S>; 2];
+
+/// Diagonalizes the slice's assembled `h`, returning the solver's iteration
+/// count. With `warm`, `v` and `vt` hold the slice's eigenbasis from the
+/// previous propagation.
+fn eigensolve<S: RealStorage>(
+    slice: &mut Eigensystem<S>,
+    warm: bool,
     scratch: &mut Scratch<S>,
 ) -> usize {
-    if !warmed {
+    let Eigensystem {
+        h, v, vt, lambdas, ..
+    } = slice;
+    if !warm {
         return h.diagonalize(lambdas, v);
     }
     // Warm-started Jacobi: rotate H into this slice's previous eigenbasis,
@@ -355,148 +300,151 @@ fn eigensolve<S: Storage>(
     // slightly, so H' is nearly diagonal and the sweep count collapses (to
     // zero when the slice is re-evaluated unchanged). Compose
     // V ← V_prev · V' after.
-    let (real_a, real_b) = (&mut scratch.real_a, &mut scratch.real_b);
-    vt.mul_into(h, real_a);
-    real_a.mul_into(v, real_b);
-    let sweeps = real_b.diagonalize(lambdas, real_a);
-    v.mul_into(real_a, real_b);
-    v.entries_mut().copy_from_slice(real_b.entries());
+    let Planar { re: a, im: b } = &mut scratch[0];
+    vt.mul_into(h, a);
+    a.mul_into(v, b);
+    let sweeps = b.diagonalize(lambdas, a);
+    v.mul_into(a, b);
+    v.entries_mut().copy_from_slice(b.entries());
     sweeps
 }
 
-/// Phase 1 of an iteration, for one lane's slices: Hamiltonians, then
-/// eigensystems, then propagators, each streaming through its packed family.
-/// It is pass-major so an armed profiler pays one `mark` per pass rather than
-/// per slice. Returns the lane's Jacobi sweeps.
-fn diagonalize<S: Storage>(
+/// Phase 1 of an iteration, for one lane's slices `first..`: Hamiltonians,
+/// then eigensystems, then `Vᵀ` and the phases `e^{-iΔtλ}`. It is pass-major so
+/// an armed profiler pays one `mark` per pass rather than per slice. Returns
+/// the lane's eigensolver iterations.
+fn diagonalize<S: RealStorage>(
     model: &Model<S>,
     pulse: &PulseSequence,
     warmed: bool,
-    slices: Slices<'_, S>,
+    (first, slices): (usize, &mut [Eigensystem<S>]),
     scratch: &mut Scratch<S>,
     mut mark: impl FnMut(Phase),
 ) -> u64 {
-    let dim = model.drift.dim();
-    let dt = pulse.dt_ns();
-    for (i, h) in slices.h.iter_mut().enumerate() {
-        model.assemble(pulse, slices.first + i, h);
+    for (i, slice) in slices.iter_mut().enumerate() {
+        model.assemble(pulse, first + i, &mut slice.h);
     }
     mark(Phase::HamiltonianAssembly);
-    let mut sweeps = 0u64;
-    for (i, h) in slices.h.iter_mut().enumerate() {
-        let lambdas = &mut slices.lambdas[i * dim..][..dim];
-        sweeps += eigensolve(h, &slices.vt[i], &mut slices.v[i], lambdas, warmed, scratch) as u64;
+    // Only the Jacobi side of the dimension rule has a use for the previous
+    // eigenbasis; Householder–QL costs the same from any starting point.
+    let warm = warmed && model.drift.dim() < QL_MIN_DIM;
+    let mut iterations = 0;
+    for slice in slices.iter_mut() {
+        iterations += eigensolve(slice, warm, scratch) as u64;
     }
     mark(Phase::Eigendecomposition);
 
-    // Propagator pass: U_t = V · (diag(phases) · Vᵀ) — scale the rows of Vᵀ,
-    // then one real·complex product; Vᵀ is kept for the next warm start and
-    // the gradient pass.
-    for (i, u) in slices.u.iter_mut().enumerate() {
-        let lambdas = &slices.lambdas[i * dim..][..dim];
-        let phases = &mut slices.phases[i * dim..][..dim];
-        for (phase, &lambda) in phases.iter_mut().zip(lambdas) {
-            *phase = C64::cis(-dt * lambda);
+    for slice in slices {
+        slice.v.transpose_into(&mut slice.vt);
+        let phases = slice.cos.iter_mut().zip(&mut slice.sin);
+        for ((cos, sin), &lambda) in phases.zip(&slice.lambdas) {
+            let phase = C64::cis(-pulse.dt_ns() * lambda);
+            (*cos, *sin) = (phase.re, phase.im);
         }
-        let v = &slices.v[i];
-        v.transpose_into(&mut slices.vt[i]);
-        let scaled = scratch.a.entries_mut().chunks_exact_mut(dim);
-        let rows = slices.vt[i].entries().chunks_exact(dim);
-        for ((scaled_row, row), &phase) in scaled.zip(rows).zip(phases.iter()) {
-            for (slot, &entry) in scaled_row.iter_mut().zip(row) {
-                *slot = phase * entry;
-            }
-        }
-        v.mul_complex_into(&scratch.a, u);
     }
-    sweeps
+    iterations
 }
 
-/// Phase 2, one lane: `forward[t] = U_t · forward[t-1]`.
-fn sweep_forward<S: Storage>(u: &[S], forward: &mut [S]) {
-    forward[0].entries_mut().copy_from_slice(u[0].entries());
-    for t in 1..u.len() {
-        let (head, tail) = forward.split_at_mut(t);
-        u[t].mul_into(&head[t - 1], &mut tail[0]);
+/// Phase 2, one lane: `a[t] = V_tᵀ · F_{t-1}` for every slice, leaving the
+/// total evolution `F_{T-1}` in `total`.
+fn sweep_forward<S: RealStorage>(
+    eigen: &[Eigensystem<S>],
+    a: &mut [Planar<S>],
+    total: &mut Planar<S>,
+    scratch: &mut Scratch<S>,
+) {
+    for (t, (slice, a)) in eigen.iter().zip(a).enumerate() {
+        if t == 0 {
+            // F_{-1} is the identity.
+            a.re.entries_mut().copy_from_slice(slice.vt.entries());
+            a.im.entries_mut().fill(0.0);
+        } else {
+            Planar::real_times(&slice.vt, total, a);
+        }
+        slice.scale(|row, _| row, a, &mut scratch[0]);
+        Planar::real_times(&slice.v, &scratch[0], total);
     }
 }
 
-/// Phase 2, the other lane: the gradient's co-state, seeded with the target so
-/// the contraction finds `target† · U_{T-1} ⋯ U_{t+1}` ready-made:
-/// `backward[t] = backward[t+1] · U_{t+1}`.
-fn sweep_backward<S: Storage>(u: &[S], target_dagger: &S, backward: &mut [S]) {
-    let last = u.len() - 1;
-    backward[last]
-        .entries_mut()
-        .copy_from_slice(target_dagger.entries());
-    for t in (0..last).rev() {
-        let (head, tail) = backward.split_at_mut(t + 1);
-        tail[0].mul_into(&u[t + 1], &mut head[t]);
+/// Phase 2, the other lane: the gradient's co-state, seeded with the target,
+/// `K_{T-1} = target†`: `b[t] = K_t · V_t` for every slice, with
+/// `K_{t-1} = (b[t] · D_t) · V_tᵀ` carried in the lane's scratch.
+fn sweep_backward<S: RealStorage>(
+    eigen: &[Eigensystem<S>],
+    target_dagger: &Planar<S>,
+    b: &mut [Planar<S>],
+    scratch: &mut Scratch<S>,
+) {
+    let [costate, scaled] = scratch;
+    let (re, im) = (target_dagger.re.entries(), target_dagger.im.entries());
+    costate.re.entries_mut().copy_from_slice(re);
+    costate.im.entries_mut().copy_from_slice(im);
+    for (t, (slice, b)) in eigen.iter().zip(b).enumerate().rev() {
+        Planar::times_real(costate, &slice.v, b);
+        if t > 0 {
+            slice.scale(|_, column| column, b, scaled);
+            Planar::times_real(scaled, &slice.vt, costate);
+        }
     }
 }
 
 /// Phase 3, for one lane's slices `first..`: the exact gradient via the
 /// Daleckii–Krein formula, into the lane's slice-major share of the gradient.
 ///
-/// For slice t: U_total = (U_{T-1} ⋯ U_{t+1}) · U_t · forward[t-1], and
+/// For slice t: U_total = (U_{T-1} ⋯ U_{t+1}) · U_t · F_{t-1}, and
 ///   ∂U_t/∂u_k = V (Γ ∘ (Vᵀ H_k V)) Vᵀ,
 /// where Γ_ij is the divided difference of f(λ) = e^{-iΔtλ} at (λ_i, λ_j).
-/// Writing M' = forward[t-1] · backward[t] (the target is already inside
-/// backward[t]) and P = Vᵀ M' V,
+/// With P = Vᵀ · F_{t-1} · K_t · V — the product `a[t] · b[t]` of what the
+/// sweeps left (the target is already inside K_t) —
 ///   Tr(V_target† ∂U_total/∂u_k) = Σ_ab H_k[a,b] · G[a,b]
-/// with  G = V · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k. V is real, so
-/// conj(G) = V · conj(Pᵀ ∘ Γ) · Vᵀ: the conjugation folds into building
-/// T = conj(Pᵀ ∘ Γ) and into the final contraction, and all four products
-/// around V are mixed real·complex kernels.
-fn contract<S: Storage>(
+/// with  G = V · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k.
+fn contract<S: RealStorage>(
     model: &Model<S>,
-    families: &Families<S>,
-    dt: f64,
-    conj_overlap: C64,
+    eigen: &[Eigensystem<S>],
+    (a, b): (&[Planar<S>], &[Planar<S>]),
+    (dt, conj_overlap): (f64, C64),
     first: usize,
     gradient: &mut [f64],
     scratch: &mut Scratch<S>,
 ) {
     let dim = model.drift.dim();
     let num_controls = model.control_sparse.len();
+    let [p, g] = scratch;
     for n in 0..gradient.len() / num_controls.max(1) {
         let t = first + n;
-        // m' = forward[t-1] · backward[t]   (forward[-1] = identity)
-        let m_prime = if t == 0 {
-            &families.backward[0]
-        } else {
-            families.forward[t - 1].mul_into(&families.backward[t], &mut scratch.b);
-            &scratch.b
-        };
-        let v = &families.slice_v[t];
-        let vt = &families.slice_vt[t];
-        // p = Vᵀ · m' · V
-        vt.mul_complex_into(m_prime, &mut scratch.a);
-        scratch.a.mul_real_into(v, &mut scratch.c);
+        Planar::times(&a[t], &b[t], p);
 
-        let lambdas = &families.lambdas[t * dim..][..dim];
-        let phases = &families.phases[t * dim..][..dim];
-        // T = conj(Pᵀ ∘ Γ), written into scratch.b.
+        let slice = &eigen[t];
+        let (lambdas, cos, sin) = (&slice.lambdas, &slice.cos, &slice.sin);
+        // Pᵀ ∘ Γ, written into g.
+        let (p_re, p_im) = (p.re.entries(), p.im.entries());
+        let (g_re, g_im) = (g.re.entries_mut(), g.im.entries_mut());
         for i in 0..dim {
             for j in 0..dim {
-                let gamma = if (lambdas[i] - lambdas[j]).abs() < 1e-10 {
-                    C64::new(0.0, -dt) * phases[i]
+                let gap = lambdas[i] - lambdas[j];
+                let gamma = if gap.abs() < 1e-10 {
+                    // −iΔt · e^{-iΔtλ_i}
+                    (dt * sin[i], -dt * cos[i])
                 } else {
-                    (phases[i] - phases[j]) * (1.0 / (lambdas[i] - lambdas[j]))
+                    let inverse = 1.0 / gap;
+                    ((cos[i] - cos[j]) * inverse, (sin[i] - sin[j]) * inverse)
                 };
-                scratch.b.put(j, i, (scratch.c.at(i, j) * gamma).conj());
+                let (re, im) = (p_re[i * dim + j], p_im[i * dim + j]);
+                g_re[j * dim + i] = re * gamma.0 - im * gamma.1;
+                g_im[j * dim + i] = re * gamma.1 + im * gamma.0;
             }
         }
-        // conj(G) = V · T · Vᵀ
-        v.mul_complex_into(&scratch.b, &mut scratch.a);
-        scratch.a.mul_real_into(vt, &mut scratch.c);
-        let g_conj = scratch.c.entries();
+        // G = V · (Pᵀ ∘ Γ) · Vᵀ
+        Planar::real_times(&slice.v, g, p);
+        Planar::times_real(p, &slice.vt, g);
+        let (g_re, g_im) = (g.re.entries(), g.im.entries());
 
         let slots = &mut gradient[n * num_controls..][..num_controls];
         for (slot, entries) in slots.iter_mut().zip(&model.control_sparse) {
             let mut contraction = C64::ZERO;
             for &(index, h_ab) in entries {
-                contraction += g_conj[index].conj() * h_ab;
+                contraction.re += g_re[index] * h_ab;
+                contraction.im += g_im[index] * h_ab;
             }
             let dg = contraction / model.qubit_dim;
             let dfidelity = 2.0 * (conj_overlap * dg).re;
@@ -505,7 +453,7 @@ fn contract<S: Storage>(
     }
 }
 
-/// The GRAPE engine: the entire hot loop, written once over a [`Storage`].
+/// The GRAPE engine: the entire hot loop, written once over a [`RealStorage`].
 ///
 /// An iteration is three phases, each a pair of lanes over disjoint halves of
 /// the buffers ([`lanes::pair`]): [`diagonalize`] on slices `0..mid` beside
@@ -516,26 +464,33 @@ fn contract<S: Storage>(
 /// association order and warm-start state is per slice and each lane has its
 /// own [`Scratch`], so the two forms are bit-identical.
 ///
-/// All per-slice buffer families are packed `Vec`s — one contiguous allocation
-/// each on the stack storage — so the passes stream through cache-resident
-/// data. Control operators are kept as row-major nonzero lists, so Hamiltonian
+/// All per-slice buffers are packed `Vec`s — one contiguous allocation each
+/// on the stack storage — so the passes stream through cache-resident data.
+/// Control operators are kept as row-major nonzero lists, so Hamiltonian
 /// assembly and the gradient contraction touch only the entries a drive
 /// actually has.
 #[derive(Debug, Clone)]
-struct Engine<S: Storage> {
+struct Engine<S> {
     num_slices: usize,
     model: Model<S>,
-    families: Families<S>,
+    eigen: Vec<Eigensystem<S>>,
+    /// `a[t] = V_tᵀ · F_{t-1}`: the evolution before slice `t`, in its eigenbasis.
+    a: Vec<Planar<S>>,
+    /// `b[t] = K_t · V_t`: the gradient's co-state after slice `t`, in its
+    /// eigenbasis. Swept only once a target is set.
+    b: Vec<Planar<S>>,
+    /// The total evolution `F_{T-1}`.
+    total: Planar<S>,
     scratch: [Scratch<S>; 2],
-    /// Whether `slice_v`/`slice_vt` hold a converged eigenbasis from a prior
-    /// propagation, enabling the warm-started Jacobi path.
+    /// Whether every slice holds a converged eigenbasis from a prior
+    /// propagation, for the Jacobi dimensions to warm-start from.
     warmed: bool,
     /// `gradient[t * num_controls + k] = ∂(infidelity)/∂u_k(t)` after a
     /// `fidelity_gradient` call: slice-major, so a lane's slices are one run.
     gradient: Vec<f64>,
 }
 
-impl<S: Storage> Engine<S> {
+impl<S: RealStorage> Engine<S> {
     fn new(device: &DeviceModel, num_slices: usize) -> Self {
         Self::from_hamiltonians(
             &device.drift(),
@@ -565,20 +520,20 @@ impl<S: Storage> Engine<S> {
                 entries.filter(|&(_, value)| value != 0.0).collect()
             })
             .collect();
-        let real_zero = S::Real::zeros(dim);
-        let mut drift = real_zero.clone();
+        let zero = S::zeros(dim);
+        let mut drift = zero.clone();
         let drift_entries: Vec<f64> = real_entries("the drift", drift_operator).collect();
         drift.entries_mut().copy_from_slice(&drift_entries);
-        let zero = S::from_matrix(&Matrix::zeros(dim, dim));
-        let real_family = || vec![real_zero.clone(); num_slices];
-        let family = || vec![zero.clone(); num_slices];
-        let scratch = Scratch {
-            real_a: real_zero.clone(),
-            real_b: real_zero.clone(),
-            a: zero.clone(),
-            b: zero.clone(),
-            c: zero.clone(),
+        let planar_zero = Planar::<S>::zeros(dim);
+        let eigensystem = Eigensystem {
+            h: zero.clone(),
+            v: zero.clone(),
+            vt: zero,
+            lambdas: vec![0.0; dim],
+            cos: vec![0.0; dim],
+            sin: vec![0.0; dim],
         };
+        let scratch = [planar_zero.clone(), planar_zero.clone()];
         Engine {
             num_slices,
             model: Model {
@@ -587,16 +542,10 @@ impl<S: Storage> Engine<S> {
                 control_sparse,
                 target_dagger: None,
             },
-            families: Families {
-                slice_h: real_family(),
-                slice_v: real_family(),
-                slice_vt: real_family(),
-                lambdas: vec![0.0; num_slices * dim],
-                phases: vec![C64::ZERO; num_slices * dim],
-                slice_u: family(),
-                forward: family(),
-                backward: family(),
-            },
+            eigen: vec![eigensystem; num_slices],
+            a: vec![planar_zero.clone(); num_slices],
+            b: vec![planar_zero.clone(); num_slices],
+            total: planar_zero,
             scratch: [scratch.clone(), scratch],
             warmed: false,
             gradient: vec![0.0; num_slices * controls.len()],
@@ -613,10 +562,9 @@ impl<S: Storage> Engine<S> {
         }
     }
 
-    /// Phases 1 and 2: per-slice eigensystems and propagators, then the
-    /// forward and backward partial-product sweeps. `lap` is the calling
-    /// thread's; the helper's share of a phase shows up in it as wall time
-    /// only.
+    /// Phases 1 and 2: per-slice eigensystems, then the forward and backward
+    /// sweeps through them. `lap` is the calling thread's; the helper's share
+    /// of a phase shows up in it as wall time only.
     ///
     /// # Panics
     ///
@@ -642,36 +590,28 @@ impl<S: Storage> Engine<S> {
             pulse.num_slices()
         );
         let mid = self.lane_split(claim.is_some());
-        let (model, warmed, families) = (&self.model, self.warmed, &mut self.families);
-        let all = Slices {
-            first: 0,
-            h: &mut families.slice_h,
-            v: &mut families.slice_v,
-            vt: &mut families.slice_vt,
-            lambdas: &mut families.lambdas,
-            phases: &mut families.phases,
-            u: &mut families.slice_u,
-        };
-        let (near, far) = all.split_at(mid, model.drift.dim());
+        let (model, warmed) = (&self.model, self.warmed);
+        let (near, far) = self.eigen.split_at_mut(mid);
+        let (near, far) = ((0, near), (mid, far));
         let [near_scratch, far_scratch] = &mut self.scratch;
-        let (mut near_sweeps, mut far_sweeps) = (0, 0);
+        let (mut near_iterations, mut far_iterations) = (0, 0);
         lanes::pair(
             claim.as_deref_mut(),
             || {
                 let mark = |phase| lap.mark(phase);
-                near_sweeps = diagonalize(model, pulse, warmed, near, near_scratch, mark);
+                near_iterations = diagonalize(model, pulse, warmed, near, near_scratch, mark);
             },
-            || far_sweeps = diagonalize(model, pulse, warmed, far, far_scratch, |_| {}),
+            || far_iterations = diagonalize(model, pulse, warmed, far, far_scratch, |_| {}),
         );
-        lap.add_sweeps(near_sweeps + far_sweeps);
+        lap.add_sweeps(near_iterations + far_iterations);
 
-        let (slice_u, backward) = (&families.slice_u, &mut families.backward);
+        let (eigen, a, b, total) = (&self.eigen[..], &mut self.a, &mut self.b, &mut self.total);
         lanes::pair(
             claim,
-            || sweep_forward(slice_u, &mut families.forward),
+            || sweep_forward(eigen, a, total, near_scratch),
             || {
                 if let Some(target_dagger) = &model.target_dagger {
-                    sweep_backward(slice_u, target_dagger, backward);
+                    sweep_backward(eigen, target_dagger, b, far_scratch);
                 }
             },
         );
@@ -695,26 +635,28 @@ impl<S: Storage> Engine<S> {
         let dim = model.drift.dim();
 
         // overlap = Tr(V_target† U_total) / d, as Σ_ik V_target†[i,k]·U[k,i] in O(dim²).
-        let total = &self.families.forward[self.num_slices - 1];
+        let (target_re, target_im) = (target_dagger.re.entries(), target_dagger.im.entries());
+        let (total_re, total_im) = (self.total.re.entries(), self.total.im.entries());
         let mut overlap = C64::ZERO;
         for i in 0..dim {
             for k in 0..dim {
-                overlap += target_dagger.at(i, k) * total.at(k, i);
+                let (row_major, transposed) = (i * dim + k, k * dim + i);
+                overlap += C64::new(target_re[row_major], target_im[row_major])
+                    * C64::new(total_re[transposed], total_im[transposed]);
             }
         }
         overlap = overlap * (1.0 / model.qubit_dim);
         let infidelity = 1.0 - overlap.norm_sqr();
-        let conj_overlap = overlap.conj();
+        let scalars = (pulse.dt_ns(), overlap.conj());
 
         let mid = self.lane_split(claim.is_some());
-        let families = &self.families;
-        let dt = pulse.dt_ns();
+        let (eigen, sweeps) = (&self.eigen[..], (&self.a[..], &self.b[..]));
         let (near, far) = self.gradient.split_at_mut(mid * model.control_sparse.len());
         let [near_scratch, far_scratch] = &mut self.scratch;
         lanes::pair(
             claim,
-            || contract(model, families, dt, conj_overlap, 0, near, near_scratch),
-            || contract(model, families, dt, conj_overlap, mid, far, far_scratch),
+            || contract(model, eigen, sweeps, scalars, 0, near, near_scratch),
+            || contract(model, eigen, sweeps, scalars, mid, far, far_scratch),
         );
         // The overlap and the contraction are one contiguous stretch of this
         // thread's time: a single mark charges it all to GradientContraction.
@@ -723,20 +665,39 @@ impl<S: Storage> Engine<S> {
         infidelity
     }
 
-    /// Copies the last propagation's products out as dynamic matrices. The
-    /// engine's own backward family carries the target, so the public,
-    /// identity-seeded one is multiplied out here.
+    /// Multiplies the last propagation's products out as dynamic matrices —
+    /// the only place `U_t` and `F_t` exist: `U_t = V_t·D_t·V_tᵀ` from the
+    /// slice's eigensystem and `F_t = V_t·(D_t·a[t])` from the forward sweep.
+    /// The engine's own co-state carries the target, so the public,
+    /// identity-seeded backward family is multiplied out from the `U_t`.
     fn export(&self) -> Propagation {
         let dim = self.model.drift.dim();
-        let dynamic = |m: &S| Matrix::from_vec(dim, dim, m.entries().to_vec());
-        let slice_unitaries: Vec<Matrix> = self.families.slice_u.iter().map(dynamic).collect();
+        let dynamic = |re: &S, im: Option<&S>| {
+            let im = |k: usize| im.map_or(0.0, |im| im.entries()[k]);
+            Matrix::from_fn(dim, dim, |r, c| {
+                C64::new(re.entries()[r * dim + c], im(r * dim + c))
+            })
+        };
+        let (mut slice_unitaries, mut forward) = (Vec::new(), Vec::new());
+        for (slice, a) in self.eigen.iter().zip(&self.a) {
+            let phase = |r: usize, c: usize| {
+                if r == c {
+                    C64::new(slice.cos[r], slice.sin[r])
+                } else {
+                    C64::ZERO
+                }
+            };
+            let vd = dynamic(&slice.v, None).matmul(&Matrix::from_fn(dim, dim, phase));
+            slice_unitaries.push(vd.matmul(&dynamic(&slice.vt, None)));
+            forward.push(vd.matmul(&dynamic(&a.re, Some(&a.im))));
+        }
         let mut backward = vec![Matrix::identity(dim); self.num_slices];
         for t in (0..self.num_slices - 1).rev() {
             backward[t] = backward[t + 1].matmul(&slice_unitaries[t + 1]);
         }
         Propagation {
             slice_unitaries,
-            forward: self.families.forward.iter().map(dynamic).collect(),
+            forward,
             backward,
         }
     }
@@ -747,15 +708,15 @@ impl<S: Storage> Engine<S> {
 #[derive(Debug, Clone)]
 enum Kernel {
     /// 1-qubit blocks (2×2).
-    Dim2(Box<Engine<SmallMatrix<2>>>),
+    Dim2(Box<Engine<RealSmallMatrix<2>>>),
     /// 2-qubit blocks (4×4).
-    Dim4(Box<Engine<SmallMatrix<4>>>),
+    Dim4(Box<Engine<RealSmallMatrix<4>>>),
     /// 3-qubit blocks (8×8).
-    Dim8(Box<Engine<SmallMatrix<8>>>),
+    Dim8(Box<Engine<RealSmallMatrix<8>>>),
     /// 4-qubit blocks (16×16).
-    Dim16(Box<Engine<SmallMatrix<16>>>),
+    Dim16(Box<Engine<RealSmallMatrix<16>>>),
     /// Every other dimension (qutrit devices, wider qubit lines).
-    Heap(Box<Engine<Matrix>>),
+    Heap(Box<Engine<RealMatrix>>),
 }
 
 /// Expands `$body` once per [`Engine`] instantiation, binding the boxed engine
@@ -817,7 +778,7 @@ impl GrapeWorkspace {
         let padded_dagger = device.pad_qubit_unitary(target).dagger();
         with_engine!(&mut self.kernel, engine => {
             assert_eq!(device.dim(), engine.model.drift.dim(), "workspace built for another device");
-            engine.model.target_dagger = Some(Storage::from_matrix(&padded_dagger));
+            engine.model.target_dagger = Some(Planar::from_matrix(&padded_dagger));
         });
     }
 
@@ -916,15 +877,19 @@ mod tests {
         let device = DeviceModel::qubits_line(1);
         let mut controls = device.control_hamiltonians();
         controls[0].operator = gates::y();
-        Engine::<SmallMatrix<2>>::from_hamiltonians(&device.drift(), &controls, 2, 4);
+        Engine::<RealSmallMatrix<2>>::from_hamiltonians(&device.drift(), &controls, 2, 4);
     }
 
     /// One engine over `S` with the target bound (zero-padded onto any
     /// leakage levels, as [`GrapeWorkspace::set_target`] does).
-    fn engine_for<S: Storage>(device: &DeviceModel, target: &Matrix, slices: usize) -> Engine<S> {
+    fn engine_for<S: RealStorage>(
+        device: &DeviceModel,
+        target: &Matrix,
+        slices: usize,
+    ) -> Engine<S> {
         let mut engine = Engine::<S>::new(device, slices);
         let padded_dagger = device.pad_qubit_unitary(target).dagger();
-        engine.model.target_dagger = Some(S::from_matrix(&padded_dagger));
+        engine.model.target_dagger = Some(Planar::from_matrix(&padded_dagger));
         engine
     }
 
@@ -940,7 +905,7 @@ mod tests {
         pulse
     }
 
-    fn assert_agree<A: Storage, B: Storage>(
+    fn assert_agree<A: RealStorage, B: RealStorage>(
         stack: (&Engine<A>, f64),
         heap: (&Engine<B>, f64),
         what: &str,
@@ -962,8 +927,9 @@ mod tests {
 
     /// Instantiates the one engine body with both storages on a `width`-qubit
     /// line (`N = 2^width`) and holds their infidelities and gradients to
-    /// 1e-12: on a cold first pulse, and on a second pulse that warm-starts
-    /// every slice's Jacobi from the first pulse's eigenbasis.
+    /// 1e-12: on a cold first pulse, and on a second pulse that — on the
+    /// Jacobi dimensions — warm-starts every slice's eigensolve from the first
+    /// pulse's eigenbasis.
     fn stack_and_heap_agree<const N: usize>(
         width: usize,
         amps: &[f64],
@@ -976,8 +942,8 @@ mod tests {
         let slices = 6;
         let pulses = [amps, perturbed].map(|amps| pulse_from(&device, slices, dt_ns, amps));
 
-        let mut stack = engine_for::<SmallMatrix<N>>(&device, &target, slices);
-        let mut heap = engine_for::<Matrix>(&device, &target, slices);
+        let mut stack = engine_for::<RealSmallMatrix<N>>(&device, &target, slices);
+        let mut heap = engine_for::<RealMatrix>(&device, &target, slices);
         for (pulse, what) in pulses.iter().zip(["cold", "warm-started"]) {
             let on_stack = stack.fidelity_gradient(pulse, None);
             let on_heap = heap.fidelity_gradient(pulse, None);
@@ -989,7 +955,7 @@ mod tests {
     /// Runs the engine over `S` as one lane and as two (the helper forced,
     /// whatever the block's width) and holds the infidelity and every gradient
     /// entry to the same bits, on a cold pulse and on a warm-started one.
-    fn one_and_two_lanes_agree<S: Storage>(
+    fn one_and_two_lanes_agree<S: RealStorage>(
         device: &DeviceModel,
         slices: usize,
         amps: &[f64],
@@ -1042,13 +1008,13 @@ mod tests {
             let slices = LANE_SLICE_COUNTS[pick];
             let two_qutrits = DeviceModel::qubits_line(2).with_qutrit_levels();
             assert_eq!(two_qutrits.dim(), 9);
-            one_and_two_lanes_agree::<SmallMatrix<8>>(
+            one_and_two_lanes_agree::<RealSmallMatrix<8>>(
                 &DeviceModel::qubits_line(3), slices, &amps, &perturbed, dt,
             );
-            one_and_two_lanes_agree::<SmallMatrix<16>>(
+            one_and_two_lanes_agree::<RealSmallMatrix<16>>(
                 &DeviceModel::qubits_line(4), slices, &amps, &perturbed, dt,
             );
-            one_and_two_lanes_agree::<Matrix>(&two_qutrits, slices, &amps, &perturbed, dt);
+            one_and_two_lanes_agree::<RealMatrix>(&two_qutrits, slices, &amps, &perturbed, dt);
         }
     }
 
@@ -1065,7 +1031,7 @@ mod tests {
         }
         lanes::within_deadline(move || {
             let mut claim = lanes::hold().expect("the host has a helper");
-            let mut engine = engine_for::<SmallMatrix<16>>(&device, &target, 40);
+            let mut engine = engine_for::<RealSmallMatrix<16>>(&device, &target, 40);
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 engine.fidelity_gradient(&pulse, Some(&mut claim));
             }))
@@ -1090,7 +1056,7 @@ mod tests {
             lanes::within_deadline(|| {
                 let amps: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
                 let device = DeviceModel::qubits_line(4);
-                one_and_two_lanes_agree::<SmallMatrix<16>>(&device, 40, &amps, &amps, 0.5);
+                one_and_two_lanes_agree::<RealSmallMatrix<16>>(&device, 40, &amps, &amps, 0.5);
             });
         }
     }
@@ -1144,10 +1110,15 @@ mod tests {
     #[test]
     fn workspace_propagation_matches_taylor_expm() {
         use vqc_linalg::expm::expm;
-        // One device per storage: a qubit on the stack, a qutrit on the heap.
+        // One device per storage and per side of the eigensolver's dimension
+        // rule: a qubit (closed form, stack), a qutrit (Jacobi, heap), three
+        // qubits (QL, stack) and two qutrits (QL, heap). The debug assertion
+        // in `propagate.rs` stops at dim 4.
         for device in [
             DeviceModel::qubits_line(1),
             DeviceModel::qubits_line(1).with_qutrit_levels(),
+            DeviceModel::qubits_line(3),
+            DeviceModel::qubits_line(2).with_qutrit_levels(),
         ] {
             let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 5);
             let propagation = GrapeWorkspace::new(&device, pulse.num_slices()).propagate(&pulse);

@@ -2,8 +2,8 @@
 //!
 //! A counting global allocator wraps the system allocator; the tests below warm
 //! a [`GrapeWorkspace`] up once and then assert that further `fidelity_gradient`
-//! calls never touch the heap — on stack (`SmallMatrix`) storage, on heap
-//! (`Matrix`) storage, and as two lanes, on the calling thread and on the
+//! calls never touch the heap — on stack (`RealSmallMatrix`) storage, on heap
+//! (`RealMatrix`) storage, and as two lanes, on the calling thread and on the
 //! [`vqc_pulse::lanes`] helper thread alike.
 //! The counters are per-thread and libtest runs each test on its own thread, so
 //! the tests cannot perturb each other; the helper thread, which no test owns,
@@ -180,7 +180,7 @@ fn profiler_gradient_path_is_allocation_free_armed_and_silent_disarmed() {
 #[test]
 fn heap_storage_is_also_allocation_free() {
     // A qutrit (dim 3) has no stack instance: the same engine body runs over
-    // heap `Matrix` rows, whose buffers are all sized at construction.
+    // heap `RealMatrix` storage, whose buffers are all sized at construction.
     let device = DeviceModel::qubits_line(1).with_qutrit_levels();
     let target = gates::h();
     let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 7);

@@ -566,7 +566,9 @@ pub struct MetricsSnapshot {
     /// one row per [`vqc_core::Phase`] plus the `"other"` residual. Empty
     /// while the profiler is disarmed or before any profiled compilation.
     pub phases: Vec<PhaseMetrics>,
-    /// Cumulative Jacobi sweeps performed by profiled eigendecompositions.
+    /// Cumulative eigensolver iterations of profiled eigendecompositions:
+    /// Jacobi sweeps below dim 8, implicit-QL iterations from there up (see
+    /// `CompileProfile::jacobi_sweeps`; the name is wire- and journal-visible).
     pub jacobi_sweeps: u64,
     /// Per-class latency distributions (index == class).
     pub classes: Vec<ClassLatency>,
@@ -699,7 +701,7 @@ pub(crate) struct Telemetry {
     /// Per-block durations of each compile phase (plus the `"other"` residual
     /// row); only populated while the compile-phase profiler is armed.
     phase_durations: [LatencyHistogram; PHASE_ROWS],
-    /// Cumulative Jacobi sweeps from profiled eigendecompositions.
+    /// Cumulative eigensolver iterations from profiled eigendecompositions.
     jacobi_sweeps: AtomicU64,
     trace: TraceRing,
     busy_workers: AtomicU64,
@@ -834,7 +836,7 @@ impl Telemetry {
             .collect()
     }
 
-    /// Cumulative Jacobi sweeps from profiled eigendecompositions.
+    /// Cumulative eigensolver iterations from profiled eigendecompositions.
     pub(crate) fn jacobi_sweeps(&self) -> u64 {
         self.jacobi_sweeps.load(Ordering::Relaxed)
     }
