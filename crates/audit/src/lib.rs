@@ -1,7 +1,7 @@
 //! Repo-specific static analysis for the vqc workspace.
 //!
 //! A deliberately lightweight, hand-rolled Rust source scanner (the build
-//! container has no registry access, so no `syn`) enforcing five lints the
+//! container has no registry access, so no `syn`) enforcing seven lints the
 //! concurrent runtime depends on:
 //!
 //! 1. **`unwrap`** — no `.unwrap()` / `.expect(` in non-test library code under
@@ -29,6 +29,15 @@
 //!    (`write_frame(`, a bare `send(`, `.join(`) in the same block. Sites where
 //!    holding the lock across the call is the point (the transport's writer
 //!    lock serializes frames) carry `// audit:allow(guard_blocking): <reason>`.
+//! 6. **`knob_budget`** — the number of distinct `VQC_*` variables the code
+//!    reads must equal [`KNOB_BUDGET`]. A new knob, or a deleted one whose
+//!    budget was not ratcheted down, fails in the diff that changes the count.
+//! 7. **`dead_pub`** — a name a crate root re-exports (`pub use`) from one of
+//!    the crate's own modules must occur in some file other than that module
+//!    and the `lib.rs`: an export nothing uses is surface to delete. A name
+//!    that is public only because another public item returns, holds or
+//!    derefs to it gets its own `pub use` line under
+//!    `// audit:allow(dead_pub): <reason>`.
 //!
 //! Doc comments, ordinary comments, and `#[cfg(test)] mod` bodies are ignored.
 //! The scanner is lexical: it tracks string literals and comment state well
@@ -42,7 +51,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which lint fired (`unwrap`, `env_drift`, `wire`, `trace_stage`,
-    /// `guard_blocking`, `pragma`).
+    /// `guard_blocking`, `knob_budget`, `dead_pub`, `pragma`).
     pub lint: &'static str,
     /// File the finding is in, relative to the workspace root when possible.
     pub file: String,
@@ -434,6 +443,153 @@ pub fn check_env_drift(reads: &BTreeSet<String>, readme: &str, findings: &mut Ve
     }
 }
 
+/// How many distinct `VQC_*` environment variables the workspace reads. Lower
+/// it in the change that deletes a knob; raising it needs the case for a knob.
+pub const KNOB_BUDGET: usize = 19;
+
+/// Lint 6: the count of knobs read by code is pinned to `budget`.
+pub fn check_knob_budget(reads: &BTreeSet<String>, budget: usize, findings: &mut Vec<Finding>) {
+    if reads.len() != budget {
+        findings.push(Finding {
+            lint: "knob_budget",
+            file: "crates/audit/src/lib.rs".to_string(),
+            line: 0,
+            message: format!(
+                "the code reads {} `VQC_*` variables but KNOB_BUDGET is {budget} — delete \
+                 the new knob, or set the budget to the new count in the same change ({})",
+                reads.len(),
+                reads.iter().cloned().collect::<Vec<_>>().join(", "),
+            ),
+        });
+    }
+}
+
+/// One name a crate root re-exports with `pub use module::…`.
+struct Reexport {
+    /// First path segment: the module (or foreign crate) re-exported from.
+    module: String,
+    /// The name as the crate root exposes it.
+    name: String,
+    /// 1-based line of the `pub use` statement.
+    line: usize,
+    /// The statement carries `// audit:allow(dead_pub): <reason>`.
+    allowed: bool,
+}
+
+/// Parses a crate root's `pub use module::Name;` and `pub use module::{A, B};`
+/// statements (a brace list may span lines). A `dead_pub` pragma on the comment
+/// lines above a statement covers every name of that statement.
+fn crate_root_reexports(lib_source: &str) -> Vec<Reexport> {
+    let mut reexports = Vec::new();
+    let mut allowed = false;
+    // The statement being accumulated and the line it started on.
+    let mut open: Option<(String, usize)> = None;
+    for (index, line) in lex(lib_source).iter().enumerate() {
+        if let Some(pragma) = line.comment.as_deref().and_then(parse_pragma) {
+            allowed |= pragma.lint == "dead_pub" && pragma.has_reason;
+        }
+        let code = line.code.trim();
+        if code.is_empty() {
+            continue;
+        }
+        if open.is_none() && code.starts_with("pub use ") && line.depth_before == 0 {
+            open = Some((String::new(), index + 1));
+        }
+        let Some((statement, start)) = open.as_mut() else {
+            allowed = false;
+            continue;
+        };
+        statement.push_str(code);
+        if !code.ends_with(';') {
+            continue;
+        }
+        let path = statement["pub use ".len()..].trim_end_matches(';');
+        if let Some((module, rest)) = path.split_once("::") {
+            let names = match rest.split_once('{') {
+                Some((_, list)) => list.trim_end_matches('}'),
+                None => rest,
+            };
+            for name in names.split(',') {
+                // `Name`, `Name as Alias`, `sub::Name`: the exposed identifier is last.
+                let name = name.rsplit([' ', ':']).next().unwrap_or("");
+                if !name.is_empty() && name != "self" {
+                    reexports.push(Reexport {
+                        module: module.trim().to_string(),
+                        name: name.to_string(),
+                        line: *start,
+                        allowed,
+                    });
+                }
+            }
+        }
+        open = None;
+        allowed = false;
+    }
+    reexports
+}
+
+/// A file's code with comments removed and string contents blanked.
+fn code_of(source: &str) -> String {
+    let mut code = String::with_capacity(source.len());
+    for line in lex(source) {
+        code.push_str(&line.code);
+        code.push('\n');
+    }
+    code
+}
+
+/// Whether `name` occurs in `code` as a whole identifier.
+fn mentions_identifier(code: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(name).any(|(at, _)| {
+        !code[..at].chars().next_back().is_some_and(is_ident)
+            && !code[at + name.len()..].chars().next().is_some_and(is_ident)
+    })
+}
+
+/// Lint 7: crate-root re-exports of a crate's own modules that no file outside
+/// the defining module and the crate root mentions. `sources` is every file
+/// that could use the name, as `(path, code)`.
+fn check_dead_pub(
+    root: &Path,
+    crate_dir: &Path,
+    sources: &[(PathBuf, String)],
+    findings: &mut Vec<Finding>,
+) {
+    let src = crate_dir.join("src");
+    let lib_path = src.join("lib.rs");
+    let Ok(lib_source) = std::fs::read_to_string(&lib_path) else {
+        return;
+    };
+    for reexport in crate_root_reexports(&lib_source) {
+        let module_file = src.join(format!("{}.rs", reexport.module));
+        let module_dir = src.join(&reexport.module);
+        // Names re-exported from other crates are those crates' to account for.
+        if reexport.allowed || !(module_file.is_file() || module_dir.is_dir()) {
+            continue;
+        }
+        let used = sources.iter().any(|(path, code)| {
+            *path != lib_path
+                && *path != module_file
+                && !path.starts_with(&module_dir)
+                && mentions_identifier(code, &reexport.name)
+        });
+        if !used {
+            findings.push(Finding {
+                lint: "dead_pub",
+                file: rel_label(root, &lib_path),
+                line: reexport.line,
+                message: format!(
+                    "`{}` is re-exported from `{}` but no other file mentions it — stop \
+                     exporting it, or give it its own `pub use` under \
+                     `// audit:allow(dead_pub): <which public item exposes it>`",
+                    reexport.name, reexport.module
+                ),
+            });
+        }
+    }
+}
+
 /// Extracts the variant names of `pub enum <name>` from wire-protocol source.
 pub fn enum_variants(source: &str, name: &str) -> Vec<String> {
     let lines = lex(source);
@@ -601,6 +757,22 @@ pub fn scan_workspace(root: &Path) -> Vec<Finding> {
                 }
             }
         }
+    }
+
+    check_knob_budget(&env_reads, KNOB_BUDGET, &mut findings);
+
+    // Every file that can use a crate's exports: the crates themselves, the
+    // facade with its tests and examples, and the benchmark package.
+    let sources: Vec<(PathBuf, String)> = ["crates", "src", "tests", "examples", "benchmark/src"]
+        .iter()
+        .flat_map(|dir| rust_files(&root.join(dir)))
+        .filter_map(|path| {
+            let code = code_of(&std::fs::read_to_string(&path).ok()?);
+            Some((path, code))
+        })
+        .collect();
+    for crate_dir in &crate_dirs {
+        check_dead_pub(root, crate_dir, &sources, &mut findings);
     }
 
     if let Ok(readme) = std::fs::read_to_string(root.join("README.md")) {
@@ -822,6 +994,82 @@ mod tests {
         );
         assert!(reads.contains("VQC_REAL"));
         assert!(!reads.contains("VQC_JUST_A_STRING"));
+    }
+
+    #[test]
+    fn knob_budget_fails_in_both_directions() {
+        let reads: BTreeSet<String> = ["VQC_A", "VQC_B"].iter().map(|s| s.to_string()).collect();
+        let mut findings = Vec::new();
+        check_knob_budget(&reads, 2, &mut findings);
+        assert!(findings.is_empty());
+        // A knob added without raising the budget, and one deleted without
+        // ratcheting it down, both fail.
+        check_knob_budget(&reads, 1, &mut findings);
+        check_knob_budget(&reads, 3, &mut findings);
+        assert_eq!(findings.len(), 2);
+        assert!(findings.iter().all(|f| f.lint == "knob_budget"));
+        assert!(findings[0].message.contains("reads 2") && findings[0].message.contains("VQC_B"));
+    }
+
+    #[test]
+    fn crate_root_reexports_parse_lists_pragmas_and_foreign_paths() {
+        let lib = "mod a;\npub mod b;\n\npub use a::One;\npub use b::{\n    Two, three as Three,\n    FOUR,\n};\n\n// audit:allow(dead_pub): Five is the Deref target of One\npub use a::Five;\npub use a::Six;\npub use other_crate::sub::{self, Seven};\n";
+        let found: Vec<(String, String, usize, bool)> = crate_root_reexports(lib)
+            .into_iter()
+            .map(|r| (r.module, r.name, r.line, r.allowed))
+            .collect();
+        let expect = |module: &str, name: &str, line: usize, allowed: bool| {
+            (module.to_string(), name.to_string(), line, allowed)
+        };
+        assert_eq!(
+            found,
+            [
+                expect("a", "One", 4, false),
+                expect("b", "Two", 5, false),
+                expect("b", "Three", 5, false),
+                expect("b", "FOUR", 5, false),
+                expect("a", "Five", 11, true),
+                expect("a", "Six", 12, false),
+                expect("other_crate", "Seven", 13, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn identifier_mentions_respect_word_boundaries_comments_and_strings() {
+        let code = code_of(
+            "use k::Ticket;\n// mentions Orphan in a comment\nlet s = \"TraceRing\";\nfn f(x: MyPlanData, y: PlanDataExt) {}\n",
+        );
+        assert!(mentions_identifier(&code, "Ticket"));
+        assert!(!mentions_identifier(&code, "Orphan"));
+        assert!(!mentions_identifier(&code, "TraceRing"));
+        assert!(!mentions_identifier(&code, "PlanData"));
+    }
+
+    #[test]
+    fn dead_pub_reports_an_export_only_its_own_module_mentions() {
+        let root = std::env::temp_dir().join(format!("vqc_audit_dead_pub_{}", std::process::id()));
+        let src = root.join("crates/demo/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(
+            src.join("lib.rs"),
+            "mod inner;\npub use inner::{Used, Unused};\n\n// audit:allow(dead_pub): returned by Used::get\npub use inner::Returned;\npub use vqc_elsewhere::Foreign;\n",
+        )
+        .unwrap();
+        let inner = "pub struct Used;\npub struct Unused;\npub struct Returned;\n";
+        std::fs::write(src.join("inner.rs"), inner).unwrap();
+        let user = root.join("crates/demo/tests/user.rs");
+        let sources = vec![
+            (src.join("inner.rs"), code_of(inner)),
+            (user, code_of("use demo::Used; // not Unused\n")),
+        ];
+        let mut findings = Vec::new();
+        check_dead_pub(&root, &root.join("crates/demo"), &sources, &mut findings);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].lint, "dead_pub");
+        assert_eq!(findings[0].line, 2);
+        assert!(findings[0].message.contains("`Unused`"));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::time::Instant;
 use vqc_apps::molecules::Molecule;
 use vqc_apps::qaoa::QaoaBenchmark;
 use vqc_core::{CompilationReport, CompilerOptions, Strategy};
-use vqc_runtime::{CompilationRuntime, EvictionPolicy, RuntimeOptions};
+use vqc_runtime::{CompilationRuntime, RuntimeOptions};
 
 /// How much compute a harness run is allowed to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +103,8 @@ pub fn print_header(experiment: &str, effort: Effort) {
 ///   queue (default: block the submitting thread; `reject` fails fast; `shed`
 ///   drops the lowest-priority not-yet-started submission).
 /// * `VQC_CACHE_BLOCKS=<n>` — bound the block cache to `n` entries per shard
-///   (default: unbounded); the eviction policy decides what a full shard drops.
-/// * `VQC_EVICTION=cost|hit|fifo` — eviction policy for bounded shards (default:
-///   cost-aware, i.e. the cheapest-to-recompute entry leaves first; `hit` weights
-///   cost by observed reuse).
+///   (default: unbounded); a full shard drops the entry with the smallest
+///   `recompute cost × (1 + hits)`.
 /// * `VQC_SNAPSHOT=<path>` — warm-start from (and persist to) this cache snapshot;
 ///   re-running a harness binary then skips all GRAPE work its previous run already
 ///   paid for. Pair with [`persist_if_requested`] at the end of `main`.
@@ -117,11 +115,6 @@ pub fn runtime_with_options(options: CompilerOptions) -> CompilationRuntime {
     if let Ok(blocks) = std::env::var("VQC_CACHE_BLOCKS") {
         if let Ok(blocks) = blocks.parse::<usize>() {
             runtime_options.cache.max_blocks_per_shard = Some(blocks.max(1));
-        }
-    }
-    if let Ok(policy) = std::env::var("VQC_EVICTION") {
-        if let Some(policy) = EvictionPolicy::parse(&policy) {
-            runtime_options.cache.eviction = policy;
         }
     }
     if let Ok(path) = std::env::var("VQC_SNAPSHOT") {

@@ -166,8 +166,8 @@ pub struct BlockCompilation {
     pub cached: bool,
     /// Wall-clock seconds of pulse-level work (GRAPE / tuning) this compile call
     /// actually performed for the block. Cache hits and lookup-table blocks report
-    /// `0.0`. This is the observed cost that feeds back into LPT scheduling and
-    /// cost-aware eviction through [`PulseCache::record_observed_cost`].
+    /// `0.0`. It is reported, never fed back: scheduling and eviction cost a block
+    /// from its plan and its cache entry.
     pub measured_seconds: f64,
     /// Per-phase attribution of `measured_seconds` when the compile-phase
     /// profiler is armed (`VQC_PROFILE`); empty (all zeros) otherwise and for
@@ -396,78 +396,6 @@ impl PartialCompiler {
         }
     }
 
-    /// Estimated seconds of GRAPE work compiling this block of the plan will cost if
-    /// nothing is cached — the block's *processing time* for scheduling purposes.
-    ///
-    /// Once the block's cache key has been compiled for real anywhere in the
-    /// process (or a warm-started predecessor recorded it), the measured wall time
-    /// of that run replaces the model: observed costs are exact where the a-priori
-    /// formula only ranks. Unseen blocks fall back to the [`LatencyModel`]'s work
-    /// formula: the block width fixes the device (Hilbert dimension `dim³` and
-    /// control count), the gate-based duration of the bound subcircuit fixes both
-    /// the number of pulse slices and the binary-search window (probe count ≈
-    /// log₂(window / precision)), and each probe spends up to
-    /// `grape.max_iterations` iterations. The absolute scale is irrelevant to its
-    /// only consumer — ordering block tasks longest-processing-time-first so a
-    /// worker pool's makespan shrinks — but it is monotone in everything that makes
-    /// a block expensive. (Observed costs are host seconds while model estimates
-    /// are paper-scale seconds; the mixed regime only lasts until a workload's
-    /// recurring blocks have each run once.)
-    ///
-    /// Blocks that do no pulse-level work (gate-based strategy, single-gate lookup
-    /// blocks) cost zero.
-    pub fn estimate_block_cost_seconds(
-        &self,
-        plan: &CompilationPlan,
-        block: &Block,
-        params: &[f64],
-    ) -> f64 {
-        plan.dedup_key(block, params).map_or(0.0, |key| {
-            self.estimate_keyed_block_cost_seconds(plan, block, &key)
-        })
-    }
-
-    /// [`PartialCompiler::estimate_block_cost_seconds`] for a caller that already
-    /// holds the block's cache key from [`CompilationPlan::dedup_key`].
-    pub fn estimate_keyed_block_cost_seconds(
-        &self,
-        plan: &CompilationPlan,
-        block: &Block,
-        key: &BlockKey,
-    ) -> f64 {
-        if let Some(observed) = self.cache.observed_cost(key) {
-            return observed;
-        }
-        let window_ns = plan.record(block).gate_based_ns;
-        let model = self.model_block_cost_seconds(block.qubits.len(), window_ns);
-        // Once enough (estimate, observation) pairs have been recorded, the fitted
-        // model→host scale converts the paper-scale estimate into calibrated host
-        // seconds, putting never-seen blocks on the same axis as observed ones.
-        model * self.cache.cost_model_scale().unwrap_or(1.0)
-    }
-
-    /// The raw (uncalibrated) latency-model estimate of compiling a
-    /// `num_qubits`-wide block whose minimum-time binary search spans `window_ns`:
-    /// the window and precision fix the probe count, each probe spends up to
-    /// `grape.max_iterations` iterations, and the width fixes the per-iteration
-    /// work. This exact value is what gets paired with observed wall times for
-    /// [`PulseCache::record_cost_sample`], so the calibration's domain and the
-    /// estimator's fallback are always the same quantity.
-    fn model_block_cost_seconds(&self, num_qubits: usize, window_ns: f64) -> f64 {
-        let probes = (window_ns / self.options.search_precision_ns.max(1e-9))
-            .max(1.0)
-            .log2()
-            .ceil()
-            .max(0.0) as usize
-            + 1;
-        self.options.latency_model.block_work_seconds(
-            probes * self.options.grape.max_iterations,
-            window_ns,
-            self.options.grape.dt_ns,
-            num_qubits,
-        )
-    }
-
     /// Compiles a single block of a plan, returning its report together with the
     /// latency it incurred in each phase. Results of pulse-level work are cached in
     /// the shared [`PulseCache`], so re-compiling an identical block is a lookup.
@@ -602,14 +530,6 @@ impl PartialCompiler {
             let block_profile = profile::take_block().unwrap_or_default();
             let mut outcome = self.tuned_outcome(block, record, &tuning);
             outcome.precompute = self.latency_of(record, tuning.precompute_iterations, measured);
-            // Record before inserting, as in `grape_block`: the insert's eviction
-            // metadata then reflects the measured tuning cost. No calibration
-            // sample is recorded here: the measured time covers a whole
-            // hyperparameter grid of GRAPE probes plus a duration search, while
-            // `model_block_cost_seconds` models a single block compilation —
-            // pairing the two would inflate the fitted scale for every unseen
-            // block. The observed cost already ranks this key correctly.
-            self.cache.record_observed_cost(&key, measured);
             self.cache.insert_tuning(key, tuning);
             (outcome, measured, block_profile)
         } else {
@@ -634,9 +554,7 @@ impl PartialCompiler {
 
     /// Minimum-time GRAPE compilation of a bound block the cache does not hold,
     /// filed under `key`. Returns the cached entry, the wall-clock seconds of GRAPE
-    /// work, and its profile. The observed cost is recorded *before* inserting the
-    /// entry, so the cache's eviction metadata ranks the fresh entry by what it
-    /// actually cost to produce.
+    /// work, and its profile.
     ///
     /// The compiler probes the transposition table under the block's *structural*
     /// key: a neighbor with the same structure at a different θ seeds the duration
@@ -683,17 +601,6 @@ impl PartialCompiler {
             converged: result.converged,
             grape_iterations: result.total_iterations(),
         };
-        self.cache.record_observed_cost(&key, measured);
-        // A seeded search spends far fewer iterations than the a-priori model
-        // assumes, so pairing its wall time with the cold-search estimate would
-        // drag the fitted model→host scale down for every unseen block. Only
-        // cold searches calibrate; seeded ones still record their observed cost.
-        if seed.is_none() {
-            self.cache.record_cost_sample(
-                self.model_block_cost_seconds(bound.num_qubits(), upper_bound_ns),
-                measured,
-            );
-        }
         self.cache.insert_block(key, entry.clone());
         self.record_search_feedback(&structural_key, &self.options.grape, false, &result);
         Ok((entry, measured, block_profile))
@@ -989,11 +896,17 @@ mod tests {
             .compile(&circuit, &params, Strategy::StrictPartial)
             .unwrap();
         assert_eq!(first.pulse_duration_ns, second.pulse_duration_ns);
+        // Real work reports the wall time it cost; a hit reports none.
+        assert!(first
+            .blocks
+            .iter()
+            .filter(|b| b.used_grape)
+            .all(|b| !b.cached && b.measured_seconds > 0.0));
         assert!(second
             .blocks
             .iter()
             .filter(|b| b.used_grape)
-            .all(|b| b.cached));
+            .all(|b| b.cached && b.measured_seconds == 0.0));
         assert!(compiler.library().num_blocks() > 0);
     }
 
@@ -1032,7 +945,7 @@ mod tests {
         let costs: Vec<f64> = strict
             .blocks
             .iter()
-            .map(|b| compiler.estimate_block_cost_seconds(&strict, b, &params))
+            .map(|b| strict.block_cost_seconds(b))
             .collect();
         // Single-gate lookup blocks are free; multi-gate GRAPE blocks are not.
         for (block, cost) in strict.blocks.iter().zip(&costs) {
@@ -1057,114 +970,13 @@ mod tests {
         let wide_cost: f64 = wide_plan
             .blocks
             .iter()
-            .map(|b| compiler.estimate_block_cost_seconds(&wide_plan, b, &[]))
+            .map(|b| wide_plan.block_cost_seconds(b))
             .fold(0.0, f64::max);
         let narrow_cost = costs.iter().copied().fold(0.0, f64::max);
         assert!(
             wide_cost > narrow_cost,
             "4-qubit block ({wide_cost} s) must out-cost 2-qubit block ({narrow_cost} s)"
         );
-    }
-
-    #[test]
-    fn estimates_switch_to_observed_costs_after_a_block_runs() {
-        let compiler = compiler();
-        let circuit = example_circuit();
-        let params = [0.4, 1.2];
-        let plan = compiler
-            .plan(&circuit, &params, Strategy::StrictPartial)
-            .unwrap();
-        let grape_blocks: Vec<_> = plan.blocks.iter().filter(|b| b.len() > 1).collect();
-        assert!(!grape_blocks.is_empty());
-        let before: Vec<f64> = grape_blocks
-            .iter()
-            .map(|b| compiler.estimate_block_cost_seconds(&plan, b, &params))
-            .collect();
-
-        let report = compiler
-            .compile(&circuit, &params, Strategy::StrictPartial)
-            .unwrap();
-        // Every real (uncached) GRAPE block reports the wall time it cost...
-        for block in report.blocks.iter().filter(|b| b.used_grape && !b.cached) {
-            assert!(block.measured_seconds > 0.0);
-        }
-        // ...and that observation replaces the a-priori model in the estimator.
-        for (block, a_priori) in grape_blocks.iter().zip(&before) {
-            let key = plan
-                .dedup_key(block, &params)
-                .expect("GRAPE block has a key");
-            let observed = compiler
-                .library()
-                .observed_cost(&key)
-                .expect("compiled block records its cost");
-            let after = compiler.estimate_block_cost_seconds(&plan, block, &params);
-            assert_eq!(after, observed);
-            assert_ne!(after, *a_priori, "estimate must switch to the observation");
-        }
-        // Cache hits do not overwrite the recorded cost with a zero.
-        let report = compiler
-            .compile(&circuit, &params, Strategy::StrictPartial)
-            .unwrap();
-        for block in report.blocks.iter().filter(|b| b.used_grape) {
-            assert!(block.cached);
-            assert_eq!(block.measured_seconds, 0.0);
-        }
-        for block in &grape_blocks {
-            let key = plan.dedup_key(block, &params).unwrap();
-            assert!(compiler.library().observed_cost(&key).unwrap() > 0.0);
-        }
-    }
-
-    #[test]
-    fn unseen_block_estimates_are_scaled_by_the_fitted_calibration() {
-        let calibrated = compiler();
-        // Three distinct fixed sections → at least three real GRAPE compilations,
-        // each recording one (model estimate, observed seconds) calibration pair.
-        for i in 0..3 {
-            let mut circuit = Circuit::new(2);
-            circuit.h(0);
-            circuit.cx(0, 1);
-            circuit.rx(0, 0.3 + 0.4 * i as f64);
-            circuit.cx(0, 1);
-            calibrated
-                .compile(&circuit, &[], Strategy::StrictPartial)
-                .unwrap();
-        }
-        let scale = calibrated
-            .library()
-            .cost_model_scale()
-            .expect("three real compilations calibrate the model");
-        assert!(scale > 0.0 && scale.is_finite());
-
-        // A circuit no compiler has seen: the calibrated compiler's estimate for
-        // its GRAPE blocks must be exactly the uncalibrated estimate times the
-        // fitted scale (observed-cost feedback cannot apply — nothing ran).
-        let mut unseen = Circuit::new(3);
-        for q in 0..3 {
-            unseen.h(q);
-        }
-        unseen.cx(0, 1);
-        unseen.cx(1, 2);
-        unseen.rx(1, 1.9);
-        unseen.cx(0, 1);
-        let fresh = compiler();
-        let calibrated_plan = calibrated.plan(&unseen, &[], Strategy::FullGrape).unwrap();
-        let fresh_plan = fresh.plan(&unseen, &[], Strategy::FullGrape).unwrap();
-        assert_eq!(calibrated_plan.blocks.len(), fresh_plan.blocks.len());
-        let mut checked = 0;
-        for (block, fresh_block) in calibrated_plan.blocks.iter().zip(&fresh_plan.blocks) {
-            if block.len() <= 1 {
-                continue;
-            }
-            let raw = fresh.estimate_block_cost_seconds(&fresh_plan, fresh_block, &[]);
-            let scaled = calibrated.estimate_block_cost_seconds(&calibrated_plan, block, &[]);
-            assert!(
-                (scaled - raw * scale).abs() <= 1e-9 * raw.max(1.0),
-                "calibrated {scaled} vs raw {raw} × scale {scale}"
-            );
-            checked += 1;
-        }
-        assert!(checked > 0, "the unseen circuit must contain GRAPE blocks");
     }
 
     #[test]
@@ -1237,7 +1049,7 @@ mod tests {
             .unwrap();
         assert!(report.precompute.grape_iterations > 0);
 
-        shared.clear(); // drops blocks and tunings; seeds survive like observed costs
+        shared.clear(); // drops blocks and tunings; seeds survive
         let again = first
             .compile(&circuit, &[0.7, -0.2], Strategy::FlexiblePartial)
             .unwrap();

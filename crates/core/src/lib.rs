@@ -61,8 +61,11 @@ pub use compiler::{
     BlockCompilation, BlockOutcome, CompilationReport, CompilerOptions, PartialCompiler, Strategy,
 };
 pub use error::CompileError;
-pub use latency::{CostCalibration, LatencyEstimate, LatencyModel, MIN_CALIBRATION_SAMPLES};
+pub use latency::{LatencyEstimate, LatencyModel};
 pub use library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
-pub use plan::{CompilationPlan, PlanCacheStats, PlanData};
+pub use plan::{CompilationPlan, PlanCacheStats};
 pub use vqc_pulse::profile::{self, CompileProfile, Phase, PHASE_COUNT};
 pub use vqc_pulse::{PulseSequence, SeedEntry, TableConfig, TranspositionTable, WarmStartStats};
+
+// audit:allow(dead_pub): PlanData is CompilationPlan's Deref target; its fields are the plan's public surface
+pub use plan::PlanData;

@@ -8,7 +8,7 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use vqc_circuit::Circuit;
 use vqc_pulse::{SeedEntry, TableConfig, TranspositionTable, WarmStartStats};
 
@@ -136,35 +136,6 @@ pub trait PulseCache: Send + Sync + std::fmt::Debug {
     /// Clears both caches.
     fn clear(&self);
 
-    /// Records the measured wall-clock seconds one *real* compilation of `key` took
-    /// (cache hits are never recorded). Implementations keep this feedback separate
-    /// from the bounded entry storage so it survives eviction: once a block has run
-    /// anywhere, its observed cost replaces the a-priori latency-model estimate in
-    /// LPT scheduling and eviction ranking. The default implementation drops the
-    /// observation.
-    fn record_observed_cost(&self, _key: &BlockKey, _seconds: f64) {}
-
-    /// The most recently recorded compilation wall time for `key`, if the block has
-    /// ever been compiled for real. The default implementation knows nothing.
-    fn observed_cost(&self, _key: &BlockKey) -> Option<f64> {
-        None
-    }
-
-    /// Records one (raw model estimate, observed wall seconds) pair from a real
-    /// compilation, feeding the cache's [`crate::latency::CostCalibration`]. The
-    /// estimate must be the *unscaled* model value — recording an already-calibrated
-    /// estimate would make the fit feed back on itself. The default implementation
-    /// drops the sample.
-    fn record_cost_sample(&self, _estimated_seconds: f64, _observed_seconds: f64) {}
-
-    /// The fitted model→host cost scale factor, once enough samples support it;
-    /// estimates of never-compiled blocks multiplied by this land on the same
-    /// wall-clock axis as observed costs. The default implementation is
-    /// uncalibrated.
-    fn cost_model_scale(&self) -> Option<f64> {
-        None
-    }
-
     /// Probes the warm-start transposition table for what past compilations of
     /// this *structure* (a [`BlockKey::structural`] key) learned: tuned
     /// hyperparameters, a converged duration window, and best-so-far amplitudes.
@@ -189,47 +160,11 @@ pub trait PulseCache: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Cap on retained observed-cost entries. Every new θ binding of a bound block is
-/// a distinct key, so under parameter churn the feedback table would otherwise
-/// grow without bound even in a process that clears its caches; losing an old
-/// observation merely falls back to the latency model.
-const OBSERVED_CAPACITY: usize = 65_536;
-
-/// FIFO-bounded key → measured-seconds table (overwrites keep the original queue
-/// position; the bound caps memory, it does not implement recency).
-#[derive(Debug, Default)]
-struct ObservedCosts {
-    costs: HashMap<BlockKey, f64>,
-    order: VecDeque<BlockKey>,
-}
-
-impl ObservedCosts {
-    fn record(&mut self, key: &BlockKey, seconds: f64) {
-        if self.costs.insert(key.clone(), seconds).is_none() {
-            self.order.push_back(key.clone());
-            while self.order.len() > OBSERVED_CAPACITY {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.costs.remove(&evicted);
-                }
-            }
-        }
-    }
-
-    fn get(&self, key: &BlockKey) -> Option<f64> {
-        self.costs.get(key).copied()
-    }
-}
-
 /// Thread-safe cache of block compilations and flexible-compilation tunings.
 #[derive(Debug, Default)]
 pub struct PulseLibrary {
     blocks: Mutex<HashMap<BlockKey, CachedBlock>>,
     tunings: Mutex<HashMap<BlockKey, CachedTuning>>,
-    /// Measured wall-clock compile seconds per key (kept even if entries go away,
-    /// up to the [`OBSERVED_CAPACITY`] feedback bound).
-    observed: Mutex<ObservedCosts>,
-    /// Model→host scale fit from every real compilation's (estimate, observation).
-    calibration: Mutex<crate::latency::CostCalibration>,
     /// Warm-start transposition table keyed by [`BlockKey::structural`]
     /// (environment-configured: `VQC_TT` / `VQC_TT_CAPACITY` / `VQC_CACHE_BYTES`).
     seeds: TranspositionTable<BlockKey>,
@@ -262,24 +197,6 @@ impl PulseCache for PulseLibrary {
 
     fn clear(&self) {
         PulseLibrary::clear(self)
-    }
-
-    fn record_observed_cost(&self, key: &BlockKey, seconds: f64) {
-        PulseLibrary::record_observed_cost(self, key, seconds)
-    }
-
-    fn observed_cost(&self, key: &BlockKey) -> Option<f64> {
-        PulseLibrary::observed_cost(self, key)
-    }
-
-    fn record_cost_sample(&self, estimated_seconds: f64, observed_seconds: f64) {
-        self.calibration
-            .lock()
-            .record(estimated_seconds, observed_seconds);
-    }
-
-    fn cost_model_scale(&self) -> Option<f64> {
-        self.calibration.lock().scale()
     }
 
     fn seed(&self, key: &BlockKey) -> Option<SeedEntry> {
@@ -345,21 +262,10 @@ impl PulseLibrary {
         self.tunings.lock().len()
     }
 
-    /// Clears both caches. Observed compile times are kept: they describe the cost
-    /// of the *work*, which clearing stored results does not change.
+    /// Clears both caches (the warm-start seeds are kept).
     pub fn clear(&self) {
         self.blocks.lock().clear();
         self.tunings.lock().clear();
-    }
-
-    /// Records the measured wall-clock seconds one real compilation of `key` took.
-    pub fn record_observed_cost(&self, key: &BlockKey, seconds: f64) {
-        self.observed.lock().record(key, seconds);
-    }
-
-    /// The most recently recorded compilation wall time for `key`, if any.
-    pub fn observed_cost(&self, key: &BlockKey) -> Option<f64> {
-        self.observed.lock().get(key)
     }
 }
 
@@ -436,23 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_costs_round_trip_and_survive_entry_clearing() {
-        let library = PulseLibrary::new();
-        let mut c = Circuit::new(2);
-        c.cx(0, 1);
-        let key = BlockKey::from_bound_circuit(&c);
-        assert_eq!(PulseCache::observed_cost(&library, &key), None);
-        library.record_observed_cost(&key, 0.125);
-        assert_eq!(library.observed_cost(&key), Some(0.125));
-        // A later run overwrites (the latest measurement wins)...
-        library.record_observed_cost(&key, 0.25);
-        assert_eq!(library.observed_cost(&key), Some(0.25));
-        // ...and clearing cached *results* does not erase what the work cost.
-        library.clear();
-        assert_eq!(library.observed_cost(&key), Some(0.25));
-    }
-
-    #[test]
     fn seeds_round_trip_through_the_trait_under_structural_keys() {
         // Armed explicitly so the round trip holds even under `VQC_TT=0`.
         let library = PulseLibrary::with_seed_table(TableConfig::default());
@@ -488,26 +377,5 @@ mod tests {
         let stats = PulseCache::warm_start_stats(&library);
         assert_eq!(stats.table_hits, 1);
         assert_eq!(stats.seeded_iterations, 40);
-    }
-
-    #[test]
-    fn observed_cost_table_is_bounded() {
-        let library = PulseLibrary::new();
-        let key_for = |tag: usize| {
-            let mut c = Circuit::new(1);
-            c.rz(0, tag as f64 * 1e-6);
-            BlockKey::from_bound_circuit(&c)
-        };
-        let total = OBSERVED_CAPACITY + 4;
-        for tag in 0..total {
-            library.record_observed_cost(&key_for(tag), tag as f64);
-        }
-        // The earliest observations age out; the newest survive.
-        for tag in 0..4 {
-            assert_eq!(library.observed_cost(&key_for(tag)), None);
-        }
-        for tag in (total - 4)..total {
-            assert_eq!(library.observed_cost(&key_for(tag)), Some(tag as f64));
-        }
     }
 }

@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::ops::Deref;
 use std::sync::Arc;
-use vqc_circuit::timing::{critical_path_ns, GateTimes};
+use vqc_circuit::timing::critical_path_ns;
 use vqc_circuit::{passes, Circuit, Gate, ParamExpr};
 use vqc_pulse::DeviceModel;
 
@@ -62,8 +62,7 @@ pub struct PlanData {
     pub(crate) records: Vec<BlockRecord>,
     /// The options the records were derived under, kept so a record for a block
     /// that is not one of `blocks` is built the same way.
-    gate_times: GateTimes,
-    dt_ns: f64,
+    options: CompilerOptions,
 }
 
 /// Where a block's pulse-level result is cached, decided once per plan.
@@ -82,7 +81,7 @@ pub(crate) enum CacheSlot {
 }
 
 /// The θ-independent facts about one block, extracted once when the plan is made
-/// and read by `dedup_key`, the cost estimator and block compilation alike.
+/// and read by `dedup_key`, the scheduler and block compilation alike.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockRecord {
     /// The block as a standalone unbound circuit on its own qubits.
@@ -96,6 +95,12 @@ pub(crate) struct BlockRecord {
     pub(crate) dim: usize,
     pub(crate) controls: usize,
     pub(crate) slot: CacheSlot,
+    /// Model seconds a cold compile of the block costs: every probe of the
+    /// duration search (`⌈log₂(gate_based_ns / search_precision_ns)⌉ + 1` of them)
+    /// spending `grape.max_iterations` iterations at the gate-based slice count.
+    /// Zero for lookup blocks. It orders a submission's tasks and is what the
+    /// submission is charged in its client's fair share; only ratios matter.
+    pub(crate) cost: f64,
 }
 
 impl BlockRecord {
@@ -103,11 +108,10 @@ impl BlockRecord {
         prepared: &Circuit,
         block: &Block,
         strategy: Strategy,
-        gate_times: &GateTimes,
-        dt_ns: f64,
+        options: &CompilerOptions,
     ) -> Self {
         let subcircuit = block.to_circuit(prepared);
-        let gate_based_ns = critical_path_ns(&subcircuit, gate_times);
+        let gate_based_ns = critical_path_ns(&subcircuit, &options.gate_times);
         let slot = if strategy == Strategy::GateBased || block.len() <= 1 {
             CacheSlot::Lookup
         } else if block.is_fixed() {
@@ -125,11 +129,24 @@ impl BlockRecord {
                 (device.dim(), device.num_controls())
             }
         };
+        let slices = (gate_based_ns / options.grape.dt_ns).ceil().max(1.0) as usize;
+        let probes = (gate_based_ns / options.search_precision_ns.max(1e-9))
+            .max(1.0)
+            .log2()
+            .ceil() as usize
+            + 1;
         BlockRecord {
             gate_based_ns,
-            slices: (gate_based_ns / dt_ns).ceil().max(1.0) as usize,
+            slices,
             dim,
             controls,
+            // A lookup block's zero dimension makes this zero.
+            cost: options.latency_model.estimate_seconds(
+                probes * options.grape.max_iterations,
+                slices,
+                dim,
+                controls,
+            ),
             slot,
             subcircuit,
         }
@@ -162,10 +179,9 @@ impl CompilationPlan {
                 options.max_block_ops,
             ),
         };
-        let dt_ns = options.grape.dt_ns;
         let records = blocks
             .iter()
-            .map(|block| BlockRecord::new(&prepared, block, strategy, &options.gate_times, dt_ns))
+            .map(|block| BlockRecord::new(&prepared, block, strategy, options))
             .collect();
         CompilationPlan(Arc::new(PlanData {
             required_parameters: circuit
@@ -179,8 +195,7 @@ impl CompilationPlan {
             blocks,
             strategy,
             records,
-            gate_times: options.gate_times,
-            dt_ns,
+            options: options.clone(),
         }))
     }
 
@@ -190,6 +205,15 @@ impl CompilationPlan {
     /// concurrent runtime deduplicates in-flight compilations on this key.
     pub fn dedup_key(&self, block: &Block, params: &[f64]) -> Option<BlockKey> {
         self.record(block).key(params)
+    }
+
+    /// Model seconds of GRAPE work a cold compile of the block costs — its
+    /// processing time for longest-first scheduling and fair-share charging. It is
+    /// fixed when the plan is made: zero for a block that needs no pulse work,
+    /// otherwise growing with the block's width (`dim³ × controls`), its gate-based
+    /// duration (slices and search probes) and the iteration cap.
+    pub fn block_cost_seconds(&self, block: &Block) -> f64 {
+        self.record(block).cost
     }
 
     /// The record of one block. Blocks of this plan find theirs by position
@@ -211,8 +235,7 @@ impl CompilationPlan {
                 &self.prepared,
                 block,
                 self.strategy,
-                &self.gate_times,
-                self.dt_ns,
+                &self.options,
             )),
         }
     }

@@ -54,12 +54,15 @@ pub mod small;
 mod vector;
 
 pub use complex::C64;
-pub use eigh::{eigh, eigh_into, EighResult, EighWorkspace};
+pub use eigh::{eigh, eigh_into, EighWorkspace};
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use real::{RealMatrix, RealSmallMatrix};
 pub use small::{SmallEighWorkspace, SmallMatrix};
 pub use vector::Vector;
+
+// audit:allow(dead_pub): EighResult is what `eigh` returns
+pub use eigh::EighResult;
 
 /// Convenience constructor for a complex number, mirroring `num_complex::Complex::new`.
 ///

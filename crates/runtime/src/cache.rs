@@ -13,30 +13,17 @@
 //!
 //! # Eviction
 //!
-//! Bounded shards evict by *recompute cost*: every entry carries the GRAPE seconds
-//! it would take to reproduce — the wall time its compilation was *observed* to
-//! cost when the compiler recorded one (via
-//! [`vqc_core::PulseCache::record_observed_cost`], which it does for every real
-//! compilation), or an estimate derived from its recorded iterations via
-//! [`vqc_core::LatencyModel`] otherwise — and a full shard drops the
-//! cheapest-to-recompute entry first, breaking ties by insertion order. That is the
-//! economics of the paper's pulse library made explicit — a cached 4-qubit block
-//! stands for minutes of GRAPE, a 2-qubit block for a fraction of a second, and a
-//! bounded cache should spend its capacity on the former. [`EvictionPolicy::Fifo`]
-//! retains the plain oldest-first bound for comparison.
-//!
-//! Observed costs are *host* seconds while model estimates are paper-scale
-//! seconds; within one process every real compilation records an observation
-//! before its insert, and [`ShardedPulseCache::absorb`] seeds the feedback table
-//! from the snapshot's persisted costs. For entries that never ran anywhere
-//! (hand-inserted or pre-feedback snapshots), the model estimate is multiplied by
-//! the [`vqc_core::CostCalibration`] scale — a least-squares fit over every real
-//! compilation's (estimate, observation) pair — so even never-observed entries
-//! rank on (approximately) the host-seconds axis once a few blocks have run.
-//!
-//! [`EvictionPolicy::HitWeighted`] additionally multiplies each entry's recompute
-//! cost by `1 + hits`: what a bounded cache really protects is cost × expected
-//! reuse, and observed hit frequency is the best available estimate of reuse.
+//! Every entry carries one cost: the model seconds of GRAPE work it would take to
+//! reproduce, derived by [`vqc_core::LatencyModel`] from the iterations the entry
+//! itself records — the economics of the paper's pulse library made explicit (a
+//! cached 4-qubit block stands for minutes of GRAPE, a 2-qubit block for a
+//! fraction of a second). What a bounded shard protects is that cost times the
+//! reuse it expects, and observed hits are the best available estimate of reuse,
+//! so a full shard drops the entry with the smallest `cost × (1 + hits)` first,
+//! the oldest write first on ties. A cheap Fixed block hit on every variational
+//! iteration therefore outlasts costlier blocks nobody asks for twice. Hit counts
+//! are per-process (snapshots do not carry them): a warm-started cache ranks by
+//! cost alone and sharpens as traffic arrives.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -49,50 +36,17 @@ use vqc_core::{
     TranspositionTable, WarmStartStats,
 };
 
-/// Which entry a full shard evicts on insert.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvictionPolicy {
-    /// Evict the entry with the smallest estimated recompute cost first; entries of
-    /// equal cost leave in insertion order.
-    #[default]
-    CostAware,
-    /// Evict the entry with the smallest `recompute cost × (1 + observed hits)`
-    /// first. Weighting cost by reuse approximates Belady on skewed workloads: a
-    /// cheap block hit on every iteration protects more total recompute seconds
-    /// than an expensive block nobody asks for twice. Hit counters are per-process
-    /// (they are not persisted in snapshots), so a warm-started cache initially
-    /// ranks by cost alone and sharpens as traffic arrives.
-    HitWeighted,
-    /// Evict the entry least recently inserted (or overwritten) first.
-    Fifo,
-}
-
-impl EvictionPolicy {
-    /// Parses the `VQC_EVICTION` spelling of a policy (`"fifo"`, `"cost"` /
-    /// `"cost-aware"`, or `"hit"` / `"hit-weighted"`, case-insensitive); anything
-    /// else is `None`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "fifo" => Some(EvictionPolicy::Fifo),
-            "cost" | "cost-aware" | "cost_aware" => Some(EvictionPolicy::CostAware),
-            "hit" | "hits" | "hit-weighted" | "hit_weighted" => Some(EvictionPolicy::HitWeighted),
-            _ => None,
-        }
-    }
-}
-
 /// Configuration of a [`ShardedPulseCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Number of independent shards (rounded up to a power of two, minimum 1).
     pub shards: usize,
-    /// Maximum number of block entries per shard; a full shard evicts per the
-    /// [`EvictionPolicy`] on insert. `None` disables eviction (the seed behavior).
+    /// Maximum number of block entries per shard; an insert into a full shard
+    /// evicts (see the module docs for the rank). `None` disables eviction (the
+    /// seed behavior).
     pub max_blocks_per_shard: Option<usize>,
     /// Maximum number of tuning entries per shard, as for `max_blocks_per_shard`.
     pub max_tunings_per_shard: Option<usize>,
-    /// Which entry a full shard evicts.
-    pub eviction: EvictionPolicy,
     /// Configuration of the transposition-table warm-start index (capacity,
     /// shard count, and the `VQC_CACHE_BYTES` byte budget).
     pub seeds: TableConfig,
@@ -104,7 +58,6 @@ impl Default for CacheConfig {
             shards: 16,
             max_blocks_per_shard: None,
             max_tunings_per_shard: None,
-            eviction: EvictionPolicy::default(),
             // Like `TranspositionTable::default()`, the default honors the
             // `VQC_TT` / `VQC_TT_CAPACITY` / `VQC_CACHE_BYTES` knobs.
             seeds: TableConfig::from_env(),
@@ -160,15 +113,13 @@ impl Counters {
 #[derive(Debug)]
 struct Slot<V> {
     value: V,
-    /// Estimated seconds of GRAPE work to reproduce the value if evicted.
+    /// Model seconds of GRAPE work to reproduce the value if evicted.
     cost: f64,
     /// Monotone write stamp. Overwriting a key refreshes its stamp, so an entry's
-    /// age reflects its latest write — the seed's FIFO queue kept the *original*
-    /// position, wrongly evicting a just-refreshed entry as "oldest".
+    /// age reflects its latest write.
     seq: u64,
     /// Lookups this key has answered since it first entered the shard (overwrites
-    /// keep the count — recompiling a block does not erase its popularity). Under
-    /// [`EvictionPolicy::HitWeighted`] this multiplies into the eviction rank.
+    /// keep the count — recompiling a block does not erase its popularity).
     hits: u64,
 }
 
@@ -183,58 +134,47 @@ fn cost_order_bits(cost: f64) -> u64 {
     }
 }
 
+/// Where an entry sorts in the eviction order: by the recompute seconds its
+/// presence has saved and stands to save, then by age.
+fn eviction_rank(cost: f64, hits: u64, seq: u64) -> (u64, u64) {
+    (cost_order_bits(cost * (1 + hits) as f64), seq)
+}
+
 /// One capacity-bounded key→value map with per-entry recompute costs.
 #[derive(Debug)]
 struct BoundedMap<V> {
     entries: HashMap<BlockKey, Slot<V>>,
     /// Eviction order index: the map's first entry is the next victim. Keys are
-    /// `(policy order bits, seq)` — unique because `seq` is — so picking a victim
-    /// and maintaining the index on insert/overwrite are both O(log n), where the
-    /// seed's plain scan would make every insert into a full shard O(n) under the
-    /// shard mutex.
+    /// [`eviction_rank`]s — unique because `seq` is — so picking a victim and
+    /// maintaining the index on insert/overwrite/hit are all O(log n), where a
+    /// plain scan would make every insert into a full shard O(n) under the shard
+    /// mutex.
     victims: BTreeMap<(u64, u64), BlockKey>,
     capacity: Option<usize>,
-    policy: EvictionPolicy,
     next_seq: u64,
 }
 
 impl<V> BoundedMap<V> {
-    fn new(capacity: Option<usize>, policy: EvictionPolicy) -> Self {
+    fn new(capacity: Option<usize>) -> Self {
         BoundedMap {
             entries: HashMap::new(),
             victims: BTreeMap::new(),
             capacity,
-            policy,
             next_seq: 0,
         }
     }
 
-    /// Where an entry sorts in the eviction order under a policy. An associated
-    /// function (not a method) so [`BoundedMap::get`] can reposition an entry while
-    /// it holds a mutable borrow into `entries`.
-    fn order_of(policy: EvictionPolicy, cost: f64, hits: u64, seq: u64) -> (u64, u64) {
-        match policy {
-            EvictionPolicy::Fifo => (0, seq),
-            EvictionPolicy::CostAware => (cost_order_bits(cost), seq),
-            EvictionPolicy::HitWeighted => (cost_order_bits(cost * (1 + hits) as f64), seq),
-        }
-    }
-
-    /// Looks up a key, counting the hit. Under [`EvictionPolicy::HitWeighted`] the
-    /// hit also promotes the entry in the eviction order (its protected value just
-    /// grew by one recompute), which is an O(log n) reindex.
+    /// Looks up a key, counting the hit. In a bounded map the hit also promotes
+    /// the entry in the eviction order (its protected value just grew by one
+    /// recompute), which is an O(log n) reindex.
     fn get(&mut self, key: &BlockKey) -> Option<&V> {
-        let policy = self.policy;
-        let bounded = self.capacity.is_some();
         let slot = self.entries.get_mut(key)?;
         slot.hits += 1;
-        if bounded && policy == EvictionPolicy::HitWeighted {
+        // Only bounded maps keep the index (see `insert`).
+        let stale = eviction_rank(slot.cost, slot.hits - 1, slot.seq);
+        if let Some(indexed) = self.victims.remove(&stale) {
             self.victims
-                .remove(&Self::order_of(policy, slot.cost, slot.hits - 1, slot.seq));
-            self.victims.insert(
-                Self::order_of(policy, slot.cost, slot.hits, slot.seq),
-                key.clone(),
-            );
+                .insert(eviction_rank(slot.cost, slot.hits, slot.seq), indexed);
         }
         Some(&slot.value)
     }
@@ -259,14 +199,14 @@ impl<V> BoundedMap<V> {
     }
 
     /// Inserts, returning the number of entries evicted to make room. The entry
-    /// inserted by this very call is never its own victim, even when it is the
-    /// cheapest in the shard — evicting what the caller is about to rely on would
+    /// inserted by this very call is never its own victim, even when it ranks
+    /// lowest in the shard — evicting what the caller is about to rely on would
     /// guarantee an immediate recompute.
     fn insert(&mut self, key: BlockKey, value: V, cost: f64) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         // An overwrite keeps the key's accumulated hit count: recompiling a block
-        // does not erase the demand history that hit-weighted eviction ranks by.
+        // does not erase the demand history the eviction rank weighs.
         let hits = self.entries.get(&key).map(|slot| slot.hits).unwrap_or(0);
         let slot = Slot {
             value,
@@ -282,10 +222,10 @@ impl<V> BoundedMap<V> {
         };
         if let Some(old) = self.entries.insert(key.clone(), slot) {
             self.victims
-                .remove(&Self::order_of(self.policy, old.cost, old.hits, old.seq));
+                .remove(&eviction_rank(old.cost, old.hits, old.seq));
         }
         self.victims
-            .insert(Self::order_of(self.policy, cost, hits, seq), key.clone());
+            .insert(eviction_rank(cost, hits, seq), key.clone());
         let mut evicted = 0;
         while self.entries.len() > capacity.max(1) {
             // The just-inserted key is at most one of the first two index
@@ -308,71 +248,35 @@ impl<V> BoundedMap<V> {
     }
 }
 
-/// Cap on per-shard observed-cost entries. Observed costs deliberately outlive the
-/// bounded entry maps, but they must not leak without bound under parameter churn
-/// (every new θ binding of a bound block is a distinct key), so the feedback table
-/// is itself FIFO-bounded. Losing an old observation merely falls back to the
-/// latency model — graceful, not wrong.
-const OBSERVED_CAPACITY_PER_SHARD: usize = 4096;
-
-/// FIFO-bounded key → measured-seconds map for observed compile costs.
-///
-/// Overwriting an existing key keeps its original queue position: the bound exists
-/// to cap memory, not to implement recency semantics.
-#[derive(Debug, Default)]
-struct ObservedCosts {
-    costs: HashMap<BlockKey, f64>,
-    order: std::collections::VecDeque<BlockKey>,
-}
-
-impl ObservedCosts {
-    fn record(&mut self, key: &BlockKey, seconds: f64) {
-        if self.costs.insert(key.clone(), seconds).is_none() {
-            self.order.push_back(key.clone());
-            while self.order.len() > OBSERVED_CAPACITY_PER_SHARD {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.costs.remove(&evicted);
-                }
-            }
-        }
-    }
-
-    fn get(&self, key: &BlockKey) -> Option<f64> {
-        self.costs.get(key).copied()
-    }
-}
-
 #[derive(Debug)]
 struct Shard {
     blocks: Mutex<BoundedMap<CachedBlock>>,
     tunings: Mutex<BoundedMap<CachedTuning>>,
-    /// Measured wall-clock compile seconds per key. Deliberately *outside* the
-    /// bounded entry maps: evicting a result does not un-learn what it cost to
-    /// produce, so re-compilations and LPT scheduling keep the observation (up to
-    /// the [`OBSERVED_CAPACITY_PER_SHARD`] feedback bound).
-    observed: Mutex<ObservedCosts>,
     counters: Counters,
 }
 
 /// Serializable image of a cache's contents, for warm-start persistence. Each entry
-/// carries its recompute-cost estimate (seconds), so a restored cache ranks restored
-/// and freshly compiled entries on the same eviction scale.
+/// carries its recompute cost (model seconds) for [`CacheSnapshot::compact`] to
+/// filter on; [`ShardedPulseCache::absorb`] ignores the stored figure and derives
+/// the cost from the entry again, so files from builds that stored other units
+/// rank on the same scale as fresh entries.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// All cached block compilations, with per-entry recompute costs.
     pub blocks: Vec<(BlockKey, CachedBlock, f64)>,
     /// All cached flexible-compilation tunings, with per-entry recompute costs.
     pub tunings: Vec<(BlockKey, CachedTuning, f64)>,
-    /// The transposition-table warm-start entries (snapshot format v3; v2
-    /// snapshots load with this empty).
+    /// The transposition-table warm-start entries.
     pub seeds: Vec<(BlockKey, SeedEntry)>,
 }
 
 /// What snapshot compaction drops at save time. The default drops nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompactionPolicy {
-    /// Drop entries whose recompute cost (seconds) is below this floor — entries so
-    /// cheap that re-deriving them costs less than carrying them across restarts.
+    /// Drop entries whose recompute cost is below this floor, in
+    /// [`vqc_core::LatencyModel`] seconds (paper-scale, not host wall time) —
+    /// entries so cheap that re-deriving them costs less than carrying them across
+    /// restarts.
     pub cost_floor_seconds: Option<f64>,
     /// Keep at most this many block entries and this many tuning entries; the
     /// costliest-to-recompute survive.
@@ -421,11 +325,6 @@ pub struct ShardedPulseCache {
     /// Sharded and bounded on its own (entry capacity plus the optional
     /// `VQC_CACHE_BYTES` byte budget), independent of the block/tuning shards.
     seeds: TranspositionTable<BlockKey>,
-    /// Model→host scale fit from every real compilation's (estimate, observation)
-    /// pair. One global accumulator (not per-shard): it is written once per *real*
-    /// GRAPE compilation — milliseconds apart at best — so contention is nil, and a
-    /// single fit sees every sample instead of sixteen starved ones.
-    calibration: Mutex<vqc_core::CostCalibration>,
 }
 
 impl Default for ShardedPulseCache {
@@ -441,22 +340,14 @@ impl ShardedPulseCache {
         ShardedPulseCache {
             shards: (0..shards)
                 .map(|_| Shard {
-                    blocks: Mutex::new(BoundedMap::new(
-                        config.max_blocks_per_shard,
-                        config.eviction,
-                    )),
-                    tunings: Mutex::new(BoundedMap::new(
-                        config.max_tunings_per_shard,
-                        config.eviction,
-                    )),
-                    observed: Mutex::new(ObservedCosts::default()),
+                    blocks: Mutex::new(BoundedMap::new(config.max_blocks_per_shard)),
+                    tunings: Mutex::new(BoundedMap::new(config.max_tunings_per_shard)),
                     counters: Counters::default(),
                 })
                 .collect(),
             mask: shards - 1,
             latency: LatencyModel::default(),
             seeds: TranspositionTable::new(config.seeds),
-            calibration: Mutex::new(vqc_core::CostCalibration::new()),
         }
     }
 
@@ -472,8 +363,7 @@ impl ShardedPulseCache {
     }
 
     /// Lookups the given block key has answered since entering its shard, if it is
-    /// currently resident. Hit counters survive overwrites but not eviction (unlike
-    /// observed costs, which describe the work rather than the entry).
+    /// currently resident. Hit counters survive overwrites but not eviction.
     pub fn block_hit_count(&self, key: &BlockKey) -> Option<u64> {
         self.shard(key).blocks.lock().hits(key)
     }
@@ -503,8 +393,7 @@ impl ShardedPulseCache {
     }
 
     /// Sum of the recompute-cost estimates of all retained block entries, in
-    /// seconds — the estimated GRAPE work the cache is currently protecting. This is
-    /// the quantity cost-aware eviction maximizes at a given capacity.
+    /// seconds — the estimated GRAPE work the cache is currently protecting.
     pub fn retained_block_cost_seconds(&self) -> f64 {
         self.shards
             .iter()
@@ -539,39 +428,50 @@ impl ShardedPulseCache {
     /// fabricating compile-time activity: `restored` counts the entries read from
     /// the snapshot (never `insertions`), so metrics read zero compilation after a
     /// warm start. Capacity bounds still apply — a snapshot larger than the cache
-    /// keeps only what fits under the eviction policy, and entries displaced that
-    /// way are real displacements and do count in `evictions` (so
-    /// `restored - evictions` reconciles with the entry count after a bounded warm
-    /// start).
+    /// keeps only what ranks highest, and entries displaced that way are real
+    /// displacements and do count in `evictions` (so `restored - evictions`
+    /// reconciles with the entry count after a bounded warm start).
     pub fn absorb(&self, snapshot: CacheSnapshot) {
-        // Each entry's persisted cost doubles as its observed compile cost: a
-        // warm-started process then schedules (LPT) and evicts by what its
-        // predecessor measured, instead of silently reverting to the a-priori
-        // model for every restored key.
-        for (key, value, cost) in snapshot.blocks {
-            let shard = self.shard(&key);
-            shard.observed.lock().record(&key, cost);
-            let evicted = shard.blocks.lock().insert(key, value, cost);
-            shard.counters.restored.fetch_add(1, Ordering::Relaxed);
-            shard
-                .counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+        for (key, value, _) in snapshot.blocks {
+            self.store_block(key, value)
+                .restored
+                .fetch_add(1, Ordering::Relaxed);
         }
-        for (key, value, cost) in snapshot.tunings {
-            let shard = self.shard(&key);
-            shard.observed.lock().record(&key, cost);
-            let evicted = shard.tunings.lock().insert(key, value, cost);
-            shard.counters.restored.fetch_add(1, Ordering::Relaxed);
-            shard
-                .counters
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
+        for (key, value, _) in snapshot.tunings {
+            self.store_tuning(key, value)
+                .restored
+                .fetch_add(1, Ordering::Relaxed);
         }
         // Seeds replay through the table's own record path, so depth-preferred
         // replacement and the capacity/byte bounds apply to restored entries
         // exactly as they do to live ones.
         self.seeds.absorb(snapshot.seeds);
+    }
+
+    /// Files a block entry at the cost its own record implies and counts what
+    /// that displaced; the caller counts the write itself on the returned
+    /// counters (an insertion or a restore).
+    fn store_block(&self, key: BlockKey, value: CachedBlock) -> &Counters {
+        let shard = self.shard(&key);
+        let cost = self.latency.block_recompute_seconds(&key, &value);
+        let evicted = shard.blocks.lock().insert(key, value, cost);
+        shard
+            .counters
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
+        &shard.counters
+    }
+
+    /// [`ShardedPulseCache::store_block`] for a tuning entry.
+    fn store_tuning(&self, key: BlockKey, value: CachedTuning) -> &Counters {
+        let shard = self.shard(&key);
+        let cost = self.latency.tuning_recompute_seconds(&key, &value);
+        let evicted = shard.tunings.lock().insert(key, value, cost);
+        shard
+            .counters
+            .evictions
+            .fetch_add(evicted, Ordering::Relaxed);
+        &shard.counters
     }
 }
 
@@ -584,27 +484,9 @@ impl PulseCache for ShardedPulseCache {
     }
 
     fn insert_block(&self, key: BlockKey, value: CachedBlock) {
-        let shard = self.shard(&key);
-        // Once the key has a measured compile time, that observation *is* the
-        // recompute cost the cache protects; the latency model only covers
-        // never-observed entries (e.g. hand-inserted or migrated ones), scaled by
-        // the fitted model→host factor once enough compilations calibrated it so
-        // modeled and observed costs rank on one axis.
-        let cost = shard
-            .observed
-            .lock()
-            .get(&key)
-            .filter(|seconds| *seconds > 0.0)
-            .unwrap_or_else(|| {
-                self.latency.block_recompute_seconds(&key, &value)
-                    * self.calibration.lock().scale().unwrap_or(1.0)
-            });
-        let evicted = shard.blocks.lock().insert(key, value, cost);
-        shard.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        shard
-            .counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        self.store_block(key, value)
+            .insertions
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn tuning(&self, key: &BlockKey) -> Option<CachedTuning> {
@@ -615,22 +497,9 @@ impl PulseCache for ShardedPulseCache {
     }
 
     fn insert_tuning(&self, key: BlockKey, value: CachedTuning) {
-        let shard = self.shard(&key);
-        let cost = shard
-            .observed
-            .lock()
-            .get(&key)
-            .filter(|seconds| *seconds > 0.0)
-            .unwrap_or_else(|| {
-                self.latency.tuning_recompute_seconds(&key, &value)
-                    * self.calibration.lock().scale().unwrap_or(1.0)
-            });
-        let evicted = shard.tunings.lock().insert(key, value, cost);
-        shard.counters.insertions.fetch_add(1, Ordering::Relaxed);
-        shard
-            .counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
+        self.store_tuning(key, value)
+            .insertions
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn num_blocks(&self) -> usize {
@@ -642,31 +511,12 @@ impl PulseCache for ShardedPulseCache {
     }
 
     fn clear(&self) {
-        // Observed compile times and warm-start seeds survive on purpose:
-        // clearing stored results changes neither what the work costs to redo
-        // nor what was learned about how to redo it faster.
+        // Warm-start seeds survive on purpose: clearing stored results does not
+        // change what was learned about how to redo the work faster.
         for shard in &self.shards {
             shard.blocks.lock().clear();
             shard.tunings.lock().clear();
         }
-    }
-
-    fn record_observed_cost(&self, key: &BlockKey, seconds: f64) {
-        self.shard(key).observed.lock().record(key, seconds);
-    }
-
-    fn observed_cost(&self, key: &BlockKey) -> Option<f64> {
-        self.shard(key).observed.lock().get(key)
-    }
-
-    fn record_cost_sample(&self, estimated_seconds: f64, observed_seconds: f64) {
-        self.calibration
-            .lock()
-            .record(estimated_seconds, observed_seconds);
-    }
-
-    fn cost_model_scale(&self) -> Option<f64> {
-        self.calibration.lock().scale()
     }
 
     fn seed(&self, key: &BlockKey) -> Option<SeedEntry> {
@@ -707,14 +557,20 @@ mod tests {
         }
     }
 
-    fn bounded(capacity: usize, eviction: EvictionPolicy) -> ShardedPulseCache {
+    fn bounded(capacity: usize) -> ShardedPulseCache {
         ShardedPulseCache::new(CacheConfig {
             shards: 1,
             max_blocks_per_shard: Some(capacity),
             max_tunings_per_shard: None,
-            eviction,
             seeds: TableConfig::default(),
         })
+    }
+
+    /// The keys of `tags` still resident, found without counting a hit.
+    fn resident(cache: &ShardedPulseCache, tags: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        tags.into_iter()
+            .filter(|tag| cache.block_hit_count(&key(*tag)).is_some())
+            .collect()
     }
 
     #[test]
@@ -748,104 +604,83 @@ mod tests {
     }
 
     #[test]
-    fn fifo_capacity_bound_evicts_oldest_first() {
-        let cache = bounded(2, EvictionPolicy::Fifo);
-        cache.insert_block(key(1), entry(1));
-        cache.insert_block(key(2), entry(2));
-        cache.insert_block(key(3), entry(3));
-        assert_eq!(cache.num_blocks(), 2);
-        assert_eq!(cache.metrics().evictions, 1);
-        assert!(
-            cache.block(&key(1)).is_none(),
-            "oldest entry should be evicted"
-        );
-        assert!(cache.block(&key(3)).is_some());
-    }
-
-    #[test]
-    fn fifo_overwrite_refreshes_the_entry_position() {
-        let cache = bounded(2, EvictionPolicy::Fifo);
-        cache.insert_block(key(1), entry(1));
-        cache.insert_block(key(2), entry(2));
-        // Overwriting key 1 makes key 2 the oldest write; the seed kept key 1's
-        // original queue position and would wrongly evict the just-refreshed entry.
-        cache.insert_block(key(1), entry(7));
-        cache.insert_block(key(3), entry(3));
-        assert!(
-            cache.block(&key(1)).is_some(),
-            "refreshed entry must survive"
-        );
-        assert!(cache.block(&key(2)).is_none(), "stalest entry is evicted");
-        assert!(cache.block(&key(3)).is_some());
-    }
-
-    #[test]
-    fn cost_aware_eviction_drops_cheapest_first_with_insertion_tiebreak() {
-        let cache = bounded(2, EvictionPolicy::CostAware);
+    fn eviction_drops_the_cheapest_entry_and_the_oldest_write_on_ties() {
+        let cache = bounded(2);
         // Expensive entry first, then a cheap one, then a medium one: the cheap
         // entry goes, not the oldest.
         cache.insert_block(key(1), entry(100));
         cache.insert_block(key(2), entry(1));
         cache.insert_block(key(3), entry(10));
-        assert!(cache.block(&key(1)).is_some(), "costliest entry survives");
-        assert!(cache.block(&key(2)).is_none(), "cheapest entry is evicted");
-        assert!(cache.block(&key(3)).is_some());
+        assert_eq!(resident(&cache, 1..=3), [1, 3], "cheapest entry is evicted");
 
         // Equal costs fall back to insertion order.
-        let cache = bounded(2, EvictionPolicy::CostAware);
+        let cache = bounded(2);
         cache.insert_block(key(1), entry(5));
         cache.insert_block(key(2), entry(5));
         cache.insert_block(key(3), entry(5));
-        assert!(cache.block(&key(1)).is_none(), "tie evicts the oldest");
-        assert!(cache.block(&key(2)).is_some());
-        assert!(cache.block(&key(3)).is_some());
+        assert_eq!(resident(&cache, 1..=3), [2, 3], "tie evicts the oldest");
+
+        // Overwriting a key refreshes its age: key 2 is now the stalest write.
+        let cache = bounded(2);
+        cache.insert_block(key(1), entry(5));
+        cache.insert_block(key(2), entry(5));
+        cache.insert_block(key(1), entry(5));
+        cache.insert_block(key(3), entry(5));
+        assert_eq!(resident(&cache, 1..=3), [1, 3], "refreshed entry survives");
     }
 
     #[test]
-    fn hit_weighted_eviction_keeps_the_hot_cheap_entry_over_the_cold_expensive_one() {
-        // Pin exact costs through observations: key(1) costs 1 s but is hit five
-        // times; key(2) costs 4 s and is never hit. Weighted value: 1×(1+5)=6 vs
-        // 4×(1+0)=4 — the cold expensive entry is the victim.
-        let cache = bounded(2, EvictionPolicy::HitWeighted);
-        cache.record_observed_cost(&key(1), 1.0);
+    fn hits_weigh_a_cheap_entry_above_a_costlier_one_nobody_asked_for_twice() {
+        // entry(2) costs four times entry(1) (iterations and slices both double),
+        // but key(1) is hit five times: 1 × (1 + 5) outranks 4 × (1 + 0).
+        let cache = bounded(2);
         cache.insert_block(key(1), entry(1));
-        cache.record_observed_cost(&key(2), 4.0);
         cache.insert_block(key(2), entry(2));
+        let model = LatencyModel::default();
+        assert_eq!(
+            model.block_recompute_seconds(&key(2), &entry(2)),
+            4.0 * model.block_recompute_seconds(&key(1), &entry(1))
+        );
         for _ in 0..5 {
             assert!(cache.block(&key(1)).is_some());
         }
         assert_eq!(cache.block_hit_count(&key(1)), Some(5));
         assert_eq!(cache.block_hit_count(&key(2)), Some(0));
-        cache.record_observed_cost(&key(3), 2.0);
         cache.insert_block(key(3), entry(3));
-        assert!(
-            cache.block(&key(1)).is_some(),
-            "hot cheap entry survives under hit weighting"
+        assert_eq!(
+            resident(&cache, 1..=3),
+            [1, 3],
+            "the cold costlier entry is the victim"
         );
-        assert!(
-            cache.block(&key(2)).is_none(),
-            "cold expensive entry is the victim"
-        );
+    }
 
-        // Under plain cost-aware eviction the same traffic evicts the cheap entry
-        // regardless of its popularity — the contrast hit weighting exists for.
-        let cache = bounded(2, EvictionPolicy::CostAware);
-        cache.record_observed_cost(&key(1), 1.0);
-        cache.insert_block(key(1), entry(1));
-        cache.record_observed_cost(&key(2), 4.0);
-        cache.insert_block(key(2), entry(2));
-        for _ in 0..5 {
-            assert!(cache.block(&key(1)).is_some());
+    /// The `wire-mixed` thrash in miniature: a reader's cheap Fixed block is hit
+    /// between the writes of a stream of costlier full-GRAPE blocks, each used
+    /// once. Ranked by cost alone the reader's block is always the cheapest
+    /// resident and leaves at the first overflow.
+    #[test]
+    fn a_hot_cheap_entry_is_never_the_victim_of_single_use_costlier_entries() {
+        let capacity = 4;
+        let cache = bounded(capacity);
+        let hot = key(0);
+        cache.insert_block(hot.clone(), entry(1));
+        for one_shot in 0..64 {
+            for _ in 0..8 {
+                assert!(
+                    cache.block(&hot).is_some(),
+                    "hot entry evicted before one-shot insert {one_shot}"
+                );
+            }
+            cache.insert_block(key(100 + one_shot), entry(2 + one_shot % 4));
+            assert!(cache.num_blocks() <= capacity);
         }
-        cache.record_observed_cost(&key(3), 2.0);
-        cache.insert_block(key(3), entry(3));
-        assert!(cache.block(&key(1)).is_none(), "cost-aware ignores hits");
-        assert!(cache.block(&key(2)).is_some());
+        assert!(cache.block(&hot).is_some());
+        assert_eq!(cache.metrics().evictions, 64 + 1 - capacity as u64);
     }
 
     #[test]
     fn hit_counters_survive_overwrites() {
-        let cache = bounded(4, EvictionPolicy::HitWeighted);
+        let cache = bounded(4);
         cache.insert_block(key(1), entry(1));
         for _ in 0..3 {
             cache.block(&key(1));
@@ -855,7 +690,7 @@ mod tests {
         cache.insert_block(key(1), entry(7));
         assert_eq!(cache.block_hit_count(&key(1)), Some(3));
         // Eviction drops the counter with the entry.
-        let tight = bounded(1, EvictionPolicy::Fifo);
+        let tight = bounded(1);
         tight.insert_block(key(1), entry(1));
         tight.block(&key(1));
         tight.insert_block(key(2), entry(2));
@@ -863,117 +698,34 @@ mod tests {
     }
 
     #[test]
-    fn calibration_scales_model_costed_inserts() {
-        let cache = ShardedPulseCache::new(CacheConfig {
-            shards: 1,
-            ..CacheConfig::default()
-        });
-        // Without samples the fallback is the raw model value.
-        cache.insert_block(key(1), entry(10));
-        let raw = cache
-            .snapshot()
-            .blocks
-            .iter()
-            .find(|(k, _, _)| *k == key(1))
-            .map(|(_, _, cost)| *cost)
-            .unwrap();
-        assert_eq!(
-            raw,
-            LatencyModel::default().block_recompute_seconds(&key(1), &entry(10))
-        );
-
-        // Three samples at a consistent 0.01 host/model ratio calibrate the scale;
-        // a later never-observed insert is costed at model × 0.01.
-        for estimate in [10.0, 20.0, 40.0] {
-            cache.record_cost_sample(estimate, estimate * 0.01);
-        }
-        let scale = cache.cost_model_scale().expect("calibrated");
-        assert!((scale - 0.01).abs() < 1e-12);
-        cache.insert_block(key(2), entry(10));
-        let calibrated = cache
-            .snapshot()
-            .blocks
-            .iter()
-            .find(|(k, _, _)| *k == key(2))
-            .map(|(_, _, cost)| *cost)
-            .unwrap();
-        let expected = LatencyModel::default().block_recompute_seconds(&key(2), &entry(10)) * scale;
-        assert!((calibrated - expected).abs() <= 1e-15 + 1e-9 * expected);
-    }
-
-    #[test]
-    fn observed_costs_override_the_model_in_eviction_metadata() {
-        let cache = bounded(2, EvictionPolicy::CostAware);
-        // key(1) is modeled cheap (1 iteration) but was observed to take 10 s;
-        // key(2) is modeled expensive (100 iterations) but was observed at 1 ms;
-        // key(3) has no observation and falls back to the model (~2.4 ms here).
-        cache.record_observed_cost(&key(1), 10.0);
-        cache.insert_block(key(1), entry(1));
-        cache.record_observed_cost(&key(2), 1e-3);
-        cache.insert_block(key(2), entry(100));
-        cache.insert_block(key(3), entry(50));
-        // Under the a-priori model key(1) would be the victim; with feedback the
-        // observed-cheapest entry key(2) leaves instead.
-        assert!(
-            cache.block(&key(1)).is_some(),
-            "observed-expensive survives"
-        );
-        assert!(cache.block(&key(2)).is_none(), "observed-cheap is evicted");
-        assert!(cache.block(&key(3)).is_some());
-        // The observation itself survives the eviction — a later re-insert of
-        // key(2) still ranks by what the work actually cost.
-        assert_eq!(cache.observed_cost(&key(2)), Some(1e-3));
-        // And snapshots persist the observed cost as the entry's metadata.
-        let snapshot = cache.snapshot();
-        let persisted = snapshot
-            .blocks
-            .iter()
-            .find(|(k, _, _)| *k == key(1))
-            .map(|(_, _, cost)| *cost);
-        assert_eq!(persisted, Some(10.0));
-    }
-
-    #[test]
-    fn absorb_seeds_observed_costs_from_snapshot_metadata() {
+    fn absorb_ranks_by_derived_costs_whatever_the_snapshot_stored() {
         let source = ShardedPulseCache::default();
-        source.record_observed_cost(&key(1), 7.5);
-        source.insert_block(key(1), entry(1));
-        source.insert_block(key(2), entry(2)); // never observed: model-costed
-
-        let restored = ShardedPulseCache::default();
-        restored.absorb(source.snapshot());
-        // The persisted cost (observed where the source had an observation, model
-        // otherwise) becomes the restored process's observation, so LPT and
-        // eviction rank warm-started blocks by the predecessor's knowledge.
-        assert_eq!(restored.observed_cost(&key(1)), Some(7.5));
-        assert_eq!(
-            restored.observed_cost(&key(2)),
-            Some(LatencyModel::default().block_recompute_seconds(&key(2), &entry(2)))
-        );
-    }
-
-    #[test]
-    fn observed_cost_table_is_bounded_per_shard() {
-        let cache = ShardedPulseCache::new(CacheConfig {
-            shards: 1,
-            ..CacheConfig::default()
-        });
-        let total = super::OBSERVED_CAPACITY_PER_SHARD + 8;
-        for tag in 0..total {
-            cache.record_observed_cost(&key(tag), tag as f64 + 1.0);
+        for tag in 0..10 {
+            source.insert_block(key(tag), entry(1 + (tag * 7) % 10));
         }
-        // The earliest observations age out; the newest survive.
-        for tag in 0..8 {
-            assert_eq!(cache.observed_cost(&key(tag)), None, "tag {tag} aged out");
+        let derived = source.snapshot();
+        // The same entries as an older build might have filed them: host seconds
+        // in the opposite order, a negative, a NaN.
+        let mut garbage = derived.clone();
+        for (index, (_, _, cost)) in garbage.blocks.iter_mut().enumerate() {
+            *cost = match index % 3 {
+                0 => 1.0 / (1.0 + *cost),
+                1 => -*cost,
+                _ => f64::NAN,
+            };
         }
-        for tag in (total - 8)..total {
-            assert_eq!(cache.observed_cost(&key(tag)), Some(tag as f64 + 1.0));
-        }
+        let survivors = |snapshot: CacheSnapshot| {
+            let cache = bounded(3);
+            cache.absorb(snapshot);
+            assert_eq!(cache.metrics().evictions, 7);
+            resident(&cache, 0..10)
+        };
+        assert_eq!(survivors(garbage), survivors(derived));
     }
 
     #[test]
     fn just_inserted_entry_is_never_its_own_victim() {
-        let cache = bounded(1, EvictionPolicy::CostAware);
+        let cache = bounded(1);
         cache.insert_block(key(1), entry(100));
         // Cheaper than the resident entry, but the insert call must still land it.
         cache.insert_block(key(2), entry(1));
@@ -982,76 +734,60 @@ mod tests {
     }
 
     #[test]
-    fn cost_aware_retains_more_grape_seconds_than_fifo_at_equal_capacity() {
+    fn a_churn_of_cheap_entries_does_not_flush_the_expensive_ones() {
         // Repeated-block workload shape: a handful of expensive blocks compiled
-        // early, then a churn of cheap single-purpose blocks. FIFO lets the churn
-        // flush the expensive entries; cost-aware keeps them.
-        let fifo = bounded(4, EvictionPolicy::Fifo);
-        let cost_aware = bounded(4, EvictionPolicy::CostAware);
-        for cache in [&fifo, &cost_aware] {
-            for tag in 0..4 {
-                cache.insert_block(key(1000 + tag), entry(500 + tag));
-            }
-            for tag in 0..16 {
-                cache.insert_block(key(tag), entry(1 + tag % 3));
-            }
+        // early, then a churn of cheap single-purpose blocks.
+        let cache = bounded(4);
+        for tag in 0..4 {
+            cache.insert_block(key(1000 + tag), entry(500 + tag));
         }
-        assert_eq!(fifo.num_blocks(), 4);
-        assert_eq!(cost_aware.num_blocks(), 4);
-        assert!(
-            cost_aware.retained_block_cost_seconds() > fifo.retained_block_cost_seconds(),
-            "cost-aware must retain strictly more estimated GRAPE seconds: {} vs {}",
-            cost_aware.retained_block_cost_seconds(),
-            fifo.retained_block_cost_seconds(),
-        );
-        // The costliest entries specifically survived. (One of the four capacity
-        // slots is always held by the most recent insert — an insert call never
-        // evicts its own entry — so the steady state is the top `capacity - 1`
-        // expensive entries plus the latest cheap one.)
-        for tag in 1..4 {
-            assert!(cost_aware.block(&key(1000 + tag)).is_some());
+        for tag in 0..16 {
+            cache.insert_block(key(tag), entry(1 + tag % 3));
         }
+        // One of the four capacity slots is always held by the most recent insert
+        // — an insert call never evicts its own entry — so the steady state is
+        // the top `capacity - 1` expensive entries plus the latest cheap one.
+        assert_eq!(resident(&cache, 1000..1004), [1001, 1002, 1003]);
+        assert_eq!(resident(&cache, 0..16), [15]);
     }
 
     #[test]
     fn concurrent_inserts_against_a_tight_bound_respect_capacity_and_balance_metrics() {
-        for eviction in [EvictionPolicy::Fifo, EvictionPolicy::CostAware] {
-            let capacity = 3;
-            let cache = bounded(capacity, eviction);
-            let threads = 8;
-            let per_thread_ops = 200;
-            let lookups_per_thread = std::sync::atomic::AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let cache = &cache;
-                    let lookups = &lookups_per_thread;
-                    scope.spawn(move || {
-                        for i in 0..per_thread_ops {
-                            let tag = (t * 31 + i * 7) % 24;
-                            if i % 3 == 0 {
-                                cache.block(&key(tag));
-                                lookups.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                cache.insert_block(key(tag), entry(tag));
-                            }
-                            // The capacity bound must hold at every intermediate
-                            // point, not just after the dust settles.
-                            assert!(cache.num_blocks() <= capacity);
+        let capacity = 3;
+        let cache = bounded(capacity);
+        let threads = 8;
+        let per_thread_ops = 200;
+        let lookups_per_thread = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let cache = &cache;
+                let lookups = &lookups_per_thread;
+                scope.spawn(move || {
+                    for i in 0..per_thread_ops {
+                        let tag = (t * 31 + i * 7) % 24;
+                        if i % 3 == 0 {
+                            cache.block(&key(tag));
+                            lookups.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            cache.insert_block(key(tag), entry(tag));
                         }
-                    });
-                }
-            });
-            let metrics = cache.metrics();
-            assert!(cache.num_blocks() <= capacity, "{eviction:?}");
-            assert_eq!(
-                metrics.hits + metrics.misses,
-                lookups_per_thread.load(Ordering::Relaxed),
-                "{eviction:?}: every lookup is a hit or a miss"
-            );
-            let total_inserts = (threads * (per_thread_ops - per_thread_ops.div_ceil(3))) as u64;
-            assert_eq!(metrics.insertions, total_inserts, "{eviction:?}");
-            assert!(metrics.evictions > 0, "{eviction:?}: churn must evict");
-        }
+                        // The capacity bound must hold at every intermediate
+                        // point, not just after the dust settles.
+                        assert!(cache.num_blocks() <= capacity);
+                    }
+                });
+            }
+        });
+        let metrics = cache.metrics();
+        assert!(cache.num_blocks() <= capacity);
+        assert_eq!(
+            metrics.hits + metrics.misses,
+            lookups_per_thread.load(Ordering::Relaxed),
+            "every lookup is a hit or a miss"
+        );
+        let total_inserts = (threads * (per_thread_ops - per_thread_ops.div_ceil(3))) as u64;
+        assert_eq!(metrics.insertions, total_inserts);
+        assert!(metrics.evictions > 0, "churn must evict");
     }
 
     #[test]
@@ -1077,7 +813,7 @@ mod tests {
         for tag in 0..10 {
             source.insert_block(key(tag), entry(tag));
         }
-        let bounded = bounded(3, EvictionPolicy::CostAware);
+        let bounded = bounded(3);
         bounded.absorb(source.snapshot());
         let metrics = bounded.metrics();
         assert_eq!(metrics.restored, 10);

@@ -6,18 +6,16 @@
 //!
 //! * [`ShardedPulseCache`] — a lock-striped, sharded, content-addressed replacement
 //!   for the global-mutex [`vqc_core::PulseLibrary`], with hit/miss/eviction
-//!   [`CacheMetrics`] and optional per-shard capacity bounds. Bounded shards evict
-//!   by [`EvictionPolicy`]: cost-aware by default (the cheapest-to-recompute entry
-//!   leaves first), hit-weighted (cost × observed reuse) for skewed traffic, FIFO
-//!   as fallback. Cost metadata is calibrated: observed compile times replace model
-//!   estimates, and a least-squares [`vqc_core::CostCalibration`] scales estimates
-//!   for blocks that never ran.
+//!   [`CacheMetrics`] and optional per-shard capacity bounds. A full shard evicts
+//!   the entry with the smallest `recompute cost × (1 + hits)`, where the cost is
+//!   what [`vqc_core::LatencyModel`] derives from the iterations the entry records.
 //! * [`CompilationRuntime`] — the request-scheduling service: a channel-based
 //!   accept loop admits [`Submission`]s through a bounded queue
 //!   ([`Backpressure::Block`]/[`Backpressure::Reject`]/[`Backpressure::Shed`]), a
 //!   scheduler expands them into block tasks, and a persistent worker pool drains
 //!   one merged queue ordered by strict [`Priority`], weighted-fair virtual time
-//!   per client, and LPT cost ([`SchedulePolicy::Lpt`]). Block tasks are
+//!   per client, and longest-processing-time-first by the cost each plan records
+//!   for its blocks. Block tasks are
 //!   deduplicated *across requests*: one compiled block fans out to every waiting
 //!   job, with priority inheritance so shared work is never scheduled at the
 //!   slowest waiter's class.
@@ -33,9 +31,6 @@
 //!   [`TelemetryOptions`], optionally dumped as JSON lines).
 //! * [`persist`] — bincode snapshots of the cache for warm-start across runs
 //!   ([`CompilationRuntime::save_snapshot`], [`CompilationRuntime::with_warm_start`]).
-//! * [`InFlight`] — the singleflight primitive the pre-service runtime deduplicated
-//!   with; the scheduler's cross-request dedup table subsumes it on the hot path,
-//!   but it remains available for embedders building their own pools.
 //!
 //! # Example
 //!
@@ -72,26 +67,25 @@
 #![warn(missing_debug_implementations)]
 
 mod cache;
-mod inflight;
 pub mod persist;
 #[allow(clippy::module_inception)]
 mod runtime;
 mod service;
 mod telemetry;
 
-pub use cache::{
-    CacheConfig, CacheMetrics, CacheSnapshot, CompactionPolicy, EvictionPolicy, ShardedPulseCache,
-};
-pub use inflight::{InFlight, Ticket};
+pub use cache::{CacheConfig, CacheMetrics, CacheSnapshot, CompactionPolicy, ShardedPulseCache};
 pub use persist::PersistError;
-pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions, SchedulePolicy};
+pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions};
 pub use service::{
     Backpressure, ClientMetrics, JobHandle, JobStatus, Priority, ServiceOptions, Submission,
     SubmitError,
 };
 pub use telemetry::{
     chrome_trace_json, phase_row_name, priority_class, ClassLatency, HistogramSnapshot,
-    LatencyHistogram, MetricsSnapshot, PhaseMetrics, TelemetryOptions, TraceEvent, TraceRing,
-    TraceStage, PHASE_ROWS, PRIORITY_CLASSES, PRIORITY_CLASS_NAMES,
+    MetricsSnapshot, TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES,
+    PRIORITY_CLASS_NAMES,
 };
 pub use vqc_core::{CompileProfile, SeedEntry, TableConfig, WarmStartStats, PHASE_COUNT};
+
+// audit:allow(dead_pub): PhaseMetrics is the element type of MetricsSnapshot::phases
+pub use telemetry::PhaseMetrics;

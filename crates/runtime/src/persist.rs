@@ -5,32 +5,24 @@
 //! from being misparsed as data, and snapshots are written via a temporary file +
 //! rename so a crash mid-write never leaves a truncated snapshot at the target path.
 //!
-//! Format history:
-//!
-//! * **v1** — `(key, entry)` pairs. Still readable: entries are migrated on load by
-//!   recomputing their cost metadata from the recorded GRAPE iterations.
-//! * **v2** — `(key, entry, recompute_cost_seconds)` triples, so a restored
-//!   cache ranks restored and freshly compiled entries on the same eviction scale
-//!   without re-deriving costs, and snapshot compaction can filter on cost at save
-//!   time. Still readable: migration fills an empty warm-start section.
-//! * **v3** (current) — adds the transposition-table warm-start seeds
-//!   (`(structural key, SeedEntry)` pairs), so a restarted service opens its
-//!   duration searches at the predecessor's converged windows.
+//! The current layout is **v3**: `(key, entry, recompute_cost_seconds)` triples for
+//! blocks and tunings, then the transposition-table warm-start seeds
+//! (`(structural key, SeedEntry)` pairs), so a restarted service opens its duration
+//! searches at the predecessor's converged windows. Files of the two earlier
+//! layouts are refused like any other unknown version.
 
 use crate::cache::CacheSnapshot;
-use serde::Deserialize;
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
-use vqc_core::{BlockKey, CachedBlock, CachedTuning, LatencyModel};
 
 /// Leading bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"VQCPULSE";
 /// Version of the snapshot layout this build writes.
 pub const SNAPSHOT_VERSION: u32 = 3;
-/// Oldest snapshot layout this build still reads (migrating on load).
-pub const SNAPSHOT_MIN_VERSION: u32 = 1;
+/// Oldest snapshot layout this build still reads.
+pub const SNAPSHOT_MIN_VERSION: u32 = 3;
 
 /// Error loading or saving a snapshot.
 #[derive(Debug)]
@@ -55,60 +47,6 @@ impl std::error::Error for PersistError {}
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
-    }
-}
-
-/// The v1 payload layout, kept for read-only migration.
-#[derive(Debug, Default, Deserialize)]
-struct SnapshotV1 {
-    blocks: Vec<(BlockKey, CachedBlock)>,
-    tunings: Vec<(BlockKey, CachedTuning)>,
-}
-
-impl SnapshotV1 {
-    /// Upgrades to the current layout by deriving the cost metadata v1 lacked.
-    /// Pre-v3 snapshots have no warm-start section; the seeds load empty.
-    fn migrate(self) -> CacheSnapshot {
-        let model = LatencyModel::default();
-        CacheSnapshot {
-            blocks: self
-                .blocks
-                .into_iter()
-                .map(|(key, entry)| {
-                    let cost = model.block_recompute_seconds(&key, &entry);
-                    (key, entry, cost)
-                })
-                .collect(),
-            tunings: self
-                .tunings
-                .into_iter()
-                .map(|(key, entry)| {
-                    let cost = model.tuning_recompute_seconds(&key, &entry);
-                    (key, entry, cost)
-                })
-                .collect(),
-            seeds: Vec::new(),
-        }
-    }
-}
-
-/// The v2 payload layout (cost triples, no warm-start section), kept for
-/// read-only migration.
-#[derive(Debug, Default, Deserialize)]
-struct SnapshotV2 {
-    blocks: Vec<(BlockKey, CachedBlock, f64)>,
-    tunings: Vec<(BlockKey, CachedTuning, f64)>,
-}
-
-impl SnapshotV2 {
-    /// Upgrades to the current layout: everything carries over, the warm-start
-    /// seeds (which v2 never recorded) load empty.
-    fn migrate(self) -> CacheSnapshot {
-        CacheSnapshot {
-            blocks: self.blocks,
-            tunings: self.tunings,
-            seeds: Vec::new(),
-        }
     }
 }
 
@@ -152,8 +90,7 @@ pub fn save_snapshot(path: impl AsRef<Path>, snapshot: &CacheSnapshot) -> Result
     result
 }
 
-/// Reads a snapshot from `path`, migrating older supported versions to the current
-/// layout.
+/// Reads a snapshot from `path`.
 ///
 /// # Errors
 ///
@@ -170,14 +107,6 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<CacheSnapshot, PersistErr
     };
     let payload = &bytes[header_len..];
     match version {
-        // Guarded by the same constant the rejection message advertises, so
-        // raising SNAPSHOT_MIN_VERSION retires this migration arm automatically.
-        1 if SNAPSHOT_MIN_VERSION <= 1 => bincode::deserialize::<SnapshotV1>(payload)
-            .map(SnapshotV1::migrate)
-            .map_err(|e| PersistError::Corrupt(format!("v1 payload does not decode: {e}"))),
-        2 if SNAPSHOT_MIN_VERSION <= 2 => bincode::deserialize::<SnapshotV2>(payload)
-            .map(SnapshotV2::migrate)
-            .map_err(|e| PersistError::Corrupt(format!("v2 payload does not decode: {e}"))),
         SNAPSHOT_VERSION => bincode::deserialize(payload)
             .map_err(|e| PersistError::Corrupt(format!("payload does not decode: {e}"))),
         other => Err(PersistError::Corrupt(format!(
@@ -190,6 +119,7 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<CacheSnapshot, PersistErr
 mod tests {
     use super::*;
     use vqc_circuit::Circuit;
+    use vqc_core::{BlockKey, CachedBlock, LatencyModel};
 
     fn sample_key() -> BlockKey {
         let mut circuit = Circuit::new(2);
@@ -251,66 +181,24 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_still_load_with_empty_seeds() {
-        let dir = std::env::temp_dir().join("vqc_persist_test_v2");
+    fn retired_layouts_are_refused_naming_the_readable_range() {
+        let dir = std::env::temp_dir().join("vqc_persist_test_retired");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cache.snapshot");
-
-        // A v2 file: cost triples, no warm-start section. The v2 struct
-        // serialized field-by-field is byte-identical to the tuple of its two
-        // vectors.
-        let key = sample_key();
-        let entry = sample_entry();
-        let cost = LatencyModel::default().block_recompute_seconds(&key, &entry);
-        let v2_payload = bincode::serialize(&(
-            vec![(key.clone(), entry.clone(), cost)],
-            Vec::<(BlockKey, CachedTuning, f64)>::new(),
-        ))
-        .unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&v2_payload);
-        fs::write(&path, &bytes).unwrap();
-
-        let loaded = load_snapshot(&path).unwrap();
-        assert_eq!(loaded.blocks, vec![(key, entry, cost)]);
-        assert!(loaded.tunings.is_empty());
-        assert!(
-            loaded.seeds.is_empty(),
-            "v2 predates the warm-start index; migration must leave it empty"
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_snapshots_still_load_with_derived_costs() {
-        let dir = std::env::temp_dir().join("vqc_persist_test_v1");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.snapshot");
-
-        // A v1 file: (key, entry) pairs without costs. The v1 struct serialized
-        // field-by-field is byte-identical to the tuple of its two vectors.
-        let v1_payload = bincode::serialize(&(
-            vec![(sample_key(), sample_entry())],
-            Vec::<(BlockKey, CachedTuning)>::new(),
-        ))
-        .unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&v1_payload);
-        fs::write(&path, &bytes).unwrap();
-
-        let loaded = load_snapshot(&path).unwrap();
-        assert_eq!(loaded.blocks.len(), 1);
-        assert_eq!(loaded.blocks[0].0, sample_key());
-        assert_eq!(loaded.blocks[0].1, sample_entry());
-        assert_eq!(
-            loaded.blocks[0].2,
-            LatencyModel::default().block_recompute_seconds(&sample_key(), &sample_entry()),
-            "migration derives the cost v1 lacked"
-        );
+        // The header decides: whatever follows it, a v1 or v2 file is not read.
+        for version in [1u32, 2] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(SNAPSHOT_MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            match load_snapshot(&path) {
+                Err(PersistError::Corrupt(why)) => {
+                    assert!(why.contains(&format!("version {version}")), "{why}");
+                    assert!(why.contains("3..=3"), "{why}");
+                }
+                other => panic!("v{version} must be refused, got {other:?}"),
+            }
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -31,21 +31,6 @@ use std::sync::Arc;
 use vqc_circuit::Circuit;
 use vqc_core::{CompilationReport, CompileError, CompilerOptions, PartialCompiler, Strategy};
 
-/// In which order the worker pool drains ready block tasks of equal priority and
-/// fair-share stamp.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// Longest-processing-time-first: tasks are ordered by estimated GRAPE cost
-    /// (descending). The classic LPT bound keeps the makespan within 4/3 of optimal
-    /// on heterogeneous plans, where submission order can strand one worker on a
-    /// minutes-scale block while the rest sit idle.
-    #[default]
-    Lpt,
-    /// Plan/submission order, as the seed runtime drained tasks. Kept for
-    /// benchmarking the scheduling win and for bit-faithful replay of old runs.
-    Unsorted,
-}
-
 /// Configuration of a [`CompilationRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
@@ -53,8 +38,6 @@ pub struct RuntimeOptions {
     pub workers: usize,
     /// Configuration of the shared sharded cache.
     pub cache: CacheConfig,
-    /// Order in which the worker pool drains block tasks.
-    pub schedule: SchedulePolicy,
     /// Admission-queue depth and backpressure policy of the service front-end.
     pub service: ServiceOptions,
     /// Telemetry configuration: latency histograms, lifecycle tracing, and the
@@ -80,7 +63,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             workers: workers.max(1),
             cache: CacheConfig::default(),
-            schedule: SchedulePolicy::default(),
             service: ServiceOptions::default(),
             telemetry: TelemetryOptions::default(),
         }
@@ -94,12 +76,6 @@ impl RuntimeOptions {
             workers: workers.max(1),
             ..RuntimeOptions::default()
         }
-    }
-
-    /// Replaces the schedule policy.
-    pub fn with_schedule(mut self, schedule: SchedulePolicy) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// Replaces the service (admission) options.
@@ -184,7 +160,6 @@ impl CompilationRuntime {
                 compiler,
                 cache,
                 runtime_options.workers,
-                runtime_options.schedule,
                 runtime_options.service,
                 runtime_options.telemetry,
             ),
@@ -225,12 +200,15 @@ impl CompilationRuntime {
     /// Current runtime counters.
     pub fn metrics(&self) -> RuntimeMetrics {
         let core = &self.service.core;
+        // Read before `submissions`, so the counters never show more completions
+        // than admissions.
+        let completed_submissions = core.completed_submissions.load(Ordering::Acquire);
         RuntimeMetrics {
             cache: core.cache.metrics(),
             unique_compilations: core.compilations.load(Ordering::Relaxed),
             coalesced_waits: core.coalesced.load(Ordering::Relaxed),
             submissions: core.submissions.load(Ordering::Relaxed),
-            completed_submissions: core.completed_submissions.load(Ordering::Relaxed),
+            completed_submissions,
             shed_submissions: core.shed_submissions.load(Ordering::Relaxed),
             rejected_submissions: core.rejected_submissions.load(Ordering::Relaxed),
             canceled_submissions: core.canceled_submissions.load(Ordering::Relaxed),
@@ -464,16 +442,16 @@ mod tests {
     fn parallel_compile_matches_sequential_compile() {
         let circuit = variational_circuit();
         let params = [0.7];
-        let sequential = PartialCompiler::new(fast_options())
-            .compile(&circuit, &params, Strategy::StrictPartial)
-            .unwrap();
-        let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(4));
-        let parallel = runtime
-            .compile(&circuit, &params, Strategy::StrictPartial)
-            .unwrap();
-        assert_eq!(parallel.pulse_duration_ns, sequential.pulse_duration_ns);
-        assert_eq!(parallel.num_blocks, sequential.num_blocks);
-        assert_eq!(parallel.blocks.len(), sequential.blocks.len());
+        for strategy in Strategy::all() {
+            let sequential = PartialCompiler::new(fast_options())
+                .compile(&circuit, &params, strategy)
+                .unwrap();
+            let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(4));
+            let parallel = runtime.compile(&circuit, &params, strategy).unwrap();
+            assert_eq!(parallel.pulse_duration_ns, sequential.pulse_duration_ns);
+            assert_eq!(parallel.num_blocks, sequential.num_blocks);
+            assert_eq!(parallel.blocks.len(), sequential.blocks.len());
+        }
     }
 
     #[test]

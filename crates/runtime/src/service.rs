@@ -18,8 +18,10 @@
 //!    clock advances by `estimated cost / weight` per submission, so a client
 //!    submitting many requests interleaves fairly with its peers instead of
 //!    draining its whole backlog first (start-time fair queuing).
-//! 3. **Within a submission, blocks drain longest-processing-time-first** (the
-//!    runtime's existing LPT schedule), using the same calibrated cost estimates.
+//! 3. **Within a submission, blocks drain longest-processing-time-first**, by the
+//!    same per-block cost the plan records. The classic LPT bound keeps the
+//!    makespan within 4/3 of optimal on heterogeneous plans, where submission
+//!    order can strand one worker on a wide block while the rest sit idle.
 //!
 //! Block tasks from different requests are merged and deduplicated: if a submission
 //! needs a block another request has already queued or started, no second task is
@@ -30,7 +32,7 @@
 //! asked for a shared block first.
 
 use crate::cache::ShardedPulseCache;
-use crate::runtime::{CompileJob, SchedulePolicy};
+use crate::runtime::CompileJob;
 use crate::telemetry::{
     MetricsSnapshot, Telemetry, TelemetryOptions, TraceStage, PRIORITY_CLASSES,
 };
@@ -690,7 +692,6 @@ struct IntakeState {
 pub(crate) struct ServiceCore {
     pub(crate) compiler: PartialCompiler,
     pub(crate) cache: Arc<ShardedPulseCache>,
-    schedule: SchedulePolicy,
     queue_depth: usize,
     backpressure: Backpressure,
     sched: Mutex<SchedState>,
@@ -744,7 +745,9 @@ impl ServiceCore {
         }
         self.release_admission();
         self.record_client(state.client, |m| m.completed += 1);
-        self.completed_submissions.fetch_add(1, Ordering::Relaxed);
+        // Release, paired with the Acquire loads of the metrics readers: a reader
+        // that sees this completion also sees the submission's admission count.
+        self.completed_submissions.fetch_add(1, Ordering::Release);
         self.telemetry
             .record_submit_to_report(state.priority, state.admitted_at.elapsed().as_secs_f64());
         self.telemetry
@@ -766,6 +769,9 @@ impl ServiceCore {
         }
         let outstanding = self.admission.lock().outstanding as u64;
         let cache = self.cache.metrics();
+        // Read before `submissions`, so a snapshot never shows more completions
+        // than admissions.
+        let completed = self.completed_submissions.load(Ordering::Acquire);
         MetricsSnapshot {
             seq,
             uptime_seconds,
@@ -775,7 +781,7 @@ impl ServiceCore {
             outstanding,
             ready_tasks,
             submissions: self.submissions.load(Ordering::Relaxed),
-            completed: self.completed_submissions.load(Ordering::Relaxed),
+            completed,
             shed: self.shed_submissions.load(Ordering::Relaxed),
             rejected: self.rejected_submissions.load(Ordering::Relaxed),
             canceled: self.canceled_submissions.load(Ordering::Relaxed),
@@ -906,8 +912,7 @@ impl ServiceCore {
         };
 
         // Key and cost every block before taking the scheduler lock. Both read the
-        // plan's per-block record; only a keyed block has a cost to look up.
-        let lpt = self.schedule == SchedulePolicy::Lpt;
+        // plan's per-block record.
         struct PlannedTask {
             job: usize,
             block: usize,
@@ -922,18 +927,11 @@ impl ServiceCore {
             // audit:allow(unwrap): error jobs are filtered out on the line above
             let plan = plan.as_ref().expect("non-error jobs have plans");
             for (block_index, block) in plan.blocks.iter().enumerate() {
-                let key = plan.dedup_key(block, params);
-                let cost = match &key {
-                    Some(key) if lpt => self
-                        .compiler
-                        .estimate_keyed_block_cost_seconds(plan, block, key),
-                    _ => 0.0,
-                };
                 tasks.push(PlannedTask {
                     job: job_index,
                     block: block_index,
-                    key,
-                    cost,
+                    key: plan.dedup_key(block, params),
+                    cost: plan.block_cost_seconds(block),
                 });
             }
         }
@@ -1448,7 +1446,6 @@ impl CompileService {
         compiler: PartialCompiler,
         cache: Arc<ShardedPulseCache>,
         workers: usize,
-        schedule: SchedulePolicy,
         service_options: ServiceOptions,
         telemetry_options: TelemetryOptions,
     ) -> Self {
@@ -1456,7 +1453,6 @@ impl CompileService {
         let core = Arc::new(ServiceCore {
             compiler,
             cache,
-            schedule,
             queue_depth: service_options.queue_depth.max(1),
             backpressure: service_options.backpressure,
             sched: Mutex::new(SchedState {
@@ -1676,13 +1672,17 @@ impl CompileService {
                 core.release_admission();
                 return Err(SubmitError::ShuttingDown);
             }
+            // Counted and traced before the push makes the submission visible to
+            // the accept loop: a fast expansion and worker could otherwise trace
+            // `Dispatched` ahead of `Admitted` and complete the submission before
+            // it was counted.
+            core.submissions.fetch_add(1, Ordering::Relaxed);
+            core.record_client(state.client, |m| m.submissions += 1);
+            core.telemetry
+                .trace(TraceStage::Admitted, state.id, state.client, 0);
             intake.heap.push(IntakeEntry(Arc::clone(&state)));
         }
         core.intake_cv.notify_all();
-        core.submissions.fetch_add(1, Ordering::Relaxed);
-        core.record_client(state.client, |m| m.submissions += 1);
-        core.telemetry
-            .trace(TraceStage::Admitted, state.id, state.client, 0);
         Ok(JobHandle {
             state,
             core: Arc::downgrade(core),

@@ -142,11 +142,6 @@ impl LatencyHistogram {
             .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
-    /// Number of samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// Copies the counters into an immutable, serializable snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -161,7 +156,7 @@ impl LatencyHistogram {
     }
 }
 
-/// An immutable copy of a [`LatencyHistogram`]'s counters, with quantile
+/// An immutable copy of a latency histogram's counters, with quantile
 /// extraction. Serializable, so it travels inside a [`MetricsSnapshot`] over
 /// the wire.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -170,8 +165,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all samples, in seconds (for mean extraction).
     pub total_seconds: f64,
-    /// Per-bucket sample counts (see [`LatencyHistogram::bucket_value_seconds`]
-    /// for the latency each index represents).
+    /// Per-bucket sample counts: bucket 0 holds sub-microsecond samples, bucket
+    /// `i` holds `[2^(i-1), 2^i)` microseconds.
     pub buckets: Vec<u64>,
 }
 

@@ -1,14 +1,10 @@
 //! Regression tests for the runtime's accounting under bounded caches: every real
-//! GRAPE compilation is counted no matter which dedup path ran it, warm starts do
-//! not pollute compile-time metrics, and the LPT schedule changes only the order of
-//! work, never its result.
+//! GRAPE compilation is counted no matter which dedup path ran it, and warm starts
+//! do not pollute compile-time metrics.
 
 use vqc_circuit::{Circuit, ParamExpr};
 use vqc_core::{CompilerOptions, PulseCache, Strategy};
-use vqc_runtime::{
-    CacheConfig, CompilationRuntime, CompileJob, EvictionPolicy, RuntimeOptions, SchedulePolicy,
-    TableConfig,
-};
+use vqc_runtime::{CacheConfig, CompilationRuntime, CompileJob, RuntimeOptions, TableConfig};
 
 fn fast_options() -> CompilerOptions {
     let mut options = CompilerOptions::fast();
@@ -26,7 +22,6 @@ fn capacity_one_options(workers: usize) -> RuntimeOptions {
         shards: 1,
         max_blocks_per_shard: Some(1),
         max_tunings_per_shard: None,
-        eviction: EvictionPolicy::CostAware,
         seeds: TableConfig::default(),
     };
     options
@@ -146,36 +141,4 @@ fn warm_start_does_not_pollute_compile_time_metrics() {
     assert_eq!(second.cache().num_blocks(), saved);
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// LPT ordering is a schedule, not a semantics: the reports must be identical to
-/// the unsorted drain for the same batch.
-#[test]
-fn lpt_and_unsorted_schedules_produce_identical_reports() {
-    let jobs: Vec<CompileJob> = (0..3)
-        .map(|i| {
-            CompileJob::new(
-                variational_circuit(0.3 + 0.5 * i as f64),
-                vec![0.2 * i as f64],
-                Strategy::StrictPartial,
-            )
-        })
-        .collect();
-    let lpt = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(4).with_schedule(SchedulePolicy::Lpt),
-    );
-    let unsorted = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(4).with_schedule(SchedulePolicy::Unsorted),
-    );
-    let lpt_reports = lpt.compile_batch(&jobs);
-    let unsorted_reports = unsorted.compile_batch(&jobs);
-    assert_eq!(lpt_reports.len(), unsorted_reports.len());
-    for (l, u) in lpt_reports.iter().zip(&unsorted_reports) {
-        let (l, u) = (l.as_ref().unwrap(), u.as_ref().unwrap());
-        assert_eq!(l.pulse_duration_ns, u.pulse_duration_ns);
-        assert_eq!(l.num_blocks, u.num_blocks);
-        assert_eq!(l.blocks.len(), u.blocks.len());
-    }
 }

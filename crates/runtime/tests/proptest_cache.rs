@@ -1,15 +1,14 @@
 //! Property tests of the sharded cache.
 //!
 //! Unbounded, the cache is observationally equivalent to the seed `PulseLibrary`
-//! under any interleaving of inserts and lookups, for any shard count and either
-//! eviction policy. Bounded, it must respect its capacity under any insert sequence,
-//! never evict the entry an insert call just wrote, and retain at least as many
-//! estimated GRAPE seconds under cost-aware eviction as under FIFO.
+//! under any interleaving of inserts and lookups, for any shard count. Bounded, it
+//! must respect its capacity under any insert sequence and never evict the entry an
+//! insert call just wrote.
 
 use proptest::prelude::*;
 use vqc_circuit::Circuit;
 use vqc_core::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
-use vqc_runtime::{CacheConfig, EvictionPolicy, ShardedPulseCache, TableConfig};
+use vqc_runtime::{CacheConfig, ShardedPulseCache, TableConfig};
 
 /// One step of a cache workload, replayed against both implementations.
 #[derive(Debug, Clone)]
@@ -30,16 +29,6 @@ fn arb_op(key_space: usize) -> impl Strategy<Value = Op> {
         k.clone().prop_map(Op::LookupTuning),
         k.prop_map(|_| Op::Counts),
     ]
-}
-
-fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
-    (0usize..2).prop_map(|i| {
-        if i == 0 {
-            EvictionPolicy::Fifo
-        } else {
-            EvictionPolicy::CostAware
-        }
-    })
 }
 
 /// Distinct, deterministic keys: one-qubit circuits with distinct rotation angles.
@@ -69,22 +58,20 @@ fn tuning(value: usize) -> CachedTuning {
     }
 }
 
-fn unbounded(shards: usize, eviction: EvictionPolicy) -> ShardedPulseCache {
+fn unbounded(shards: usize) -> ShardedPulseCache {
     ShardedPulseCache::new(CacheConfig {
         shards,
         max_blocks_per_shard: None,
         max_tunings_per_shard: None,
-        eviction,
         seeds: TableConfig::default(),
     })
 }
 
-fn bounded_single_shard(capacity: usize, eviction: EvictionPolicy) -> ShardedPulseCache {
+fn bounded_single_shard(capacity: usize) -> ShardedPulseCache {
     ShardedPulseCache::new(CacheConfig {
         shards: 1,
         max_blocks_per_shard: Some(capacity),
         max_tunings_per_shard: None,
-        eviction,
         seeds: TableConfig::default(),
     })
 }
@@ -96,10 +83,9 @@ proptest! {
     fn sharded_cache_agrees_with_pulse_library(
         ops in prop::collection::vec(arb_op(12), 1..80),
         shards in 1usize..32,
-        eviction in arb_policy(),
     ) {
         let reference = PulseLibrary::new();
-        let sharded = unbounded(shards, eviction);
+        let sharded = unbounded(shards);
         for op in &ops {
             match *op {
                 Op::InsertBlock(k, v) => {
@@ -135,11 +121,11 @@ proptest! {
         shards_a in 1usize..16,
         shards_b in 1usize..16,
     ) {
-        let original = unbounded(shards_a, EvictionPolicy::CostAware);
+        let original = unbounded(shards_a);
         for &(k, v) in &entries {
             PulseCache::insert_block(&original, key(k), block(v));
         }
-        let restored = unbounded(shards_b, EvictionPolicy::CostAware);
+        let restored = unbounded(shards_b);
         restored.absorb(original.snapshot());
         prop_assert_eq!(PulseCache::num_blocks(&original), PulseCache::num_blocks(&restored));
         for k in 0..40 {
@@ -159,9 +145,8 @@ proptest! {
     fn bounded_cache_respects_capacity_and_counts_every_lookup(
         ops in prop::collection::vec(arb_op(16), 1..120),
         capacity in 1usize..6,
-        eviction in arb_policy(),
     ) {
-        let cache = bounded_single_shard(capacity, eviction);
+        let cache = bounded_single_shard(capacity);
         let mut lookups = 0u64;
         for op in &ops {
             match *op {
@@ -191,26 +176,5 @@ proptest! {
         }
         let metrics = cache.metrics();
         prop_assert_eq!(metrics.hits + metrics.misses, lookups);
-    }
-
-    /// At equal capacity, cost-aware eviction never retains fewer estimated GRAPE
-    /// seconds than FIFO for the same insert sequence.
-    #[test]
-    fn cost_aware_retention_dominates_fifo(
-        inserts in prop::collection::vec((0usize..24, 0usize..1000), 1..100),
-        capacity in 1usize..8,
-    ) {
-        let fifo = bounded_single_shard(capacity, EvictionPolicy::Fifo);
-        let cost_aware = bounded_single_shard(capacity, EvictionPolicy::CostAware);
-        for &(k, v) in &inserts {
-            PulseCache::insert_block(&fifo, key(k), block(v));
-            PulseCache::insert_block(&cost_aware, key(k), block(v));
-        }
-        prop_assert!(
-            cost_aware.retained_block_cost_seconds() >= fifo.retained_block_cost_seconds() - 1e-12,
-            "cost-aware retained {} s < fifo retained {} s",
-            cost_aware.retained_block_cost_seconds(),
-            fifo.retained_block_cost_seconds(),
-        );
     }
 }

@@ -11,7 +11,7 @@ use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
 use vqc_runtime::{
     Backpressure, CompilationRuntime, JobStatus, Priority, RuntimeOptions, ServiceOptions,
-    Submission, SubmitError,
+    Submission, SubmitError, TraceStage,
 };
 
 fn fast_options() -> CompilerOptions {
@@ -557,6 +557,71 @@ fn canceled_owner_with_live_waiters_keeps_shared_work_but_drops_private_work() {
     assert_eq!(metrics.unique_compilations, 2);
     assert_eq!(metrics.canceled_submissions, 1);
     assert_eq!(runtime.client_metrics(1).canceled, 1);
+}
+
+/// Dispatch order within a submission is a function of its plan alone: the
+/// blocks of a heterogeneous circuit start widest first, in the same order on a
+/// runtime that has never seen them and on one that has compiled every one.
+#[test]
+fn block_order_within_a_submission_does_not_depend_on_what_ran_before() {
+    // Narrow and single-gate blocks come first in circuit order; the wide block
+    // that longest-first must start with comes last.
+    let mut circuit = Circuit::new(5);
+    circuit.h(3);
+    circuit.cx(3, 4);
+    circuit.rx(3, 0.6);
+    circuit.cx(3, 4);
+    circuit.rz_expr(4, vqc_circuit::ParamExpr::theta(0));
+    circuit.h(0);
+    circuit.cx(0, 1);
+    circuit.cx(1, 2);
+    circuit.rx(1, 1.3);
+    circuit.cx(1, 2);
+    circuit.cx(0, 1);
+    let params = [0.4];
+    let mut options = fast_options();
+    options.grape.max_iterations = 6; // the order under test does not need convergence
+
+    let runtime = CompilationRuntime::new(options, RuntimeOptions::with_workers(1));
+    let compile_start_order = |submission: u64| -> Vec<u64> {
+        runtime.pause();
+        let handle = runtime
+            .submit(Submission::single(
+                circuit.clone(),
+                params,
+                Strategy::StrictPartial,
+            ))
+            .unwrap();
+        wait_until_running(&[&handle]);
+        runtime.resume();
+        assert!(handle.wait().unwrap()[0].is_ok());
+        runtime
+            .trace_events()
+            .iter()
+            .filter(|e| e.submission == submission && e.stage == TraceStage::CompileStart)
+            .map(|e| e.detail)
+            .collect()
+    };
+    let fresh = compile_start_order(0);
+    let compilations = runtime.metrics().unique_compilations;
+    assert!(compilations >= 2);
+    let warm = compile_start_order(1);
+    assert_eq!(
+        runtime.metrics().unique_compilations,
+        compilations,
+        "the second pass found every block cached"
+    );
+
+    let plan = runtime
+        .compiler()
+        .plan(&circuit, &params, Strategy::StrictPartial)
+        .unwrap();
+    let width = |block: u64| plan.blocks[block as usize].qubits.len();
+    assert_eq!(fresh.len(), plan.blocks.len());
+    let widest = plan.blocks.iter().map(|b| b.qubits.len()).max().unwrap();
+    assert!(widest >= 3 && width(0) < widest, "{:?}", plan.blocks);
+    assert_eq!(width(fresh[0]), widest, "the widest block starts first");
+    assert_eq!(fresh, warm);
 }
 
 /// Expansion is priority-ordered: with the intake held, a later high-priority

@@ -311,6 +311,81 @@ fn trace_ring_records_the_full_lifecycle_chain() {
     }
 }
 
+/// A submission is traced as admitted, and counted, before the accept loop can
+/// see it: however fast expansion and the worker are, the ring holds
+/// submitted → admitted → dispatched for every submission, and no snapshot
+/// shows more completions than admissions.
+#[test]
+fn admission_is_traced_and_counted_before_a_submission_can_run() {
+    let submissions = 300u64;
+    let runtime = CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1).with_telemetry(
+            TelemetryOptions::default().with_trace_capacity(16 * submissions as usize),
+        ),
+    );
+    // One single-gate (lookup) block per qubit: nothing to compile, so each
+    // submission is expanded, dispatched and reported within microseconds.
+    let mut circuit = Circuit::new(3);
+    for qubit in 0..3 {
+        circuit.rz_expr(qubit, vqc_circuit::ParamExpr::theta(qubit));
+    }
+    let submitting = std::sync::atomic::AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut snapshots = 0;
+            while submitting.load(std::sync::atomic::Ordering::SeqCst) {
+                let snapshot = runtime.telemetry_snapshot();
+                assert!(
+                    snapshot.submissions >= snapshot.completed,
+                    "snapshot shows {} completed of {} admitted",
+                    snapshot.completed,
+                    snapshot.submissions
+                );
+                let metrics = runtime.metrics();
+                assert!(metrics.submissions >= metrics.completed_submissions);
+                snapshots += 1;
+            }
+            snapshots
+        });
+        let handles: Vec<_> = (0..submissions)
+            .map(|i| {
+                runtime
+                    .submit(Submission::single(
+                        circuit.clone(),
+                        [0.1, 0.2, 0.01 * i as f64],
+                        Strategy::StrictPartial,
+                    ))
+                    .unwrap()
+            })
+            .collect();
+        for handle in handles {
+            assert!(handle.wait().expect("not shed")[0].is_ok());
+        }
+        submitting.store(false, std::sync::atomic::Ordering::SeqCst);
+        assert!(sampler.join().unwrap() > 0);
+    });
+
+    let events = runtime.trace_events();
+    for submission in 0..submissions {
+        let first = |stage: TraceStage| {
+            events
+                .iter()
+                .position(|e| e.submission == submission && e.stage == stage)
+                .unwrap_or_else(|| panic!("submission {submission}: no {} event", stage.name()))
+        };
+        let (submitted, admitted, dispatched) = (
+            first(TraceStage::Submitted),
+            first(TraceStage::Admitted),
+            first(TraceStage::Dispatched),
+        );
+        assert!(
+            submitted < admitted && admitted < dispatched,
+            "submission {submission}: submitted@{submitted} admitted@{admitted} dispatched@{dispatched}"
+        );
+    }
+}
+
 /// The metrics dump file gains one well-formed JSON line per aggregator tick,
 /// including the final post-drain snapshot.
 #[test]

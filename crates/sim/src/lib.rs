@@ -42,4 +42,4 @@ mod unitary;
 
 pub use pauli::{Pauli, PauliOperator, PauliString};
 pub use statevector::StateVector;
-pub use unitary::{circuit_unitary, gate_op_unitary};
+pub use unitary::circuit_unitary;

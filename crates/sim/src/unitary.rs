@@ -4,9 +4,8 @@
 //! blocking pass in `vqc-core` keeps subcircuits at ≤ 4 qubits precisely so these
 //! matrices stay small (16x16).
 
-use crate::gates::gate_op_matrix;
 use crate::StateVector;
-use vqc_circuit::{Circuit, GateOp};
+use vqc_circuit::Circuit;
 use vqc_linalg::{Matrix, Vector};
 
 /// Maximum width for which we will materialize a dense circuit unitary.
@@ -42,36 +41,11 @@ pub fn circuit_unitary(circuit: &Circuit) -> Matrix {
     out
 }
 
-/// Computes the full-register unitary of a single bound gate operation embedded in an
-/// `n`-qubit register.
-///
-/// # Panics
-///
-/// Panics if `n` exceeds [`MAX_UNITARY_QUBITS`] or operands are out of range.
-pub fn gate_op_unitary(op: &GateOp, num_qubits: usize) -> Matrix {
-    assert!(num_qubits <= MAX_UNITARY_QUBITS);
-    let dim = 1usize << num_qubits;
-    let small = gate_op_matrix(op);
-    let mut out = Matrix::zeros(dim, dim);
-    for col in 0..dim {
-        let mut state = StateVector::from_amplitudes(Vector::basis_state(dim, col));
-        match op.qubits.len() {
-            1 => state.apply_one_qubit(&small, op.qubits[0]),
-            2 => state.apply_two_qubit(&small, op.qubits[0], op.qubits[1]),
-            _ => unreachable!("gates act on at most two qubits"),
-        }
-        for row in 0..dim {
-            out[(row, col)] = state.amplitudes().get(row);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gates;
-    use vqc_circuit::{Circuit, Gate};
+    use vqc_circuit::Circuit;
 
     #[test]
     fn empty_circuit_is_identity() {
@@ -119,19 +93,20 @@ mod tests {
     }
 
     #[test]
-    fn gate_op_unitary_embeds_correctly() {
-        let op = vqc_circuit::GateOp::new(Gate::X, vec![1]);
-        let u = gate_op_unitary(&op, 2);
+    fn a_single_gate_embeds_correctly() {
+        let mut c = Circuit::new(2);
+        c.x(1);
         // I ⊗ X
         let expected = Matrix::identity(2).kron(&gates::x());
-        assert!(u.approx_eq(&expected, 1e-12));
+        assert!(circuit_unitary(&c).approx_eq(&expected, 1e-12));
     }
 
     #[test]
-    fn gate_op_unitary_for_non_adjacent_qubits() {
+    fn a_gate_on_non_adjacent_qubits_embeds_correctly() {
         // CX with control qubit 2, target qubit 0 on a 3-qubit register.
-        let op = vqc_circuit::GateOp::new(Gate::Cx, vec![2, 0]);
-        let u = gate_op_unitary(&op, 3);
+        let mut c = Circuit::new(3);
+        c.cx(2, 0);
+        let u = circuit_unitary(&c);
         assert!(u.is_unitary(1e-12));
         // |001> (control set) must map to |101>.
         assert!((u[(0b101, 0b001)].abs() - 1.0).abs() < 1e-12);

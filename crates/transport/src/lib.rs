@@ -67,10 +67,16 @@ mod server;
 pub mod tracemerge;
 pub mod wire;
 
-pub use client::{Client, ClientOptions, JobUpdate, RemoteError, RemoteJob};
+pub use client::{Client, ClientOptions, JobUpdate, RemoteError};
 pub use server::{Server, ServerOptions, DEFAULT_LISTEN};
 pub use tracemerge::{merged_chrome_trace, ClientSpan};
 pub use wire::{
     JobEvent, RejectReason, Request, Response, ServerStats, SubmitPayload, WireError, WireJob,
-    WireStatus, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
+
+// audit:allow(dead_pub): RemoteJob is what Client::submit returns
+pub use client::RemoteJob;
+
+// audit:allow(dead_pub): WireStatus is the status field of Response::Status
+pub use wire::WireStatus;
