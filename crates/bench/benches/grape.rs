@@ -5,7 +5,7 @@
 //! gradient as one lane and as two, the `eigh_real` group timing the two
 //! real-symmetric eigensolver bodies on device Hamiltonians at N = 4/8/16 (the
 //! evidence for the solver's dimension rule), the `grape_seeding` group
-//! comparing cold against table-seeded duration searches, and the
+//! comparing cold against seeded duration searches, and the
 //! `profile_overhead` group gating the armed compile-phase profiler to under
 //! five percent of the warm gradient path. The measurements are written to
 //! `BENCH_grape.json` in the workspace root.
@@ -25,13 +25,10 @@ use vqc_linalg::{Matrix, RealSmallMatrix};
 use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
 use vqc_pulse::propagate::slice_hamiltonian;
-use vqc_pulse::{
-    lanes, profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
-    TranspositionTable,
-};
+use vqc_pulse::{lanes, profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry};
 use vqc_sim::gates;
 
-/// Total GRAPE iterations of the last cold / table-seeded `grape_seeding` pass,
+/// Total GRAPE iterations of the last cold / seeded `grape_seeding` pass,
 /// handed from the benchmark bodies to [`emit_summary`] (which asserts the
 /// seeding speedup before writing `BENCH_grape.json`).
 static SEEDING_COLD_ITERS: AtomicU64 = AtomicU64::new(0);
@@ -266,12 +263,12 @@ fn bench_eigh_real(c: &mut Criterion) {
     bench_eigh_real_at::<16>(c, 4);
 }
 
-/// Folds one finished duration search into the transposition-table entry for
-/// its structure, the way `PartialCompiler::record_search_feedback` does: the
-/// failed lower bound is the deepest non-converging probe, every probe lands in
-/// the iteration history, and the converged pulse rides along as the warm
-/// start for the next binding.
-fn record_search(table: &TranspositionTable<u64>, key: u64, result: &MinimumTimeResult) {
+/// Folds one finished duration search into the seed of its structure, the way
+/// `PartialCompiler::record_search_feedback` and the pulse store do: the failed
+/// lower bound is the deepest non-converging probe, every probe lands in the
+/// iteration history, and the converged pulse rides along as the warm start
+/// for the next binding.
+fn record_search(seed: &mut Option<SeedEntry>, result: &MinimumTimeResult) {
     let mut entry = SeedEntry {
         learning_rate: 0.0,
         decay_rate: 0.0,
@@ -289,13 +286,16 @@ fn record_search(table: &TranspositionTable<u64>, key: u64, result: &MinimumTime
     for probe in &result.probes {
         entry.record_probe(probe.duration_ns, probe.iterations);
     }
-    table.record(&key, entry);
+    match seed {
+        Some(held) => held.merge(entry),
+        None => *seed = Some(entry),
+    }
 }
 
-/// The repeat-structure workload of the warm-start index: the same Rz
+/// The repeat-structure workload of the warm-start seeds: the same Rz
 /// subcircuit recompiled with a fresh θ per variational pass. The cold pass
 /// binary-searches every binding from the full gate-based window; the seeded
-/// pass probes a transposition table warmed by one earlier binding of the same
+/// pass opens from a seed warmed by one earlier binding of the same
 /// structure (the largest angle, so the converged window transfers to every
 /// smaller rotation) and opens each search at the neighbor's window with the
 /// neighbor's converged amplitudes. Both passes must converge to target
@@ -314,7 +314,6 @@ fn bench_grape_seeding(c: &mut Criterion) {
     let upper_bound_ns = 4.0;
     let search = MinimumTimeOptions::new(0.0, upper_bound_ns).with_precision(0.5);
     let fresh_thetas = [2.2, 1.7, 1.3, 0.9];
-    const STRUCTURE_KEY: u64 = 0;
 
     group.bench_function("cold_pass_rz_4thetas", |b| {
         b.iter(|| {
@@ -341,9 +340,9 @@ fn bench_grape_seeding(c: &mut Criterion) {
         })
     });
 
-    // Prime the table once with the largest-angle binding, exactly as the
+    // Prime the seed once with the largest-angle binding, exactly as the
     // compiler's first encounter with the structure would.
-    let table = TranspositionTable::new(TableConfig::default());
+    let mut seed = None;
     let primed = minimum_pulse_time_seeded(
         &gates::rz(2.4),
         &device,
@@ -354,14 +353,13 @@ fn bench_grape_seeding(c: &mut Criterion) {
     )
     .expect("priming search");
     assert!(primed.converged, "the priming binding must converge");
-    record_search(&table, STRUCTURE_KEY, &primed);
+    record_search(&mut seed, &primed);
 
     group.bench_function("seeded_pass_rz_4thetas", |b| {
         b.iter(|| {
             let mut total = 0u64;
             for &theta in &fresh_thetas {
-                let seed = table.probe(&STRUCTURE_KEY).expect("primed entry");
-                let search_seed = seed.search_seed();
+                let search_seed = seed.as_ref().expect("primed entry").search_seed();
                 let result = minimum_pulse_time_seeded(
                     black_box(&gates::rz(theta)),
                     &device,
@@ -377,7 +375,7 @@ fn bench_grape_seeding(c: &mut Criterion) {
                 );
                 assert!(result.duration_ns <= upper_bound_ns + 1e-9);
                 total += result.total_iterations() as u64;
-                record_search(&table, STRUCTURE_KEY, &result);
+                record_search(&mut seed, &result);
             }
             SEEDING_SEEDED_ITERS.store(total, Ordering::Relaxed);
             black_box(total)
@@ -527,8 +525,8 @@ fn emit_summary(c: &mut Criterion) {
         rows.join(",\n")
     ));
 
-    // The warm-start index's headline number: total GRAPE iterations across a
-    // repeat-structure pass, cold vs table-seeded. Asserted before the file is
+    // Seeding's headline number: total GRAPE iterations across a
+    // repeat-structure pass, cold vs seeded. Asserted before the file is
     // written so a regression can never publish a green-looking summary.
     let cold_iters = SEEDING_COLD_ITERS.load(Ordering::Relaxed);
     let seeded_iters = SEEDING_SEEDED_ITERS.load(Ordering::Relaxed);

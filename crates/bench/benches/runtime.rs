@@ -1,12 +1,13 @@
 //! Benchmark of the concurrent compilation runtime against the seed's sequential
 //! path on a repeated-block QAOA workload: a batch of QAOA circuits whose blocks
-//! recur within each circuit and across requests. Compares sequential
-//! `PulseLibrary` compilation with the sharded runtime at 1/2/4/8 workers, the
-//! service submission front-end (concurrent prioritized clients) against the
-//! synchronous batch wrapper, the wire, telemetry and lock-checker overheads on a
-//! warm submission, plus a raw cache-contention microbenchmark, and writes a
-//! `BENCH_runtime.json` summary next to the workspace root. Interpret worker
-//! scaling against the `host_parallelism` field: on a single-CPU host all
+//! recur within each circuit and across requests. Compares the sequential
+//! compiler with the sharded runtime at 1/2/4/8 workers, the service submission
+//! front-end (concurrent prioritized clients) against the synchronous batch
+//! wrapper, and the wire, telemetry and lock-checker overheads on a warm
+//! submission, and writes a `BENCH_runtime.json` summary next to the workspace
+//! root. (The store alone, on one thread and two, is `benchmark/`'s
+//! `runtime.cache_get_ns` / `cache_put_ns` / `cache_get_2t_ns` rows.) Interpret
+//! worker scaling against the `host_parallelism` field: on a single-CPU host all
 //! configurations legitimately tie, and the comparison degenerates to measuring
 //! scheduling overhead.
 
@@ -15,13 +16,9 @@ use std::io::Write;
 use vqc_apps::graphs::Graph;
 use vqc_apps::qaoa::qaoa_circuit;
 use vqc_bench::reference_parameters;
-use vqc_circuit::Circuit;
-use vqc_core::{
-    BlockKey, CachedBlock, CompilerOptions, PartialCompiler, PulseCache, PulseLibrary, Strategy,
-};
+use vqc_core::{CompilerOptions, PartialCompiler, Strategy};
 use vqc_runtime::{
-    CacheConfig, CompilationRuntime, CompileJob, Priority, RuntimeOptions, ShardedPulseCache,
-    Submission, TelemetryOptions,
+    CompilationRuntime, CompileJob, Priority, RuntimeOptions, Submission, TelemetryOptions,
 };
 use vqc_transport::{Client, ClientOptions, Server, ServerOptions, SubmitPayload, WireJob};
 
@@ -58,9 +55,9 @@ fn bench_compilation(c: &mut Criterion) {
     group.sample_size(3);
     let jobs = workload();
 
-    // Baseline: the seed path — a sequential compiler over a global-mutex library,
-    // one compile call per request. Cold cache per measurement.
-    group.bench_function("sequential_pulse_library", |b| {
+    // Baseline: the sequential compiler on a store of its own, one compile call
+    // per request. Cold cache per measurement.
+    group.bench_function("sequential_compiler", |b| {
         b.iter(|| {
             let compiler = PartialCompiler::new(bench_options());
             for job in &jobs {
@@ -293,57 +290,6 @@ fn bench_lock_check_overhead(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cache_contention(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cache_contention");
-    group.sample_size(10);
-
-    // A realistic key population: block keys of small bound circuits.
-    let keys: Vec<BlockKey> = (0..256)
-        .map(|i| {
-            let mut circuit = Circuit::new(2);
-            circuit.rz(0, i as f64 * 0.01);
-            circuit.cx(0, 1);
-            BlockKey::from_bound_circuit(&circuit)
-        })
-        .collect();
-    let entry = CachedBlock {
-        duration_ns: 3.0,
-        converged: true,
-        grape_iterations: 50,
-    };
-
-    fn hammer(
-        cache: &(impl PulseCache + ?Sized),
-        keys: &[BlockKey],
-        entry: &CachedBlock,
-        threads: usize,
-    ) {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                scope.spawn(move || {
-                    for (i, key) in keys.iter().enumerate() {
-                        if (i + t) % 8 == 0 {
-                            cache.insert_block(key.clone(), entry.clone());
-                        } else {
-                            black_box(cache.block(key));
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    group.bench_function("pulse_library_8_threads", |b| {
-        let cache = PulseLibrary::new();
-        b.iter(|| hammer(&cache, &keys, &entry, 8))
-    });
-    group.bench_function("sharded_cache_8_threads", |b| {
-        let cache = ShardedPulseCache::new(CacheConfig::default());
-        b.iter(|| hammer(&cache, &keys, &entry, 8))
-    });
-    group.finish();
-}
-
 /// Writes the recorded measurements as `BENCH_runtime.json` in the workspace root
 /// (or the current directory when the manifest-relative path is unavailable).
 /// Skipped under `--test` smoke runs.
@@ -439,7 +385,6 @@ criterion_group!(
     bench_transport_roundtrip,
     bench_telemetry_overhead,
     bench_lock_check_overhead,
-    bench_cache_contention,
     emit_summary
 );
 criterion_main!(benches);

@@ -102,21 +102,17 @@ pub fn print_header(experiment: &str, effort: Effort) {
 /// * `VQC_BACKPRESSURE=block|reject|shed` — what `submit` does against a full
 ///   queue (default: block the submitting thread; `reject` fails fast; `shed`
 ///   drops the lowest-priority not-yet-started submission).
-/// * `VQC_CACHE_BLOCKS=<n>` — bound the block cache to `n` entries per shard
-///   (default: unbounded); a full shard drops the entry with the smallest
-///   `recompute cost × (1 + hits)`.
+/// * `VQC_CACHE_BLOCKS=<n>` — bound the pulse store to `n` entries of each kind
+///   per shard (default: unbounded); a full map drops the entry with the smallest
+///   `recompute cost × (1 + hits)`. Honored by `CacheConfig::default()`, like
+///   `VQC_TT`.
 /// * `VQC_SNAPSHOT=<path>` — warm-start from (and persist to) this cache snapshot;
 ///   re-running a harness binary then skips all GRAPE work its previous run already
 ///   paid for. Pair with [`persist_if_requested`] at the end of `main`.
 ///
 /// Garbage values fall back to the defaults.
 pub fn runtime_with_options(options: CompilerOptions) -> CompilationRuntime {
-    let mut runtime_options = RuntimeOptions::default();
-    if let Ok(blocks) = std::env::var("VQC_CACHE_BLOCKS") {
-        if let Ok(blocks) = blocks.parse::<usize>() {
-            runtime_options.cache.max_blocks_per_shard = Some(blocks.max(1));
-        }
-    }
+    let runtime_options = RuntimeOptions::default();
     if let Ok(path) = std::env::var("VQC_SNAPSHOT") {
         match CompilationRuntime::with_warm_start(options.clone(), runtime_options.clone(), &path) {
             Ok(runtime) => {

@@ -1,74 +1,104 @@
-//! The lock-striped, sharded pulse cache.
+//! The pulse store: one lock-striped, sharded, cost-ranked map for everything a
+//! compile leaves behind.
 //!
-//! The seed's [`vqc_core::PulseLibrary`] guards its whole map with one mutex, which
-//! serializes every lookup once block compilation runs on a worker pool. This cache
-//! stripes the key space over independent shards, each guarded by its own mutex, so
-//! lookups of different blocks proceed without contention. (A per-shard
-//! reader-writer lock was measured slower here: the critical sections are a few
-//! nanoseconds, so lock acquisition dominates, and a mutex acquire is cheaper than a
-//! read-lock acquire once the key space is striped.) Keys are content-addressed: a
-//! [`BlockKey`] is a canonical fingerprint of the block circuit, so two requests
-//! compiling the same subcircuit hit the same shard slot regardless of which circuit
-//! or which variational iteration they came from.
+//! The paper's product is a library of pre-compiled pulses — Fixed blocks compiled
+//! once and looked up forever (Section 6), per-structure tuned hyperparameters that
+//! are robust to θ (Section 7) — and this module is where that library is kept,
+//! bounded and evicted. It holds three kinds of entry the same way: block
+//! compilations and flexible-compilation tunings, which answer a lookup outright,
+//! and warm-start seeds ([`SeedEntry`], under the block's *structural* key), which
+//! only make the next duration search of a structure cheaper. The key space is
+//! striped over independent shards, each kind behind its own mutex, so lookups of
+//! different blocks proceed without contention once block compilation runs on a
+//! worker pool. (A per-shard reader-writer lock was measured slower here: the
+//! critical sections are a few nanoseconds, so lock acquisition dominates, and a
+//! mutex acquire is cheaper than a read-lock acquire once the key space is
+//! striped.) Keys are content-addressed: a [`BlockKey`] is a canonical fingerprint
+//! of the block circuit, so two requests compiling the same subcircuit hit the same
+//! shard slot regardless of which circuit or which variational iteration they came
+//! from.
 //!
 //! # Eviction
 //!
-//! Every entry carries one cost: the model seconds of GRAPE work it would take to
-//! reproduce, derived by [`vqc_core::LatencyModel`] from the iterations the entry
+//! Every entry of every kind carries one cost: the model seconds of GRAPE work it
+//! would take to reproduce, derived by [`LatencyModel`] from the iterations the entry
 //! itself records — the economics of the paper's pulse library made explicit (a
 //! cached 4-qubit block stands for minutes of GRAPE, a 2-qubit block for a
-//! fraction of a second). What a bounded shard protects is that cost times the
-//! reuse it expects, and observed hits are the best available estimate of reuse,
-//! so a full shard drops the entry with the smallest `cost × (1 + hits)` first,
-//! the oldest write first on ties. A cheap Fixed block hit on every variational
-//! iteration therefore outlasts costlier blocks nobody asks for twice. Hit counts
-//! are per-process (snapshots do not carry them): a warm-started cache ranks by
-//! cost alone and sharpens as traffic arrives.
+//! fraction of a second). One bound ([`CacheConfig::max_entries_per_shard`],
+//! `VQC_CACHE_BLOCKS`) applies to each kind's map in each shard. What a bounded
+//! map protects is that cost times the reuse it expects, and observed hits are the
+//! best available estimate of reuse, so a full map drops the entry with the
+//! smallest `cost × (1 + hits)` first, the oldest write first on ties. A cheap
+//! Fixed block hit on every variational iteration therefore outlasts costlier
+//! blocks nobody asks for twice. Hit counts are per-process (snapshots do not
+//! carry them): a warm-started cache ranks by cost alone and sharpens as traffic
+//! arrives.
+//!
+//! Seeds are a pure accelerator: with [`CacheConfig::seeds`] off (`VQC_TT=0`) the
+//! store never holds or serves one and every search runs cold, and
+//! [`PulseCache::clear`] keeps them — dropping stored results does not change what
+//! was learned about redoing the work faster. Their traffic reports through
+//! [`WarmStartStats`]; [`CacheMetrics`] counts blocks and tunings only.
 
+use crate::latency::LatencyModel;
+use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vqc_core::{
-    BlockKey, CachedBlock, CachedTuning, LatencyModel, PulseCache, SeedEntry, TableConfig,
-    TranspositionTable, WarmStartStats,
-};
+use vqc_pulse::{SeedEntry, WarmStartStats};
 
 /// Configuration of a [`ShardedPulseCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of independent shards (rounded up to a power of two, minimum 1).
     pub shards: usize,
-    /// Maximum number of block entries per shard; an insert into a full shard
-    /// evicts (see the module docs for the rank). `None` disables eviction (the
-    /// seed behavior).
-    pub max_blocks_per_shard: Option<usize>,
-    /// Maximum number of tuning entries per shard, as for `max_blocks_per_shard`.
-    pub max_tunings_per_shard: Option<usize>,
-    /// Configuration of the transposition-table warm-start index (capacity,
-    /// shard count, and the `VQC_CACHE_BYTES` byte budget).
-    pub seeds: TableConfig,
+    /// Maximum number of entries of each kind (blocks, tunings, seeds) per shard;
+    /// an insert into a full map evicts (see the module docs for the rank). `None`
+    /// disables eviction.
+    pub max_entries_per_shard: Option<usize>,
+    /// Whether warm-start seeds are kept at all. Off, the store never holds or
+    /// serves one, so every search runs exactly the cold path.
+    pub seeds: bool,
 }
 
 impl Default for CacheConfig {
+    /// 16 unbounded shards with seeds armed, overridden by the environment:
+    /// `VQC_CACHE_BLOCKS=<n>` bounds every map to `n` entries per shard and
+    /// `VQC_TT=0|off|false|no` disarms the seeds. Garbage values fall back to
+    /// the defaults.
     fn default() -> Self {
         CacheConfig {
             shards: 16,
-            max_blocks_per_shard: None,
-            max_tunings_per_shard: None,
-            // Like `TranspositionTable::default()`, the default honors the
-            // `VQC_TT` / `VQC_TT_CAPACITY` / `VQC_CACHE_BYTES` knobs.
-            seeds: TableConfig::from_env(),
+            max_entries_per_shard: entry_bound(std::env::var("VQC_CACHE_BLOCKS").ok().as_deref()),
+            seeds: seeds_armed(std::env::var("VQC_TT").ok().as_deref()),
         }
     }
 }
 
+/// The per-shard bound a `VQC_CACHE_BLOCKS` value asks for (`0` clamps to 1).
+fn entry_bound(raw: Option<&str>) -> Option<usize> {
+    let bound: usize = raw?.trim().parse().ok()?;
+    Some(bound.max(1))
+}
+
+/// Whether a `VQC_TT` value leaves the seeds armed: only an explicit off does not.
+fn seeds_armed(raw: Option<&str>) -> bool {
+    !raw.is_some_and(|value| {
+        matches!(
+            value.trim().to_ascii_lowercase().as_str(),
+            "0" | "off" | "false" | "no"
+        )
+    })
+}
+
 /// Point-in-time cache counters.
 ///
-/// `hits`/`misses` count lookups of both block and tuning entries; `evictions`
-/// counts entries displaced by the per-shard capacity bound (on any write path,
+/// `hits`/`misses` count lookups of both block and tuning entries (seed traffic
+/// reports through [`WarmStartStats`]); `evictions` counts block and tuning
+/// entries displaced by the per-shard capacity bound (on any write path,
 /// including a bounded warm start). `restored` counts entries absorbed from a
 /// snapshot, which deliberately do **not** contribute to `insertions` — a warm
 /// start is not compile-time work, and polluting the compile-time counters with it
@@ -97,16 +127,17 @@ struct Counters {
     insertions: AtomicU64,
     evictions: AtomicU64,
     restored: AtomicU64,
+    seed_hits: AtomicU64,
+    seed_misses: AtomicU64,
+    seed_evictions: AtomicU64,
+    seeded_iterations: AtomicU64,
+    cold_iterations: AtomicU64,
 }
 
-impl Counters {
-    fn record_lookup(&self, hit: bool) {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+/// Counts one lookup on the `hits` or the `misses` of its kind of traffic.
+fn record_lookup(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
+    let counter = if hit { hits } else { misses };
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// One stored value plus its eviction metadata.
@@ -179,23 +210,28 @@ impl<V> BoundedMap<V> {
         Some(&slot.value)
     }
 
-    /// Hits the key has answered so far, if resident.
-    fn hits(&self, key: &BlockKey) -> Option<u64> {
-        self.entries.get(key).map(|slot| slot.hits)
+    /// The value under a key without counting a hit.
+    fn peek(&self, key: &BlockKey) -> Option<&V> {
+        self.entries.get(key).map(|slot| &slot.value)
     }
 
     fn len(&self) -> usize {
         self.entries.len()
     }
 
+    /// Every `(key, value, cost)` held, cloned out for a snapshot.
+    fn entries(&self) -> impl Iterator<Item = (BlockKey, V, f64)> + '_
+    where
+        V: Clone,
+    {
+        self.entries
+            .iter()
+            .map(|(key, slot)| (key.clone(), slot.value.clone(), slot.cost))
+    }
+
     fn clear(&mut self) {
         self.entries.clear();
         self.victims.clear();
-    }
-
-    /// Sum of the recompute-cost estimates of all retained entries (seconds).
-    fn total_cost(&self) -> f64 {
-        self.entries.values().map(|slot| slot.cost).sum()
     }
 
     /// Inserts, returning the number of entries evicted to make room. The entry
@@ -252,67 +288,28 @@ impl<V> BoundedMap<V> {
 struct Shard {
     blocks: Mutex<BoundedMap<CachedBlock>>,
     tunings: Mutex<BoundedMap<CachedTuning>>,
+    /// Warm-start seeds, under structural keys.
+    seeds: Mutex<BoundedMap<SeedEntry>>,
     counters: Counters,
 }
 
-/// Serializable image of a cache's contents, for warm-start persistence. Each entry
-/// carries its recompute cost (model seconds) for [`CacheSnapshot::compact`] to
-/// filter on; [`ShardedPulseCache::absorb`] ignores the stored figure and derives
-/// the cost from the entry again, so files from builds that stored other units
-/// rank on the same scale as fresh entries.
+/// Serializable image of a store's contents, for warm-start persistence. Each
+/// block and tuning entry carries the recompute cost (model seconds) it was filed
+/// at; [`ShardedPulseCache::absorb`] ignores the stored figure and derives the cost
+/// from the entry again, so files from builds that stored other units rank on the
+/// same scale as fresh entries.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// All cached block compilations, with per-entry recompute costs.
     pub blocks: Vec<(BlockKey, CachedBlock, f64)>,
     /// All cached flexible-compilation tunings, with per-entry recompute costs.
     pub tunings: Vec<(BlockKey, CachedTuning, f64)>,
-    /// The transposition-table warm-start entries.
+    /// The warm-start seeds, under their structural keys.
     pub seeds: Vec<(BlockKey, SeedEntry)>,
 }
 
-/// What snapshot compaction drops at save time. The default drops nothing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CompactionPolicy {
-    /// Drop entries whose recompute cost is below this floor, in
-    /// [`vqc_core::LatencyModel`] seconds (paper-scale, not host wall time) —
-    /// entries so cheap that re-deriving them costs less than carrying them across
-    /// restarts.
-    pub cost_floor_seconds: Option<f64>,
-    /// Keep at most this many block entries and this many tuning entries; the
-    /// costliest-to-recompute survive.
-    pub max_entries: Option<usize>,
-}
-
-impl CacheSnapshot {
-    /// Applies a [`CompactionPolicy`] in place: entries below the cost floor are
-    /// dropped, then each section is truncated to the size budget keeping the
-    /// costliest entries (ties keep their snapshot order). Warm-start seeds are
-    /// left alone — the transposition table is fixed-capacity by construction,
-    /// so its snapshot section is already bounded.
-    pub fn compact(&mut self, policy: &CompactionPolicy) {
-        fn apply<V>(entries: &mut Vec<(BlockKey, V, f64)>, policy: &CompactionPolicy) {
-            if let Some(floor) = policy.cost_floor_seconds {
-                entries.retain(|(_, _, cost)| *cost >= floor);
-            }
-            if let Some(max) = policy.max_entries {
-                if entries.len() > max {
-                    entries.sort_by(|a, b| b.2.total_cmp(&a.2));
-                    entries.truncate(max);
-                }
-            }
-        }
-        apply(&mut self.blocks, policy);
-        apply(&mut self.tunings, policy);
-    }
-
-    /// Total estimated GRAPE seconds the snapshot's entries stand for.
-    pub fn total_cost_seconds(&self) -> f64 {
-        self.blocks.iter().map(|(_, _, cost)| cost).sum::<f64>()
-            + self.tunings.iter().map(|(_, _, cost)| cost).sum::<f64>()
-    }
-}
-
-/// A lock-striped, sharded, content-addressed implementation of [`PulseCache`].
+/// The lock-striped, sharded, content-addressed pulse store — the one
+/// implementation of [`PulseCache`].
 #[derive(Debug)]
 pub struct ShardedPulseCache {
     shards: Vec<Shard>,
@@ -320,11 +317,8 @@ pub struct ShardedPulseCache {
     mask: usize,
     /// Converts an entry's recorded GRAPE iterations into its recompute cost.
     latency: LatencyModel,
-    /// The transposition-table warm-start index: structural key → tuned
-    /// hyperparameters, converged duration window, and best-so-far amplitudes.
-    /// Sharded and bounded on its own (entry capacity plus the optional
-    /// `VQC_CACHE_BYTES` byte budget), independent of the block/tuning shards.
-    seeds: TranspositionTable<BlockKey>,
+    /// [`CacheConfig::seeds`].
+    seeds: bool,
 }
 
 impl Default for ShardedPulseCache {
@@ -334,43 +328,28 @@ impl Default for ShardedPulseCache {
 }
 
 impl ShardedPulseCache {
-    /// Creates an empty cache with the given configuration.
+    /// Creates an empty store with the given configuration.
     pub fn new(config: CacheConfig) -> Self {
         let shards = config.shards.max(1).next_power_of_two();
+        let bound = config.max_entries_per_shard;
         ShardedPulseCache {
             shards: (0..shards)
                 .map(|_| Shard {
-                    blocks: Mutex::new(BoundedMap::new(config.max_blocks_per_shard)),
-                    tunings: Mutex::new(BoundedMap::new(config.max_tunings_per_shard)),
+                    blocks: Mutex::new(BoundedMap::new(bound)),
+                    tunings: Mutex::new(BoundedMap::new(bound)),
+                    seeds: Mutex::new(BoundedMap::new(bound)),
                     counters: Counters::default(),
                 })
                 .collect(),
             mask: shards - 1,
             latency: LatencyModel::default(),
-            seeds: TranspositionTable::new(config.seeds),
+            seeds: config.seeds,
         }
     }
 
-    /// The warm-start index's current entry count.
+    /// Number of warm-start seeds currently held.
     pub fn num_seeds(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Approximate bytes held by the warm-start index's waveform payloads —
-    /// the quantity the `VQC_CACHE_BYTES` budget bounds.
-    pub fn seed_bytes(&self) -> usize {
-        self.seeds.approx_bytes()
-    }
-
-    /// Lookups the given block key has answered since entering its shard, if it is
-    /// currently resident. Hit counters survive overwrites but not eviction.
-    pub fn block_hit_count(&self, key: &BlockKey) -> Option<u64> {
-        self.shard(key).blocks.lock().hits(key)
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.shards.iter().map(|s| s.seeds.lock().len()).sum()
     }
 
     fn shard(&self, key: &BlockKey) -> &Shard {
@@ -392,35 +371,17 @@ impl ShardedPulseCache {
         metrics
     }
 
-    /// Sum of the recompute-cost estimates of all retained block entries, in
-    /// seconds — the estimated GRAPE work the cache is currently protecting.
-    pub fn retained_block_cost_seconds(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.blocks.lock().total_cost())
-            .sum()
-    }
-
-    /// Copies the full cache contents into a serializable snapshot.
+    /// Copies the full store contents into a serializable snapshot.
     pub fn snapshot(&self) -> CacheSnapshot {
         let mut snapshot = CacheSnapshot::default();
         for shard in &self.shards {
-            let blocks = shard.blocks.lock();
-            snapshot.blocks.extend(
-                blocks
-                    .entries
-                    .iter()
-                    .map(|(k, slot)| (k.clone(), slot.value.clone(), slot.cost)),
-            );
-            let tunings = shard.tunings.lock();
-            snapshot.tunings.extend(
-                tunings
-                    .entries
-                    .iter()
-                    .map(|(k, slot)| (k.clone(), slot.value.clone(), slot.cost)),
-            );
+            snapshot.blocks.extend(shard.blocks.lock().entries());
+            snapshot.tunings.extend(shard.tunings.lock().entries());
+            let seeds = shard.seeds.lock();
+            snapshot
+                .seeds
+                .extend(seeds.entries().map(|(key, seed, _)| (key, seed)));
         }
-        snapshot.seeds = self.seeds.entries();
         snapshot
     }
 
@@ -430,7 +391,7 @@ impl ShardedPulseCache {
     /// warm start. Capacity bounds still apply — a snapshot larger than the cache
     /// keeps only what ranks highest, and entries displaced that way are real
     /// displacements and do count in `evictions` (so `restored - evictions`
-    /// reconciles with the entry count after a bounded warm start).
+    /// reconciles with the block and tuning count after a bounded warm start).
     pub fn absorb(&self, snapshot: CacheSnapshot) {
         for (key, value, _) in snapshot.blocks {
             self.store_block(key, value)
@@ -442,10 +403,12 @@ impl ShardedPulseCache {
                 .restored
                 .fetch_add(1, Ordering::Relaxed);
         }
-        // Seeds replay through the table's own record path, so depth-preferred
-        // replacement and the capacity/byte bounds apply to restored entries
-        // exactly as they do to live ones.
-        self.seeds.absorb(snapshot.seeds);
+        // Seeds replay through the record path, so merging, the capacity bound
+        // and the `seeds` switch apply to restored entries exactly as they do to
+        // live ones.
+        for (key, seed) in snapshot.seeds {
+            self.record_seed(&key, seed);
+        }
     }
 
     /// Files a block entry at the cost its own record implies and counts what
@@ -479,7 +442,8 @@ impl PulseCache for ShardedPulseCache {
     fn block(&self, key: &BlockKey) -> Option<CachedBlock> {
         let shard = self.shard(key);
         let found = shard.blocks.lock().get(key).cloned();
-        shard.counters.record_lookup(found.is_some());
+        let counters = &shard.counters;
+        record_lookup(found.is_some(), &counters.hits, &counters.misses);
         found
     }
 
@@ -492,7 +456,8 @@ impl PulseCache for ShardedPulseCache {
     fn tuning(&self, key: &BlockKey) -> Option<CachedTuning> {
         let shard = self.shard(key);
         let found = shard.tunings.lock().get(key).cloned();
-        shard.counters.record_lookup(found.is_some());
+        let counters = &shard.counters;
+        record_lookup(found.is_some(), &counters.hits, &counters.misses);
         found
     }
 
@@ -520,19 +485,61 @@ impl PulseCache for ShardedPulseCache {
     }
 
     fn seed(&self, key: &BlockKey) -> Option<SeedEntry> {
-        self.seeds.probe(key)
+        if !self.seeds {
+            return None;
+        }
+        let shard = self.shard(key);
+        let found = shard.seeds.lock().get(key).cloned();
+        let counters = &shard.counters;
+        record_lookup(found.is_some(), &counters.seed_hits, &counters.seed_misses);
+        found
     }
 
     fn record_seed(&self, key: &BlockKey, entry: SeedEntry) {
-        self.seeds.record(key, entry);
+        if !self.seeds {
+            return;
+        }
+        let shard = self.shard(key);
+        let mut seeds = shard.seeds.lock();
+        let merged = match seeds.peek(key) {
+            Some(held) => {
+                let mut merged = held.clone();
+                merged.merge(entry);
+                merged
+            }
+            None => entry,
+        };
+        let cost = self.latency.seed_recompute_seconds(key, &merged);
+        let evicted = seeds.insert(key.clone(), merged, cost);
+        shard
+            .counters
+            .seed_evictions
+            .fetch_add(evicted, Ordering::Relaxed);
     }
 
     fn record_search_outcome(&self, seeded: bool, grape_iterations: u64) {
-        self.seeds.record_search_outcome(seeded, grape_iterations);
+        // A search outcome has no key; the totals are sums over the shards, so
+        // the first shard's counters hold them.
+        let counters = &self.shards[0].counters;
+        let total = if seeded {
+            &counters.seeded_iterations
+        } else {
+            &counters.cold_iterations
+        };
+        total.fetch_add(grape_iterations, Ordering::Relaxed);
     }
 
     fn warm_start_stats(&self) -> WarmStartStats {
-        self.seeds.stats()
+        let mut stats = WarmStartStats::default();
+        for shard in &self.shards {
+            let counters = &shard.counters;
+            stats.table_hits += counters.seed_hits.load(Ordering::Relaxed);
+            stats.table_misses += counters.seed_misses.load(Ordering::Relaxed);
+            stats.table_evictions += counters.seed_evictions.load(Ordering::Relaxed);
+            stats.seeded_iterations += counters.seeded_iterations.load(Ordering::Relaxed);
+            stats.cold_iterations += counters.cold_iterations.load(Ordering::Relaxed);
+        }
+        stats
     }
 }
 
@@ -540,6 +547,7 @@ impl PulseCache for ShardedPulseCache {
 mod tests {
     use super::*;
     use vqc_circuit::Circuit;
+    use vqc_pulse::PulseSequence;
 
     fn key(tag: usize) -> BlockKey {
         let mut circuit = Circuit::new(1);
@@ -557,19 +565,27 @@ mod tests {
         }
     }
 
+    /// One shard bounded to `capacity` entries of each kind, seeds armed whatever
+    /// `VQC_TT` says.
     fn bounded(capacity: usize) -> ShardedPulseCache {
         ShardedPulseCache::new(CacheConfig {
             shards: 1,
-            max_blocks_per_shard: Some(capacity),
-            max_tunings_per_shard: None,
-            seeds: TableConfig::default(),
+            max_entries_per_shard: Some(capacity),
+            seeds: true,
         })
+    }
+
+    /// Lookups the block key has answered since entering its shard, if it is
+    /// resident — read without counting one.
+    fn block_hit_count(cache: &ShardedPulseCache, key: &BlockKey) -> Option<u64> {
+        let blocks = cache.shard(key).blocks.lock();
+        blocks.entries.get(key).map(|slot| slot.hits)
     }
 
     /// The keys of `tags` still resident, found without counting a hit.
     fn resident(cache: &ShardedPulseCache, tags: impl IntoIterator<Item = usize>) -> Vec<usize> {
         tags.into_iter()
-            .filter(|tag| cache.block_hit_count(&key(*tag)).is_some())
+            .filter(|tag| block_hit_count(cache, &key(*tag)).is_some())
             .collect()
     }
 
@@ -579,15 +595,33 @@ mod tests {
             shards: 5,
             ..CacheConfig::default()
         });
-        assert_eq!(cache.num_shards(), 8);
-        assert_eq!(
-            ShardedPulseCache::new(CacheConfig {
-                shards: 0,
-                ..CacheConfig::default()
-            })
-            .num_shards(),
-            1
-        );
+        assert_eq!(cache.shards.len(), 8);
+        let cache = ShardedPulseCache::new(CacheConfig {
+            shards: 0,
+            ..CacheConfig::default()
+        });
+        assert_eq!(cache.shards.len(), 1);
+    }
+
+    #[test]
+    fn the_environment_knobs_parse_tolerantly() {
+        // `VQC_CACHE_BLOCKS`: a count bounds every map, 0 clamps to 1, anything
+        // else leaves the store unbounded.
+        assert_eq!(entry_bound(None), None);
+        assert_eq!(entry_bound(Some("16")), Some(16));
+        assert_eq!(entry_bound(Some(" 16\n")), Some(16));
+        assert_eq!(entry_bound(Some("0")), Some(1));
+        for garbage in ["", "many", "-3", "1.5"] {
+            assert_eq!(entry_bound(Some(garbage)), None, "{garbage:?}");
+        }
+        // `VQC_TT`: only an explicit off disarms the seeds.
+        assert!(seeds_armed(None));
+        for off in ["0", "off", "OFF", " false ", "no"] {
+            assert!(!seeds_armed(Some(off)), "{off:?}");
+        }
+        for on in ["1", "on", "", "garbage"] {
+            assert!(seeds_armed(Some(on)), "{on:?}");
+        }
     }
 
     #[test]
@@ -644,8 +678,8 @@ mod tests {
         for _ in 0..5 {
             assert!(cache.block(&key(1)).is_some());
         }
-        assert_eq!(cache.block_hit_count(&key(1)), Some(5));
-        assert_eq!(cache.block_hit_count(&key(2)), Some(0));
+        assert_eq!(block_hit_count(&cache, &key(1)), Some(5));
+        assert_eq!(block_hit_count(&cache, &key(2)), Some(0));
         cache.insert_block(key(3), entry(3));
         assert_eq!(
             resident(&cache, 1..=3),
@@ -657,25 +691,32 @@ mod tests {
     /// The `wire-mixed` thrash in miniature: a reader's cheap Fixed block is hit
     /// between the writes of a stream of costlier full-GRAPE blocks, each used
     /// once. Ranked by cost alone the reader's block is always the cheapest
-    /// resident and leaves at the first overflow.
+    /// resident and leaves at the first overflow. The same holds one map over: a
+    /// seed probed between the records of single-use structures stays.
     #[test]
     fn a_hot_cheap_entry_is_never_the_victim_of_single_use_costlier_entries() {
         let capacity = 4;
         let cache = bounded(capacity);
         let hot = key(0);
         cache.insert_block(hot.clone(), entry(1));
+        cache.record_seed(&hot, seed_entry(1.0, 1));
         for one_shot in 0..64 {
             for _ in 0..8 {
                 assert!(
-                    cache.block(&hot).is_some(),
+                    cache.block(&hot).is_some() && cache.seed(&hot).is_some(),
                     "hot entry evicted before one-shot insert {one_shot}"
                 );
             }
-            cache.insert_block(key(100 + one_shot), entry(2 + one_shot % 4));
-            assert!(cache.num_blocks() <= capacity);
+            let cost = 2 + one_shot % 4;
+            cache.insert_block(key(100 + one_shot), entry(cost));
+            cache.record_seed(&key(100 + one_shot), seed_entry(cost as f64, cost));
+            assert!(cache.num_blocks() <= capacity && cache.num_seeds() <= capacity);
         }
-        assert!(cache.block(&hot).is_some());
-        assert_eq!(cache.metrics().evictions, 64 + 1 - capacity as u64);
+        assert!(cache.block(&hot).is_some() && cache.seed(&hot).is_some());
+        // Each kind counts its own displacements.
+        let displaced = 64 + 1 - capacity as u64;
+        assert_eq!(cache.metrics().evictions, displaced);
+        assert_eq!(cache.warm_start_stats().table_evictions, displaced);
     }
 
     #[test]
@@ -685,16 +726,16 @@ mod tests {
         for _ in 0..3 {
             cache.block(&key(1));
         }
-        assert_eq!(cache.block_hit_count(&key(1)), Some(3));
+        assert_eq!(block_hit_count(&cache, &key(1)), Some(3));
         // Recompiling (overwriting) the entry keeps its demand history.
         cache.insert_block(key(1), entry(7));
-        assert_eq!(cache.block_hit_count(&key(1)), Some(3));
+        assert_eq!(block_hit_count(&cache, &key(1)), Some(3));
         // Eviction drops the counter with the entry.
         let tight = bounded(1);
         tight.insert_block(key(1), entry(1));
         tight.block(&key(1));
         tight.insert_block(key(2), entry(2));
-        assert_eq!(tight.block_hit_count(&key(1)), None);
+        assert_eq!(block_hit_count(&tight, &key(1)), None);
     }
 
     #[test]
@@ -848,18 +889,13 @@ mod tests {
         for tag in 0..20 {
             assert_eq!(restored.block(&key(tag)).unwrap(), entry(tag));
         }
-        // The multiset of retained costs is preserved exactly. (The *sums* can
-        // differ in the last bits: shard layout and hash order change the f64
-        // summation order, so comparing totals bitwise would be flaky.)
+        // The multiset of retained costs is preserved exactly.
         let costs = |cache: &ShardedPulseCache| {
             let mut costs: Vec<f64> = cache.snapshot().blocks.iter().map(|(_, _, c)| *c).collect();
             costs.sort_by(f64::total_cmp);
             costs
         };
         assert_eq!(costs(&restored), costs(&cache));
-        let drift =
-            (restored.retained_block_cost_seconds() - cache.retained_block_cost_seconds()).abs();
-        assert!(drift <= 1e-9 * cache.retained_block_cost_seconds().abs());
     }
 
     fn seed_entry(duration_ns: f64, iterations: usize) -> SeedEntry {
@@ -870,106 +906,76 @@ mod tests {
             converged_duration_ns: Some(duration_ns),
             failed_below_ns: duration_ns * 0.5,
             probe_iterations: vec![(duration_ns, iterations)],
-            pulse: Some(vqc_core::PulseSequence::zeros(2, 64, 0.5)),
+            pulse: Some(PulseSequence::zeros(2, 64, 0.5)),
         }
+    }
+
+    #[test]
+    fn a_seed_misses_then_records_then_hits_and_merges() {
+        let cache = bounded(4);
+        assert!(cache.seed(&key(7)).is_none());
+        cache.record_seed(&key(7), seed_entry(3.0, 40));
+        let found = cache.seed(&key(7)).expect("recorded seed must hit");
+        assert_eq!(found.converged_duration_ns, Some(3.0));
+        assert_eq!(found.depth(), 40);
+        // A second record of the key merges into the first.
+        cache.record_seed(&key(7), seed_entry(2.5, 10));
+        let merged = cache.seed(&key(7)).expect("still resident");
+        assert_eq!(merged.converged_duration_ns, Some(2.5));
+        assert_eq!(merged.depth(), 50);
+        assert_eq!(cache.num_seeds(), 1);
+        let stats = cache.warm_start_stats();
+        assert_eq!((stats.table_hits, stats.table_misses), (2, 1));
+        // Seed traffic is not block or tuning traffic.
+        assert_eq!(cache.metrics(), CacheMetrics::default());
+    }
+
+    #[test]
+    fn disarmed_seeds_are_never_stored_or_served() {
+        let cache = ShardedPulseCache::new(CacheConfig {
+            seeds: false,
+            ..CacheConfig::default()
+        });
+        cache.record_seed(&key(1), seed_entry(3.0, 10));
+        cache.absorb(CacheSnapshot {
+            seeds: vec![(key(2), seed_entry(4.0, 10))],
+            ..CacheSnapshot::default()
+        });
+        assert!(cache.seed(&key(1)).is_none() && cache.seed(&key(2)).is_none());
+        assert_eq!(cache.num_seeds(), 0);
+        assert_eq!(cache.warm_start_stats(), WarmStartStats::default());
+    }
+
+    #[test]
+    fn search_outcomes_aggregate() {
+        let cache = ShardedPulseCache::default();
+        cache.record_search_outcome(true, 40);
+        cache.record_search_outcome(false, 100);
+        cache.record_search_outcome(true, 10);
+        let stats = cache.warm_start_stats();
+        assert_eq!(stats.seeded_iterations, 50);
+        assert_eq!(stats.cold_iterations, 100);
     }
 
     #[test]
     fn seeds_round_trip_through_snapshot_and_absorb() {
         let config = CacheConfig {
-            seeds: TableConfig::default(),
+            seeds: true,
             ..CacheConfig::default()
         };
         let source = ShardedPulseCache::new(config);
-        PulseCache::record_seed(&source, &key(1), seed_entry(4.0, 30));
-        PulseCache::record_seed(&source, &key(2), seed_entry(7.0, 90));
+        source.record_seed(&key(1), seed_entry(4.0, 30));
+        source.record_seed(&key(2), seed_entry(7.0, 90));
         assert_eq!(source.num_seeds(), 2);
 
         let restored = ShardedPulseCache::new(config);
         restored.absorb(source.snapshot());
+        restored.clear(); // drops blocks and tunings; seeds survive
         assert_eq!(restored.num_seeds(), 2);
-        let found = PulseCache::seed(&restored, &key(2)).expect("seed restored");
+        let found = restored.seed(&key(2)).expect("seed restored");
         assert_eq!(found.converged_duration_ns, Some(7.0));
         assert_eq!(found.depth(), 90);
-    }
-
-    #[test]
-    fn seed_byte_budget_evicts_waveform_payloads() {
-        // A budget that fits roughly one pulse-carrying entry: inserting deeper
-        // entries must displace shallower ones rather than grow without bound.
-        let one_entry = seed_entry(4.0, 10).approx_bytes();
-        let config = CacheConfig {
-            seeds: TableConfig {
-                enabled: true,
-                capacity: 64,
-                shards: 1,
-                max_bytes: Some(one_entry + one_entry / 2),
-            },
-            ..CacheConfig::default()
-        };
-        let cache = ShardedPulseCache::new(config);
-        for tag in 0..6 {
-            PulseCache::record_seed(
-                &cache,
-                &key(tag),
-                seed_entry(4.0 + tag as f64, 10 * (tag + 1)),
-            );
-        }
-        assert!(
-            cache.seed_bytes() <= one_entry + one_entry / 2,
-            "byte budget must hold: {} > {}",
-            cache.seed_bytes(),
-            one_entry + one_entry / 2
-        );
-        assert!(cache.num_seeds() < 6, "budget must have evicted entries");
-        assert!(PulseCache::warm_start_stats(&cache).table_evictions > 0);
-    }
-
-    #[test]
-    fn compaction_drops_cheap_entries_and_respects_the_size_budget() {
-        let cache = ShardedPulseCache::default();
-        for tag in 0..10 {
-            cache.insert_block(key(tag), entry(tag));
-        }
-        let full = cache.snapshot();
-
-        // Cost floor: entry 0 does zero GRAPE work and is the only one below it.
-        let mut floored = full.clone();
-        let min_positive = full
-            .blocks
-            .iter()
-            .map(|(_, _, c)| *c)
-            .filter(|c| *c > 0.0)
-            .fold(f64::INFINITY, f64::min);
-        floored.compact(&CompactionPolicy {
-            cost_floor_seconds: Some(min_positive),
-            max_entries: None,
-        });
-        assert_eq!(floored.blocks.len(), 9);
-
-        // Size budget: the 3 costliest entries survive.
-        let mut budgeted = full.clone();
-        budgeted.compact(&CompactionPolicy {
-            cost_floor_seconds: None,
-            max_entries: Some(3),
-        });
-        assert_eq!(budgeted.blocks.len(), 3);
-        let kept_min = budgeted
-            .blocks
-            .iter()
-            .map(|(_, _, c)| *c)
-            .fold(f64::INFINITY, f64::min);
-        let dropped_max = full
-            .blocks
-            .iter()
-            .filter(|(k, _, _)| !budgeted.blocks.iter().any(|(bk, _, _)| bk == k))
-            .map(|(_, _, c)| *c)
-            .fold(0.0, f64::max);
-        assert!(kept_min >= dropped_max);
-
-        // The default policy is a no-op.
-        let mut untouched = full.clone();
-        untouched.compact(&CompactionPolicy::default());
-        assert_eq!(untouched, full);
+        // Restored seeds are not restored blocks.
+        assert_eq!(restored.metrics().restored, 0);
     }
 }

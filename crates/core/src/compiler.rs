@@ -1,9 +1,10 @@
 //! The [`PartialCompiler`]: one API over the four compilation strategies.
 
 use crate::blocking::{Block, ParameterPolicy};
+use crate::cache::ShardedPulseCache;
 use crate::hyperparam::{tune_hyperparameters_keeping_winner, HyperparameterGrid};
 use crate::latency::{LatencyEstimate, LatencyModel};
-use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
+use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 use crate::plan::{self, BlockRecord, CacheSlot, CompilationPlan, PlanCache, PlanCacheStats};
 use crate::schedule::schedule_blocks;
 use crate::CompileError;
@@ -219,25 +220,25 @@ pub struct BlockOutcome {
     pub runtime: LatencyEstimate,
 }
 
-/// The partial compiler: owns the configuration, a shared pulse cache, and the
+/// The partial compiler: owns the configuration, a shared pulse store, and the
 /// plans of the circuits it has seen.
 #[derive(Debug)]
 pub struct PartialCompiler {
     options: CompilerOptions,
-    cache: Arc<dyn PulseCache>,
+    cache: Arc<ShardedPulseCache>,
     plans: PlanCache,
 }
 
 impl PartialCompiler {
-    /// Creates a compiler with the given options and an empty in-process
-    /// [`PulseLibrary`] cache.
+    /// Creates a compiler with the given options and an empty pulse store of its
+    /// own at the environment-configured defaults ([`crate::CacheConfig::default`]).
     pub fn new(options: CompilerOptions) -> Self {
-        PartialCompiler::with_cache(options, Arc::new(PulseLibrary::new()))
+        PartialCompiler::with_cache(options, Arc::new(ShardedPulseCache::default()))
     }
 
-    /// Creates a compiler backed by an externally owned cache (e.g. the sharded
-    /// cache of `vqc-runtime`, shared across compilers and requests).
-    pub fn with_cache(options: CompilerOptions, cache: Arc<dyn PulseCache>) -> Self {
+    /// Creates a compiler on an externally owned store (e.g. the one a
+    /// `vqc-runtime` service shares across compilers and requests).
+    pub fn with_cache(options: CompilerOptions, cache: Arc<ShardedPulseCache>) -> Self {
         PartialCompiler {
             options,
             cache,
@@ -250,13 +251,19 @@ impl PartialCompiler {
         &self.options
     }
 
-    /// The shared pulse cache (block compilations and tunings).
+    /// The pulse store (blocks, tunings and warm-start seeds).
+    pub fn cache(&self) -> &ShardedPulseCache {
+        &self.cache
+    }
+
+    /// The pulse store behind its [`PulseCache`] interface — kept, like the trait,
+    /// for the driver benchmark, which calls through it.
     pub fn library(&self) -> &dyn PulseCache {
         self.cache.as_ref()
     }
 
-    /// A cloneable handle to the shared pulse cache.
-    pub fn shared_cache(&self) -> Arc<dyn PulseCache> {
+    /// A cloneable handle to the pulse store, for a second compiler to share.
+    pub fn shared_cache(&self) -> Arc<ShardedPulseCache> {
         Arc::clone(&self.cache)
     }
 
@@ -556,11 +563,11 @@ impl PartialCompiler {
     /// filed under `key`. Returns the cached entry, the wall-clock seconds of GRAPE
     /// work, and its profile.
     ///
-    /// The compiler probes the transposition table under the block's *structural*
-    /// key: a neighbor with the same structure at a different θ seeds the duration
+    /// The compiler asks the store for a seed under the block's *structural* key: a
+    /// neighbor with the same structure at a different θ seeds the duration
     /// search's window and warm-starts its probes (Figure 4: structure, not
     /// binding, dominates GRAPE behavior). The finished search is folded back into
-    /// the table either way, so every real compile deepens the warm-start index.
+    /// the seed either way, so every real compile deepens what the next one opens from.
     fn grape_block(
         &self,
         key: BlockKey,
@@ -606,10 +613,10 @@ impl PartialCompiler {
         Ok((entry, measured, block_profile))
     }
 
-    /// Folds a finished duration search back into the warm-start index: the
-    /// converged duration and its pulse, the tightest non-converging lower
-    /// bound, and the per-probe iteration counts become (or tighten, via the
-    /// table's merge policy) the seed every structural neighbor starts from.
+    /// Folds a finished duration search back into the store's seed for its
+    /// structure: the converged duration and its pulse, the tightest
+    /// non-converging lower bound, and the per-probe iteration counts become (or
+    /// tighten, via [`SeedEntry::merge`]) what every structural neighbor starts from.
     fn record_search_feedback(
         &self,
         structural_key: &BlockKey,
@@ -641,8 +648,8 @@ impl PartialCompiler {
     /// hyperparameters at the gate-based upper bound, then binary-search the minimum
     /// duration with the tuned configuration.
     ///
-    /// A *tuned, converged* transposition-table entry for the same structure
-    /// answers the hyperparameter grid outright — Figure 4's observation that the
+    /// A *tuned, converged* seed for the same structure answers the
+    /// hyperparameter grid outright — Figure 4's observation that the
     /// tuned configuration is θ-robust — so only the (seeded) duration search
     /// remains. Untuned seeds (e.g. from full-GRAPE searches of the same
     /// structure) still seed the search window without skipping the grid.
@@ -675,7 +682,7 @@ impl PartialCompiler {
                     &self.options.grape,
                     &self.options.hyperparameter_grid,
                 )?;
-                // Without a table seed the search opens cold at the upper bound
+                // Without a seed the search opens cold at the upper bound
                 // under the tuned options: target, duration, options and guess
                 // are the winning candidate's, so its run is handed in.
                 if seed.is_none() {
@@ -768,6 +775,7 @@ fn grape_outcome(block: &Block, record: &BlockRecord, entry: &CachedBlock) -> Bl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use vqc_circuit::ParamExpr;
 
     /// A Figure-3-style two-qubit variational circuit: deep fixed sections interleaved
@@ -790,6 +798,14 @@ mod tests {
 
     fn compiler() -> PartialCompiler {
         PartialCompiler::new(CompilerOptions::fast())
+    }
+
+    /// A store with seeds armed whatever `VQC_TT` says.
+    fn seeded_store() -> Arc<ShardedPulseCache> {
+        Arc::new(ShardedPulseCache::new(CacheConfig {
+            seeds: true,
+            ..CacheConfig::default()
+        }))
     }
 
     #[test]
@@ -981,17 +997,12 @@ mod tests {
 
     #[test]
     fn repeat_structure_compiles_are_seeded_and_never_slower_than_gate_based() {
-        // The same subcircuit at a fresh θ misses the bound-key cache but hits
-        // the transposition table under the structural key: the second compile's
-        // duration search opens at the first one's converged window and spends
-        // no more GRAPE iterations than the cold search did. The table is
-        // armed explicitly so the test is independent of `VQC_TT`.
-        let compiler = PartialCompiler::with_cache(
-            CompilerOptions::fast(),
-            Arc::new(PulseLibrary::with_seed_table(
-                vqc_pulse::TableConfig::default(),
-            )),
-        );
+        // The same subcircuit at a fresh θ misses the bound-key cache but finds
+        // a seed under the structural key: the second compile's duration search
+        // opens at the first one's converged window and spends no more GRAPE
+        // iterations than the cold search did. Seeds are armed explicitly so the
+        // test is independent of `VQC_TT`.
+        let compiler = PartialCompiler::with_cache(CompilerOptions::fast(), seeded_store());
         let mut circuit = Circuit::new(1);
         circuit.h(0);
         circuit.rz_expr(0, ParamExpr::theta(0));
@@ -1039,9 +1050,7 @@ mod tests {
         // block, wiping the tuning cache (but not the seeds) makes the second
         // re-tune — which the tuned seed answers without re-running the grid,
         // so its pre-compute latency collapses to the seeded duration search.
-        let shared = Arc::new(PulseLibrary::with_seed_table(
-            vqc_pulse::TableConfig::default(),
-        ));
+        let shared = seeded_store();
         let first = PartialCompiler::with_cache(CompilerOptions::fast(), shared.clone());
         let circuit = example_circuit();
         let report = first

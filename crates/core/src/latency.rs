@@ -10,7 +10,7 @@
 
 use crate::library::{BlockKey, CachedBlock, CachedTuning};
 use serde::{Deserialize, Serialize};
-use vqc_pulse::DeviceModel;
+use vqc_pulse::{DeviceModel, SeedEntry};
 
 /// Canonical GRAPE sample period (ns) assumed when estimating the recompute cost of a
 /// *cached* entry, which no longer carries the `GrapeOptions` it was produced with.
@@ -78,6 +78,14 @@ impl LatencyModel {
     /// scratch (the hyperparameter probes plus the duration search it took).
     pub fn tuning_recompute_seconds(&self, key: &BlockKey, entry: &CachedTuning) -> f64 {
         self.recompute_seconds(key, entry.precompute_iterations, entry.duration_ns)
+    }
+
+    /// Estimated seconds of the searches a warm-start seed distils: every
+    /// iteration its probe history records, at the duration the structure
+    /// converged at (else the one it failed below).
+    pub fn seed_recompute_seconds(&self, key: &BlockKey, entry: &SeedEntry) -> f64 {
+        let duration_ns = entry.converged_duration_ns.unwrap_or(entry.failed_below_ns);
+        self.recompute_seconds(key, entry.depth() as usize, duration_ns)
     }
 }
 

@@ -18,10 +18,17 @@
 //! 2. aggregates it into ≤4-qubit [`blocking`] blocks under the strategy's parameter
 //!    policy (Fixed-only for strict, single-θ for flexible, unrestricted for GRAPE),
 //! 3. compiles each block either by lookup (gate-based) or by minimum-time GRAPE
-//!    (`vqc-pulse`), caching results in a [`PulseLibrary`],
+//!    (`vqc-pulse`), keeping the results in the pulse store ([`ShardedPulseCache`]),
 //! 4. ASAP-schedules the block pulses to get the circuit's total pulse duration, and
 //! 5. accounts compilation latency separately for the pre-compute phase and the
 //!    per-iteration runtime phase.
+//!
+//! Everything a compile leaves behind — block pulses' durations, flexible tunings,
+//! and the warm-start seeds that open the next search of a structure — lives in one
+//! [`ShardedPulseCache`]: sharded, ranked by `LatencyModel` recompute cost × reuse,
+//! bounded by one [`CacheConfig::max_entries_per_shard`], and snapshottable
+//! ([`CacheSnapshot`]; `vqc-runtime` persists it and shares one store across
+//! requests).
 //!
 //! # Example
 //!
@@ -49,6 +56,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod blocking;
+mod cache;
 mod compiler;
 mod error;
 pub mod hyperparam;
@@ -57,15 +65,16 @@ mod library;
 mod plan;
 pub mod schedule;
 
+pub use cache::{CacheConfig, CacheMetrics, CacheSnapshot, ShardedPulseCache};
 pub use compiler::{
     BlockCompilation, BlockOutcome, CompilationReport, CompilerOptions, PartialCompiler, Strategy,
 };
 pub use error::CompileError;
 pub use latency::{LatencyEstimate, LatencyModel};
-pub use library::{BlockKey, CachedBlock, CachedTuning, PulseCache, PulseLibrary};
+pub use library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 pub use plan::{CompilationPlan, PlanCacheStats};
 pub use vqc_pulse::profile::{self, CompileProfile, Phase, PHASE_COUNT};
-pub use vqc_pulse::{PulseSequence, SeedEntry, TableConfig, TranspositionTable, WarmStartStats};
+pub use vqc_pulse::{PulseSequence, SeedEntry, WarmStartStats};
 
 // audit:allow(dead_pub): PlanData is CompilationPlan's Deref target; its fields are the plan's public surface
 pub use plan::PlanData;

@@ -1,16 +1,15 @@
-//! The pulse library: a cache of GRAPE results keyed by block content.
+//! What the pulse library stores: block keys, the entries filed under them, and
+//! the [`PulseCache`] interface to the store.
 //!
 //! Strict partial compilation's whole point is that Fixed blocks can be compiled once
 //! and looked up forever after; and even for full GRAPE, identical blocks recur both
 //! within a circuit (repeated QAOA rounds) and across variational iterations. The
-//! library is shared behind a mutex so the benchmark harness can compile blocks from
-//! multiple worker threads.
+//! store itself — one sharded, cost-ranked, optionally bounded map for blocks,
+//! tunings and warm-start seeds alike — is [`crate::ShardedPulseCache`].
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use vqc_circuit::Circuit;
-use vqc_pulse::{SeedEntry, TableConfig, TranspositionTable, WarmStartStats};
+use vqc_pulse::{SeedEntry, WarmStartStats};
 
 /// A canonical fingerprint of a (bound or structural) block circuit.
 ///
@@ -23,18 +22,32 @@ pub struct BlockKey(String);
 impl BlockKey {
     /// Builds the key of a *bound* block circuit (angles included).
     pub fn from_bound_circuit(circuit: &Circuit) -> Self {
-        let mut key = format!("q{}|", circuit.num_qubits());
+        Self::build(circuit, false)
+    }
+
+    /// Builds a *structural* key that ignores the numeric values of parameterized
+    /// angles (but keeps constant angles). Used to cache per-subcircuit hyperparameters
+    /// and minimum durations, which the paper observes are robust to the θ argument.
+    pub fn structural(circuit: &Circuit) -> Self {
+        Self::build(circuit, true)
+    }
+
+    /// The one key body: gate names, local qubits and angles in circuit order. A
+    /// structural key carries an `s|` prefix and prints a parameterized angle
+    /// without its index.
+    fn build(circuit: &Circuit, structural: bool) -> Self {
+        let prefix = if structural { "s|" } else { "" };
+        let mut key = format!("{prefix}q{}|", circuit.num_qubits());
         for op in circuit.iter() {
             key.push_str(op.gate.name());
             for q in &op.qubits {
                 key.push_str(&format!(",{q}"));
             }
             if let Some(angle) = op.gate.angle() {
-                if angle.is_parameterized() {
-                    // audit:allow(unwrap): guarded by angle.is_parameterized() on the line above
-                    key.push_str(&format!("[θ{}]", angle.parameter().expect("parameterized")));
-                } else {
-                    key.push_str(&format!("[{:.9}]", angle.evaluate(&[])));
+                match angle.parameter() {
+                    Some(_) if structural => key.push_str("[θ]"),
+                    Some(index) => key.push_str(&format!("[θ{index}]")),
+                    None => key.push_str(&format!("[{}]", rounded(angle.evaluate(&[])))),
                 }
             }
             key.push(';');
@@ -55,27 +68,18 @@ impl BlockKey {
             .and_then(|rest| rest.split('|').next());
         digits.and_then(|d| d.parse().ok()).unwrap_or(0)
     }
+}
 
-    /// Builds a *structural* key that ignores the numeric values of parameterized
-    /// angles (but keeps constant angles). Used to cache per-subcircuit hyperparameters
-    /// and minimum durations, which the paper observes are robust to the θ argument.
-    pub fn structural(circuit: &Circuit) -> Self {
-        let mut key = format!("s|q{}|", circuit.num_qubits());
-        for op in circuit.iter() {
-            key.push_str(op.gate.name());
-            for q in &op.qubits {
-                key.push_str(&format!(",{q}"));
-            }
-            if let Some(angle) = op.gate.angle() {
-                if angle.is_parameterized() {
-                    key.push_str("[θ]");
-                } else {
-                    key.push_str(&format!("[{:.9}]", angle.evaluate(&[])));
-                }
-            }
-            key.push(';');
-        }
-        BlockKey(key)
+/// A constant angle as keys print it: rounded to 10⁻⁹, and a rounded zero without
+/// its sign — `{:.9}` alone renders every value in (-5e-10, 0], the `-0.0` that
+/// `(-½)·θ` evaluates to at θ = 0 included, as `-0.000000000`, a second key for the
+/// same rounded angle.
+fn rounded(angle: f64) -> String {
+    let printed = format!("{angle:.9}");
+    if printed == "-0.000000000" {
+        printed[1..].to_string()
+    } else {
+        printed
     }
 }
 
@@ -108,12 +112,14 @@ pub struct CachedTuning {
     pub runtime_iterations: usize,
 }
 
-/// The storage interface behind the compiler's block/tuning caches.
+/// The storage interface of the pulse store.
 ///
-/// [`PulseLibrary`] is the in-process reference implementation; `vqc-runtime`
-/// provides a lock-striped, sharded, snapshot-persistable implementation for
-/// concurrent workloads. [`crate::PartialCompiler`] only talks to this trait, so the
-/// two are interchangeable.
+/// [`crate::ShardedPulseCache`] is its one implementation and
+/// [`crate::PartialCompiler`] holds that type directly. The trait, its 11
+/// signatures and [`crate::PartialCompiler::library`] remain because the driver
+/// benchmark (`benchmark/`, not this repository's to edit outside a `[benchmark]`
+/// change) imports the trait and calls through both; they go when it stops
+/// (ROADMAP item 1(c)).
 pub trait PulseCache: Send + Sync + std::fmt::Debug {
     /// Looks up a cached block compilation.
     fn block(&self, key: &BlockKey) -> Option<CachedBlock>;
@@ -133,140 +139,25 @@ pub trait PulseCache: Send + Sync + std::fmt::Debug {
     /// Number of cached tunings.
     fn num_tunings(&self) -> usize;
 
-    /// Clears both caches.
+    /// Clears the block and tuning entries (the warm-start seeds are kept).
     fn clear(&self);
 
-    /// Probes the warm-start transposition table for what past compilations of
-    /// this *structure* (a [`BlockKey::structural`] key) learned: tuned
-    /// hyperparameters, a converged duration window, and best-so-far amplitudes.
-    /// The default implementation has no table.
-    fn seed(&self, _key: &BlockKey) -> Option<SeedEntry> {
-        None
-    }
+    /// Looks up what past compilations of this *structure* (a
+    /// [`BlockKey::structural`] key) learned: tuned hyperparameters, a converged
+    /// duration window, and best-so-far amplitudes.
+    fn seed(&self, key: &BlockKey) -> Option<SeedEntry>;
 
-    /// Records what one compilation learned about a structural key into the
-    /// warm-start table (same-key records merge; the window only tightens). The
-    /// default implementation drops it.
-    fn record_seed(&self, _key: &BlockKey, _entry: SeedEntry) {}
+    /// Records what one compilation learned about a structural key (same-key
+    /// records merge; the window only tightens).
+    fn record_seed(&self, key: &BlockKey, entry: SeedEntry);
 
     /// Adds one finished duration search's GRAPE iteration total to the
-    /// seeded-vs-cold warm-start accounting. The default implementation drops it.
-    fn record_search_outcome(&self, _seeded: bool, _grape_iterations: u64) {}
+    /// seeded-vs-cold warm-start accounting.
+    fn record_search_outcome(&self, seeded: bool, grape_iterations: u64);
 
-    /// Current warm-start counters (table traffic, seeded-vs-cold
-    /// iteration totals). The default implementation reports zeroes.
-    fn warm_start_stats(&self) -> WarmStartStats {
-        WarmStartStats::default()
-    }
-}
-
-/// Thread-safe cache of block compilations and flexible-compilation tunings.
-#[derive(Debug, Default)]
-pub struct PulseLibrary {
-    blocks: Mutex<HashMap<BlockKey, CachedBlock>>,
-    tunings: Mutex<HashMap<BlockKey, CachedTuning>>,
-    /// Warm-start transposition table keyed by [`BlockKey::structural`]
-    /// (environment-configured: `VQC_TT` / `VQC_TT_CAPACITY` / `VQC_CACHE_BYTES`).
-    seeds: TranspositionTable<BlockKey>,
-}
-
-impl PulseCache for PulseLibrary {
-    fn block(&self, key: &BlockKey) -> Option<CachedBlock> {
-        PulseLibrary::block(self, key)
-    }
-
-    fn insert_block(&self, key: BlockKey, value: CachedBlock) {
-        PulseLibrary::insert_block(self, key, value)
-    }
-
-    fn tuning(&self, key: &BlockKey) -> Option<CachedTuning> {
-        PulseLibrary::tuning(self, key)
-    }
-
-    fn insert_tuning(&self, key: BlockKey, value: CachedTuning) {
-        PulseLibrary::insert_tuning(self, key, value)
-    }
-
-    fn num_blocks(&self) -> usize {
-        PulseLibrary::num_blocks(self)
-    }
-
-    fn num_tunings(&self) -> usize {
-        PulseLibrary::num_tunings(self)
-    }
-
-    fn clear(&self) {
-        PulseLibrary::clear(self)
-    }
-
-    fn seed(&self, key: &BlockKey) -> Option<SeedEntry> {
-        self.seeds.probe(key)
-    }
-
-    fn record_seed(&self, key: &BlockKey, entry: SeedEntry) {
-        self.seeds.record(key, entry);
-    }
-
-    fn record_search_outcome(&self, seeded: bool, grape_iterations: u64) {
-        self.seeds.record_search_outcome(seeded, grape_iterations);
-    }
-
-    fn warm_start_stats(&self) -> WarmStartStats {
-        self.seeds.stats()
-    }
-}
-
-impl PulseLibrary {
-    /// Creates an empty library.
-    pub fn new() -> Self {
-        PulseLibrary::default()
-    }
-
-    /// An empty library whose warm-start table uses `config` instead of the
-    /// environment-configured default, so callers (and tests) can arm or
-    /// disarm seeding independently of `VQC_TT`.
-    pub fn with_seed_table(config: TableConfig) -> Self {
-        PulseLibrary {
-            seeds: TranspositionTable::new(config),
-            ..PulseLibrary::default()
-        }
-    }
-
-    /// Looks up a cached block compilation.
-    pub fn block(&self, key: &BlockKey) -> Option<CachedBlock> {
-        self.blocks.lock().get(key).cloned()
-    }
-
-    /// Inserts a block compilation result.
-    pub fn insert_block(&self, key: BlockKey, value: CachedBlock) {
-        self.blocks.lock().insert(key, value);
-    }
-
-    /// Looks up a cached tuning.
-    pub fn tuning(&self, key: &BlockKey) -> Option<CachedTuning> {
-        self.tunings.lock().get(key).cloned()
-    }
-
-    /// Inserts a tuning result.
-    pub fn insert_tuning(&self, key: BlockKey, value: CachedTuning) {
-        self.tunings.lock().insert(key, value);
-    }
-
-    /// Number of cached block compilations.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.lock().len()
-    }
-
-    /// Number of cached tunings.
-    pub fn num_tunings(&self) -> usize {
-        self.tunings.lock().len()
-    }
-
-    /// Clears both caches (the warm-start seeds are kept).
-    pub fn clear(&self) {
-        self.blocks.lock().clear();
-        self.tunings.lock().clear();
-    }
+    /// Current warm-start counters (seed traffic, seeded-vs-cold iteration
+    /// totals).
+    fn warm_start_stats(&self) -> WarmStartStats;
 }
 
 #[cfg(test)]
@@ -288,6 +179,20 @@ mod tests {
             BlockKey::from_bound_circuit(&a),
             BlockKey::from_bound_circuit(&a.clone())
         );
+
+        // One rounded angle, one key: a zero keeps no sign, whichever side of
+        // zero it was rounded from — in bound and structural keys alike.
+        let rz = |angle: f64| {
+            let mut circuit = Circuit::new(1);
+            circuit.rz(0, angle);
+            circuit
+        };
+        for key in [BlockKey::from_bound_circuit, BlockKey::structural] {
+            assert_eq!(key(&rz(-0.0)), key(&rz(0.0)));
+            assert_eq!(key(&rz(-1e-12)), key(&rz(0.0)));
+            assert_ne!(key(&rz(-1e-8)), key(&rz(0.0)));
+            assert_ne!(key(&rz(-1e-8)), key(&rz(1e-8)));
+        }
     }
 
     #[test]
@@ -302,80 +207,5 @@ mod tests {
             BlockKey::from_bound_circuit(&bound_2)
         );
         assert_eq!(BlockKey::structural(&a), BlockKey::structural(&a.clone()));
-    }
-
-    #[test]
-    fn library_round_trips_entries() {
-        let library = PulseLibrary::new();
-        let mut c = Circuit::new(2);
-        c.cx(0, 1);
-        let key = BlockKey::from_bound_circuit(&c);
-        assert!(library.block(&key).is_none());
-        library.insert_block(
-            key.clone(),
-            CachedBlock {
-                duration_ns: 3.5,
-                converged: true,
-                grape_iterations: 120,
-            },
-        );
-        assert_eq!(library.num_blocks(), 1);
-        let cached = library.block(&key).unwrap();
-        assert_eq!(cached.duration_ns, 3.5);
-        assert!(cached.converged);
-
-        library.insert_tuning(
-            BlockKey::structural(&c),
-            CachedTuning {
-                learning_rate: 0.2,
-                decay_rate: 0.99,
-                duration_ns: 3.5,
-                converged: true,
-                precompute_iterations: 500,
-                runtime_iterations: 40,
-            },
-        );
-        assert_eq!(library.num_tunings(), 1);
-        library.clear();
-        assert_eq!(library.num_blocks(), 0);
-        assert_eq!(library.num_tunings(), 0);
-    }
-
-    #[test]
-    fn seeds_round_trip_through_the_trait_under_structural_keys() {
-        // Armed explicitly so the round trip holds even under `VQC_TT=0`.
-        let library = PulseLibrary::with_seed_table(TableConfig::default());
-        let mut c = Circuit::new(2);
-        c.cx(0, 1);
-        c.rz_expr(1, ParamExpr::theta(0));
-        // The structural key is taken on the *unbound* subcircuit (as the
-        // compiler's `dedup_key` does), so any θ binding maps to the same key.
-        // A separately-built circuit with identical structure must agree.
-        let key_a = BlockKey::structural(&c);
-        let mut c2 = Circuit::new(2);
-        c2.cx(0, 1);
-        c2.rz_expr(1, ParamExpr::theta(0));
-        let key_b = BlockKey::structural(&c2);
-        assert_eq!(key_a, key_b, "structural keys must be θ-invariant");
-
-        assert!(PulseCache::seed(&library, &key_a).is_none());
-        let entry = SeedEntry {
-            learning_rate: 0.2,
-            decay_rate: 0.999,
-            tuned: true,
-            converged_duration_ns: Some(7.5),
-            failed_below_ns: 6.0,
-            probe_iterations: vec![(7.5, 40)],
-            pulse: None,
-        };
-        PulseCache::record_seed(&library, &key_a, entry.clone());
-        // A different binding of the same structure finds the entry.
-        let found = PulseCache::seed(&library, &key_b).expect("structural neighbor must hit");
-        assert_eq!(found, entry);
-
-        PulseCache::record_search_outcome(&library, true, 40);
-        let stats = PulseCache::warm_start_stats(&library);
-        assert_eq!(stats.table_hits, 1);
-        assert_eq!(stats.seeded_iterations, 40);
     }
 }

@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use vqc_circuit::{Circuit, ParamExpr};
-use vqc_core::{CompilerOptions, PartialCompiler, PulseLibrary, Strategy as Compile};
+use vqc_core::{
+    CacheConfig, CompilerOptions, PartialCompiler, ShardedPulseCache, Strategy as Compile,
+};
 
 /// GRAPE effort small enough for debug-build property tests.
 fn quick_options() -> CompilerOptions {
@@ -107,7 +109,10 @@ proptest! {
         thetas in prop::collection::vec(prop::collection::vec(-3.0..3.0f64, PARAMETERS), 3),
     ) {
         let circuit = build(&gates);
-        let pulses = Arc::new(PulseLibrary::new());
+        let pulses = Arc::new(ShardedPulseCache::new(CacheConfig {
+            seeds: true,
+            ..CacheConfig::default()
+        }));
         let reusing = PartialCompiler::with_cache(quick_options(), pulses.clone());
         for strategy in PARTIAL_AND_FULL {
             for theta in &thetas {

@@ -1,6 +1,6 @@
-//! Property tests of the warm-start index's structural keys.
+//! Property tests of the warm-start seeds' structural keys.
 //!
-//! The transposition table keys entries by [`BlockKey::structural`], which the
+//! The pulse store keys seeds by [`BlockKey::structural`], which the
 //! paper's Figure-4 observation justifies: hyperparameters and minimum
 //! durations transfer across θ for the same subcircuit structure. These
 //! properties pin down what "same structure" means: the key must be invariant

@@ -31,12 +31,13 @@
 //!   allocation-free.
 //! * [`minimum_time`] — the binary search for the shortest pulse duration that still
 //!   reaches the target fidelity (Section 5.3), warm-starting each probe from the
-//!   nearest converged one — or, when a [`TranspositionTable`] entry exists for the
+//!   nearest converged one — or, when the caller holds a [`SeedEntry`] for the
 //!   block's structure, opening directly at the structural neighbor's converged
 //!   window with the neighbor's pulse as the initial guess.
-//! * [`transposition`] — the fixed-capacity, sharded warm-start index mapping a
-//!   structural key to tuned hyperparameters, a converged duration window, and the
-//!   best-so-far amplitudes, with depth-preferred replacement.
+//! * [`transposition`] — the [`SeedEntry`] itself: what one structure's past
+//!   compilations learned (tuned hyperparameters, a converged duration window,
+//!   the best-so-far amplitudes) and how two records of it merge. `vqc-core`'s
+//!   pulse store keeps the entries.
 //! * [`realistic`] — the "more realistic" settings of Section 8.3: 1 GSa/s waveforms,
 //!   qutrit leakage levels, and aggressive pulse regularization.
 //!
@@ -76,5 +77,5 @@ pub use memo::EigenMemo;
 pub use minimum_time::SearchSeed;
 pub use profile::{CompileProfile, Phase, PHASE_COUNT};
 pub use pulse::PulseSequence;
-pub use transposition::{SeedEntry, TableConfig, TranspositionTable, WarmStartStats};
+pub use transposition::{SeedEntry, WarmStartStats};
 pub use workspace::GrapeWorkspace;

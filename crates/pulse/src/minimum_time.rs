@@ -11,7 +11,7 @@
 //!
 //! A second sharing axis crosses *blocks*: [`minimum_pulse_time_seeded`] accepts a
 //! [`SearchSeed`] from a structural neighbor (a previously compiled binding of the
-//! same subcircuit structure, via [`crate::transposition::TranspositionTable`]) and
+//! same subcircuit structure, via its [`crate::transposition::SeedEntry`]) and
 //! opens the bisection at the neighbor's converged window — first probe at the
 //! neighbor's converged duration, warm-started from the neighbor's pulse — instead
 //! of at `[lower, gate_runtime]`. A stale seed (the neighbor's window does not hold
@@ -391,7 +391,7 @@ mod tests {
         assert!(result.best.is_none());
     }
 
-    /// Builds the seed a transposition-table entry would hold after `result`.
+    /// Builds the seed a `SeedEntry` would hold after `result`.
     fn seed_from(result: &MinimumTimeResult, search: &MinimumTimeOptions) -> SearchSeed {
         let failed_below = result
             .probes

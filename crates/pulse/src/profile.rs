@@ -66,9 +66,9 @@ pub enum Phase {
     Propagation,
     /// The Daleckii–Krein loop and the per-control gradient contraction.
     GradientContraction,
-    /// Probing the transposition table and the runtime pulse cache's seed
-    /// index. (Named for the eigendecomposition memo it also covered until the
-    /// engine stopped consulting one; the name is wire- and journal-visible.)
+    /// Asking the pulse store for a structure's warm-start seed. (Named for the
+    /// eigendecomposition memo it also covered until the engine stopped
+    /// consulting one; the name is wire- and journal-visible.)
     MemoProbe,
     /// A `minimum_time` duration-search probe: one full GRAPE run at a
     /// candidate duration. Self time only — kernel phases inside the probe

@@ -15,10 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use vqc_pulse::{
-    lanes, profile, DeviceModel, GrapeWorkspace, PulseSequence, SeedEntry, TableConfig,
-    TranspositionTable,
-};
+use vqc_pulse::{lanes, profile, DeviceModel, GrapeWorkspace, PulseSequence};
 use vqc_sim::gates;
 
 /// Counts every allocation (and reallocation) the *current thread* makes while
@@ -231,49 +228,4 @@ fn two_lane_iteration_is_allocation_free_on_both_threads() {
     } else {
         assert_eq!(after.claimed, 0, "a single-CPU host has no helper to claim");
     }
-}
-
-#[test]
-fn armed_table_probe_hits_are_allocation_free() {
-    // Recording may allocate (the entry and its waveform payload move into the
-    // shard), but a hit on the hot compile path reads in place via
-    // `probe_with` — cloning only happens when the caller decides to seed a
-    // search with the entry, outside the probe itself.
-    let table: TranspositionTable<u64> = TranspositionTable::new(TableConfig::default());
-    let device = DeviceModel::qubits_line(1);
-    let mut entry = SeedEntry {
-        learning_rate: 0.1,
-        decay_rate: 0.99,
-        tuned: true,
-        converged_duration_ns: Some(2.5),
-        failed_below_ns: 1.5,
-        probe_iterations: Vec::new(),
-        pulse: Some(PulseSequence::seeded_guess(&device, 8, 0.5, 7)),
-    };
-    entry.record_probe(2.5, 40);
-    table.record(&0, entry);
-
-    ALLOCATIONS.with(|allocations| allocations.set(0));
-    COUNTING.with(|counting| counting.set(true));
-    for _ in 0..10 {
-        let window = table.probe_with(black_box(&0), |seed| {
-            (
-                seed.converged_duration_ns,
-                seed.failed_below_ns,
-                seed.depth(),
-            )
-        });
-        black_box(&window);
-        assert!(
-            window.is_some(),
-            "the armed table must hit on a resident key"
-        );
-    }
-    COUNTING.with(|counting| counting.set(false));
-
-    assert_eq!(
-        ALLOCATIONS.with(Cell::get),
-        0,
-        "an armed-table probe hit allocated on the heap"
-    );
 }

@@ -1,11 +1,11 @@
-//! Property tests of the transposition table's replacement policy and the
-//! seeded duration search.
+//! Property tests of the warm-start seed's merge rule and the seeded duration
+//! search.
 //!
-//! Two invariants the warm-start index must hold under any workload:
+//! Two invariants warm starts must hold under any workload:
 //!
-//! * **Depth-preferred replacement** — a converged entry is never displaced by
-//!   an unconverged probe, no matter how much iteration depth the prober
-//!   claims or how hard the byte budget squeezes the shard.
+//! * **Merges only tighten** — once a structure has converged, folding later
+//!   unconverged searches of it into its [`SeedEntry`] never loses the
+//!   converged window.
 //! * **Seeded search exactness** — seeding [`minimum_pulse_time_seeded`] from
 //!   a prior search of the *same* block lands within the search's
 //!   `precision_ns` of the cold result: the seed is an accelerator, not an
@@ -16,13 +16,11 @@ use vqc_pulse::grape::GrapeOptions;
 use vqc_pulse::minimum_time::{
     minimum_pulse_time, minimum_pulse_time_seeded, MinimumTimeOptions, SearchSeed,
 };
-use vqc_pulse::{
-    DeviceModel, EigenMemo, PulseSequence, SeedEntry, TableConfig, TranspositionTable,
-};
+use vqc_pulse::{DeviceModel, EigenMemo, PulseSequence, SeedEntry};
 use vqc_sim::gates;
 
 /// An entry with the given convergence state and iteration depth.
-fn entry(converged: bool, duration_ns: f64, depth: usize, with_pulse: bool) -> SeedEntry {
+fn entry(converged: bool, duration_ns: f64, depth: usize) -> SeedEntry {
     let device = DeviceModel::qubits_line(1);
     let mut entry = SeedEntry {
         learning_rate: 0.1,
@@ -31,8 +29,7 @@ fn entry(converged: bool, duration_ns: f64, depth: usize, with_pulse: bool) -> S
         converged_duration_ns: converged.then_some(duration_ns),
         failed_below_ns: duration_ns * 0.5,
         probe_iterations: Vec::new(),
-        pulse: (converged && with_pulse)
-            .then(|| PulseSequence::seeded_guess(&device, 8, 0.5, depth as u64)),
+        pulse: converged.then(|| PulseSequence::seeded_guess(&device, 8, 0.5, depth as u64)),
     };
     entry.record_probe(duration_ns, depth.max(1));
     entry
@@ -41,51 +38,19 @@ fn entry(converged: bool, duration_ns: f64, depth: usize, with_pulse: bool) -> S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// With every key colliding on one slot, a resident converged entry
-    /// survives any stream of unconverged probes — even deeper ones, even
-    /// under a byte budget tight enough to otherwise force evictions.
-    #[test]
-    fn replacement_never_discards_converged_for_unconverged(
-        durations in prop::collection::vec(1.0..16.0f64, 1..12),
-        depths in prop::collection::vec(1usize..5000, 12),
-        budget_choice in 0usize..2,
-    ) {
-        let tight_budget = budget_choice == 1;
-        let resident = entry(true, 4.0, 10, true);
-        let budget = tight_budget.then(|| resident.approx_bytes() + resident.approx_bytes() / 4);
-        let table: TranspositionTable<u64> = TranspositionTable::new(TableConfig {
-            enabled: true,
-            capacity: 1,
-            shards: 1,
-            max_bytes: budget,
-        });
-        table.record(&0, resident);
-
-        for (i, duration) in durations.iter().enumerate() {
-            table.record(&(i as u64 + 1), entry(false, *duration, depths[i], false));
-            let survivor = table.probe(&0);
-            prop_assert!(
-                survivor.map(|e| e.converged()).unwrap_or(false),
-                "an unconverged probe displaced the converged entry"
-            );
-        }
-    }
-
-    /// Merging records for the same key never loses convergence either: once a
-    /// key has converged, later unconverged searches of other bindings only
-    /// tighten its window.
+    /// Merging records for the same key never loses convergence: once a key has
+    /// converged, later unconverged searches of other bindings only tighten its
+    /// window.
     #[test]
     fn same_key_merges_keep_convergence(
         durations in prop::collection::vec(1.0..16.0f64, 1..12),
         depths in prop::collection::vec(1usize..5000, 12),
     ) {
-        let table: TranspositionTable<u64> = TranspositionTable::new(TableConfig::default());
-        table.record(&0, entry(true, 4.0, 10, true));
+        let mut merged = entry(true, 4.0, 10);
         let mut tightest_floor: f64 = 2.0; // 4.0 * 0.5 from the resident entry.
         for (i, duration) in durations.iter().enumerate() {
-            table.record(&0, entry(false, *duration, depths[i], false));
+            merged.merge(entry(false, *duration, depths[i]));
             tightest_floor = tightest_floor.max(duration * 0.5);
-            let merged = table.probe(&0).expect("the key stays resident");
             prop_assert!(merged.converged());
             prop_assert!((merged.failed_below_ns - tightest_floor).abs() < 1e-9);
         }

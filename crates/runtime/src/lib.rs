@@ -4,11 +4,11 @@
 //! across variational iterations. This crate turns that observation into a
 //! production-shaped service core on top of `vqc-core`:
 //!
-//! * [`ShardedPulseCache`] — a lock-striped, sharded, content-addressed replacement
-//!   for the global-mutex [`vqc_core::PulseLibrary`], with hit/miss/eviction
-//!   [`CacheMetrics`] and optional per-shard capacity bounds. A full shard evicts
-//!   the entry with the smallest `recompute cost × (1 + hits)`, where the cost is
-//!   what [`vqc_core::LatencyModel`] derives from the iterations the entry records.
+//! * [`ShardedPulseCache`] — `vqc-core`'s pulse store, re-exported: one
+//!   lock-striped, sharded, content-addressed map for block compilations, tunings
+//!   and warm-start seeds, with hit/miss/eviction [`CacheMetrics`] and one optional
+//!   per-shard capacity bound. The sequential compiler builds one of its own; the
+//!   runtime builds the one all its requests share.
 //! * [`CompilationRuntime`] — the request-scheduling service: a channel-based
 //!   accept loop admits [`Submission`]s through a bounded queue
 //!   ([`Backpressure::Block`]/[`Backpressure::Reject`]/[`Backpressure::Shed`]), a
@@ -29,7 +29,7 @@
 //!   aggregator publishing periodic [`MetricsSnapshot`]s to
 //!   [`CompilationRuntime::watch_metrics`] subscribers (configured by
 //!   [`TelemetryOptions`], optionally dumped as JSON lines).
-//! * [`persist`] — bincode snapshots of the cache for warm-start across runs
+//! * [`persist`] — bincode snapshots of the store for warm-start across runs
 //!   ([`CompilationRuntime::save_snapshot`], [`CompilationRuntime::with_warm_start`]).
 //!
 //! # Example
@@ -66,14 +66,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod cache;
 pub mod persist;
 #[allow(clippy::module_inception)]
 mod runtime;
 mod service;
 mod telemetry;
 
-pub use cache::{CacheConfig, CacheMetrics, CacheSnapshot, CompactionPolicy, ShardedPulseCache};
 pub use persist::PersistError;
 pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions};
 pub use service::{
@@ -85,7 +83,10 @@ pub use telemetry::{
     MetricsSnapshot, TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES,
     PRIORITY_CLASS_NAMES,
 };
-pub use vqc_core::{CompileProfile, SeedEntry, TableConfig, WarmStartStats, PHASE_COUNT};
+pub use vqc_core::{
+    CacheConfig, CacheMetrics, CacheSnapshot, CompileProfile, SeedEntry, ShardedPulseCache,
+    WarmStartStats, PHASE_COUNT,
+};
 
 // audit:allow(dead_pub): PhaseMetrics is the element type of MetricsSnapshot::phases
 pub use telemetry::PhaseMetrics;

@@ -1,4 +1,4 @@
-//! On-disk persistence of cache snapshots for warm-start across runs.
+//! On-disk persistence of pulse-store snapshots for warm-start across runs.
 //!
 //! A snapshot file is a small header (magic bytes + format version) followed by the
 //! bincode encoding of a [`CacheSnapshot`]. The header keeps a future format change
@@ -6,16 +6,17 @@
 //! rename so a crash mid-write never leaves a truncated snapshot at the target path.
 //!
 //! The current layout is **v3**: `(key, entry, recompute_cost_seconds)` triples for
-//! blocks and tunings, then the transposition-table warm-start seeds
-//! (`(structural key, SeedEntry)` pairs), so a restarted service opens its duration
-//! searches at the predecessor's converged windows. Files of the two earlier
-//! layouts are refused like any other unknown version.
+//! blocks and tunings, then the warm-start seeds (`(structural key, SeedEntry)`
+//! pairs), so a restarted service opens its duration searches at the predecessor's
+//! converged windows. Any store's snapshot will do — the sequential compiler's
+//! (`PartialCompiler::shared_cache().snapshot()`) as well as a runtime's. Files of
+//! the two earlier layouts are refused like any other unknown version.
 
-use crate::cache::CacheSnapshot;
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
+use vqc_core::CacheSnapshot;
 
 /// Leading bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"VQCPULSE";

@@ -1,8 +1,8 @@
 //! The compilation runtime: a request-scheduling service behind a synchronous API.
 //!
-//! [`CompilationRuntime`] owns a [`PartialCompiler`] whose [`vqc_core::PulseCache`]
-//! is a [`ShardedPulseCache`], plus the [`crate::service`] machinery built around
-//! them: a channel-based accept loop, a scheduler that expands every admitted
+//! [`CompilationRuntime`] owns a [`PartialCompiler`] and, through it, the one
+//! [`ShardedPulseCache`] every request shares, plus the [`crate::service`]
+//! machinery built around them: a channel-based accept loop, a scheduler that expands every admitted
 //! [`Submission`] into block tasks via [`PartialCompiler::plan`], and a persistent
 //! worker pool that drains one merged, priority-ordered task queue for all
 //! outstanding requests. Identical blocks are deduplicated across requests — each
@@ -19,7 +19,6 @@
 //! concurrent clients) submits whole iterations of circuits, and every Fixed block
 //! compiled for any of them is reused by all.
 
-use crate::cache::{CacheConfig, CacheMetrics, CompactionPolicy, ShardedPulseCache};
 use crate::persist::{self, PersistError};
 use crate::service::{
     Backpressure, ClientMetrics, CompileService, JobHandle, ServiceOptions, Submission, SubmitError,
@@ -29,14 +28,17 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use vqc_circuit::Circuit;
-use vqc_core::{CompilationReport, CompileError, CompilerOptions, PartialCompiler, Strategy};
+use vqc_core::{
+    CacheConfig, CacheMetrics, CompilationReport, CompileError, CompilerOptions, PartialCompiler,
+    ShardedPulseCache, Strategy,
+};
 
 /// Configuration of a [`CompilationRuntime`].
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
     /// Number of worker threads block compilation may use (minimum 1).
     pub workers: usize,
-    /// Configuration of the shared sharded cache.
+    /// Configuration of the shared pulse store.
     pub cache: CacheConfig,
     /// Admission-queue depth and backpressure policy of the service front-end.
     pub service: ServiceOptions,
@@ -153,12 +155,9 @@ impl CompilationRuntime {
     /// worker pool.
     pub fn new(options: CompilerOptions, runtime_options: RuntimeOptions) -> Self {
         let cache = Arc::new(ShardedPulseCache::new(runtime_options.cache));
-        let compiler =
-            PartialCompiler::with_cache(options, Arc::<ShardedPulseCache>::clone(&cache));
         CompilationRuntime {
             service: CompileService::start(
-                compiler,
-                cache,
+                PartialCompiler::with_cache(options, cache),
                 runtime_options.workers,
                 runtime_options.service,
                 runtime_options.telemetry,
@@ -178,18 +177,18 @@ impl CompilationRuntime {
     ) -> Result<Self, PersistError> {
         let snapshot = persist::load_snapshot(snapshot_path)?;
         let runtime = CompilationRuntime::new(options, runtime_options);
-        runtime.service.core.cache.absorb(snapshot);
+        runtime.cache().absorb(snapshot);
         Ok(runtime)
     }
 
-    /// The underlying compiler (shared cache included).
+    /// The underlying compiler (shared pulse store included).
     pub fn compiler(&self) -> &PartialCompiler {
         &self.service.core.compiler
     }
 
-    /// The shared sharded cache.
+    /// The shared pulse store.
     pub fn cache(&self) -> &ShardedPulseCache {
-        &self.service.core.cache
+        self.compiler().cache()
     }
 
     /// Number of worker threads used for block compilation.
@@ -204,7 +203,7 @@ impl CompilationRuntime {
         // than admissions.
         let completed_submissions = core.completed_submissions.load(Ordering::Acquire);
         RuntimeMetrics {
-            cache: core.cache.metrics(),
+            cache: self.cache().metrics(),
             unique_compilations: core.compilations.load(Ordering::Relaxed),
             coalesced_waits: core.coalesced.load(Ordering::Relaxed),
             submissions: core.submissions.load(Ordering::Relaxed),
@@ -275,31 +274,14 @@ impl CompilationRuntime {
         self.service.core.release_client(client);
     }
 
-    /// Writes the cache contents to disk for a later warm start.
+    /// Writes the store's contents (blocks, tunings and warm-start seeds) to disk
+    /// for a later warm start.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        self.save_snapshot_compacted(path, &CompactionPolicy::default())
-    }
-
-    /// Writes the cache contents to disk, compacted: entries below the policy's cost
-    /// floor or beyond its size budget are dropped at save time (the costliest
-    /// entries survive), so a long-lived process does not grow its snapshot file with
-    /// entries that are cheaper to recompute than to carry.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors.
-    pub fn save_snapshot_compacted(
-        &self,
-        path: impl AsRef<Path>,
-        policy: &CompactionPolicy,
-    ) -> Result<(), PersistError> {
-        let mut snapshot = self.cache().snapshot();
-        snapshot.compact(policy);
-        persist::save_snapshot(path, &snapshot)
+        persist::save_snapshot(path, &self.cache().snapshot())
     }
 
     /// Submits a request to the service under its configured backpressure policy

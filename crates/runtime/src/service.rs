@@ -31,7 +31,6 @@
 //! so a low-priority request can never make a high-priority one late by having
 //! asked for a shared block first.
 
-use crate::cache::ShardedPulseCache;
 use crate::runtime::CompileJob;
 use crate::telemetry::{
     MetricsSnapshot, Telemetry, TelemetryOptions, TraceStage, PRIORITY_CLASSES,
@@ -44,7 +43,7 @@ use std::time::Instant;
 use vqc_circuit::Circuit;
 use vqc_core::{
     BlockKey, BlockOutcome, CompilationPlan, CompilationReport, CompileError, PartialCompiler,
-    Strategy,
+    PulseCache, Strategy,
 };
 
 /// Scheduling priority of a submission. Higher values dispatch strictly first.
@@ -687,11 +686,11 @@ struct IntakeState {
     closed: bool,
 }
 
-/// Shared heart of the service: compiler, caches, scheduler state, counters.
+/// Shared heart of the service: compiler (pulse store included), scheduler state,
+/// counters.
 #[derive(Debug)]
 pub(crate) struct ServiceCore {
     pub(crate) compiler: PartialCompiler,
-    pub(crate) cache: Arc<ShardedPulseCache>,
     queue_depth: usize,
     backpressure: Backpressure,
     sched: Mutex<SchedState>,
@@ -768,7 +767,8 @@ impl ServiceCore {
             queued_by_class[crate::telemetry::priority_class(entry.0.priority)] += 1;
         }
         let outstanding = self.admission.lock().outstanding as u64;
-        let cache = self.cache.metrics();
+        let store = self.compiler.cache();
+        let cache = store.metrics();
         // Read before `submissions`, so a snapshot never shows more completions
         // than admissions.
         let completed = self.completed_submissions.load(Ordering::Acquire);
@@ -789,12 +789,12 @@ impl ServiceCore {
             cache_misses: cache.misses,
             cache_insertions: cache.insertions,
             cache_evictions: cache.evictions,
-            cache_entries: vqc_core::PulseCache::num_blocks(&*self.cache) as u64,
+            cache_entries: store.num_blocks() as u64,
             unique_compilations: self.compilations.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced.load(Ordering::Relaxed),
             trace_dropped: self.telemetry.trace_dropped(),
-            warm_start: vqc_core::PulseCache::warm_start_stats(&*self.cache),
-            seed_entries: self.cache.num_seeds() as u64,
+            warm_start: store.warm_start_stats(),
+            seed_entries: store.num_seeds() as u64,
             phases: self.telemetry.phase_metrics(),
             jacobi_sweeps: self.telemetry.jacobi_sweeps(),
             classes: self.telemetry.class_latencies(),
@@ -1444,7 +1444,6 @@ pub(crate) struct CompileService {
 impl CompileService {
     pub(crate) fn start(
         compiler: PartialCompiler,
-        cache: Arc<ShardedPulseCache>,
         workers: usize,
         service_options: ServiceOptions,
         telemetry_options: TelemetryOptions,
@@ -1452,7 +1451,6 @@ impl CompileService {
         let workers = workers.max(1);
         let core = Arc::new(ServiceCore {
             compiler,
-            cache,
             queue_depth: service_options.queue_depth.max(1),
             backpressure: service_options.backpressure,
             sched: Mutex::new(SchedState {

@@ -551,9 +551,9 @@ pub struct MetricsSnapshot {
     pub coalesced_waits: u64,
     /// Lifecycle events overwritten in the trace ring so far.
     pub trace_dropped: u64,
-    /// Transposition-table and eigendecomposition-memo warm-start counters:
-    /// seed probes (hit/miss/rejected/evicted), memo outcomes, and GRAPE
-    /// iterations split seeded-vs-cold.
+    /// Warm-start counters: seed probes (hit/miss/evicted), GRAPE iterations
+    /// split seeded-vs-cold, and the `table_rejected` / `memo_*` fields that
+    /// read 0.
     pub warm_start: vqc_core::WarmStartStats,
     /// Warm-start seed entries currently resident.
     pub seed_entries: u64,

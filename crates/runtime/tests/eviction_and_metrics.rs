@@ -4,7 +4,7 @@
 
 use vqc_circuit::{Circuit, ParamExpr};
 use vqc_core::{CompilerOptions, PulseCache, Strategy};
-use vqc_runtime::{CacheConfig, CompilationRuntime, CompileJob, RuntimeOptions, TableConfig};
+use vqc_runtime::{CacheConfig, CompilationRuntime, CompileJob, RuntimeOptions};
 
 fn fast_options() -> CompilerOptions {
     let mut options = CompilerOptions::fast();
@@ -14,15 +14,14 @@ fn fast_options() -> CompilerOptions {
     options
 }
 
-/// Options with a single-shard, single-entry block cache: every second distinct
-/// block evicts the first, so "cached forever" assumptions break immediately.
+/// Options with a single-shard, single-entry store: every second distinct block
+/// evicts the first, so "cached forever" assumptions break immediately.
 fn capacity_one_options(workers: usize) -> RuntimeOptions {
     let mut options = RuntimeOptions::with_workers(workers);
     options.cache = CacheConfig {
         shards: 1,
-        max_blocks_per_shard: Some(1),
-        max_tunings_per_shard: None,
-        seeds: TableConfig::default(),
+        max_entries_per_shard: Some(1),
+        ..CacheConfig::default()
     };
     options
 }
