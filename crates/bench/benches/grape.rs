@@ -2,13 +2,14 @@
 //! fixed-duration optimization on one- and two-qubit targets, the
 //! `grape_smallmat` group timing one reused-workspace gradient on stack storage
 //! at 1q/2q/3q/4q, the `grape_lanes` group timing the LiH-sized 4q × 40-slice
-//! gradient as one lane and as two, the `eigh_real` group timing the two
+//! gradient as one lane and as two — both groups at the host's vector width
+//! and at the build's baseline — the `eigh_real` group timing the two
 //! real-symmetric eigensolver bodies on device Hamiltonians at N = 4/8/16 (the
-//! evidence for the solver's dimension rule), the `grape_seeding` group
-//! comparing cold against seeded duration searches, and the
-//! `profile_overhead` group gating the armed compile-phase profiler to under
-//! five percent of the warm gradient path. The measurements are written to
-//! `BENCH_grape.json` in the workspace root.
+//! evidence for the solver's dimension rule, and for solving four slices in
+//! lockstep), the `grape_seeding` group comparing cold against seeded
+//! duration searches, and the `profile_overhead` group gating the armed
+//! compile-phase profiler to under five percent of the warm gradient path.
+//! The measurements are written to `BENCH_grape.json` in the workspace root.
 //!
 //! Every reused-workspace group evaluates a *moving* pulse: it walks a recorded
 //! ADAM trajectory ([`Trajectory`]) back and forth, so each evaluation sees
@@ -20,7 +21,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use vqc_linalg::real::{eigh_jacobi, eigh_ql};
+use vqc_linalg::real::{eigh_jacobi, eigh_ql, ql_scratch_len, QL_MIN_DIM};
 use vqc_linalg::{Matrix, RealSmallMatrix};
 use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
@@ -130,14 +131,28 @@ fn bench_grape(c: &mut Criterion) {
     group.finish();
 }
 
+type NewWorkspace = fn(&DeviceModel, usize) -> GrapeWorkspace;
+
+/// The engine's two instantiations, as a row-name suffix and the constructor
+/// that binds it: the lane phases' AVX2 twins where the host has AVX2 (the
+/// summary's `host_avx2` says whether it does; where it does not the two are
+/// the same code), and the build's baseline — SSE2 on x86-64 — everywhere.
+const WIDTHS: [(&str, NewWorkspace); 2] = [
+    ("", GrapeWorkspace::new),
+    ("_baseline", GrapeWorkspace::new_at_baseline_width),
+];
+
+/// Slices of the `grape_smallmat` pulses.
+const SMALLMAT_SLICES: usize = 24;
+
 /// One reused-workspace gradient of a moving pulse — the way
 /// `try_optimize_pulse` runs — on the stack storage `GrapeWorkspace::new`
-/// binds for 1q–4q blocks (N = 2, 4, 8, 16).
+/// binds for 1q–4q blocks (N = 2, 4, 8, 16), at both widths.
 fn bench_grape_smallmat(c: &mut Criterion) {
     let mut group = c.benchmark_group("grape_smallmat");
     group.sample_size(30);
 
-    let slices = 24;
+    let slices = SMALLMAT_SLICES;
     for qubits in [1usize, 2, 3, 4] {
         let device = DeviceModel::qubits_line(qubits);
         let target = match qubits {
@@ -148,44 +163,65 @@ fn bench_grape_smallmat(c: &mut Criterion) {
         };
         let mut trajectory = Trajectory::record(&device, &target, slices);
 
-        let mut workspace = GrapeWorkspace::new(&device, slices);
-        assert!(
-            workspace.uses_static_kernel(),
-            "{qubits}q device must run on stack storage"
-        );
-        workspace.set_target(&device, &target);
-        group.bench_function(format!("smallmat_{qubits}q_{slices}slices"), |b| {
-            b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
-        });
+        // One lane, whatever the claim rule would give a 3q or 4q block: the
+        // group times the kernels, `grape_lanes` the second CPU.
+        let held = lanes::claim(16, 40);
+        for (suffix, new) in WIDTHS {
+            let mut workspace = new(&device, slices);
+            assert!(
+                workspace.uses_static_kernel(),
+                "{qubits}q device must run on stack storage"
+            );
+            workspace.set_target(&device, &target);
+            trajectory.rewind();
+            group.bench_function(format!("smallmat_{qubits}q_{slices}slices{suffix}"), |b| {
+                b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
+            });
+        }
+        drop(held);
     }
 
     group.finish();
 }
 
+/// Stretches of each `grape_lanes` row: the group runs this many times, spread
+/// over the bench (see `benches` at the bottom).
+const LANE_STRETCHES: usize = 3;
+
 /// The block the lanes exist for — 4 qubits, 40 slices, LiH's widest — as one
-/// lane and as two. The one-lane pass holds the helper itself, so every claim
-/// the workspace makes is refused: the same body, the second lane's share run
-/// by the calling thread. On a single-CPU host there is no helper and both
-/// passes are the one-lane form (`host_parallelism` in the summary says so).
+/// lane and as two, at both widths. A one-lane stretch holds the helper
+/// itself, so every claim the workspace makes is refused: the same body, the
+/// second lane's share run by the calling thread. On a single-CPU host there
+/// is no helper and both forms are the one-lane one (`host_parallelism` in the
+/// summary says so). This VM has windows of tens of milliseconds to seconds
+/// in which it does not deliver its second vCPU; the forms therefore take
+/// turns, one stretch each per call, the group is called [`LANE_STRETCHES`]
+/// times with other groups in between (every stretch is a row of the
+/// results), and the summary compares each form's best stretch, so that a
+/// host window is not filed as the lanes' speed.
 fn bench_grape_lanes(c: &mut Criterion) {
     let mut group = c.benchmark_group("grape_lanes");
-    group.sample_size(30);
+    // ~20 ms a stretch: a vCPU that halted during a one-lane stretch takes
+    // milliseconds to come back, and a stretch must outlast that.
+    group.sample_size(40);
 
     let device = DeviceModel::qubits_line(4);
     let target = gates::cx().kron(&gates::cx());
     let mut trajectory = Trajectory::record(&device, &target, 40);
-    let mut workspace = GrapeWorkspace::new(&device, 40);
-    workspace.set_target(&device, &target);
-
-    let held = lanes::claim(device.dim(), 40);
-    group.bench_function("one_lane_4q_40slices", |b| {
-        b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
-    });
-    drop(held);
-    trajectory.rewind();
-    group.bench_function("two_lanes_4q_40slices", |b| {
-        b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
-    });
+    for (suffix, new) in WIDTHS {
+        let mut workspace = new(&device, 40);
+        workspace.set_target(&device, &target);
+        let held = lanes::claim(device.dim(), 40);
+        trajectory.rewind();
+        group.bench_function(format!("one_lane_4q_40slices{suffix}"), |b| {
+            b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
+        });
+        drop(held);
+        trajectory.rewind();
+        group.bench_function(format!("two_lanes_4q_40slices{suffix}"), |b| {
+            b.iter(|| workspace.fidelity_gradient(black_box(trajectory.advance())))
+        });
+    }
 
     group.finish();
 }
@@ -208,45 +244,73 @@ fn device_hamiltonians<const N: usize>(qubits: usize) -> Vec<RealSmallMatrix<N>>
 
 /// The two real-symmetric eigensolver bodies on the Hamiltonians one slice
 /// takes along an ADAM trajectory, [`STEPS`] solves per sample: Householder–QL
-/// and Jacobi from a cold start, and Jacobi warm-started the way the engine
-/// does it below `QL_MIN_DIM` — rotate into the previous step's eigenbasis,
-/// solve, compose. The dimension rule reads off these rows: warm Jacobi at 4,
-/// QL at 8 and 16.
+/// one matrix at a time and four in lockstep (the way the engine runs it from
+/// `QL_MIN_DIM` up), Jacobi from a cold start, and Jacobi warm-started the way
+/// the engine does it below `QL_MIN_DIM` — rotate into the previous step's
+/// eigenbasis, solve, compose. The dimension rule reads off these rows: warm
+/// Jacobi at 4, QL at 8 and 16, where the batch must beat one at a time. This
+/// group runs at the build's baseline vector width.
 fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
     let mut group = c.benchmark_group("eigh_real");
     group.sample_size(30);
     let hamiltonians = device_hamiltonians::<N>(qubits);
-    let mut lambdas = [0.0; N];
+    let mut lambdas = [[0.0; N]; 4];
     let (mut v, mut vt) = (RealSmallMatrix::<N>::ZERO, RealSmallMatrix::<N>::ZERO);
     let (mut a, mut b) = (v, v);
+    let mut scratch = vec![0.0; 4 * ql_scratch_len(N)];
 
-    for (name, body) in [
-        (
-            "ql",
-            eigh_ql as fn(usize, &mut [f64], &mut [f64], &mut [f64]) -> usize,
-        ),
-        ("jacobi_cold", eigh_jacobi),
-    ] {
-        group.bench_function(format!("{name}_n{N}_x{STEPS}"), |bench| {
+    group.bench_function(format!("ql_n{N}_x{STEPS}"), |bench| {
+        bench.iter(|| {
+            for h in &hamiltonians {
+                a = *black_box(h);
+                let lane = (a.as_mut_slice(), &mut lambdas[0][..], v.as_mut_slice());
+                eigh_ql::<1>(N, &mut [lane], &mut scratch);
+                black_box(&v);
+            }
+        })
+    });
+    if N >= QL_MIN_DIM {
+        const { assert!(STEPS.is_multiple_of(4)) };
+        let (mut hs, mut vs) = ([a; 4], [v; 4]);
+        group.bench_function(format!("ql_batch4_n{N}_x{STEPS}"), |bench| {
             bench.iter(|| {
-                for h in &hamiltonians {
-                    a = *black_box(h);
-                    body(N, a.as_mut_slice(), &mut lambdas, v.as_mut_slice());
-                    black_box(&v);
+                for batch in hamiltonians.as_chunks::<4>().0 {
+                    hs = *black_box(batch);
+                    let [h0, h1, h2, h3] = &mut hs;
+                    let [l0, l1, l2, l3] = &mut lambdas;
+                    let [v0, v1, v2, v3] = &mut vs;
+                    let mut lanes = [
+                        (h0.as_mut_slice(), &mut l0[..], v0.as_mut_slice()),
+                        (h1.as_mut_slice(), &mut l1[..], v1.as_mut_slice()),
+                        (h2.as_mut_slice(), &mut l2[..], v2.as_mut_slice()),
+                        (h3.as_mut_slice(), &mut l3[..], v3.as_mut_slice()),
+                    ];
+                    eigh_ql::<4>(N, &mut lanes, &mut scratch);
+                    black_box(&vs);
                 }
             })
         });
     }
+    group.bench_function(format!("jacobi_cold_n{N}_x{STEPS}"), |bench| {
+        bench.iter(|| {
+            for h in &hamiltonians {
+                a = *black_box(h);
+                eigh_jacobi(N, a.as_mut_slice(), &mut lambdas[0], v.as_mut_slice());
+                black_box(&v);
+            }
+        })
+    });
+    let lambdas = &mut lambdas[0];
     group.bench_function(format!("jacobi_warm_n{N}_x{STEPS}"), |bench| {
         bench.iter(|| {
             a = hamiltonians[STEPS - 1];
-            eigh_jacobi(N, a.as_mut_slice(), &mut lambdas, v.as_mut_slice());
+            eigh_jacobi(N, a.as_mut_slice(), lambdas, v.as_mut_slice());
             v.transpose_into(&mut vt);
             // Backwards, so the first warm solve is one step from the cold one.
             for h in hamiltonians.iter().rev() {
                 vt.matmul_into(black_box(h), &mut a);
                 a.matmul_into(&v, &mut b);
-                eigh_jacobi(N, b.as_mut_slice(), &mut lambdas, a.as_mut_slice());
+                eigh_jacobi(N, b.as_mut_slice(), lambdas, a.as_mut_slice());
                 v.matmul_into(&a, &mut b);
                 v = b;
                 v.transpose_into(&mut vt);
@@ -429,9 +493,10 @@ fn bench_profile_overhead(c: &mut Criterion) {
 
 /// Writes every group's measurements, the profiler-overhead ratio, and the
 /// seeding iteration reduction as `BENCH_grape.json` in the workspace root,
-/// alongside `host_parallelism` and a unix timestamp (so the single-CPU caveat
-/// on these numbers is machine-checkable, as in `BENCH_runtime.json`). Skipped
-/// under `--test` smoke runs.
+/// alongside `host_parallelism`, `host_avx2` and a unix timestamp (so the
+/// single-CPU caveat on these numbers, and whether the two widths are two
+/// instantiations at all, is machine-checkable, as in `BENCH_runtime.json`).
+/// Skipped under `--test` smoke runs.
 fn emit_summary(c: &mut Criterion) {
     if c.test_mode() {
         return;
@@ -444,8 +509,12 @@ fn emit_summary(c: &mut Criterion) {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
+    #[cfg(target_arch = "x86_64")]
+    let host_avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let host_avx2 = false;
     let mut json = format!(
-        "{{\n  \"benchmark\": \"grape\",\n  \"workload\": \"fidelity_gradient_of_a_moving_pulse_on_a_reused_workspace\",\n  \"host_parallelism\": {host_parallelism},\n  \"timestamp_unix_s\": {timestamp_unix_s},\n  \"results\": [\n",
+        "{{\n  \"benchmark\": \"grape\",\n  \"workload\": \"fidelity_gradient_of_a_moving_pulse_on_a_reused_workspace\",\n  \"host_parallelism\": {host_parallelism},\n  \"host_avx2\": {host_avx2},\n  \"timestamp_unix_s\": {timestamp_unix_s},\n  \"results\": [\n",
     );
     for (index, result) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -464,11 +533,12 @@ fn emit_summary(c: &mut Criterion) {
     // the warm gradient path by more than five percent. Compared on `min_ns`
     // because the best observed iteration is the least noisy estimator on a
     // single-CPU host, where scheduling jitter inflates the means.
+    // The best sample of a row — of all its stretches, where it has several.
     let min_of = |group: &str, name: &str| {
-        results
+        let rows = results
             .iter()
-            .find(|r| r.group == group && r.name == name)
-            .map(|r| r.min_ns)
+            .filter(|r| r.group == group && r.name == name);
+        rows.map(|r| r.min_ns).min_by(f64::total_cmp)
     };
     let disarmed_ns = min_of("profile_overhead", "disarmed_2q_24slices")
         .expect("the profile_overhead disarmed pass must have run");
@@ -480,24 +550,50 @@ fn emit_summary(c: &mut Criterion) {
         "the armed profiler costs {overhead_ratio:.3}x of the disarmed gradient \
          path ({armed_ns:.1}ns vs {disarmed_ns:.1}ns; budget: <1.05x)"
     );
-    // One lane against two on the widest block, with how often the helper was
+    // One lane against two on the widest block, each form's best over its
+    // alternating stretches and at both widths, with how often the helper was
     // granted over the whole bench process.
-    let one_lane_ns = min_of("grape_lanes", "one_lane_4q_40slices")
-        .expect("the grape_lanes one-lane pass must have run");
-    let two_lanes_ns = min_of("grape_lanes", "two_lanes_4q_40slices")
-        .expect("the grape_lanes two-lane pass must have run");
     let lane_stats = lanes::stats();
+    json.push_str("  \"lanes\": {\n");
+    for (suffix, _) in WIDTHS {
+        let best = |form: &str| {
+            min_of("grape_lanes", &format!("{form}_4q_40slices{suffix}"))
+                .expect("every grape_lanes stretch must have run")
+        };
+        let (one_lane_ns, two_lanes_ns) = (best("one_lane"), best("two_lanes"));
+        json.push_str(&format!(
+            "    \"one_lane_min_ns{suffix}\": {one_lane_ns:.1},\n    \"two_lanes_min_ns{suffix}\": {two_lanes_ns:.1},\n    \"one_over_two{suffix}\": {:.3},\n",
+            one_lane_ns / two_lanes_ns,
+        ));
+    }
     json.push_str(&format!(
-        "  \"lanes\": {{\n    \"one_lane_min_ns\": {one_lane_ns:.1},\n    \"two_lanes_min_ns\": {two_lanes_ns:.1},\n    \"one_over_two\": {:.3},\n    \"claimed\": {},\n    \"refused\": {}\n  }},\n",
-        one_lane_ns / two_lanes_ns,
-        lane_stats.claimed,
-        lane_stats.refused,
+        "    \"stretches_per_form\": {LANE_STRETCHES},\n    \"claimed\": {},\n    \"refused\": {}\n  }},\n",
+        lane_stats.claimed, lane_stats.refused,
+    ));
+    // What one slice of one lane costs, per block width and vector width.
+    let mut rows = Vec::new();
+    for qubits in 1..=4 {
+        let per_slice = |suffix: &str| {
+            let name = format!("smallmat_{qubits}q_{SMALLMAT_SLICES}slices{suffix}");
+            let pass = min_of("grape_smallmat", &name);
+            pass.expect("the grape_smallmat group must have run") / SMALLMAT_SLICES as f64
+        };
+        rows.push(format!(
+            "    \"{qubits}q\": {{\"host_width\": {:.1}, \"baseline\": {:.1}}}",
+            per_slice(WIDTHS[0].0),
+            per_slice(WIDTHS[1].0)
+        ));
+    }
+    json.push_str(&format!(
+        "  \"one_lane_ns_per_slice\": {{\n{}\n  }},\n",
+        rows.join(",\n")
     ));
     json.push_str(&format!(
         "  \"profile_overhead\": {{\n    \"disarmed_min_ns\": {disarmed_ns:.1},\n    \"armed_min_ns\": {armed_ns:.1},\n    \"armed_over_disarmed\": {overhead_ratio:.3}\n  }},\n"
     ));
     // The eigensolver's dimension rule, per solve on device Hamiltonians: the
-    // rule's two sides must be the cheaper body where the rule puts them.
+    // rule's two sides must be the cheaper body where the rule puts them, and
+    // on the QL side four slices in lockstep must beat one at a time.
     let per_solve = |body: &str, n: usize| {
         let pass = min_of("eigh_real", &format!("{body}_n{n}_x{STEPS}"));
         pass.expect("the eigh_real group must have run") / STEPS as f64
@@ -509,15 +605,30 @@ fn emit_summary(c: &mut Criterion) {
             per_solve("jacobi_cold", n),
             per_solve("jacobi_warm", n),
         );
-        let ql_side = n >= vqc_linalg::real::QL_MIN_DIM;
+        // On its side of the rule QL runs four slices to a solve; one matrix
+        // at a time is what a remainder pays, and what the narrow side would.
+        let ql_side = n >= QL_MIN_DIM;
+        let mut row = format!("\"ql\": {ql:.1}");
+        let engine_ql = if ql_side {
+            let batched = per_solve("ql_batch4", n);
+            assert!(
+                batched < ql,
+                "at {n}x{n} four QL solves in lockstep take {batched:.0} ns each, \
+                 one at a time {ql:.0} ns"
+            );
+            row.push_str(&format!(", \"ql_batch4\": {batched:.1}"));
+            batched
+        } else {
+            ql
+        };
         assert!(
-            (ql < warm) == ql_side,
-            "at {n}x{n} the dimension rule picks {} but QL takes {ql:.0} ns a solve \
+            (engine_ql < warm) == ql_side,
+            "at {n}x{n} the dimension rule picks {} but QL takes {engine_ql:.0} ns a solve \
              and warm-started Jacobi {warm:.0} ns",
             if ql_side { "QL" } else { "Jacobi" }
         );
         rows.push(format!(
-            "    \"n{n}\": {{\"ql\": {ql:.1}, \"jacobi_cold\": {cold:.1}, \"jacobi_warm\": {warm:.1}}}"
+            "    \"n{n}\": {{{row}, \"jacobi_cold\": {cold:.1}, \"jacobi_warm\": {warm:.1}}}"
         ));
     }
     json.push_str(&format!(
@@ -553,14 +664,17 @@ fn emit_summary(c: &mut Criterion) {
     }
 }
 
+// `bench_grape_lanes` appears `LANE_STRETCHES` times, seconds apart.
 criterion_group!(
     benches,
     bench_grape,
     bench_grape_smallmat,
     bench_grape_lanes,
     bench_eigh_real,
+    bench_grape_lanes,
     bench_grape_seeding,
     bench_profile_overhead,
+    bench_grape_lanes,
     emit_summary
 );
 criterion_main!(benches);

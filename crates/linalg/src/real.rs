@@ -17,10 +17,21 @@
 //! wins on small matrices *when the caller warm-starts it* by rotating into a
 //! previous eigenbasis (a 4×4 device Hamiltonian: 0.49 µs against 0.71 µs);
 //! QL costs the same whatever the input, and from 8×8 a cold QL beats rotate +
-//! warm Jacobi + compose (16×16: 10.2 µs against 17.5 µs). The complex
+//! warm Jacobi + compose (16×16: 10.2 µs against 17.5 µs). The QL body is
+//! written over *lanes*: it solves several matrices side by side, one vector
+//! lane each, because a single solve is a chain of dependent square roots and
+//! divisions that leaves the vector unit idle (four 16×16 solves in lockstep:
+//! 6.1 µs each at SSE2 width, 5.0 µs at AVX2 width, every matrix getting the
+//! bits it gets alone); one matrix is its one-lane instantiation. The complex
 //! [`small::eigh_into`](crate::small::eigh_into) and
 //! [`eigh_into`](crate::eigh_into) stay as the general Hermitian solvers, and
 //! as the oracle the parity suite holds this module to.
+//!
+//! Nothing here names an instruction set, and nothing fuses a multiply into an
+//! add (Rust never does unasked): every kernel is `#[inline(always)]`, so a
+//! caller compiled for a wider vector unit (the GRAPE engine's
+//! `#[target_feature]` phase twins) gets the same IEEE operations in the same
+//! order, more of them per instruction.
 
 /// Column-block width of the heap product; the inline storage uses its row.
 const HEAP_BLOCK: usize = 8;
@@ -90,6 +101,7 @@ fn rotate_rows(m: &mut [f64], n: usize, p: usize, q: usize, c: f64, k: f64) {
 
 /// Closed-form symmetric 2×2 eigendecomposition: the real case of the complex
 /// solver's closed form (one square root, no sweep).
+#[inline(always)]
 fn eigh_symmetric_2(a: &[f64], eigenvalues: &mut [f64], vectors: &mut [f64]) {
     let (a00, a11) = (a[0], a[3]);
     let b = 0.5 * (a[1] + a[2]);
@@ -162,7 +174,13 @@ fn sort_eigenrows(n: usize, eigenvalues: &mut [f64], rows: &mut [f64]) {
 /// [`RealSmallMatrix::eigh_in_place`]: exactly one body per dimension, and
 /// that body's iteration count.
 #[inline(always)]
-fn eigh_symmetric(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
+fn eigh_symmetric(
+    n: usize,
+    a: &mut [f64],
+    eigenvalues: &mut [f64],
+    vectors: &mut [f64],
+    scratch: &mut [f64],
+) -> usize {
     match n {
         2 => {
             assert!(a.len() == 4 && vectors.len() == 4 && eigenvalues.len() == 2);
@@ -170,7 +188,7 @@ fn eigh_symmetric(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mu
             0
         }
         _ if n < QL_MIN_DIM => eigh_jacobi(n, a, eigenvalues, vectors),
-        _ => eigh_ql(n, a, eigenvalues, vectors),
+        _ => eigh_ql::<1>(n, &mut [(a, eigenvalues, vectors)], scratch)[0],
     }
 }
 
@@ -274,34 +292,117 @@ pub fn eigh_jacobi(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &m
     sweeps
 }
 
+/// All ones where `condition` holds, zero elsewhere: one lane's half of a
+/// [`select`].
+#[inline(always)]
+fn mask(condition: bool) -> u64 {
+    (condition as u64).wrapping_neg()
+}
+
+/// `a` where `mask` is all ones, `b` where it is zero. A bit-select — unlike
+/// an `if` over an array of `bool` — vectorizes across lanes, and it moves
+/// bits, so a held value keeps its sign of zero and its NaN payload.
+#[inline(always)]
+fn select(mask: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
+/// One matrix of an [`eigh_ql`] batch: the symmetric `n x n` input (consumed
+/// as the working copy), its `n` eigenvalues and its `n x n` eigenvectors.
+pub type QlLane<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64]);
+
+/// The `f64`s of scratch [`eigh_ql`] needs *per lane* at dimension `n`: the
+/// working matrix, the two diagonals and a sweep's rotations.
+pub const fn ql_scratch_len(n: usize) -> usize {
+    n * (n + 4)
+}
+
+/// Steps of a QL sweep whose recurrence runs ahead of their rotations. The
+/// recurrence is bound by latency and the rotations by throughput, so the two
+/// overlap as long as a run of both fits the out-of-order window: per 16×16
+/// solve in a batch of four at AVX2 width, 5.03 µs with 2 steps, 5.07 with 4,
+/// 5.36 with the whole sweep (6.09 / 6.31 / 6.54 µs at SSE2 width). Rotating
+/// inside the step itself (5.36 µs) keeps the compiler from vectorizing the
+/// recurrence cleanly: the lanes' `(c, s)` are then scalars it must extract.
+const SWEEP_CHUNK: usize = 2;
+
 /// Householder tridiagonalization followed by implicit-shift QL (EISPACK
-/// `tred2` + `tql2`) on the row-major symmetric `n x n` matrix `a`, under the
-/// contract of [`RealSmallMatrix::eigh_in_place`]; returns the number of QL
-/// iterations (about 1.7 per eigenvalue). The cost does not depend on how
-/// close `a` is to diagonal, so there is nothing to warm-start.
+/// `tred2` + `tql2`) on `L` row-major symmetric `n x n` matrices in lockstep,
+/// each under the contract of [`RealSmallMatrix::eigh_in_place`]; returns each
+/// matrix's number of QL iterations (about 1.7 per eigenvalue). The cost does
+/// not depend on how close a matrix is to diagonal, so there is nothing to
+/// warm-start. This is the one body: `L = 1` is the solver of a single matrix.
+///
+/// `lanes` holds one to `L` matrices; the lanes past its end repeat the first
+/// matrix, so they add no lockstep steps, and report 0 iterations. Every
+/// matrix gets, bit for bit, the result the one-lane instantiation gives it
+/// alone — a lane's arithmetic never sees its neighbours.
+///
+/// **What runs across lanes.** `tred2` and the reflector accumulation work on
+/// a structure-of-arrays copy in `scratch` (entry `k` of all `L` matrices side
+/// by side), so every scalar operation of the textbook is one `L`-wide vector
+/// operation. Their control flow is the same for every input except EISPACK's
+/// two skips — a sub-row that is already zero (`scale == 0`), and the
+/// reflector it leaves (`h == 0`) — which here run the general branch on a
+/// zero reflector with 1 for the zero denominator: every update then
+/// subtracts `+0.0`, which changes no bit of any value. In `tql2` only the
+/// recurrence on the tridiagonal `(d, e)` is in lockstep: a sweep's plane
+/// rotation is a `sqrt → div → mul` dependency chain some 50 cycles long, and
+/// it never reads the eigenvectors, so four chains side by side cost one
+/// chain's latency. Each lane deflates on its own `e[l]` and has its own sweep
+/// range `l..m`; lanes that are done with `l`, or whose range has not begun,
+/// are held by bit-selects. The steps' `(c, s)` go to a small buffer, and
+/// every `SWEEP_CHUNK` steps each lane that took them applies its rotations
+/// to its own dense, row-major `Vᵀ`: unmasked work that the next steps' chain
+/// does not wait for, so it fills the issue slots the chain leaves idle.
+/// (Rotating four eigenvector matrices in lockstep as well was measured and
+/// lost: 2 rows × `n` columns × `L` lanes per step, plus their selects, is
+/// bound by throughput, not latency.)
 ///
 /// Both stages run on the *transpose* of the textbook's transformation matrix
-/// — `a` itself, which ends up holding `Vᵀ` — so every reflector dot product,
-/// rank-two update and QL plane rotation walks contiguous rows; the one
-/// transpose is the copy into `vectors` at the end. Until then the first `n`
-/// entries of `vectors` serve as the off-diagonal, so the solver needs no
-/// scratch of its own on either storage.
+/// — which ends up holding `Vᵀ` — so every reflector dot product, rank-two
+/// update and QL plane rotation walks contiguous rows; the one transpose is
+/// the copy into a lane's eigenvector storage at the end.
 ///
 /// # Panics
 ///
-/// Panics unless `n >= 2`, `a` and `vectors` hold `n * n` entries and
-/// `eigenvalues` `n`.
+/// Panics unless `n >= 2`, `lanes` holds one to `L` matrices, each with
+/// `n * n`, `n` and `n * n` entries, and `scratch` holds at least
+/// `L * ql_scratch_len(n)`.
 #[inline(always)]
-pub fn eigh_ql(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
+pub fn eigh_ql<const L: usize>(
+    n: usize,
+    lanes: &mut [QlLane<'_>],
+    scratch: &mut [f64],
+) -> [usize; L] {
+    use std::array::from_fn;
+    let count = lanes.len();
     assert!(
-        n >= 2 && a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
-        "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
+        n >= 2 && (1..=L).contains(&count) && scratch.len() >= L * ql_scratch_len(n),
+        "real-symmetric QL expects 1..={L} matrices of dimension {n} >= 2 and their scratch"
     );
-    let (w, d, e) = (a, eigenvalues, &mut vectors[..n]);
-    // Fold the symmetric part into the upper triangle, the only one read.
+    let (soa, _) = scratch.as_chunks_mut::<L>();
+    let (w, soa) = soa.split_at_mut(n * n);
+    let (d, soa) = soa.split_at_mut(n);
+    let (e, soa) = soa.split_at_mut(n);
+    let (cos, soa) = soa.split_at_mut(n);
+    let sin = &mut soa[..n];
+
+    // Interleave the matrices, then fold each one's symmetric part into the
+    // upper triangle, the only one read.
+    for lane in 0..L {
+        let (a, eigenvalues, vectors) = &lanes[if lane < count { lane } else { 0 }];
+        assert!(
+            a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
+            "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
+        );
+        for (slot, &x) in w.iter_mut().zip(a.iter()) {
+            slot[lane] = x;
+        }
+    }
     for r in 0..n {
         for c in (r + 1)..n {
-            w[r * n + c] = 0.5 * (w[r * n + c] + w[c * n + r]);
+            w[r * n + c] = from_fn(|k| 0.5 * (w[r * n + c][k] + w[c * n + r][k]));
         }
     }
 
@@ -312,155 +413,221 @@ pub fn eigh_ql(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [
         d[j] = w[j * n + n - 1];
     }
     for i in (1..n).rev() {
-        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
-        let mut h = 0.0;
-        if scale == 0.0 {
-            e[i] = d[i - 1];
-            for j in 0..i {
-                d[j] = w[j * n + i - 1];
-                w[j * n + i] = 0.0;
-                w[i * n + j] = 0.0;
+        let mut scale = [0.0; L];
+        for x in &d[..i] {
+            for k in 0..L {
+                scale[k] += x[k].abs();
             }
-        } else {
-            for x in &mut d[..i] {
-                *x /= scale;
-                h += *x * *x;
+        }
+        // A lane whose sub-row is already zero has nothing to reduce: its
+        // off-diagonal is the entry as it stands and its reflector is +0.0.
+        let skip: [u64; L] = from_fn(|k| mask(scale[k] == 0.0));
+        let (unreduced, mut h) = (d[i - 1], [0.0; L]);
+        for x in &mut d[..i] {
+            for k in 0..L {
+                x[k] = select(skip[k], 0.0, x[k] / select(skip[k], 1.0, scale[k]));
+                h[k] += x[k] * x[k];
             }
-            let f = d[i - 1];
-            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
-            e[i] = scale * g;
-            h -= f * g;
-            d[i - 1] = f - g;
-            // Store the reflector in row i, then e ← (A·u)/h over the rows above.
-            w[i * n..][..i].copy_from_slice(&d[..i]);
-            e[..i].fill(0.0);
-            for j in 0..i {
-                let f = d[j];
-                let row = &w[j * n..][..i];
-                let mut g = e[j] + row[j] * f;
-                for k in (j + 1)..i {
-                    g += row[k] * d[k];
-                    e[k] += row[k] * f;
+        }
+        let f = d[i - 1];
+        for k in 0..L {
+            let root = h[k].sqrt();
+            let g = select(mask(f[k] > 0.0), -root, root);
+            e[i][k] = select(skip[k], unreduced[k], scale[k] * g);
+            h[k] -= f[k] * g;
+            d[i - 1][k] = f[k] - g;
+        }
+        // Store the reflector in row i, then e ← (A·u)/h over the rows above.
+        w[i * n..][..i].copy_from_slice(&d[..i]);
+        e[..i].fill([0.0; L]);
+        for j in 0..i {
+            let f = d[j];
+            let row = &w[j * n..][..i];
+            let mut g: [f64; L] = from_fn(|k| e[j][k] + row[j][k] * f[k]);
+            for t in (j + 1)..i {
+                for k in 0..L {
+                    g[k] += row[t][k] * d[t][k];
+                    e[t][k] += row[t][k] * f[k];
                 }
-                e[j] = g;
             }
-            let mut f = 0.0;
-            for j in 0..i {
-                e[j] /= h;
-                f += e[j] * d[j];
+            e[j] = g;
+        }
+        let pivot: [f64; L] = from_fn(|k| select(skip[k], 1.0, h[k]));
+        let mut f = [0.0; L];
+        for j in 0..i {
+            for k in 0..L {
+                e[j][k] /= pivot[k];
+                f[k] += e[j][k] * d[j][k];
             }
-            let hh = f / (h + h);
-            for j in 0..i {
-                e[j] -= hh * d[j];
+        }
+        let hh: [f64; L] = from_fn(|k| f[k] / (pivot[k] + pivot[k]));
+        for j in 0..i {
+            for k in 0..L {
+                e[j][k] -= hh[k] * d[j][k];
             }
-            // A ← A − u·qᵀ − q·uᵀ on the upper triangle of the leading block.
-            for j in 0..i {
-                let (f, g) = (d[j], e[j]);
-                let row = &mut w[j * n..][..i];
-                for k in j..i {
-                    row[k] -= f * e[k] + g * d[k];
+        }
+        // A ← A − u·qᵀ − q·uᵀ on the upper triangle of the leading block.
+        for j in 0..i {
+            let (f, g) = (d[j], e[j]);
+            let row = &mut w[j * n..][..i];
+            for t in j..i {
+                for k in 0..L {
+                    row[t][k] -= f[k] * e[t][k] + g[k] * d[t][k];
                 }
-                d[j] = w[j * n + i - 1];
-                w[j * n + i] = 0.0;
             }
+            d[j] = w[j * n + i - 1];
+            w[j * n + i] = [0.0; L];
         }
         d[i] = h;
     }
     // Accumulate the reflectors into Vᵀ, leading block by leading block.
     for i in 0..n - 1 {
         w[i * n + n - 1] = w[i * n + i];
-        w[i * n + i] = 1.0;
+        w[i * n + i] = [1.0; L];
         let h = d[i + 1];
+        let skip: [u64; L] = from_fn(|k| mask(h[k] == 0.0));
         let (above, below) = w.split_at_mut((i + 1) * n);
         let reflector = &mut below[..=i];
-        if h != 0.0 {
-            for (slot, &u) in d[..=i].iter_mut().zip(reflector.iter()) {
-                *slot = u / h;
+        for (slot, u) in d[..=i].iter_mut().zip(reflector.iter()) {
+            *slot = from_fn(|k| u[k] / select(skip[k], 1.0, h[k]));
+        }
+        for row in above.chunks_exact_mut(n) {
+            let row = &mut row[..=i];
+            // `Iterator::sum` starts from -0.0, as the one-matrix loop did.
+            let mut g = [-0.0; L];
+            for (u, x) in reflector.iter().zip(row.iter()) {
+                for k in 0..L {
+                    g[k] += u[k] * x[k];
+                }
             }
-            for row in above.chunks_exact_mut(n) {
-                let row = &mut row[..=i];
-                let g: f64 = reflector.iter().zip(row.iter()).map(|(u, x)| u * x).sum();
-                for (x, &u) in row.iter_mut().zip(d[..=i].iter()) {
-                    *x -= g * u;
+            let g: [f64; L] = from_fn(|k| select(skip[k], 0.0, g[k]));
+            for (x, u) in row.iter_mut().zip(d[..=i].iter()) {
+                for k in 0..L {
+                    x[k] -= g[k] * u[k];
                 }
             }
         }
-        reflector.fill(0.0);
+        reflector.fill([0.0; L]);
     }
     for j in 0..n {
         d[j] = w[j * n + n - 1];
-        w[j * n + n - 1] = 0.0;
+        w[j * n + n - 1] = [0.0; L];
     }
-    w[n * n - 1] = 1.0;
+    w[n * n - 1] = [1.0; L];
+    // Each matrix's Vᵀ goes back to its own dense storage: the rotations below
+    // are per lane.
+    for (lane, (a, _, _)) in lanes.iter_mut().enumerate() {
+        for (slot, x) in a.iter_mut().zip(w.iter()) {
+            *slot = x[lane];
+        }
+    }
 
-    // tql2 on the tridiagonal (d, e), rotating the rows of Vᵀ.
+    // tql2 on the tridiagonals (d, e), rotating the rows of each Vᵀ.
     e.copy_within(1.., 0);
-    e[n - 1] = 0.0;
+    e[n - 1] = [0.0; L];
     let max_iterations = 60;
-    let (mut shift, mut norm, mut iterations) = (0.0, 0.0f64, 0);
+    let (mut shift, mut norm, mut iterations) = ([0.0; L], [0.0f64; L], [0usize; L]);
     for l in 0..n {
         // A sub-diagonal this far below the largest |d| + |e| seen is zero.
         // The floor at 1 matches the Jacobi body's absolute tolerance and
         // keeps p² + e² below from underflowing.
-        norm = norm.max(d[l].abs() + e[l].abs());
-        let negligible = f64::EPSILON * norm.max(1.0);
-        let mut m = l;
-        while m + 1 < n && e[m].abs() > negligible {
-            m += 1;
-        }
-        if m > l {
-            for _ in 0..max_iterations {
-                iterations += 1;
-                // The implicit (Wilkinson) shift.
-                let g = d[l];
-                let p = (d[l + 1] - g) / (2.0 * e[l]);
-                let r = if p < 0.0 {
-                    -(p * p + 1.0).sqrt()
-                } else {
-                    (p * p + 1.0).sqrt()
-                };
-                d[l] = e[l] / (p + r);
-                d[l + 1] = e[l] * (p + r);
-                let dl1 = d[l + 1];
-                let h = g - d[l];
-                for x in &mut d[l + 2..] {
-                    *x -= h;
-                }
-                shift += h;
-                // One QL sweep from m down to l.
-                let mut p = d[m];
-                let el1 = e[l + 1];
-                let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
-                let (mut s, mut s2) = (0.0, 0.0);
-                for i in (l..m).rev() {
-                    c3 = c2;
-                    c2 = c;
-                    s2 = s;
-                    let g = c * e[i];
-                    let h = c * p;
-                    let r = (p * p + e[i] * e[i]).sqrt();
-                    e[i + 1] = s * r;
-                    s = e[i] / r;
-                    c = p / r;
-                    p = c * d[i] - s * g;
-                    d[i + 1] = h + s * (c * g + s * d[i]);
-                    rotate_rows(w, n, i, i + 1, c, -s);
-                }
-                let p = -s * s2 * c3 * el1 * e[l] / dl1;
-                e[l] = s * p;
-                d[l] = c * p;
-                if e[l].abs() <= negligible {
-                    break;
-                }
+        norm = from_fn(|k| norm[k].max(d[l][k].abs() + e[l][k].abs()));
+        let negligible: [f64; L] = from_fn(|k| f64::EPSILON * norm[k].max(1.0));
+        let mut m = [l; L];
+        for k in 0..L {
+            while m[k] + 1 < n && e[m[k]][k].abs() > negligible[k] {
+                m[k] += 1;
             }
         }
-        d[l] += shift;
-        e[l] = 0.0;
+        // The lanes still iterating on this `l`.
+        let mut active: [u64; L] = from_fn(|k| mask(m[k] > l));
+        for _ in 0..max_iterations {
+            let Some(top) = (0..L).filter(|&k| active[k] != 0).map(|k| m[k]).max() else {
+                break;
+            };
+            // The implicit (Wilkinson) shift.
+            let g = d[l];
+            let mut h = [0.0; L];
+            for k in 0..L {
+                iterations[k] += (active[k] & 1) as usize;
+                let p = (d[l + 1][k] - g[k]) / (2.0 * e[l][k]);
+                let root = (p * p + 1.0).sqrt();
+                let r = select(mask(p < 0.0), -root, root);
+                d[l][k] = select(active[k], e[l][k] / (p + r), g[k]);
+                d[l + 1][k] = select(active[k], e[l][k] * (p + r), d[l + 1][k]);
+                h[k] = select(active[k], g[k] - d[l][k], 0.0);
+                shift[k] = select(active[k], shift[k] + h[k], shift[k]);
+            }
+            let dl1 = d[l + 1];
+            // Subtracting a held lane's +0.0 changes no bit.
+            for x in &mut d[l + 2..] {
+                for k in 0..L {
+                    x[k] -= h[k];
+                }
+            }
+            // One QL sweep, lane k's from m[k] down to l, a few steps at a
+            // time: the recurrence in lockstep, recording each step's (c, s),
+            // then those steps' rotations on the lanes that took them. A lane
+            // above its range holds the opening (c, s) = (1, 0) and records
+            // that.
+            let mut p: [f64; L] = from_fn(|k| d[m[k]][k]);
+            let el1 = e[l + 1];
+            let (mut c, mut s) = ([1.0; L], [0.0; L]);
+            let mut high = top;
+            while high > l {
+                let low = high.saturating_sub(SWEEP_CHUNK).max(l);
+                for i in (low..high).rev() {
+                    for k in 0..L {
+                        let on = active[k] & mask(i < m[k]);
+                        let g = c[k] * e[i][k];
+                        let h = c[k] * p[k];
+                        let r = (p[k] * p[k] + e[i][k] * e[i][k]).sqrt();
+                        e[i + 1][k] = select(on, s[k] * r, e[i + 1][k]);
+                        s[k] = select(on, e[i][k] / r, s[k]);
+                        c[k] = select(on, p[k] / r, c[k]);
+                        p[k] = select(on, c[k] * d[i][k] - s[k] * g, p[k]);
+                        let below = h + s[k] * (c[k] * g + s[k] * d[i][k]);
+                        d[i + 1][k] = select(on, below, d[i + 1][k]);
+                    }
+                    cos[i] = c;
+                    sin[i] = s;
+                }
+                for (lane, (a, _, _)) in lanes.iter_mut().enumerate() {
+                    if active[lane] != 0 {
+                        for i in (low..high.min(m[lane])).rev() {
+                            rotate_rows(a, n, i, i + 1, cos[i][lane], -sin[i][lane]);
+                        }
+                    }
+                }
+                high = low;
+            }
+            // The sine one step before the last and the cosine two before,
+            // or the opening state where the sweep was too short to have one.
+            let s2 = if l + 1 < top { sin[l + 1] } else { [0.0; L] };
+            let c3 = if l + 2 < top { cos[l + 2] } else { [1.0; L] };
+            for k in 0..L {
+                let p = -s[k] * s2[k] * c3[k] * el1[k] * e[l][k] / dl1[k];
+                e[l][k] = select(active[k], s[k] * p, e[l][k]);
+                d[l][k] = select(active[k], c[k] * p, d[l][k]);
+            }
+            for k in 0..L {
+                active[k] &= !mask(e[l][k].abs() <= negligible[k]);
+            }
+        }
+        for k in 0..L {
+            d[l][k] += shift[k];
+        }
+        e[l] = [0.0; L];
     }
 
-    sort_eigenrows(n, d, w);
-    transpose(n, w, vectors);
-    iterations
+    for (lane, (a, eigenvalues, vectors)) in lanes.iter_mut().enumerate() {
+        for (value, x) in eigenvalues.iter_mut().zip(d.iter()) {
+            *value = x[lane];
+        }
+        sort_eigenrows(n, eigenvalues, a);
+        transpose(n, a, vectors);
+    }
+    from_fn(|k| if k < count { iterations[k] } else { 0 })
 }
 
 /// A dense real matrix whose dimension is a compile-time constant: the real
@@ -489,32 +656,32 @@ impl<const N: usize> RealSmallMatrix<N> {
     }
 
     /// The `N * N` entries, row-major.
-    #[inline]
+    #[inline(always)]
     pub fn as_slice(&self) -> &[f64] {
         self.rows.as_flattened()
     }
 
     /// Mutable view of the `N * N` row-major entries.
-    #[inline]
+    #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         self.rows.as_flattened_mut()
     }
 
     /// Writes the real product `self · rhs` into `out`.
-    #[inline]
+    #[inline(always)]
     pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
         matmul::<N>(N, self.as_slice(), rhs.as_slice(), None, out.as_mut_slice());
     }
 
     /// Adds `sign · self · rhs` to `out` (a planar complex product is four of these).
-    #[inline]
+    #[inline(always)]
     pub fn matmul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
         let onto = Some(sign);
         matmul::<N>(N, self.as_slice(), rhs.as_slice(), onto, out.as_mut_slice());
     }
 
     /// Writes `selfᵀ` into `out`.
-    #[inline]
+    #[inline(always)]
     pub fn transpose_into(&self, out: &mut Self) {
         transpose(N, self.as_slice(), out.as_mut_slice());
     }
@@ -525,19 +692,27 @@ impl<const N: usize> RealSmallMatrix<N> {
     /// afterwards). Only the symmetric part of `self` influences the result.
     ///
     /// The solver is chosen by `N` alone — closed form at 2, [`eigh_jacobi`]
-    /// below [`QL_MIN_DIM`], [`eigh_ql`] from there up — and its iteration
-    /// count is returned: 0, Jacobi sweeps, or implicit-QL iterations.
+    /// below [`QL_MIN_DIM`], one lane of [`eigh_ql`] from there up, which is
+    /// the only one to touch `scratch` — and its iteration count is returned:
+    /// 0, Jacobi sweeps, or implicit-QL iterations.
     ///
     /// # Panics
     ///
-    /// Panics if `eigenvalues.len() != N`.
-    #[inline]
-    pub fn eigh_in_place(&mut self, eigenvalues: &mut [f64], eigenvectors: &mut Self) -> usize {
+    /// Panics if `eigenvalues.len() != N`, or if `N >= QL_MIN_DIM` and
+    /// `scratch` is shorter than [`ql_scratch_len`]`(N)`.
+    #[inline(always)]
+    pub fn eigh_in_place(
+        &mut self,
+        eigenvalues: &mut [f64],
+        eigenvectors: &mut Self,
+        scratch: &mut [f64],
+    ) -> usize {
         eigh_symmetric(
             N,
             self.as_mut_slice(),
             eigenvalues,
             eigenvectors.as_mut_slice(),
+            scratch,
         )
     }
 }
@@ -570,19 +745,19 @@ impl RealMatrix {
     }
 
     /// The matrix dimension.
-    #[inline]
+    #[inline(always)]
     pub fn dim(&self) -> usize {
         self.dim
     }
 
     /// The `dim * dim` entries, row-major.
-    #[inline]
+    #[inline(always)]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutable view of the `dim * dim` row-major entries.
-    #[inline]
+    #[inline(always)]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -592,28 +767,38 @@ impl RealMatrix {
     /// # Panics
     ///
     /// Panics if the three dimensions differ (as do all the kernels below).
+    #[inline(always)]
     pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
         matmul::<HEAP_BLOCK>(self.dim, &self.data, &rhs.data, None, &mut out.data);
     }
 
     /// Adds `sign · self · rhs` to `out`.
+    #[inline(always)]
     pub fn matmul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
         matmul::<HEAP_BLOCK>(self.dim, &self.data, &rhs.data, Some(sign), &mut out.data);
     }
 
     /// Writes `selfᵀ` into `out`.
+    #[inline(always)]
     pub fn transpose_into(&self, out: &mut Self) {
         transpose(self.dim, &self.data, &mut out.data);
     }
 
     /// The heap instance of [`RealSmallMatrix::eigh_in_place`]: the same
     /// solver bodies under the same dimension rule, with the same contract.
-    pub fn eigh_in_place(&mut self, eigenvalues: &mut [f64], eigenvectors: &mut Self) -> usize {
+    #[inline(always)]
+    pub fn eigh_in_place(
+        &mut self,
+        eigenvalues: &mut [f64],
+        eigenvectors: &mut Self,
+        scratch: &mut [f64],
+    ) -> usize {
         eigh_symmetric(
             self.dim,
             &mut self.data,
             eigenvalues,
             &mut eigenvectors.data,
+            scratch,
         )
     }
 }

@@ -14,10 +14,13 @@
 //! to the complex ones the same way: the complex eigensolvers are the oracle
 //! for both real-symmetric bodies (Jacobi and Householder–QL, each run at
 //! every dimension, whatever the dimension rule would pick), and
-//! promote-then-complex-matmul for the real and planar products.
+//! promote-then-complex-matmul for the real and planar products. The QL body
+//! solves several matrices in lockstep; [`eispack`] keeps the one-matrix
+//! routine it was derived from, branches and all, and every batch — whatever
+//! shares it — must give each matrix that routine's bits.
 
 use proptest::prelude::*;
-use vqc_linalg::real::{eigh_jacobi, eigh_ql, QL_MIN_DIM};
+use vqc_linalg::real::{eigh_jacobi, eigh_ql, ql_scratch_len, QlLane, QL_MIN_DIM};
 use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
 use vqc_linalg::{c64, eigh, Matrix, RealMatrix, RealSmallMatrix, C64};
 
@@ -272,10 +275,232 @@ fn assert_real_eigensystem(
     }
 }
 
+/// The one-matrix routine the lockstep QL body was derived from — EISPACK
+/// `tred2` + `tql2` on the transposed transformation matrix, with the
+/// `scale == 0` and `h == 0` skips as branches — kept as the reference for
+/// the body's bits: the body has no branch to skip with, and must get the
+/// skipped steps right, signed zeros included, by arithmetic.
+mod eispack {
+    pub fn tred2_tql2(
+        n: usize,
+        a: &mut [f64],
+        eigenvalues: &mut [f64],
+        vectors: &mut [f64],
+    ) -> usize {
+        let (w, d, e) = (a, eigenvalues, &mut vectors[..n]);
+        // Fold the symmetric part into the upper triangle, the only one read.
+        for r in 0..n {
+            for c in (r + 1)..n {
+                w[r * n + c] = 0.5 * (w[r * n + c] + w[c * n + r]);
+            }
+        }
+
+        // tred2, reducing rows/columns n-1 down to 1. In the textbook's indices
+        // w[r * n + c] is V[c][r]; a symmetric matrix starts out as its own
+        // transpose.
+        for j in 0..n {
+            d[j] = w[j * n + n - 1];
+        }
+        for i in (1..n).rev() {
+            let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+            let mut h = 0.0;
+            if scale == 0.0 {
+                e[i] = d[i - 1];
+                for j in 0..i {
+                    d[j] = w[j * n + i - 1];
+                    w[j * n + i] = 0.0;
+                    w[i * n + j] = 0.0;
+                }
+            } else {
+                for x in &mut d[..i] {
+                    *x /= scale;
+                    h += *x * *x;
+                }
+                let f = d[i - 1];
+                let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+                e[i] = scale * g;
+                h -= f * g;
+                d[i - 1] = f - g;
+                // Store the reflector in row i, then e ← (A·u)/h over the rows above.
+                w[i * n..][..i].copy_from_slice(&d[..i]);
+                e[..i].fill(0.0);
+                for j in 0..i {
+                    let f = d[j];
+                    let row = &w[j * n..][..i];
+                    let mut g = e[j] + row[j] * f;
+                    for k in (j + 1)..i {
+                        g += row[k] * d[k];
+                        e[k] += row[k] * f;
+                    }
+                    e[j] = g;
+                }
+                let mut f = 0.0;
+                for j in 0..i {
+                    e[j] /= h;
+                    f += e[j] * d[j];
+                }
+                let hh = f / (h + h);
+                for j in 0..i {
+                    e[j] -= hh * d[j];
+                }
+                // A ← A − u·qᵀ − q·uᵀ on the upper triangle of the leading block.
+                for j in 0..i {
+                    let (f, g) = (d[j], e[j]);
+                    let row = &mut w[j * n..][..i];
+                    for k in j..i {
+                        row[k] -= f * e[k] + g * d[k];
+                    }
+                    d[j] = w[j * n + i - 1];
+                    w[j * n + i] = 0.0;
+                }
+            }
+            d[i] = h;
+        }
+        // Accumulate the reflectors into Vᵀ, leading block by leading block.
+        for i in 0..n - 1 {
+            w[i * n + n - 1] = w[i * n + i];
+            w[i * n + i] = 1.0;
+            let h = d[i + 1];
+            let (above, below) = w.split_at_mut((i + 1) * n);
+            let reflector = &mut below[..=i];
+            if h != 0.0 {
+                for (slot, &u) in d[..=i].iter_mut().zip(reflector.iter()) {
+                    *slot = u / h;
+                }
+                for row in above.chunks_exact_mut(n) {
+                    let row = &mut row[..=i];
+                    let g: f64 = reflector.iter().zip(row.iter()).map(|(u, x)| u * x).sum();
+                    for (x, &u) in row.iter_mut().zip(d[..=i].iter()) {
+                        *x -= g * u;
+                    }
+                }
+            }
+            reflector.fill(0.0);
+        }
+        for j in 0..n {
+            d[j] = w[j * n + n - 1];
+            w[j * n + n - 1] = 0.0;
+        }
+        w[n * n - 1] = 1.0;
+
+        // tql2 on the tridiagonal (d, e), rotating the rows of Vᵀ.
+        e.copy_within(1.., 0);
+        e[n - 1] = 0.0;
+        let max_iterations = 60;
+        let (mut shift, mut norm, mut iterations) = (0.0, 0.0f64, 0);
+        for l in 0..n {
+            // A sub-diagonal this far below the largest |d| + |e| seen is zero.
+            // The floor at 1 matches the Jacobi body's absolute tolerance and
+            // keeps p² + e² below from underflowing.
+            norm = norm.max(d[l].abs() + e[l].abs());
+            let negligible = f64::EPSILON * norm.max(1.0);
+            let mut m = l;
+            while m + 1 < n && e[m].abs() > negligible {
+                m += 1;
+            }
+            if m > l {
+                for _ in 0..max_iterations {
+                    iterations += 1;
+                    // The implicit (Wilkinson) shift.
+                    let g = d[l];
+                    let p = (d[l + 1] - g) / (2.0 * e[l]);
+                    let r = if p < 0.0 {
+                        -(p * p + 1.0).sqrt()
+                    } else {
+                        (p * p + 1.0).sqrt()
+                    };
+                    d[l] = e[l] / (p + r);
+                    d[l + 1] = e[l] * (p + r);
+                    let dl1 = d[l + 1];
+                    let h = g - d[l];
+                    for x in &mut d[l + 2..] {
+                        *x -= h;
+                    }
+                    shift += h;
+                    // One QL sweep from m down to l.
+                    let mut p = d[m];
+                    let el1 = e[l + 1];
+                    let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+                    let (mut s, mut s2) = (0.0, 0.0);
+                    for i in (l..m).rev() {
+                        c3 = c2;
+                        c2 = c;
+                        s2 = s;
+                        let g = c * e[i];
+                        let h = c * p;
+                        let r = (p * p + e[i] * e[i]).sqrt();
+                        e[i + 1] = s * r;
+                        s = e[i] / r;
+                        c = p / r;
+                        p = c * d[i] - s * g;
+                        d[i + 1] = h + s * (c * g + s * d[i]);
+                        for k in 0..n {
+                            let (x, y) = (w[i * n + k], w[(i + 1) * n + k]);
+                            w[i * n + k] = c * x + -s * y;
+                            w[(i + 1) * n + k] = c * y - -s * x;
+                        }
+                    }
+                    let p = -s * s2 * c3 * el1 * e[l] / dl1;
+                    e[l] = s * p;
+                    d[l] = c * p;
+                    if e[l].abs() <= negligible {
+                        break;
+                    }
+                }
+            }
+            d[l] += shift;
+            e[l] = 0.0;
+        }
+
+        // Selection sort, ascending, carrying the rows of Vᵀ; then V = (Vᵀ)ᵀ.
+        for i in 0..n {
+            let mut least = i;
+            for j in (i + 1)..n {
+                if d[j] < d[least] {
+                    least = j;
+                }
+            }
+            d.swap(i, least);
+            for k in 0..n {
+                w.swap(i * n + k, least * n + k);
+            }
+        }
+        for r in 0..n {
+            for c in 0..n {
+                vectors[c * n + r] = w[r * n + c];
+            }
+        }
+        iterations
+    }
+}
+
+/// One matrix through the QL body's one-lane instantiation.
+fn ql_alone(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
+    let mut scratch = vec![f64::NAN; ql_scratch_len(n)];
+    eigh_ql::<1>(n, &mut [(a, lambdas, vectors)], &mut scratch)[0]
+}
+
+/// One matrix through the QL body's four-lane instantiation, as a group of
+/// three: it sits in the middle, and the padding repeats another matrix.
+fn ql_in_a_batch(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
+    let mut scratch = vec![f64::NAN; 4 * ql_scratch_len(n)];
+    let mut others = [(); 2].map(|_| {
+        let neighbour: Vec<f64> = (0..n * n).map(|i| (i as f64).sin()).collect();
+        (neighbour, vec![0.0; n], vec![0.0; n * n])
+    });
+    let [(a0, l0, v0), (a2, l2, v2)] = &mut others;
+    let mut group = [
+        (&mut a0[..], &mut l0[..], &mut v0[..]),
+        (a, lambdas, vectors),
+        (&mut a2[..], &mut l2[..], &mut v2[..]),
+    ];
+    eigh_ql::<4>(n, &mut group, &mut scratch)[1]
+}
+
 /// Both solver bodies on flat storage — whichever of them the dimension rule
-/// would pick at `n` — against `oracle`.
+/// would pick at `n`, and the QL one alone and in a batch — against `oracle`.
 fn assert_both_bodies(n: usize, data: &[f64], oracle: &[f64]) {
-    for body in [eigh_jacobi, eigh_ql] {
+    for body in [eigh_jacobi, ql_alone, ql_in_a_batch] {
         let mut h = data.to_vec();
         let mut lambdas = vec![f64::NAN; n];
         let mut vectors: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
@@ -300,7 +525,8 @@ fn check_real_eigh<const N: usize>(data: &[f64]) {
     let mut h = RealSmallMatrix::<N>::from_fn(|r, c| data[r * N + c]);
     let mut lambdas = [f64::NAN; N];
     let mut vectors = RealSmallMatrix::<N>::from_fn(|r, c| (r + 2 * c) as f64);
-    let iterations = h.eigh_in_place(&mut lambdas, &mut vectors);
+    let mut scratch = vec![f64::NAN; ql_scratch_len(N)];
+    let iterations = h.eigh_in_place(&mut lambdas, &mut vectors, &mut scratch);
     assert!(N != 2 || iterations == 0, "the 2x2 path is closed-form");
     assert_real_eigensystem(N, data, &lambdas, vectors.as_slice(), &oracle);
     if N > 2 {
@@ -319,7 +545,8 @@ fn check_real_eigh_heap(n: usize, data: &[f64]) {
     let mut h = RealMatrix::from_fn(n, |r, c| data[r * n + c]);
     let mut lambdas = vec![f64::NAN; n];
     let mut vectors = RealMatrix::from_fn(n, |r, c| (r + 2 * c) as f64);
-    h.eigh_in_place(&mut lambdas, &mut vectors);
+    let mut scratch = vec![f64::NAN; ql_scratch_len(n)];
+    h.eigh_in_place(&mut lambdas, &mut vectors, &mut scratch);
     assert_real_eigensystem(n, data, &lambdas, vectors.as_slice(), &oracle);
     assert_both_bodies(n, data, &oracle);
 }
@@ -457,78 +684,212 @@ proptest! {
     }
 }
 
-/// The spectra a device really hands the solvers, at every stack dimension and
-/// at heap dims 3, 9 and 27, through the dimension rule and through both
-/// bodies: the zero matrix (every amplitude 0), flux only (already diagonal,
-/// descending, with repeats), one charge drive (`I ⊗ X`: ±1, each `n / 2`-fold
-/// degenerate, off the diagonal), and a dense matrix whose eigenvalues pair up
-/// at gaps on either side of the gradient contraction's 1e-10 degeneracy
-/// threshold.
-#[test]
-fn real_eigh_handles_the_spectra_a_device_produces() {
-    fn zero(n: usize) -> Vec<f64> {
-        vec![0.0; n * n]
+/// The spectra a device really hands the solvers: the zero matrix (every
+/// amplitude 0), flux only (already diagonal, descending, with repeats), one
+/// charge drive (`I ⊗ X`: ±1, each `n / 2`-fold degenerate, off the diagonal),
+/// and a dense matrix whose eigenvalues pair up at gaps on either side of the
+/// gradient contraction's 1e-10 degeneracy threshold.
+const DEVICE_SPECTRA: [fn(usize) -> Vec<f64>; 4] =
+    [zero, flux_only, one_charge_drive, near_degenerate_pairs];
+
+fn zero(n: usize) -> Vec<f64> {
+    vec![0.0; n * n]
+}
+
+fn flux_only(n: usize) -> Vec<f64> {
+    let mut data = vec![0.0; n * n];
+    for i in 0..n {
+        data[i * n + i] = 2.0 - (i / 2) as f64;
     }
-    fn flux_only(n: usize) -> Vec<f64> {
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            data[i * n + i] = 2.0 - (i / 2) as f64;
-        }
-        data
+    data
+}
+
+fn one_charge_drive(n: usize) -> Vec<f64> {
+    let mut data = vec![0.0; n * n];
+    for i in 0..n - n % 2 {
+        data[i * n + (i ^ 1)] = 1.0;
     }
-    fn one_charge_drive(n: usize) -> Vec<f64> {
-        let mut data = vec![0.0; n * n];
-        for i in 0..n - n % 2 {
-            data[i * n + (i ^ 1)] = 1.0;
-        }
-        data
+    data
+}
+
+/// `Q · diag(λ) · Qᵀ` with `λ` in pairs `(k, k + gap)`, the gaps alternating
+/// between 0.5e-10 and 2e-10, and `Q` a product of plane rotations over every
+/// index pair.
+fn near_degenerate_pairs(n: usize) -> Vec<f64> {
+    let mut data = vec![0.0; n * n];
+    for i in 0..n {
+        let gap = if (i / 2) % 2 == 0 { 0.5e-10 } else { 2e-10 };
+        data[i * n + i] = (i / 2) as f64 * 0.37 - 1.0 + (i % 2) as f64 * gap;
     }
-    /// `Q · diag(λ) · Qᵀ` with `λ` in pairs `(k, k + gap)`, the gaps
-    /// alternating between 0.5e-10 and 2e-10, and `Q` a product of plane
-    /// rotations over every index pair.
-    fn near_degenerate_pairs(n: usize) -> Vec<f64> {
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            let gap = if (i / 2) % 2 == 0 { 0.5e-10 } else { 2e-10 };
-            data[i * n + i] = (i / 2) as f64 * 0.37 - 1.0 + (i % 2) as f64 * gap;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let (sin, cos) = (0.3 + (p * n + q) as f64).sin_cos();
-                for k in 0..n {
-                    let (x, y) = (data[p * n + k], data[q * n + k]);
-                    data[p * n + k] = cos * x + sin * y;
-                    data[q * n + k] = cos * y - sin * x;
-                }
-                for k in 0..n {
-                    let (x, y) = (data[k * n + p], data[k * n + q]);
-                    data[k * n + p] = cos * x + sin * y;
-                    data[k * n + q] = cos * y - sin * x;
-                }
+    for p in 0..n {
+        for q in (p + 1)..n {
+            let (sin, cos) = (0.3 + (p * n + q) as f64).sin_cos();
+            for k in 0..n {
+                let (x, y) = (data[p * n + k], data[q * n + k]);
+                data[p * n + k] = cos * x + sin * y;
+                data[q * n + k] = cos * y - sin * x;
+            }
+            for k in 0..n {
+                let (x, y) = (data[k * n + p], data[k * n + q]);
+                data[k * n + p] = cos * x + sin * y;
+                data[k * n + q] = cos * y - sin * x;
             }
         }
-        data
     }
+    data
+}
+
+/// At every stack dimension and at heap dims 3, 9 and 27, through the
+/// dimension rule and through both bodies.
+#[test]
+fn real_eigh_handles_the_spectra_a_device_produces() {
     // The stack dimensions below sit on both sides of the rule.
     const { assert!(4 < QL_MIN_DIM && QL_MIN_DIM <= 8) };
-    let exact: [fn(usize) -> Vec<f64>; 3] = [zero, flux_only, one_charge_drive];
     // The pairs are for the iterative bodies. The 2x2 closed form builds its
     // two eigenvectors independently, which is exact enough only because a
     // device's 2x2 Hamiltonian has a zero corner: its eigenvalues cannot
     // nearly coincide away from zero.
     check_real_eigh::<2>(&[0.0, 3e-11, 3e-11, 0.5e-10]);
-    for inputs in exact {
+    for inputs in &DEVICE_SPECTRA[..3] {
         check_real_eigh::<2>(&inputs(2));
     }
-    for inputs in exact
-        .into_iter()
-        .chain([near_degenerate_pairs as fn(usize) -> Vec<f64>])
-    {
+    for inputs in DEVICE_SPECTRA {
         check_real_eigh::<4>(&inputs(4));
         check_real_eigh::<8>(&inputs(8));
         check_real_eigh::<16>(&inputs(16));
         check_real_eigh_heap(3, &inputs(3));
         check_real_eigh_heap(9, &inputs(9));
         check_real_eigh_heap(27, &inputs(27));
+    }
+}
+
+/// One eigensystem as bits: eigenvalues, eigenvectors, QL iterations.
+type Bits = (Vec<u64>, Vec<u64>, usize);
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Solves `data` on its own by `solver`: [`eispack::tred2_tql2`] or [`ql_alone`].
+fn solve_alone(
+    n: usize,
+    data: &[f64],
+    solver: fn(usize, &mut [f64], &mut [f64], &mut [f64]) -> usize,
+) -> Bits {
+    let (mut a, mut lambdas, mut vectors) =
+        (data.to_vec(), vec![f64::NAN; n], vec![f64::NAN; n * n]);
+    let count = solver(n, &mut a, &mut lambdas, &mut vectors);
+    (bits(&lambdas), bits(&vectors), count)
+}
+
+/// Solves `group` — one to four matrices — as one batch of the four-lane body.
+fn ql_batch(n: usize, group: &[&Vec<f64>]) -> Vec<Bits> {
+    let mut storage: Vec<_> = group
+        .iter()
+        .map(|&data| (data.clone(), vec![f64::NAN; n], vec![f64::NAN; n * n]))
+        .collect();
+    let mut lanes: Vec<QlLane<'_>> = storage
+        .iter_mut()
+        .map(|(a, lambdas, vectors)| (&mut a[..], &mut lambdas[..], &mut vectors[..]))
+        .collect();
+    let counts = eigh_ql::<4>(n, &mut lanes, &mut vec![f64::NAN; 4 * ql_scratch_len(n)]);
+    assert!(
+        counts[group.len()..].iter().all(|&count| count == 0),
+        "a padding lane reported iterations: {counts:?}"
+    );
+    let solved = storage.iter().zip(counts);
+    solved
+        .map(|((_, lambdas, vectors), count)| (bits(lambdas), bits(vectors), count))
+        .collect()
+}
+
+/// Every matrix of `pool`, in every place of a batch of every size, beside
+/// every run of its neighbours in the pool, must come out with the bits —
+/// eigenvalues, eigenvectors and iteration count — that the one-matrix
+/// EISPACK routine gives it: a lane never sees its neighbours, a padding lane
+/// never counts, and a lane that deflates early is held, not disturbed.
+fn assert_batches_match_eispack(n: usize, pool: &[Vec<f64>]) {
+    let reference: Vec<Bits> = pool
+        .iter()
+        .map(|data| solve_alone(n, data, eispack::tred2_tql2))
+        .collect();
+    for (data, expected) in pool.iter().zip(&reference) {
+        assert!(
+            solve_alone(n, data, ql_alone) == *expected,
+            "n={n}: the one-lane body diverges from EISPACK"
+        );
+    }
+    for size in 1..=4 {
+        for first in 0..pool.len() {
+            let members: Vec<usize> = (0..size).map(|k| (first + k) % pool.len()).collect();
+            let group: Vec<&Vec<f64>> = members.iter().map(|&index| &pool[index]).collect();
+            for (place, (solved, &index)) in ql_batch(n, &group).iter().zip(&members).enumerate() {
+                assert!(
+                    *solved == reference[index],
+                    "n={n}: matrix {index} in place {place} of a batch of {size} \
+                     (matrices {members:?}) diverges from EISPACK; \
+                     {} iterations against {}",
+                    solved.2,
+                    reference[index].2
+                );
+            }
+        }
+    }
+}
+
+/// A dense matrix with no structure, entries in `(-1, 1)`.
+fn dense(n: usize, seed: f64) -> Vec<f64> {
+    (0..n * n).map(|i| (seed + 1.7 * i as f64).sin()).collect()
+}
+
+/// `data` with every positive zero turned negative. A solver that skips a
+/// zero sub-row leaves those signs alone; one that subtracts a computed zero
+/// from them does not, unless the zero it subtracts is positive.
+fn with_negative_zeros(mut data: Vec<f64>) -> Vec<f64> {
+    for x in &mut data {
+        if *x == 0.0 {
+            *x = -0.0;
+        }
+    }
+    data
+}
+
+/// Matrices of different spectra side by side — the device's own, with
+/// either sign of zero, and dense ones — at the stack QL dimensions and at
+/// heap dims 9 and 27.
+#[test]
+fn ql_batches_give_every_matrix_the_one_matrix_bits() {
+    for n in [8, 16, 9, 27] {
+        let mut pool = vec![dense(n, 0.3)];
+        for inputs in DEVICE_SPECTRA {
+            pool.push(inputs(n));
+        }
+        pool.push(dense(n, 4.1));
+        for inputs in &DEVICE_SPECTRA[..3] {
+            pool.push(with_negative_zeros(inputs(n)));
+        }
+        // One charge drive among idle qubits, as an asymmetric input: only
+        // the symmetric part counts, and its zero sub-rows are skipped.
+        let mut lopsided = one_charge_drive(n);
+        lopsided[1] = 3.0;
+        lopsided[n] = -1.0;
+        pool.push(lopsided);
+        assert_batches_match_eispack(n, &pool);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn ql_batches_match_eispack_on_random_matrices(
+        a in arb_reals(16),
+        b in arb_reals(16),
+        c in arb_reals(16),
+    ) {
+        let pool = [a, zero(16), b, flux_only(16), c];
+        assert_batches_match_eispack(16, &pool);
+        let leading = |data: &Vec<f64>| data[..64].to_vec();
+        assert_batches_match_eispack(8, &pool.each_ref().map(leading));
     }
 }

@@ -41,9 +41,11 @@
 //! other lane never waits on it; the caller re-raises the payload once both
 //! lanes are done, and the helper thread survives for the next claim.
 //!
-//! This is the only module of the GRAPE kernel with `unsafe` in it: the one
-//! lifetime erasure that lends a stack closure to the helper for the duration
-//! of `Claim::join`, and the `sched_getcpu` call the waits place themselves by.
+//! The `unsafe` in this module is the one lifetime erasure that lends a stack
+//! closure to the helper for the duration of `Claim::join`, and the
+//! `sched_getcpu` call the waits place themselves by. (The GRAPE kernel's
+//! only other `unsafe` is in [`crate::workspace`]: the call into a phase's
+//! AVX2 instantiation.)
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -60,12 +62,22 @@ const MIN_DIM: usize = 8;
 
 /// Least `dim · slices` that engages the helper: 8 slices at dim 8, 4 at dim
 /// 16. The three hand-offs and reading what the other CPU wrote cost an
-/// iteration ~11 µs at dim 8 and ~20 µs at dim 16 on the 2-CPU benchmark host.
-/// Measured there, one lane against two: dim 8, 1.18–1.21x at 8 slices,
-/// 1.29–1.34x at 24, 1.36–1.47x at 40, but 1.04–1.16x at 6–7 and 0.81–0.98x at
-/// 4–5; dim 16, 1.22–1.31x at 4 slices, 1.44–1.53x at 8, 1.66x at 24,
-/// 1.75–1.77x at 40, but 0.82–0.89x at 3 (an odd count splits 1 + 2) and
-/// 0.67–0.89x at 1–2.
+/// iteration ~11 µs at dim 8 and ~20 µs at dim 16 on the 2-CPU benchmark host,
+/// and do not shrink when the iteration does; and from dim 8 up a lane's
+/// slices are eigensolved four at a time, so how a half divides into groups
+/// shows (a half of 4 is one batch, a half of 2 two single solves, of 3 a
+/// padded batch). Re-measured there on the batched, AVX2-width iteration, one
+/// lane against two, three passes, each form's best of eight alternating
+/// 40 ms stretches:
+///
+/// | slices | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 12 | 16 | 24 | 40 |
+/// |---|---|---|---|---|---|---|---|---|---|---|---|---|---|
+/// | dim 8 | | | 0.57–0.77x | 0.86–1.02x | 1.13–1.29x | 1.04–1.08x | **1.20–1.22x** | 1.05–1.20x | 1.29–1.34x | 1.13–1.14x | 1.25–1.32x | 1.29–1.40x | 1.32–1.37x |
+/// | dim 16 | 1.36–1.48x | 0.86–0.90x | **1.01–1.05x** | 1.23–1.33x | 1.50–1.57x | 1.30–1.32x | 1.42–1.48x | | | 1.27–1.40x | | 1.64–1.80x | 1.57–1.77x |
+///
+/// (bold: where the rule starts to claim.) The product stays at 64: lower
+/// would admit dim 16 × 3, which splits 1 + 2 and loses; nothing it admits
+/// reads below 1.0x.
 const MIN_SPAN: usize = 64;
 
 /// Longest busy-wait for a peer that is known to be at work — the helper

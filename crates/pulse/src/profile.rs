@@ -58,8 +58,10 @@ pub enum Phase {
     HamiltonianAssembly,
     /// Symmetric eigendecomposition of slice Hamiltonians: closed-form 2x2,
     /// Jacobi below dim 8 (including rotating into the warm-start
-    /// eigenbasis), Householder–QL from there up. The solvers' iteration
-    /// counts are tallied separately via [`add_sweeps`].
+    /// eigenbasis), Householder–QL from there up, four slices to a solve (its
+    /// interleaving copies included). The solvers' iteration counts — each
+    /// slice's own, whatever it was batched with — are tallied separately via
+    /// [`add_sweeps`].
     Eigendecomposition,
     /// The forward and backward sweeps through the slices' eigenbases (and
     /// the phases `e^{-iΔtλ}` they scale by).

@@ -4,7 +4,9 @@
 //! a [`GrapeWorkspace`] up once and then assert that further `fidelity_gradient`
 //! calls never touch the heap — on stack (`RealSmallMatrix`) storage, on heap
 //! (`RealMatrix`) storage, and as two lanes, on the calling thread and on the
-//! [`vqc_pulse::lanes`] helper thread alike.
+//! [`vqc_pulse::lanes`] helper thread alike, each at the host's vector width
+//! and at the build's baseline ([`WIDTHS`]): the batched eigensolver's scratch
+//! belongs to the workspace at either.
 //! The counters are per-thread and libtest runs each test on its own thread, so
 //! the tests cannot perturb each other; the helper thread, which no test owns,
 //! is recognised by name. This is the acceptance gate for the
@@ -89,6 +91,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// The workspace's two constructors: the phases' AVX2 instantiation where the
+/// host has it, and the baseline one everywhere.
+const WIDTHS: [fn(&DeviceModel, usize) -> GrapeWorkspace; 2] =
+    [GrapeWorkspace::new, GrapeWorkspace::new_at_baseline_width];
+
 /// Runs ten steady-state `fidelity_gradient` calls under the counting window
 /// and returns the number of heap allocations they made.
 fn count_steady_state(workspace: &mut GrapeWorkspace, pulse: &PulseSequence) -> u64 {
@@ -110,26 +117,30 @@ fn count_steady_state(workspace: &mut GrapeWorkspace, pulse: &PulseSequence) -> 
 fn fidelity_gradient_is_allocation_free_after_workspace_construction() {
     // A two-qubit block is the representative GRAPE workload (11 controls, 4x4
     // matrices); the three-qubit block is the N = 8 instance the compiler
-    // plans on the benchmark's own circuits. Both run on stack storage.
+    // plans on the benchmark's own circuits, and the narrowest one whose
+    // slices are solved in batches: 11 slices are two whole groups and a
+    // padded one. Both run on stack storage.
     for (device, target) in [
         (DeviceModel::qubits_line(2), gates::cx()),
         (DeviceModel::qubits_line(3), gates::cx().kron(&gates::h())),
     ] {
-        let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 7);
-        let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-        assert!(
-            workspace.uses_static_kernel(),
-            "a {}-qubit device must run on stack storage",
-            device.num_qubits()
-        );
-        workspace.set_target(&device, &target);
+        for new in WIDTHS {
+            let pulse = PulseSequence::seeded_guess(&device, 11, 0.5, 7);
+            let mut workspace = new(&device, pulse.num_slices());
+            assert!(
+                workspace.uses_static_kernel(),
+                "a {}-qubit device must run on stack storage",
+                device.num_qubits()
+            );
+            workspace.set_target(&device, &target);
 
-        assert_eq!(
-            count_steady_state(&mut workspace, &pulse),
-            0,
-            "the dim-{} fidelity_gradient allocated on the heap after workspace construction",
-            device.dim()
-        );
+            assert_eq!(
+                count_steady_state(&mut workspace, &pulse),
+                0,
+                "the dim-{} fidelity_gradient allocated on the heap after workspace construction",
+                device.dim()
+            );
+        }
     }
 }
 
@@ -178,19 +189,24 @@ fn profiler_gradient_path_is_allocation_free_armed_and_silent_disarmed() {
 fn heap_storage_is_also_allocation_free() {
     // A qutrit (dim 3) has no stack instance: the same engine body runs over
     // heap `RealMatrix` storage, whose buffers are all sized at construction.
-    let device = DeviceModel::qubits_line(1).with_qutrit_levels();
-    let target = gates::h();
-    let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 7);
+    // Two qutrits (dim 9) are the heap side of the batched eigensolver: six
+    // slices are a whole group and a one-matrix remainder of two.
+    for (qutrits, target) in [(1, gates::h()), (2, gates::cx())] {
+        let device = DeviceModel::qubits_line(qutrits).with_qutrit_levels();
+        for new in WIDTHS {
+            let pulse = PulseSequence::seeded_guess(&device, 6, 0.5, 7);
+            let mut workspace = new(&device, pulse.num_slices());
+            assert!(!workspace.uses_static_kernel());
+            workspace.set_target(&device, &target);
 
-    let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-    assert!(!workspace.uses_static_kernel());
-    workspace.set_target(&device, &target);
-
-    assert_eq!(
-        count_steady_state(&mut workspace, &pulse),
-        0,
-        "the heap-storage fidelity_gradient allocated after workspace construction"
-    );
+            assert_eq!(
+                count_steady_state(&mut workspace, &pulse),
+                0,
+                "the dim-{} heap-storage fidelity_gradient allocated after workspace construction",
+                device.dim()
+            );
+        }
+    }
 }
 
 #[test]
@@ -200,25 +216,27 @@ fn two_lane_iteration_is_allocation_free_on_both_threads() {
     let device = DeviceModel::qubits_line(4);
     let target = (1..4).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
     let pulse = PulseSequence::seeded_guess(&device, 40, 0.5, 7);
-    let mut workspace = GrapeWorkspace::new(&device, pulse.num_slices());
-    workspace.set_target(&device, &target);
-
-    // The first claim starts the helper thread, which allocates (once per
-    // process); the window opens after it.
     let before = lanes::stats();
-    workspace.fidelity_gradient(&pulse);
+    for new in WIDTHS {
+        let mut workspace = new(&device, pulse.num_slices());
+        workspace.set_target(&device, &target);
 
-    HELPER_ALLOCATIONS.store(0, Ordering::Relaxed);
-    HELPER_WINDOW.store(true, Ordering::Relaxed);
-    let on_caller = count_steady_state(&mut workspace, &pulse);
-    HELPER_WINDOW.store(false, Ordering::Relaxed);
+        // The first claim starts the helper thread, which allocates (once per
+        // process); the window opens after it.
+        workspace.fidelity_gradient(&pulse);
 
-    assert_eq!(on_caller, 0, "the calling lane allocated on the heap");
-    assert_eq!(
-        HELPER_ALLOCATIONS.load(Ordering::Relaxed),
-        0,
-        "the helper lane allocated on the heap"
-    );
+        HELPER_ALLOCATIONS.store(0, Ordering::Relaxed);
+        HELPER_WINDOW.store(true, Ordering::Relaxed);
+        let on_caller = count_steady_state(&mut workspace, &pulse);
+        HELPER_WINDOW.store(false, Ordering::Relaxed);
+
+        assert_eq!(on_caller, 0, "the calling lane allocated on the heap");
+        assert_eq!(
+            HELPER_ALLOCATIONS.load(Ordering::Relaxed),
+            0,
+            "the helper lane allocated on the heap"
+        );
+    }
     let after = lanes::stats();
     if lanes::available() {
         assert!(
