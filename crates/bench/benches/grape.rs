@@ -21,7 +21,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use vqc_linalg::real::{eigh_jacobi, eigh_ql, ql_scratch_len, QL_MIN_DIM};
+use vqc_linalg::real::{
+    eigh_jacobi, eigh_ql, jacobi_scratch_len, ql_scratch_len, QlLane, QL_MIN_DIM,
+};
 use vqc_linalg::{Matrix, RealSmallMatrix};
 use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
@@ -226,42 +228,48 @@ fn bench_grape_lanes(c: &mut Criterion) {
     group.finish();
 }
 
-/// The middle slice's Hamiltonian at every step of a `qubits`-qubit trajectory,
-/// as the engine's real storage.
-fn device_hamiltonians<const N: usize>(qubits: usize) -> Vec<RealSmallMatrix<N>> {
+/// Four neighbouring slices' Hamiltonians — the middle slice's first — at
+/// every step of a `qubits`-qubit trajectory, as the engine's real storage.
+fn device_hamiltonians<const N: usize>(qubits: usize) -> [Vec<RealSmallMatrix<N>>; 4] {
     let device = DeviceModel::qubits_line(qubits);
     assert_eq!(device.dim(), N);
     let target = (1..qubits).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
     let slices = 24;
     let (drift, controls) = (device.drift(), device.control_hamiltonians());
     let trajectory = Trajectory::record(&device, &target, slices);
-    let hamiltonian = |pulse| {
-        let h = slice_hamiltonian(&drift, &controls, pulse, slices / 2);
-        RealSmallMatrix::from_fn(|r, c| h[(r, c)].re)
-    };
-    trajectory.pulses.iter().map(hamiltonian).collect()
+    std::array::from_fn(|lane| {
+        let hamiltonian = |pulse| {
+            let h = slice_hamiltonian(&drift, &controls, pulse, slices / 2 + lane);
+            RealSmallMatrix::from_fn(|r, c| h[(r, c)].re)
+        };
+        trajectory.pulses.iter().map(hamiltonian).collect()
+    })
 }
 
-/// The two real-symmetric eigensolver bodies on the Hamiltonians one slice
-/// takes along an ADAM trajectory, [`STEPS`] solves per sample: Householder–QL
-/// one matrix at a time and four in lockstep (the way the engine runs it from
-/// `QL_MIN_DIM` up), Jacobi from a cold start, and Jacobi warm-started the way
-/// the engine does it below `QL_MIN_DIM` — rotate into the previous step's
-/// eigenbasis, solve, compose. The dimension rule reads off these rows: warm
-/// Jacobi at 4, QL at 8 and 16, where the batch must beat one at a time. This
-/// group runs at the build's baseline vector width.
+/// The two real-symmetric eigensolver bodies on the Hamiltonians slices take
+/// along an ADAM trajectory: Householder–QL one matrix at a time and four in
+/// lockstep (the way the engine runs it from `QL_MIN_DIM` up), Jacobi from a
+/// cold start, and Jacobi warm-started the way the engine does it below
+/// `QL_MIN_DIM` — rotate into the previous step's eigenbasis, solve, compose
+/// — one slice at a time and four slices in lockstep (the way the engine
+/// runs it). A row's `_x` suffix is the solves a sample makes: [`STEPS`] for
+/// one slice's walk, four times that for four slices'. The dimension rule
+/// reads off these rows: batched warm Jacobi at 4, batched QL at 8 and 16,
+/// where each batch must beat one at a time. This group runs at the build's
+/// baseline vector width.
 fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
     let mut group = c.benchmark_group("eigh_real");
     group.sample_size(30);
-    let hamiltonians = device_hamiltonians::<N>(qubits);
+    let walks = device_hamiltonians::<N>(qubits);
+    let hamiltonians = &walks[0];
     let mut lambdas = [[0.0; N]; 4];
     let (mut v, mut vt) = (RealSmallMatrix::<N>::ZERO, RealSmallMatrix::<N>::ZERO);
     let (mut a, mut b) = (v, v);
-    let mut scratch = vec![0.0; 4 * ql_scratch_len(N)];
+    let mut scratch = vec![0.0; 4 * ql_scratch_len(N).max(jacobi_scratch_len(N))];
 
     group.bench_function(format!("ql_n{N}_x{STEPS}"), |bench| {
         bench.iter(|| {
-            for h in &hamiltonians {
+            for h in hamiltonians {
                 a = *black_box(h);
                 let lane = (a.as_mut_slice(), &mut lambdas[0][..], v.as_mut_slice());
                 eigh_ql::<1>(N, &mut [lane], &mut scratch);
@@ -269,48 +277,40 @@ fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
             }
         })
     });
-    if N >= QL_MIN_DIM {
-        const { assert!(STEPS.is_multiple_of(4)) };
-        let (mut hs, mut vs) = ([a; 4], [v; 4]);
-        group.bench_function(format!("ql_batch4_n{N}_x{STEPS}"), |bench| {
-            bench.iter(|| {
-                for batch in hamiltonians.as_chunks::<4>().0 {
-                    hs = *black_box(batch);
-                    let [h0, h1, h2, h3] = &mut hs;
-                    let [l0, l1, l2, l3] = &mut lambdas;
-                    let [v0, v1, v2, v3] = &mut vs;
-                    let mut lanes = [
-                        (h0.as_mut_slice(), &mut l0[..], v0.as_mut_slice()),
-                        (h1.as_mut_slice(), &mut l1[..], v1.as_mut_slice()),
-                        (h2.as_mut_slice(), &mut l2[..], v2.as_mut_slice()),
-                        (h3.as_mut_slice(), &mut l3[..], v3.as_mut_slice()),
-                    ];
-                    eigh_ql::<4>(N, &mut lanes, &mut scratch);
-                    black_box(&vs);
-                }
-            })
-        });
-    }
+    const { assert!(STEPS.is_multiple_of(4)) };
+    let (mut hs, mut vs) = ([a; 4], [v; 4]);
+    group.bench_function(format!("ql_batch4_n{N}_x{STEPS}"), |bench| {
+        bench.iter(|| {
+            for batch in hamiltonians.as_chunks::<4>().0 {
+                hs = *black_box(batch);
+                let mut lanes = lanes_of(&mut hs, &mut lambdas, &mut vs);
+                eigh_ql::<4>(N, &mut lanes, &mut scratch);
+                black_box(&vs);
+            }
+        })
+    });
     group.bench_function(format!("jacobi_cold_n{N}_x{STEPS}"), |bench| {
         bench.iter(|| {
-            for h in &hamiltonians {
+            for h in hamiltonians {
                 a = *black_box(h);
-                eigh_jacobi(N, a.as_mut_slice(), &mut lambdas[0], v.as_mut_slice());
+                let lane = (a.as_mut_slice(), &mut lambdas[0][..], v.as_mut_slice());
+                eigh_jacobi::<1>(N, &mut [lane], &mut scratch);
                 black_box(&v);
             }
         })
     });
-    let lambdas = &mut lambdas[0];
     group.bench_function(format!("jacobi_warm_n{N}_x{STEPS}"), |bench| {
         bench.iter(|| {
             a = hamiltonians[STEPS - 1];
-            eigh_jacobi(N, a.as_mut_slice(), lambdas, v.as_mut_slice());
+            let lane = (a.as_mut_slice(), &mut lambdas[0][..], v.as_mut_slice());
+            eigh_jacobi::<1>(N, &mut [lane], &mut scratch);
             v.transpose_into(&mut vt);
             // Backwards, so the first warm solve is one step from the cold one.
             for h in hamiltonians.iter().rev() {
                 vt.matmul_into(black_box(h), &mut a);
                 a.matmul_into(&v, &mut b);
-                eigh_jacobi(N, b.as_mut_slice(), lambdas, a.as_mut_slice());
+                let lane = (b.as_mut_slice(), &mut lambdas[0][..], a.as_mut_slice());
+                eigh_jacobi::<1>(N, &mut [lane], &mut scratch);
                 v.matmul_into(&a, &mut b);
                 v = b;
                 v.transpose_into(&mut vt);
@@ -318,7 +318,54 @@ fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
             }
         })
     });
+    let (mut vts, mut products, mut problems) = ([vt; 4], [a; 4], [a; 4]);
+    group.bench_function(format!("jacobi_warm_batch4_n{N}_x{}", 4 * STEPS), |bench| {
+        bench.iter(|| {
+            for (lane, walk) in walks.iter().enumerate() {
+                problems[lane] = walk[STEPS - 1];
+                let solved = (
+                    problems[lane].as_mut_slice(),
+                    &mut lambdas[lane][..],
+                    vs[lane].as_mut_slice(),
+                );
+                eigh_jacobi::<1>(N, &mut [solved], &mut scratch);
+                vs[lane].transpose_into(&mut vts[lane]);
+            }
+            for step in (0..STEPS).rev() {
+                for (lane, walk) in walks.iter().enumerate() {
+                    vts[lane].matmul_into(black_box(&walk[step]), &mut products[lane]);
+                    products[lane].matmul_into(&vs[lane], &mut problems[lane]);
+                }
+                let mut lanes = lanes_of(&mut problems, &mut lambdas, &mut products);
+                eigh_jacobi::<4>(N, &mut lanes, &mut scratch);
+                for lane in 0..4 {
+                    vs[lane].matmul_into(&products[lane], &mut problems[lane]);
+                    vs[lane] = problems[lane];
+                    vs[lane].transpose_into(&mut vts[lane]);
+                }
+                black_box(&vs);
+            }
+        })
+    });
     group.finish();
+}
+
+/// Four matrices, their eigenvalues and their eigenvectors as one batch.
+fn lanes_of<'a, const N: usize>(
+    matrices: &'a mut [RealSmallMatrix<N>; 4],
+    lambdas: &'a mut [[f64; N]; 4],
+    vectors: &'a mut [RealSmallMatrix<N>; 4],
+) -> [QlLane<'a>; 4] {
+    let mut lanes: [QlLane<'a>; 4] = Default::default();
+    let members = matrices.iter_mut().zip(lambdas).zip(vectors);
+    for (lane, ((matrix, lambdas), vectors)) in lanes.iter_mut().zip(members) {
+        *lane = (
+            matrix.as_mut_slice(),
+            &mut lambdas[..],
+            vectors.as_mut_slice(),
+        );
+    }
+    lanes
 }
 
 fn bench_eigh_real(c: &mut Criterion) {
@@ -591,44 +638,46 @@ fn emit_summary(c: &mut Criterion) {
     json.push_str(&format!(
         "  \"profile_overhead\": {{\n    \"disarmed_min_ns\": {disarmed_ns:.1},\n    \"armed_min_ns\": {armed_ns:.1},\n    \"armed_over_disarmed\": {overhead_ratio:.3}\n  }},\n"
     ));
-    // The eigensolver's dimension rule, per solve on device Hamiltonians: the
-    // rule's two sides must be the cheaper body where the rule puts them, and
-    // on the QL side four slices in lockstep must beat one at a time.
-    let per_solve = |body: &str, n: usize| {
-        let pass = min_of("eigh_real", &format!("{body}_n{n}_x{STEPS}"));
-        pass.expect("the eigh_real group must have run") / STEPS as f64
+    // The eigensolver's dimension rule, per solve on device Hamiltonians. The
+    // engine solves four slices in lockstep on both sides of the rule, so on
+    // each side four in lockstep must beat one at a time (what a remainder
+    // pays), and each body must be the cheaper one where the rule puts it —
+    // one at a time everywhere, and batched where the rule picks QL. (At 4x4
+    // the two batches are within a few percent of each other here; in the
+    // engine the Jacobi one wins, and it keeps the bits.)
+    let per_solve = |row: &str, n: usize, solves: usize| {
+        let pass = min_of("eigh_real", &format!("{row}_n{n}_x{solves}"));
+        pass.expect("the eigh_real group must have run") / solves as f64
     };
     let mut rows = Vec::new();
     for n in [4, 8, 16] {
-        let (ql, cold, warm) = (
-            per_solve("ql", n),
-            per_solve("jacobi_cold", n),
-            per_solve("jacobi_warm", n),
+        let (ql, ql_batch4) = (per_solve("ql", n, STEPS), per_solve("ql_batch4", n, STEPS));
+        let (cold, warm) = (
+            per_solve("jacobi_cold", n, STEPS),
+            per_solve("jacobi_warm", n, STEPS),
         );
-        // On its side of the rule QL runs four slices to a solve; one matrix
-        // at a time is what a remainder pays, and what the narrow side would.
+        let warm_batch4 = per_solve("jacobi_warm_batch4", n, 4 * STEPS);
         let ql_side = n >= QL_MIN_DIM;
-        let mut row = format!("\"ql\": {ql:.1}");
-        let engine_ql = if ql_side {
-            let batched = per_solve("ql_batch4", n);
-            assert!(
-                batched < ql,
-                "at {n}x{n} four QL solves in lockstep take {batched:.0} ns each, \
-                 one at a time {ql:.0} ns"
-            );
-            row.push_str(&format!(", \"ql_batch4\": {batched:.1}"));
-            batched
+        let (body, alone, batched) = if ql_side {
+            ("QL", ql, ql_batch4)
         } else {
-            ql
+            ("warm Jacobi", warm, warm_batch4)
         };
         assert!(
-            (engine_ql < warm) == ql_side,
-            "at {n}x{n} the dimension rule picks {} but QL takes {engine_ql:.0} ns a solve \
-             and warm-started Jacobi {warm:.0} ns",
-            if ql_side { "QL" } else { "Jacobi" }
+            batched < alone,
+            "at {n}x{n} four {body} solves in lockstep take {batched:.0} ns each, \
+             one at a time {alone:.0} ns"
+        );
+        assert!(
+            (ql < warm) == ql_side && (!ql_side || ql_batch4 < warm_batch4),
+            "at {n}x{n} the dimension rule picks {body} but a solve takes {ql:.0} ns by QL \
+             and {warm:.0} ns by warm-started Jacobi one at a time, {ql_batch4:.0} and \
+             {warm_batch4:.0} ns four in lockstep"
         );
         rows.push(format!(
-            "    \"n{n}\": {{{row}, \"jacobi_cold\": {cold:.1}, \"jacobi_warm\": {warm:.1}}}"
+            "    \"n{n}\": {{\"ql\": {ql:.1}, \"ql_batch4\": {ql_batch4:.1}, \
+             \"jacobi_cold\": {cold:.1}, \"jacobi_warm\": {warm:.1}, \
+             \"jacobi_warm_batch4\": {warm_batch4:.1}}}"
         ));
     }
     json.push_str(&format!(

@@ -11,18 +11,22 @@
 //! exists once, over flat row-major `f64` slices; on the inline storage the
 //! dimension is a constant after inlining, so its loops unroll and vectorize.
 //!
-//! **One eigensolver per dimension**, chosen from `n` alone: the closed form
-//! at 2, cyclic Jacobi ([`eigh_jacobi`]) below [`QL_MIN_DIM`], Householder
-//! tridiagonalization + implicit-shift QL ([`eigh_ql`]) from there up. Jacobi
-//! wins on small matrices *when the caller warm-starts it* by rotating into a
-//! previous eigenbasis (a 4×4 device Hamiltonian: 0.49 µs against 0.71 µs);
-//! QL costs the same whatever the input, and from 8×8 a cold QL beats rotate +
-//! warm Jacobi + compose (16×16: 10.2 µs against 17.5 µs). The QL body is
-//! written over *lanes*: it solves several matrices side by side, one vector
-//! lane each, because a single solve is a chain of dependent square roots and
-//! divisions that leaves the vector unit idle (four 16×16 solves in lockstep:
-//! 6.1 µs each at SSE2 width, 5.0 µs at AVX2 width, every matrix getting the
-//! bits it gets alone); one matrix is its one-lane instantiation. The complex
+//! **One eigensolver per dimension**, chosen from `n` alone
+//! ([`eigh_symmetric`]): the closed form at 2, cyclic Jacobi ([`eigh_jacobi`])
+//! below [`QL_MIN_DIM`], Householder tridiagonalization + implicit-shift QL
+//! ([`eigh_ql`]) from there up. Jacobi wins on small matrices *when the caller
+//! warm-starts it* by rotating into a previous eigenbasis (a 4×4 device
+//! Hamiltonian along an ADAM trajectory, rotation and composition included:
+//! 0.57 µs against 0.86 µs for QL, SSE2 width); QL costs the same whatever the
+//! input, and from 8×8 a cold QL beats rotate + warm Jacobi + compose (16×16:
+//! 12.3 µs against 20.7 µs). Both bodies are written over *lanes*: they solve
+//! several matrices side by side, one vector lane each, because a single
+//! solve is a chain of dependent square roots and divisions that leaves the
+//! vector unit idle — four warm 4×4 Jacobi solves in lockstep take 0.36 µs
+//! each, four 16×16 QL solves 7.4 µs each (5.0 µs at AVX2 width), every matrix
+//! getting the bits it gets alone; one matrix is the one-lane instantiation.
+//! (Four 4×4 QL solves in lockstep, also 0.36 µs each, tie the Jacobi batch;
+//! the engine keeps Jacobi there, which keeps every bit of every report.) The complex
 //! [`small::eigh_into`](crate::small::eigh_into) and
 //! [`eigh_into`](crate::eigh_into) stay as the general Hermitian solvers, and
 //! as the oracle the parity suite holds this module to.
@@ -170,126 +174,41 @@ fn sort_eigenrows(n: usize, eigenvalues: &mut [f64], rows: &mut [f64]) {
     }
 }
 
-/// The symmetric eigensolver of both storages, under the contract of
-/// [`RealSmallMatrix::eigh_in_place`]: exactly one body per dimension, and
-/// that body's iteration count.
+/// The symmetric eigensolver of both storages, on one to `L` matrices of
+/// dimension `n` side by side: exactly one body per dimension — the closed
+/// form at 2, one lane after another; [`eigh_jacobi`] below [`QL_MIN_DIM`];
+/// [`eigh_ql`] from there up — each matrix under the contract of
+/// [`RealSmallMatrix::eigh_in_place`], and each matrix's own iteration count
+/// (0 for a lane past the end of `lanes`). `scratch` holds at least
+/// `L * eigh_scratch_len(n)`.
 #[inline(always)]
-fn eigh_symmetric(
+pub fn eigh_symmetric<const L: usize>(
     n: usize,
-    a: &mut [f64],
-    eigenvalues: &mut [f64],
-    vectors: &mut [f64],
+    lanes: &mut [QlLane<'_>],
     scratch: &mut [f64],
-) -> usize {
+) -> [usize; L] {
     match n {
         2 => {
-            assert!(a.len() == 4 && vectors.len() == 4 && eigenvalues.len() == 2);
-            eigh_symmetric_2(a, eigenvalues, vectors);
-            0
+            for (a, eigenvalues, vectors) in lanes.iter_mut() {
+                assert!(a.len() == 4 && vectors.len() == 4 && eigenvalues.len() == 2);
+                eigh_symmetric_2(a, eigenvalues, vectors);
+            }
+            [0; L]
         }
-        _ if n < QL_MIN_DIM => eigh_jacobi(n, a, eigenvalues, vectors),
-        _ => eigh_ql::<1>(n, &mut [(a, eigenvalues, vectors)], scratch)[0],
+        _ if n < QL_MIN_DIM => eigh_jacobi::<L>(n, lanes, scratch),
+        _ => eigh_ql::<L>(n, lanes, scratch),
     }
 }
 
-/// Cyclic Jacobi on the symmetric part of the row-major `n x n` matrix `a`
-/// (the contract of [`RealSmallMatrix::eigh_in_place`]); returns the sweep
-/// count, 0 for an input that is already diagonal to working precision.
-///
-/// The sweep schedule, convergence criteria and algebraic rotation (two square
-/// roots, no trigonometry) are those of the complex
-/// [`small::eigh_into`](crate::small::eigh_into). Symmetry halves the update:
-/// a rotation recomputes rows `p` and `q` only and mirrors them into the two
-/// columns, and the eigenvectors accumulate as *rows* (of `Vᵀ`), so every
-/// arithmetic loop runs over contiguous memory.
-///
-/// Panics unless `a` and `vectors` hold `n * n` entries and `eigenvalues` `n`.
-#[inline(always)]
-pub fn eigh_jacobi(n: usize, a: &mut [f64], eigenvalues: &mut [f64], vectors: &mut [f64]) -> usize {
-    assert!(
-        a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
-        "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
-    );
-    // Work on the symmetric part to be robust against tiny asymmetries.
-    for r in 0..n {
-        for c in (r + 1)..n {
-            let mean = 0.5 * (a[r * n + c] + a[c * n + r]);
-            a[r * n + c] = mean;
-            a[c * n + r] = mean;
-        }
+/// The `f64`s of scratch [`eigh_symmetric`] needs *per lane* at dimension
+/// `n`: none for the closed form, [`jacobi_scratch_len`] below
+/// [`QL_MIN_DIM`], [`ql_scratch_len`] from there up.
+pub const fn eigh_scratch_len(n: usize) -> usize {
+    match n {
+        2 => 0,
+        _ if n < QL_MIN_DIM => jacobi_scratch_len(n),
+        _ => ql_scratch_len(n),
     }
-    vectors.fill(0.0);
-    for i in 0..n {
-        vectors[i * n + i] = 1.0;
-    }
-
-    let max_sweeps = 60;
-    let frobenius_norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let tol = 1e-14 * frobenius_norm.max(1.0);
-    let mut sweeps = 0;
-    for _ in 0..max_sweeps {
-        let mut off_norm = 0.0;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                off_norm += a[p * n + q] * a[p * n + q];
-            }
-        }
-        if off_norm.sqrt() <= tol {
-            break;
-        }
-        sweeps += 1;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = a[p * n + q];
-                let magnitude = apq.abs();
-                if magnitude <= tol / (n as f64) {
-                    continue;
-                }
-                let app = a[p * n + p];
-                let aqq = a[q * n + q];
-                // Algebraic rotation: the annihilation condition is
-                // tan 2θ = 2|apq| / (app − aqq); the smaller-angle root comes
-                // from t = tan θ via the stable quadratic form, and the complex
-                // kernel's phase factor apq/|apq| is just the sign of apq here.
-                let tau = (app - aqq) / (2.0 * magnitude);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let k = if apq < 0.0 { -t * c } else { t * c };
-
-                // A ← Jᵀ A J: off the (p, q) block only the row update acts on
-                // rows p and q; the block itself has the closed form below; the
-                // two columns are the rows' mirror image.
-                rotate_rows(a, n, p, q, c, k);
-                let shift = t * magnitude;
-                a[p * n + p] = app + shift;
-                a[q * n + q] = aqq - shift;
-                a[p * n + q] = 0.0;
-                a[q * n + p] = 0.0;
-                for j in 0..n {
-                    a[j * n + p] = a[p * n + j];
-                    a[j * n + q] = a[q * n + j];
-                }
-                // V ← V · J, on the rows of Vᵀ.
-                rotate_rows(vectors, n, p, q, c, k);
-            }
-        }
-    }
-
-    for (i, value) in eigenvalues.iter_mut().enumerate() {
-        *value = a[i * n + i];
-    }
-    sort_eigenrows(n, eigenvalues, vectors);
-    // Turn the eigenvector rows into columns.
-    for r in 0..n {
-        for c in (r + 1)..n {
-            vectors.swap(r * n + c, c * n + r);
-        }
-    }
-    sweeps
 }
 
 /// All ones where `condition` holds, zero elsewhere: one lane's half of a
@@ -307,9 +226,218 @@ fn select(mask: u64, a: f64, b: f64) -> f64 {
     f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
-/// One matrix of an [`eigh_ql`] batch: the symmetric `n x n` input (consumed
-/// as the working copy), its `n` eigenvalues and its `n x n` eigenvectors.
+/// One matrix of an [`eigh_jacobi`] or [`eigh_ql`] batch: the symmetric
+/// `n x n` input (consumed as the working copy), its `n` eigenvalues and its
+/// `n x n` eigenvectors.
 pub type QlLane<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64]);
+
+/// Interleaves the first `n * n` entries of each lane's input into `soa`
+/// (entry `k` of all `L` matrices side by side), lanes past the end of
+/// `lanes` repeating the first matrix; checks every lane's storage.
+#[inline(always)]
+fn interleave<const L: usize>(n: usize, lanes: &[QlLane<'_>], soa: &mut [[f64; L]]) {
+    for lane in 0..L {
+        let (a, eigenvalues, vectors) = &lanes[if lane < lanes.len() { lane } else { 0 }];
+        assert!(
+            a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
+            "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
+        );
+        for (slot, &x) in soa.iter_mut().zip(a.iter()) {
+            slot[lane] = x;
+        }
+    }
+}
+
+/// The `f64`s of scratch [`eigh_jacobi`] needs *per lane* at dimension `n`:
+/// the working matrix and the rows of `Vᵀ`.
+pub const fn jacobi_scratch_len(n: usize) -> usize {
+    2 * n * n
+}
+
+/// The plane rotation `(x, y) ← (c·x + s·y, c·y − s·x)` of rows `p < q` of
+/// the structure-of-arrays `n x n` matrix `m`, in the lanes `on` selects: the
+/// others keep their bits.
+#[inline(always)]
+fn rotate_lanes<const L: usize>(
+    m: &mut [[f64; L]],
+    n: usize,
+    (p, q): (usize, usize),
+    (c, s): ([f64; L], [f64; L]),
+    on: [u64; L],
+) {
+    let (head, tail) = m.split_at_mut(q * n);
+    let row_p = &mut head[p * n..][..n];
+    let row_q = &mut tail[..n];
+    for (x, y) in row_p.iter_mut().zip(row_q) {
+        for k in 0..L {
+            let (xp, yq) = (x[k], y[k]);
+            x[k] = select(on[k], c[k] * xp + s[k] * yq, xp);
+            y[k] = select(on[k], c[k] * yq - s[k] * xp, yq);
+        }
+    }
+}
+
+/// Cyclic Jacobi on the symmetric parts of `L` row-major `n x n` matrices in
+/// lockstep, each under the contract of [`RealSmallMatrix::eigh_in_place`];
+/// returns each matrix's sweep count, 0 for an input that is already
+/// diagonal to working precision. This is the one body: `L = 1` is the
+/// solver of a single matrix.
+///
+/// `lanes` holds one to `L` matrices; the lanes past its end repeat the first
+/// matrix, so they add no sweeps, and report 0. Every matrix gets, bit for
+/// bit, the result the one-lane instantiation gives it alone.
+///
+/// The sweep schedule, convergence criteria and algebraic rotation (two square
+/// roots, no trigonometry) are those of the complex
+/// [`small::eigh_into`](crate::small::eigh_into). Symmetry halves the update:
+/// a rotation recomputes rows `p` and `q` only and mirrors them into the two
+/// columns, and the eigenvectors accumulate as *rows* (of `Vᵀ`).
+///
+/// **Why lanes.** Jacobi gets cheaper the closer its input is to diagonal,
+/// so the engine warm-starts it, and a warm 4×4 solve is two or three sweeps
+/// of six rotations, each a `tau → √ → ÷ → √ → ÷` chain that leaves the
+/// vector unit idle. Every matrix works on a structure-of-arrays copy in
+/// `scratch` (entry `k` of all `L` matrices side by side), so `L` chains cost
+/// one chain's latency. All lanes visit the same `(p, q)` in the same order;
+/// a lane that has converged, or whose `|apq|` is below the skip threshold,
+/// is held by bit-selects, as are both sign branches of `t` and of the
+/// rotation's sine, and a lane counts a sweep only while it is unconverged.
+/// A held lane's columns are its rows' mirror image already, bit for bit, so
+/// the mirror copy leaves it alone.
+///
+/// # Panics
+///
+/// Panics unless `lanes` holds one to `L` matrices, each with `n * n`, `n`
+/// and `n * n` entries, and `scratch` holds at least
+/// `L * jacobi_scratch_len(n)`.
+#[inline(always)]
+pub fn eigh_jacobi<const L: usize>(
+    n: usize,
+    lanes: &mut [QlLane<'_>],
+    scratch: &mut [f64],
+) -> [usize; L] {
+    let count = lanes.len();
+    assert!(
+        (1..=L).contains(&count) && scratch.len() >= L * jacobi_scratch_len(n),
+        "real-symmetric Jacobi expects 1..={L} matrices of dimension {n} and their scratch"
+    );
+    let (soa, _) = scratch.as_chunks_mut::<L>();
+    let (a, soa) = soa.split_at_mut(n * n);
+    let vt = &mut soa[..n * n];
+    interleave(n, lanes, a);
+    // Work on the symmetric part to be robust against tiny asymmetries.
+    for r in 0..n {
+        for c in (r + 1)..n {
+            let (upper, lower) = (a[r * n + c], a[c * n + r]);
+            let mut mean = [0.0; L];
+            for (mean, (x, y)) in mean.iter_mut().zip(upper.iter().zip(&lower)) {
+                *mean = 0.5 * (x + y);
+            }
+            (a[r * n + c], a[c * n + r]) = (mean, mean);
+        }
+    }
+    for (index, slot) in vt.iter_mut().enumerate() {
+        *slot = [if index % (n + 1) == 0 { 1.0 } else { 0.0 }; L];
+    }
+
+    let max_sweeps = 60;
+    // `Iterator::sum` starts from -0.0, as the one-matrix loop did.
+    let mut squares = [-0.0; L];
+    for x in a.iter() {
+        for k in 0..L {
+            squares[k] += x[k] * x[k];
+        }
+    }
+    let (mut tol, mut skip_below) = ([0.0; L], [0.0; L]);
+    for k in 0..L {
+        tol[k] = 1e-14 * squares[k].sqrt().max(1.0);
+        skip_below[k] = tol[k] / (n as f64);
+    }
+    let (mut active, mut sweeps) = ([u64::MAX; L], [0usize; L]);
+    for _ in 0..max_sweeps {
+        let mut off_norm = [0.0; L];
+        for p in 0..n {
+            for q in (p + 1)..n {
+                for k in 0..L {
+                    off_norm[k] += a[p * n + q][k] * a[p * n + q][k];
+                }
+            }
+        }
+        let mut any = 0;
+        for k in 0..L {
+            active[k] &= !mask(off_norm[k].sqrt() <= tol[k]);
+            sweeps[k] += (active[k] & 1) as usize;
+            any |= active[k];
+        }
+        if any == 0 {
+            break;
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let (apq, app, aqq) = (a[p * n + q], a[p * n + p], a[q * n + q]);
+                let (mut on, mut any) = ([0u64; L], 0);
+                for k in 0..L {
+                    on[k] = active[k] & !mask(apq[k].abs() <= skip_below[k]);
+                    any |= on[k];
+                }
+                if any == 0 {
+                    continue;
+                }
+                let (mut c, mut s, mut shift) = ([0.0; L], [0.0; L], [0.0; L]);
+                for k in 0..L {
+                    // Algebraic rotation: the annihilation condition is
+                    // tan 2θ = 2|apq| / (app − aqq); the smaller-angle root
+                    // comes from t = tan θ via the stable quadratic form,
+                    // 1 / (|τ| + √(1 + τ²)) with τ's sign, and the complex
+                    // kernel's phase factor apq/|apq| is just the sign of apq
+                    // here. (−1/x and −(1/x) are the same bits.)
+                    let magnitude = apq[k].abs();
+                    let tau = (app[k] - aqq[k]) / (2.0 * magnitude);
+                    let root = (1.0 + tau * tau).sqrt();
+                    let positive = mask(tau >= 0.0);
+                    let inverse = 1.0 / (select(positive, tau, -tau) + root);
+                    let t = select(positive, inverse, -inverse);
+                    c[k] = 1.0 / (1.0 + t * t).sqrt();
+                    let tc = t * c[k];
+                    s[k] = select(mask(apq[k] < 0.0), -tc, tc);
+                    shift[k] = t * magnitude;
+                }
+
+                // A ← Jᵀ A J: off the (p, q) block only the row update acts
+                // on rows p and q; the block itself has the closed form
+                // below; the two columns are the rows' mirror image.
+                rotate_lanes(a, n, (p, q), (c, s), on);
+                for k in 0..L {
+                    a[p * n + p][k] = select(on[k], app[k] + shift[k], app[k]);
+                    a[q * n + q][k] = select(on[k], aqq[k] - shift[k], aqq[k]);
+                    a[p * n + q][k] = select(on[k], 0.0, apq[k]);
+                    a[q * n + p][k] = select(on[k], 0.0, apq[k]);
+                }
+                for j in 0..n {
+                    a[j * n + p] = a[p * n + j];
+                    a[j * n + q] = a[q * n + j];
+                }
+                // V ← V · J, on the rows of Vᵀ.
+                rotate_lanes(vt, n, (p, q), (c, s), on);
+            }
+        }
+    }
+
+    for (lane, (working, eigenvalues, vectors)) in lanes.iter_mut().enumerate() {
+        for (i, value) in eigenvalues.iter_mut().enumerate() {
+            *value = a[i * n + i][lane];
+        }
+        for (slot, x) in working.iter_mut().zip(vt.iter()) {
+            *slot = x[lane];
+        }
+        sort_eigenrows(n, eigenvalues, working);
+        // Turn the eigenvector rows into columns.
+        transpose(n, working, vectors);
+    }
+    let mut counts = [0; L];
+    counts[..count].copy_from_slice(&sweeps[..count]);
+    counts
+}
 
 /// The `f64`s of scratch [`eigh_ql`] needs *per lane* at dimension `n`: the
 /// working matrix, the two diagonals and a sweep's rotations.
@@ -390,16 +518,7 @@ pub fn eigh_ql<const L: usize>(
 
     // Interleave the matrices, then fold each one's symmetric part into the
     // upper triangle, the only one read.
-    for lane in 0..L {
-        let (a, eigenvalues, vectors) = &lanes[if lane < count { lane } else { 0 }];
-        assert!(
-            a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
-            "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
-        );
-        for (slot, &x) in w.iter_mut().zip(a.iter()) {
-            slot[lane] = x;
-        }
-    }
+    interleave(n, lanes, w);
     for r in 0..n {
         for c in (r + 1)..n {
             w[r * n + c] = from_fn(|k| 0.5 * (w[r * n + c][k] + w[c * n + r][k]));
@@ -691,15 +810,15 @@ impl<const N: usize> RealSmallMatrix<N> {
     /// ascending. `self` is consumed as the working copy (contents unspecified
     /// afterwards). Only the symmetric part of `self` influences the result.
     ///
-    /// The solver is chosen by `N` alone — closed form at 2, [`eigh_jacobi`]
-    /// below [`QL_MIN_DIM`], one lane of [`eigh_ql`] from there up, which is
-    /// the only one to touch `scratch` — and its iteration count is returned:
+    /// The solver is chosen by `N` alone — closed form at 2, one lane of
+    /// [`eigh_jacobi`] below [`QL_MIN_DIM`], one lane of [`eigh_ql`] from
+    /// there up ([`eigh_symmetric`]) — and its iteration count is returned:
     /// 0, Jacobi sweeps, or implicit-QL iterations.
     ///
     /// # Panics
     ///
-    /// Panics if `eigenvalues.len() != N`, or if `N >= QL_MIN_DIM` and
-    /// `scratch` is shorter than [`ql_scratch_len`]`(N)`.
+    /// Panics if `eigenvalues.len() != N`, or if `scratch` is shorter than
+    /// [`eigh_scratch_len`]`(N)`.
     #[inline(always)]
     pub fn eigh_in_place(
         &mut self,
@@ -707,13 +826,12 @@ impl<const N: usize> RealSmallMatrix<N> {
         eigenvectors: &mut Self,
         scratch: &mut [f64],
     ) -> usize {
-        eigh_symmetric(
-            N,
+        let lane = (
             self.as_mut_slice(),
             eigenvalues,
             eigenvectors.as_mut_slice(),
-            scratch,
-        )
+        );
+        eigh_symmetric::<1>(N, &mut [lane], scratch)[0]
     }
 }
 
@@ -793,12 +911,7 @@ impl RealMatrix {
         eigenvectors: &mut Self,
         scratch: &mut [f64],
     ) -> usize {
-        eigh_symmetric(
-            self.dim,
-            &mut self.data,
-            eigenvalues,
-            &mut eigenvectors.data,
-            scratch,
-        )
+        let lane = (&mut self.data[..], eigenvalues, &mut eigenvectors.data[..]);
+        eigh_symmetric::<1>(self.dim, &mut [lane], scratch)[0]
     }
 }

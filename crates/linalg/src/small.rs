@@ -306,7 +306,7 @@ pub fn eigh_into<const N: usize>(
         eigh2_closed_form(a, eigenvalues, eigenvectors);
         0
     } else {
-        eigh_jacobi(a, workspace, eigenvalues, eigenvectors)
+        hermitian_jacobi(a, workspace, eigenvalues, eigenvectors)
     }
 }
 
@@ -368,7 +368,7 @@ fn eigh2_closed_form<const N: usize>(
 /// [`crate::eigh_into`]'s sweep schedule and convergence criteria, with the
 /// per-rotation trigonometry replaced by algebraic expressions. Returns the
 /// number of rotation sweeps executed before convergence.
-fn eigh_jacobi<const N: usize>(
+fn hermitian_jacobi<const N: usize>(
     a: &SmallMatrix<N>,
     workspace: &mut SmallEighWorkspace<N>,
     eigenvalues: &mut [f64; N],

@@ -14,15 +14,21 @@
 //! to the complex ones the same way: the complex eigensolvers are the oracle
 //! for both real-symmetric bodies (Jacobi and Householder–QL, each run at
 //! every dimension, whatever the dimension rule would pick), and
-//! promote-then-complex-matmul for the real and planar products. The QL body
-//! solves several matrices in lockstep; [`eispack`] keeps the one-matrix
-//! routine it was derived from, branches and all, and every batch — whatever
-//! shares it — must give each matrix that routine's bits.
+//! promote-then-complex-matmul for the real and planar products. Both bodies
+//! solve several matrices in lockstep; [`eispack`] and [`scalar_jacobi`] keep
+//! the one-matrix routines they were derived from, branches and all, and every
+//! batch — whatever shares it — must give each matrix that routine's bits.
 
 use proptest::prelude::*;
-use vqc_linalg::real::{eigh_jacobi, eigh_ql, ql_scratch_len, QlLane, QL_MIN_DIM};
+use vqc_linalg::real::{
+    eigh_jacobi, eigh_ql, eigh_scratch_len, jacobi_scratch_len, ql_scratch_len, QlLane, QL_MIN_DIM,
+};
 use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
 use vqc_linalg::{c64, eigh, Matrix, RealMatrix, RealSmallMatrix, C64};
+use vqc_pulse::grape::GrapeOptions;
+use vqc_pulse::propagate::slice_hamiltonian;
+use vqc_pulse::{DeviceModel, GrapeWorkspace, PulseSequence};
+use vqc_sim::gates;
 
 /// Strategy producing a complex number with bounded components.
 fn arb_c64(bound: f64) -> impl Strategy<Value = C64> {
@@ -474,16 +480,141 @@ mod eispack {
     }
 }
 
+/// The one-matrix routine the lockstep Jacobi body was derived from — cyclic
+/// Jacobi with the `|apq| ≤ tol/n` skip, both sign branches and convergence
+/// as branches — kept as the reference for the body's bits: the body holds a
+/// lane with bit-selects where this routine branches.
+mod scalar_jacobi {
+    fn rotate_rows(m: &mut [f64], n: usize, p: usize, q: usize, c: f64, k: f64) {
+        let (head, tail) = m.split_at_mut(q * n);
+        let row_p = &mut head[p * n..][..n];
+        let row_q = &mut tail[..n];
+        for (x, y) in row_p.iter_mut().zip(row_q) {
+            let (xp, yq) = (*x, *y);
+            *x = c * xp + k * yq;
+            *y = c * yq - k * xp;
+        }
+    }
+
+    pub fn eigh_jacobi(
+        n: usize,
+        a: &mut [f64],
+        eigenvalues: &mut [f64],
+        vectors: &mut [f64],
+    ) -> usize {
+        for r in 0..n {
+            for c in (r + 1)..n {
+                let mean = 0.5 * (a[r * n + c] + a[c * n + r]);
+                a[r * n + c] = mean;
+                a[c * n + r] = mean;
+            }
+        }
+        vectors.fill(0.0);
+        for i in 0..n {
+            vectors[i * n + i] = 1.0;
+        }
+
+        let frobenius_norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let tol = 1e-14 * frobenius_norm.max(1.0);
+        let mut sweeps = 0;
+        for _ in 0..60 {
+            let mut off_norm = 0.0;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    off_norm += a[p * n + q] * a[p * n + q];
+                }
+            }
+            if off_norm.sqrt() <= tol {
+                break;
+            }
+            sweeps += 1;
+            for p in 0..n {
+                for q in (p + 1)..n {
+                    let apq = a[p * n + q];
+                    let magnitude = apq.abs();
+                    if magnitude <= tol / (n as f64) {
+                        continue;
+                    }
+                    let app = a[p * n + p];
+                    let aqq = a[q * n + q];
+                    let tau = (app - aqq) / (2.0 * magnitude);
+                    let t = if tau >= 0.0 {
+                        1.0 / (tau + (1.0 + tau * tau).sqrt())
+                    } else {
+                        -1.0 / (-tau + (1.0 + tau * tau).sqrt())
+                    };
+                    let c = 1.0 / (1.0 + t * t).sqrt();
+                    let k = if apq < 0.0 { -t * c } else { t * c };
+                    rotate_rows(a, n, p, q, c, k);
+                    let shift = t * magnitude;
+                    a[p * n + p] = app + shift;
+                    a[q * n + q] = aqq - shift;
+                    a[p * n + q] = 0.0;
+                    a[q * n + p] = 0.0;
+                    for j in 0..n {
+                        a[j * n + p] = a[p * n + j];
+                        a[j * n + q] = a[q * n + j];
+                    }
+                    rotate_rows(vectors, n, p, q, c, k);
+                }
+            }
+        }
+
+        for (i, value) in eigenvalues.iter_mut().enumerate() {
+            *value = a[i * n + i];
+        }
+        // Selection sort, ascending, carrying the rows of Vᵀ; then V = (Vᵀ)ᵀ.
+        for i in 0..n {
+            let mut least = i;
+            for j in (i + 1)..n {
+                if eigenvalues[j] < eigenvalues[least] {
+                    least = j;
+                }
+            }
+            eigenvalues.swap(i, least);
+            for k in 0..n {
+                vectors.swap(i * n + k, least * n + k);
+            }
+        }
+        for r in 0..n {
+            for c in (r + 1)..n {
+                vectors.swap(r * n + c, c * n + r);
+            }
+        }
+        sweeps
+    }
+}
+
+/// One matrix through a solver: its input (consumed as the working copy),
+/// eigenvalues and eigenvectors; returns the iteration count.
+type Solver = fn(usize, &mut [f64], &mut [f64], &mut [f64]) -> usize;
+
+/// One to four matrices through a lane body's four-lane instantiation.
+type Batch = fn(usize, &mut [QlLane<'_>]) -> [usize; 4];
+
+fn jacobi_batch(n: usize, lanes: &mut [QlLane<'_>]) -> [usize; 4] {
+    eigh_jacobi::<4>(n, lanes, &mut vec![f64::NAN; 4 * jacobi_scratch_len(n)])
+}
+
+fn ql_batch(n: usize, lanes: &mut [QlLane<'_>]) -> [usize; 4] {
+    eigh_ql::<4>(n, lanes, &mut vec![f64::NAN; 4 * ql_scratch_len(n)])
+}
+
+/// One matrix through the Jacobi body's one-lane instantiation.
+fn jacobi_alone(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
+    let mut scratch = vec![f64::NAN; jacobi_scratch_len(n)];
+    eigh_jacobi::<1>(n, &mut [(a, lambdas, vectors)], &mut scratch)[0]
+}
+
 /// One matrix through the QL body's one-lane instantiation.
 fn ql_alone(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
     let mut scratch = vec![f64::NAN; ql_scratch_len(n)];
     eigh_ql::<1>(n, &mut [(a, lambdas, vectors)], &mut scratch)[0]
 }
 
-/// One matrix through the QL body's four-lane instantiation, as a group of
-/// three: it sits in the middle, and the padding repeats another matrix.
-fn ql_in_a_batch(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
-    let mut scratch = vec![f64::NAN; 4 * ql_scratch_len(n)];
+/// One matrix through `batch`, as a group of three: it sits in the middle,
+/// and the padding repeats another matrix.
+fn middle_of_three(batch: Batch, n: usize, lane: QlLane<'_>) -> usize {
     let mut others = [(); 2].map(|_| {
         let neighbour: Vec<f64> = (0..n * n).map(|i| (i as f64).sin()).collect();
         (neighbour, vec![0.0; n], vec![0.0; n * n])
@@ -491,16 +622,25 @@ fn ql_in_a_batch(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f6
     let [(a0, l0, v0), (a2, l2, v2)] = &mut others;
     let mut group = [
         (&mut a0[..], &mut l0[..], &mut v0[..]),
-        (a, lambdas, vectors),
+        lane,
         (&mut a2[..], &mut l2[..], &mut v2[..]),
     ];
-    eigh_ql::<4>(n, &mut group, &mut scratch)[1]
+    batch(n, &mut group)[1]
+}
+
+fn jacobi_in_a_batch(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
+    middle_of_three(jacobi_batch, n, (a, lambdas, vectors))
+}
+
+fn ql_in_a_batch(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
+    middle_of_three(ql_batch, n, (a, lambdas, vectors))
 }
 
 /// Both solver bodies on flat storage — whichever of them the dimension rule
-/// would pick at `n`, and the QL one alone and in a batch — against `oracle`.
+/// would pick at `n`, each alone and in a batch — against `oracle`.
 fn assert_both_bodies(n: usize, data: &[f64], oracle: &[f64]) {
-    for body in [eigh_jacobi, ql_alone, ql_in_a_batch] {
+    let bodies: [Solver; 4] = [jacobi_alone, jacobi_in_a_batch, ql_alone, ql_in_a_batch];
+    for body in bodies {
         let mut h = data.to_vec();
         let mut lambdas = vec![f64::NAN; n];
         let mut vectors: Vec<f64> = (0..n * n).map(|i| i as f64).collect();
@@ -525,7 +665,7 @@ fn check_real_eigh<const N: usize>(data: &[f64]) {
     let mut h = RealSmallMatrix::<N>::from_fn(|r, c| data[r * N + c]);
     let mut lambdas = [f64::NAN; N];
     let mut vectors = RealSmallMatrix::<N>::from_fn(|r, c| (r + 2 * c) as f64);
-    let mut scratch = vec![f64::NAN; ql_scratch_len(N)];
+    let mut scratch = vec![f64::NAN; eigh_scratch_len(N)];
     let iterations = h.eigh_in_place(&mut lambdas, &mut vectors, &mut scratch);
     assert!(N != 2 || iterations == 0, "the 2x2 path is closed-form");
     assert_real_eigensystem(N, data, &lambdas, vectors.as_slice(), &oracle);
@@ -545,7 +685,7 @@ fn check_real_eigh_heap(n: usize, data: &[f64]) {
     let mut h = RealMatrix::from_fn(n, |r, c| data[r * n + c]);
     let mut lambdas = vec![f64::NAN; n];
     let mut vectors = RealMatrix::from_fn(n, |r, c| (r + 2 * c) as f64);
-    let mut scratch = vec![f64::NAN; ql_scratch_len(n)];
+    let mut scratch = vec![f64::NAN; eigh_scratch_len(n)];
     h.eigh_in_place(&mut lambdas, &mut vectors, &mut scratch);
     assert_real_eigensystem(n, data, &lambdas, vectors.as_slice(), &oracle);
     assert_both_bodies(n, data, &oracle);
@@ -685,12 +825,18 @@ proptest! {
 }
 
 /// The spectra a device really hands the solvers: the zero matrix (every
-/// amplitude 0), flux only (already diagonal, descending, with repeats), one
-/// charge drive (`I ⊗ X`: ±1, each `n / 2`-fold degenerate, off the diagonal),
-/// and a dense matrix whose eigenvalues pair up at gaps on either side of the
-/// gradient contraction's 1e-10 degeneracy threshold.
-const DEVICE_SPECTRA: [fn(usize) -> Vec<f64>; 4] =
-    [zero, flux_only, one_charge_drive, near_degenerate_pairs];
+/// amplitude 0), flux only (already diagonal, descending, with repeats — zero
+/// Jacobi sweeps), one charge drive (`I ⊗ X`: ±1, each `n / 2`-fold
+/// degenerate, off the diagonal), no charge drive (flux and one `X ⊗ X`
+/// coupling), and a dense matrix whose eigenvalues pair up at gaps on either
+/// side of the gradient contraction's 1e-10 degeneracy threshold.
+const DEVICE_SPECTRA: [fn(usize) -> Vec<f64>; 5] = [
+    zero,
+    flux_only,
+    one_charge_drive,
+    charge_free,
+    near_degenerate_pairs,
+];
 
 fn zero(n: usize) -> Vec<f64> {
     vec![0.0; n * n]
@@ -708,6 +854,16 @@ fn one_charge_drive(n: usize) -> Vec<f64> {
     let mut data = vec![0.0; n * n];
     for i in 0..n - n % 2 {
         data[i * n + (i ^ 1)] = 1.0;
+    }
+    data
+}
+
+fn charge_free(n: usize) -> Vec<f64> {
+    let mut data = flux_only(n);
+    for i in 0..n {
+        if i ^ 3 < n {
+            data[i * n + (i ^ 3)] = 0.7;
+        }
     }
     data
 }
@@ -763,27 +919,23 @@ fn real_eigh_handles_the_spectra_a_device_produces() {
     }
 }
 
-/// One eigensystem as bits: eigenvalues, eigenvectors, QL iterations.
+/// One eigensystem as bits: eigenvalues, eigenvectors, iterations.
 type Bits = (Vec<u64>, Vec<u64>, usize);
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Solves `data` on its own by `solver`: [`eispack::tred2_tql2`] or [`ql_alone`].
-fn solve_alone(
-    n: usize,
-    data: &[f64],
-    solver: fn(usize, &mut [f64], &mut [f64], &mut [f64]) -> usize,
-) -> Bits {
+/// Solves `data` on its own by `solver`.
+fn solve_alone(n: usize, data: &[f64], solver: Solver) -> Bits {
     let (mut a, mut lambdas, mut vectors) =
         (data.to_vec(), vec![f64::NAN; n], vec![f64::NAN; n * n]);
     let count = solver(n, &mut a, &mut lambdas, &mut vectors);
     (bits(&lambdas), bits(&vectors), count)
 }
 
-/// Solves `group` — one to four matrices — as one batch of the four-lane body.
-fn ql_batch(n: usize, group: &[&Vec<f64>]) -> Vec<Bits> {
+/// Solves `group` — one to four matrices — as one `batch`.
+fn solve_batch(n: usize, group: &[&Vec<f64>], batch: Batch) -> Vec<Bits> {
     let mut storage: Vec<_> = group
         .iter()
         .map(|&data| (data.clone(), vec![f64::NAN; n], vec![f64::NAN; n * n]))
@@ -792,7 +944,7 @@ fn ql_batch(n: usize, group: &[&Vec<f64>]) -> Vec<Bits> {
         .iter_mut()
         .map(|(a, lambdas, vectors)| (&mut a[..], &mut lambdas[..], &mut vectors[..]))
         .collect();
-    let counts = eigh_ql::<4>(n, &mut lanes, &mut vec![f64::NAN; 4 * ql_scratch_len(n)]);
+    let counts = batch(n, &mut lanes);
     assert!(
         counts[group.len()..].iter().all(|&count| count == 0),
         "a padding lane reported iterations: {counts:?}"
@@ -803,31 +955,52 @@ fn ql_batch(n: usize, group: &[&Vec<f64>]) -> Vec<Bits> {
         .collect()
 }
 
-/// Every matrix of `pool`, in every place of a batch of every size, beside
-/// every run of its neighbours in the pool, must come out with the bits —
-/// eigenvalues, eigenvectors and iteration count — that the one-matrix
-/// EISPACK routine gives it: a lane never sees its neighbours, a padding lane
-/// never counts, and a lane that deflates early is held, not disturbed.
-fn assert_batches_match_eispack(n: usize, pool: &[Vec<f64>]) {
+/// A lockstep body: the one-matrix routine it was derived from, and its
+/// one- and four-lane instantiations.
+struct Body {
+    oracle: Solver,
+    alone: Solver,
+    batch: Batch,
+}
+
+const QL: Body = Body {
+    oracle: eispack::tred2_tql2,
+    alone: ql_alone,
+    batch: ql_batch,
+};
+
+const JACOBI: Body = Body {
+    oracle: scalar_jacobi::eigh_jacobi,
+    alone: jacobi_alone,
+    batch: jacobi_batch,
+};
+
+/// Every matrix of `pool`, alone and in every place of a batch of every
+/// size, beside every run of its neighbours in the pool, must come out with
+/// the bits — eigenvalues, eigenvectors and iteration count — that `body`'s
+/// one-matrix routine gives it: a lane never sees its neighbours, a padding
+/// lane never counts, and a lane that converges early is held, not disturbed.
+fn assert_batches_match(body: &Body, n: usize, pool: &[Vec<f64>]) {
     let reference: Vec<Bits> = pool
         .iter()
-        .map(|data| solve_alone(n, data, eispack::tred2_tql2))
+        .map(|data| solve_alone(n, data, body.oracle))
         .collect();
-    for (data, expected) in pool.iter().zip(&reference) {
+    for (index, (data, expected)) in pool.iter().zip(&reference).enumerate() {
         assert!(
-            solve_alone(n, data, ql_alone) == *expected,
-            "n={n}: the one-lane body diverges from EISPACK"
+            solve_alone(n, data, body.alone) == *expected,
+            "n={n}: the one-lane body diverges from the one-matrix routine on matrix {index}"
         );
     }
     for size in 1..=4 {
         for first in 0..pool.len() {
             let members: Vec<usize> = (0..size).map(|k| (first + k) % pool.len()).collect();
             let group: Vec<&Vec<f64>> = members.iter().map(|&index| &pool[index]).collect();
-            for (place, (solved, &index)) in ql_batch(n, &group).iter().zip(&members).enumerate() {
+            let solved = solve_batch(n, &group, body.batch);
+            for (place, (solved, &index)) in solved.iter().zip(&members).enumerate() {
                 assert!(
                     *solved == reference[index],
                     "n={n}: matrix {index} in place {place} of a batch of {size} \
-                     (matrices {members:?}) diverges from EISPACK; \
+                     (matrices {members:?}) diverges from the one-matrix routine; \
                      {} iterations against {}",
                     solved.2,
                     reference[index].2
@@ -854,27 +1027,31 @@ fn with_negative_zeros(mut data: Vec<f64>) -> Vec<f64> {
     data
 }
 
-/// Matrices of different spectra side by side — the device's own, with
-/// either sign of zero, and dense ones — at the stack QL dimensions and at
-/// heap dims 9 and 27.
+/// Matrices of different spectra to put side by side — the device's own,
+/// with either sign of zero, and dense ones.
+fn mixed_pool(n: usize) -> Vec<Vec<f64>> {
+    let mut pool = vec![dense(n, 0.3)];
+    for inputs in DEVICE_SPECTRA {
+        pool.push(inputs(n));
+    }
+    pool.push(dense(n, 4.1));
+    for inputs in &DEVICE_SPECTRA[..4] {
+        pool.push(with_negative_zeros(inputs(n)));
+    }
+    // One charge drive among idle qubits, as an asymmetric input: only the
+    // symmetric part counts (and QL skips its zero sub-rows).
+    let mut lopsided = one_charge_drive(n);
+    lopsided[1] = 3.0;
+    lopsided[n] = -1.0;
+    pool.push(lopsided);
+    pool
+}
+
+/// At the stack QL dimensions and at heap dims 9 and 27.
 #[test]
 fn ql_batches_give_every_matrix_the_one_matrix_bits() {
     for n in [8, 16, 9, 27] {
-        let mut pool = vec![dense(n, 0.3)];
-        for inputs in DEVICE_SPECTRA {
-            pool.push(inputs(n));
-        }
-        pool.push(dense(n, 4.1));
-        for inputs in &DEVICE_SPECTRA[..3] {
-            pool.push(with_negative_zeros(inputs(n)));
-        }
-        // One charge drive among idle qubits, as an asymmetric input: only
-        // the symmetric part counts, and its zero sub-rows are skipped.
-        let mut lopsided = one_charge_drive(n);
-        lopsided[1] = 3.0;
-        lopsided[n] = -1.0;
-        pool.push(lopsided);
-        assert_batches_match_eispack(n, &pool);
+        assert_batches_match(&QL, n, &mixed_pool(n));
     }
 }
 
@@ -888,8 +1065,156 @@ proptest! {
         c in arb_reals(16),
     ) {
         let pool = [a, zero(16), b, flux_only(16), c];
-        assert_batches_match_eispack(16, &pool);
+        assert_batches_match(&QL, 16, &pool);
         let leading = |data: &Vec<f64>| data[..64].to_vec();
-        assert_batches_match_eispack(8, &pool.each_ref().map(leading));
+        assert_batches_match(&QL, 8, &pool.each_ref().map(leading));
     }
+
+    #[test]
+    fn jacobi_batches_match_the_scalar_routine_on_random_matrices(
+        a in arb_reals(7),
+        b in arb_reals(7),
+        c in arb_reals(7),
+    ) {
+        for n in 3..QL_MIN_DIM {
+            let pool = [&a, &zero(7), &b, &flux_only(7), &c].map(|data| data[..n * n].to_vec());
+            assert_batches_match(&JACOBI, n, &pool);
+        }
+    }
+}
+
+/// The Jacobi dimension's solver on the stack storage, one matrix.
+fn stack_in_place<const N: usize>(
+    n: usize,
+    a: &mut [f64],
+    lambdas: &mut [f64],
+    vectors: &mut [f64],
+) -> usize {
+    assert_eq!(n, N);
+    let mut h = RealSmallMatrix::<N>::from_fn(|r, c| a[r * N + c]);
+    let mut v = RealSmallMatrix::<N>::ZERO;
+    let count = h.eigh_in_place(lambdas, &mut v, &mut vec![f64::NAN; eigh_scratch_len(N)]);
+    vectors.copy_from_slice(v.as_slice());
+    count
+}
+
+/// The same on the heap storage.
+fn heap_in_place(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -> usize {
+    let mut h = RealMatrix::from_fn(n, |r, c| a[r * n + c]);
+    let mut v = RealMatrix::zeros(n);
+    let count = h.eigh_in_place(lambdas, &mut v, &mut vec![f64::NAN; eigh_scratch_len(n)]);
+    vectors.copy_from_slice(v.as_slice());
+    count
+}
+
+/// Every batch of `pool` against the scalar Jacobi routine, and
+/// `eigh_in_place` on the stack and the heap — the one-lane instantiation —
+/// too.
+fn assert_jacobi_bits<const N: usize>(pool: &[Vec<f64>]) {
+    assert_batches_match(&JACOBI, N, pool);
+    for (index, data) in pool.iter().enumerate() {
+        let expected = solve_alone(N, data, scalar_jacobi::eigh_jacobi);
+        let (stack, heap) = (stack_in_place::<N>, heap_in_place);
+        for (storage, solver) in [("stack", stack as Solver), ("heap", heap)] {
+            assert!(
+                solve_alone(N, data, solver) == expected,
+                "n={N}: eigh_in_place on the {storage} diverges from the scalar routine \
+                 on matrix {index}"
+            );
+        }
+    }
+}
+
+/// Every Jacobi dimension, 3 to 7.
+#[test]
+fn jacobi_batches_give_every_matrix_the_one_matrix_bits() {
+    const { assert!(QL_MIN_DIM == 8) };
+    assert_jacobi_bits::<3>(&mixed_pool(3));
+    assert_jacobi_bits::<4>(&mixed_pool(4));
+    assert_jacobi_bits::<5>(&mixed_pool(5));
+    assert_jacobi_bits::<6>(&mixed_pool(6));
+    assert_jacobi_bits::<7>(&mixed_pool(7));
+}
+
+/// Warm inputs as the GRAPE engine makes them: each slice Hamiltonian of a
+/// `device` block at every step of an ADAM walk from the seeded guess (the
+/// update `crates/bench/benches/grape.rs`'s `Trajectory::record` runs, at
+/// `GrapeOptions::fast()`), rotated into that slice's eigenbasis from the
+/// step before, `VᵀHV`, the basis carried forward as the engine carries it.
+fn adam_warm_inputs(device: &DeviceModel, target: &Matrix, steps: i32) -> Vec<Vec<f64>> {
+    let (slices, n) = (5, device.dim());
+    let options = GrapeOptions::fast();
+    let (beta1, beta2, eps) = (0.9_f64, 0.999_f64, 1e-8);
+    let (drift, controls) = (device.drift(), device.control_hamiltonians());
+    let limits: Vec<f64> = controls
+        .iter()
+        .map(|control| control.max_amplitude)
+        .collect();
+    let mut workspace = GrapeWorkspace::new(device, slices);
+    workspace.set_target(device, target);
+    let mut pulse = PulseSequence::seeded_guess(device, slices, options.dt_ns, options.seed);
+    pulse.clamp_to_device(device);
+    let mut moments = vec![(0.0, 0.0); slices * limits.len()];
+    let mut learning_rate = options.learning_rate;
+    let mut bases: Vec<Option<RealMatrix>> = vec![None; slices];
+    let mut inputs = Vec::new();
+    for step in 1..=steps {
+        for (t, basis) in bases.iter_mut().enumerate() {
+            let h = slice_hamiltonian(&drift, &controls, &pulse, t);
+            let mut problem = RealMatrix::from_fn(n, |r, c| h[(r, c)].re);
+            if let Some(v) = basis {
+                let (mut vt, mut vt_h) = (RealMatrix::zeros(n), RealMatrix::zeros(n));
+                v.transpose_into(&mut vt);
+                vt.matmul_into(&problem, &mut vt_h);
+                vt_h.matmul_into(v, &mut problem);
+                inputs.push(problem.as_slice().to_vec());
+            }
+            let (mut lambdas, mut vectors) = (vec![0.0; n], RealMatrix::zeros(n));
+            let solved = (problem.as_mut_slice(), &mut lambdas, vectors.as_mut_slice());
+            scalar_jacobi::eigh_jacobi(n, solved.0, solved.1, solved.2);
+            *basis = Some(match basis.take() {
+                Some(v) => {
+                    let mut composed = RealMatrix::zeros(n);
+                    v.matmul_into(&vectors, &mut composed);
+                    composed
+                }
+                None => vectors,
+            });
+        }
+        workspace.fidelity_gradient(&pulse);
+        let slots = moments.iter_mut().zip(workspace.gradient());
+        for (index, ((m, v), &grad)) in slots.enumerate() {
+            let (t, k) = (index / limits.len(), index % limits.len());
+            *m = beta1 * *m + (1.0 - beta1) * grad;
+            *v = beta2 * *v + (1.0 - beta2) * grad * grad;
+            let m_hat = *m / (1.0 - beta1.powi(step));
+            let v_hat = *v / (1.0 - beta2.powi(step));
+            let moved = pulse.amplitude(k, t) - learning_rate * m_hat / (v_hat.sqrt() + eps);
+            pulse.set_amplitude(k, t, moved.clamp(-limits[k], limits[k]));
+        }
+        learning_rate *= options.decay_rate;
+    }
+    inputs
+}
+
+/// Nearly diagonal inputs, side by side at different sweep counts, at the
+/// two Jacobi dimensions a device has: a 2-qubit block and a qutrit.
+#[test]
+fn jacobi_batches_give_warm_trajectory_inputs_the_one_matrix_bits() {
+    let two_qubits = adam_warm_inputs(&DeviceModel::qubits_line(2), &gates::cx(), 24);
+    let qutrit = DeviceModel::qubits_line(1).with_qutrit_levels();
+    let qutrit = adam_warm_inputs(&qutrit, &gates::h(), 24);
+    for (n, pool) in [(4, &two_qubits), (3, &qutrit)] {
+        let sweeps: Vec<usize> = pool
+            .iter()
+            .map(|data| solve_alone(n, data, scalar_jacobi::eigh_jacobi).2)
+            .collect();
+        let (fewest, most) = (sweeps.iter().min(), sweeps.iter().max());
+        assert!(
+            fewest < most && most > Some(&1),
+            "n={n}: the warm inputs should take different sweep counts: {sweeps:?}"
+        );
+    }
+    assert_jacobi_bits::<4>(&two_qubits);
+    assert_jacobi_bits::<3>(&qutrit);
 }

@@ -7,7 +7,11 @@
 //! difference formula for the derivative of the matrix exponential, mirroring the
 //! automatic-differentiation exactness of the TensorFlow implementation the paper uses.
 //! The optimizer is ADAM with exponential learning-rate decay — the two hyperparameters
-//! that flexible partial compilation tunes per subcircuit (Section 7.2).
+//! that flexible partial compilation tunes per subcircuit (Section 7.2). Its step
+//! ([`Adam`]) is one loop, one control at a time over the control's contiguous
+//! waveform and moment rows; the regularizers' gradients (energy, smoothness,
+//! envelope) are taken at the pulse as it stood before the step, so the step is
+//! along the gradient of the cost the iteration records ([`recorded_cost`]).
 
 use crate::lanes;
 use crate::workspace::GrapeWorkspace;
@@ -199,29 +203,29 @@ pub fn try_optimize_pulse_with(
     // helper's claim rule counts as an occupied CPU.
     let _in_flight = lanes::enter_run();
 
-    let mut pulse = match warm_start {
-        Some(warm) if warm.num_controls() == device.num_controls() => {
-            warm.resampled(num_slices, dt)
-        }
-        _ => PulseSequence::seeded_guess(device, num_slices, dt, options.seed),
-    };
-    pulse.clamp_to_device(device);
-
-    // All per-iteration buffers live in the workspace, allocated once here; the
-    // iteration loop below performs no heap allocation.
-    let mut workspace = GrapeWorkspace::new(device, num_slices);
-    workspace.set_target(device, target);
-    let amplitude_limits: Vec<f64> = device
-        .control_hamiltonians()
+    // One build of the device's operators serves the amplitude limits and the
+    // workspace.
+    let controls = device.control_hamiltonians();
+    let amplitude_limits: Vec<f64> = controls
         .iter()
         .map(|control| control.max_amplitude)
         .collect();
-    let num_controls = amplitude_limits.len();
+    let mut pulse = match warm_start {
+        Some(warm) if warm.num_controls() == controls.len() => warm.resampled(num_slices, dt),
+        _ => PulseSequence::seeded_guess(device, num_slices, dt, options.seed),
+    };
+    // What `clamp_to_device` does, without building the operators again.
+    for (waveform, &limit) in pulse.waveforms_mut().iter_mut().zip(&amplitude_limits) {
+        for value in waveform {
+            *value = value.clamp(-limit, limit);
+        }
+    }
 
-    // ADAM state, one entry per (control, slice).
-    let mut m = vec![vec![0.0; num_slices]; num_controls];
-    let mut v = vec![vec![0.0; num_slices]; num_controls];
-    let (beta1, beta2, eps) = (0.9_f64, 0.999_f64, 1e-8);
+    // All per-iteration buffers live in the workspace, allocated once here; the
+    // iteration loop below performs no heap allocation.
+    let mut workspace = GrapeWorkspace::with_controls(device, &controls, num_slices);
+    workspace.set_target(device, target);
+    let mut adam = Adam::new(amplitude_limits.len() * num_slices);
 
     let mut cost_history = Vec::with_capacity(options.max_iterations);
     let mut best_infidelity = f64::INFINITY;
@@ -243,28 +247,7 @@ pub fn try_optimize_pulse_with(
             }
         }
 
-        // --- cost (for the history) -------------------------------------------------
-        let mut cost = infidelity;
-        cost += options.amplitude_penalty * pulse.energy();
-        if options.smoothness_penalty > 0.0 || options.envelope_penalty > 0.0 {
-            for k in 0..num_controls {
-                let w = pulse.waveform(k);
-                if options.smoothness_penalty > 0.0 {
-                    for t in 1..num_slices {
-                        let d = w[t] - w[t - 1];
-                        cost += options.smoothness_penalty * d * d;
-                    }
-                }
-                if options.envelope_penalty > 0.0 {
-                    for (t, &value) in w.iter().enumerate() {
-                        let x = (t as f64 + 0.5) / num_slices as f64 - 0.5;
-                        let envelope = (-x * x / 0.08).exp();
-                        cost += options.envelope_penalty * (1.0 - envelope) * value * value;
-                    }
-                }
-            }
-        }
-        cost_history.push(cost);
+        cost_history.push(recorded_cost(options, infidelity, &pulse));
 
         if infidelity <= options.target_infidelity {
             return Ok(GrapeResult {
@@ -276,44 +259,13 @@ pub fn try_optimize_pulse_with(
             });
         }
 
-        // --- parameter update -------------------------------------------------------
-        // The ADAM bias corrections depend on the iteration only.
-        let bias1 = 1.0 - beta1.powi(iterations as i32);
-        let bias2 = 1.0 - beta2.powi(iterations as i32);
-        let gradient = workspace.gradient();
-        for t in 0..num_slices {
-            for k in 0..num_controls {
-                let u_kt = pulse.amplitude(k, t);
-                let mut grad = gradient[t * num_controls + k];
-                grad += 2.0 * options.amplitude_penalty * u_kt * dt;
-                if options.smoothness_penalty > 0.0 {
-                    if t > 0 {
-                        grad +=
-                            2.0 * options.smoothness_penalty * (u_kt - pulse.amplitude(k, t - 1));
-                    }
-                    if t + 1 < num_slices {
-                        grad -=
-                            2.0 * options.smoothness_penalty * (pulse.amplitude(k, t + 1) - u_kt);
-                    }
-                }
-                if options.envelope_penalty > 0.0 {
-                    let x = (t as f64 + 0.5) / num_slices as f64 - 0.5;
-                    let envelope = (-x * x / 0.08).exp();
-                    grad += 2.0 * options.envelope_penalty * (1.0 - envelope) * u_kt;
-                }
-
-                m[k][t] = beta1 * m[k][t] + (1.0 - beta1) * grad;
-                v[k][t] = beta2 * v[k][t] + (1.0 - beta2) * grad * grad;
-                let m_hat = m[k][t] / bias1;
-                let v_hat = v[k][t] / bias2;
-                let step = learning_rate * m_hat / (v_hat.sqrt() + eps);
-                // Clamping inline keeps the hardware amplitude limits enforced
-                // without the per-iteration `clamp_to_device` pass (which rebuilt
-                // the control Hamiltonians — an allocation — every call).
-                let limit = amplitude_limits[k];
-                pulse.set_amplitude(k, t, (u_kt - step).clamp(-limit, limit));
-            }
-        }
+        adam.step(
+            &mut pulse,
+            workspace.gradient(),
+            options,
+            learning_rate,
+            &amplitude_limits,
+        );
         learning_rate *= options.decay_rate;
     }
 
@@ -324,6 +276,121 @@ pub fn try_optimize_pulse_with(
         converged: best_infidelity <= options.target_infidelity,
         cost_history,
     })
+}
+
+/// The cost an iteration records: the infidelity plus the three regularizers
+/// of `pulse` — energy, slice-to-slice smoothness and the Gaussian envelope —
+/// each times its penalty. [`Adam::step`] descends its gradient.
+fn recorded_cost(options: &GrapeOptions, infidelity: f64, pulse: &PulseSequence) -> f64 {
+    let mut cost = infidelity;
+    if options.amplitude_penalty != 0.0 {
+        cost += options.amplitude_penalty * pulse.energy();
+    }
+    let num_slices = pulse.num_slices();
+    if options.smoothness_penalty > 0.0 || options.envelope_penalty > 0.0 {
+        for k in 0..pulse.num_controls() {
+            let w = pulse.waveform(k);
+            if options.smoothness_penalty > 0.0 {
+                for t in 1..num_slices {
+                    let d = w[t] - w[t - 1];
+                    cost += options.smoothness_penalty * d * d;
+                }
+            }
+            if options.envelope_penalty > 0.0 {
+                for (t, &value) in w.iter().enumerate() {
+                    let x = (t as f64 + 0.5) / num_slices as f64 - 0.5;
+                    let envelope = (-x * x / 0.08).exp();
+                    cost += options.envelope_penalty * (1.0 - envelope) * value * value;
+                }
+            }
+        }
+    }
+    cost
+}
+
+/// ADAM's decay rates and denominator guard.
+const BETA1: f64 = 0.9;
+const BETA2: f64 = 0.999;
+const EPSILON: f64 = 1e-8;
+
+/// ADAM's moment estimates, one per amplitude, control-major like the
+/// pulse's waveforms: control `k`'s slices are the contiguous run
+/// `k * num_slices..`.
+struct Adam {
+    m: Vec<f64>,
+    v: Vec<f64>,
+    /// Steps taken, for the bias corrections.
+    steps: i32,
+}
+
+impl Adam {
+    fn new(amplitudes: usize) -> Self {
+        Adam {
+            m: vec![0.0; amplitudes],
+            v: vec![0.0; amplitudes],
+            steps: 0,
+        }
+    }
+
+    /// Moves every amplitude of `pulse` one step down the gradient of
+    /// [`recorded_cost`] at `pulse` — the infidelity's, slice-major as
+    /// [`GrapeWorkspace::gradient`] holds it, plus the regularizers', all
+    /// taken at the pulse as it stood before the step — and clamps it to its
+    /// control's hardware limit. One control at a time, over its contiguous
+    /// waveform and moment rows; walking the slices upward, the one
+    /// neighbour already moved, `t − 1`, is read as it was before its move.
+    fn step(
+        &mut self,
+        pulse: &mut PulseSequence,
+        fidelity_gradient: &[f64],
+        options: &GrapeOptions,
+        learning_rate: f64,
+        limits: &[f64],
+    ) {
+        self.steps += 1;
+        // The bias corrections depend on the step only.
+        let bias1 = 1.0 - BETA1.powi(self.steps);
+        let bias2 = 1.0 - BETA2.powi(self.steps);
+        let (num_controls, num_slices, dt) = (limits.len(), pulse.num_slices(), options.dt_ns);
+        let moments = self
+            .m
+            .chunks_exact_mut(num_slices)
+            .zip(self.v.chunks_exact_mut(num_slices));
+        let controls = pulse.waveforms_mut().iter_mut().zip(moments).zip(limits);
+        for (k, ((waveform, (m, v)), &limit)) in controls.enumerate() {
+            let mut before = 0.0;
+            for t in 0..num_slices {
+                let u_kt = waveform[t];
+                let mut grad = fidelity_gradient[t * num_controls + k];
+                grad += 2.0 * options.amplitude_penalty * u_kt * dt;
+                if options.smoothness_penalty > 0.0 {
+                    if t > 0 {
+                        grad += 2.0 * options.smoothness_penalty * (u_kt - before);
+                    }
+                    if t + 1 < num_slices {
+                        grad -= 2.0 * options.smoothness_penalty * (waveform[t + 1] - u_kt);
+                    }
+                }
+                if options.envelope_penalty > 0.0 {
+                    let x = (t as f64 + 0.5) / num_slices as f64 - 0.5;
+                    let envelope = (-x * x / 0.08).exp();
+                    grad += 2.0 * options.envelope_penalty * (1.0 - envelope) * u_kt;
+                }
+
+                m[t] = BETA1 * m[t] + (1.0 - BETA1) * grad;
+                v[t] = BETA2 * v[t] + (1.0 - BETA2) * grad * grad;
+                let m_hat = m[t] / bias1;
+                let v_hat = v[t] / bias2;
+                let step = learning_rate * m_hat / (v_hat.sqrt() + EPSILON);
+                before = u_kt;
+                // Clamping inline keeps the hardware amplitude limits enforced
+                // without the per-iteration `clamp_to_device` pass (which
+                // rebuilt the control Hamiltonians — an allocation — every
+                // call).
+                waveform[t] = (u_kt - step).clamp(-limit, limit);
+            }
+        }
+    }
 }
 
 /// Computes the trace infidelity of a pulse against a qubit-subspace target, without
@@ -458,6 +525,59 @@ mod tests {
                 assert!(
                     (workspace.gradient()[at(k, t)] - analytic[at(k, t)]).abs() < 1e-12,
                     "dim {dim}: re-evaluating the pulse after the probes must reproduce the gradient"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn penalty_gradients_are_taken_at_the_pre_step_pulse() {
+        // Every regularizer on, and a step long enough to move each slice
+        // well past what finite differences resolve: a gradient that read a
+        // neighbour after the step had moved it would be off by
+        // 2 · smoothness · (that move).
+        let device = DeviceModel::qubits_line(1);
+        let options = GrapeOptions {
+            learning_rate: 0.2,
+            amplitude_penalty: 0.05,
+            smoothness_penalty: 0.5,
+            envelope_penalty: 0.3,
+            ..GrapeOptions::fast()
+        };
+        let slices = 8;
+        let pulse = PulseSequence::seeded_guess(&device, slices, options.dt_ns, 3);
+        let mut workspace = GrapeWorkspace::new(&device, slices);
+        workspace.set_target(&device, &gates::h());
+        let limits: Vec<f64> = device
+            .control_hamiltonians()
+            .iter()
+            .map(|control| control.max_amplitude)
+            .collect();
+
+        // The gradient the first step receives is its first moment over
+        // (1 − β1): the moments start at zero.
+        workspace.fidelity_gradient(&pulse);
+        let (mut stepped, mut adam) = (pulse.clone(), Adam::new(limits.len() * slices));
+        let rate = options.learning_rate;
+        adam.step(&mut stepped, workspace.gradient(), &options, rate, &limits);
+
+        let mut cost = |pulse: &PulseSequence| {
+            recorded_cost(&options, workspace.fidelity_gradient(pulse), pulse)
+        };
+        let eps = 1e-6;
+        for k in 0..limits.len() {
+            for t in 0..slices {
+                let moved = (stepped.amplitude(k, t) - pulse.amplitude(k, t)).abs();
+                assert!(moved > 1e-3, "control {k} slice {t} moved only {moved:e}");
+                let received = adam.m[k * slices + t] / (1.0 - BETA1);
+                let (mut plus, mut minus) = (pulse.clone(), pulse.clone());
+                plus.set_amplitude(k, t, pulse.amplitude(k, t) + eps);
+                minus.set_amplitude(k, t, pulse.amplitude(k, t) - eps);
+                let numeric = (cost(&plus) - cost(&minus)) / (2.0 * eps);
+                assert!(
+                    (received - numeric).abs() < 1e-6 * numeric.abs().max(1.0),
+                    "control {k} slice {t}: the step received {received} where the \
+                     recorded cost's gradient is {numeric}"
                 );
             }
         }

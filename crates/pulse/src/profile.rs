@@ -57,11 +57,13 @@ pub enum Phase {
     /// Assembling a slice Hamiltonian from the device's control operators.
     HamiltonianAssembly,
     /// Symmetric eigendecomposition of slice Hamiltonians: closed-form 2x2,
-    /// Jacobi below dim 8 (including rotating into the warm-start
-    /// eigenbasis), Householder–QL from there up, four slices to a solve (its
-    /// interleaving copies included). The solvers' iteration counts — each
-    /// slice's own, whatever it was batched with — are tallied separately via
-    /// [`add_sweeps`].
+    /// warm-started Jacobi below dim 8 (including rotating into the warm-start
+    /// eigenbasis and composing out of it), Householder–QL from there up;
+    /// both iterative solvers take four slices to a solve (their interleaving
+    /// copies included). The solvers' iteration counts — each slice's own,
+    /// whatever it was batched with: a padding lane counts nothing, and a
+    /// slice that converges before its group is not charged the group's
+    /// further rounds — are tallied separately via [`add_sweeps`].
     Eigendecomposition,
     /// The forward and backward sweeps through the slices' eigenbases (and
     /// the phases `e^{-iΔtλ}` they scale by).
@@ -125,7 +127,8 @@ pub struct CompileProfile {
     pub phase_counts: [u64; PHASE_COUNT],
     /// Total eigensolver iterations across all eigendecompositions: Jacobi
     /// rotation sweeps below dim 8, implicit-QL iterations from dim 8 up
-    /// (about two per eigenvalue), 0 for closed-form 2x2 solves. The field
+    /// (about two per eigenvalue), 0 for closed-form 2x2 solves — each
+    /// slice's own count, however the slices were batched. The field
     /// keeps the name it had when Jacobi was the only solver: it is wire-,
     /// journal- and `vqc-top`-visible.
     pub jacobi_sweeps: u64,

@@ -47,11 +47,13 @@
 //! slice, the diagonal `D_t` applied as a row or column scaling. What the
 //! sweeps keep per slice is `A_t` and `B_t`, and their product is the matrix
 //! the Daleckii–Krein formula wants: `Vᵀ·F_{t-1}·K_t·V = A_t·B_t`.
-//! From dim 8 up the eigensolver is Householder–QL, a chain of dependent
-//! square roots and divisions; the slices of one iteration are independent, so
-//! a lane solves its slices four at a time, in lockstep, one slice per vector
-//! lane ([`vqc_linalg::real::eigh_ql`]), each slice getting the bits it would
-//! get alone.
+//! Either eigensolver — Jacobi warm-started from the slice's previous
+//! eigenbasis below dim 8, cold Householder–QL from there up — is a chain of
+//! dependent square roots and divisions; the slices of one iteration are
+//! independent, so a lane solves its slices four at a time, in lockstep, one
+//! slice per vector lane ([`vqc_linalg::real::eigh_symmetric`]), each slice
+//! getting the bits it would get alone (a 2q slice 0.80 → 0.56 µs at AVX2
+//! width when the Jacobi side went lockstep, PR 20).
 //! [`GrapeWorkspace::propagate`] multiplies `U_t` and `F_t` out of the same
 //! buffers for export; [`crate::propagate`] drives that path (the Taylor
 //! [`vqc_linalg::expm`] stays as an independent reference that a debug
@@ -62,7 +64,7 @@ use crate::profile::{self, Phase};
 use crate::propagate::Propagation;
 use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
 use std::fmt::Debug;
-use vqc_linalg::real::{eigh_ql, ql_scratch_len, QlLane, QL_MIN_DIM};
+use vqc_linalg::real::{eigh_scratch_len, eigh_symmetric, QlLane, QL_MIN_DIM};
 use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, C64};
 
 /// Proof that this CPU has AVX2, for the one `unsafe` call of [`lane_phase!`].
@@ -139,16 +141,6 @@ trait RealStorage: Clone + Debug + Send + Sync {
     fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self);
     /// Writes `selfᵀ` into `out`.
     fn transpose_into(&self, out: &mut Self);
-    /// Diagonalizes symmetric `self` — consumed as the solver's working copy —
-    /// into ascending `lambdas` and the matching `vectors` columns, by the
-    /// solver `vqc-linalg` assigns to this dimension (the one that is
-    /// Householder–QL works in `scratch`); returns its iteration count.
-    fn diagonalize(
-        &mut self,
-        lambdas: &mut [f64],
-        vectors: &mut Self,
-        scratch: &mut [f64],
-    ) -> usize;
 }
 
 // What a lane phase calls is `#[inline(always)]`, here and in `vqc-linalg`,
@@ -182,15 +174,6 @@ impl<const N: usize> RealStorage for RealSmallMatrix<N> {
     fn transpose_into(&self, out: &mut Self) {
         RealSmallMatrix::transpose_into(self, out);
     }
-    #[inline(always)]
-    fn diagonalize(
-        &mut self,
-        lambdas: &mut [f64],
-        vectors: &mut Self,
-        scratch: &mut [f64],
-    ) -> usize {
-        self.eigh_in_place(lambdas, vectors, scratch)
-    }
 }
 
 impl RealStorage for RealMatrix {
@@ -220,15 +203,6 @@ impl RealStorage for RealMatrix {
     #[inline(always)]
     fn transpose_into(&self, out: &mut Self) {
         RealMatrix::transpose_into(self, out);
-    }
-    #[inline(always)]
-    fn diagonalize(
-        &mut self,
-        lambdas: &mut [f64],
-        vectors: &mut Self,
-        scratch: &mut [f64],
-    ) -> usize {
-        self.eigh_in_place(lambdas, vectors, scratch)
     }
 }
 
@@ -373,57 +347,50 @@ impl<S: RealStorage> Eigensystem<S> {
         }
     }
 
-    /// This slice as one matrix of a batched eigensolve.
+    /// Warm start, first half: rotates the assembled `h` into the slice's
+    /// previous eigenbasis, `h ← Vᵀ·h·V`, through `product`. Between optimizer
+    /// iterations the amplitudes move only slightly, so the result is nearly
+    /// diagonal and the Jacobi sweep count collapses (to zero when the slice
+    /// is re-evaluated unchanged).
     #[inline(always)]
-    fn ql_lane(&mut self) -> QlLane<'_> {
+    fn enter_eigenbasis(&mut self, product: &mut S) {
+        self.vt.mul_into(&self.h, product);
+        product.mul_into(&self.v, &mut self.h);
+    }
+
+    /// Warm start, second half: `v ← v·V'`, with `V'` the eigenvectors of
+    /// the rotated `h`, which the solve left in `vt`.
+    #[inline(always)]
+    fn leave_eigenbasis(&mut self, product: &mut S) {
+        self.v.mul_into(&self.vt, product);
+        self.v.entries_mut().copy_from_slice(product.entries());
+    }
+
+    /// This slice as one matrix of a batched eigensolve: `h` in, eigenvalues
+    /// and eigenvectors out — into `v` cold, into `vt` warm (the rotated
+    /// problem's eigenvectors, for [`Eigensystem::leave_eigenbasis`]).
+    #[inline(always)]
+    fn eigh_lane(&mut self, warm: bool) -> QlLane<'_> {
+        let vectors = if warm { &mut self.vt } else { &mut self.v };
         (
             self.h.entries_mut(),
             &mut self.lambdas,
-            self.v.entries_mut(),
+            vectors.entries_mut(),
         )
     }
 }
 
-/// Slices the Householder–QL solver takes side by side: one vector of four
-/// `f64`s at AVX2 width, two of two at the baseline.
-const QL_LANES: usize = 4;
+/// Slices the eigensolver takes side by side: one vector of four `f64`s at
+/// AVX2 width, two of two at the baseline.
+const EIGH_LANES: usize = 4;
 
 /// One lane's scratch.
 #[derive(Debug, Clone)]
 struct Scratch<S> {
     planar: [Planar<S>; 2],
-    /// The structure-of-arrays copy of a group of slices [`eigh_ql`] works
-    /// in; empty below `QL_MIN_DIM`.
-    ql: Vec<f64>,
-}
-
-/// Diagonalizes the slice's assembled `h`, returning the solver's iteration
-/// count. With `warm`, `v` and `vt` hold the slice's eigenbasis from the
-/// previous propagation.
-#[inline(always)]
-fn eigensolve<S: RealStorage>(
-    slice: &mut Eigensystem<S>,
-    warm: bool,
-    scratch: &mut Scratch<S>,
-) -> usize {
-    let Eigensystem {
-        h, v, vt, lambdas, ..
-    } = slice;
-    if !warm {
-        return h.diagonalize(lambdas, v, &mut scratch.ql);
-    }
-    // Warm-started Jacobi: rotate H into this slice's previous eigenbasis,
-    // H' = Vᵀ H V. Between optimizer iterations the amplitudes move only
-    // slightly, so H' is nearly diagonal and the sweep count collapses (to
-    // zero when the slice is re-evaluated unchanged). Compose
-    // V ← V_prev · V' after.
-    let Planar { re: a, im: b } = &mut scratch.planar[0];
-    vt.mul_into(h, a);
-    a.mul_into(v, b);
-    let sweeps = b.diagonalize(lambdas, a, &mut scratch.ql);
-    v.mul_into(a, b);
-    v.entries_mut().copy_from_slice(b.entries());
-    sweeps
+    /// The structure-of-arrays copy of a group of slices the eigensolver
+    /// works in; empty at dim 2.
+    eigh: Vec<f64>,
 }
 
 lane_phase! {
@@ -432,13 +399,15 @@ lane_phase! {
     /// pass-major so an armed profiler pays one `mark` per pass rather than
     /// per slice. Returns the lane's eigensolver iterations, each slice's own.
     ///
-    /// From `QL_MIN_DIM` up the slices are solved [`QL_LANES`] at a time, in
-    /// lockstep ([`eigh_ql`]). Where the lane's range does not end on a group
-    /// boundary the remainder is solved as it stands: three slices as a batch
-    /// whose fourth place repeats the first, one or two through the solver's
-    /// one-matrix instantiation — at 16×16 and AVX2 width a batch costs ~20 µs
-    /// whatever it holds and a single solve ~10, so three are cheaper padded,
-    /// two cost the same either way and one is cheaper alone. A slice's
+    /// The slices are solved [`EIGH_LANES`] at a time, in lockstep
+    /// ([`eigh_symmetric`]: warm-started Jacobi below `QL_MIN_DIM`, cold
+    /// Householder–QL from there up). Where the lane's range does not end on
+    /// a group boundary the remainder is solved as it stands: three slices as
+    /// a batch whose fourth place repeats the first, one or two through the
+    /// solver's one-matrix instantiation — at 16×16 and AVX2 width a batch
+    /// costs ~20 µs whatever it holds and a single solve ~10, so three are
+    /// cheaper padded, two cost the same either way and one is cheaper alone
+    /// (a 4×4 warm batch ~1.2 µs against ~0.5 µs alone). A slice's
     /// eigensystem is the same bits whichever group and place it lands in, so
     /// how an iteration was split into lanes does not show.
     fn diagonalize<S: RealStorage>(
@@ -457,32 +426,40 @@ lane_phase! {
             lap.mark(Phase::HamiltonianAssembly);
         }
         let dim = model.drift.dim();
+        // Only the Jacobi side of the dimension rule has a use for the
+        // previous eigenbasis; Householder–QL costs the same from any
+        // starting point. (So does the 2×2 closed form, but it keeps the
+        // rotation: dropping it would change the bits of every 1q pulse.)
+        let warm = warmed && dim < QL_MIN_DIM;
+        let Scratch { planar, eigh } = scratch;
+        let product = &mut planar[0].re;
         let mut iterations = 0;
-        if dim < QL_MIN_DIM {
-            // Only the Jacobi side of the dimension rule has a use for the
-            // previous eigenbasis; Householder–QL costs the same from any
-            // starting point.
-            for slice in slices.iter_mut() {
-                iterations += eigensolve(slice, warmed, scratch) as u64;
-            }
-        } else {
-            for group in slices.chunks_mut(QL_LANES) {
-                if group.len() < QL_LANES - 1 {
-                    for slice in group {
-                        iterations += eigensolve(slice, false, scratch) as u64;
-                    }
-                    continue;
+        for group in slices.chunks_mut(EIGH_LANES) {
+            if warm {
+                for slice in group.iter_mut() {
+                    slice.enter_eigenbasis(product);
                 }
+            }
+            if group.len() < EIGH_LANES - 1 {
+                for slice in group.iter_mut() {
+                    let lane = slice.eigh_lane(warm);
+                    iterations += eigh_symmetric::<1>(dim, &mut [lane], eigh)[0] as u64;
+                }
+            } else {
                 // One call site for whole and padded groups: the solver's
                 // body is inlined here, once.
                 let size = group.len();
-                let mut members = group.iter_mut().map(Eigensystem::ql_lane);
-                let mut lanes: [QlLane<'_>; QL_LANES] = std::array::from_fn(|_| {
-                    let absent = (&mut [][..], &mut [][..], &mut [][..]);
-                    members.next().unwrap_or(absent)
-                });
-                let counts = eigh_ql::<QL_LANES>(dim, &mut lanes[..size], &mut scratch.ql);
+                let mut lanes: [QlLane<'_>; EIGH_LANES] = Default::default();
+                for (lane, slice) in lanes.iter_mut().zip(group.iter_mut()) {
+                    *lane = slice.eigh_lane(warm);
+                }
+                let counts = eigh_symmetric::<EIGH_LANES>(dim, &mut lanes[..size], eigh);
                 iterations += counts.iter().sum::<usize>() as u64;
+            }
+            if warm {
+                for slice in group.iter_mut() {
+                    slice.leave_eigenbasis(product);
+                }
             }
         }
         if let Some(lap) = lap {
@@ -660,11 +637,16 @@ impl<S: RealStorage> Engine<S> {
     /// An engine whose lane phases run at the host's vector width when
     /// `wide`, at the build's baseline otherwise (what a host without AVX2
     /// gets either way). Same bits both ways; only tests and benches pass
-    /// `false`.
-    fn new(device: &DeviceModel, num_slices: usize, wide: bool) -> Self {
+    /// `false`. `controls` are `device`'s.
+    fn new(
+        device: &DeviceModel,
+        controls: &[ControlHamiltonian],
+        num_slices: usize,
+        wide: bool,
+    ) -> Self {
         Self::from_hamiltonians(
             &device.drift(),
-            &device.control_hamiltonians(),
+            controls,
             device.qubit_dim(),
             num_slices,
             if wide { Avx2::detect() } else { None },
@@ -705,14 +687,9 @@ impl<S: RealStorage> Engine<S> {
             cos: vec![0.0; dim],
             sin: vec![0.0; dim],
         };
-        let ql_len = if dim < QL_MIN_DIM {
-            0
-        } else {
-            QL_LANES * ql_scratch_len(dim)
-        };
         let scratch = Scratch {
             planar: [planar_zero.clone(), planar_zero.clone()],
-            ql: vec![0.0; ql_len],
+            eigh: vec![0.0; EIGH_LANES * eigh_scratch_len(dim)],
         };
         Engine {
             num_slices,
@@ -930,7 +907,18 @@ impl GrapeWorkspace {
     ///
     /// Panics if `num_slices == 0`.
     pub fn new(device: &DeviceModel, num_slices: usize) -> Self {
-        Self::at_width(device, num_slices, true)
+        Self::with_controls(device, &device.control_hamiltonians(), num_slices)
+    }
+
+    /// [`GrapeWorkspace::new`] given `device.control_hamiltonians()`, for a
+    /// caller that has built them already (they cost ~3 µs at 2q, a tenth of
+    /// a short GRAPE run).
+    pub(crate) fn with_controls(
+        device: &DeviceModel,
+        controls: &[ControlHamiltonian],
+        num_slices: usize,
+    ) -> Self {
+        Self::at_width(device, controls, num_slices, true)
     }
 
     /// [`GrapeWorkspace::new`] pinned to the build's baseline vector width
@@ -939,17 +927,22 @@ impl GrapeWorkspace {
     /// results are the same bits.
     #[doc(hidden)]
     pub fn new_at_baseline_width(device: &DeviceModel, num_slices: usize) -> Self {
-        Self::at_width(device, num_slices, false)
+        Self::at_width(device, &device.control_hamiltonians(), num_slices, false)
     }
 
-    fn at_width(device: &DeviceModel, num_slices: usize, wide: bool) -> Self {
+    fn at_width(
+        device: &DeviceModel,
+        controls: &[ControlHamiltonian],
+        num_slices: usize,
+        wide: bool,
+    ) -> Self {
         assert!(num_slices > 0, "a pulse needs at least one time slice");
         let kernel = match device.dim() {
-            2 => Kernel::Dim2(Box::new(Engine::new(device, num_slices, wide))),
-            4 => Kernel::Dim4(Box::new(Engine::new(device, num_slices, wide))),
-            8 => Kernel::Dim8(Box::new(Engine::new(device, num_slices, wide))),
-            16 => Kernel::Dim16(Box::new(Engine::new(device, num_slices, wide))),
-            _ => Kernel::Heap(Box::new(Engine::new(device, num_slices, wide))),
+            2 => Kernel::Dim2(Box::new(Engine::new(device, controls, num_slices, wide))),
+            4 => Kernel::Dim4(Box::new(Engine::new(device, controls, num_slices, wide))),
+            8 => Kernel::Dim8(Box::new(Engine::new(device, controls, num_slices, wide))),
+            16 => Kernel::Dim16(Box::new(Engine::new(device, controls, num_slices, wide))),
+            _ => Kernel::Heap(Box::new(Engine::new(device, controls, num_slices, wide))),
         };
         GrapeWorkspace { kernel }
     }
@@ -1091,7 +1084,7 @@ mod tests {
         slices: usize,
         wide: bool,
     ) -> Engine<S> {
-        let mut engine = Engine::<S>::new(device, slices, wide);
+        let mut engine = Engine::<S>::new(device, &device.control_hamiltonians(), slices, wide);
         let padded_dagger = device.pad_qubit_unitary(target).dagger();
         engine.model.target_dagger = Some(Planar::from_matrix(&padded_dagger));
         engine
@@ -1211,7 +1204,8 @@ mod tests {
     /// Slice counts a lane split must survive: one slice (an empty first
     /// lane), two, odd counts, counts on either side of the engage threshold
     /// of [`lanes::claim`], and lane halves that end on, before and after a
-    /// boundary of the eigensolver's groups of [`QL_LANES`].
+    /// boundary of the eigensolver's groups of [`EIGH_LANES`] — remainders
+    /// of one, two and three.
     const LANE_SLICE_COUNTS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 24, 40];
 
     proptest! {
@@ -1225,10 +1219,17 @@ mod tests {
             perturbed in prop::collection::vec(-1.0..1.0f64, 64),
             dt in 0.1..1.0f64,
         ) {
+            let qutrit = DeviceModel::qubits_line(1).with_qutrit_levels();
             let two_qutrits = DeviceModel::qubits_line(2).with_qutrit_levels();
-            assert_eq!(two_qutrits.dim(), 9);
+            assert_eq!((qutrit.dim(), two_qutrits.dim()), (3, 9));
             let pulses = (&amps[..], &perturbed[..]);
             for slices in LANE_SLICE_COUNTS {
+                // The Jacobi dimensions, cold and then warm-started: stack 4
+                // and heap 3.
+                both_forms_agree::<RealSmallMatrix<4>>(
+                    Forms::Lanes, &DeviceModel::qubits_line(2), slices, pulses, dt,
+                );
+                both_forms_agree::<RealMatrix>(Forms::Lanes, &qutrit, slices, pulses, dt);
                 both_forms_agree::<RealSmallMatrix<8>>(
                     Forms::Lanes, &DeviceModel::qubits_line(3), slices, pulses, dt,
                 );
@@ -1261,29 +1262,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_profile_counts_every_slices_own_ql_iterations() {
-        // Seven slices are a whole group and a padded one on one lane, a
-        // padded group beside a whole one on two; ten are two groups and a
-        // one-matrix remainder of two, or twice a group and a remainder of
-        // one. A padding lane must count nothing, and a slice that deflates
-        // early must not be charged the rounds its group went on for.
-        let device = DeviceModel::qubits_line(4);
-        let target = (1..4).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
+    /// Holds the armed profile of one cold iteration on a `qubits`-qubit
+    /// line to the sum of every slice's own one-lane iteration count, as one
+    /// lane and as two. Seven slices are a whole group and a padded one on
+    /// one lane, a padded group beside a whole one on two; ten are two groups
+    /// and a one-matrix remainder of two, or twice a group and a remainder of
+    /// one. A padding lane must count nothing, and a slice that converges
+    /// early must not be charged the rounds its group went on for.
+    fn assert_profile_counts_each_slice<const N: usize>(qubits: usize) {
+        let device = DeviceModel::qubits_line(qubits);
+        let target = (1..qubits).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
         for slices in [7, 10] {
             let pulse = PulseSequence::seeded_guess(&device, slices, 0.5, 7);
-            let mut engine = engine_for::<RealSmallMatrix<16>>(&device, &target, slices);
-            let one_at_a_time: u64 = (0..slices)
+            let engine = engine_for::<RealSmallMatrix<N>>(&device, &target, slices);
+            let counts: Vec<u64> = (0..slices)
                 .map(|t| {
-                    let (mut h, mut v) = (RealSmallMatrix::<16>::ZERO, RealSmallMatrix::ZERO);
+                    let (mut h, mut v) = (RealSmallMatrix::<N>::ZERO, RealSmallMatrix::ZERO);
                     engine.model.assemble(&pulse, t, &mut h);
-                    let mut scratch = vec![0.0; ql_scratch_len(16)];
-                    h.diagonalize(&mut [0.0; 16], &mut v, &mut scratch) as u64
+                    let mut scratch = vec![0.0; eigh_scratch_len(N)];
+                    h.eigh_in_place(&mut [0.0; N], &mut v, &mut scratch) as u64
                 })
-                .sum();
+                .collect();
+            let (fewest, most) = (counts.iter().min(), counts.iter().max());
             assert!(
-                one_at_a_time > slices as u64,
-                "QL iterates on a driven slice"
+                fewest > Some(&0) && fewest < most,
+                "dim {N}: every driven slice iterates, some longer than others: {counts:?}"
             );
             for mut claim in [None, lanes::hold()] {
                 // Another test may disarm the process-wide flag in between;
@@ -1292,16 +1295,26 @@ mod tests {
                     profile::set_armed(true);
                     profile::begin_block();
                 }
-                engine.fidelity_gradient(&pulse, claim.as_mut());
+                engine.clone().fidelity_gradient(&pulse, claim.as_mut());
                 let block = profile::take_block().expect("the block was latched");
                 assert_eq!(
                     block.jacobi_sweeps,
-                    one_at_a_time,
-                    "{slices} slices, two lanes: {}",
+                    counts.iter().sum::<u64>(),
+                    "dim {N}, {slices} slices, two lanes: {}",
                     claim.is_some()
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_profile_counts_every_slices_own_ql_iterations() {
+        assert_profile_counts_each_slice::<16>(4);
+    }
+
+    #[test]
+    fn the_profile_counts_every_slices_own_jacobi_sweeps() {
+        assert_profile_counts_each_slice::<4>(2);
     }
 
     /// A 4-qubit, 40-slice iteration whose pulse is ragged: every waveform but

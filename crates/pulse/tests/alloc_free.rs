@@ -115,11 +115,11 @@ fn count_steady_state(workspace: &mut GrapeWorkspace, pulse: &PulseSequence) -> 
 
 #[test]
 fn fidelity_gradient_is_allocation_free_after_workspace_construction() {
-    // A two-qubit block is the representative GRAPE workload (11 controls, 4x4
-    // matrices); the three-qubit block is the N = 8 instance the compiler
-    // plans on the benchmark's own circuits, and the narrowest one whose
-    // slices are solved in batches: 11 slices are two whole groups and a
-    // padded one. Both run on stack storage.
+    // A two-qubit block is the representative GRAPE workload (5 controls, 4x4
+    // matrices, warm-started Jacobi); the three-qubit block is the N = 8
+    // instance the compiler plans on the benchmark's own circuits (cold QL).
+    // Both solve their slices in lockstep batches — 11 slices are two whole
+    // groups and a padded one — and both run on stack storage.
     for (device, target) in [
         (DeviceModel::qubits_line(2), gates::cx()),
         (DeviceModel::qubits_line(3), gates::cx().kron(&gates::h())),
@@ -189,8 +189,9 @@ fn profiler_gradient_path_is_allocation_free_armed_and_silent_disarmed() {
 fn heap_storage_is_also_allocation_free() {
     // A qutrit (dim 3) has no stack instance: the same engine body runs over
     // heap `RealMatrix` storage, whose buffers are all sized at construction.
-    // Two qutrits (dim 9) are the heap side of the batched eigensolver: six
-    // slices are a whole group and a one-matrix remainder of two.
+    // One qutrit (Jacobi) and two (dim 9, QL) are the heap side of the
+    // batched eigensolvers: six slices are a whole group and a one-matrix
+    // remainder of two.
     for (qutrits, target) in [(1, gates::h()), (2, gates::cx())] {
         let device = DeviceModel::qubits_line(qutrits).with_qutrit_levels();
         for new in WIDTHS {
