@@ -242,13 +242,16 @@ mod tests {
         assert_eq!(circuit.num_parameters(), 92);
         assert!(circuit.len() > 5_000);
         assert!(circuit.is_parameter_monotonic());
+        let prepared = optimize(&circuit);
+        assert_eq!(prepared.num_parameters(), 92);
+        assert!(prepared.is_parameter_monotonic());
     }
 
     #[test]
     fn parameterized_fraction_is_a_few_percent() {
         // The paper reports 5–8 % parameterized gates for VQE-UCCSD benchmarks; our
         // generator lands in the same neighbourhood for the double-dominated molecules.
-        for molecule in [Molecule::BeH2, Molecule::NaH] {
+        for molecule in [Molecule::BeH2, Molecule::NaH, Molecule::H2O] {
             let circuit = optimize(&uccsd_circuit(molecule));
             let fraction = circuit.parameterized_fraction();
             assert!(

@@ -60,6 +60,11 @@ impl Circuit {
         &self.ops
     }
 
+    /// Consumes the circuit, returning its gate operations in program order.
+    pub(crate) fn into_ops(self) -> Vec<GateOp> {
+        self.ops
+    }
+
     /// Iterator over the gate operations in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, GateOp> {
         self.ops.iter()

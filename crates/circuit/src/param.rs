@@ -107,7 +107,9 @@ impl ParamExpr {
     /// Attempts to add two expressions, succeeding when the result is still a constant
     /// or depends on a single parameter (which is what rotation merging needs).
     ///
-    /// Returns `None` when the two expressions depend on *different* parameters.
+    /// Returns `None` when the two expressions depend on *different* parameters. When
+    /// the θ terms cancel (`s·θ + (−s)·θ`), the sum is the constant of the offsets, so
+    /// it no longer counts as parameterized.
     pub fn try_add(&self, other: &ParamExpr) -> Option<ParamExpr> {
         match (self, other) {
             (ParamExpr::Constant(a), ParamExpr::Constant(b)) => Some(ParamExpr::Constant(a + b)),
@@ -146,17 +148,19 @@ impl ParamExpr {
                     scale: s2,
                     offset: o2,
                 },
-            ) => {
-                if i1 == i2 {
-                    Some(ParamExpr::Linear {
-                        index: *i1,
-                        scale: s1 + s2,
-                        offset: o1 + o2,
-                    })
+            ) if i1 == i2 => {
+                let scale = s1 + s2;
+                Some(if scale == 0.0 {
+                    ParamExpr::Constant(o1 + o2)
                 } else {
-                    None
-                }
+                    ParamExpr::Linear {
+                        index: *i1,
+                        scale,
+                        offset: o1 + o2,
+                    }
+                })
             }
+            (ParamExpr::Linear { .. }, ParamExpr::Linear { .. }) => None,
         }
     }
 

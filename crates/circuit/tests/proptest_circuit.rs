@@ -1,7 +1,7 @@
 //! Property-based tests for the circuit IR and transpiler passes.
 
 use proptest::prelude::*;
-use vqc_circuit::passes::{cancel_adjacent_pairs, decompose_to_basis, merge_rotations, optimize};
+use vqc_circuit::passes::{decompose_to_basis, optimize};
 use vqc_circuit::timing::{critical_path_ns, serial_duration_ns, GateTimes};
 use vqc_circuit::{mapping::map_to_topology, Circuit, ParamExpr, Topology};
 
@@ -73,9 +73,13 @@ proptest! {
 
     #[test]
     fn passes_never_grow_the_circuit(c in arb_circuit(4, 3, 30)) {
-        let lowered = decompose_to_basis(&c);
-        prop_assert!(merge_rotations(&lowered).len() <= lowered.len());
-        prop_assert!(cancel_adjacent_pairs(&lowered).len() <= lowered.len());
+        prop_assert!(optimize(&c).len() <= decompose_to_basis(&c).len());
+    }
+
+    #[test]
+    fn optimize_output_is_a_fixed_point(c in arb_circuit(3, 3, 40)) {
+        let once = optimize(&c);
+        prop_assert_eq!(optimize(&once), once);
     }
 
     #[test]

@@ -497,6 +497,27 @@ mod tests {
     }
 
     #[test]
+    fn a_rotation_whose_theta_terms_cancel_leaves_its_block_fixed() {
+        // Rz(θ)·Rz(−θ + 0.3) is the constant Rz(0.3): nothing in the plan depends on θ.
+        let mut c = Circuit::new(2);
+        c.h(0);
+        c.cx(0, 1);
+        c.rz_expr(1, ParamExpr::theta(0));
+        c.rz_expr(
+            1,
+            ParamExpr::theta(0)
+                .negated()
+                .try_add(&ParamExpr::constant(0.3))
+                .unwrap(),
+        );
+        c.cx(0, 1);
+        let plan = plan_of(&c, Strategy::StrictPartial);
+        assert_eq!(plan.prepared.num_parameters(), 0);
+        assert!(!plan.blocks.is_empty());
+        assert!(plan.blocks.iter().all(|block| block.parameters.is_empty()));
+    }
+
+    #[test]
     fn a_block_from_outside_the_plan_still_gets_its_key() {
         let a = circuit(0.3);
         let plan = plan_of(&a, Strategy::FlexiblePartial);

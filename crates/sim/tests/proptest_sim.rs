@@ -55,6 +55,74 @@ fn arb_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
     prop::collection::vec(arb_instr(n), 0..max_len).prop_map(move |instrs| build(n, &instrs))
 }
 
+/// What the optimizer sees beyond [`Instr`]: runs of one to five same-axis rotations
+/// on one qubit alternating two angles, each zero, a constant, or `±θ₀` / `±θ₁` plus
+/// an offset. Its circuits are bound before they are simulated.
+#[derive(Debug, Clone)]
+enum Rewrite {
+    Plain(Instr),
+    Run {
+        qubit: usize,
+        x_axis: bool,
+        angles: [ParamExpr; 2],
+        len: usize,
+    },
+}
+
+fn arb_angle() -> impl Strategy<Value = ParamExpr> {
+    prop_oneof![
+        (0..1usize).prop_map(|_| ParamExpr::constant(0.0)),
+        (-3.0..3.0f64).prop_map(ParamExpr::constant),
+        (0..2usize, 0..2usize, -1.0..1.0f64).prop_map(|(index, sign, offset)| {
+            ParamExpr::Linear {
+                index,
+                scale: [1.0, -1.0][sign],
+                offset,
+            }
+        }),
+    ]
+}
+
+fn arb_rewrite(n: usize) -> impl Strategy<Value = Rewrite> {
+    prop_oneof![
+        arb_instr(n).prop_map(Rewrite::Plain),
+        (0..n, 0..2usize, arb_angle(), arb_angle(), 1..6usize).prop_map(
+            |(qubit, axis, a, b, len)| Rewrite::Run {
+                qubit,
+                x_axis: axis == 1,
+                angles: [a, b],
+                len,
+            }
+        ),
+    ]
+}
+
+fn arb_rewrite_circuit(n: usize, max_len: usize) -> impl Strategy<Value = Circuit> {
+    prop::collection::vec(arb_rewrite(n), 0..max_len).prop_map(move |rewrites| {
+        let mut c = Circuit::new(n);
+        for rewrite in rewrites {
+            match rewrite {
+                Rewrite::Plain(instr) => c.append(&build(n, &[instr])).unwrap(),
+                Rewrite::Run {
+                    qubit,
+                    x_axis,
+                    angles,
+                    len,
+                } => {
+                    for angle in angles.iter().cycle().take(len) {
+                        if x_axis {
+                            c.rx_expr(qubit, *angle);
+                        } else {
+                            c.rz_expr(qubit, *angle);
+                        }
+                    }
+                }
+            }
+        }
+        c
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -88,9 +156,12 @@ proptest! {
     }
 
     #[test]
-    fn optimization_preserves_semantics(c in arb_circuit(3, 15)) {
-        let u1 = circuit_unitary(&decompose_to_basis(&c));
-        let u2 = circuit_unitary(&optimize(&c));
+    fn optimization_preserves_semantics(
+        c in arb_rewrite_circuit(3, 15),
+        theta in prop::collection::vec(-3.0..3.0f64, 2),
+    ) {
+        let u1 = circuit_unitary(&decompose_to_basis(&c).bind(&theta));
+        let u2 = circuit_unitary(&optimize(&c).bind(&theta));
         prop_assert!(trace_fidelity(&u1, &u2) > 1.0 - 1e-8);
     }
 

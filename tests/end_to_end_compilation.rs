@@ -5,6 +5,7 @@ use vqc::apps::graphs::Graph;
 use vqc::apps::molecules::Molecule;
 use vqc::apps::qaoa::qaoa_circuit;
 use vqc::apps::uccsd::uccsd_circuit;
+use vqc::circuit::timing::critical_path_ns;
 use vqc::core::{CompilerOptions, PartialCompiler, Strategy};
 
 fn fast_compiler() -> PartialCompiler {
@@ -70,6 +71,24 @@ fn h2_uccsd_compiles_under_every_strategy() {
         .compile(&circuit, &[1.2; 3], Strategy::StrictPartial)
         .unwrap();
     assert_eq!(again.precompute.grape_iterations, 0);
+}
+
+#[test]
+fn h2o_plans_under_strict_and_full_grape() {
+    let circuit = uccsd_circuit(Molecule::H2O);
+    let params = vec![0.4; Molecule::H2O.num_parameters()];
+    let compiler = fast_compiler();
+    for (strategy, expected_blocks) in
+        [(Strategy::StrictPartial, 3068), (Strategy::FullGrape, 1908)]
+    {
+        let plan = compiler.plan(&circuit, &params, strategy).unwrap();
+        assert_eq!(plan.blocks.len(), expected_blocks, "{strategy:?}");
+        assert!(plan.blocks.iter().all(|block| block.qubits.len() <= 4));
+        assert_eq!(
+            plan.gate_based_duration_ns,
+            critical_path_ns(&plan.prepared, &compiler.options().gate_times)
+        );
+    }
 }
 
 #[test]
