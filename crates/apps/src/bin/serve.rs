@@ -6,7 +6,8 @@
 //!
 //! `ADDRESS` (or `VQC_LISTEN`, default `127.0.0.1:7878`) is the listen
 //! address. The runtime behind the listener honors the usual knobs:
-//! `VQC_WORKERS`, `VQC_QUEUE_DEPTH`, `VQC_BACKPRESSURE`, and — a server keeps
+//! `VQC_WORKERS`, `VQC_QUEUE_DEPTH` (a connection whose submit finds the queue
+//! full reads no further requests until it is admitted), and — a server keeps
 //! every fresh-θ block it ever compiles — `VQC_CACHE_BLOCKS` (entries of each
 //! kind per pulse-store shard, default unbounded); the transport adds
 //! `VQC_MAX_FRAME` (frame-size bound in bytes) and `VQC_MAX_CONNS`

@@ -92,7 +92,6 @@ fn stage_glyph(stage: TraceStage) -> char {
         TraceStage::JobDone => 'j',
         TraceStage::Report => 'R',
         TraceStage::Canceled => 'x',
-        TraceStage::Shed => '!',
         TraceStage::LockHold => 'L',
         TraceStage::Phase => 'p',
     }
@@ -121,12 +120,8 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
         snapshot.ready_tasks,
     ));
     out.push_str(&format!(
-        "submits   {} total   {} completed   {} shed   {} rejected   {} canceled\n",
-        snapshot.submissions,
-        snapshot.completed,
-        snapshot.shed,
-        snapshot.rejected,
-        snapshot.canceled,
+        "submits   {} total   {} completed   {} canceled\n",
+        snapshot.submissions, snapshot.completed, snapshot.canceled,
     ));
     out.push_str(&format!(
         "cache     {:.1}% hits ({}/{})   {} entries   {} evictions   {} unique compiles   {} coalesced\n",
@@ -140,12 +135,10 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
     ));
     let warm = &snapshot.warm_start;
     out.push_str(&format!(
-        "seeding   {} table hits / {} misses   {} seeds   {} memo hits / {} misses   {} seeded / {} cold iters\n\n",
+        "seeding   {} table hits / {} misses   {} seeds   {} seeded / {} cold iters\n\n",
         warm.table_hits,
         warm.table_misses,
         snapshot.seed_entries,
-        warm.memo_hits,
-        warm.memo_misses,
         warm.seeded_iterations,
         warm.cold_iterations,
     ));

@@ -125,7 +125,7 @@ fn bench_service_submission(c: &mut Criterion) {
                 })
                 .collect();
             for handle in handles {
-                for report in handle.wait().expect("not shed") {
+                for report in handle.wait().expect("not canceled") {
                     black_box(report.unwrap());
                 }
             }
@@ -167,7 +167,7 @@ fn bench_transport_roundtrip(c: &mut Criterion) {
                 ))
                 .expect("queue empty");
             black_box(
-                handle.wait().expect("not shed")[0]
+                handle.wait().expect("not canceled")[0]
                     .as_ref()
                     .unwrap()
                     .pulse_duration_ns,
@@ -234,7 +234,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
                     ))
                     .expect("queue empty");
                 black_box(
-                    handle.wait().expect("not shed")[0]
+                    handle.wait().expect("not canceled")[0]
                         .as_ref()
                         .unwrap()
                         .pulse_duration_ns,
@@ -274,7 +274,7 @@ fn bench_lock_check_overhead(c: &mut Criterion) {
                     ))
                     .expect("queue empty");
                 black_box(
-                    handle.wait().expect("not shed")[0]
+                    handle.wait().expect("not canceled")[0]
                         .as_ref()
                         .unwrap()
                         .pulse_duration_ns,

@@ -97,11 +97,8 @@ pub fn print_header(experiment: &str, effort: Effort) {
 ///   8), honored by `RuntimeOptions::default()` itself so tests and examples pick
 ///   it up too.
 /// * `VQC_QUEUE_DEPTH=<n>` — admission-queue depth of the service front-end
-///   (default 64): at most `n` submissions may be outstanding before backpressure
-///   applies. Honored by `ServiceOptions::default()`.
-/// * `VQC_BACKPRESSURE=block|reject|shed` — what `submit` does against a full
-///   queue (default: block the submitting thread; `reject` fails fast; `shed`
-///   drops the lowest-priority not-yet-started submission).
+///   (default 64): at most `n` submissions may be outstanding; a further `submit`
+///   parks its thread until a slot frees. Honored by `RuntimeOptions::default()`.
 /// * `VQC_CACHE_BLOCKS=<n>` — bound the pulse store to `n` entries of each kind
 ///   per shard (default: unbounded); a full map drops the entry with the smallest
 ///   `recompute cost × (1 + hits)`. Honored by `CacheConfig::default()`, like

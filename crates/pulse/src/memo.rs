@@ -11,11 +11,12 @@
 /// An inert handle, kept because the driver benchmark (`benchmark/`, which a
 /// performance change may not edit) constructs one and passes it to
 /// [`crate::minimum_time::minimum_pulse_time_seeded`], and reads the
-/// `memo_*` fields of [`crate::WarmStartStats`] (which now always read 0).
+/// `memo_hits` and `memo_misses` fields of [`crate::WarmStartStats`] (which
+/// now always read 0).
 ///
 /// Finishing the removal, in order: a `benchmark` change drops
 /// `pulse.memo_hit_ratio` and its three references; then this type, the
-/// `&mut EigenMemo` parameter and the three `WarmStartStats` fields go.
+/// `&mut EigenMemo` parameter and the two `WarmStartStats` fields go.
 #[derive(Debug, Clone, Default)]
 pub struct EigenMemo(());
 

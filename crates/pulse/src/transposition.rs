@@ -119,26 +119,22 @@ impl SeedEntry {
 
 /// Point-in-time warm-start effectiveness counters: seed traffic (the `table_*`
 /// fields, named for the table that first held the seeds) plus seeded-vs-cold
-/// GRAPE iteration totals. `table_rejected` (the store refuses no record) and
-/// the `memo_*` fields (the retired [`EigenMemo`](crate::EigenMemo)) are wire-
-/// and journal-serialised and read by the driver benchmark, so they stay, and
-/// read 0.
+/// GRAPE iteration totals. The `memo_*` fields (the retired
+/// [`EigenMemo`](crate::EigenMemo)) read 0; the driver benchmark's
+/// `pulse.memo_hit_ratio` reads them, so they stay until a benchmark change
+/// retires that metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WarmStartStats {
     /// Seed probes answered from a stored entry.
     pub table_hits: u64,
     /// Seed probes that found nothing.
     pub table_misses: u64,
-    /// Always 0 (no record is refused).
-    pub table_rejected: u64,
     /// Seed entries displaced by the store's capacity bound.
     pub table_evictions: u64,
     /// Always 0 (retired memo).
     pub memo_hits: u64,
     /// Always 0 (retired memo).
     pub memo_misses: u64,
-    /// Always 0 (retired memo).
-    pub memo_rejected: u64,
     /// Total GRAPE iterations spent by seeded searches.
     pub seeded_iterations: u64,
     /// Total GRAPE iterations spent by cold searches.

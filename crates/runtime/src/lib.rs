@@ -10,9 +10,10 @@
 //!   per-shard capacity bound. The sequential compiler builds one of its own; the
 //!   runtime builds the one all its requests share.
 //! * [`CompilationRuntime`] — the request-scheduling service: a channel-based
-//!   accept loop admits [`Submission`]s through a bounded queue
-//!   ([`Backpressure::Block`]/[`Backpressure::Reject`]/[`Backpressure::Shed`]), a
-//!   scheduler expands them into block tasks, and a persistent worker pool drains
+//!   accept loop admits [`Submission`]s through a queue bounded by
+//!   [`RuntimeOptions::queue_depth`] (a submit into a full queue parks its thread
+//!   until a slot frees), a scheduler expands them into block tasks, and a
+//!   persistent worker pool drains
 //!   one merged queue ordered by strict [`Priority`], weighted-fair virtual time
 //!   per client, and longest-processing-time-first by the cost each plan records
 //!   for its blocks. Block tasks are
@@ -58,7 +59,7 @@
 //!         .with_priority(Priority::HIGH),
 //!     )
 //!     .expect("the queue is empty");
-//! let reports = handle.wait().expect("not shed");
+//! let reports = handle.wait().expect("not canceled");
 //! assert!(reports.iter().all(|r| r.is_ok()));
 //! assert!(runtime.metrics().cache.hits > 0);
 //! ```
@@ -74,10 +75,7 @@ mod telemetry;
 
 pub use persist::PersistError;
 pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions};
-pub use service::{
-    Backpressure, ClientMetrics, JobHandle, JobStatus, Priority, ServiceOptions, Submission,
-    SubmitError,
-};
+pub use service::{ClientMetrics, JobHandle, JobStatus, Priority, Submission, SubmitError};
 pub use telemetry::{
     chrome_trace_json, phase_row_name, priority_class, ClassLatency, HistogramSnapshot,
     MetricsSnapshot, TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES,

@@ -14,15 +14,13 @@
 //! [`JobHandle`] out). [`CompilationRuntime::compile`],
 //! [`CompilationRuntime::compile_batch`], and
 //! [`CompilationRuntime::compile_iterations`] are thin synchronous wrappers — they
-//! submit with blocking admission and wait on the handle, which is the paper's
-//! cross-iteration reuse turned cross-request: a variational optimizer (or many
-//! concurrent clients) submits whole iterations of circuits, and every Fixed block
-//! compiled for any of them is reused by all.
+//! submit (parking while the admission queue is full) and wait on the handle,
+//! which is the paper's cross-iteration reuse turned cross-request: a
+//! variational optimizer (or many concurrent clients) submits whole iterations
+//! of circuits, and every Fixed block compiled for any of them is reused by all.
 
 use crate::persist::{self, PersistError};
-use crate::service::{
-    Backpressure, ClientMetrics, CompileService, JobHandle, ServiceOptions, Submission, SubmitError,
-};
+use crate::service::{ClientMetrics, CompileService, JobHandle, Submission, SubmitError};
 use crate::telemetry::{MetricsSnapshot, TelemetryOptions, TraceEvent};
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -40,18 +38,18 @@ pub struct RuntimeOptions {
     pub workers: usize,
     /// Configuration of the shared pulse store.
     pub cache: CacheConfig,
-    /// Admission-queue depth and backpressure policy of the service front-end.
-    pub service: ServiceOptions,
+    /// Maximum number of submissions admitted but not yet completed (minimum 1).
+    /// A submit into a full queue parks the submitting thread until a slot frees.
+    pub queue_depth: usize,
     /// Telemetry configuration: latency histograms, lifecycle tracing, and the
     /// periodic metrics-snapshot aggregator.
     pub telemetry: TelemetryOptions,
 }
 
 impl Default for RuntimeOptions {
-    /// Defaults to one worker per available core (capped at 8); the `VQC_WORKERS`
-    /// environment variable overrides the worker count (garbage values are ignored,
-    /// `0` clamps to 1). The service front-end honors `VQC_QUEUE_DEPTH` and
-    /// `VQC_BACKPRESSURE` the same way (see [`ServiceOptions::default`]).
+    /// Defaults to one worker per available core (capped at 8) and a 64-deep
+    /// admission queue; the `VQC_WORKERS` and `VQC_QUEUE_DEPTH` environment
+    /// variables override (garbage values are ignored, `0` clamps to 1).
     fn default() -> Self {
         let workers = std::env::var("VQC_WORKERS")
             .ok()
@@ -62,10 +60,14 @@ impl Default for RuntimeOptions {
                     .unwrap_or(4)
                     .min(8)
             });
+        let queue_depth = std::env::var("VQC_QUEUE_DEPTH")
+            .ok()
+            .and_then(|raw| raw.parse::<usize>().ok())
+            .unwrap_or(64);
         RuntimeOptions {
             workers: workers.max(1),
             cache: CacheConfig::default(),
-            service: ServiceOptions::default(),
+            queue_depth: queue_depth.max(1),
             telemetry: TelemetryOptions::default(),
         }
     }
@@ -80,9 +82,9 @@ impl RuntimeOptions {
         }
     }
 
-    /// Replaces the service (admission) options.
-    pub fn with_service(mut self, service: ServiceOptions) -> Self {
-        self.service = service;
+    /// Replaces the admission-queue depth (clamped to at least 1).
+    pub fn with_queue_depth(mut self, depth: usize) -> Self {
+        self.queue_depth = depth.max(1);
         self
     }
 
@@ -133,10 +135,6 @@ pub struct RuntimeMetrics {
     pub submissions: u64,
     /// Submissions that completed (their reports are available).
     pub completed_submissions: u64,
-    /// Submissions dropped by [`Backpressure::Shed`].
-    pub shed_submissions: u64,
-    /// Submissions refused by [`Backpressure::Reject`].
-    pub rejected_submissions: u64,
     /// Submissions canceled via [`JobHandle`]`::cancel` (client request or a
     /// transport front-end canceling on disconnect).
     pub canceled_submissions: u64,
@@ -159,7 +157,7 @@ impl CompilationRuntime {
             service: CompileService::start(
                 PartialCompiler::with_cache(options, cache),
                 runtime_options.workers,
-                runtime_options.service,
+                runtime_options.queue_depth,
                 runtime_options.telemetry,
             ),
         }
@@ -208,8 +206,6 @@ impl CompilationRuntime {
             coalesced_waits: core.coalesced.load(Ordering::Relaxed),
             submissions: core.submissions.load(Ordering::Relaxed),
             completed_submissions,
-            shed_submissions: core.shed_submissions.load(Ordering::Relaxed),
-            rejected_submissions: core.rejected_submissions.load(Ordering::Relaxed),
             canceled_submissions: core.canceled_submissions.load(Ordering::Relaxed),
             workers: self.service.workers,
         }
@@ -284,15 +280,14 @@ impl CompilationRuntime {
         persist::save_snapshot(path, &self.cache().snapshot())
     }
 
-    /// Submits a request to the service under its configured backpressure policy
-    /// and returns immediately with a handle.
+    /// Submits a request to the service and returns with a handle once it is
+    /// admitted. While the admission queue is at
+    /// [`RuntimeOptions::queue_depth`], the calling thread parks until a
+    /// completion or a cancellation frees a slot.
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::QueueFull`] under [`Backpressure::Reject`] when the
-    /// admission queue is at depth, [`SubmitError::Shed`] under
-    /// [`Backpressure::Shed`] when everything queued outranks the submission, and
-    /// [`SubmitError::ShuttingDown`] once the runtime is being dropped.
+    /// Returns [`SubmitError::ShuttingDown`] once the runtime is being dropped.
     pub fn submit(&self, submission: Submission) -> Result<JobHandle, SubmitError> {
         self.service.submit(submission)
     }
@@ -324,17 +319,17 @@ impl CompilationRuntime {
         self.service.resume_intake();
     }
 
-    /// Submits synchronously: blocking admission, not sheddable (the caller's
-    /// blocked thread is already backpressure), wait for the result.
+    /// Submits synchronously and waits for the result.
     fn submit_and_wait(
         &self,
         submission: Submission,
     ) -> Vec<Result<CompilationReport, CompileError>> {
         self.service
-            .submit_with(submission, Backpressure::Block, false)
+            .submit(submission)
             .and_then(|handle| handle.wait())
-            // audit:allow(unwrap): Block-mode admission cannot reject, shed, or cancel
-            .expect("synchronous submissions block admission and are never shed")
+            // audit:allow(unwrap): `Canceled` needs the handle, which never leaves this
+            // call, and `ShuttingDown` needs the runtime's drop, which `&self` rules out
+            .expect("synchronous submissions are never canceled")
     }
 
     /// Compiles one circuit, running its independent blocks on the worker pool.

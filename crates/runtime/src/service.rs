@@ -1,11 +1,12 @@
-//! The request-scheduling service core: submissions, priorities, backpressure.
+//! The request-scheduling service core: submissions, priorities, admission.
 //!
 //! This module turns the compilation runtime from a library function into a
 //! service. Clients [`Submission::batch`]/[`Submission::iterations`] work through a
-//! bounded admission queue ([`Backpressure`] decides what happens when it is full),
-//! a channel-based accept loop hands each admitted submission to a scheduler thread
-//! that expands it into block tasks via [`PartialCompiler::plan`], and a persistent
-//! worker pool drains one merged task queue for *all* outstanding requests.
+//! bounded admission queue (a submit into a full queue parks the submitting
+//! thread until a slot frees), a channel-based accept loop hands each admitted
+//! submission to a scheduler thread that expands it into block tasks via
+//! [`PartialCompiler::plan`], and a persistent worker pool drains one merged task
+//! queue for *all* outstanding requests.
 //!
 //! Ordering is per-client priority with weighted fair queuing underneath:
 //!
@@ -69,100 +70,9 @@ impl Default for Priority {
     }
 }
 
-/// What `submit` does when the admission queue is at its configured depth.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Block the submitting thread until capacity frees up. The caller's thread
-    /// becomes the pressure valve — this is what the synchronous wrapper API uses.
-    #[default]
-    Block,
-    /// Fail fast with [`SubmitError::QueueFull`]; the client decides whether to
-    /// retry, degrade, or route elsewhere.
-    Reject,
-    /// Make room by dropping the lowest-priority submission that has not *started*
-    /// (still queued, or expanded with no block task dispatched yet) and whose
-    /// priority is strictly below the incoming one; its handle resolves to
-    /// [`SubmitError::Shed`]. If everything outstanding outranks the incoming
-    /// submission or already started, the incoming submission is the one shed.
-    ///
-    /// "Started" means a block task of its own dispatched: a submission whose
-    /// every block coalesced onto *other* requests' tasks stays sheddable even
-    /// while that shared work is compiling — shedding it wastes nothing (the
-    /// shared results land in the cache regardless), but the client receives
-    /// [`SubmitError::Shed`] rather than the nearly-free result.
-    Shed,
-}
-
-impl Backpressure {
-    /// Parses the `VQC_BACKPRESSURE` spelling of a policy (`"block"`, `"reject"`,
-    /// or `"shed"`, case-insensitive); anything else is `None`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "block" | "wait" => Some(Backpressure::Block),
-            "reject" | "fail" => Some(Backpressure::Reject),
-            "shed" | "drop" => Some(Backpressure::Shed),
-            _ => None,
-        }
-    }
-}
-
-/// Admission-control configuration of the service front-end.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceOptions {
-    /// Maximum number of submissions admitted but not yet completed (minimum 1).
-    /// When reached, [`ServiceOptions::backpressure`] decides what happens next.
-    pub queue_depth: usize,
-    /// Behavior of `submit` against a full queue.
-    pub backpressure: Backpressure,
-}
-
-impl Default for ServiceOptions {
-    /// Defaults to a 64-deep queue with blocking backpressure; the
-    /// `VQC_QUEUE_DEPTH` and `VQC_BACKPRESSURE` environment variables override
-    /// (garbage values are ignored, `0` clamps to 1).
-    fn default() -> Self {
-        let queue_depth = std::env::var("VQC_QUEUE_DEPTH")
-            .ok()
-            .and_then(|raw| raw.parse::<usize>().ok())
-            .unwrap_or(64)
-            .max(1);
-        let backpressure = std::env::var("VQC_BACKPRESSURE")
-            .ok()
-            .and_then(|raw| Backpressure::parse(&raw))
-            .unwrap_or_default();
-        ServiceOptions {
-            queue_depth,
-            backpressure,
-        }
-    }
-}
-
-impl ServiceOptions {
-    /// Replaces the queue depth (clamped to at least 1).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Replaces the backpressure policy.
-    pub fn with_backpressure(mut self, backpressure: Backpressure) -> Self {
-        self.backpressure = backpressure;
-        self
-    }
-}
-
 /// Why a submission did not produce compilation results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The admission queue was full under [`Backpressure::Reject`].
-    QueueFull {
-        /// The configured queue depth that was exhausted.
-        depth: usize,
-    },
-    /// The submission was load-shed under [`Backpressure::Shed`] — either dropped
-    /// from the queue to admit higher-priority work, or refused at the door
-    /// because everything queued outranked it.
-    Shed,
     /// The submission was canceled via [`JobHandle::cancel`] (directly, or by a
     /// transport front-end on behalf of a disconnected client).
     Canceled,
@@ -173,10 +83,6 @@ pub enum SubmitError {
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SubmitError::QueueFull { depth } => {
-                write!(f, "admission queue is at its configured depth of {depth}")
-            }
-            SubmitError::Shed => write!(f, "submission was load-shed for higher-priority work"),
             SubmitError::Canceled => write!(f, "submission was canceled"),
             SubmitError::ShuttingDown => write!(f, "the compilation service is shutting down"),
         }
@@ -194,9 +100,6 @@ pub enum JobStatus {
     Running,
     /// All jobs have results; [`JobHandle::wait`] returns without blocking.
     Done,
-    /// Load-shed before it started; [`JobHandle::wait`] returns
-    /// [`SubmitError::Shed`].
-    Shed,
     /// Canceled via [`JobHandle::cancel`]; [`JobHandle::wait`] returns
     /// [`SubmitError::Canceled`]. Block tasks the submission owned are
     /// garbage-collected from the ready queue unless another request is waiting
@@ -213,8 +116,6 @@ pub struct ClientMetrics {
     pub submissions: u64,
     /// Submissions that completed (successfully or with per-job errors).
     pub completed: u64,
-    /// Submissions dropped by [`Backpressure::Shed`].
-    pub shed: u64,
     /// Submissions canceled via [`JobHandle::cancel`].
     pub canceled: u64,
     /// Keyed block requests served from the shared pulse cache.
@@ -377,24 +278,19 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    /// Blocks until the submission completes (or was shed or canceled) and returns
-    /// one result per job, in submission order. Cloned handles may wait repeatedly.
+    /// Blocks until the submission completes (or was canceled) and returns one
+    /// result per job, in submission order. Cloned handles may wait repeatedly.
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::Shed`] if the submission was load-shed before it
-    /// started, [`SubmitError::Canceled`] if it was canceled.
+    /// Returns [`SubmitError::Canceled`] if the submission was canceled.
     #[allow(clippy::type_complexity)]
     pub fn wait(&self) -> Result<Vec<Result<CompilationReport, CompileError>>, SubmitError> {
         let mut inner = self.state.inner.lock();
-        while !matches!(
-            inner.status,
-            JobStatus::Done | JobStatus::Shed | JobStatus::Canceled
-        ) {
+        while !matches!(inner.status, JobStatus::Done | JobStatus::Canceled) {
             self.state.done.wait(&mut inner);
         }
         match inner.status {
-            JobStatus::Shed => Err(SubmitError::Shed),
             JobStatus::Canceled => Err(SubmitError::Canceled),
             _ => Ok(inner
                 .jobs
@@ -430,10 +326,9 @@ impl JobHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`SubmitError::Shed`] / [`SubmitError::Canceled`] once the
-    /// submission reaches that terminal state (events observed before
-    /// cancellation remain observable *before* the error: the stream fails only
-    /// at its tail).
+    /// Returns [`SubmitError::Canceled`] once the submission is canceled (events
+    /// observed before cancellation remain observable *before* the error: the
+    /// stream fails only at its tail).
     #[allow(clippy::type_complexity)]
     pub fn wait_job(
         &self,
@@ -452,7 +347,6 @@ impl JobHandle {
             }
             match inner.status {
                 JobStatus::Done => return Ok(None),
-                JobStatus::Shed => return Err(SubmitError::Shed),
                 JobStatus::Canceled => return Err(SubmitError::Canceled),
                 _ => self.state.done.wait(&mut inner),
             }
@@ -474,19 +368,14 @@ impl JobHandle {
     /// submission's not-yet-started block tasks are garbage-collected from the
     /// ready queue (tasks other requests wait on survive and fan out to them;
     /// tasks already executing finish and populate the shared cache). The
-    /// admission slot is released immediately, so cancellation frees queue
-    /// capacity even under [`Backpressure::Block`] pressure. Returns `true` if
-    /// this call canceled the submission, `false` if it had already completed,
-    /// been shed, been canceled, or entered its completion window.
+    /// admission slot is released immediately, so cancellation wakes a submitter
+    /// parked on a full queue. Returns `true` if this call canceled the
+    /// submission, `false` if it had already completed, been canceled, or
+    /// entered its completion window.
     pub fn cancel(&self) -> bool {
         let was_queued = {
             let mut inner = self.state.inner.lock();
-            if inner.finishing
-                || matches!(
-                    inner.status,
-                    JobStatus::Done | JobStatus::Shed | JobStatus::Canceled
-                )
-            {
+            if inner.finishing || matches!(inner.status, JobStatus::Done | JobStatus::Canceled) {
                 return false;
             }
             let was_queued = matches!(inner.status, JobStatus::Queued);
@@ -631,15 +520,6 @@ struct SchedState {
     next_generation: u64,
 }
 
-#[derive(Debug, Default)]
-struct Admission {
-    /// Submissions admitted but not yet completed or shed.
-    outstanding: usize,
-    /// Sheddable submissions that may still be in the Queued stage, scanned for
-    /// victims by [`Backpressure::Shed`]; pruned lazily.
-    queued: Vec<Arc<SubmissionState>>,
-}
-
 /// An admitted submission waiting for the accept loop to expand it. The heap
 /// ordering is what makes *expansion* priority-ordered: a huge low-priority
 /// submission admitted first no longer delays a later high-priority one's
@@ -692,20 +572,18 @@ struct IntakeState {
 pub(crate) struct ServiceCore {
     pub(crate) compiler: PartialCompiler,
     queue_depth: usize,
-    backpressure: Backpressure,
     sched: Mutex<SchedState>,
     work: Condvar,
     intake: Mutex<IntakeState>,
     intake_cv: Condvar,
-    admission: Mutex<Admission>,
+    /// Submissions admitted but not yet completed or canceled.
+    outstanding: Mutex<usize>,
     admitted: Condvar,
     shutdown: AtomicBool,
     pub(crate) compilations: AtomicU64,
     pub(crate) coalesced: AtomicU64,
     pub(crate) submissions: AtomicU64,
     pub(crate) completed_submissions: AtomicU64,
-    pub(crate) shed_submissions: AtomicU64,
-    pub(crate) rejected_submissions: AtomicU64,
     pub(crate) canceled_submissions: AtomicU64,
     client_metrics: Mutex<HashMap<u64, ClientMetrics>>,
     next_submission_id: AtomicU64,
@@ -766,7 +644,7 @@ impl ServiceCore {
         for entry in self.intake.lock().heap.iter() {
             queued_by_class[crate::telemetry::priority_class(entry.0.priority)] += 1;
         }
-        let outstanding = self.admission.lock().outstanding as u64;
+        let outstanding = *self.outstanding.lock() as u64;
         let store = self.compiler.cache();
         let cache = store.metrics();
         // Read before `submissions`, so a snapshot never shows more completions
@@ -782,8 +660,6 @@ impl ServiceCore {
             ready_tasks,
             submissions: self.submissions.load(Ordering::Relaxed),
             completed,
-            shed: self.shed_submissions.load(Ordering::Relaxed),
-            rejected: self.rejected_submissions.load(Ordering::Relaxed),
             canceled: self.canceled_submissions.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -842,15 +718,15 @@ impl ServiceCore {
 
     fn release_admission(&self) {
         {
-            let mut admission = self.admission.lock();
-            admission.outstanding = admission.outstanding.saturating_sub(1);
+            let mut outstanding = self.outstanding.lock();
+            *outstanding = outstanding.saturating_sub(1);
         }
         self.admitted.notify_all();
     }
 
     /// Expands one admitted submission into block tasks (the scheduler layer).
     fn expand(self: &Arc<Self>, state: Arc<SubmissionState>) {
-        // Shed while waiting in the accept channel: nothing to do. The transition
+        // Canceled while waiting in the accept channel: nothing to do. The transition
         // to `Running` is deliberately NOT made here — it is published together
         // with the task enqueue at the end, so `Running` always means "every block
         // task this submission will ever have is in the ready queue". (The accept
@@ -986,7 +862,7 @@ impl ServiceCore {
             {
                 let mut inner = state.inner.lock();
                 if inner.status != JobStatus::Queued {
-                    // Load-shed or canceled while this expansion was planning:
+                    // Canceled while this expansion was planning:
                     // discard the tasks before anything becomes visible to the
                     // workers.
                     return;
@@ -1275,11 +1151,9 @@ impl ServiceCore {
                     let draining = self.shutdown.load(Ordering::SeqCst);
                     if !sched.paused || draining {
                         if let Some(task) = sched.ready.pop() {
-                            // A shed or canceled owner no longer needs its work.
-                            let owner_dead = matches!(
-                                task.body.submission.inner.lock().status,
-                                JobStatus::Shed | JobStatus::Canceled
-                            );
+                            // A canceled owner no longer needs its work.
+                            let owner_dead =
+                                task.body.submission.inner.lock().status == JobStatus::Canceled;
                             if let Some(key) = &task.body.key {
                                 match sched.pending.get_mut(key) {
                                     // The interest this task was posted for is
@@ -1293,15 +1167,13 @@ impl ServiceCore {
                                         // waiter cannot keep a dead owner's task
                                         // alive (task GC).
                                         interest.waiters.retain(|waiter| {
-                                            !matches!(
-                                                waiter.submission.inner.lock().status,
-                                                JobStatus::Shed | JobStatus::Canceled
-                                            )
+                                            waiter.submission.inner.lock().status
+                                                != JobStatus::Canceled
                                         });
                                         if owner_dead && interest.waiters.is_empty() {
-                                            // The owning submission was shed or
-                                            // canceled and nobody else wants the
-                                            // block: drop the work.
+                                            // The owning submission was canceled
+                                            // and nobody else wants the block:
+                                            // drop the work.
                                             sched.pending.remove(key);
                                             continue;
                                         }
@@ -1445,14 +1317,13 @@ impl CompileService {
     pub(crate) fn start(
         compiler: PartialCompiler,
         workers: usize,
-        service_options: ServiceOptions,
+        queue_depth: usize,
         telemetry_options: TelemetryOptions,
     ) -> Self {
         let workers = workers.max(1);
         let core = Arc::new(ServiceCore {
             compiler,
-            queue_depth: service_options.queue_depth.max(1),
-            backpressure: service_options.backpressure,
+            queue_depth: queue_depth.max(1),
             sched: Mutex::new(SchedState {
                 ready: BinaryHeap::new(),
                 pending: HashMap::new(),
@@ -1470,15 +1341,13 @@ impl CompileService {
                 closed: false,
             }),
             intake_cv: Condvar::new(),
-            admission: Mutex::new(Admission::default()),
+            outstanding: Mutex::new(0),
             admitted: Condvar::new(),
             shutdown: AtomicBool::new(false),
             compilations: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             submissions: AtomicU64::new(0),
             completed_submissions: AtomicU64::new(0),
-            shed_submissions: AtomicU64::new(0),
-            rejected_submissions: AtomicU64::new(0),
             canceled_submissions: AtomicU64::new(0),
             client_metrics: Mutex::new(HashMap::new()),
             next_submission_id: AtomicU64::new(0),
@@ -1528,14 +1397,9 @@ impl CompileService {
         }
     }
 
-    /// Admits a submission under the given backpressure mode. `sheddable` marks
-    /// whether a later [`Backpressure::Shed`] submit may drop it while queued.
-    pub(crate) fn submit_with(
-        &self,
-        submission: Submission,
-        mode: Backpressure,
-        sheddable: bool,
-    ) -> Result<JobHandle, SubmitError> {
+    /// Admits a submission, parking the calling thread while the admission queue
+    /// is at depth.
+    pub(crate) fn submit(&self, submission: Submission) -> Result<JobHandle, SubmitError> {
         let core = &self.core;
         if core.shutdown.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
@@ -1564,103 +1428,20 @@ impl CompileService {
         core.telemetry
             .trace(TraceStage::Submitted, id, state.client, trace_id);
 
-        // A submission is sheddable (and worth keeping in the victim registry)
-        // until its first block task dispatches or its completion begins; dispatch,
-        // completion, and shed are all serialized by the submission's own lock, so
-        // "started" is unambiguous.
-        let is_sheddable = |s: &SubmissionState| {
-            let inner = s.inner.lock();
-            matches!(inner.status, JobStatus::Queued)
-                || (matches!(inner.status, JobStatus::Running)
-                    && inner.dispatched.is_empty()
-                    && !inner.finishing)
-        };
         {
-            let mut admission = core.admission.lock();
-            // Prune on every admission, whatever the mode: without this, the
-            // registry would retain an Arc per completed submission for the
-            // process lifetime under Block/Reject (which never scan it).
-            admission.queued.retain(|s| is_sheddable(s));
+            // The submitting thread is the pressure valve: it parks here until a
+            // completion or a cancellation frees a slot.
+            let mut outstanding = core.outstanding.lock();
             loop {
                 if core.shutdown.load(Ordering::SeqCst) {
                     return Err(SubmitError::ShuttingDown);
                 }
-                if admission.outstanding < core.queue_depth {
+                if *outstanding < core.queue_depth {
                     break;
                 }
-                match mode {
-                    Backpressure::Reject => {
-                        core.rejected_submissions.fetch_add(1, Ordering::Relaxed);
-                        return Err(SubmitError::QueueFull {
-                            depth: core.queue_depth,
-                        });
-                    }
-                    Backpressure::Block => {
-                        core.admitted.wait(&mut admission);
-                    }
-                    Backpressure::Shed => {
-                        // Prune entries that started or finished, then pick the
-                        // lowest-priority victim (oldest on ties) strictly below us.
-                        admission.queued.retain(|s| is_sheddable(s));
-                        let victim_index = admission
-                            .queued
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.priority < state.priority)
-                            .min_by_key(|(_, s)| (s.priority, s.id))
-                            .map(|(index, _)| index);
-                        let Some(victim_index) = victim_index else {
-                            core.shed_submissions.fetch_add(1, Ordering::Relaxed);
-                            core.telemetry
-                                .trace(TraceStage::Shed, state.id, state.client, 0);
-                            return Err(SubmitError::Shed);
-                        };
-                        let victim = admission.queued.remove(victim_index);
-                        let mut inner = victim.inner.lock();
-                        // Re-check under the victim's lock: it may have started
-                        // dispatching — or entered its completion window
-                        // (`finishing`) — since the scan; shedding then would
-                        // double-release its admission slot.
-                        let still_sheddable = matches!(inner.status, JobStatus::Queued)
-                            || (matches!(inner.status, JobStatus::Running)
-                                && inner.dispatched.is_empty()
-                                && !inner.finishing);
-                        if still_sheddable {
-                            let was_queued = matches!(inner.status, JobStatus::Queued);
-                            inner.status = JobStatus::Shed;
-                            drop(inner);
-                            victim.done.notify_all();
-                            admission.outstanding = admission.outstanding.saturating_sub(1);
-                            core.shed_submissions.fetch_add(1, Ordering::Relaxed);
-                            // Shed-while-Queued never reached `expand`: charge its
-                            // queue time here (a Running victim was charged at its
-                            // Running transition already).
-                            let queue_wait =
-                                was_queued.then(|| victim.admitted_at.elapsed().as_secs_f64());
-                            core.record_client(victim.client, |m| {
-                                m.shed += 1;
-                                if let Some(wait) = queue_wait {
-                                    m.queue_seconds += wait;
-                                }
-                            });
-                            if let Some(wait) = queue_wait {
-                                core.telemetry.record_queue_wait(victim.priority, wait);
-                            }
-                            core.telemetry
-                                .trace(TraceStage::Shed, victim.id, victim.client, 0);
-                        }
-                        // Re-check the depth; the victim's slot is now free (or the
-                        // victim raced into dispatch and we scan again).
-                    }
-                }
+                core.admitted.wait(&mut outstanding);
             }
-            admission.outstanding += 1;
-            // Membership in the victim registry is what makes a submission
-            // sheddable; the synchronous wrappers stay out of it — a blocked
-            // caller thread is already applying backpressure upstream.
-            if sheddable {
-                admission.queued.push(Arc::clone(&state));
-            }
+            *outstanding += 1;
         }
 
         {
@@ -1685,11 +1466,6 @@ impl CompileService {
             state,
             core: Arc::downgrade(core),
         })
-    }
-
-    /// Admits a submission under the service's configured backpressure policy.
-    pub(crate) fn submit(&self, submission: Submission) -> Result<JobHandle, SubmitError> {
-        self.submit_with(submission, self.core.backpressure, true)
     }
 
     /// Stops dispatching new block tasks (running ones finish).

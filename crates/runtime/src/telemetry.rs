@@ -11,7 +11,7 @@
 //!   latency (submit → report). Percentiles come out of a [`HistogramSnapshot`].
 //! * **Lifecycle tracing** — [`TraceRing`] is a bounded ring buffer of
 //!   [`TraceEvent`]s (submitted → admitted → dispatched → compile-start →
-//!   cache-hit/compiled → job-done → report, plus canceled/shed), each stamped
+//!   cache-hit/compiled → job-done → report, plus canceled), each stamped
 //!   with microseconds since the service started. [`chrome_trace_json`] renders
 //!   the ring as Chrome `trace_event` JSON loadable in `chrome://tracing` or
 //!   Perfetto, so "where did this slow job spend its time" is one dump away.
@@ -235,8 +235,6 @@ pub enum TraceStage {
     Report,
     /// The submission was canceled.
     Canceled,
-    /// The submission was load-shed.
-    Shed,
     /// A lock guard was held past `VQC_LOCK_HOLD_MS` while the lock-order
     /// checker was active (`detail` = milliseconds held; `submission` = 0 —
     /// the event attributes to a lock site, not a submission).
@@ -260,7 +258,6 @@ impl TraceStage {
             TraceStage::JobDone => "job-done",
             TraceStage::Report => "report",
             TraceStage::Canceled => "canceled",
-            TraceStage::Shed => "shed",
             TraceStage::LockHold => "lock-hold",
             TraceStage::Phase => "phase",
         }
@@ -496,7 +493,7 @@ pub struct ClassLatency {
     /// Class index (see [`PRIORITY_CLASS_NAMES`]).
     pub class: u8,
     /// Admission → expansion wait of every submission that left the queue
-    /// (dispatched, canceled, or shed).
+    /// (dispatched or canceled).
     pub queue_wait: HistogramSnapshot,
     /// Submit → report latency of completed submissions.
     pub submit_to_report: HistogramSnapshot,
@@ -529,10 +526,6 @@ pub struct MetricsSnapshot {
     pub submissions: u64,
     /// Submissions completed so far.
     pub completed: u64,
-    /// Submissions load-shed so far.
-    pub shed: u64,
-    /// Submissions rejected at admission so far.
-    pub rejected: u64,
     /// Submissions canceled so far.
     pub canceled: u64,
     /// Pulse-cache lookups answered from the cache.
@@ -552,8 +545,7 @@ pub struct MetricsSnapshot {
     /// Lifecycle events overwritten in the trace ring so far.
     pub trace_dropped: u64,
     /// Warm-start counters: seed probes (hit/miss/evicted), GRAPE iterations
-    /// split seeded-vs-cold, and the `table_rejected` / `memo_*` fields that
-    /// read 0.
+    /// split seeded-vs-cold, and the `memo_*` fields that read 0.
     pub warm_start: vqc_core::WarmStartStats,
     /// Warm-start seed entries currently resident.
     pub seed_entries: u64,
@@ -626,13 +618,13 @@ impl MetricsSnapshot {
         format!(
             "{{\"seq\":{},\"uptime_seconds\":{:.6},\"workers\":{},\"busy_workers\":{},\
              \"queued_by_class\":[{},{},{}],\"outstanding\":{},\"ready_tasks\":{},\
-             \"submissions\":{},\"completed\":{},\"shed\":{},\"rejected\":{},\"canceled\":{},\
+             \"submissions\":{},\"completed\":{},\"canceled\":{},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
              \"entries\":{},\"hit_ratio\":{:.4}}},\"unique_compilations\":{},\
              \"coalesced_waits\":{},\"trace_dropped\":{},\
-             \"warm_start\":{{\"table_hits\":{},\"table_misses\":{},\"table_rejected\":{},\
+             \"warm_start\":{{\"table_hits\":{},\"table_misses\":{},\
              \"table_evictions\":{},\"seed_entries\":{},\"memo_hits\":{},\"memo_misses\":{},\
-             \"memo_rejected\":{},\"seeded_iterations\":{},\"cold_iterations\":{}}},\
+             \"seeded_iterations\":{},\"cold_iterations\":{}}},\
              \"phases\":[{}],\"jacobi_sweeps\":{},\
              \"classes\":[{}]}}",
             self.seq,
@@ -646,8 +638,6 @@ impl MetricsSnapshot {
             self.ready_tasks,
             self.submissions,
             self.completed,
-            self.shed,
-            self.rejected,
             self.canceled,
             self.cache_hits,
             self.cache_misses,
@@ -660,12 +650,10 @@ impl MetricsSnapshot {
             self.trace_dropped,
             self.warm_start.table_hits,
             self.warm_start.table_misses,
-            self.warm_start.table_rejected,
             self.warm_start.table_evictions,
             self.seed_entries,
             self.warm_start.memo_hits,
             self.warm_start.memo_misses,
-            self.warm_start.memo_rejected,
             self.warm_start.seeded_iterations,
             self.warm_start.cold_iterations,
             phases,
@@ -1116,9 +1104,9 @@ mod tests {
         assert!(line.contains("\"hit_ratio\":0.7500"));
         assert!(line.contains("\"class\":\"normal\""));
         assert!(line.contains(
-            "\"warm_start\":{\"table_hits\":5,\"table_misses\":2,\"table_rejected\":0,\
+            "\"warm_start\":{\"table_hits\":5,\"table_misses\":2,\
              \"table_evictions\":0,\"seed_entries\":7,\"memo_hits\":9,\"memo_misses\":0,\
-             \"memo_rejected\":0,\"seeded_iterations\":120,\"cold_iterations\":480}"
+             \"seeded_iterations\":120,\"cold_iterations\":480}"
         ));
         assert!(line.contains("\"phases\":[],\"jacobi_sweeps\":0"));
         assert!(!line.contains('\n'));

@@ -90,11 +90,11 @@ fn lock_checker_detects_inversions_and_reports_holds_through_telemetry() {
                     [],
                     Strategy::StrictPartial,
                 ))
-                .expect("default queue depth admits this load")
+                .expect("the runtime is live")
         })
         .collect();
     for handle in &handles {
-        assert!(handle.wait().expect("not shed")[0].is_ok());
+        assert!(handle.wait().expect("not canceled")[0].is_ok());
     }
     assert!(
         lock_check::order_edges() > 0,

@@ -1,17 +1,18 @@
 //! Integration tests of the request-scheduling service layer: strict priority
 //! ordering with fair-share interleaving, cross-request block dedup with fan-out,
-//! and the three admission backpressure policies.
+//! and admission, which parks the submitter while the queue is full.
 //!
 //! Determinism notes: the tests pause the runtime (workers stop dispatching, the
 //! accept loop keeps expanding) to build a known ready-queue state, then resume and
 //! read each handle's `dispatch_sequence()` — the global dispatch order the
 //! scheduler actually chose.
 
+use std::sync::Arc;
+use std::time::Duration;
 use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
 use vqc_runtime::{
-    Backpressure, CompilationRuntime, JobStatus, Priority, RuntimeOptions, ServiceOptions,
-    Submission, SubmitError, TraceStage,
+    CompilationRuntime, JobStatus, Priority, RuntimeOptions, Submission, SubmitError, TraceStage,
 };
 
 fn fast_options() -> CompilerOptions {
@@ -94,8 +95,8 @@ fn high_priority_work_dispatches_first_and_shared_blocks_compile_once() {
     wait_until_running(&[&low, &high]);
     runtime.resume();
 
-    let low_reports = low.wait().expect("not shed");
-    let high_reports = high.wait().expect("not shed");
+    let low_reports = low.wait().expect("not canceled");
+    let high_reports = high.wait().expect("not canceled");
     let low_report = low_reports[0].as_ref().unwrap();
     let high_report = high_reports[0].as_ref().unwrap();
     assert_eq!(low_report.num_blocks, 2);
@@ -206,60 +207,27 @@ fn fair_share_weights_scale_a_clients_slice() {
     assert_eq!(a2.dispatch_sequence(), vec![5]);
 }
 
-/// `Backpressure::Reject` fails fast at depth and recovers as soon as an
-/// outstanding submission completes.
-#[test]
-fn reject_backpressure_fails_fast_and_recovers() {
-    let runtime = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(1)
-                .with_backpressure(Backpressure::Reject),
-        ),
-    );
-    runtime.pause();
-    let first = runtime
-        .submit(Submission::single(
-            one_block_circuit(0.4),
-            [],
-            Strategy::StrictPartial,
-        ))
-        .unwrap();
-    let second = runtime.submit(Submission::single(
-        one_block_circuit(0.9),
-        [],
-        Strategy::StrictPartial,
-    ));
-    assert!(matches!(second, Err(SubmitError::QueueFull { depth: 1 })));
-    runtime.resume();
-    assert!(first.wait().unwrap()[0].is_ok());
-
-    // Capacity freed: the next submission is admitted and completes.
-    let third = runtime
-        .submit(Submission::single(
-            one_block_circuit(1.4),
-            [],
-            Strategy::StrictPartial,
-        ))
-        .unwrap();
-    assert!(third.wait().unwrap()[0].is_ok());
-    let metrics = runtime.metrics();
-    assert_eq!(metrics.rejected_submissions, 1);
-    assert_eq!(metrics.submissions, 2);
+/// Submits one-block work from a fresh thread, which parks while the queue is
+/// full; the thread yields whether the block compiled.
+fn submit_from_thread(
+    runtime: &Arc<CompilationRuntime>,
+    phase: f64,
+) -> std::thread::JoinHandle<Result<bool, SubmitError>> {
+    let runtime = Arc::clone(runtime);
+    std::thread::spawn(move || {
+        let submission = Submission::single(one_block_circuit(phase), [], Strategy::StrictPartial);
+        let reports = runtime.submit(submission)?.wait()?;
+        Ok(reports[0].is_ok())
+    })
 }
 
-/// `Backpressure::Block` parks the submitting thread until capacity frees, then
-/// admits — nothing is lost, nothing is refused.
+/// A full queue parks the submitting thread until capacity frees, then admits —
+/// nothing is lost, nothing is refused.
 #[test]
-fn block_backpressure_waits_for_capacity() {
-    let runtime = std::sync::Arc::new(CompilationRuntime::new(
+fn a_full_queue_parks_the_submitter_until_a_slot_frees() {
+    let runtime = Arc::new(CompilationRuntime::new(
         fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(1)
-                .with_backpressure(Backpressure::Block),
-        ),
+        RuntimeOptions::with_workers(1).with_queue_depth(1),
     ));
     runtime.pause();
     let first = runtime
@@ -269,85 +237,16 @@ fn block_backpressure_waits_for_capacity() {
             Strategy::StrictPartial,
         ))
         .unwrap();
-    let second = {
-        let runtime = std::sync::Arc::clone(&runtime);
-        std::thread::spawn(move || {
-            // Blocks until `first` completes, then compiles.
-            runtime
-                .submit(Submission::single(
-                    one_block_circuit(0.9),
-                    [],
-                    Strategy::StrictPartial,
-                ))
-                .unwrap()
-                .wait()
-        })
-    };
+    // Parks until `first` completes, then compiles.
+    let second = submit_from_thread(&runtime, 0.9);
     // The queue stays at depth while the worker pool is paused; the spawned
     // submit cannot have been admitted.
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    std::thread::sleep(Duration::from_millis(30));
     assert_eq!(runtime.metrics().submissions, 1);
     runtime.resume();
     assert!(first.wait().unwrap()[0].is_ok());
-    let second = second.join().unwrap().expect("admitted after capacity");
-    assert!(second[0].is_ok());
+    assert!(second.join().unwrap().expect("admitted after capacity"));
     assert_eq!(runtime.metrics().submissions, 2);
-    assert_eq!(runtime.metrics().rejected_submissions, 0);
-}
-
-/// `Backpressure::Shed` drops the lowest-priority not-yet-started submission for
-/// a higher-priority arrival, and sheds the arrival itself when everything
-/// outstanding outranks it.
-#[test]
-fn shed_backpressure_drops_the_lowest_priority_pending_submission() {
-    let runtime = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(2)
-                .with_backpressure(Backpressure::Shed),
-        ),
-    );
-    runtime.pause();
-    let low = runtime
-        .submit(
-            Submission::single(one_block_circuit(0.1), [], Strategy::StrictPartial)
-                .with_priority(Priority::LOW),
-        )
-        .unwrap();
-    let normal = runtime
-        .submit(
-            Submission::single(one_block_circuit(0.6), [], Strategy::StrictPartial)
-                .with_priority(Priority::NORMAL),
-        )
-        .unwrap();
-    // Queue full (paused workers dispatch nothing). A high-priority arrival sheds
-    // the lowest-priority pending submission.
-    let high = runtime
-        .submit(
-            Submission::single(one_block_circuit(1.1), [], Strategy::StrictPartial)
-                .with_priority(Priority::HIGH),
-        )
-        .unwrap();
-    assert_eq!(low.try_status(), JobStatus::Shed);
-    assert!(matches!(low.wait(), Err(SubmitError::Shed)));
-
-    // Full again with NORMAL and HIGH: an incoming LOW submission outranks nothing
-    // and is itself shed at the door.
-    let hopeless = runtime.submit(
-        Submission::single(one_block_circuit(1.6), [], Strategy::StrictPartial)
-            .with_priority(Priority::LOW),
-    );
-    assert!(matches!(hopeless, Err(SubmitError::Shed)));
-
-    runtime.resume();
-    assert!(normal.wait().unwrap()[0].is_ok());
-    assert!(high.wait().unwrap()[0].is_ok());
-    let metrics = runtime.metrics();
-    assert_eq!(metrics.shed_submissions, 2);
-    // The shed submission's block never compiled: only the three survivors'
-    // distinct blocks ran.
-    assert_eq!(metrics.unique_compilations, 2);
 }
 
 /// Many submissions of the same circuit at different θ bindings: the shared Fixed
@@ -355,7 +254,7 @@ fn shed_backpressure_drops_the_lowest_priority_pending_submission() {
 /// task ran it, and every other request is served by fan-out or cache hit.
 ///
 /// Uses `RuntimeOptions::default()` so the CI stress job can drive worker count
-/// and queue depth through `VQC_WORKERS` / `VQC_QUEUE_DEPTH` / `VQC_BACKPRESSURE`.
+/// and queue depth through `VQC_WORKERS` / `VQC_QUEUE_DEPTH`.
 #[test]
 fn cross_request_dedup_compiles_each_unique_block_exactly_once() {
     let runtime = std::sync::Arc::new(CompilationRuntime::new(
@@ -386,7 +285,7 @@ fn cross_request_dedup_compiles_each_unique_block_exactly_once() {
         })
         .collect();
     for handle in handles {
-        let reports = handle.join().unwrap().expect("not shed");
+        let reports = handle.join().unwrap().expect("not canceled");
         assert_eq!(reports.len(), 3);
         for report in reports {
             assert!(report.is_ok());
@@ -439,8 +338,14 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
             .unwrap();
         wait_until_running(&[&low, &high]);
         runtime.resume();
-        assert!(low.wait().expect("not shed")[0].is_ok(), "round {round}");
-        assert!(high.wait().expect("not shed")[0].is_ok(), "round {round}");
+        assert!(
+            low.wait().expect("not canceled")[0].is_ok(),
+            "round {round}"
+        );
+        assert!(
+            high.wait().expect("not canceled")[0].is_ok(),
+            "round {round}"
+        );
 
         // A lone low-priority successor re-creates interest in the same key. Its
         // fresh task carries the (small) observed cost while a leftover stale
@@ -457,7 +362,7 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
         wait_until_running(&[&successor]);
         runtime.resume();
         assert!(
-            successor.wait().expect("not shed")[0].is_ok(),
+            successor.wait().expect("not canceled")[0].is_ok(),
             "round {round}: the successor's interest must survive stale duplicates"
         );
     }
@@ -470,17 +375,14 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
 }
 
 /// Canceling a queued submission resolves its handle with `Canceled` and frees
-/// its admission slot immediately, without waiting for workers.
+/// its admission slot immediately, without waiting for workers: a submitter
+/// parked on the full queue is admitted.
 #[test]
 fn cancel_releases_queue_capacity_for_queued_and_running_submissions() {
-    let runtime = CompilationRuntime::new(
+    let runtime = Arc::new(CompilationRuntime::new(
         fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(1)
-                .with_backpressure(Backpressure::Reject),
-        ),
-    );
+        RuntimeOptions::with_workers(1).with_queue_depth(1),
+    ));
     runtime.pause();
     let first = runtime
         .submit(Submission::single(
@@ -489,30 +391,23 @@ fn cancel_releases_queue_capacity_for_queued_and_running_submissions() {
             Strategy::StrictPartial,
         ))
         .unwrap();
-    // Queue is at depth; a second submission is rejected.
-    assert!(matches!(
-        runtime.submit(Submission::single(
-            one_block_circuit(0.9),
-            [],
-            Strategy::StrictPartial,
-        )),
-        Err(SubmitError::QueueFull { depth: 1 })
-    ));
+    assert_eq!(runtime.telemetry_snapshot().outstanding, 1);
+    // Queue is at depth; a second submitter parks.
+    let second = submit_from_thread(&runtime, 0.9);
+    std::thread::sleep(Duration::from_millis(30));
+    assert_eq!(runtime.metrics().submissions, 1);
     // Cancel (whether still Queued or already expanded) frees the slot without
     // a single block having compiled.
     assert!(first.cancel());
     assert!(!first.cancel(), "cancel is idempotent");
     assert_eq!(first.try_status(), JobStatus::Canceled);
     assert!(matches!(first.wait(), Err(SubmitError::Canceled)));
-    let second = runtime
-        .submit(Submission::single(
-            one_block_circuit(0.9),
-            [],
-            Strategy::StrictPartial,
-        ))
-        .expect("the canceled submission's slot is free");
     runtime.resume();
-    assert!(second.wait().unwrap()[0].is_ok());
+    assert!(second
+        .join()
+        .unwrap()
+        .expect("the canceled submission's slot admits the parked submitter"));
+    assert_eq!(runtime.telemetry_snapshot().outstanding, 0);
     let metrics = runtime.metrics();
     assert_eq!(metrics.canceled_submissions, 1);
     // The canceled submission's block task was garbage-collected, not compiled.
@@ -736,64 +631,28 @@ fn metrics_slice_per_client() {
     assert_eq!(runtime.client_metrics(99).submissions, 0);
 }
 
-/// Submissions that end while still Queued — canceled or load-shed — charge
-/// their queued time to the owner's `queue_seconds` slice exactly once;
-/// door-shed submissions (never admitted) are never charged.
+/// A submission canceled while still Queued charges its queued time to the
+/// owner's `queue_seconds` slice exactly once.
 #[test]
-fn queue_seconds_charged_for_canceled_and_shed_submissions() {
-    let runtime = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(2)
-                .with_backpressure(Backpressure::Shed),
-        ),
-    );
+fn queue_seconds_charged_once_for_canceled_submissions() {
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
     // Pausing intake (not dispatch) keeps admitted submissions in Queued: they
     // never reach `expand`, so the Running-transition charge cannot fire and
-    // the terminal-state paths are the only ones that can account their time.
+    // the cancel path is the only one that can account their time.
     runtime.pause_intake();
     let canceled = runtime
         .submit(
             Submission::single(one_block_circuit(0.2), [], Strategy::StrictPartial).with_client(40),
         )
         .unwrap();
-    let victim = runtime
+    let survivor = runtime
         .submit(
-            Submission::single(one_block_circuit(0.7), [], Strategy::StrictPartial)
-                .with_client(50)
-                .with_priority(Priority::LOW),
+            Submission::single(one_block_circuit(1.1), [], Strategy::StrictPartial).with_client(60),
         )
         .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    std::thread::sleep(Duration::from_millis(20));
 
-    // Queue full, and a LOW arrival outranks nothing pending: shed at the
-    // door. It was never admitted, so it accrues no queue time.
-    let door = runtime.submit(
-        Submission::single(one_block_circuit(1.6), [], Strategy::StrictPartial)
-            .with_client(70)
-            .with_priority(Priority::LOW),
-    );
-    assert!(matches!(door, Err(SubmitError::Shed)));
-    assert_eq!(runtime.client_metrics(70).queue_seconds, 0.0);
-
-    // A HIGH arrival sheds the queued LOW victim, which is charged the time it
-    // spent admitted-but-unexpanded.
-    let high = runtime
-        .submit(
-            Submission::single(one_block_circuit(1.1), [], Strategy::StrictPartial)
-                .with_client(60)
-                .with_priority(Priority::HIGH),
-        )
-        .unwrap();
-    assert_eq!(victim.try_status(), JobStatus::Shed);
-    let shed_seconds = runtime.client_metrics(50).queue_seconds;
-    assert!(
-        shed_seconds >= 0.015,
-        "shed-while-queued must be charged its ~20ms queue time, got {shed_seconds:.6}s"
-    );
-
-    // Cancel-while-Queued is charged the same way...
+    // Cancel-while-Queued is charged its queue time...
     canceled.cancel();
     assert_eq!(canceled.try_status(), JobStatus::Canceled);
     let cancel_seconds = runtime.client_metrics(40).queue_seconds;
@@ -807,8 +666,8 @@ fn queue_seconds_charged_for_canceled_and_shed_submissions() {
     assert_eq!(runtime.client_metrics(40).queue_seconds, cancel_seconds);
 
     runtime.resume_intake();
-    assert!(high.wait().unwrap()[0].is_ok());
-    // The survivor is charged at its Running transition as before.
+    assert!(survivor.wait().unwrap()[0].is_ok());
+    // The survivor is charged at its Running transition instead.
     assert!(runtime.client_metrics(60).queue_seconds > 0.0);
 }
 
@@ -838,7 +697,7 @@ fn wait_job_streams_completions_in_order() {
     let mut job_indices: Vec<usize> = streamed.iter().map(|(job, _)| *job).collect();
     job_indices.sort_unstable();
     assert_eq!(job_indices, vec![0, 1, 2]);
-    let final_results = handle.wait().expect("not shed");
+    let final_results = handle.wait().expect("not canceled");
     for (job, result) in &streamed {
         assert_eq!(
             result.as_ref().unwrap().pulse_duration_ns,
@@ -884,16 +743,13 @@ fn lookup_only_circuit() -> Circuit {
 /// A cancel racing the expansion (now a plan-cache lookup, so the window is a
 /// few microseconds) must still leave the handle and the counters in agreement:
 /// every submission is either canceled or completed, exactly once, and every
-/// admission slot comes back.
+/// admission slot comes back — checked after each round, so the first leaked
+/// slot fails the test before a later submit could park on it.
 #[test]
 fn cancels_racing_the_expansion_keep_the_books_balanced() {
     let runtime = CompilationRuntime::new(
         fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(2)
-                .with_backpressure(Backpressure::Reject),
-        ),
+        RuntimeOptions::with_workers(1).with_queue_depth(2),
     );
     let rounds = 200;
     let mut canceled_rounds = 0;
@@ -907,13 +763,18 @@ fn cancels_racing_the_expansion_keep_the_books_balanced() {
                 )
                 .with_client(4),
             )
-            .expect("the previous round gave its slot back");
+            .expect("the runtime is live");
         if handle.cancel() {
             canceled_rounds += 1;
             assert!(matches!(handle.wait(), Err(SubmitError::Canceled)));
         } else {
             assert!(handle.wait().unwrap()[0].is_ok());
         }
+        assert_eq!(
+            runtime.telemetry_snapshot().outstanding,
+            0,
+            "round {round} gave its slot back"
+        );
     }
     let metrics = runtime.client_metrics(4);
     assert_eq!(metrics.submissions, rounds);

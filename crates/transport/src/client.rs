@@ -289,8 +289,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Fails if the connection is lost. Admission-level refusals (queue full,
-    /// shed) surface on the returned job's stream, not here.
+    /// Fails if the connection is lost. Refusals (a live duplicate id, a server
+    /// shutting down) surface on the returned job's stream, not here; so does
+    /// admission, as the `Queued` event, which a full server queue delays.
     pub fn submit(&self, payload: SubmitPayload) -> Result<RemoteJob, RemoteError> {
         self.submit_with(payload, None)
     }
@@ -503,7 +504,7 @@ impl RemoteJob {
     ///
     /// # Errors
     ///
-    /// [`RemoteError::Rejected`] if the server refused or shed the submission,
+    /// [`RemoteError::Rejected`] if the server refused the submission,
     /// [`RemoteError::Canceled`] if it was canceled,
     /// [`RemoteError::Disconnected`] if the connection died first.
     #[allow(clippy::type_complexity)]

@@ -34,7 +34,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use vqc_runtime::{
     CompilationRuntime, CompileJob, JobHandle, JobStatus, MetricsSnapshot, Priority, Submission,
-    SubmitError,
 };
 
 /// Address the server (and the `vqc-submit` client) use when `VQC_LISTEN` is
@@ -464,13 +463,15 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                             }
                         }));
                     }
-                    Err(error) => {
+                    // Admission parks rather than refuses: submit fails only
+                    // once the runtime is shutting down.
+                    Err(_) => {
                         drop(live);
                         let _ = send(
                             &writer,
                             &Response::Rejected {
                                 id,
-                                reason: reject_reason(error),
+                                reason: RejectReason::ShuttingDown,
                             },
                             max_frame,
                         );
@@ -666,20 +667,11 @@ fn build_submission(payload: SubmitPayload) -> Submission {
     }
 }
 
-fn reject_reason(error: SubmitError) -> RejectReason {
-    match error {
-        SubmitError::QueueFull { depth } => RejectReason::QueueFull { depth },
-        SubmitError::Shed => RejectReason::Shed,
-        SubmitError::Canceled => RejectReason::UnknownSubmission,
-        SubmitError::ShuttingDown => RejectReason::ShuttingDown,
-    }
-}
-
 /// Streams one submission's intermediate events to the client — `Running` once
 /// expansion publishes it, one `JobDone` per job as results land — and returns
-/// the terminal frame (`Report`, `Rejected{Shed}`, or `Event{Canceled}`) for
-/// the caller to send *after* it has released the correlation id. `None` if
-/// the connection died mid-stream.
+/// the terminal frame (`Report` or `Event{Canceled}`) for the caller to send
+/// *after* it has released the correlation id. `None` if the connection died
+/// mid-stream.
 fn stream_submission(
     writer: &Arc<Mutex<TcpStream>>,
     handle: &JobHandle,
@@ -688,12 +680,6 @@ fn stream_submission(
 ) -> Option<Response> {
     match handle.wait_started() {
         JobStatus::Queued => unreachable!("wait_started returns a non-queued status"),
-        JobStatus::Shed => {
-            return Some(Response::Rejected {
-                id,
-                reason: RejectReason::Shed,
-            })
-        }
         JobStatus::Canceled => {
             return Some(Response::Event {
                 id,
@@ -746,12 +732,6 @@ fn stream_submission(
                     })
                     .collect();
                 return Some(Response::Report { id, results });
-            }
-            Err(SubmitError::Shed) => {
-                return Some(Response::Rejected {
-                    id,
-                    reason: RejectReason::Shed,
-                })
             }
             Err(_) => {
                 return Some(Response::Event {

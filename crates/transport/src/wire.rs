@@ -29,8 +29,15 @@ use vqc_runtime::{ClientMetrics, JobStatus, MetricsSnapshot, RuntimeMetrics, Tra
 /// [`Request::Hello`] and `server_micros` on [`Response::Accepted`] (one
 /// round-trip clock-offset estimate), the client-assigned `trace` id on
 /// [`Request::Submit`], and the `span_micros` duration on
-/// [`vqc_runtime::TraceEvent`].
-pub const PROTOCOL_VERSION: u32 = 3;
+/// [`vqc_runtime::TraceEvent`]. Version 4 removed what only the deleted
+/// fail-fast and load-shedding admission modes could produce (two reject
+/// reasons, a wire status, a trace stage, and two counters each of the
+/// metrics types) plus two always-zero [`vqc_core::WarmStartStats`] fields:
+/// a full queue now parks the submitting connection instead.
+/// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
+/// variant indices, so a client of any version can decode the refusal of its
+/// Hello.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -252,8 +259,6 @@ pub enum WireStatus {
     Running,
     /// All jobs have results.
     Done,
-    /// Load-shed before it started.
-    Shed,
     /// Canceled (by request or by disconnect).
     Canceled,
 }
@@ -264,7 +269,6 @@ impl From<JobStatus> for WireStatus {
             JobStatus::Queued => WireStatus::Queued,
             JobStatus::Running => WireStatus::Running,
             JobStatus::Done => WireStatus::Done,
-            JobStatus::Shed => WireStatus::Shed,
             JobStatus::Canceled => WireStatus::Canceled,
         }
     }
@@ -311,13 +315,6 @@ pub enum RejectReason {
         /// The version the client sent.
         client: u32,
     },
-    /// The admission queue is at its configured depth (`Backpressure::Reject`).
-    QueueFull {
-        /// The configured depth.
-        depth: usize,
-    },
-    /// The submission was load-shed for higher-priority work.
-    Shed,
     /// The service (or server) is shutting down.
     ShuttingDown,
     /// The correlation id names no live submission of this connection.
@@ -351,10 +348,6 @@ impl std::fmt::Display for RejectReason {
                     "protocol version mismatch: server speaks {server}, client sent {client}"
                 )
             }
-            RejectReason::QueueFull { depth } => {
-                write!(f, "admission queue is at its configured depth of {depth}")
-            }
-            RejectReason::Shed => write!(f, "submission was load-shed for higher-priority work"),
             RejectReason::ShuttingDown => write!(f, "the server is shutting down"),
             RejectReason::UnknownSubmission => write!(f, "unknown submission id"),
             RejectReason::DuplicateSubmission => write!(f, "submission id is already in use"),
@@ -619,6 +612,28 @@ mod tests {
             let decoded: Response = read_frame(&mut &buffer[..], DEFAULT_MAX_FRAME).unwrap();
             assert_eq!(decoded, response);
         }
+    }
+
+    #[test]
+    fn the_hello_refusal_decodes_under_every_protocol_version() {
+        // `Rejected` is variant 3 of `Response` and `VersionMismatch` variant 0
+        // of `RejectReason` in every version, so a client of any version reads
+        // why its Hello was refused.
+        let refusal = Response::Rejected {
+            id: 0,
+            reason: RejectReason::VersionMismatch {
+                server: PROTOCOL_VERSION,
+                client: 3,
+            },
+        };
+        let mut buffer = Vec::new();
+        write_frame(&mut buffer, &refusal, DEFAULT_MAX_FRAME).unwrap();
+        let mut expected = 3u32.to_le_bytes().to_vec();
+        expected.extend_from_slice(&0u64.to_le_bytes());
+        for word in [0, PROTOCOL_VERSION, 3u32] {
+            expected.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(buffer[FRAME_HEADER_BYTES..], expected[..]);
     }
 
     #[test]

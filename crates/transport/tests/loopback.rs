@@ -11,8 +11,7 @@ use std::time::{Duration, Instant};
 use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
 use vqc_runtime::{
-    chrome_trace_json, Backpressure, CompilationRuntime, Priority, RuntimeOptions, ServiceOptions,
-    TelemetryOptions, TraceStage,
+    chrome_trace_json, CompilationRuntime, Priority, RuntimeOptions, TelemetryOptions, TraceStage,
 };
 use vqc_transport::{
     merged_chrome_trace, wire, Client, ClientOptions, ClientSpan, JobEvent, JobUpdate,
@@ -167,16 +166,13 @@ fn two_remote_clients_share_blocks_exactly_once_with_priority_ordering() {
 }
 
 /// A client that disconnects mid-job has its submission canceled, which frees
-/// admission-queue capacity for other clients.
+/// its admission slot: another client's submit, parked on the full queue, is
+/// admitted.
 #[test]
 fn disconnect_mid_job_cancels_and_frees_queue_capacity() {
     let (server, runtime) = serve(CompilationRuntime::new(
         fast_options(),
-        RuntimeOptions::with_workers(1).with_service(
-            ServiceOptions::default()
-                .with_queue_depth(1)
-                .with_backpressure(Backpressure::Reject),
-        ),
+        RuntimeOptions::with_workers(1).with_queue_depth(1),
     ));
     runtime.pause(); // hold the first submission in flight
 
@@ -194,42 +190,52 @@ fn disconnect_mid_job_cancels_and_frees_queue_capacity() {
         other => panic!("expected Queued, got {other:?}"),
     }
 
-    // The queue is at depth: a second client is rejected.
+    // The queue is at depth: the survivor's submit parks on the server, so no
+    // `Queued` event arrives. Its updates are forwarded from a helper thread so
+    // every wait below is bounded.
     let survivor = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
-    let rejected = survivor
+    let survivor_job = survivor
         .submit(SubmitPayload::Batch(vec![wire::WireJob {
             circuit: one_block_circuit(0.9),
             params: vec![],
             strategy: Strategy::StrictPartial,
         }]))
         .unwrap();
-    match rejected.wait() {
-        Err(RemoteError::Rejected(RejectReason::QueueFull { depth: 1 })) => {}
-        other => panic!("expected QueueFull, got {other:?}"),
-    }
+    let (forward, updates) = std::sync::mpsc::channel();
+    let forwarder = std::thread::spawn(move || {
+        while let Ok(update) = survivor_job.next_update() {
+            let terminal = !matches!(update, JobUpdate::Event(_));
+            if forward.send(update).is_err() || terminal {
+                return;
+            }
+        }
+    });
+    let next = || {
+        updates
+            .recv_timeout(Duration::from_secs(10))
+            .expect("an update within the deadline")
+    };
+    assert!(updates.recv_timeout(Duration::from_millis(100)).is_err());
+    assert_eq!(runtime.telemetry_snapshot().submissions, 1);
 
     // Drop the first client's connection mid-job: the server cancels its
-    // submission and releases the admission slot.
+    // submission and releases the admission slot to the parked survivor.
     drop(doomed);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while runtime.metrics().canceled_submissions == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "disconnect did not cancel the in-flight submission"
-        );
-        std::thread::yield_now();
+    match next() {
+        JobUpdate::Event(JobEvent::Queued) => {}
+        other => panic!("expected Queued, got {other:?}"),
     }
-
-    let retried = survivor
-        .submit(SubmitPayload::Batch(vec![wire::WireJob {
-            circuit: one_block_circuit(0.9),
-            params: vec![],
-            strategy: Strategy::StrictPartial,
-        }]))
-        .unwrap();
+    assert_eq!(runtime.metrics().canceled_submissions, 1);
     runtime.resume();
-    let results = retried.wait().expect("the freed slot admits the survivor");
+    let results = loop {
+        match next() {
+            JobUpdate::Event(_) => continue,
+            JobUpdate::Report(results) => break results,
+            other => panic!("expected the survivor's Report, got {other:?}"),
+        }
+    };
     assert!(results[0].is_ok());
+    forwarder.join().unwrap();
     // The canceled client's block was garbage-collected, never compiled.
     assert_eq!(runtime.metrics().unique_compilations, 1);
 }

@@ -59,7 +59,7 @@ fn main() {
         (strategy, handle)
     });
     for (strategy, handle) in submissions {
-        let reports = handle.wait().expect("not shed");
+        let reports = handle.wait().expect("not canceled");
         let report = reports[0].as_ref().expect("QAOA circuit compiles");
         println!(
             "  {:<18} {:>8.1} ns  ({:.2}x speedup)",

@@ -14,8 +14,8 @@
 //! * [`core`] — the paper's contribution: gate-based, strict partial, flexible partial,
 //!   and full-GRAPE compilation behind one [`core::PartialCompiler`] API.
 //! * [`runtime`] — the request-scheduling compilation service: a sharded pulse cache,
-//!   a bounded-admission submission front-end with per-client priorities and
-//!   backpressure, a scheduler that merges and deduplicates block tasks across
+//!   a bounded-admission submission front-end with per-client priorities (a full
+//!   queue parks the submitter), a scheduler that merges and deduplicates block tasks across
 //!   requests onto a persistent worker pool, a synchronous batch API over many
 //!   circuits / variational iterations, and persistent cache warm-start.
 //! * [`transport`] — the service served over TCP: a length-prefixed, versioned,

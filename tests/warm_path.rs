@@ -46,7 +46,7 @@ fn warm_iterations_replan_nothing_compile_nothing_and_match_the_sequential_compi
                 .expect("the service admits the iteration");
             let report = handle
                 .wait()
-                .expect("not shed")
+                .expect("not canceled")
                 .remove(0)
                 .expect("compiles");
             let reference = sequential.compile(&circuit, &theta, strategy).unwrap();
