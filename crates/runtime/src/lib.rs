@@ -12,7 +12,8 @@
 //! * [`CompilationRuntime`] — the request-scheduling service: a channel-based
 //!   accept loop admits [`Submission`]s through a queue bounded by
 //!   [`RuntimeOptions::queue_depth`] (a submit into a full queue parks its thread
-//!   until a slot frees), a scheduler expands them into block tasks, and a
+//!   until a slot frees), a scheduler expands them into tasks for their keyed
+//!   blocks (single-gate lookups resolve during expansion), and a
 //!   persistent worker pool drains
 //!   one merged queue ordered by strict [`Priority`], weighted-fair virtual time
 //!   per client, and longest-processing-time-first by the cost each plan records

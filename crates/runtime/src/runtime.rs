@@ -3,7 +3,8 @@
 //! [`CompilationRuntime`] owns a [`PartialCompiler`] and, through it, the one
 //! [`ShardedPulseCache`] every request shares, plus the [`crate::service`]
 //! machinery built around them: a channel-based accept loop, a scheduler that expands every admitted
-//! [`Submission`] into block tasks via [`PartialCompiler::plan`], and a persistent
+//! [`Submission`] into block tasks via [`PartialCompiler::plan`] (single-gate
+//! lookups resolve there, only keyed blocks are queued), and a persistent
 //! worker pool that drains one merged, priority-ordered task queue for all
 //! outstanding requests. Identical blocks are deduplicated across requests — each
 //! unique [`vqc_core::BlockKey`] is GRAPE-optimized at most once per process and its
@@ -357,7 +358,7 @@ impl CompilationRuntime {
 
     /// Compiles a batch of jobs against the shared cache.
     ///
-    /// All blocks of all jobs form one task pool, so the worker threads stay busy
+    /// All keyed blocks of all jobs form one task pool, so the worker threads stay busy
     /// across job boundaries and identical blocks appearing in different jobs (the
     /// common case across variational iterations) are compiled once. Each job's
     /// result is reported independently: one failing job does not poison the rest.

@@ -4,9 +4,16 @@
 //! service. Clients [`Submission::batch`]/[`Submission::iterations`] work through a
 //! bounded admission queue (a submit into a full queue parks the submitting
 //! thread until a slot frees), a channel-based accept loop hands each admitted
-//! submission to a scheduler thread that expands it into block tasks via
-//! [`PartialCompiler::plan`], and a persistent worker pool drains one merged task
-//! queue for *all* outstanding requests.
+//! submission to a scheduler thread that expands it via [`PartialCompiler::plan`],
+//! and a persistent worker pool drains one merged task queue for *all*
+//! outstanding requests.
+//!
+//! Only keyed blocks (the ones with pulse-level work, or a cache entry to probe)
+//! become tasks. A single-gate lookup block has no key and costs a table read, so
+//! expansion resolves it in place; a job of lookups only assembles there, and a
+//! submission with nothing keyed completes without waking a worker. A waiting
+//! caller is woken by events, not by deliveries: once per completed job, and once
+//! on the submission's completion or cancel.
 //!
 //! Ordering is per-client priority with weighted fair queuing underneath:
 //!
@@ -239,7 +246,10 @@ struct SubmissionState {
     /// is the queue time charged to its client's [`ClientMetrics`].
     admitted_at: Instant,
     inner: Mutex<SubmissionInner>,
+    /// Signalled when a job's result lands, on completion and on cancel.
     done: Condvar,
+    /// Signalled when the submission leaves `Queued` (expansion or cancel).
+    started: Condvar,
 }
 
 #[derive(Debug)]
@@ -266,6 +276,22 @@ struct JobSlot {
     outcomes: Vec<Option<BlockOutcome>>,
     remaining: usize,
     result: Option<Result<CompilationReport, CompileError>>,
+}
+
+impl JobSlot {
+    /// Assembles the job's report from its block outcomes, once every block has
+    /// one.
+    fn assemble(&mut self, compiler: &PartialCompiler) {
+        let outcomes = self
+            .outcomes
+            .iter_mut()
+            // audit:allow(unwrap): callers assemble only once every block has an outcome
+            .map(|outcome| outcome.take().expect("every block resolved"))
+            .collect();
+        // audit:allow(unwrap): only planned jobs have blocks to assemble
+        let plan = self.plan.as_ref().expect("assembled jobs have plans");
+        self.result = Some(Ok(compiler.assemble(plan, outcomes)));
+    }
 }
 
 /// A client's handle to one submission: poll with
@@ -311,7 +337,7 @@ impl JobHandle {
     pub fn wait_started(&self) -> JobStatus {
         let mut inner = self.state.inner.lock();
         while matches!(inner.status, JobStatus::Queued) {
-            self.state.done.wait(&mut inner);
+            self.state.started.wait(&mut inner);
         }
         inner.status
     }
@@ -382,6 +408,7 @@ impl JobHandle {
             inner.status = JobStatus::Canceled;
             was_queued
         };
+        self.state.started.notify_all();
         self.state.done.notify_all();
         if let Some(core) = self.core.upgrade() {
             core.canceled_submissions.fetch_add(1, Ordering::Relaxed);
@@ -430,7 +457,7 @@ struct TaskBody {
     block: usize,
     plan: CompilationPlan,
     params: Arc<Vec<f64>>,
-    key: Option<BlockKey>,
+    key: BlockKey,
     cost: f64,
 }
 
@@ -441,8 +468,7 @@ struct ReadyTask {
     priority: Priority,
     vstart: f64,
     seq: u64,
-    /// Generation of the [`KeyInterest`] this task was posted for (0 and unused
-    /// for keyless tasks).
+    /// Generation of the [`KeyInterest`] this task was posted for.
     generation: u64,
     body: TaskBody,
 }
@@ -566,6 +592,16 @@ struct IntakeState {
     closed: bool,
 }
 
+/// The admission queue's books, under one lock.
+#[derive(Debug, Default)]
+struct Admission {
+    /// Submissions admitted but not yet completed or canceled.
+    outstanding: usize,
+    /// Submitters parked on a full queue. Counted under the same lock as
+    /// `outstanding`, so a release that reads zero here has no one to wake.
+    parked: usize,
+}
+
 /// Shared heart of the service: compiler (pulse store included), scheduler state,
 /// counters.
 #[derive(Debug)]
@@ -576,8 +612,8 @@ pub(crate) struct ServiceCore {
     work: Condvar,
     intake: Mutex<IntakeState>,
     intake_cv: Condvar,
-    /// Submissions admitted but not yet completed or canceled.
-    outstanding: Mutex<usize>,
+    admission: Mutex<Admission>,
+    /// Signalled when a slot frees while a submitter is parked, and at shutdown.
     admitted: Condvar,
     shutdown: AtomicBool,
     pub(crate) compilations: AtomicU64,
@@ -644,7 +680,7 @@ impl ServiceCore {
         for entry in self.intake.lock().heap.iter() {
             queued_by_class[crate::telemetry::priority_class(entry.0.priority)] += 1;
         }
-        let outstanding = *self.outstanding.lock() as u64;
+        let outstanding = self.admission.lock().outstanding as u64;
         let store = self.compiler.cache();
         let cache = store.metrics();
         // Read before `submissions`, so a snapshot never shows more completions
@@ -717,11 +753,14 @@ impl ServiceCore {
     }
 
     fn release_admission(&self) {
-        {
-            let mut outstanding = self.outstanding.lock();
-            *outstanding = outstanding.saturating_sub(1);
+        let parked = {
+            let mut admission = self.admission.lock();
+            admission.outstanding = admission.outstanding.saturating_sub(1);
+            admission.parked > 0
+        };
+        if parked {
+            self.admitted.notify_all();
         }
-        self.admitted.notify_all();
     }
 
     /// Expands one admitted submission into block tasks (the scheduler layer).
@@ -787,69 +826,80 @@ impl ServiceCore {
             }
         };
 
-        // Key and cost every block before taking the scheduler lock. Both read the
-        // plan's per-block record.
+        // Build the job slots outside every lock. A keyless block is a
+        // single-gate lookup that needs no pulse work and touches no cache, so
+        // it resolves here, straight into its slot; only keyed blocks become
+        // tasks, keyed and costed from the plan's per-block record. A job with
+        // nothing left to compile (all lookups, or a zero-block gate-based
+        // plan) assembles here too.
         struct PlannedTask {
             job: usize,
             block: usize,
-            key: Option<BlockKey>,
+            key: BlockKey,
             cost: f64,
         }
         let mut tasks: Vec<PlannedTask> = Vec::new();
-        for (job_index, (plan, params, error)) in planned.iter().enumerate() {
-            if error.is_some() {
-                continue;
-            }
-            // audit:allow(unwrap): error jobs are filtered out on the line above
-            let plan = plan.as_ref().expect("non-error jobs have plans");
-            for (block_index, block) in plan.blocks.iter().enumerate() {
-                tasks.push(PlannedTask {
-                    job: job_index,
-                    block: block_index,
-                    key: plan.dedup_key(block, params),
-                    cost: plan.block_cost_seconds(block),
-                });
-            }
-        }
-
-        // Install the job slots (results skeleton).
-        {
-            let mut inner = state.inner.lock();
-            inner.jobs = planned
-                .iter()
-                .map(|(plan, _, error)| {
-                    let blocks = plan.as_ref().map(|p| p.blocks.len()).unwrap_or(0);
-                    let mut slot = JobSlot {
-                        plan: plan.clone(),
-                        outcomes: (0..blocks).map(|_| None).collect(),
-                        remaining: blocks,
-                        result: error.clone().map(Err),
+        let jobs: Vec<JobSlot> = planned
+            .iter()
+            .enumerate()
+            .map(|(job_index, (plan, params, error))| {
+                let mut slot = JobSlot {
+                    plan: plan.clone(),
+                    outcomes: Vec::new(),
+                    remaining: 0,
+                    result: error.clone().map(Err),
+                };
+                let Some(plan) = plan else {
+                    return slot;
+                };
+                for (block_index, block) in plan.blocks.iter().enumerate() {
+                    let outcome = match plan.dedup_key(block, params) {
+                        Some(key) => {
+                            tasks.push(PlannedTask {
+                                job: job_index,
+                                block: block_index,
+                                key,
+                                cost: plan.block_cost_seconds(block),
+                            });
+                            slot.remaining += 1;
+                            None
+                        }
+                        None => match self.compiler.compile_block_outcome(plan, block, params) {
+                            Ok(outcome) => Some(outcome),
+                            Err(error) => {
+                                slot.result.get_or_insert(Err(error));
+                                None
+                            }
+                        },
                     };
-                    if slot.result.is_none() && blocks == 0 {
-                        // Zero-block plans (the gate-based strategy) need no pulse
-                        // work: assemble immediately.
-                        // audit:allow(unwrap): waiters register only against planned jobs
-                        let plan = slot.plan.as_ref().expect("planned");
-                        slot.result = Some(Ok(self.compiler.assemble(plan, Vec::new())));
-                    }
-                    slot
-                })
-                .collect();
-            inner.jobs_remaining = inner
-                .jobs
-                .iter()
-                .filter(|slot| slot.result.is_none())
-                .count();
-            // Jobs resolved at planning time (errors, zero-block assembles) open
-            // the completion stream before any block task runs.
-            inner.completed_order = inner
-                .jobs
+                    slot.outcomes.push(outcome);
+                }
+                if slot.result.is_none() && slot.remaining == 0 {
+                    slot.assemble(&self.compiler);
+                }
+                slot
+            })
+            .collect();
+        let assembled: Vec<usize> = jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| matches!(slot.result, Some(Ok(_))))
+            .map(|(index, _)| index)
+            .collect();
+        let (resolved_jobs, remaining_jobs) = {
+            let mut inner = state.inner.lock();
+            // Jobs resolved at expansion (planning errors, jobs of lookups only)
+            // open the completion stream before any block task runs.
+            inner.completed_order = jobs
                 .iter()
                 .enumerate()
                 .filter(|(_, slot)| slot.result.is_some())
                 .map(|(index, _)| index)
                 .collect();
-        }
+            inner.jobs_remaining = jobs.len() - inner.completed_order.len();
+            inner.jobs = jobs;
+            (inner.completed_order.len(), inner.jobs_remaining)
+        };
 
         // Merge the tasks into the shared ready queue under one scheduler lock:
         // cross-request dedup registers waiters instead of duplicate tasks, and the
@@ -857,6 +907,7 @@ impl ServiceCore {
         // is published inside the same critical section, so a submission observed
         // as Running by anyone already has every task it will ever have in the
         // queue — there is no window where it looks started but is undispatched.
+        let wake_workers = !tasks.is_empty();
         {
             let mut sched = self.sched.lock();
             {
@@ -886,82 +937,58 @@ impl ServiceCore {
             let mut charged = 0.0;
             for task in tasks {
                 let (plan, params, _) = &planned[task.job];
-                let body = TaskBody {
-                    submission: Arc::clone(&state),
-                    job: task.job,
-                    block: task.block,
-                    // audit:allow(unwrap): tasks are created during plan expansion, after the plan is set
-                    plan: plan.clone().expect("tasks come from planned jobs"),
-                    params: Arc::clone(params),
-                    key: task.key.clone(),
-                    cost: task.cost,
-                };
-                if let Some(key) = &task.key {
-                    // Another request already owns this block's task: register as a
-                    // waiter, and inherit priority upward if we outrank the owner
-                    // so shared work is never scheduled late.
-                    let repost = if let Some(interest) = sched.pending.get_mut(key) {
-                        interest.waiters.push(Waiter {
-                            submission: Arc::clone(&state),
-                            job: task.job,
-                            block: task.block,
-                            plan: body.plan.clone(),
-                            params: Arc::clone(&body.params),
-                        });
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                        self.record_client(state.client, |m| m.coalesced_waits += 1);
-                        if !interest.taken && state.priority > interest.priority {
-                            interest.priority = state.priority;
-                            Some((interest.template.clone(), interest.generation))
-                        } else {
-                            None
-                        }
-                    } else {
-                        let generation = sched.next_generation;
-                        sched.next_generation += 1;
-                        sched.pending.insert(
-                            key.clone(),
-                            KeyInterest {
-                                generation,
-                                taken: false,
-                                priority: state.priority,
-                                template: body.clone(),
-                                waiters: Vec::new(),
-                            },
-                        );
-                        charged += task.cost;
-                        let seq = sched.next_task_seq;
-                        sched.next_task_seq += 1;
-                        sched.ready.push(ReadyTask {
-                            priority: state.priority,
-                            vstart,
-                            seq,
-                            generation,
-                            body,
-                        });
+                // audit:allow(unwrap): tasks are created during plan expansion, after the plan is set
+                let plan = plan.as_ref().expect("tasks come from planned jobs");
+                // Another request already owns this block's task: register as a
+                // waiter, and inherit priority upward if we outrank the owner so
+                // shared work is never scheduled late.
+                let (body, generation) = if let Some(interest) = sched.pending.get_mut(&task.key) {
+                    interest.waiters.push(Waiter {
+                        submission: Arc::clone(&state),
+                        job: task.job,
+                        block: task.block,
+                        plan: plan.clone(),
+                        params: Arc::clone(params),
+                    });
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.record_client(state.client, |m| m.coalesced_waits += 1);
+                    if interest.taken || state.priority <= interest.priority {
                         continue;
-                    };
-                    if let Some((template, generation)) = repost {
-                        let seq = sched.next_task_seq;
-                        sched.next_task_seq += 1;
-                        sched.ready.push(ReadyTask {
-                            priority: state.priority,
-                            vstart,
-                            seq,
-                            generation,
-                            body: template,
-                        });
                     }
-                    continue;
-                }
-                charged += task.cost;
+                    interest.priority = state.priority;
+                    (interest.template.clone(), interest.generation)
+                } else {
+                    let body = TaskBody {
+                        submission: Arc::clone(&state),
+                        job: task.job,
+                        block: task.block,
+                        plan: plan.clone(),
+                        params: Arc::clone(params),
+                        key: task.key.clone(),
+                        cost: task.cost,
+                    };
+                    let generation = sched.next_generation;
+                    sched.next_generation += 1;
+                    sched.pending.insert(
+                        task.key,
+                        KeyInterest {
+                            generation,
+                            taken: false,
+                            priority: state.priority,
+                            template: body.clone(),
+                            waiters: Vec::new(),
+                        },
+                    );
+                    charged += task.cost;
+                    (body, generation)
+                };
                 let seq = sched.next_task_seq;
                 sched.next_task_seq += 1;
                 sched.ready.push(ReadyTask {
                     priority: state.priority,
                     vstart,
                     seq,
-                    generation: 0,
+                    generation,
                     body,
                 });
             }
@@ -971,18 +998,30 @@ impl ServiceCore {
                     .insert(client, vstart + charged / state.weight);
             }
         }
-        self.work.notify_all();
-        // Wake status observers ([`JobHandle::wait_started`]) and completion
-        // streamers ([`JobHandle::wait_job`] of already-resolved jobs).
-        state.done.notify_all();
+        if wake_workers {
+            self.work.notify_all();
+        }
+        for job in assembled {
+            self.telemetry
+                .trace(TraceStage::JobDone, state.id, state.client, job as u64);
+        }
+        // Wake status observers ([`JobHandle::wait_started`]), and completion
+        // streamers ([`JobHandle::wait_job`]) if a job resolved above; when none
+        // is left, the completion below wakes everyone once.
+        state.started.notify_all();
+        if resolved_jobs > 0 && remaining_jobs > 0 {
+            state.done.notify_all();
+        }
 
-        // A submission whose every job already has a result (all planning errors,
-        // or all gate-based) completes without touching the worker pool.
+        // A submission whose every job already has a result (planning errors,
+        // lookups only, or gate-based) completes without touching the worker pool.
         self.try_complete(&state);
     }
 
     /// Delivers one block outcome to a job, assembling the job's report when it was
-    /// the last missing block.
+    /// the last missing block. Only a job's completion is an event: it wakes the
+    /// submission's waiters once, through the submission's completion when it was
+    /// the last job.
     fn deliver(
         &self,
         submission: &Arc<SubmissionState>,
@@ -990,8 +1029,7 @@ impl ServiceCore {
         block: usize,
         outcome: Result<BlockOutcome, CompileError>,
     ) {
-        let mut job_done = false;
-        {
+        let submission_done = {
             let mut inner = submission.inner.lock();
             if inner.status != JobStatus::Running {
                 return;
@@ -1017,36 +1055,28 @@ impl ServiceCore {
                     }
                 }
             };
-            if resolved {
-                let slot = &mut inner.jobs[job];
-                if slot.result.is_none() {
-                    // audit:allow(unwrap): jobs complete only after their plan was recorded
-                    let plan = slot.plan.clone().expect("completed jobs have plans");
-                    let outcomes = slot
-                        .outcomes
-                        .iter_mut()
-                        // audit:allow(unwrap): blocks_remaining == 0 means every outcome slot was filled
-                        .map(|outcome| outcome.take().expect("job completed all blocks"))
-                        .collect();
-                    slot.result = Some(Ok(self.compiler.assemble(&plan, outcomes)));
-                }
-                inner.completed_order.push(job);
-                inner.jobs_remaining -= 1;
-                job_done = true;
+            if !resolved {
+                return;
             }
+            let slot = &mut inner.jobs[job];
+            if slot.result.is_none() {
+                slot.assemble(&self.compiler);
+            }
+            inner.completed_order.push(job);
+            inner.jobs_remaining -= 1;
+            inner.jobs_remaining == 0
+        };
+        self.telemetry.trace(
+            TraceStage::JobDone,
+            submission.id,
+            submission.client,
+            job as u64,
+        );
+        if submission_done {
+            self.try_complete(submission);
+        } else {
+            submission.done.notify_all();
         }
-        if job_done {
-            self.telemetry.trace(
-                TraceStage::JobDone,
-                submission.id,
-                submission.client,
-                job as u64,
-            );
-        }
-        // Every job completion is an event: wake per-job streamers even though the
-        // submission as a whole may not be done yet.
-        submission.done.notify_all();
-        self.try_complete(submission);
     }
 
     /// Runs one block task and fans its result out to every waiting job.
@@ -1063,9 +1093,6 @@ impl ServiceCore {
             &body.plan.blocks[body.block],
             &body.params,
         );
-        // Count every compilation that actually ran GRAPE / tuning. Keyless blocks
-        // (single-gate lookups, gate-based plans) do no pulse-level work even
-        // though they report `cached: false`.
         if let Ok(outcome) = &outcome {
             let resolution = if outcome.report.cached {
                 TraceStage::CacheHit
@@ -1078,14 +1105,6 @@ impl ServiceCore {
                 body.submission.client,
                 body.block as u64,
             );
-            if body.key.is_some() {
-                if outcome.report.cached {
-                    self.record_client(body.submission.client, |m| m.cache_hits += 1);
-                } else {
-                    self.compilations.fetch_add(1, Ordering::Relaxed);
-                    self.record_client(body.submission.client, |m| m.compilations += 1);
-                }
-            }
             // With the compile-phase profiler armed (`VQC_PROFILE=1`), the
             // block's per-phase breakdown lands in the phase histograms and as
             // nested child spans under this block's compile span.
@@ -1099,45 +1118,51 @@ impl ServiceCore {
                 );
             }
         }
+        self.count_resolution(body.submission.client, &outcome);
         // Take the waiter list; the dedup entry disappears with it, so later
         // requests for this key become fresh tasks (and hit the cache).
-        let waiters = match &body.key {
-            Some(key) => self
-                .sched
-                .lock()
-                .pending
-                .remove(key)
-                .map(|interest| interest.waiters)
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
-        self.deliver(&body.submission, body.job, body.block, outcome.clone());
+        let waiters = self
+            .sched
+            .lock()
+            .pending
+            .remove(&body.key)
+            .map(|interest| interest.waiters)
+            .unwrap_or_default();
+        // Block errors are deterministic per circuit; recompiling for each
+        // waiter would fail identically. The owner's outcome moves into its job.
+        let failure = outcome.as_ref().err().cloned();
+        self.deliver(&body.submission, body.job, body.block, outcome);
         for waiter in waiters {
-            let shared = match &outcome {
-                // The leader populated the cache, so this is a lookup in the
-                // success case — and an honest (counted) recompile if a bounded
-                // cache already evicted the entry.
-                Ok(_) => {
+            let shared = match &failure {
+                Some(error) => Err(error.clone()),
+                // The leader populated the cache, so this is a lookup — and an
+                // honest (counted) recompile if a bounded cache already evicted
+                // the entry.
+                None => {
                     let outcome = self.compiler.compile_block_outcome(
                         &waiter.plan,
                         &waiter.plan.blocks[waiter.block],
                         &waiter.params,
                     );
-                    if let Ok(outcome) = &outcome {
-                        if outcome.report.cached {
-                            self.record_client(waiter.submission.client, |m| m.cache_hits += 1);
-                        } else {
-                            self.compilations.fetch_add(1, Ordering::Relaxed);
-                            self.record_client(waiter.submission.client, |m| m.compilations += 1);
-                        }
-                    }
+                    self.count_resolution(waiter.submission.client, &outcome);
                     outcome
                 }
-                // Block errors are deterministic per circuit; recompiling for each
-                // waiter would fail identically.
-                Err(error) => Err(error.clone()),
             };
             self.deliver(&waiter.submission, waiter.job, waiter.block, shared);
+        }
+    }
+
+    /// Counts one resolved keyed block on behalf of `client`: a cache hit, or a
+    /// compilation that ran pulse-level work.
+    fn count_resolution(&self, client: Option<u64>, outcome: &Result<BlockOutcome, CompileError>) {
+        let Ok(outcome) = outcome else {
+            return;
+        };
+        if outcome.report.cached {
+            self.record_client(client, |m| m.cache_hits += 1);
+        } else {
+            self.compilations.fetch_add(1, Ordering::Relaxed);
+            self.record_client(client, |m| m.compilations += 1);
         }
     }
 
@@ -1154,43 +1179,38 @@ impl ServiceCore {
                             // A canceled owner no longer needs its work.
                             let owner_dead =
                                 task.body.submission.inner.lock().status == JobStatus::Canceled;
-                            if let Some(key) = &task.body.key {
-                                match sched.pending.get_mut(key) {
-                                    // The interest this task was posted for is
-                                    // live and undispatched: take it.
-                                    Some(interest)
-                                        if interest.generation == task.generation
-                                            && !interest.taken =>
-                                    {
-                                        // Prune waiters whose submissions died
-                                        // since they registered, so a canceled
-                                        // waiter cannot keep a dead owner's task
-                                        // alive (task GC).
-                                        interest.waiters.retain(|waiter| {
-                                            waiter.submission.inner.lock().status
-                                                != JobStatus::Canceled
-                                        });
-                                        if owner_dead && interest.waiters.is_empty() {
-                                            // The owning submission was canceled
-                                            // and nobody else wants the block:
-                                            // drop the work.
-                                            sched.pending.remove(key);
-                                            continue;
-                                        }
-                                        // Either a live owner or live waiters: the
-                                        // block compiles (a dead owner's delivery
-                                        // is a no-op).
-                                        interest.taken = true;
+                            match sched.pending.get_mut(&task.body.key) {
+                                // The interest this task was posted for is
+                                // live and undispatched: take it.
+                                Some(interest)
+                                    if interest.generation == task.generation
+                                        && !interest.taken =>
+                                {
+                                    // Prune waiters whose submissions died
+                                    // since they registered, so a canceled
+                                    // waiter cannot keep a dead owner's task
+                                    // alive (task GC).
+                                    interest.waiters.retain(|waiter| {
+                                        waiter.submission.inner.lock().status != JobStatus::Canceled
+                                    });
+                                    if owner_dead && interest.waiters.is_empty() {
+                                        // The owning submission was canceled
+                                        // and nobody else wants the block:
+                                        // drop the work.
+                                        sched.pending.remove(&task.body.key);
+                                        continue;
                                     }
-                                    // Already dispatched (a higher-priority
-                                    // re-post beat us), completed (entry gone),
-                                    // or superseded (a *later* interest in the
-                                    // same key now owns the entry — this task
-                                    // must not hijack or drop it): stale, skip.
-                                    _ => continue,
+                                    // Either a live owner or live waiters: the
+                                    // block compiles (a dead owner's delivery
+                                    // is a no-op).
+                                    interest.taken = true;
                                 }
-                            } else if owner_dead {
-                                continue;
+                                // Already dispatched (a higher-priority
+                                // re-post beat us), completed (entry gone),
+                                // or superseded (a *later* interest in the
+                                // same key now owns the entry — this task
+                                // must not hijack or drop it): stale, skip.
+                                _ => continue,
                             }
                             sched.vclock = sched.vclock.max(task.vstart);
                             let seq = self.dispatch_seq.fetch_add(1, Ordering::SeqCst);
@@ -1341,7 +1361,7 @@ impl CompileService {
                 closed: false,
             }),
             intake_cv: Condvar::new(),
-            outstanding: Mutex::new(0),
+            admission: Mutex::new(Admission::default()),
             admitted: Condvar::new(),
             shutdown: AtomicBool::new(false),
             compilations: AtomicU64::new(0),
@@ -1422,6 +1442,7 @@ impl CompileService {
                 dispatched: Vec::new(),
             }),
             done: Condvar::new(),
+            started: Condvar::new(),
         });
         // The client's causal trace id rides in the event's detail, so a merged
         // client+server trace can correlate the two processes' spans.
@@ -1431,17 +1452,19 @@ impl CompileService {
         {
             // The submitting thread is the pressure valve: it parks here until a
             // completion or a cancellation frees a slot.
-            let mut outstanding = core.outstanding.lock();
+            let mut admission = core.admission.lock();
             loop {
                 if core.shutdown.load(Ordering::SeqCst) {
                     return Err(SubmitError::ShuttingDown);
                 }
-                if *outstanding < core.queue_depth {
+                if admission.outstanding < core.queue_depth {
                     break;
                 }
-                core.admitted.wait(&mut outstanding);
+                admission.parked += 1;
+                core.admitted.wait(&mut admission);
+                admission.parked -= 1;
             }
-            *outstanding += 1;
+            admission.outstanding += 1;
         }
 
         {
@@ -1501,6 +1524,9 @@ impl Drop for CompileService {
         // Closing the intake ends the accept loop once it has drained the heap.
         self.core.intake.lock().closed = true;
         self.core.intake_cv.notify_all();
+        // Taking the admission lock orders this wake after the shutdown flag
+        // against a submitter between its flag check and its wait.
+        drop(self.core.admission.lock());
         self.core.admitted.notify_all();
         self.core.work.notify_all();
         if let Some(handle) = self.accept_thread.take() {

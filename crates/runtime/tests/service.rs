@@ -455,8 +455,9 @@ fn canceled_owner_with_live_waiters_keeps_shared_work_but_drops_private_work() {
 }
 
 /// Dispatch order within a submission is a function of its plan alone: the
-/// blocks of a heterogeneous circuit start widest first, in the same order on a
-/// runtime that has never seen them and on one that has compiled every one.
+/// keyed blocks of a heterogeneous circuit start widest first, in the same order
+/// on a runtime that has never seen them and on one that has compiled every one.
+/// (Single-gate lookup blocks resolve at expansion and never start on a worker.)
 #[test]
 fn block_order_within_a_submission_does_not_depend_on_what_ran_before() {
     // Narrow and single-gate blocks come first in circuit order; the wide block
@@ -512,7 +513,16 @@ fn block_order_within_a_submission_does_not_depend_on_what_ran_before() {
         .plan(&circuit, &params, Strategy::StrictPartial)
         .unwrap();
     let width = |block: u64| plan.blocks[block as usize].qubits.len();
-    assert_eq!(fresh.len(), plan.blocks.len());
+    let keyed = plan
+        .blocks
+        .iter()
+        .filter(|block| plan.dedup_key(block, &params).is_some())
+        .count();
+    assert!(
+        keyed < plan.blocks.len(),
+        "the circuit has lookup blocks too"
+    );
+    assert_eq!(fresh.len(), keyed);
     let widest = plan.blocks.iter().map(|b| b.qubits.len()).max().unwrap();
     assert!(widest >= 3 && width(0) < widest, "{:?}", plan.blocks);
     assert_eq!(width(fresh[0]), widest, "the widest block starts first");
@@ -780,4 +790,175 @@ fn cancels_racing_the_expansion_keep_the_books_balanced() {
     assert_eq!(metrics.submissions, rounds);
     assert_eq!(metrics.canceled, canceled_rounds);
     assert_eq!(metrics.completed, rounds - canceled_rounds);
+}
+
+/// A submission of single-gate blocks only needs no worker: its blocks resolve
+/// at expansion, so it completes while the pool is paused and dispatches
+/// nothing.
+#[test]
+fn a_lookup_only_submission_completes_with_the_pool_paused() {
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
+    runtime.pause();
+    let handle = runtime
+        .submit(
+            Submission::single(
+                lookup_only_circuit(),
+                [0.1, 0.2, 0.3],
+                Strategy::StrictPartial,
+            )
+            .with_client(5),
+        )
+        .unwrap();
+    let report = handle.wait().expect("not canceled")[0].clone().unwrap();
+    assert_eq!(report.num_blocks, 3);
+    assert!(handle.dispatch_sequence().is_empty());
+    assert_eq!(runtime.client_metrics(5).dispatched_tasks, 0);
+    assert_eq!(runtime.client_metrics(5).completed, 1);
+    assert_eq!(runtime.metrics().unique_compilations, 0);
+    assert!(runtime
+        .trace_events()
+        .iter()
+        .all(|e| e.stage != TraceStage::Dispatched && e.stage != TraceStage::CompileStart));
+    runtime.resume();
+}
+
+/// A submission mixing keyed and single-gate blocks dispatches exactly its
+/// keyed blocks, and its report still covers every block.
+#[test]
+fn a_mixed_submission_dispatches_exactly_its_keyed_blocks() {
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
+    let mut circuit = Circuit::new(3);
+    circuit.h(0);
+    circuit.cx(0, 1);
+    circuit.rx(0, 0.4);
+    circuit.cx(0, 1);
+    circuit.rz_expr(2, vqc_circuit::ParamExpr::theta(0));
+    let params = [0.9];
+    let plan = runtime
+        .compiler()
+        .plan(&circuit, &params, Strategy::StrictPartial)
+        .unwrap();
+    let keyed = plan
+        .blocks
+        .iter()
+        .filter(|block| plan.dedup_key(block, &params).is_some())
+        .count();
+    assert!(keyed >= 1 && keyed < plan.blocks.len(), "{:?}", plan.blocks);
+
+    let handle = runtime
+        .submit(Submission::single(circuit, params, Strategy::StrictPartial).with_client(6))
+        .unwrap();
+    let report = handle.wait().expect("not canceled")[0].clone().unwrap();
+    assert_eq!(report.num_blocks, plan.blocks.len());
+    assert_eq!(handle.dispatch_sequence().len(), keyed);
+    assert_eq!(runtime.client_metrics(6).dispatched_tasks, keyed as u64);
+    assert_eq!(runtime.metrics().unique_compilations, keyed as u64);
+    assert_eq!(runtime.metrics().cache.misses, keyed as u64);
+}
+
+/// `wait_job` streams every job of a multi-job batch exactly once: jobs that
+/// resolve at expansion (single-gate lookups, a gate-based plan) stream while
+/// the pool is still paused, the keyed jobs after it resumes.
+#[test]
+fn wait_job_streams_every_job_of_a_batch_once() {
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(2));
+    let job = |circuit: Circuit, params: Vec<f64>, strategy| {
+        vqc_runtime::CompileJob::new(circuit, params, strategy)
+    };
+    runtime.pause();
+    let handle = runtime
+        .submit(Submission::batch(vec![
+            job(one_block_circuit(0.3), vec![], Strategy::StrictPartial),
+            job(
+                lookup_only_circuit(),
+                vec![0.1, 0.2, 0.3],
+                Strategy::StrictPartial,
+            ),
+            job(one_block_circuit(1.4), vec![], Strategy::StrictPartial),
+            job(
+                lookup_only_circuit(),
+                vec![0.4, 0.5, 0.6],
+                Strategy::GateBased,
+            ),
+        ]))
+        .unwrap();
+    let mut streamed = Vec::new();
+    for seen in 0..2 {
+        let (index, result) = handle.wait_job(seen).expect("not canceled").unwrap();
+        assert!(result.is_ok());
+        streamed.push(index);
+    }
+    streamed.sort_unstable();
+    assert_eq!(
+        streamed,
+        vec![1, 3],
+        "resolved at expansion, before any dispatch"
+    );
+    assert_eq!(handle.try_status(), JobStatus::Running);
+    runtime.resume();
+    let mut seen = 2;
+    while let Some((index, result)) = handle.wait_job(seen).expect("not canceled") {
+        assert!(result.is_ok());
+        streamed.push(index);
+        seen += 1;
+    }
+    streamed.sort_unstable();
+    assert_eq!(streamed, vec![0, 1, 2, 3]);
+    assert_eq!(handle.completed_jobs(), 4);
+    assert_eq!(handle.dispatch_sequence().len(), 2);
+}
+
+/// The caller blocked in `JobHandle::wait` is woken by events, not by block
+/// deliveries: over warm LiH strict ops (dozens of keyed cache hits and
+/// single-gate lookups each) its thread averages at most two voluntary context
+/// switches per op, where waking once per delivered block costs well over ten.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_waiting_caller_is_woken_once_per_warm_op_not_once_per_block() {
+    fn voluntary_switches() -> u64 {
+        std::fs::read_to_string("/proc/thread-self/status")
+            .expect("procfs is mounted")
+            .lines()
+            .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|count| count.trim().parse().ok())
+            .expect("the status file counts voluntary context switches")
+    }
+    let mut options = fast_options();
+    // Pre-compute only has to fill the cache; converged pulses are not the point.
+    options.grape.max_iterations = 2;
+    let runtime = CompilationRuntime::new(options, RuntimeOptions::with_workers(2));
+    let circuit = vqc_apps::uccsd::uccsd_circuit(vqc_apps::molecules::Molecule::LiH);
+    let theta = |op: usize| -> Vec<f64> {
+        (0..circuit.num_parameters())
+            .map(|i| 0.1 + 0.013 * (7 * op + i) as f64)
+            .collect()
+    };
+    assert!(runtime
+        .compile(&circuit, &theta(0), Strategy::StrictPartial)
+        .is_ok());
+    let compilations = runtime.metrics().unique_compilations;
+    assert!(compilations > 0);
+
+    let ops = 50;
+    let before = voluntary_switches();
+    for op in 1..=ops {
+        let handle = runtime
+            .submit(Submission::single(
+                circuit.clone(),
+                theta(op),
+                Strategy::StrictPartial,
+            ))
+            .unwrap();
+        assert!(handle.wait().expect("not canceled")[0].is_ok());
+    }
+    let per_op = (voluntary_switches() - before) as f64 / ops as f64;
+    assert_eq!(
+        runtime.metrics().unique_compilations,
+        compilations,
+        "every op after the first was warm"
+    );
+    assert!(
+        per_op <= 2.0,
+        "{per_op:.1} voluntary context switches per warm op"
+    );
 }

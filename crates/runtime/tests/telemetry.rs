@@ -311,9 +311,9 @@ fn trace_ring_records_the_full_lifecycle_chain() {
 }
 
 /// A submission is traced as admitted, and counted, before the accept loop can
-/// see it: however fast expansion and the worker are, the ring holds
-/// submitted → admitted → dispatched for every submission, and no snapshot
-/// shows more completions than admissions.
+/// see it: however fast expansion is (these submissions complete on the accept
+/// thread), the ring holds submitted → admitted → report for every submission,
+/// and no snapshot shows more completions than admissions.
 #[test]
 fn admission_is_traced_and_counted_before_a_submission_can_run() {
     let submissions = 300u64;
@@ -324,7 +324,8 @@ fn admission_is_traced_and_counted_before_a_submission_can_run() {
         ),
     );
     // One single-gate (lookup) block per qubit: nothing to compile, so each
-    // submission is expanded, dispatched and reported within microseconds.
+    // submission is expanded and reported within microseconds, on the accept
+    // thread alone.
     let mut circuit = Circuit::new(3);
     for qubit in 0..3 {
         circuit.rz_expr(qubit, vqc_circuit::ParamExpr::theta(qubit));
@@ -373,14 +374,14 @@ fn admission_is_traced_and_counted_before_a_submission_can_run() {
                 .position(|e| e.submission == submission && e.stage == stage)
                 .unwrap_or_else(|| panic!("submission {submission}: no {} event", stage.name()))
         };
-        let (submitted, admitted, dispatched) = (
+        let (submitted, admitted, reported) = (
             first(TraceStage::Submitted),
             first(TraceStage::Admitted),
-            first(TraceStage::Dispatched),
+            first(TraceStage::Report),
         );
         assert!(
-            submitted < admitted && admitted < dispatched,
-            "submission {submission}: submitted@{submitted} admitted@{admitted} dispatched@{dispatched}"
+            submitted < admitted && admitted < reported,
+            "submission {submission}: submitted@{submitted} admitted@{admitted} reported@{reported}"
         );
     }
 }
