@@ -110,14 +110,9 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
         utilization_bar(snapshot.worker_utilization(), 24),
         snapshot.worker_utilization() * 100.0,
     ));
-    let queued: u64 = snapshot.queued_by_class.iter().sum();
     out.push_str(&format!(
-        "queue     {queued} queued (low {} / normal {} / high {})   {} outstanding   {} ready tasks\n",
-        snapshot.queued_by_class[0],
-        snapshot.queued_by_class[1],
-        snapshot.queued_by_class[2],
-        snapshot.outstanding,
-        snapshot.ready_tasks,
+        "queue     {} outstanding   {} ready tasks\n",
+        snapshot.outstanding, snapshot.ready_tasks,
     ));
     out.push_str(&format!(
         "submits   {} total   {} completed   {} canceled\n",

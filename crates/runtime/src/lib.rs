@@ -9,11 +9,11 @@
 //!   and warm-start seeds, with hit/miss/eviction [`CacheMetrics`] and one optional
 //!   per-shard capacity bound. The sequential compiler builds one of its own; the
 //!   runtime builds the one all its requests share.
-//! * [`CompilationRuntime`] — the request-scheduling service: a channel-based
-//!   accept loop admits [`Submission`]s through a queue bounded by
-//!   [`RuntimeOptions::queue_depth`] (a submit into a full queue parks its thread
-//!   until a slot frees), a scheduler expands them into tasks for their keyed
-//!   blocks (single-gate lookups resolve during expansion), and a
+//! * [`CompilationRuntime`] — the request-scheduling service: [`Submission`]s
+//!   are admitted through a queue bounded by [`RuntimeOptions::queue_depth`] (a
+//!   submit into a full queue parks its thread until a slot frees), the
+//!   submitting thread expands each into tasks for its keyed blocks
+//!   (single-gate lookups resolve during expansion), and a
 //!   persistent worker pool drains
 //!   one merged queue ordered by strict [`Priority`], weighted-fair virtual time
 //!   per client, and longest-processing-time-first by the cost each plan records

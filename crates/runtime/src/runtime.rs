@@ -2,11 +2,12 @@
 //!
 //! [`CompilationRuntime`] owns a [`PartialCompiler`] and, through it, the one
 //! [`ShardedPulseCache`] every request shares, plus the [`crate::service`]
-//! machinery built around them: a channel-based accept loop, a scheduler that expands every admitted
-//! [`Submission`] into block tasks via [`PartialCompiler::plan`] (single-gate
-//! lookups resolve there, only keyed blocks are queued), and a persistent
-//! worker pool that drains one merged, priority-ordered task queue for all
-//! outstanding requests. Identical blocks are deduplicated across requests — each
+//! machinery built around them: a bounded admission queue, an expansion step
+//! that turns every admitted [`Submission`] into block tasks via
+//! [`PartialCompiler::plan`] on the submitting thread (single-gate lookups
+//! resolve there, only keyed blocks are queued), and a persistent worker pool
+//! that drains one merged, priority-ordered task queue for all outstanding
+//! requests. Identical blocks are deduplicated across requests — each
 //! unique [`vqc_core::BlockKey`] is GRAPE-optimized at most once per process and its
 //! result fans out to every waiting job, no matter how many circuits, parameter
 //! bindings, clients, or worker threads are involved.
@@ -150,8 +151,7 @@ pub struct CompilationRuntime {
 }
 
 impl CompilationRuntime {
-    /// Creates a runtime with a fresh empty cache and starts its accept loop and
-    /// worker pool.
+    /// Creates a runtime with a fresh empty cache and starts its worker pool.
     pub fn new(options: CompilerOptions, runtime_options: RuntimeOptions) -> Self {
         let cache = Arc::new(ShardedPulseCache::new(runtime_options.cache));
         CompilationRuntime {
@@ -226,7 +226,7 @@ impl CompilationRuntime {
     }
 
     /// Assembles a [`MetricsSnapshot`] of the whole service right now (queue
-    /// depths, worker utilization, rates, cache economics, per-class latency
+    /// depth, worker utilization, rates, cache economics, per-class latency
     /// histograms), allocating the next snapshot sequence number. On-demand
     /// snapshots and the periodic aggregator draw from the same sequence, so
     /// `seq` is globally monotonic however snapshots are produced.
@@ -282,9 +282,11 @@ impl CompilationRuntime {
     }
 
     /// Submits a request to the service and returns with a handle once it is
-    /// admitted. While the admission queue is at
-    /// [`RuntimeOptions::queue_depth`], the calling thread parks until a
-    /// completion or a cancellation frees a slot.
+    /// admitted and expanded: planned on the calling thread, its single-gate
+    /// lookups resolved and its keyed blocks queued for the workers, so the
+    /// handle is already `Running` (or `Done` if nothing needed a worker).
+    /// While the admission queue is at [`RuntimeOptions::queue_depth`], the
+    /// calling thread parks until a completion or a cancellation frees a slot.
     ///
     /// # Errors
     ///
@@ -303,21 +305,6 @@ impl CompilationRuntime {
     /// Resumes dispatching after [`CompilationRuntime::pause`].
     pub fn resume(&self) {
         self.service.resume();
-    }
-
-    /// Stops the accept loop from expanding admitted submissions; they buffer in
-    /// the priority-ordered intake heap until
-    /// [`CompilationRuntime::resume_intake`]. Unlike [`CompilationRuntime::pause`]
-    /// (which stops the *workers* while expansion continues), this holds
-    /// submissions in the `Queued` stage — a quiesce switch for the planning
-    /// layer, and the deterministic way to observe priority-ordered expansion.
-    pub fn pause_intake(&self) {
-        self.service.pause_intake();
-    }
-
-    /// Resumes expansion of buffered submissions, highest priority first.
-    pub fn resume_intake(&self) {
-        self.service.resume_intake();
     }
 
     /// Submits synchronously and waits for the result.

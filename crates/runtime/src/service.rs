@@ -3,17 +3,18 @@
 //! This module turns the compilation runtime from a library function into a
 //! service. Clients [`Submission::batch`]/[`Submission::iterations`] work through a
 //! bounded admission queue (a submit into a full queue parks the submitting
-//! thread until a slot frees), a channel-based accept loop hands each admitted
-//! submission to a scheduler thread that expands it via [`PartialCompiler::plan`],
-//! and a persistent worker pool drains one merged task queue for *all*
-//! outstanding requests.
+//! thread until a slot frees). Once admitted, the submitting thread itself
+//! expands the submission via [`PartialCompiler::plan`] into one merged task
+//! queue for *all* outstanding requests, which a persistent worker pool drains.
+//! There is no scheduler thread: submissions from different threads expand
+//! concurrently, so one client's cold plan never holds up another's expansion.
 //!
 //! Only keyed blocks (the ones with pulse-level work, or a cache entry to probe)
 //! become tasks. A single-gate lookup block has no key and costs a table read, so
 //! expansion resolves it in place; a job of lookups only assembles there, and a
-//! submission with nothing keyed completes without waking a worker. A waiting
-//! caller is woken by events, not by deliveries: once per completed job, and once
-//! on the submission's completion or cancel.
+//! submission with nothing keyed is `Done` before `submit` returns, without
+//! waking a worker. A waiting caller is woken by events, not by deliveries: once
+//! per completed job, and once on the submission's completion or cancel.
 //!
 //! Ordering is per-client priority with weighted fair queuing underneath:
 //!
@@ -40,9 +41,7 @@
 //! asked for a shared block first.
 
 use crate::runtime::CompileJob;
-use crate::telemetry::{
-    MetricsSnapshot, Telemetry, TelemetryOptions, TraceStage, PRIORITY_CLASSES,
-};
+use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryOptions, TraceStage};
 use parking_lot::{lock_check, Condvar, Mutex};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,9 +100,8 @@ impl std::error::Error for SubmitError {}
 /// Life-cycle stage of a submission, as reported by [`JobHandle::try_status`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Admitted, waiting for the scheduler to expand it into block tasks.
-    Queued,
-    /// Expanded; its block tasks are queued on or running on the worker pool.
+    /// Admitted and expanded; its block tasks are queued on or running on the
+    /// worker pool.
     Running,
     /// All jobs have results; [`JobHandle::wait`] returns without blocking.
     Done,
@@ -134,8 +132,8 @@ pub struct ClientMetrics {
     pub coalesced_waits: u64,
     /// Block tasks dispatched with this client's submissions as owner.
     pub dispatched_tasks: u64,
-    /// Total seconds this client's submissions spent between admission and
-    /// expansion (queue time before any block task could be scheduled).
+    /// Total seconds this client's submissions spent between submit and the end
+    /// of their expansion: parked at a full admission queue, then planning.
     pub queue_seconds: f64,
 }
 
@@ -242,14 +240,12 @@ struct SubmissionState {
     priority: Priority,
     weight: f64,
     client: Option<u64>,
-    /// When the submission was admitted; the interval to its `Running` transition
-    /// is the queue time charged to its client's [`ClientMetrics`].
-    admitted_at: Instant,
+    /// When `submit` was called; the interval to the end of its expansion is
+    /// the queue time charged to its client's [`ClientMetrics`].
+    submitted_at: Instant,
     inner: Mutex<SubmissionInner>,
     /// Signalled when a job's result lands, on completion and on cancel.
     done: Condvar,
-    /// Signalled when the submission leaves `Queued` (expansion or cancel).
-    started: Condvar,
 }
 
 #[derive(Debug)]
@@ -332,16 +328,6 @@ impl JobHandle {
         self.state.inner.lock().status
     }
 
-    /// Blocks until the submission leaves [`JobStatus::Queued`] and returns the
-    /// first non-queued status observed.
-    pub fn wait_started(&self) -> JobStatus {
-        let mut inner = self.state.inner.lock();
-        while matches!(inner.status, JobStatus::Queued) {
-            self.state.started.wait(&mut inner);
-        }
-        inner.status
-    }
-
     /// Blocks until the `seen`-th job (counting in completion order, starting at
     /// 0) has a result, and returns its submission-order index together with that
     /// result. Returns `Ok(None)` once the submission is done and fewer than
@@ -384,47 +370,31 @@ impl JobHandle {
         self.state.inner.lock().completed_order.len()
     }
 
-    /// Number of jobs the submission expands to. Zero until expansion installs
-    /// the job slots (i.e. while [`JobStatus::Queued`]); fixed thereafter.
+    /// Number of jobs the submission expanded to (expansion ends before
+    /// `submit` returns the handle, so the count never changes).
     pub fn job_count(&self) -> usize {
         self.state.inner.lock().jobs.len()
     }
 
-    /// Cancels the submission: queued work never dispatches, and a running
-    /// submission's not-yet-started block tasks are garbage-collected from the
-    /// ready queue (tasks other requests wait on survive and fan out to them;
-    /// tasks already executing finish and populate the shared cache). The
-    /// admission slot is released immediately, so cancellation wakes a submitter
-    /// parked on a full queue. Returns `true` if this call canceled the
-    /// submission, `false` if it had already completed, been canceled, or
-    /// entered its completion window.
+    /// Cancels the submission: its not-yet-started block tasks are
+    /// garbage-collected from the ready queue (tasks other requests wait on
+    /// survive and fan out to them; tasks already executing finish and populate
+    /// the shared cache). The admission slot is released immediately, so
+    /// cancellation wakes a submitter parked on a full queue. Returns `true` if
+    /// this call canceled the submission, `false` if it had already completed,
+    /// been canceled, or entered its completion window.
     pub fn cancel(&self) -> bool {
-        let was_queued = {
+        {
             let mut inner = self.state.inner.lock();
             if inner.finishing || matches!(inner.status, JobStatus::Done | JobStatus::Canceled) {
                 return false;
             }
-            let was_queued = matches!(inner.status, JobStatus::Queued);
             inner.status = JobStatus::Canceled;
-            was_queued
-        };
-        self.state.started.notify_all();
+        }
         self.state.done.notify_all();
         if let Some(core) = self.core.upgrade() {
             core.canceled_submissions.fetch_add(1, Ordering::Relaxed);
-            // A submission canceled while still Queued never reached `expand`,
-            // so its queue time is charged here (exactly once: a Running
-            // submission was already charged at the Running transition).
-            let queue_wait = was_queued.then(|| self.state.admitted_at.elapsed().as_secs_f64());
-            core.record_client(self.state.client, |m| {
-                m.canceled += 1;
-                if let Some(wait) = queue_wait {
-                    m.queue_seconds += wait;
-                }
-            });
-            if let Some(wait) = queue_wait {
-                core.telemetry.record_queue_wait(self.state.priority, wait);
-            }
+            core.record_client(self.state.client, |m| m.canceled += 1);
             core.telemetry
                 .trace(TraceStage::Canceled, self.state.id, self.state.client, 0);
             core.release_admission();
@@ -539,57 +509,9 @@ struct SchedState {
     vclock: f64,
     /// While `true`, workers do not dispatch (quiesce for tests or maintenance).
     paused: bool,
-    /// Set once the accept loop has drained its channel during shutdown.
-    scheduler_done: bool,
     next_task_seq: u64,
     /// Generation stamps for [`KeyInterest`] entries.
     next_generation: u64,
-}
-
-/// An admitted submission waiting for the accept loop to expand it. The heap
-/// ordering is what makes *expansion* priority-ordered: a huge low-priority
-/// submission admitted first no longer delays a later high-priority one's
-/// planning — the accept loop always drains the highest class first, FIFO within
-/// a class.
-#[derive(Debug)]
-struct IntakeEntry(Arc<SubmissionState>);
-
-impl PartialEq for IntakeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.id == other.0.id
-    }
-}
-
-impl Eq for IntakeEntry {}
-
-impl PartialOrd for IntakeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for IntakeEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap pops the greatest: higher priority first, then lower
-        // submission id (admission order) within a class.
-        self.0
-            .priority
-            .cmp(&other.0.priority)
-            .then_with(|| other.0.id.cmp(&self.0.id))
-    }
-}
-
-#[derive(Debug)]
-struct IntakeState {
-    /// Admitted, not-yet-expanded submissions, drained best-first.
-    heap: BinaryHeap<IntakeEntry>,
-    /// While `true`, the accept loop buffers admissions without expanding them —
-    /// the intake analogue of the dispatch [`SchedState::paused`] switch, used to
-    /// stage deterministic expansion-order scenarios.
-    paused: bool,
-    /// Set at shutdown; admissions still buffered are drained (expanded) so their
-    /// handles resolve, but nothing new is accepted.
-    closed: bool,
 }
 
 /// The admission queue's books, under one lock.
@@ -610,8 +532,6 @@ pub(crate) struct ServiceCore {
     queue_depth: usize,
     sched: Mutex<SchedState>,
     work: Condvar,
-    intake: Mutex<IntakeState>,
-    intake_cv: Condvar,
     admission: Mutex<Admission>,
     /// Signalled when a slot frees while a submitter is parked, and at shutdown.
     admitted: Condvar,
@@ -662,7 +582,7 @@ impl ServiceCore {
         // that sees this completion also sees the submission's admission count.
         self.completed_submissions.fetch_add(1, Ordering::Release);
         self.telemetry
-            .record_submit_to_report(state.priority, state.admitted_at.elapsed().as_secs_f64());
+            .record_submit_to_report(state.priority, state.submitted_at.elapsed().as_secs_f64());
         self.telemetry
             .trace(TraceStage::Report, state.id, state.client, 0);
         state.inner.lock().status = JobStatus::Done;
@@ -676,10 +596,6 @@ impl ServiceCore {
     pub(crate) fn build_snapshot(&self) -> MetricsSnapshot {
         let (seq, uptime_seconds) = self.telemetry.next_seq();
         let ready_tasks = self.sched.lock().ready.len() as u64;
-        let mut queued_by_class = [0u64; PRIORITY_CLASSES];
-        for entry in self.intake.lock().heap.iter() {
-            queued_by_class[crate::telemetry::priority_class(entry.0.priority)] += 1;
-        }
         let outstanding = self.admission.lock().outstanding as u64;
         let store = self.compiler.cache();
         let cache = store.metrics();
@@ -691,7 +607,6 @@ impl ServiceCore {
             uptime_seconds,
             workers: self.workers as u64,
             busy_workers: self.telemetry.busy_workers(),
-            queued_by_class,
             outstanding,
             ready_tasks,
             submissions: self.submissions.load(Ordering::Relaxed),
@@ -714,10 +629,15 @@ impl ServiceCore {
     }
 
     /// Applies `update` to the client's metrics slice (no-op for anonymous
-    /// submissions).
+    /// submissions). Only admission creates a slice, so an update that lands
+    /// after [`ServiceCore::release_client`] (a canceled owner's task kept
+    /// alive by a waiter, a block still compiling when a connection drops)
+    /// cannot bring a released slice back.
     fn record_client(&self, client: Option<u64>, update: impl FnOnce(&mut ClientMetrics)) {
         if let Some(client) = client {
-            update(self.client_metrics.lock().entry(client).or_default());
+            if let Some(metrics) = self.client_metrics.lock().get_mut(&client) {
+                update(metrics);
+            }
         }
     }
 
@@ -732,9 +652,8 @@ impl ServiceCore {
 
     /// Drops a client id's metrics slice and fair-share clock. Transports call
     /// this when a connection closes and its id will never submit again, so a
-    /// long-lived service does not grow state per short-lived client. A
-    /// straggling fan-out delivery may recreate a (near-empty) slice; that is
-    /// benign and the next release reaps it.
+    /// long-lived service does not grow state per short-lived client. Work of
+    /// the client still in flight finishes uncounted in its slice.
     pub(crate) fn release_client(&self, client: u64) {
         self.client_metrics.lock().remove(&client);
         self.sched.lock().clients.remove(&client);
@@ -764,20 +683,14 @@ impl ServiceCore {
     }
 
     /// Expands one admitted submission into block tasks (the scheduler layer).
-    fn expand(self: &Arc<Self>, state: Arc<SubmissionState>) {
-        // Canceled while waiting in the accept channel: nothing to do. The transition
-        // to `Running` is deliberately NOT made here — it is published together
-        // with the task enqueue at the end, so `Running` always means "every block
-        // task this submission will ever have is in the ready queue". (The accept
-        // loop is the only expander, so there is no claim to take.)
-        if state.inner.lock().status != JobStatus::Queued {
-            return;
-        }
-
+    /// Runs on the submitting thread before its handle exists, so nothing can
+    /// cancel or wait on the submission meanwhile; only workers see it, through
+    /// the tasks it posts.
+    fn expand(&self, state: &Arc<SubmissionState>) {
         // Plan every job. The compiler keeps the plans of the circuits it has
         // seen, so for a resubmitted ansatz this is a lookup; a new circuit pays
-        // the transpile passes and blocking here on the scheduler thread, off the
-        // submit path and outside every lock.
+        // the transpile passes and blocking here, outside every lock, while
+        // other threads' submissions expand alongside.
         /// One planned job: its shared plan (absent on error), its parameter
         /// binding, and its planning error if any.
         type PlannedJob = (Option<CompilationPlan>, Arc<Vec<f64>>, Option<CompileError>);
@@ -886,7 +799,7 @@ impl ServiceCore {
             .filter(|(_, slot)| matches!(slot.result, Some(Ok(_))))
             .map(|(index, _)| index)
             .collect();
-        let (resolved_jobs, remaining_jobs) = {
+        {
             let mut inner = state.inner.lock();
             // Jobs resolved at expansion (planning errors, jobs of lookups only)
             // open the completion stream before any block task runs.
@@ -898,33 +811,17 @@ impl ServiceCore {
                 .collect();
             inner.jobs_remaining = jobs.len() - inner.completed_order.len();
             inner.jobs = jobs;
-            (inner.completed_order.len(), inner.jobs_remaining)
-        };
+        }
+        let queue_wait = state.submitted_at.elapsed().as_secs_f64();
+        self.record_client(state.client, |m| m.queue_seconds += queue_wait);
+        self.telemetry.record_queue_wait(state.priority, queue_wait);
 
         // Merge the tasks into the shared ready queue under one scheduler lock:
         // cross-request dedup registers waiters instead of duplicate tasks, and the
-        // whole submission receives one fair-share virtual start stamp. `Running`
-        // is published inside the same critical section, so a submission observed
-        // as Running by anyone already has every task it will ever have in the
-        // queue — there is no window where it looks started but is undispatched.
+        // whole submission receives one fair-share virtual start stamp.
         let wake_workers = !tasks.is_empty();
         {
             let mut sched = self.sched.lock();
-            {
-                let mut inner = state.inner.lock();
-                if inner.status != JobStatus::Queued {
-                    // Canceled while this expansion was planning:
-                    // discard the tasks before anything becomes visible to the
-                    // workers.
-                    return;
-                }
-                inner.status = JobStatus::Running;
-            }
-            let queue_wait = state.admitted_at.elapsed().as_secs_f64();
-            self.record_client(state.client, |m| {
-                m.queue_seconds += queue_wait;
-            });
-            self.telemetry.record_queue_wait(state.priority, queue_wait);
             let vstart = match state.client {
                 Some(client) => sched
                     .clients
@@ -944,7 +841,7 @@ impl ServiceCore {
                 // shared work is never scheduled late.
                 let (body, generation) = if let Some(interest) = sched.pending.get_mut(&task.key) {
                     interest.waiters.push(Waiter {
-                        submission: Arc::clone(&state),
+                        submission: Arc::clone(state),
                         job: task.job,
                         block: task.block,
                         plan: plan.clone(),
@@ -959,7 +856,7 @@ impl ServiceCore {
                     (interest.template.clone(), interest.generation)
                 } else {
                     let body = TaskBody {
-                        submission: Arc::clone(&state),
+                        submission: Arc::clone(state),
                         job: task.job,
                         block: task.block,
                         plan: plan.clone(),
@@ -1005,17 +902,10 @@ impl ServiceCore {
             self.telemetry
                 .trace(TraceStage::JobDone, state.id, state.client, job as u64);
         }
-        // Wake status observers ([`JobHandle::wait_started`]), and completion
-        // streamers ([`JobHandle::wait_job`]) if a job resolved above; when none
-        // is left, the completion below wakes everyone once.
-        state.started.notify_all();
-        if resolved_jobs > 0 && remaining_jobs > 0 {
-            state.done.notify_all();
-        }
 
         // A submission whose every job already has a result (planning errors,
         // lookups only, or gate-based) completes without touching the worker pool.
-        self.try_complete(&state);
+        self.try_complete(state);
     }
 
     /// Delivers one block outcome to a job, assembling the job's report when it was
@@ -1227,7 +1117,7 @@ impl ServiceCore {
                             break Some(task);
                         }
                     }
-                    if draining && sched.scheduler_done && sched.ready.is_empty() {
+                    if draining && sched.ready.is_empty() {
                         break None;
                     }
                     self.work.wait(&mut sched);
@@ -1242,38 +1132,6 @@ impl ServiceCore {
                 None => return,
             }
         }
-    }
-
-    /// The accept loop: drain admitted submissions from the intake heap —
-    /// highest priority first, admission order within a class — and expand each
-    /// into scheduled tasks. Because the heap (not arrival order) chooses what to
-    /// plan next, a huge low-priority submission cannot delay a later
-    /// high-priority submission's expansion by more than one in-progress plan.
-    fn accept_loop(self: Arc<Self>) {
-        loop {
-            let state = {
-                let mut intake = self.intake.lock();
-                loop {
-                    if intake.closed {
-                        // Shutdown drains buffered admissions (paused or not) so
-                        // outstanding handles still resolve.
-                        break intake.heap.pop().map(|entry| entry.0);
-                    }
-                    if !intake.paused {
-                        if let Some(entry) = intake.heap.pop() {
-                            break Some(entry.0);
-                        }
-                    }
-                    self.intake_cv.wait(&mut intake);
-                }
-            };
-            match state {
-                Some(state) => self.expand(state),
-                None => break,
-            }
-        }
-        self.sched.lock().scheduler_done = true;
-        self.work.notify_all();
     }
 }
 
@@ -1319,12 +1177,11 @@ fn aggregator_loop(
     }
 }
 
-/// The running service: core state plus its accept-loop, worker, and telemetry
-/// aggregator threads.
+/// The running service: core state plus its worker and telemetry aggregator
+/// threads.
 #[derive(Debug)]
 pub(crate) struct CompileService {
     pub(crate) core: Arc<ServiceCore>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
     aggregator_thread: Option<std::thread::JoinHandle<()>>,
     /// Tells the aggregator to emit one final snapshot and exit; raised only
@@ -1350,17 +1207,10 @@ impl CompileService {
                 clients: HashMap::new(),
                 vclock: 0.0,
                 paused: false,
-                scheduler_done: false,
                 next_task_seq: 0,
                 next_generation: 1,
             }),
             work: Condvar::new(),
-            intake: Mutex::new(IntakeState {
-                heap: BinaryHeap::new(),
-                paused: false,
-                closed: false,
-            }),
-            intake_cv: Condvar::new(),
             admission: Mutex::new(Admission::default()),
             admitted: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -1387,8 +1237,6 @@ impl CompileService {
                 }
             })));
         }
-        let accept_core = Arc::clone(&core);
-        let accept_thread = spawn_named("vqc-accept", move || accept_core.accept_loop());
         let worker_threads = (0..workers)
             .map(|index| {
                 let worker_core = Arc::clone(&core);
@@ -1409,7 +1257,6 @@ impl CompileService {
         });
         CompileService {
             core,
-            accept_thread: Some(accept_thread),
             worker_threads,
             aggregator_thread,
             aggregator_stop,
@@ -1418,7 +1265,8 @@ impl CompileService {
     }
 
     /// Admits a submission, parking the calling thread while the admission queue
-    /// is at depth.
+    /// is at depth, then expands it on the calling thread. The returned handle
+    /// is already `Running`, or `Done` when no block needed a worker.
     pub(crate) fn submit(&self, submission: Submission) -> Result<JobHandle, SubmitError> {
         let core = &self.core;
         if core.shutdown.load(Ordering::SeqCst) {
@@ -1432,9 +1280,9 @@ impl CompileService {
             priority: submission.priority,
             weight: submission.weight,
             client: submission.client,
-            admitted_at: Instant::now(),
+            submitted_at: Instant::now(),
             inner: Mutex::new(SubmissionInner {
-                status: JobStatus::Queued,
+                status: JobStatus::Running,
                 finishing: false,
                 jobs: Vec::new(),
                 jobs_remaining: 0,
@@ -1442,7 +1290,6 @@ impl CompileService {
                 dispatched: Vec::new(),
             }),
             done: Condvar::new(),
-            started: Condvar::new(),
         });
         // The client's causal trace id rides in the event's detail, so a merged
         // client+server trace can correlate the two processes' spans.
@@ -1467,24 +1314,21 @@ impl CompileService {
             admission.outstanding += 1;
         }
 
-        {
-            let mut intake = core.intake.lock();
-            if intake.closed {
-                drop(intake);
-                core.release_admission();
-                return Err(SubmitError::ShuttingDown);
-            }
-            // Counted and traced before the push makes the submission visible to
-            // the accept loop: a fast expansion and worker could otherwise trace
-            // `Dispatched` ahead of `Admitted` and complete the submission before
-            // it was counted.
-            core.submissions.fetch_add(1, Ordering::Relaxed);
-            core.record_client(state.client, |m| m.submissions += 1);
-            core.telemetry
-                .trace(TraceStage::Admitted, state.id, state.client, 0);
-            intake.heap.push(IntakeEntry(Arc::clone(&state)));
+        // Counted and traced before expansion posts tasks: a fast worker could
+        // otherwise trace `Dispatched` ahead of `Admitted` and complete the
+        // submission before it was counted. Admission is the one place a
+        // client's metrics slice is created.
+        core.submissions.fetch_add(1, Ordering::Relaxed);
+        if let Some(client) = state.client {
+            core.client_metrics
+                .lock()
+                .entry(client)
+                .or_default()
+                .submissions += 1;
         }
-        core.intake_cv.notify_all();
+        core.telemetry
+            .trace(TraceStage::Admitted, state.id, state.client, 0);
+        core.expand(&state);
         Ok(JobHandle {
             state,
             core: Arc::downgrade(core),
@@ -1501,39 +1345,24 @@ impl CompileService {
         self.core.sched.lock().paused = false;
         self.core.work.notify_all();
     }
-
-    /// Stops the accept loop from expanding admitted submissions (they buffer in
-    /// the intake heap).
-    pub(crate) fn pause_intake(&self) {
-        self.core.intake.lock().paused = true;
-    }
-
-    /// Resumes expansion of buffered submissions, best-priority first.
-    pub(crate) fn resume_intake(&self) {
-        self.core.intake.lock().paused = false;
-        self.core.intake_cv.notify_all();
-    }
 }
 
 impl Drop for CompileService {
     /// Shuts the service down: no new submissions are accepted, but everything
     /// already admitted is drained to completion before the threads exit, so
-    /// outstanding [`JobHandle`]s still resolve.
+    /// outstanding [`JobHandle`]s still resolve. Every `submit` borrows the
+    /// service, so none is mid-expansion here: the ready queue already holds
+    /// every task there will be.
     fn drop(&mut self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
-        // Closing the intake ends the accept loop once it has drained the heap.
-        self.core.intake.lock().closed = true;
-        self.core.intake_cv.notify_all();
         // Taking the admission lock orders this wake after the shutdown flag
         // against a submitter between its flag check and its wait.
         drop(self.core.admission.lock());
         self.core.admitted.notify_all();
-        self.core.work.notify_all();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        // The accept loop marked itself done and woke the workers; they drain the
-        // remaining ready tasks and exit.
+        // Taking the scheduler lock orders this wake after the shutdown flag
+        // against a worker between its drain check and its wait; the workers
+        // drain the remaining ready tasks and exit.
+        drop(self.core.sched.lock());
         self.core.work.notify_all();
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();

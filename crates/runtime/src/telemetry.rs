@@ -7,7 +7,7 @@
 //! * **Latency histograms** — [`LatencyHistogram`] is a hand-rolled log-bucketed
 //!   histogram (one power-of-two bucket per latency octave, preallocated atomic
 //!   counters, no allocation and no lock on record). The service keeps one pair
-//!   per priority class: queue wait (admission → expansion) and end-to-end
+//!   per priority class: queue wait (submit → end of expansion) and end-to-end
 //!   latency (submit → report). Percentiles come out of a [`HistogramSnapshot`].
 //! * **Lifecycle tracing** — [`TraceRing`] is a bounded ring buffer of
 //!   [`TraceEvent`]s (submitted → admitted → dispatched → compile-start →
@@ -16,7 +16,7 @@
 //!   the ring as Chrome `trace_event` JSON loadable in `chrome://tracing` or
 //!   Perfetto, so "where did this slow job spend its time" is one dump away.
 //! * **Metrics snapshots** — a background aggregator assembles a
-//!   [`MetricsSnapshot`] (queue depths, worker utilization, rates, cache
+//!   [`MetricsSnapshot`] (queue depth, worker utilization, rates, cache
 //!   economics, per-class histograms) every [`TelemetryOptions::interval`],
 //!   publishes it to every [`crate::CompilationRuntime::watch_metrics`]
 //!   subscriber, and optionally appends it as a JSON line to
@@ -492,8 +492,8 @@ pub struct PhaseMetrics {
 pub struct ClassLatency {
     /// Class index (see [`PRIORITY_CLASS_NAMES`]).
     pub class: u8,
-    /// Admission → expansion wait of every submission that left the queue
-    /// (dispatched or canceled).
+    /// Submit → end of expansion, once per submission: time parked at a full
+    /// admission queue plus planning.
     pub queue_wait: HistogramSnapshot,
     /// Submit → report latency of completed submissions.
     pub submit_to_report: HistogramSnapshot,
@@ -515,8 +515,6 @@ pub struct MetricsSnapshot {
     pub workers: u64,
     /// Workers executing a block task at snapshot time (utilization numerator).
     pub busy_workers: u64,
-    /// Admitted submissions not yet expanded, per priority class.
-    pub queued_by_class: [u64; PRIORITY_CLASSES],
     /// Submissions admitted but not yet completed (queue depth incl. running).
     pub outstanding: u64,
     /// Block tasks in the ready queue (stale priority-inheritance duplicates
@@ -617,7 +615,7 @@ impl MetricsSnapshot {
             .join(",");
         format!(
             "{{\"seq\":{},\"uptime_seconds\":{:.6},\"workers\":{},\"busy_workers\":{},\
-             \"queued_by_class\":[{},{},{}],\"outstanding\":{},\"ready_tasks\":{},\
+             \"outstanding\":{},\"ready_tasks\":{},\
              \"submissions\":{},\"completed\":{},\"canceled\":{},\
              \"cache\":{{\"hits\":{},\"misses\":{},\"insertions\":{},\"evictions\":{},\
              \"entries\":{},\"hit_ratio\":{:.4}}},\"unique_compilations\":{},\
@@ -631,9 +629,6 @@ impl MetricsSnapshot {
             self.uptime_seconds,
             self.workers,
             self.busy_workers,
-            self.queued_by_class[0],
-            self.queued_by_class[1],
-            self.queued_by_class[2],
             self.outstanding,
             self.ready_tasks,
             self.submissions,

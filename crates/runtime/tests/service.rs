@@ -2,17 +2,20 @@
 //! ordering with fair-share interleaving, cross-request block dedup with fan-out,
 //! and admission, which parks the submitter while the queue is full.
 //!
-//! Determinism notes: the tests pause the runtime (workers stop dispatching, the
-//! accept loop keeps expanding) to build a known ready-queue state, then resume and
-//! read each handle's `dispatch_sequence()` — the global dispatch order the
-//! scheduler actually chose.
+//! Determinism notes: `submit` expands a submission on the calling thread, so
+//! when it returns every task of the submission is in the ready queue. The
+//! tests pause the runtime (workers stop dispatching) to build a known
+//! ready-queue state, then resume and read each handle's `dispatch_sequence()` —
+//! the global dispatch order the scheduler actually chose.
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use vqc_circuit::Circuit;
-use vqc_core::{CompilerOptions, Strategy};
+use vqc_core::{CompilationReport, CompilerOptions, PartialCompiler, Strategy};
 use vqc_runtime::{
-    CompilationRuntime, JobStatus, Priority, RuntimeOptions, Submission, SubmitError, TraceStage,
+    priority_class, CompilationRuntime, JobStatus, Priority, RuntimeOptions, Submission,
+    SubmitError, TraceStage,
 };
 
 fn fast_options() -> CompilerOptions {
@@ -51,15 +54,6 @@ fn shared_plus_private(private_phase: f64) -> Circuit {
     circuit
 }
 
-fn wait_until_running(handles: &[&vqc_runtime::JobHandle]) {
-    while handles
-        .iter()
-        .any(|handle| handle.try_status() == JobStatus::Queued)
-    {
-        std::thread::yield_now();
-    }
-}
-
 /// The acceptance scenario: two concurrent clients at different priorities share a
 /// block. The high-priority client's work — its private block *and* the shared
 /// block, via priority inheritance — is scheduled before the low-priority client's
@@ -80,10 +74,8 @@ fn high_priority_work_dispatches_first_and_shared_blocks_compile_once() {
                 .with_client(1),
         )
         .unwrap();
-    // Expansion is priority-ordered: wait for the low submission to expand (and
-    // post the shared task as owner) before the high one is admitted, so the
-    // inheritance scenario — high coalescing onto low's task — is what happens.
-    wait_until_running(&[&low]);
+    // The low submission expanded (and posted the shared task as owner) inside
+    // `submit`, so the high one coalesces onto low's task.
     let high = runtime
         .submit(
             Submission::single(shared_plus_private(1.9), [], Strategy::StrictPartial)
@@ -91,8 +83,6 @@ fn high_priority_work_dispatches_first_and_shared_blocks_compile_once() {
                 .with_client(2),
         )
         .unwrap();
-    // Both are expanded into the (paused) ready queue before any dispatch.
-    wait_until_running(&[&low, &high]);
     runtime.resume();
 
     let low_reports = low.wait().expect("not canceled");
@@ -158,7 +148,6 @@ fn equal_priority_clients_interleave_fairly() {
     let a1 = submit(1, 0.2);
     let a2 = submit(1, 0.9);
     let b1 = submit(2, 1.6);
-    wait_until_running(&[&a1, &a2, &b1]);
     runtime.resume();
     for handle in [&a1, &a2, &b1] {
         assert!(handle.wait().unwrap()[0].is_ok());
@@ -194,7 +183,6 @@ fn fair_share_weights_scale_a_clients_slice() {
         .chain(b.iter())
         .chain(std::iter::once(&a2))
         .collect();
-    wait_until_running(&handles);
     runtime.resume();
     for handle in &handles {
         assert!(handle.wait().unwrap()[0].is_ok());
@@ -304,6 +292,106 @@ fn cross_request_dedup_compiles_each_unique_block_exactly_once() {
     assert_eq!(metrics.submissions, 4);
 }
 
+/// Asserts two reports agree on everything but where their blocks came from
+/// (cache or GRAPE) and what that cost.
+fn assert_same_pulses(report: &CompilationReport, reference: &CompilationReport) {
+    assert_eq!(report.pulse_duration_ns, reference.pulse_duration_ns);
+    assert_eq!(
+        report.gate_based_duration_ns,
+        reference.gate_based_duration_ns
+    );
+    assert_eq!(report.blocks.len(), reference.blocks.len());
+    for (block, expected) in report.blocks.iter().zip(&reference.blocks) {
+        assert_eq!(
+            (
+                &block.qubits,
+                block.num_ops,
+                block.duration_ns,
+                block.used_grape,
+                block.converged
+            ),
+            (
+                &expected.qubits,
+                expected.num_ops,
+                expected.duration_ns,
+                expected.used_grape,
+                expected.converged
+            )
+        );
+    }
+}
+
+/// Submissions expand on their submitting threads, concurrently: eight threads
+/// released together by a barrier submit the same cold two-block circuit. Each
+/// distinct block compiles exactly once, every other block request is a
+/// coalesced wait or a cache hit, and every report carries the sequential
+/// compiler's pulses.
+///
+/// Uses `RuntimeOptions::default()` so the CI stress job can drive worker count
+/// and queue depth through `VQC_WORKERS` / `VQC_QUEUE_DEPTH`.
+#[test]
+fn concurrent_expansions_of_one_cold_circuit_compile_each_block_once() {
+    let mut options = fast_options();
+    options.max_block_width = 2;
+    let circuit = shared_plus_private(0.3);
+    let compiler = PartialCompiler::new(options.clone());
+    let sequential = compiler
+        .compile(&circuit, &[], Strategy::StrictPartial)
+        .unwrap();
+    let plan = compiler
+        .plan(&circuit, &[], Strategy::StrictPartial)
+        .unwrap();
+    let keys: HashSet<_> = plan
+        .blocks
+        .iter()
+        .filter_map(|block| plan.dedup_key(block, &[]))
+        .collect();
+    assert_eq!(keys.len(), 2);
+
+    // Cold: the runtime has planned and compiled nothing yet.
+    let runtime = Arc::new(CompilationRuntime::new(options, RuntimeOptions::default()));
+    let threads = 8u64;
+    let barrier = Arc::new(Barrier::new(threads as usize));
+    let submitters: Vec<_> = (0..threads)
+        .map(|client| {
+            let runtime = Arc::clone(&runtime);
+            let barrier = Arc::clone(&barrier);
+            let circuit = circuit.clone();
+            std::thread::spawn(move || {
+                barrier.wait();
+                runtime
+                    .submit(
+                        Submission::single(circuit, [], Strategy::StrictPartial)
+                            .with_client(client),
+                    )
+                    .unwrap()
+                    .wait()
+            })
+        })
+        .collect();
+    for submitter in submitters {
+        let report = submitter.join().unwrap().expect("not canceled").remove(0);
+        assert_same_pulses(&report.unwrap(), &sequential);
+    }
+
+    let keys = keys.len() as u64;
+    let metrics = runtime.metrics();
+    assert_eq!(metrics.unique_compilations, keys);
+    assert_eq!(metrics.cache.misses, keys);
+    let slices = runtime.client_metrics_snapshot();
+    let total = |field: fn(&vqc_runtime::ClientMetrics) -> u64| -> u64 {
+        slices.iter().map(|(_, metrics)| field(metrics)).sum()
+    };
+    assert_eq!(total(|m| m.compilations), keys);
+    assert_eq!(
+        total(|m| m.cache_hits),
+        threads * keys - keys,
+        "every other block request was served by fan-out or a cache hit"
+    );
+    assert!(total(|m| m.coalesced_waits) <= total(|m| m.cache_hits));
+    assert_eq!(total(|m| m.completed), threads);
+}
+
 /// Regression for interest-generation confusion: when a high-priority client
 /// coalesces onto a shared block, the task is re-posted at high priority and the
 /// *original* posting becomes a stale duplicate that can outlive its interest in
@@ -326,9 +414,6 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
                     .with_client(1),
             )
             .unwrap();
-        // Priority-ordered expansion would otherwise plan the high submission
-        // first; the hijack window needs low to own the shared key's task.
-        wait_until_running(&[&low]);
         let high = runtime
             .submit(
                 Submission::single(one_block_circuit(0.7), [], Strategy::StrictPartial)
@@ -336,7 +421,6 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
                     .with_client(2),
             )
             .unwrap();
-        wait_until_running(&[&low, &high]);
         runtime.resume();
         assert!(
             low.wait().expect("not canceled")[0].is_ok(),
@@ -359,7 +443,6 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
                     .with_client(3),
             )
             .unwrap();
-        wait_until_running(&[&successor]);
         runtime.resume();
         assert!(
             successor.wait().expect("not canceled")[0].is_ok(),
@@ -374,9 +457,9 @@ fn stale_priority_inheritance_duplicates_cannot_consume_later_interests() {
     assert!(metrics.coalesced_waits >= 3);
 }
 
-/// Canceling a queued submission resolves its handle with `Canceled` and frees
-/// its admission slot immediately, without waiting for workers: a submitter
-/// parked on the full queue is admitted.
+/// Canceling a running submission whose tasks are still queued resolves its
+/// handle with `Canceled` and frees its admission slot immediately, without
+/// waiting for workers: a submitter parked on the full queue is admitted.
 #[test]
 fn cancel_releases_queue_capacity_for_queued_and_running_submissions() {
     let runtime = Arc::new(CompilationRuntime::new(
@@ -396,8 +479,7 @@ fn cancel_releases_queue_capacity_for_queued_and_running_submissions() {
     let second = submit_from_thread(&runtime, 0.9);
     std::thread::sleep(Duration::from_millis(30));
     assert_eq!(runtime.metrics().submissions, 1);
-    // Cancel (whether still Queued or already expanded) frees the slot without
-    // a single block having compiled.
+    // Cancel frees the slot without a single block having compiled.
     assert!(first.cancel());
     assert!(!first.cancel(), "cancel is idempotent");
     assert_eq!(first.try_status(), JobStatus::Canceled);
@@ -429,15 +511,13 @@ fn canceled_owner_with_live_waiters_keeps_shared_work_but_drops_private_work() {
                 .with_client(1),
         )
         .unwrap();
-    // The owner must expand first so it owns the shared (0,1) block's task.
-    wait_until_running(&[&owner]);
+    // The owner expanded first, so it owns the shared (0,1) block's task.
     let waiter = runtime
         .submit(
             Submission::single(shared_plus_private(1.9), [], Strategy::StrictPartial)
                 .with_client(2),
         )
         .unwrap();
-    wait_until_running(&[&waiter]);
     assert!(owner.cancel());
     runtime.resume();
 
@@ -452,6 +532,40 @@ fn canceled_owner_with_live_waiters_keeps_shared_work_but_drops_private_work() {
     assert_eq!(metrics.unique_compilations, 2);
     assert_eq!(metrics.canceled_submissions, 1);
     assert_eq!(runtime.client_metrics(1).canceled, 1);
+}
+
+/// A released client's metrics slice stays released: the canceled owner's
+/// shared task, kept alive by another client's waiter, dispatches and compiles
+/// after `release_client`, and neither brings the slice back.
+#[test]
+fn a_released_clients_metrics_slice_is_not_recreated_by_its_straggling_work() {
+    let mut options = fast_options();
+    options.max_block_width = 2;
+    let runtime = CompilationRuntime::new(options, RuntimeOptions::with_workers(1));
+    runtime.pause();
+    let owner = runtime
+        .submit(
+            Submission::single(shared_plus_private(0.3), [], Strategy::StrictPartial)
+                .with_client(1),
+        )
+        .unwrap();
+    let waiter = runtime
+        .submit(
+            Submission::single(shared_plus_private(1.9), [], Strategy::StrictPartial)
+                .with_client(2),
+        )
+        .unwrap();
+    assert!(owner.cancel());
+    runtime.release_client(1);
+    runtime.resume();
+    assert!(waiter.wait().expect("not canceled")[0].is_ok());
+    let ids: Vec<u64> = runtime
+        .client_metrics_snapshot()
+        .iter()
+        .map(|(id, _)| *id)
+        .collect();
+    assert_eq!(ids, vec![2], "client 1's slice stays released");
+    assert_eq!(runtime.metrics().unique_compilations, 2);
 }
 
 /// Dispatch order within a submission is a function of its plan alone: the
@@ -488,7 +602,6 @@ fn block_order_within_a_submission_does_not_depend_on_what_ran_before() {
                 Strategy::StrictPartial,
             ))
             .unwrap();
-        wait_until_running(&[&handle]);
         runtime.resume();
         assert!(handle.wait().unwrap()[0].is_ok());
         runtime
@@ -529,61 +642,6 @@ fn block_order_within_a_submission_does_not_depend_on_what_ran_before() {
     assert_eq!(fresh, warm);
 }
 
-/// Expansion is priority-ordered: with the intake held, a later high-priority
-/// submission is planned before an earlier low-priority one.
-#[test]
-fn expansion_drains_the_intake_heap_in_priority_order() {
-    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
-    runtime.pause(); // workers quiesced; only expansion order is under test
-    runtime.pause_intake();
-    // A big low-priority batch (many distinct circuits, planned one by one)...
-    let low = runtime
-        .submit(
-            Submission::batch(
-                (0..40)
-                    .map(|i| {
-                        vqc_runtime::CompileJob::new(
-                            one_block_circuit(0.05 * i as f64),
-                            vec![],
-                            Strategy::StrictPartial,
-                        )
-                    })
-                    .collect(),
-            )
-            .with_priority(Priority::LOW)
-            .with_client(1),
-        )
-        .unwrap();
-    // ...admitted before a small high-priority request.
-    let high = runtime
-        .submit(
-            Submission::single(one_block_circuit(3.1), [], Strategy::StrictPartial)
-                .with_priority(Priority::HIGH)
-                .with_client(2),
-        )
-        .unwrap();
-    assert_eq!(low.try_status(), JobStatus::Queued);
-    assert_eq!(high.try_status(), JobStatus::Queued);
-    runtime.resume_intake();
-    assert_eq!(high.wait_started(), JobStatus::Running);
-    runtime.resume();
-    assert!(high.wait().unwrap()[0].is_ok());
-    assert!(low.wait().unwrap().iter().all(|r| r.is_ok()));
-    // Queue time is stamped at each submission's Running transition, so the
-    // per-client slices record the expansion order race-free: the high
-    // submission expanded first (small queue time), the low batch only after
-    // it — its queue time includes the high expansion *and* its own 40-circuit
-    // planning. Admission-ordered expansion would invert this (the low batch,
-    // admitted first, would go Running first and the high submission would
-    // wait behind its 40 plans).
-    let low_queue = runtime.client_metrics(1).queue_seconds;
-    let high_queue = runtime.client_metrics(2).queue_seconds;
-    assert!(
-        high_queue < low_queue,
-        "high expanded after the low batch (high queued {high_queue:.6}s, low {low_queue:.6}s)"
-    );
-}
-
 /// `RuntimeMetrics` slices per client: hits, compilations, coalesced waits,
 /// queue time, and life-cycle counts are attributed to the client id that
 /// caused them.
@@ -598,15 +656,13 @@ fn metrics_slice_per_client() {
             Submission::single(shared_plus_private(0.3), [], Strategy::StrictPartial)
                 .with_client(10),
         )
-        .unwrap();
-    wait_until_running(&[&a]); // a owns the shared block's task
+        .unwrap(); // a owns the shared block's task
     let b = runtime
         .submit(
             Submission::single(shared_plus_private(1.9), [], Strategy::StrictPartial)
                 .with_client(20),
         )
         .unwrap();
-    wait_until_running(&[&b]);
     runtime.resume();
     assert!(a.wait().unwrap()[0].is_ok());
     assert!(b.wait().unwrap()[0].is_ok());
@@ -641,44 +697,56 @@ fn metrics_slice_per_client() {
     assert_eq!(runtime.client_metrics(99).submissions, 0);
 }
 
-/// A submission canceled while still Queued charges its queued time to the
-/// owner's `queue_seconds` slice exactly once.
+/// Queue time runs from `submit` to the end of expansion, parking included,
+/// and is charged once per submission: a submitter parked ~20 ms on a depth-1
+/// queue until a cancel frees the slot is charged that wait, and the cancel
+/// charges nothing more.
 #[test]
 fn queue_seconds_charged_once_for_canceled_submissions() {
-    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
-    // Pausing intake (not dispatch) keeps admitted submissions in Queued: they
-    // never reach `expand`, so the Running-transition charge cannot fire and
-    // the cancel path is the only one that can account their time.
-    runtime.pause_intake();
+    let runtime = Arc::new(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1).with_queue_depth(1),
+    ));
+    runtime.pause();
     let canceled = runtime
         .submit(
             Submission::single(one_block_circuit(0.2), [], Strategy::StrictPartial).with_client(40),
         )
         .unwrap();
-    let survivor = runtime
-        .submit(
-            Submission::single(one_block_circuit(1.1), [], Strategy::StrictPartial).with_client(60),
-        )
-        .unwrap();
+    let charged = runtime.client_metrics(40).queue_seconds;
+    let parked = {
+        let runtime = Arc::clone(&runtime);
+        std::thread::spawn(move || {
+            let submission =
+                Submission::single(one_block_circuit(1.1), [], Strategy::StrictPartial)
+                    .with_priority(Priority::HIGH)
+                    .with_client(60);
+            runtime.submit(submission)?.wait()
+        })
+    };
     std::thread::sleep(Duration::from_millis(20));
-
-    // Cancel-while-Queued is charged its queue time...
-    canceled.cancel();
-    assert_eq!(canceled.try_status(), JobStatus::Canceled);
-    let cancel_seconds = runtime.client_metrics(40).queue_seconds;
-    assert!(
-        cancel_seconds >= 0.015,
-        "cancel-while-queued must be charged its ~20ms queue time, got {cancel_seconds:.6}s"
+    assert!(canceled.cancel());
+    assert_eq!(
+        runtime.client_metrics(40).queue_seconds,
+        charged,
+        "the cancel charges no queue time"
     );
-    // ...and exactly once: a second cancel is a no-op on an already-terminal
-    // submission.
-    canceled.cancel();
-    assert_eq!(runtime.client_metrics(40).queue_seconds, cancel_seconds);
+    runtime.resume();
+    assert!(parked.join().unwrap().expect("not canceled")[0].is_ok());
 
-    runtime.resume_intake();
-    assert!(survivor.wait().unwrap()[0].is_ok());
-    // The survivor is charged at its Running transition instead.
-    assert!(runtime.client_metrics(60).queue_seconds > 0.0);
+    let parked_seconds = runtime.client_metrics(60).queue_seconds;
+    assert!(
+        parked_seconds >= 0.015,
+        "the parked submitter must be charged its ~20ms wait, got {parked_seconds:.6}s"
+    );
+    let high = runtime
+        .telemetry_snapshot()
+        .classes
+        .into_iter()
+        .find(|class| class.class as usize == priority_class(Priority::HIGH))
+        .expect("a class row per priority class");
+    assert_eq!(high.queue_wait.count, 1, "one queue-wait sample");
+    assert!(high.queue_wait.total_seconds >= 0.015);
 }
 
 /// `wait_job` streams per-job completions in completion order and then reports
@@ -716,8 +784,8 @@ fn wait_job_streams_completions_in_order() {
     }
 }
 
-/// The handle lifecycle is observable: Queued (paused) → Running → Done, and
-/// `wait` is idempotent on a cloned handle.
+/// The handle lifecycle is observable: Running (paused) → Done, and `wait` is
+/// idempotent on a cloned handle.
 #[test]
 fn handle_status_progresses_and_wait_is_repeatable() {
     let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
@@ -729,9 +797,9 @@ fn handle_status_progresses_and_wait_is_repeatable() {
             Strategy::StrictPartial,
         ))
         .unwrap();
-    // While paused, the submission never reaches Done (it may be Queued or, once
-    // the accept loop expands it, Running).
-    assert_ne!(handle.try_status(), JobStatus::Done);
+    // Expanded by `submit`; while paused, its block task cannot run.
+    assert_eq!(handle.try_status(), JobStatus::Running);
+    assert_eq!(handle.job_count(), 1);
     runtime.resume();
     let clone = handle.clone();
     assert!(handle.wait().unwrap()[0].is_ok());
@@ -750,25 +818,32 @@ fn lookup_only_circuit() -> Circuit {
     circuit
 }
 
-/// A cancel racing the expansion (now a plan-cache lookup, so the window is a
-/// few microseconds) must still leave the handle and the counters in agreement:
-/// every submission is either canceled or completed, exactly once, and every
-/// admission slot comes back — checked after each round, so the first leaked
-/// slot fails the test before a later submit could park on it.
+/// A cancel racing the completion of a keyed block (a cache hit on a worker,
+/// so the window is a few microseconds) must still leave the handle and the
+/// counters in agreement: every submission is either canceled or completed,
+/// exactly once, and every admission slot comes back — checked after each
+/// round, so the first leaked slot fails the test before a later submit could
+/// park on it.
 #[test]
 fn cancels_racing_the_expansion_keep_the_books_balanced() {
     let runtime = CompilationRuntime::new(
         fast_options(),
         RuntimeOptions::with_workers(1).with_queue_depth(2),
     );
+    let mut circuit = one_block_circuit(0.7);
+    circuit.rz_expr(1, vqc_circuit::ParamExpr::theta(0));
+    // Warm the keyed block, so every round's task is a quick cache hit.
+    assert!(runtime
+        .compile(&circuit, &[0.0], Strategy::StrictPartial)
+        .is_ok());
     let rounds = 200;
     let mut canceled_rounds = 0;
     for round in 0..rounds {
         let handle = runtime
             .submit(
                 Submission::single(
-                    lookup_only_circuit(),
-                    [0.1, 0.2, 0.01 * round as f64],
+                    circuit.clone(),
+                    [0.01 * round as f64],
                     Strategy::StrictPartial,
                 )
                 .with_client(4),
@@ -793,8 +868,8 @@ fn cancels_racing_the_expansion_keep_the_books_balanced() {
 }
 
 /// A submission of single-gate blocks only needs no worker: its blocks resolve
-/// at expansion, so it completes while the pool is paused and dispatches
-/// nothing.
+/// at expansion, so it is done when `submit` returns, with the pool paused,
+/// and dispatches nothing.
 #[test]
 fn a_lookup_only_submission_completes_with_the_pool_paused() {
     let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
@@ -809,6 +884,11 @@ fn a_lookup_only_submission_completes_with_the_pool_paused() {
             .with_client(5),
         )
         .unwrap();
+    assert_eq!(
+        handle.try_status(),
+        JobStatus::Done,
+        "resolved inside submit"
+    );
     let report = handle.wait().expect("not canceled")[0].clone().unwrap();
     assert_eq!(report.num_blocks, 3);
     assert!(handle.dispatch_sequence().is_empty());

@@ -6,7 +6,8 @@
 //! submissions can be in flight on one connection while their events interleave
 //! arbitrarily. [`RemoteJob::wait`] consumes the event stream down to the
 //! terminal frame; [`RemoteJob::next_update`] exposes the stream itself
-//! (`Queued` → `Running` → one `JobDone` per job → `Report`).
+//! (`Queued` → `Running` → one `JobDone` per job → `Report`). `Queued` is the
+//! server's acknowledgement, sent once the submission is admitted and expanded.
 
 use crate::wire::{
     read_frame, write_frame, FrameError, JobEvent, RejectReason, Request, Response, ServerStats,
@@ -291,7 +292,8 @@ impl Client {
     ///
     /// Fails if the connection is lost. Refusals (a live duplicate id, a server
     /// shutting down) surface on the returned job's stream, not here; so does
-    /// admission, as the `Queued` event, which a full server queue delays.
+    /// admission, as the `Queued` event, which a full server queue (and the
+    /// server's planning of a new circuit) delays.
     pub fn submit(&self, payload: SubmitPayload) -> Result<RemoteJob, RemoteError> {
         self.submit_with(payload, None)
     }

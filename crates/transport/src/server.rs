@@ -4,10 +4,13 @@
 //! Each connection authenticates with [`Request::Hello`] and is mapped to a
 //! fresh service client id, so every submission it makes is scheduled (and
 //! metered — see [`vqc_runtime::ClientMetrics`]) under that identity at the
-//! connection's negotiated priority and fair-share weight. Submissions stream
-//! their progress back as [`Response::Event`] frames — `Queued`, `Running`,
-//! one `JobDone` per job as blocks finish — followed by a terminal
-//! [`Response::Report`] with the full result set.
+//! connection's negotiated priority and fair-share weight. The handler thread
+//! itself admits and expands each submission (planning it, resolving its
+//! single-gate lookups, queueing its keyed blocks), then acknowledges it.
+//! Submissions stream their progress back as [`Response::Event`] frames —
+//! `Queued` (the acknowledgement), `Running`, one `JobDone` per job as blocks
+//! finish — followed by a terminal [`Response::Report`] with the full result
+//! set.
 //!
 //! Failure containment follows the frame contract: an undecodable payload gets
 //! a [`Response::Error`] and the connection continues (the stream is still
@@ -105,7 +108,7 @@ impl ServerShared {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock the accept loop with a throwaway connection to our own port.
+        // Unblock the listener with a throwaway connection to our own port.
         let _ = TcpStream::connect(self.addr);
         // Close every connection's *read* half only: no new requests arrive
         // (each handler's blocking read fails and its request loop exits), but
@@ -170,7 +173,7 @@ impl Server {
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = spawn_named("vqc-tcp-accept", move || {
-            accept_loop(accept_shared, listener)
+            listen_loop(accept_shared, listener)
         });
         Ok(Server {
             shared,
@@ -220,7 +223,7 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(shared: Arc<ServerShared>, listener: TcpListener) {
+fn listen_loop(shared: Arc<ServerShared>, listener: TcpListener) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let (stream, _) = match listener.accept() {
@@ -403,9 +406,11 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                 priority: submit_priority,
                 trace,
             }) => {
-                let mut live = jobs.lock();
-                if live.contains_key(&id) {
-                    drop(live);
+                // The lock is taken only to check the id and, below, to insert
+                // the handle, never across `submit` (which parks on a full queue
+                // and plans). Streamers only remove entries, and this thread is
+                // the map's only inserter, so the id is still free at insert.
+                if jobs.lock().contains_key(&id) {
                     let _ = send(
                         &writer,
                         &Response::Rejected {
@@ -425,8 +430,7 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                 }
                 match shared.runtime.submit(submission) {
                     Ok(handle) => {
-                        live.insert(id, handle.clone());
-                        drop(live);
+                        jobs.lock().insert(id, handle.clone());
                         let _ = send(
                             &writer,
                             &Response::Event {
@@ -466,7 +470,6 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                     // Admission parks rather than refuses: submit fails only
                     // once the runtime is shutting down.
                     Err(_) => {
-                        drop(live);
                         let _ = send(
                             &writer,
                             &Response::Rejected {
@@ -667,36 +670,31 @@ fn build_submission(payload: SubmitPayload) -> Submission {
     }
 }
 
-/// Streams one submission's intermediate events to the client — `Running` once
-/// expansion publishes it, one `JobDone` per job as results land — and returns
-/// the terminal frame (`Report` or `Event{Canceled}`) for the caller to send
-/// *after* it has released the correlation id. `None` if the connection died
-/// mid-stream.
+/// Streams one submission's intermediate events to the client — `Running`
+/// (the submission was expanded before its handle existed), one `JobDone` per
+/// job as results land — and returns the terminal frame (`Report` or
+/// `Event{Canceled}`) for the caller to send *after* it has released the
+/// correlation id. `None` if the connection died mid-stream.
 fn stream_submission(
     writer: &Arc<Mutex<TcpStream>>,
     handle: &JobHandle,
     id: u64,
     max_frame: usize,
 ) -> Option<Response> {
-    match handle.wait_started() {
-        JobStatus::Queued => unreachable!("wait_started returns a non-queued status"),
-        JobStatus::Canceled => {
-            return Some(Response::Event {
-                id,
-                event: JobEvent::Canceled,
-            })
-        }
-        JobStatus::Running | JobStatus::Done => {
-            let running = Response::Event {
-                id,
-                event: JobEvent::Running {
-                    jobs: handle.job_count(),
-                },
-            };
-            if send(writer, &running, max_frame).is_err() {
-                return None;
-            }
-        }
+    if handle.try_status() == JobStatus::Canceled {
+        return Some(Response::Event {
+            id,
+            event: JobEvent::Canceled,
+        });
+    }
+    let running = Response::Event {
+        id,
+        event: JobEvent::Running {
+            jobs: handle.job_count(),
+        },
+    };
+    if send(writer, &running, max_frame).is_err() {
+        return None;
     }
     let mut seen = 0usize;
     loop {

@@ -33,11 +33,14 @@ use vqc_runtime::{ClientMetrics, JobStatus, MetricsSnapshot, RuntimeMetrics, Tra
 /// fail-fast and load-shedding admission modes could produce (two reject
 /// reasons, a wire status, a trace stage, and two counters each of the
 /// metrics types) plus two always-zero [`vqc_core::WarmStartStats`] fields:
-/// a full queue now parks the submitting connection instead.
+/// a full queue now parks the submitting connection instead. Version 5
+/// removed the not-yet-expanded stage: the `Queued` wire status and the
+/// snapshot's per-class count of submissions in it (a submission is expanded
+/// before its [`JobEvent::Queued`] acknowledgement is sent).
 /// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
 /// variant indices, so a client of any version can decode the refusal of its
 /// Hello.
-pub const PROTOCOL_VERSION: u32 = 4;
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -229,7 +232,7 @@ pub enum Request {
         /// Correlation id of the submission.
         id: u64,
     },
-    /// Cancel one submission (queued or running).
+    /// Cancel one running submission.
     Cancel {
         /// Correlation id of the submission.
         id: u64,
@@ -253,9 +256,8 @@ pub enum Request {
 /// Life-cycle stage of a submission, as reported over the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WireStatus {
-    /// Admitted, not yet expanded into block tasks.
-    Queued,
-    /// Expanded; block tasks queued on or running on the worker pool.
+    /// Admitted and expanded; block tasks queued on or running on the worker
+    /// pool.
     Running,
     /// All jobs have results.
     Done,
@@ -266,7 +268,6 @@ pub enum WireStatus {
 impl From<JobStatus> for WireStatus {
     fn from(status: JobStatus) -> Self {
         match status {
-            JobStatus::Queued => WireStatus::Queued,
             JobStatus::Running => WireStatus::Running,
             JobStatus::Done => WireStatus::Done,
             JobStatus::Canceled => WireStatus::Canceled,
@@ -277,7 +278,8 @@ impl From<JobStatus> for WireStatus {
 /// An asynchronous per-submission notification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobEvent {
-    /// The submission was admitted into the service queue.
+    /// The submission was admitted (and expanded): the acknowledgement of a
+    /// `Submit`, which a full server queue delays.
     Queued,
     /// The submission expanded into block tasks and compilation began.
     Running {
@@ -583,7 +585,6 @@ mod tests {
                     uptime_seconds: 12.25,
                     workers: 4,
                     busy_workers: 2,
-                    queued_by_class: [1, 2, 3],
                     classes: vec![vqc_runtime::ClassLatency {
                         class: 2,
                         queue_wait: vqc_runtime::HistogramSnapshot {
