@@ -1,5 +1,5 @@
-//! `vqc-report` — replay `VQC_METRICS_DUMP` metrics journals into a latency /
-//! phase-share report, optionally comparing two runs as a regression gate.
+//! `vqc-report` — replay metrics journals into a latency / phase-share report,
+//! optionally comparing two runs as a regression gate.
 //!
 //! ```text
 //! vqc-report BASELINE.jsonl [CANDIDATE.jsonl]
@@ -7,13 +7,13 @@
 //!            [--min-samples=N]
 //! ```
 //!
-//! A journal is the JSON-lines file the server appends when started with
-//! `VQC_METRICS_DUMP=PATH` (the same schema `vqc-top --json` prints). Counters
-//! in the journal are cumulative, so the *last* line is the run's terminal
-//! state; `vqc-report` summarizes it: per-class queue-wait and submit-to-report
+//! A journal is a JSON-lines file of metrics snapshots as `vqc-top --json`
+//! prints them: `vqc-top --json > run.jsonl` records a run at one snapshot a
+//! second, `vqc-top --once --json >> run.jsonl` appends one. Counters in the
+//! journal are cumulative, so the *last* line is the latest state it saw;
+//! `vqc-report` summarizes it: per-class queue-wait and submit-to-report
 //! p50/p95/p99, the compile-phase share breakdown from the armed profiler, and
-//! warm-start effectiveness (seeded-iteration fraction, table and memo hit
-//! rates).
+//! warm-start effectiveness (seeded-iteration fraction and table hit rate).
 //!
 //! With a second journal the report becomes a comparison — per-class quantile
 //! deltas, phase-share drift in percentage points, warm-start deltas — and a
@@ -286,8 +286,6 @@ struct PhaseRow {
 struct WarmStart {
     table_hits: f64,
     table_misses: f64,
-    memo_hits: f64,
-    memo_misses: f64,
     seeded_iterations: f64,
     cold_iterations: f64,
 }
@@ -295,9 +293,6 @@ struct WarmStart {
 impl WarmStart {
     fn table_rate(&self) -> f64 {
         rate(self.table_hits, self.table_misses)
-    }
-    fn memo_rate(&self) -> f64 {
-        rate(self.memo_hits, self.memo_misses)
     }
     fn seeded_fraction(&self) -> f64 {
         rate(self.seeded_iterations, self.cold_iterations)
@@ -378,8 +373,6 @@ fn load_journal(path: &str) -> Result<RunSummary, String> {
         .map(|w| WarmStart {
             table_hits: w.num("table_hits"),
             table_misses: w.num("table_misses"),
-            memo_hits: w.num("memo_hits"),
-            memo_misses: w.num("memo_misses"),
             seeded_iterations: w.num("seeded_iterations"),
             cold_iterations: w.num("cold_iterations"),
         })
@@ -458,10 +451,9 @@ fn print_summary(run: &RunSummary) {
     }
     let warm = &run.warm_start;
     println!(
-        "  warm-start: {:.1}% seeded iterations, {:.1}% table hits, {:.1}% memo hits",
+        "  warm-start: {:.1}% seeded iterations, {:.1}% table hits",
         warm.seeded_fraction() * 100.0,
         warm.table_rate() * 100.0,
-        warm.memo_rate() * 100.0,
     );
 }
 
@@ -558,14 +550,12 @@ fn compare(baseline: &RunSummary, candidate: &RunSummary, gate: &Gate) -> Vec<St
     }
     let warm_delta = candidate.warm_start.seeded_fraction() - baseline.warm_start.seeded_fraction();
     println!(
-        "  warm-start: seeded {:.1}% → {:.1}% ({:+.1} points), table {:.1}% → {:.1}%, memo {:.1}% → {:.1}%",
+        "  warm-start: seeded {:.1}% → {:.1}% ({:+.1} points), table {:.1}% → {:.1}%",
         baseline.warm_start.seeded_fraction() * 100.0,
         candidate.warm_start.seeded_fraction() * 100.0,
         warm_delta * 100.0,
         baseline.warm_start.table_rate() * 100.0,
         candidate.warm_start.table_rate() * 100.0,
-        baseline.warm_start.memo_rate() * 100.0,
-        candidate.warm_start.memo_rate() * 100.0,
     );
     violations
 }
@@ -670,8 +660,8 @@ mod tests {
     fn parses_a_journal_line_shape() {
         let line = "{\"seq\":3,\"uptime_seconds\":1.25,\"submissions\":4,\"completed\":4,\
                     \"cache\":{\"hits\":6,\"misses\":2,\"hit_ratio\":0.75},\
-                    \"warm_start\":{\"table_hits\":3,\"table_misses\":1,\"memo_hits\":5,\
-                    \"memo_misses\":5,\"seeded_iterations\":80,\"cold_iterations\":20},\
+                    \"warm_start\":{\"table_hits\":3,\"table_misses\":1,\
+                    \"seeded_iterations\":80,\"cold_iterations\":20},\
                     \"phases\":[{\"name\":\"propagation\",\"share\":0.6,\
                     \"durations\":{\"count\":7,\"mean_seconds\":0.01,\"p50_seconds\":0.009,\
                     \"p95_seconds\":0.02,\"p99_seconds\":0.02}}],\"jacobi_sweeps\":42,\

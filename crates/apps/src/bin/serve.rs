@@ -12,10 +12,9 @@
 //! kind per pulse-store shard, default unbounded); the transport adds
 //! `VQC_MAX_FRAME` (frame-size bound in bytes) and `VQC_MAX_CONNS`
 //! (simultaneous connections). Telemetry honors
-//! `VQC_TELEMETRY` (set `0` to disable), `VQC_METRICS_INTERVAL` (aggregator
-//! period in seconds, default 1), `VQC_METRICS_DUMP` (append one JSON line
-//! per snapshot to this path), and `VQC_TRACE_CAPACITY` (lifecycle trace ring
-//! size, default 4096) — watch it live with `vqc-top`. `VQC_EFFORT`
+//! `VQC_TELEMETRY` (set `0` to disable recording); watch it live with
+//! `vqc-top`, which asks for a snapshot once a second, and journal a run with
+//! `vqc-top --json > run.jsonl`. `VQC_EFFORT`
 //! (`fast` — the default, `standard`, `full`) picks the GRAPE effort;
 //! `VQC_SNAPSHOT` names a cache snapshot to warm-start from and to write back
 //! on graceful shutdown.

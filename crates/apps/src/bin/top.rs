@@ -4,24 +4,29 @@
 //! vqc-top [ADDRESS] [--once] [--json] [--dump-trace[=PATH]]
 //! ```
 //!
-//! Connects to `ADDRESS` (or `VQC_LISTEN`, default `127.0.0.1:7878`), issues
-//! the `Watch` request, and redraws a plain-ANSI dashboard on every server
-//! metrics tick: worker utilization, queue depths by priority class, cache hit
-//! ratio, per-class latency percentiles, and the most recent lifecycle events.
-//! Refresh cadence is the server's `VQC_METRICS_INTERVAL`, not a client-side
-//! timer.
+//! Connects to `ADDRESS` (or `VQC_LISTEN`, default `127.0.0.1:7878`), sends
+//! the `Metrics` request once a second, and redraws a plain-ANSI dashboard
+//! from each answer: worker utilization, queue depth, cache hit ratio,
+//! per-class latency percentiles, and the most recent lifecycle events. The
+//! server assembles each snapshot when the request arrives.
 //!
 //! `--once` renders a single snapshot and exits (CI smoke tests); `--json`
-//! prints each snapshot as one JSON line instead of the dashboard;
+//! prints each snapshot as one JSON line instead of the dashboard — the
+//! metrics journal `vqc-report` reads (`vqc-top --json > run.jsonl` records a
+//! run, `vqc-top --once --json >> run.jsonl` appends one snapshot);
 //! `--dump-trace[=PATH]` skips the dashboard entirely, fetches the server's
 //! lifecycle trace ring, and writes it as Chrome `trace_event` JSON (load it
 //! at `chrome://tracing` or <https://ui.perfetto.dev>) — default path
 //! `vqc-trace.json`.
 
+use std::time::Duration;
 use vqc_runtime::{
     chrome_trace_json, MetricsSnapshot, TraceEvent, TraceStage, PRIORITY_CLASS_NAMES,
 };
 use vqc_transport::{Client, ClientOptions, RemoteError, DEFAULT_LISTEN};
+
+/// How often the dashboard asks the server for a fresh snapshot.
+const POLL_INTERVAL: Duration = Duration::from_secs(1);
 
 struct Args {
     addr: String,
@@ -235,12 +240,12 @@ fn run(args: &Args) -> Result<(), RemoteError> {
         return dump_trace(&client, path);
     }
 
-    let ticks = client.watch()?;
     loop {
-        let snapshot = match ticks.recv() {
+        let snapshot = match client.metrics() {
             Ok(snapshot) => snapshot,
-            // Server drained or the connection closed: the stream is over.
-            Err(_) => return Ok(()),
+            // The server shut down: there is nothing more to show.
+            Err(RemoteError::Disconnected) => return Ok(()),
+            Err(error) => return Err(error),
         };
         if args.json {
             println!("{}", snapshot.to_json_line());
@@ -260,6 +265,7 @@ fn run(args: &Args) -> Result<(), RemoteError> {
         if args.once {
             return Ok(());
         }
+        std::thread::sleep(POLL_INTERVAL);
     }
 }
 

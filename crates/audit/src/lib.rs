@@ -445,7 +445,7 @@ pub fn check_env_drift(reads: &BTreeSet<String>, readme: &str, findings: &mut Ve
 
 /// How many distinct `VQC_*` environment variables the workspace reads. Lower
 /// it in the change that deletes a knob; raising it needs the case for a knob.
-pub const KNOB_BUDGET: usize = 16;
+pub const KNOB_BUDGET: usize = 13;
 
 /// Lint 6: the count of knobs read by code is pinned to `budget`.
 pub fn check_knob_budget(reads: &BTreeSet<String>, budget: usize, findings: &mut Vec<Finding>) {

@@ -15,7 +15,7 @@
 //!   submitting thread expands each into tasks for its keyed blocks
 //!   (single-gate lookups resolve during expansion), and a
 //!   persistent worker pool drains
-//!   one merged queue ordered by strict [`Priority`], weighted-fair virtual time
+//!   one merged queue ordered by strict [`Priority`], fair-share virtual time
 //!   per client, and longest-processing-time-first by the cost each plan records
 //!   for its blocks. Block tasks are
 //!   deduplicated *across requests*: one compiled block fans out to every waiting
@@ -27,10 +27,10 @@
 //!   a submitted job, making the paper's cross-iteration reuse cross-request.
 //! * Telemetry — log-bucketed per-priority-class [`HistogramSnapshot`] latency
 //!   distributions, a bounded [`TraceStage`] lifecycle trace ring exportable as
-//!   Chrome `trace_event` JSON ([`chrome_trace_json`]), and a background
-//!   aggregator publishing periodic [`MetricsSnapshot`]s to
-//!   [`CompilationRuntime::watch_metrics`] subscribers (configured by
-//!   [`TelemetryOptions`], optionally dumped as JSON lines).
+//!   Chrome `trace_event` JSON ([`chrome_trace_json`]), and
+//!   [`MetricsSnapshot`]s assembled on demand by
+//!   [`CompilationRuntime::telemetry_snapshot`] ([`TelemetryOptions`] turns
+//!   recording on or off).
 //! * [`persist`] — bincode snapshots of the store for warm-start across runs
 //!   ([`CompilationRuntime::save_snapshot`], [`CompilationRuntime::with_warm_start`]).
 //!

@@ -43,8 +43,8 @@ pub struct RuntimeOptions {
     /// Maximum number of submissions admitted but not yet completed (minimum 1).
     /// A submit into a full queue parks the submitting thread until a slot frees.
     pub queue_depth: usize,
-    /// Telemetry configuration: latency histograms, lifecycle tracing, and the
-    /// periodic metrics-snapshot aggregator.
+    /// Telemetry configuration: whether the latency histograms and the
+    /// lifecycle trace record.
     pub telemetry: TelemetryOptions,
 }
 
@@ -227,24 +227,15 @@ impl CompilationRuntime {
 
     /// Assembles a [`MetricsSnapshot`] of the whole service right now (queue
     /// depth, worker utilization, rates, cache economics, per-class latency
-    /// histograms), allocating the next snapshot sequence number. On-demand
-    /// snapshots and the periodic aggregator draw from the same sequence, so
-    /// `seq` is globally monotonic however snapshots are produced.
+    /// histograms) on the calling thread. This is the one source of snapshots
+    /// (the wire `Metrics` request calls it), and each takes the next
+    /// sequence number, so `seq` strictly increases from call to call.
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         self.service.core.build_snapshot()
     }
 
-    /// Subscribes to the periodic metrics-snapshot stream. Every aggregator tick
-    /// sends one [`MetricsSnapshot`] until the runtime shuts down; after the
-    /// graceful-shutdown drain the subscriber receives one final snapshot
-    /// reflecting the drained state, then the channel disconnects. With
-    /// telemetry disabled the returned receiver is already disconnected.
-    pub fn watch_metrics(&self) -> std::sync::mpsc::Receiver<MetricsSnapshot> {
-        self.service.core.telemetry.subscribe()
-    }
-
     /// The buffered lifecycle trace events, oldest first (the ring keeps the
-    /// most recent [`TelemetryOptions::trace_capacity`] events). Render with
+    /// most recent 4096 events). Render with
     /// [`crate::chrome_trace_json`] for `chrome://tracing` / Perfetto.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.service.core.telemetry.trace_events()
@@ -253,13 +244,6 @@ impl CompilationRuntime {
     /// Seconds since the runtime's service core started.
     pub fn uptime_seconds(&self) -> f64 {
         self.service.core.telemetry.uptime_seconds()
-    }
-
-    /// `(seq, uptime_seconds)` of the most recently assembled metrics snapshot
-    /// (zeros before the first) — what the wire `Stats` response reports so
-    /// pollers can detect restarts and stale reads without subscribing.
-    pub fn last_snapshot_meta(&self) -> (u64, f64) {
-        self.service.core.telemetry.last_snapshot()
     }
 
     /// Forgets a client id: drops its metrics slice and its fair-share virtual

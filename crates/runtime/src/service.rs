@@ -16,17 +16,18 @@
 //! waking a worker. A waiting caller is woken by events, not by deliveries: once
 //! per completed job, and once on the submission's completion or cancel.
 //!
-//! Ordering is per-client priority with weighted fair queuing underneath:
+//! Ordering is per-client priority with fair queuing underneath:
 //!
 //! 1. **Priority classes are strict** — a ready task of a higher [`Priority`]
 //!    always dispatches before any lower one. Sustained high-priority load can
 //!    therefore starve lower classes; the bounded admission queue is the pressure
 //!    valve that keeps that starvation visible at submit time instead of silent.
-//! 2. **Within a class, clients share the pool by weighted virtual time** — each
+//! 2. **Within a class, clients share the pool by virtual time** — each
 //!    submission is stamped with its client's virtual start time, and the client's
-//!    clock advances by `estimated cost / weight` per submission, so a client
-//!    submitting many requests interleaves fairly with its peers instead of
-//!    draining its whole backlog first (start-time fair queuing).
+//!    clock advances by the submission's estimated cost, so a client submitting
+//!    many requests interleaves fairly with its peers instead of draining its
+//!    whole backlog first (start-time fair queuing). Every client of a class
+//!    gets an equal share; nothing a client sends can buy a larger one.
 //! 3. **Within a submission, blocks drain longest-processing-time-first**, by the
 //!    same per-block cost the plan records. The classic LPT bound keeps the
 //!    makespan within 4/3 of optimal on heterogeneous plans, where submission
@@ -56,7 +57,7 @@ use vqc_core::{
 /// Scheduling priority of a submission. Higher values dispatch strictly first.
 ///
 /// Priorities order *classes* of traffic (interactive vs. batch); fairness between
-/// clients of the same class is handled by weighted virtual time, not by inventing
+/// clients of the same class is handled by fair-share virtual time, not by inventing
 /// fine-grained priority values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub u8);
@@ -157,7 +158,6 @@ enum SubmissionKind {
 pub struct Submission {
     kind: SubmissionKind,
     priority: Priority,
-    weight: f64,
     client: Option<u64>,
     trace: Option<u64>,
 }
@@ -168,7 +168,6 @@ impl Submission {
         Submission {
             kind: SubmissionKind::Batch(jobs),
             priority: Priority::default(),
-            weight: 1.0,
             client: None,
             trace: None,
         }
@@ -190,7 +189,6 @@ impl Submission {
                 strategy,
             },
             priority: Priority::default(),
-            weight: 1.0,
             client: None,
             trace: None,
         }
@@ -199,18 +197,6 @@ impl Submission {
     /// Sets the scheduling priority (default [`Priority::NORMAL`]).
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Sets the client's fair-share weight within its priority class (default 1.0;
-    /// a weight-2 client gets twice the share of a weight-1 peer). Clamped to a
-    /// small positive minimum.
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = if weight.is_finite() {
-            weight.max(1e-6)
-        } else {
-            1.0
-        };
         self
     }
 
@@ -238,7 +224,6 @@ struct SubmissionState {
     id: u64,
     kind: SubmissionKind,
     priority: Priority,
-    weight: f64,
     client: Option<u64>,
     /// When `submit` was called; the interval to the end of its expansion is
     /// the queue time charged to its client's [`ClientMetrics`].
@@ -432,7 +417,7 @@ struct TaskBody {
 }
 
 /// A queued block task. Ordering (via `Ord`) is the scheduling policy: strict
-/// priority, then weighted-fair virtual start time, then LPT cost, then FIFO.
+/// priority, then fair-share virtual start time, then LPT cost, then FIFO.
 #[derive(Debug)]
 struct ReadyTask {
     priority: Priority,
@@ -502,7 +487,7 @@ struct SchedState {
     ready: BinaryHeap<ReadyTask>,
     /// Keyed block work that is queued or running: the cross-request dedup table.
     pending: HashMap<BlockKey, KeyInterest>,
-    /// Per-client virtual time (seconds of estimated cost / weight).
+    /// Per-client virtual time (seconds of estimated cost).
     clients: HashMap<u64, f64>,
     /// Virtual start time of the most recently dispatched task; late-joining
     /// clients start here rather than at zero, so idleness earns no credit.
@@ -546,7 +531,7 @@ pub(crate) struct ServiceCore {
     dispatch_seq: AtomicU64,
     /// Size of the worker pool (for utilization in snapshots).
     pub(crate) workers: usize,
-    /// The live instrumentation layer (histograms, trace ring, subscribers).
+    /// The live instrumentation layer (histograms, trace ring).
     pub(crate) telemetry: Arc<Telemetry>,
 }
 
@@ -890,9 +875,7 @@ impl ServiceCore {
                 });
             }
             if let Some(client) = state.client {
-                sched
-                    .clients
-                    .insert(client, vstart + charged / state.weight);
+                sched.clients.insert(client, vstart + charged);
             }
         }
         if wake_workers {
@@ -1135,58 +1118,11 @@ impl ServiceCore {
     }
 }
 
-/// The telemetry aggregator loop: every `interval`, assemble a snapshot,
-/// publish it to watch subscribers, and append it to the dump file. The stop
-/// signal is raised only after the worker pool has drained, so the final
-/// snapshot each subscriber receives reflects the drained state; subscribers
-/// are disconnected after it.
-fn aggregator_loop(
-    core: Arc<ServiceCore>,
-    interval: std::time::Duration,
-    dump_path: Option<std::path::PathBuf>,
-    stop: Arc<(Mutex<bool>, Condvar)>,
-) {
-    use std::io::Write;
-    let mut dump = dump_path.and_then(|path| {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .ok()
-    });
-    loop {
-        let stopped = {
-            let (flag, cv) = &*stop;
-            let mut guard = flag.lock();
-            if *guard {
-                true
-            } else {
-                cv.wait_timeout(&mut guard, interval);
-                *guard
-            }
-        };
-        let snapshot = core.build_snapshot();
-        core.telemetry.publish(&snapshot);
-        if let Some(file) = dump.as_mut() {
-            let _ = writeln!(file, "{}", snapshot.to_json_line());
-        }
-        if stopped {
-            core.telemetry.close_subscribers();
-            return;
-        }
-    }
-}
-
-/// The running service: core state plus its worker and telemetry aggregator
-/// threads.
+/// The running service: core state plus its worker threads.
 #[derive(Debug)]
 pub(crate) struct CompileService {
     pub(crate) core: Arc<ServiceCore>,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
-    aggregator_thread: Option<std::thread::JoinHandle<()>>,
-    /// Tells the aggregator to emit one final snapshot and exit; raised only
-    /// after the worker pool has been joined, so that snapshot is post-drain.
-    aggregator_stop: Arc<(Mutex<bool>, Condvar)>,
     pub(crate) workers: usize,
 }
 
@@ -1245,21 +1181,9 @@ impl CompileService {
                 })
             })
             .collect();
-        let aggregator_stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let aggregator_thread = telemetry_options.enabled.then(|| {
-            let aggregator_core = Arc::clone(&core);
-            let stop = Arc::clone(&aggregator_stop);
-            let interval = telemetry_options.interval;
-            let dump_path = telemetry_options.dump_path.clone();
-            spawn_named("vqc-aggregator", move || {
-                aggregator_loop(aggregator_core, interval, dump_path, stop)
-            })
-        });
         CompileService {
             core,
             worker_threads,
-            aggregator_thread,
-            aggregator_stop,
             workers,
         }
     }
@@ -1278,7 +1202,6 @@ impl CompileService {
             id,
             kind: submission.kind,
             priority: submission.priority,
-            weight: submission.weight,
             client: submission.client,
             submitted_at: Instant::now(),
             inner: Mutex::new(SubmissionInner {
@@ -1367,17 +1290,5 @@ impl Drop for CompileService {
         for handle in self.worker_threads.drain(..) {
             let _ = handle.join();
         }
-        // Workers are drained: stop the aggregator, which emits one final
-        // snapshot reflecting the drained state before disconnecting
-        // subscribers.
-        {
-            let (flag, cv) = &*self.aggregator_stop;
-            *flag.lock() = true;
-            cv.notify_all();
-        }
-        if let Some(handle) = self.aggregator_thread.take() {
-            let _ = handle.join();
-        }
-        self.core.telemetry.close_subscribers();
     }
 }

@@ -1,5 +1,5 @@
 //! Live telemetry for the compilation service: latency histograms, lifecycle
-//! tracing, and periodic metrics snapshots.
+//! tracing, and on-demand metrics snapshots.
 //!
 //! The service core is instrumented at three altitudes, all cheap enough for the
 //! scheduler hot path:
@@ -15,13 +15,13 @@
 //!   with microseconds since the service started. [`chrome_trace_json`] renders
 //!   the ring as Chrome `trace_event` JSON loadable in `chrome://tracing` or
 //!   Perfetto, so "where did this slow job spend its time" is one dump away.
-//! * **Metrics snapshots** — a background aggregator assembles a
-//!   [`MetricsSnapshot`] (queue depth, worker utilization, rates, cache
-//!   economics, per-class histograms) every [`TelemetryOptions::interval`],
-//!   publishes it to every [`crate::CompilationRuntime::watch_metrics`]
-//!   subscriber, and optionally appends it as a JSON line to
-//!   [`TelemetryOptions::dump_path`] — the stream `vqc-top` renders and the
-//!   `Watch` wire request forwards to remote operators.
+//! * **Metrics snapshots** — [`crate::CompilationRuntime::telemetry_snapshot`]
+//!   assembles a [`MetricsSnapshot`] (queue depth, worker utilization, rates,
+//!   cache economics, per-class histograms) on the calling thread whenever it
+//!   is asked. Nothing runs in the background: the `Metrics` wire request is
+//!   answered with one such snapshot, `vqc-top` polls it, and
+//!   `vqc-top --json` prints each poll as one JSON line, the journal
+//!   `vqc-report` reads.
 //!
 //! Instrumentation is gated on [`TelemetryOptions::enabled`]: a disabled
 //! telemetry reduces every record call to one branch, which is what the
@@ -29,10 +29,8 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use vqc_core::{CompileProfile, PHASE_COUNT};
 
 use crate::service::Priority;
@@ -285,7 +283,7 @@ pub struct TraceEvent {
 
 /// A bounded ring buffer of [`TraceEvent`]s. When full, the oldest event is
 /// overwritten — the ring always holds the most recent window of lifecycle
-/// activity, sized by [`TelemetryOptions::trace_capacity`].
+/// activity (the service's ring holds 4096 events).
 #[derive(Debug)]
 pub struct TraceRing {
     inner: Mutex<TraceRingInner>,
@@ -395,26 +393,15 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
 /// Configuration of the telemetry layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
-    /// Master switch. Disabled telemetry records nothing (histograms, trace,
-    /// snapshots) and starts no aggregator thread; every instrumentation site
-    /// reduces to one branch. On by default.
+    /// Master switch. Disabled telemetry records nothing into the histograms
+    /// or the trace ring; every instrumentation site reduces to one branch.
+    /// Snapshots still count. On by default.
     pub enabled: bool,
-    /// Period of the background [`MetricsSnapshot`] aggregator (clamped to at
-    /// least 10 ms).
-    pub interval: Duration,
-    /// If set, every periodic snapshot is appended to this file as one JSON
-    /// line (the schema `vqc-top --json` prints and the README documents).
-    pub dump_path: Option<PathBuf>,
-    /// Capacity of the lifecycle trace ring, in events.
-    pub trace_capacity: usize,
 }
 
 impl Default for TelemetryOptions {
-    /// Defaults to enabled, a 1 s interval, no dump file, and a 4096-event
-    /// trace ring; the `VQC_TELEMETRY` (`0`/`off`/`false` disable),
-    /// `VQC_METRICS_INTERVAL` (seconds, fractional allowed),
-    /// `VQC_METRICS_DUMP` (path), and `VQC_TRACE_CAPACITY` (events)
-    /// environment variables override.
+    /// Defaults to enabled; `VQC_TELEMETRY` set to `0`/`off`/`false`/`no`
+    /// disables.
     fn default() -> Self {
         let enabled = !matches!(
             std::env::var("VQC_TELEMETRY")
@@ -423,26 +410,7 @@ impl Default for TelemetryOptions {
                 .as_str(),
             "0" | "off" | "false" | "no"
         );
-        let interval = std::env::var("VQC_METRICS_INTERVAL")
-            .ok()
-            .and_then(|raw| raw.parse::<f64>().ok())
-            .filter(|s| s.is_finite() && *s > 0.0)
-            .map(Duration::from_secs_f64)
-            .unwrap_or(Duration::from_secs(1));
-        let dump_path = std::env::var("VQC_METRICS_DUMP")
-            .ok()
-            .filter(|p| !p.is_empty())
-            .map(PathBuf::from);
-        let trace_capacity = std::env::var("VQC_TRACE_CAPACITY")
-            .ok()
-            .and_then(|raw| raw.parse::<usize>().ok())
-            .unwrap_or(4096);
-        TelemetryOptions {
-            enabled,
-            interval: interval.max(Duration::from_millis(10)),
-            dump_path,
-            trace_capacity,
-        }
+        TelemetryOptions { enabled }
     }
 }
 
@@ -450,24 +418,6 @@ impl TelemetryOptions {
     /// Enables or disables the whole layer.
     pub fn with_enabled(mut self, enabled: bool) -> Self {
         self.enabled = enabled;
-        self
-    }
-
-    /// Replaces the aggregator interval (clamped to at least 10 ms).
-    pub fn with_interval(mut self, interval: Duration) -> Self {
-        self.interval = interval.max(Duration::from_millis(10));
-        self
-    }
-
-    /// Replaces the JSON-lines dump path.
-    pub fn with_dump_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.dump_path = Some(path.into());
-        self
-    }
-
-    /// Replaces the trace-ring capacity.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 }
@@ -499,15 +449,15 @@ pub struct ClassLatency {
     pub submit_to_report: HistogramSnapshot,
 }
 
-/// One periodic observation of the whole service, assembled by the telemetry
-/// aggregator (or on demand via
-/// [`crate::CompilationRuntime::telemetry_snapshot`]). Serializable both over
-/// the wire (`Response::MetricsTick`) and as a JSON line
+/// One observation of the whole service, assembled on demand by
+/// [`crate::CompilationRuntime::telemetry_snapshot`]. Serializable both over
+/// the wire (`Response::Metrics`) and as a JSON line
 /// ([`MetricsSnapshot::to_json_line`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
-    /// Monotonically increasing snapshot number (process-wide). A pollster
-    /// seeing this decrease knows the server restarted.
+    /// Snapshot number: every snapshot takes the next one (process-wide), so
+    /// successive polls see it strictly increase. A poller seeing it decrease
+    /// knows the server restarted.
     pub seq: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
@@ -542,8 +492,9 @@ pub struct MetricsSnapshot {
     pub coalesced_waits: u64,
     /// Lifecycle events overwritten in the trace ring so far.
     pub trace_dropped: u64,
-    /// Warm-start counters: seed probes (hit/miss/evicted), GRAPE iterations
-    /// split seeded-vs-cold, and the `memo_*` fields that read 0.
+    /// Warm-start counters: seed probes (hit/miss/evicted) and GRAPE
+    /// iterations split seeded-vs-cold (the `memo_*` fields read 0 and stay
+    /// out of the JSON line).
     pub warm_start: vqc_core::WarmStartStats,
     /// Warm-start seed entries currently resident.
     pub seed_entries: u64,
@@ -580,7 +531,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as one JSON line (no trailing newline): the
-    /// `VQC_METRICS_DUMP` / `vqc-top --json` schema. Histograms are summarized
+    /// `vqc-top --json` journal schema. Histograms are summarized
     /// as count/mean/p50/p95/p99 (seconds); raw buckets stay wire-only.
     pub fn to_json_line(&self) -> String {
         let phases = self
@@ -621,7 +572,7 @@ impl MetricsSnapshot {
              \"entries\":{},\"hit_ratio\":{:.4}}},\"unique_compilations\":{},\
              \"coalesced_waits\":{},\"trace_dropped\":{},\
              \"warm_start\":{{\"table_hits\":{},\"table_misses\":{},\
-             \"table_evictions\":{},\"seed_entries\":{},\"memo_hits\":{},\"memo_misses\":{},\
+             \"table_evictions\":{},\"seed_entries\":{},\
              \"seeded_iterations\":{},\"cold_iterations\":{}}},\
              \"phases\":[{}],\"jacobi_sweeps\":{},\
              \"classes\":[{}]}}",
@@ -647,8 +598,6 @@ impl MetricsSnapshot {
             self.warm_start.table_misses,
             self.warm_start.table_evictions,
             self.seed_entries,
-            self.warm_start.memo_hits,
-            self.warm_start.memo_misses,
             self.warm_start.seeded_iterations,
             self.warm_start.cold_iterations,
             phases,
@@ -684,14 +633,11 @@ pub(crate) struct Telemetry {
     trace: TraceRing,
     busy_workers: AtomicU64,
     seq: AtomicU64,
-    /// `(seq, uptime_seconds)` of the most recently assembled snapshot, for
-    /// enriching `Stats` responses without rebuilding one.
-    last: Mutex<(u64, f64)>,
-    subscribers: Mutex<Vec<Sender<MetricsSnapshot>>>,
-    /// Set once the aggregator has emitted its final (post-drain) snapshot;
-    /// subscribers registered afterwards are disconnected immediately.
-    closed: Mutex<bool>,
 }
+
+/// Events the service's lifecycle trace ring holds: the last few hundred
+/// submissions (a lookup-only one traces four events, a one-block one seven).
+const TRACE_CAPACITY: usize = 4096;
 
 impl Telemetry {
     pub(crate) fn new(options: &TelemetryOptions) -> Self {
@@ -702,14 +648,9 @@ impl Telemetry {
             submit_to_report: std::array::from_fn(|_| LatencyHistogram::new()),
             phase_durations: std::array::from_fn(|_| LatencyHistogram::new()),
             jacobi_sweeps: AtomicU64::new(0),
-            trace: TraceRing::new(options.trace_capacity),
+            trace: TraceRing::new(TRACE_CAPACITY),
             busy_workers: AtomicU64::new(0),
             seq: AtomicU64::new(0),
-            last: Mutex::new((0, 0.0)),
-            subscribers: Mutex::new(Vec::new()),
-            // Disabled telemetry never ticks: subscribers would block forever,
-            // so report disconnection immediately instead.
-            closed: Mutex::new(!options.enabled),
         }
     }
 
@@ -853,17 +794,11 @@ impl Telemetry {
         self.busy_workers.load(Ordering::Relaxed)
     }
 
-    /// Allocates the next snapshot sequence number and stamps `last`.
+    /// Allocates the next snapshot sequence number, with the uptime it was
+    /// allocated at.
     pub(crate) fn next_seq(&self) -> (u64, f64) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let uptime = self.uptime_seconds();
-        *self.last.lock() = (seq, uptime);
-        (seq, uptime)
-    }
-
-    /// `(seq, uptime_seconds)` of the most recent snapshot (zeros before any).
-    pub(crate) fn last_snapshot(&self) -> (u64, f64) {
-        *self.last.lock()
+        (seq, self.uptime_seconds())
     }
 
     pub(crate) fn class_latencies(&self) -> Vec<ClassLatency> {
@@ -882,30 +817,6 @@ impl Telemetry {
 
     pub(crate) fn trace_dropped(&self) -> u64 {
         self.trace.dropped()
-    }
-
-    /// Registers a snapshot subscriber. A closed telemetry returns a receiver
-    /// that reports disconnection immediately.
-    pub(crate) fn subscribe(&self) -> Receiver<MetricsSnapshot> {
-        let (sender, receiver) = std::sync::mpsc::channel();
-        if !*self.closed.lock() {
-            self.subscribers.lock().push(sender);
-        }
-        receiver
-    }
-
-    /// Fans a snapshot out to every live subscriber, pruning dead ones.
-    pub(crate) fn publish(&self, snapshot: &MetricsSnapshot) {
-        self.subscribers
-            .lock()
-            .retain(|subscriber| subscriber.send(snapshot.clone()).is_ok());
-    }
-
-    /// Drops every subscriber (their receivers disconnect) and refuses new
-    /// ones. Called after the aggregator's final post-drain snapshot.
-    pub(crate) fn close_subscribers(&self) {
-        *self.closed.lock() = true;
-        self.subscribers.lock().clear();
     }
 }
 
@@ -1100,9 +1011,11 @@ mod tests {
         assert!(line.contains("\"class\":\"normal\""));
         assert!(line.contains(
             "\"warm_start\":{\"table_hits\":5,\"table_misses\":2,\
-             \"table_evictions\":0,\"seed_entries\":7,\"memo_hits\":9,\"memo_misses\":0,\
+             \"table_evictions\":0,\"seed_entries\":7,\
              \"seeded_iterations\":120,\"cold_iterations\":480}"
         ));
+        // The always-zero memo counters are not journaled, whatever they read.
+        assert!(!line.contains("memo"));
         assert!(line.contains("\"phases\":[],\"jacobi_sweeps\":0"));
         assert!(!line.contains('\n'));
     }

@@ -159,42 +159,6 @@ fn equal_priority_clients_interleave_fairly() {
     assert_eq!(a2.dispatch_sequence(), vec![2]);
 }
 
-/// A heavier fair-share weight buys a proportionally larger slice: the weight-4
-/// client drains four submissions before the weight-1 client's second.
-#[test]
-fn fair_share_weights_scale_a_clients_slice() {
-    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
-    runtime.pause();
-    let submit = |client: u64, weight: f64, phase: f64| {
-        runtime
-            .submit(
-                Submission::single(one_block_circuit(phase), [], Strategy::StrictPartial)
-                    .with_client(client)
-                    .with_weight(weight),
-            )
-            .unwrap()
-    };
-    let a1 = submit(1, 1.0, 0.1);
-    let b: Vec<_> = (0..4)
-        .map(|i| submit(2, 4.0, 1.0 + 0.3 * i as f64))
-        .collect();
-    let a2 = submit(1, 1.0, 0.5);
-    let handles: Vec<_> = std::iter::once(&a1)
-        .chain(b.iter())
-        .chain(std::iter::once(&a2))
-        .collect();
-    runtime.resume();
-    for handle in &handles {
-        assert!(handle.wait().unwrap()[0].is_ok());
-    }
-    // a1 leads (earliest at virtual time 0), then all four of B's submissions
-    // (each advancing B's clock by cost/4) land before a2 (at cost/1).
-    assert_eq!(a1.dispatch_sequence(), vec![0]);
-    let b_seqs: Vec<u64> = b.iter().flat_map(|h| h.dispatch_sequence()).collect();
-    assert_eq!(b_seqs, vec![1, 2, 3, 4]);
-    assert_eq!(a2.dispatch_sequence(), vec![5]);
-}
-
 /// Submits one-block work from a fresh thread, which parks while the queue is
 /// full; the thread yields whether the block compiled.
 fn submit_from_thread(

@@ -1,10 +1,10 @@
 //! Integration tests of the telemetry subsystem: per-client counter slices
 //! summing to the global view under concurrent load, latency histograms
-//! agreeing with completion counts, the metrics watch stream, and the
+//! agreeing with completion counts, polled metrics snapshots, and the
 //! lifecycle trace ring's stage ordering.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
 use vqc_runtime::{
@@ -160,18 +160,14 @@ fn histogram_counts_equal_completed_submissions() {
     }
 }
 
-/// A `watch_metrics` subscriber sees snapshots with strictly increasing `seq`,
-/// and — because the aggregator publishes one final snapshot after the worker
-/// pool drains — the last tick reflects the fully-drained runtime.
+/// Every snapshot takes the next `seq`, so polls see it strictly increase
+/// while submissions run, and a poll taken once the waits return reflects the
+/// drained runtime.
 #[test]
-fn watch_subscriber_receives_monotonic_ticks_including_post_drain() {
-    let runtime = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(2)
-            .with_telemetry(TelemetryOptions::default().with_interval(Duration::from_millis(20))),
-    );
-    let ticks = runtime.watch_metrics();
+fn polled_snapshots_increase_seq_and_reflect_the_drain() {
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(2));
     let total = 4u64;
+    let mut snapshots = vec![runtime.telemetry_snapshot()];
     let handles: Vec<_> = (0..total)
         .map(|i| {
             runtime
@@ -184,23 +180,22 @@ fn watch_subscriber_receives_monotonic_ticks_including_post_drain() {
         })
         .collect();
     for handle in &handles {
+        snapshots.push(runtime.telemetry_snapshot());
         assert!(handle.wait().expect("not canceled")[0].is_ok());
     }
-    // Let at least one tick observe the drained state before teardown, then
-    // drop the runtime: the aggregator publishes a final snapshot and closes
-    // the channel.
-    std::thread::sleep(Duration::from_millis(50));
-    drop(runtime);
-
-    let mut snapshots = Vec::new();
-    while let Ok(snapshot) = ticks.recv() {
+    // A worker counts itself idle just after it delivers its last result, so
+    // the waits can return a moment before it has: poll until it has.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let snapshot = runtime.telemetry_snapshot();
+        let idle = snapshot.busy_workers == 0;
         snapshots.push(snapshot);
+        if idle {
+            break;
+        }
+        assert!(Instant::now() < deadline, "a worker never went idle");
+        std::thread::yield_now();
     }
-    assert!(
-        snapshots.len() >= 2,
-        "a 20ms aggregator must tick at least twice, got {}",
-        snapshots.len()
-    );
     for pair in snapshots.windows(2) {
         assert!(
             pair[1].seq > pair[0].seq,
@@ -212,23 +207,20 @@ fn watch_subscriber_receives_monotonic_ticks_including_post_drain() {
     }
     let last = snapshots.last().unwrap();
     assert_eq!(last.submissions, total);
-    assert_eq!(last.completed, total, "the final tick reflects the drain");
+    assert_eq!(last.completed, total, "the last poll reflects the drain");
     assert_eq!(last.outstanding, 0);
     assert_eq!(last.busy_workers, 0);
 }
 
-/// With telemetry disabled, a watch subscriber disconnects immediately instead
-/// of blocking forever, the trace ring stays empty, and on-demand snapshots
-/// still work.
+/// With telemetry disabled, the trace ring and the latency histograms stay
+/// empty, and on-demand snapshots still count.
 #[test]
-fn disabled_telemetry_disconnects_watchers_and_records_nothing() {
+fn disabled_telemetry_records_nothing() {
     let runtime = CompilationRuntime::new(
         fast_options(),
         RuntimeOptions::with_workers(1)
             .with_telemetry(TelemetryOptions::default().with_enabled(false)),
     );
-    let ticks = runtime.watch_metrics();
-    assert!(ticks.recv().is_err(), "no aggregator will ever publish");
     let handle = runtime
         .submit(Submission::single(
             one_block_circuit(0.9),
@@ -312,16 +304,13 @@ fn trace_ring_records_the_full_lifecycle_chain() {
 /// A submission is traced as admitted, and counted, before it is expanded:
 /// however fast expansion is (these submissions complete inside `submit`), the
 /// ring holds submitted → admitted → report for every submission, and no
-/// snapshot shows more completions than admissions.
+/// snapshot shows more completions than admissions. Each submission traces
+/// four events (submitted, admitted, job-done, report), so all 300 fit in the
+/// 4096-event ring.
 #[test]
 fn admission_is_traced_and_counted_before_a_submission_can_run() {
     let submissions = 300u64;
-    let runtime = CompilationRuntime::new(
-        fast_options(),
-        RuntimeOptions::with_workers(1).with_telemetry(
-            TelemetryOptions::default().with_trace_capacity(16 * submissions as usize),
-        ),
-    );
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
     // One single-gate (lookup) block per qubit: nothing to compile, so each
     // submission is expanded and reported within microseconds, on the
     // submitting thread alone.
@@ -390,42 +379,4 @@ fn admission_is_traced_and_counted_before_a_submission_can_run() {
             "submission {submission}: submitted@{submitted} admitted@{admitted} reported@{reported}"
         );
     }
-}
-
-/// The metrics dump file gains one well-formed JSON line per aggregator tick,
-/// including the final post-drain snapshot.
-#[test]
-fn metrics_dump_appends_json_lines() {
-    let dir = std::env::temp_dir().join(format!("vqc-telemetry-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let dump = dir.join("metrics.jsonl");
-    let _ = std::fs::remove_file(&dump);
-    {
-        let runtime = CompilationRuntime::new(
-            fast_options(),
-            RuntimeOptions::with_workers(1).with_telemetry(
-                TelemetryOptions::default()
-                    .with_interval(Duration::from_millis(20))
-                    .with_dump_path(&dump),
-            ),
-        );
-        let handle = runtime
-            .submit(Submission::single(
-                one_block_circuit(1.2),
-                [],
-                Strategy::StrictPartial,
-            ))
-            .unwrap();
-        assert!(handle.wait().expect("not canceled")[0].is_ok());
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    let contents = std::fs::read_to_string(&dump).unwrap();
-    let lines: Vec<&str> = contents.lines().collect();
-    assert!(lines.len() >= 2, "expected multiple ticks, got {lines:?}");
-    for line in &lines {
-        assert!(line.starts_with("{\"seq\":") && line.ends_with('}'));
-    }
-    // The final line is the post-drain snapshot.
-    assert!(lines.last().unwrap().contains("\"completed\":1"));
-    let _ = std::fs::remove_dir_all(&dir);
 }

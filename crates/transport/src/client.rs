@@ -8,13 +8,18 @@
 //! terminal frame; [`RemoteJob::next_update`] exposes the stream itself
 //! (`Queued` → `Running` → one `JobDone` per job → `Report`). `Queued` is the
 //! server's acknowledgement, sent once the submission is admitted and expanded.
+//!
+//! [`Client::stats`], [`Client::metrics`] and [`Client::trace`] are plain
+//! request/response calls. Their answers carry no correlation id; the server
+//! answers them in the order it reads them, so one FIFO of waiters routes
+//! every reply.
 
 use crate::wire::{
     read_frame, write_frame, FrameError, JobEvent, RejectReason, Request, Response, ServerStats,
     SubmitPayload, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -68,8 +73,6 @@ pub struct ClientOptions {
     pub name: String,
     /// Default priority class for this connection's submissions.
     pub priority: Priority,
-    /// Fair-share weight within the class.
-    pub weight: f64,
     /// Frame size bound (must be at least the server's to receive big reports).
     pub max_frame: usize,
 }
@@ -79,7 +82,6 @@ impl Default for ClientOptions {
         ClientOptions {
             name: String::from("vqc-client"),
             priority: Priority::NORMAL,
-            weight: 1.0,
             max_frame: DEFAULT_MAX_FRAME,
         }
     }
@@ -95,12 +97,6 @@ impl ClientOptions {
     /// Replaces the default priority.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Replaces the fair-share weight.
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = weight;
         self
     }
 }
@@ -126,13 +122,9 @@ enum Routed {
 struct RouteTable {
     /// Live per-submission channels, keyed by correlation id.
     routes: HashMap<u64, Sender<Routed>>,
-    /// Waiters for id-less responses (`Stats`, protocol `Error`s), FIFO.
-    control: Vec<Sender<Result<ServerStats, RemoteError>>>,
-    /// Subscribers to the server's metrics stream; every `MetricsTick` is
-    /// broadcast to all of them (dead receivers are pruned on send).
-    watchers: Vec<Sender<MetricsSnapshot>>,
-    /// Waiters for `Trace` responses, FIFO like `control`.
-    trace: Vec<Sender<Result<Vec<TraceEvent>, RemoteError>>>,
+    /// Waiters for the responses that carry no id (`Stats`, `Metrics`,
+    /// `Trace`, and protocol `Error`s), oldest first.
+    replies: VecDeque<Sender<Result<Response, RemoteError>>>,
 }
 
 struct ClientShared {
@@ -147,13 +139,7 @@ impl ClientShared {
         for (_, route) in table.routes.drain() {
             let _ = route.send(Routed::Lost);
         }
-        for waiter in table.control.drain(..) {
-            let _ = waiter.send(Err(RemoteError::Disconnected));
-        }
-        // Dropping the senders disconnects every watcher's receiver, which is
-        // how subscribers learn the stream ended.
-        table.watchers.clear();
-        for waiter in table.trace.drain(..) {
+        for waiter in table.replies.drain(..) {
             let _ = waiter.send(Err(RemoteError::Disconnected));
         }
     }
@@ -208,7 +194,8 @@ impl Client {
                 protocol: PROTOCOL_VERSION,
                 client_name: options.name,
                 priority: options.priority.0,
-                weight: options.weight,
+                // Unread by the server; the slot keeps the Hello's layout.
+                weight: 1.0,
                 sent_micros,
             },
             max_frame,
@@ -354,33 +341,24 @@ impl Client {
     ///
     /// Fails if the connection is lost or the server reports an error.
     pub fn stats(&self) -> Result<ServerStats, RemoteError> {
-        let (sender, receiver) = std::sync::mpsc::channel();
-        {
-            let mut table = self.shared.table.lock();
-            table.control.push(sender);
+        match self.request(&Request::Stats)? {
+            Response::Stats { stats } => Ok(stats),
+            other => Err(unexpected_reply(&other)),
         }
-        self.send(&Request::Stats)?;
-        receiver.recv().map_err(|_| RemoteError::Disconnected)?
     }
 
-    /// Subscribes to the server's metrics stream: the returned receiver yields
-    /// one [`MetricsSnapshot`] immediately, then one per server aggregator
-    /// tick, with strictly increasing `seq`. The receiver disconnects when the
-    /// connection is lost or the server drains. Repeated calls share the
-    /// single per-connection server stream — every returned receiver sees
-    /// every tick.
+    /// Fetches one snapshot of the server's telemetry, assembled when the
+    /// server reads the request. Every snapshot takes the next `seq`, so
+    /// successive calls see it strictly increase.
     ///
     /// # Errors
     ///
-    /// Fails if the connection is lost.
-    pub fn watch(&self) -> Result<Receiver<MetricsSnapshot>, RemoteError> {
-        let (sender, receiver) = std::sync::mpsc::channel();
-        {
-            let mut table = self.shared.table.lock();
-            table.watchers.push(sender);
+    /// Fails if the connection is lost or the server reports an error.
+    pub fn metrics(&self) -> Result<MetricsSnapshot, RemoteError> {
+        match self.request(&Request::Metrics)? {
+            Response::Metrics { snapshot } => Ok(snapshot),
+            other => Err(unexpected_reply(&other)),
         }
-        self.send(&Request::Watch)?;
-        Ok(receiver)
     }
 
     /// Fetches the server's lifecycle trace ring (most recent events, oldest
@@ -390,12 +368,37 @@ impl Client {
     ///
     /// Fails if the connection is lost or the server reports an error.
     pub fn trace(&self) -> Result<Vec<TraceEvent>, RemoteError> {
+        match self.request(&Request::Trace)? {
+            Response::Trace { events } => Ok(events),
+            other => Err(unexpected_reply(&other)),
+        }
+    }
+
+    /// Sends a request whose answer carries no correlation id and waits for
+    /// that answer. The waiter is queued under the writer lock, so waiters
+    /// queue in the order their requests go out, which is the order the
+    /// server answers them in.
+    fn request(&self, request: &Request) -> Result<Response, RemoteError> {
         let (sender, receiver) = std::sync::mpsc::channel();
         {
-            let mut table = self.shared.table.lock();
-            table.trace.push(sender);
+            // audit:allow(guard_blocking): the writer lock IS the frame serializer —
+            // holding it across write_frame keeps frames whole and waiters in order.
+            let mut stream = self.writer.lock();
+            {
+                let mut table = self.shared.table.lock();
+                // Checked under the table lock: once the reader has torn the
+                // table down, nothing would ever answer a new waiter.
+                if self.shared.lost.load(Ordering::SeqCst) {
+                    return Err(RemoteError::Disconnected);
+                }
+                table.replies.push_back(sender);
+            }
+            if let Err(error) = write_frame(&mut *stream, request, self.max_frame) {
+                // Still under the writer lock, so the newest waiter is ours.
+                self.shared.table.lock().replies.pop_back();
+                return Err(error.into());
+            }
         }
-        self.send(&Request::Trace)?;
         receiver.recv().map_err(|_| RemoteError::Disconnected)?
     }
 
@@ -428,36 +431,17 @@ fn route_response(shared: &ClientShared, response: Response) {
         Response::Event { id, event } => (id, JobUpdate::Event(event)),
         Response::Report { id, results } => (id, JobUpdate::Report(results)),
         Response::Rejected { id, reason } => (id, JobUpdate::Rejected(reason)),
-        Response::Stats { stats } => {
-            let mut table = shared.table.lock();
-            if !table.control.is_empty() {
-                let _ = table.control.remove(0).send(Ok(stats));
-            }
-            return;
-        }
-        Response::Error { message } => {
-            let mut table = shared.table.lock();
-            if !table.control.is_empty() {
-                let _ = table
-                    .control
-                    .remove(0)
-                    .send(Err(RemoteError::Protocol(message)));
-            }
-            return;
-        }
-        Response::MetricsTick { snapshot } => {
-            let mut table = shared.table.lock();
-            // Broadcast; a failed send means that subscriber's receiver was
-            // dropped, so prune it.
-            table
-                .watchers
-                .retain(|watcher| watcher.send(snapshot.clone()).is_ok());
-            return;
-        }
-        Response::Trace { events } => {
-            let mut table = shared.table.lock();
-            if !table.trace.is_empty() {
-                let _ = table.trace.remove(0).send(Ok(events));
+        Response::Stats { .. }
+        | Response::Metrics { .. }
+        | Response::Trace { .. }
+        | Response::Error { .. } => {
+            let waiter = shared.table.lock().replies.pop_front();
+            if let Some(waiter) = waiter {
+                let reply = match response {
+                    Response::Error { message } => Err(RemoteError::Protocol(message)),
+                    reply => Ok(reply),
+                };
+                let _ = waiter.send(reply);
             }
             return;
         }
@@ -473,6 +457,13 @@ fn route_response(shared: &ClientShared, response: Response) {
     } else if let Some(route) = table.routes.get(&id) {
         let _ = route.send(Routed::Update(update));
     }
+}
+
+/// The error for an id-less reply of the wrong kind. The server answers
+/// `Stats`, `Metrics` and `Trace` in request order, so this is a protocol
+/// violation.
+fn unexpected_reply(response: &Response) -> RemoteError {
+    RemoteError::Protocol(format!("unexpected reply: {response:?}"))
 }
 
 /// A submission in flight on a remote server.

@@ -7,12 +7,13 @@
 //!
 //! * [`wire`] — the typed protocol: length-prefixed, size-bounded, versioned
 //!   frames carrying bincode-encoded [`Request`] / [`Response`] messages
-//!   (`Hello`/`Submit`/`Status`/`Cancel`/`Stats`/`Shutdown` in,
-//!   `Accepted`/`Event`/`Report`/`Rejected`/`Stats`/`Error` out).
+//!   (`Hello`/`Submit`/`Status`/`Cancel`/`Stats`/`Metrics`/`Trace`/`Shutdown`
+//!   in, `Accepted`/`Event`/`Report`/`Rejected`/`Stats`/`Metrics`/`Trace`/
+//!   `Error` out).
 //! * [`Server`] — a multi-threaded `std::net` listener fronting a shared
 //!   [`vqc_runtime::CompilationRuntime`]. Each connection handshakes via
 //!   `Hello` (protocol-version check) and is mapped to a service client id at
-//!   its negotiated priority and fair-share weight; submissions stream
+//!   its negotiated priority; submissions stream
 //!   per-job completion events as blocks finish, and a dropped connection
 //!   cancels its in-flight submissions so remote failures cannot pin queue
 //!   capacity. Graceful shutdown drains everything admitted.

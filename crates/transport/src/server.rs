@@ -4,13 +4,14 @@
 //! Each connection authenticates with [`Request::Hello`] and is mapped to a
 //! fresh service client id, so every submission it makes is scheduled (and
 //! metered — see [`vqc_runtime::ClientMetrics`]) under that identity at the
-//! connection's negotiated priority and fair-share weight. The handler thread
+//! connection's negotiated priority. The handler thread
 //! itself admits and expands each submission (planning it, resolving its
 //! single-gate lookups, queueing its keyed blocks), then acknowledges it.
 //! Submissions stream their progress back as [`Response::Event`] frames —
 //! `Queued` (the acknowledgement), `Running`, one `JobDone` per job as blocks
 //! finish — followed by a terminal [`Response::Report`] with the full result
-//! set.
+//! set. `Stats`, `Metrics` and `Trace` are answered inline by the handler
+//! thread, in the order it reads them.
 //!
 //! Failure containment follows the frame contract: an undecodable payload gets
 //! a [`Response::Error`] and the connection continues (the stream is still
@@ -32,12 +33,8 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
-use std::time::Duration;
-use vqc_runtime::{
-    CompilationRuntime, CompileJob, JobHandle, JobStatus, MetricsSnapshot, Priority, Submission,
-};
+use vqc_runtime::{CompilationRuntime, CompileJob, JobHandle, JobStatus, Priority, Submission};
 
 /// Address the server (and the `vqc-submit` client) use when `VQC_LISTEN` is
 /// not set.
@@ -323,12 +320,14 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
     let writer = Arc::new(Mutex::new(stream));
 
     // Handshake: the first frame must be a version-matching Hello.
-    let (priority, weight) = match read_frame::<_, Request>(&mut reader, max_frame) {
+    let priority = match read_frame::<_, Request>(&mut reader, max_frame) {
         Ok(Request::Hello {
             protocol,
             client_name: _,
             priority,
-            weight,
+            // Kept for the Hello's layout only: a client's fair share is not
+            // its to claim.
+            weight: _,
             // The client's send timestamp is on *its* clock; the offset estimate
             // is computed client-side from the Accepted round trip, so the
             // server only needs to report its own clock below.
@@ -348,7 +347,7 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                 );
                 return ConnectionOutcome::Closed;
             }
-            (Priority(priority), weight)
+            Priority(priority)
         }
         Ok(_) => {
             let _ = send(
@@ -395,9 +394,6 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
     // at disconnect is canceled.
     let jobs: Arc<Mutex<HashMap<u64, JobHandle>>> = Arc::new(Mutex::new(HashMap::new()));
     let mut streamers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    // At most one metrics watcher per connection; the stop flag ends it at
-    // teardown (after a final snapshot) even if the aggregator is long-lived.
-    let mut watcher: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)> = None;
     let outcome = loop {
         match read_frame::<_, Request>(&mut reader, max_frame) {
             Ok(Request::Submit {
@@ -423,7 +419,6 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                 }
                 let mut submission = build_submission(payload)
                     .with_client(client_id)
-                    .with_weight(weight)
                     .with_priority(submit_priority.map(Priority).unwrap_or(priority));
                 if let Some(trace) = trace {
                     submission = submission.with_trace(trace);
@@ -519,30 +514,17 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                 }
             }
             Ok(Request::Stats) => {
-                let (snapshot_seq, snapshot_uptime_seconds) = shared.runtime.last_snapshot_meta();
                 let stats = ServerStats {
                     runtime: shared.runtime.metrics(),
                     client_id,
                     client: shared.runtime.client_metrics(client_id),
                     uptime_seconds: shared.runtime.uptime_seconds(),
-                    snapshot_seq,
-                    snapshot_uptime_seconds,
                 };
                 let _ = send(&writer, &Response::Stats { stats }, max_frame);
             }
-            Ok(Request::Watch) => {
-                // One stream per connection: a repeated Watch is a no-op so the
-                // per-connection MetricsTick seq stays strictly increasing.
-                if watcher.is_none() {
-                    let stop = Arc::new(AtomicBool::new(false));
-                    let thread_stop = Arc::clone(&stop);
-                    let runtime = Arc::clone(&shared.runtime);
-                    let writer = Arc::clone(&writer);
-                    let handle = spawn_named("vqc-watcher", move || {
-                        watch_connection(&runtime, &writer, &thread_stop, max_frame);
-                    });
-                    watcher = Some((stop, handle));
-                }
+            Ok(Request::Metrics) => {
+                let snapshot = shared.runtime.telemetry_snapshot();
+                let _ = send(&writer, &Response::Metrics { snapshot }, max_frame);
             }
             Ok(Request::Trace) => {
                 let events = shared.runtime.trace_events();
@@ -595,12 +577,6 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
     for streamer in streamers {
         let _ = streamer.join();
     }
-    // The watcher stops *after* the streamers have drained, so its final
-    // MetricsTick reflects the connection's completed work.
-    if let Some((stop, handle)) = watcher {
-        stop.store(true, Ordering::SeqCst);
-        let _ = handle.join();
-    }
     if !draining {
         // The id is never handed out again: reap its fair-share clock and
         // metrics slice so a long-lived server does not grow state per
@@ -609,50 +585,6 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
         shared.runtime.release_client(client_id);
     }
     outcome
-}
-
-/// Streams [`Response::MetricsTick`] frames to one connection: an immediate
-/// snapshot on subscription (so the client need not wait out an aggregator
-/// interval), then every aggregator tick, deduplicated by `seq` so the stream
-/// is strictly increasing. Exits when the connection dies mid-send, when the
-/// aggregator closes the channel (runtime teardown), or when `stop` is raised
-/// at connection teardown — after sending one final fresh snapshot so the last
-/// tick reflects the drained state.
-fn watch_connection(
-    runtime: &CompilationRuntime,
-    writer: &Arc<Mutex<TcpStream>>,
-    stop: &AtomicBool,
-    max_frame: usize,
-) {
-    let ticks = runtime.watch_metrics();
-    let mut last_sent = 0u64;
-    let forward = |snapshot: MetricsSnapshot, last_sent: &mut u64| -> bool {
-        if snapshot.seq <= *last_sent {
-            return true;
-        }
-        *last_sent = snapshot.seq;
-        send(writer, &Response::MetricsTick { snapshot }, max_frame).is_ok()
-    };
-    if !forward(runtime.telemetry_snapshot(), &mut last_sent) {
-        return;
-    }
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            let _ = forward(runtime.telemetry_snapshot(), &mut last_sent);
-            return;
-        }
-        match ticks.recv_timeout(Duration::from_millis(50)) {
-            Ok(snapshot) => {
-                if !forward(snapshot, &mut last_sent) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            // The aggregator published its final snapshot before closing; it
-            // was drained from the channel above, so nothing is lost.
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
 }
 
 fn build_submission(payload: SubmitPayload) -> Submission {

@@ -22,9 +22,9 @@ use vqc_core::{CompilationReport, CompileError, Strategy};
 use vqc_runtime::{ClientMetrics, JobStatus, MetricsSnapshot, RuntimeMetrics, TraceEvent};
 
 /// Version of the wire protocol spoken by this build. Bumped on any change to
-/// the frame layout or the message enums below. Version 2 added
-/// [`Request::Watch`] / [`Response::MetricsTick`], [`Request::Trace`] /
-/// [`Response::Trace`], and the uptime/snapshot fields of [`ServerStats`].
+/// the frame layout or the message enums below. Version 2 added a pushed
+/// metrics stream, [`Request::Trace`] / [`Response::Trace`], and the
+/// uptime/snapshot fields of [`ServerStats`].
 /// Version 3 added the causal-trace fields: `sent_micros` on
 /// [`Request::Hello`] and `server_micros` on [`Response::Accepted`] (one
 /// round-trip clock-offset estimate), the client-assigned `trace` id on
@@ -36,11 +36,15 @@ use vqc_runtime::{ClientMetrics, JobStatus, MetricsSnapshot, RuntimeMetrics, Tra
 /// a full queue now parks the submitting connection instead. Version 5
 /// removed the not-yet-expanded stage: the `Queued` wire status and the
 /// snapshot's per-class count of submissions in it (a submission is expanded
-/// before its [`JobEvent::Queued`] acknowledgement is sent).
-/// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
-/// variant indices, so a client of any version can decode the refusal of its
-/// Hello.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// before its [`JobEvent::Queued`] acknowledgement is sent). Version 6 made
+/// metrics a pull: [`Request::Metrics`] is answered with one
+/// [`Response::Metrics`], each in the variant slot of the stream it replaces;
+/// [`ServerStats`] lost its snapshot cursor; and the server stopped reading
+/// the Hello's `weight`. [`Response::Rejected`] and
+/// [`RejectReason::VersionMismatch`] keep their variant indices, and
+/// [`Request::Hello`] its layout, so a client of any version can decode the
+/// refusal of its Hello.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -204,7 +208,11 @@ pub enum Request {
         client_name: String,
         /// Default priority class for this connection's submissions.
         priority: u8,
-        /// Fair-share weight within the class (clamped server-side).
+        /// Not read since version 6: every client's fair-share clock advances
+        /// by the estimated cost of its work, whatever it claims. The slot
+        /// keeps the Hello's layout; the decoder rejects trailing bytes, so
+        /// without it an older client's Hello would fail to decode instead of
+        /// earning a `VersionMismatch`.
         weight: f64,
         /// The client's monotonic clock (microseconds since its own epoch) at
         /// the instant the Hello was sent. Paired with
@@ -239,12 +247,10 @@ pub enum Request {
     },
     /// Request the server's global metrics plus this client's slice.
     Stats,
-    /// Subscribe this connection to the periodic metrics-snapshot stream: the
-    /// server immediately sends one [`Response::MetricsTick`], then one per
-    /// telemetry aggregator tick (strictly increasing `seq`), until the
-    /// connection closes or the server drains. Idempotent — a second Watch on
-    /// the same connection is ignored (one stream per connection).
-    Watch,
+    /// Fetch one telemetry snapshot, assembled when the server reads the
+    /// request, answered with [`Response::Metrics`]. Like `Stats` and
+    /// `Trace`, it is answered inline, in request order.
+    Metrics,
     /// Fetch the server's buffered lifecycle trace ring (oldest event first),
     /// answered with [`Response::Trace`] — render it with
     /// `vqc_runtime::chrome_trace_json` for `chrome://tracing` / Perfetto.
@@ -424,14 +430,6 @@ pub struct ServerStats {
     /// Seconds since the server's service core started. A poller seeing this
     /// decrease knows the server restarted between reads.
     pub uptime_seconds: f64,
-    /// Sequence number of the most recent telemetry snapshot (0 before the
-    /// first). Strictly monotonic per server process: a repeated value means
-    /// the read is stale (no new snapshot since), a smaller value means a
-    /// restart.
-    pub snapshot_seq: u64,
-    /// Server uptime at which that snapshot was assembled (0.0 before the
-    /// first).
-    pub snapshot_uptime_seconds: f64,
 }
 
 /// A server-to-client message.
@@ -479,10 +477,9 @@ pub enum Response {
         /// The counters.
         stats: ServerStats,
     },
-    /// One telemetry snapshot of the [`Request::Watch`] stream (also sent once
-    /// immediately on subscription). `snapshot.seq` increases strictly within a
-    /// connection's stream.
-    MetricsTick {
+    /// Answer to [`Request::Metrics`]: one snapshot. Every snapshot takes the
+    /// next `seq`, so successive answers carry strictly increasing numbers.
+    Metrics {
         /// The snapshot.
         snapshot: MetricsSnapshot,
     },
@@ -548,7 +545,7 @@ mod tests {
         round_trip_request(Request::Status { id: 7 });
         round_trip_request(Request::Cancel { id: 7 });
         round_trip_request(Request::Stats);
-        round_trip_request(Request::Watch);
+        round_trip_request(Request::Metrics);
         round_trip_request(Request::Trace);
         round_trip_request(Request::Shutdown);
     }
@@ -579,7 +576,7 @@ mod tests {
             Response::Error {
                 message: "undecodable frame".into(),
             },
-            Response::MetricsTick {
+            Response::Metrics {
                 snapshot: MetricsSnapshot {
                     seq: 5,
                     uptime_seconds: 12.25,
@@ -634,6 +631,31 @@ mod tests {
         for word in [0, PROTOCOL_VERSION, 3u32] {
             expected.extend_from_slice(&word.to_le_bytes());
         }
+        assert_eq!(buffer[FRAME_HEADER_BYTES..], expected[..]);
+    }
+
+    #[test]
+    fn the_hello_keeps_its_layout_across_versions() {
+        // `Hello` is variant 0 of `Request`, and its fields — `weight`
+        // included, unread since version 6 — keep their order and widths, so
+        // a server of any version decodes any client's Hello far enough to
+        // refuse it.
+        let hello = Request::Hello {
+            protocol: 5,
+            client_name: "old".into(),
+            priority: 8,
+            weight: 1.0,
+            sent_micros: 42,
+        };
+        let mut buffer = Vec::new();
+        write_frame(&mut buffer, &hello, DEFAULT_MAX_FRAME).unwrap();
+        let mut expected = 0u32.to_le_bytes().to_vec();
+        expected.extend_from_slice(&5u32.to_le_bytes());
+        expected.extend_from_slice(&3u64.to_le_bytes());
+        expected.extend_from_slice(b"old");
+        expected.push(8);
+        expected.extend_from_slice(&1.0f64.to_le_bytes());
+        expected.extend_from_slice(&42u64.to_le_bytes());
         assert_eq!(buffer[FRAME_HEADER_BYTES..], expected[..]);
     }
 

@@ -4,18 +4,17 @@
 //! protocol faults (malformed frames, oversized frames, version mismatches)
 //! are contained to the offending connection.
 
+use std::collections::HashSet;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
-use vqc_runtime::{
-    chrome_trace_json, CompilationRuntime, Priority, RuntimeOptions, TelemetryOptions, TraceStage,
-};
+use vqc_runtime::{chrome_trace_json, CompilationRuntime, Priority, RuntimeOptions, TraceStage};
 use vqc_transport::{
     merged_chrome_trace, wire, Client, ClientOptions, ClientSpan, JobEvent, JobUpdate,
-    RejectReason, RemoteError, Request, Response, Server, ServerOptions, SubmitPayload,
+    RejectReason, RemoteError, RemoteJob, Request, Response, Server, ServerOptions, SubmitPayload,
     PROTOCOL_VERSION,
 };
 
@@ -463,35 +462,25 @@ fn events_stream_per_job_completions_before_the_report() {
     }
 }
 
-/// The acceptance scenario for the metrics stream: a `Watch` subscriber on a
-/// loopback server receives an immediate snapshot plus aggregator ticks with
-/// strictly increasing `seq` while a second connection runs a concurrent
-/// workload, and the stream converges on counters reflecting that workload.
-/// `Stats` is enriched with server uptime and the aggregator's snapshot
-/// cursor.
+/// Metrics are a pull: two clients poll `metrics()` while a third runs a
+/// workload. Every snapshot takes the next `seq`, so each poller sees it
+/// strictly increase and no two polls share a number; `stats()` keeps
+/// answering between polls on the same connection; and a final poll shows the
+/// whole workload completed.
 #[test]
-fn watch_streams_monotonic_ticks_reflecting_a_concurrent_workload() {
+fn metrics_polls_track_a_concurrent_workload() {
     let (server, _runtime) = serve(CompilationRuntime::new(
         fast_options(),
-        RuntimeOptions::with_workers(2)
-            .with_telemetry(TelemetryOptions::default().with_interval(Duration::from_millis(20))),
+        RuntimeOptions::with_workers(2),
     ));
-    let watcher = Client::connect(
-        server.local_addr(),
-        ClientOptions::default().with_name("watcher"),
-    )
-    .unwrap();
-    let ticks = watcher.watch().unwrap();
-    // Subscribing answers immediately with the current snapshot — no need to
-    // wait out an aggregator interval.
-    let first = ticks.recv_timeout(Duration::from_secs(5)).unwrap();
-
-    // Concurrent workload on a second connection while the stream is live.
-    let submitter = Client::connect(
-        server.local_addr(),
-        ClientOptions::default().with_name("submitter"),
-    )
-    .unwrap();
+    let connect = |name: &str| {
+        Client::connect(
+            server.local_addr(),
+            ClientOptions::default().with_name(name),
+        )
+        .unwrap()
+    };
+    let submitter = connect("submitter");
     let total = 3u64;
     let jobs: Vec<_> = (0..total)
         .map(|i| {
@@ -504,51 +493,199 @@ fn watch_streams_monotonic_ticks_reflecting_a_concurrent_workload() {
                 .unwrap()
         })
         .collect();
+    let pollers: Vec<_> = ["poller-a", "poller-b"]
+        .into_iter()
+        .map(|name| {
+            let poller = connect(name);
+            std::thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let mut snapshots = Vec::new();
+                loop {
+                    let snapshot = poller.metrics().unwrap();
+                    let done = snapshot.completed == total;
+                    snapshots.push(snapshot);
+                    if done && snapshots.len() >= 2 {
+                        return snapshots;
+                    }
+                    // Another id-less request between polls: its answer must
+                    // not be taken for a snapshot, nor a snapshot for it.
+                    let stats = poller.stats().unwrap();
+                    assert_eq!(stats.client_id, poller.client_id());
+                    assert!(Instant::now() < deadline, "no poll saw the workload finish");
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            })
+        })
+        .collect();
     for job in &jobs {
         assert!(job.wait().unwrap()[0].is_ok());
     }
-
-    // Keep reading ticks until one reflects the completed workload.
-    let mut snapshots = vec![first];
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while snapshots.last().unwrap().completed < total {
-        assert!(
-            Instant::now() < deadline,
-            "no tick converged on the completed workload"
-        );
-        snapshots.push(ticks.recv_timeout(Duration::from_secs(5)).unwrap());
+    let mut seqs = Vec::new();
+    for poller in pollers {
+        let snapshots = poller.join().unwrap();
+        for pair in snapshots.windows(2) {
+            assert!(
+                pair[1].seq > pair[0].seq,
+                "a poller's seq must strictly increase: {} then {}",
+                pair[0].seq,
+                pair[1].seq
+            );
+        }
+        let last = snapshots.last().unwrap();
+        assert_eq!(last.submissions, total);
+        assert_eq!(last.completed, total);
+        assert_eq!(last.workers, 2);
+        seqs.extend(snapshots.iter().map(|snapshot| snapshot.seq));
     }
-    assert!(
-        snapshots.len() >= 2,
-        "expected the immediate tick plus at least one aggregator tick"
+    let distinct: HashSet<u64> = seqs.iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        seqs.len(),
+        "one sequence serves every poller"
     );
-    for pair in snapshots.windows(2) {
+}
+
+/// Nothing runs beside the service to push metrics: a runtime and a server
+/// that have answered a `Metrics` poll hold no telemetry thread of their own.
+/// Linux lists each thread's name in `/proc/self/task/*/comm`.
+#[cfg(target_os = "linux")]
+#[test]
+fn serving_metrics_starts_no_telemetry_thread() {
+    let (server, _runtime) = serve(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1),
+    ));
+    let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
+    assert!(client.metrics().unwrap().seq > 0);
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect();
+    assert!(
+        names.iter().any(|name| name.starts_with("vqc-worker")),
+        "the service's threads are named: {names:?}"
+    );
+    // The two thread kinds a pushed metrics stream needs: a periodic snapshot
+    // builder, and a forwarder per watching connection.
+    for retired in ["aggregator", "watcher"].map(|kind| format!("vqc-{kind}")) {
         assert!(
-            pair[1].seq > pair[0].seq,
-            "per-connection tick seq must be strictly increasing: {} then {}",
-            pair[0].seq,
-            pair[1].seq
+            !names.contains(&retired),
+            "a {retired} thread is running: {names:?}"
         );
-        assert!(pair[1].uptime_seconds >= pair[0].uptime_seconds);
     }
-    let last = snapshots.last().unwrap();
-    assert_eq!(last.submissions, total);
-    assert_eq!(last.completed, total);
-    assert_eq!(last.workers, 2);
+}
 
-    // A repeated Watch is ignored server-side (one stream per connection), but
-    // every locally registered receiver shares the stream.
-    let second = watcher.watch().unwrap();
-    let shared = second.recv_timeout(Duration::from_secs(5)).unwrap();
-    assert!(shared.seq > last.seq);
+/// The Hello's `weight` buys nothing: every client's fair-share clock advances
+/// by the estimated cost of its work. With the pool paused, a weight-1 client
+/// queues one block, a connection whose Hello claims weight 1e9 queues four,
+/// and the weight-1 client a second. The two clocks advance alike, so that
+/// second block dispatches fourth, between the claimant's. A weight that
+/// counted would leave the claimant's clock where it started and put all four
+/// of its blocks first.
+#[test]
+fn a_hello_weight_buys_no_larger_share() {
+    let (server, runtime) = serve(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1),
+    ));
+    runtime.pause();
+    let block = |phase: f64| {
+        SubmitPayload::Batch(vec![wire::WireJob {
+            circuit: one_block_circuit(phase),
+            params: vec![],
+            strategy: Strategy::StrictPartial,
+        }])
+    };
+    // `Queued` is sent once the submission is expanded into the ready queue.
+    let queued = |job: &RemoteJob| match job.next_update().unwrap() {
+        JobUpdate::Event(JobEvent::Queued) => {}
+        other => panic!("expected Queued, got {other:?}"),
+    };
+    let peer = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
+    let first = peer.submit(block(0.1)).unwrap();
+    queued(&first);
 
-    // Stats now carries uptime and the aggregator's last-snapshot cursor.
-    let stats = submitter.stats().unwrap();
-    assert!(stats.uptime_seconds > 0.0);
-    assert!(stats.snapshot_seq > 0, "the aggregator has ticked");
-    assert!(stats.snapshot_uptime_seconds > 0.0);
-    assert!(stats.snapshot_uptime_seconds <= stats.uptime_seconds);
-    assert_eq!(stats.runtime.completed_submissions, total);
+    let frame = wire::DEFAULT_MAX_FRAME;
+    let mut claimant = TcpStream::connect(server.local_addr()).unwrap();
+    claimant
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    wire::write_frame(
+        &mut claimant,
+        &Request::Hello {
+            protocol: PROTOCOL_VERSION,
+            client_name: "claimant".into(),
+            priority: Priority::NORMAL.0,
+            weight: 1e9,
+            sent_micros: 0,
+        },
+        frame,
+    )
+    .unwrap();
+    let claimant_id = match wire::read_frame::<_, Response>(&mut claimant, frame).unwrap() {
+        Response::Accepted { client_id, .. } => client_id,
+        other => panic!("expected Accepted, got {other:?}"),
+    };
+    for id in 1..=4u64 {
+        let submit = Request::Submit {
+            id,
+            payload: block(0.5 + 0.3 * id as f64),
+            priority: None,
+            trace: None,
+        };
+        wire::write_frame(&mut claimant, &submit, frame).unwrap();
+    }
+    // The server reads a connection's requests in order, so once it answers
+    // `Stats` all four submissions are expanded.
+    wire::write_frame(&mut claimant, &Request::Stats, frame).unwrap();
+    loop {
+        match wire::read_frame::<_, Response>(&mut claimant, frame).unwrap() {
+            Response::Stats { stats } => {
+                assert_eq!(stats.client.submissions, 4);
+                break;
+            }
+            Response::Event { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    let second = peer.submit(block(0.2)).unwrap();
+    queued(&second);
+    runtime.resume();
+
+    assert!(first.wait().unwrap()[0].is_ok());
+    assert!(second.wait().unwrap()[0].is_ok());
+    let mut reports = 0;
+    while reports < 4 {
+        match wire::read_frame::<_, Response>(&mut claimant, frame).unwrap() {
+            Response::Report { results, .. } => {
+                assert!(results[0].is_ok());
+                reports += 1;
+            }
+            Response::Event { .. } => {}
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    // Each `dispatched` trace event carries the global dispatch sequence.
+    let mut dispatched: Vec<(u64, Option<u64>)> = runtime
+        .trace_events()
+        .iter()
+        .filter(|event| event.stage == TraceStage::Dispatched)
+        .map(|event| (event.detail, event.client))
+        .collect();
+    dispatched.sort_unstable();
+    let order: Vec<&str> = dispatched
+        .iter()
+        .map(|&(_, client)| match client {
+            Some(id) if id == claimant_id => "claimant",
+            Some(id) if id == peer.client_id() => "peer",
+            other => panic!("a dispatch for an unknown client {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        order,
+        ["peer", "claimant", "claimant", "peer", "claimant", "claimant"]
+    );
 }
 
 /// The acceptance scenario for the lifecycle trace: after one remote job, the

@@ -25,7 +25,7 @@
 //!   `VQC_LOCK_HOLD_MS` (default 250 ms) increments [`long_holds`] and invokes
 //!   the registered [`set_long_hold_reporter`] hook — the runtime points that
 //!   hook at its telemetry trace ring. Condvar waits release the hold clock
-//!   while the thread sleeps, so a parked aggregator is not a "hold".
+//!   while the thread sleeps, so a parked worker is not a "hold".
 //!
 //! When disabled (the default), every instrumentation site reduces to one
 //! relaxed atomic load and an already-initialized `OnceLock` read.
