@@ -23,6 +23,7 @@ use std::time::Duration;
 use vqc_runtime::{
     chrome_trace_json, MetricsSnapshot, TraceEvent, TraceStage, PRIORITY_CLASS_NAMES,
 };
+use vqc_transport::wire::FrameError;
 use vqc_transport::{Client, ClientOptions, RemoteError, DEFAULT_LISTEN};
 
 /// How often the dashboard asks the server for a fresh snapshot.
@@ -243,8 +244,10 @@ fn run(args: &Args) -> Result<(), RemoteError> {
     loop {
         let snapshot = match client.metrics() {
             Ok(snapshot) => snapshot,
-            // The server shut down: there is nothing more to show.
-            Err(RemoteError::Disconnected) => return Ok(()),
+            // The server shut down: there is nothing more to show. A poll
+            // written into a connection the server just closed fails with an
+            // I/O error rather than `Disconnected`; that is the same ending.
+            Err(RemoteError::Disconnected | RemoteError::Frame(FrameError::Io(_))) => return Ok(()),
             Err(error) => return Err(error),
         };
         if args.json {

@@ -80,7 +80,7 @@ pub use service::{ClientMetrics, JobHandle, JobStatus, Priority, Submission, Sub
 pub use telemetry::{
     chrome_trace_json, phase_row_name, priority_class, ClassLatency, HistogramSnapshot,
     MetricsSnapshot, TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES,
-    PRIORITY_CLASS_NAMES,
+    PRIORITY_CLASS_NAMES, TRACE_CAPACITY,
 };
 pub use vqc_core::{
     CacheConfig, CacheMetrics, CacheSnapshot, CompileProfile, SeedEntry, ShardedPulseCache,

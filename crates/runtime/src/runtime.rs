@@ -235,7 +235,7 @@ impl CompilationRuntime {
     }
 
     /// The buffered lifecycle trace events, oldest first (the ring keeps the
-    /// most recent 4096 events). Render with
+    /// most recent [`crate::TRACE_CAPACITY`] events). Render with
     /// [`crate::chrome_trace_json`] for `chrome://tracing` / Perfetto.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.service.core.telemetry.trace_events()

@@ -283,7 +283,7 @@ pub struct TraceEvent {
 
 /// A bounded ring buffer of [`TraceEvent`]s. When full, the oldest event is
 /// overwritten — the ring always holds the most recent window of lifecycle
-/// activity (the service's ring holds 4096 events).
+/// activity (the service's ring holds [`TRACE_CAPACITY`] events).
 #[derive(Debug)]
 pub struct TraceRing {
     inner: Mutex<TraceRingInner>,
@@ -306,7 +306,7 @@ impl TraceRing {
         let capacity = capacity.max(16);
         TraceRing {
             inner: Mutex::new(TraceRingInner {
-                events: Vec::with_capacity(capacity.min(4096)),
+                events: Vec::with_capacity(capacity),
                 head: 0,
                 dropped: 0,
             }),
@@ -637,7 +637,7 @@ pub(crate) struct Telemetry {
 
 /// Events the service's lifecycle trace ring holds: the last few hundred
 /// submissions (a lookup-only one traces four events, a one-block one seven).
-const TRACE_CAPACITY: usize = 4096;
+pub const TRACE_CAPACITY: usize = 4096;
 
 impl Telemetry {
     pub(crate) fn new(options: &TelemetryOptions) -> Self {

@@ -9,7 +9,7 @@ use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
 use vqc_runtime::{
     chrome_trace_json, priority_class, CompilationRuntime, Priority, RuntimeOptions, Submission,
-    TelemetryOptions, TraceStage, PRIORITY_CLASSES,
+    TelemetryOptions, TraceStage, PRIORITY_CLASSES, TRACE_CAPACITY,
 };
 
 fn fast_options() -> CompilerOptions {
@@ -306,10 +306,11 @@ fn trace_ring_records_the_full_lifecycle_chain() {
 /// ring holds submitted → admitted → report for every submission, and no
 /// snapshot shows more completions than admissions. Each submission traces
 /// four events (submitted, admitted, job-done, report), so all 300 fit in the
-/// 4096-event ring.
+/// ring.
 #[test]
 fn admission_is_traced_and_counted_before_a_submission_can_run() {
     let submissions = 300u64;
+    assert!(4 * submissions <= TRACE_CAPACITY as u64);
     let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
     // One single-gate (lookup) block per qubit: nothing to compile, so each
     // submission is expanded and reported within microseconds, on the

@@ -465,8 +465,8 @@ fn events_stream_per_job_completions_before_the_report() {
 /// Metrics are a pull: two clients poll `metrics()` while a third runs a
 /// workload. Every snapshot takes the next `seq`, so each poller sees it
 /// strictly increase and no two polls share a number; `stats()` keeps
-/// answering between polls on the same connection; and a final poll shows the
-/// whole workload completed.
+/// answering between polls on the same connection; and a final poll, and the
+/// submitter's `stats()` after it, show the whole workload completed.
 #[test]
 fn metrics_polls_track_a_concurrent_workload() {
     let (server, _runtime) = serve(CompilationRuntime::new(
@@ -530,6 +530,7 @@ fn metrics_polls_track_a_concurrent_workload() {
                 pair[0].seq,
                 pair[1].seq
             );
+            assert!(pair[1].uptime_seconds >= pair[0].uptime_seconds);
         }
         let last = snapshots.last().unwrap();
         assert_eq!(last.submissions, total);
@@ -543,6 +544,9 @@ fn metrics_polls_track_a_concurrent_workload() {
         seqs.len(),
         "one sequence serves every poller"
     );
+    let stats = submitter.stats().unwrap();
+    assert!(stats.uptime_seconds > 0.0);
+    assert_eq!(stats.runtime.completed_submissions, total);
 }
 
 /// Nothing runs beside the service to push metrics: a runtime and a server
