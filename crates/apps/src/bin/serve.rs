@@ -11,8 +11,7 @@
 //! every fresh-θ block it ever compiles — `VQC_CACHE_BLOCKS` (entries of each
 //! kind per pulse-store shard, default unbounded); the transport adds
 //! `VQC_MAX_FRAME` (frame-size bound in bytes) and `VQC_MAX_CONNS`
-//! (simultaneous connections). Telemetry honors
-//! `VQC_TELEMETRY` (set `0` to disable recording); watch it live with
+//! (simultaneous connections). Telemetry is always on; watch it live with
 //! `vqc-top`, which asks for a snapshot once a second, and journal a run with
 //! `vqc-top --json > run.jsonl`. `VQC_EFFORT`
 //! (`fast` — the default, `standard`, `full`) picks the GRAPE effort;

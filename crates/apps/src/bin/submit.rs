@@ -126,9 +126,8 @@ fn run(args: &Args) -> Result<(), RemoteError> {
         });
         loop {
             match job.next_update()? {
-                JobUpdate::Event(JobEvent::Queued) => eprintln!("vqc-submit: queued"),
-                JobUpdate::Event(JobEvent::Running { jobs }) => {
-                    eprintln!("vqc-submit: running ({jobs} iterations)")
+                JobUpdate::Event(JobEvent::Admitted { jobs }) => {
+                    eprintln!("vqc-submit: admitted ({jobs} iterations)")
                 }
                 JobUpdate::Event(JobEvent::JobDone {
                     job,

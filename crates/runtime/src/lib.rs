@@ -22,6 +22,8 @@
 //!   job, with priority inheritance so shared work is never scheduled at the
 //!   slowest waiter's class.
 //! * [`CompilationRuntime::submit`] / [`JobHandle`] — the asynchronous front door;
+//!   a [`Submission::on_progress`] callback is pushed each [`Progress`] step
+//!   (admission, each job's result, the terminal `Done` or `Canceled`);
 //!   [`CompilationRuntime::compile_batch`] /
 //!   [`CompilationRuntime::compile_iterations`] are thin synchronous wrappers over
 //!   a submitted job, making the paper's cross-iteration reuse cross-request.
@@ -76,7 +78,9 @@ mod telemetry;
 
 pub use persist::PersistError;
 pub use runtime::{CompilationRuntime, CompileJob, RuntimeMetrics, RuntimeOptions};
-pub use service::{ClientMetrics, JobHandle, JobStatus, Priority, Submission, SubmitError};
+pub use service::{
+    ClientMetrics, JobHandle, JobStatus, Priority, Progress, Submission, SubmitError,
+};
 pub use telemetry::{
     chrome_trace_json, phase_row_name, priority_class, ClassLatency, HistogramSnapshot,
     MetricsSnapshot, TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES,

@@ -271,6 +271,9 @@ impl CompilationRuntime {
     /// handle is already `Running` (or `Done` if nothing needed a worker).
     /// While the admission queue is at [`RuntimeOptions::queue_depth`], the
     /// calling thread parks until a completion or a cancellation frees a slot.
+    /// A [`crate::Submission::on_progress`] callback hears `Admitted` (and the
+    /// jobs resolved at expansion) before `submit` returns; a submission of
+    /// lookups only has also reached its terminal `Done` by then.
     ///
     /// # Errors
     ///

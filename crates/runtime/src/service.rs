@@ -13,8 +13,9 @@
 //! become tasks. A single-gate lookup block has no key and costs a table read, so
 //! expansion resolves it in place; a job of lookups only assembles there, and a
 //! submission with nothing keyed is `Done` before `submit` returns, without
-//! waking a worker. A waiting caller is woken by events, not by deliveries: once
-//! per completed job, and once on the submission's completion or cancel.
+//! waking a worker. A caller blocked in [`JobHandle::wait`] is woken once, by
+//! the submission's completion or cancel. Per-job progress is pushed instead:
+//! a [`Submission::on_progress`] callback hears every step as it happens.
 //!
 //! Ordering is per-client priority with fair queuing underneath:
 //!
@@ -152,14 +153,51 @@ enum SubmissionKind {
     },
 }
 
+/// One step of a submission's progress, as pushed to its
+/// [`Submission::on_progress`] callback. The callback sees `Admitted` first,
+/// then one `JobDone` per job in the order the jobs resolve, then exactly one
+/// terminal step, `Done` or `Canceled`, and nothing after it.
+#[derive(Debug)]
+pub enum Progress<'a> {
+    /// The submission was admitted and planned into `jobs` jobs. Sent from
+    /// expansion, before its block tasks are posted to the workers.
+    Admitted {
+        /// Number of jobs, and so of results, the submission resolves.
+        jobs: usize,
+    },
+    /// One job has its result. Jobs that resolve at expansion (planning
+    /// errors, single-gate lookups only) come before any a worker resolves.
+    JobDone {
+        /// Submission-order index of the job.
+        job: usize,
+        /// The job's result.
+        result: &'a Result<CompilationReport, CompileError>,
+    },
+    /// Every job has its result: one per job in submission order, as
+    /// [`JobHandle::wait`] returns them.
+    Done(Vec<Result<CompilationReport, CompileError>>),
+    /// The submission was canceled via [`JobHandle::cancel`].
+    Canceled,
+}
+
+/// A submission's progress callback (see [`Submission::on_progress`]).
+struct ProgressSink(Box<dyn FnMut(Progress<'_>) + Send>);
+
+impl std::fmt::Debug for ProgressSink {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ProgressSink")
+    }
+}
+
 /// One request to the compilation service: what to compile, at which priority, on
 /// behalf of which client.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Submission {
     kind: SubmissionKind,
     priority: Priority,
     client: Option<u64>,
     trace: Option<u64>,
+    progress: Option<ProgressSink>,
 }
 
 impl Submission {
@@ -170,6 +208,7 @@ impl Submission {
             priority: Priority::default(),
             client: None,
             trace: None,
+            progress: None,
         }
     }
 
@@ -191,6 +230,7 @@ impl Submission {
             priority: Priority::default(),
             client: None,
             trace: None,
+            progress: None,
         }
     }
 
@@ -216,6 +256,16 @@ impl Submission {
         self.trace = Some(trace);
         self
     }
+
+    /// Pushes the submission's [`Progress`] to `callback` as it happens. The
+    /// runtime calls it under the submission's lock, on whichever thread made
+    /// the step (the submitter at expansion, a worker, a canceler), so it must
+    /// be quick and must not call back into the submission's [`JobHandle`].
+    /// The callback is dropped at the terminal step.
+    pub fn on_progress(mut self, callback: impl FnMut(Progress<'_>) + Send + 'static) -> Self {
+        self.progress = Some(ProgressSink(Box::new(callback)));
+        self
+    }
 }
 
 /// Shared state of one admitted submission.
@@ -229,7 +279,7 @@ struct SubmissionState {
     /// the queue time charged to its client's [`ClientMetrics`].
     submitted_at: Instant,
     inner: Mutex<SubmissionInner>,
-    /// Signalled when a job's result lands, on completion and on cancel.
+    /// Signalled on completion and on cancel.
     done: Condvar,
 }
 
@@ -242,12 +292,43 @@ struct SubmissionInner {
     jobs: Vec<JobSlot>,
     /// Jobs without a result yet.
     jobs_remaining: usize,
-    /// Job indices in the order their results landed — the stream a transport
-    /// front-end forwards to a remote client as completion events.
-    completed_order: Vec<usize>,
     /// Global dispatch sequence numbers of the block tasks dispatched for this
     /// submission, in dispatch order — the observable scheduling order.
     dispatched: Vec<u64>,
+    /// The [`Submission::on_progress`] callback, until the terminal step.
+    progress: Option<ProgressSink>,
+}
+
+impl SubmissionInner {
+    /// One result per job, in submission order. Only a `Done` submission has
+    /// them all.
+    fn results(&self) -> Vec<Result<CompilationReport, CompileError>> {
+        self.jobs
+            .iter()
+            // audit:allow(unwrap): status == Done guarantees every job slot carries a result
+            .map(|job| job.result.clone().expect("done submissions have results"))
+            .collect()
+    }
+
+    /// Pushes job `job`'s result to the progress callback, if any.
+    fn report_job(&mut self, job: usize) {
+        if let (Some(sink), Some(result)) = (self.progress.as_mut(), &self.jobs[job].result) {
+            (sink.0)(Progress::JobDone { job, result });
+        }
+    }
+
+    /// Enters a terminal status (`Done` or `Canceled`), pushing it to the
+    /// progress callback as its last step and dropping the callback.
+    fn finish(&mut self, status: JobStatus) {
+        self.status = status;
+        if let Some(mut sink) = self.progress.take() {
+            let progress = match status {
+                JobStatus::Done => Progress::Done(self.results()),
+                _ => Progress::Canceled,
+            };
+            (sink.0)(progress);
+        }
+    }
 }
 
 /// Result assembly state of one job of a submission.
@@ -276,8 +357,9 @@ impl JobSlot {
 }
 
 /// A client's handle to one submission: poll with
-/// [`JobHandle::try_status`], block with [`JobHandle::wait`], stream per-job
-/// completions with [`JobHandle::wait_job`], abort with [`JobHandle::cancel`].
+/// [`JobHandle::try_status`], block with [`JobHandle::wait`], abort with
+/// [`JobHandle::cancel`]. Per-job completions are not polled but pushed, to
+/// the submission's [`Submission::on_progress`] callback.
 #[derive(Debug, Clone)]
 pub struct JobHandle {
     state: Arc<SubmissionState>,
@@ -299,66 +381,13 @@ impl JobHandle {
         }
         match inner.status {
             JobStatus::Canceled => Err(SubmitError::Canceled),
-            _ => Ok(inner
-                .jobs
-                .iter()
-                // audit:allow(unwrap): status == Done guarantees every job slot carries a result
-                .map(|job| job.result.clone().expect("done submissions have results"))
-                .collect()),
+            _ => Ok(inner.results()),
         }
     }
 
     /// The submission's current life-cycle stage, without blocking.
     pub fn try_status(&self) -> JobStatus {
         self.state.inner.lock().status
-    }
-
-    /// Blocks until the `seen`-th job (counting in completion order, starting at
-    /// 0) has a result, and returns its submission-order index together with that
-    /// result. Returns `Ok(None)` once the submission is done and fewer than
-    /// `seen + 1` jobs exist — the stream is exhausted. Calling with `seen` equal
-    /// to the number of events already consumed turns the handle into a blocking
-    /// iterator of completion events, which is exactly how the network transport
-    /// streams per-job results to a remote client as blocks finish.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SubmitError::Canceled`] once the submission is canceled (events
-    /// observed before cancellation remain observable *before* the error: the
-    /// stream fails only at its tail).
-    #[allow(clippy::type_complexity)]
-    pub fn wait_job(
-        &self,
-        seen: usize,
-    ) -> Result<Option<(usize, Result<CompilationReport, CompileError>)>, SubmitError> {
-        let mut inner = self.state.inner.lock();
-        loop {
-            if inner.completed_order.len() > seen {
-                let job = inner.completed_order[seen];
-                let result = inner.jobs[job]
-                    .result
-                    .clone()
-                    // audit:allow(unwrap): completed_order only holds jobs whose result was set
-                    .expect("completed jobs have results");
-                return Ok(Some((job, result)));
-            }
-            match inner.status {
-                JobStatus::Done => return Ok(None),
-                JobStatus::Canceled => return Err(SubmitError::Canceled),
-                _ => self.state.done.wait(&mut inner),
-            }
-        }
-    }
-
-    /// Number of jobs whose results have landed so far.
-    pub fn completed_jobs(&self) -> usize {
-        self.state.inner.lock().completed_order.len()
-    }
-
-    /// Number of jobs the submission expanded to (expansion ends before
-    /// `submit` returns the handle, so the count never changes).
-    pub fn job_count(&self) -> usize {
-        self.state.inner.lock().jobs.len()
     }
 
     /// Cancels the submission: its not-yet-started block tasks are
@@ -374,7 +403,7 @@ impl JobHandle {
             if inner.finishing || matches!(inner.status, JobStatus::Done | JobStatus::Canceled) {
                 return false;
             }
-            inner.status = JobStatus::Canceled;
+            inner.finish(JobStatus::Canceled);
         }
         self.state.done.notify_all();
         if let Some(core) = self.core.upgrade() {
@@ -570,7 +599,7 @@ impl ServiceCore {
             .record_submit_to_report(state.priority, state.submitted_at.elapsed().as_secs_f64());
         self.telemetry
             .trace(TraceStage::Report, state.id, state.client, 0);
-        state.inner.lock().status = JobStatus::Done;
+        state.inner.lock().finish(JobStatus::Done);
         state.done.notify_all();
     }
 
@@ -786,16 +815,17 @@ impl ServiceCore {
             .collect();
         {
             let mut inner = state.inner.lock();
-            // Jobs resolved at expansion (planning errors, jobs of lookups only)
-            // open the completion stream before any block task runs.
-            inner.completed_order = jobs
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.result.is_some())
-                .map(|(index, _)| index)
-                .collect();
-            inner.jobs_remaining = jobs.len() - inner.completed_order.len();
+            inner.jobs_remaining = jobs.iter().filter(|slot| slot.result.is_none()).count();
             inner.jobs = jobs;
+            // Progress opens before any block task is posted: the job count,
+            // then the jobs resolved here (planning errors, lookups only).
+            let count = inner.jobs.len();
+            if let Some(sink) = inner.progress.as_mut() {
+                (sink.0)(Progress::Admitted { jobs: count });
+            }
+            for job in 0..count {
+                inner.report_job(job);
+            }
         }
         let queue_wait = state.submitted_at.elapsed().as_secs_f64();
         self.record_client(state.client, |m| m.queue_seconds += queue_wait);
@@ -892,9 +922,9 @@ impl ServiceCore {
     }
 
     /// Delivers one block outcome to a job, assembling the job's report when it was
-    /// the last missing block. Only a job's completion is an event: it wakes the
-    /// submission's waiters once, through the submission's completion when it was
-    /// the last job.
+    /// the last missing block. Only a job's completion is an event: it goes to the
+    /// progress callback, and the last job's completes the submission, which
+    /// wakes its waiters.
     fn deliver(
         &self,
         submission: &Arc<SubmissionState>,
@@ -935,7 +965,7 @@ impl ServiceCore {
             if slot.result.is_none() {
                 slot.assemble(&self.compiler);
             }
-            inner.completed_order.push(job);
+            inner.report_job(job);
             inner.jobs_remaining -= 1;
             inner.jobs_remaining == 0
         };
@@ -947,8 +977,6 @@ impl ServiceCore {
         );
         if submission_done {
             self.try_complete(submission);
-        } else {
-            submission.done.notify_all();
         }
     }
 
@@ -1209,8 +1237,8 @@ impl CompileService {
                 finishing: false,
                 jobs: Vec::new(),
                 jobs_remaining: 0,
-                completed_order: Vec::new(),
                 dispatched: Vec::new(),
+                progress: submission.progress,
             }),
             done: Condvar::new(),
         });

@@ -400,17 +400,10 @@ pub struct TelemetryOptions {
 }
 
 impl Default for TelemetryOptions {
-    /// Defaults to enabled; `VQC_TELEMETRY` set to `0`/`off`/`false`/`no`
-    /// disables.
+    /// Enabled. Only an embedder turns telemetry off, with
+    /// [`TelemetryOptions::with_enabled`]; no knob does.
     fn default() -> Self {
-        let enabled = !matches!(
-            std::env::var("VQC_TELEMETRY")
-                .unwrap_or_default()
-                .to_ascii_lowercase()
-                .as_str(),
-            "0" | "off" | "false" | "no"
-        );
-        TelemetryOptions { enabled }
+        TelemetryOptions { enabled: true }
     }
 }
 

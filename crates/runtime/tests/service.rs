@@ -12,9 +12,9 @@ use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 use vqc_circuit::Circuit;
-use vqc_core::{CompilationReport, CompilerOptions, PartialCompiler, Strategy};
+use vqc_core::{CompilationReport, CompileError, CompilerOptions, PartialCompiler, Strategy};
 use vqc_runtime::{
-    priority_class, CompilationRuntime, JobStatus, Priority, RuntimeOptions, Submission,
+    priority_class, CompilationRuntime, JobStatus, Priority, Progress, RuntimeOptions, Submission,
     SubmitError, TraceStage,
 };
 
@@ -713,39 +713,75 @@ fn queue_seconds_charged_once_for_canceled_submissions() {
     assert!(high.queue_wait.total_seconds >= 0.015);
 }
 
-/// `wait_job` streams per-job completions in completion order and then reports
-/// exhaustion; the stream agrees with the final `wait` result set.
+/// One [`Progress`] step, owned, as a recorder saw it.
+#[derive(Debug, Clone, PartialEq)]
+enum Step {
+    Admitted(usize),
+    JobDone(usize, Result<CompilationReport, CompileError>),
+    Done(Vec<Result<CompilationReport, CompileError>>),
+    Canceled,
+}
+
+/// A progress callback that records every step. The callback holds a clone of
+/// the returned `Arc`, so its strong count falls back to 1 exactly when the
+/// runtime drops the callback.
+fn recorder() -> (
+    Arc<std::sync::Mutex<Vec<Step>>>,
+    impl FnMut(Progress<'_>) + Send + 'static,
+) {
+    let steps = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let sink = Arc::clone(&steps);
+    let callback = move |progress: Progress<'_>| {
+        let step = match progress {
+            Progress::Admitted { jobs } => Step::Admitted(jobs),
+            Progress::JobDone { job, result } => Step::JobDone(job, result.clone()),
+            Progress::Done(results) => Step::Done(results),
+            Progress::Canceled => Step::Canceled,
+        };
+        sink.lock().unwrap().push(step);
+    };
+    (steps, callback)
+}
+
+/// `on_progress` hears `Admitted { jobs }` first, then each job's result
+/// exactly once, then one `Done` whose results equal `wait()`'s; and the
+/// runtime drops the callback at that terminal step.
 #[test]
-fn wait_job_streams_completions_in_order() {
+fn on_progress_streams_completions_in_order() {
     let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(2));
     let mut circuit = one_block_circuit(0.8);
     circuit.rz_expr(1, vqc_circuit::ParamExpr::theta(0));
+    let (steps, callback) = recorder();
     let handle = runtime
-        .submit(Submission::iterations(
-            circuit,
-            vec![vec![0.1], vec![0.7], vec![2.2]],
-            Strategy::StrictPartial,
-        ))
+        .submit(
+            Submission::iterations(
+                circuit,
+                vec![vec![0.1], vec![0.7], vec![2.2]],
+                Strategy::StrictPartial,
+            )
+            .on_progress(callback),
+        )
         .unwrap();
-    let mut streamed = Vec::new();
-    let mut seen = 0;
-    while let Some((job, result)) = handle.wait_job(seen).expect("not canceled") {
-        streamed.push((job, result));
-        seen += 1;
+    let results = handle.wait().expect("not canceled");
+    assert_eq!(
+        Arc::strong_count(&steps),
+        1,
+        "the callback is dropped at Done"
+    );
+    let steps = steps.lock().unwrap().clone();
+    assert_eq!(steps.len(), 5, "{steps:?}");
+    assert_eq!(steps[0], Step::Admitted(3));
+    let mut jobs = Vec::new();
+    for step in &steps[1..4] {
+        let Step::JobDone(job, result) = step else {
+            panic!("expected JobDone, got {step:?}");
+        };
+        assert_eq!(result, &results[*job]);
+        jobs.push(*job);
     }
-    assert_eq!(streamed.len(), 3);
-    assert_eq!(handle.completed_jobs(), 3);
-    assert_eq!(handle.job_count(), 3);
-    let mut job_indices: Vec<usize> = streamed.iter().map(|(job, _)| *job).collect();
-    job_indices.sort_unstable();
-    assert_eq!(job_indices, vec![0, 1, 2]);
-    let final_results = handle.wait().expect("not canceled");
-    for (job, result) in &streamed {
-        assert_eq!(
-            result.as_ref().unwrap().pulse_duration_ns,
-            final_results[*job].as_ref().unwrap().pulse_duration_ns
-        );
-    }
+    jobs.sort_unstable();
+    assert_eq!(jobs, vec![0, 1, 2]);
+    assert_eq!(steps[4], Step::Done(results));
 }
 
 /// The handle lifecycle is observable: Running (paused) → Done, and `wait` is
@@ -763,7 +799,6 @@ fn handle_status_progresses_and_wait_is_repeatable() {
         .unwrap();
     // Expanded by `submit`; while paused, its block task cannot run.
     assert_eq!(handle.try_status(), JobStatus::Running);
-    assert_eq!(handle.job_count(), 1);
     runtime.resume();
     let clone = handle.clone();
     assert!(handle.wait().unwrap()[0].is_ok());
@@ -900,56 +935,125 @@ fn a_mixed_submission_dispatches_exactly_its_keyed_blocks() {
     assert_eq!(runtime.metrics().cache.misses, keyed as u64);
 }
 
-/// `wait_job` streams every job of a multi-job batch exactly once: jobs that
-/// resolve at expansion (single-gate lookups, a gate-based plan) stream while
-/// the pool is still paused, the keyed jobs after it resumes.
+/// `on_progress` hears every job of a multi-job batch exactly once: the jobs
+/// that resolve at expansion (single-gate lookups, a gate-based plan) before
+/// `submit` returns, while the pool is still paused, and the keyed jobs after
+/// it resumes; then one `Done`.
 #[test]
-fn wait_job_streams_every_job_of_a_batch_once() {
+fn on_progress_streams_every_job_of_a_batch_once() {
     let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(2));
     let job = |circuit: Circuit, params: Vec<f64>, strategy| {
         vqc_runtime::CompileJob::new(circuit, params, strategy)
     };
     runtime.pause();
+    let (steps, callback) = recorder();
     let handle = runtime
-        .submit(Submission::batch(vec![
-            job(one_block_circuit(0.3), vec![], Strategy::StrictPartial),
-            job(
-                lookup_only_circuit(),
-                vec![0.1, 0.2, 0.3],
-                Strategy::StrictPartial,
-            ),
-            job(one_block_circuit(1.4), vec![], Strategy::StrictPartial),
-            job(
-                lookup_only_circuit(),
-                vec![0.4, 0.5, 0.6],
-                Strategy::GateBased,
-            ),
-        ]))
+        .submit(
+            Submission::batch(vec![
+                job(one_block_circuit(0.3), vec![], Strategy::StrictPartial),
+                job(
+                    lookup_only_circuit(),
+                    vec![0.1, 0.2, 0.3],
+                    Strategy::StrictPartial,
+                ),
+                job(one_block_circuit(1.4), vec![], Strategy::StrictPartial),
+                job(
+                    lookup_only_circuit(),
+                    vec![0.4, 0.5, 0.6],
+                    Strategy::GateBased,
+                ),
+            ])
+            .on_progress(callback),
+        )
         .unwrap();
-    let mut streamed = Vec::new();
-    for seen in 0..2 {
-        let (index, result) = handle.wait_job(seen).expect("not canceled").unwrap();
-        assert!(result.is_ok());
-        streamed.push(index);
-    }
-    streamed.sort_unstable();
+    let at_expansion: Vec<Step> = steps.lock().unwrap().clone();
+    assert_eq!(at_expansion.len(), 3, "{at_expansion:?}");
+    assert_eq!(at_expansion[0], Step::Admitted(4));
+    let resolved: Vec<usize> = at_expansion[1..]
+        .iter()
+        .map(|step| match step {
+            Step::JobDone(job, result) => {
+                assert!(result.is_ok());
+                *job
+            }
+            other => panic!("expected JobDone, got {other:?}"),
+        })
+        .collect();
     assert_eq!(
-        streamed,
+        resolved,
         vec![1, 3],
         "resolved at expansion, before any dispatch"
     );
     assert_eq!(handle.try_status(), JobStatus::Running);
     runtime.resume();
-    let mut seen = 2;
-    while let Some((index, result)) = handle.wait_job(seen).expect("not canceled") {
-        assert!(result.is_ok());
-        streamed.push(index);
-        seen += 1;
-    }
-    streamed.sort_unstable();
-    assert_eq!(streamed, vec![0, 1, 2, 3]);
-    assert_eq!(handle.completed_jobs(), 4);
+    let results = handle.wait().expect("not canceled");
+    assert_eq!(
+        Arc::strong_count(&steps),
+        1,
+        "the callback is dropped at Done"
+    );
+    let steps = steps.lock().unwrap().clone();
+    assert_eq!(steps.len(), 6, "{steps:?}");
+    assert_eq!(steps[..3], at_expansion[..]);
+    let mut on_workers: Vec<usize> = steps[3..5]
+        .iter()
+        .map(|step| match step {
+            Step::JobDone(job, result) => {
+                assert_eq!(result, &results[*job]);
+                *job
+            }
+            other => panic!("expected JobDone, got {other:?}"),
+        })
+        .collect();
+    on_workers.sort_unstable();
+    assert_eq!(on_workers, vec![0, 2]);
+    assert_eq!(steps[5], Step::Done(results));
     assert_eq!(handle.dispatch_sequence().len(), 2);
+}
+
+/// A canceled submission's progress ends in exactly one `Canceled`, and the
+/// callback is dropped right there. Nothing follows, not even when a waiter
+/// keeps the canceled owner's block task alive and it compiles: its delivery
+/// to the canceled owner is a no-op.
+#[test]
+fn a_canceled_submission_ends_its_progress_with_one_canceled() {
+    let runtime = CompilationRuntime::new(fast_options(), RuntimeOptions::with_workers(1));
+    runtime.pause();
+    let (steps, callback) = recorder();
+    let owner = runtime
+        .submit(
+            Submission::single(one_block_circuit(0.6), [], Strategy::StrictPartial)
+                .on_progress(callback),
+        )
+        .unwrap();
+    // Coalesces onto the owner's task, which therefore survives the cancel.
+    let waiter = runtime
+        .submit(Submission::single(
+            one_block_circuit(0.6),
+            [],
+            Strategy::StrictPartial,
+        ))
+        .unwrap();
+    assert_eq!(*steps.lock().unwrap(), vec![Step::Admitted(1)]);
+    assert!(owner.cancel());
+    assert_eq!(
+        Arc::strong_count(&steps),
+        1,
+        "the callback is dropped at Canceled"
+    );
+    assert!(!owner.cancel(), "a second cancel is a no-op");
+    runtime.resume();
+    assert!(waiter.wait().expect("not canceled")[0].is_ok());
+    assert_eq!(owner.wait(), Err(SubmitError::Canceled));
+    assert_eq!(
+        runtime.metrics().unique_compilations,
+        1,
+        "the shared block compiled"
+    );
+    assert_eq!(
+        *steps.lock().unwrap(),
+        vec![Step::Admitted(1), Step::Canceled]
+    );
 }
 
 /// The caller blocked in `JobHandle::wait` is woken by events, not by block

@@ -6,8 +6,9 @@
 //! submissions can be in flight on one connection while their events interleave
 //! arbitrarily. [`RemoteJob::wait`] consumes the event stream down to the
 //! terminal frame; [`RemoteJob::next_update`] exposes the stream itself
-//! (`Queued` → `Running` → one `JobDone` per job → `Report`). `Queued` is the
-//! server's acknowledgement, sent once the submission is admitted and expanded.
+//! (`Admitted` → one `JobDone` per job → `Report`, or `Canceled`). `Admitted`
+//! is the server's acknowledgement, sent once the submission is admitted and
+//! expanded; it carries the job count.
 //!
 //! [`Client::stats`], [`Client::metrics`] and [`Client::trace`] are plain
 //! request/response calls. Their answers carry no correlation id; the server
@@ -104,7 +105,8 @@ impl ClientOptions {
 /// A progress update for one remote submission.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobUpdate {
-    /// An intermediate event (`Queued`, `Running`, `JobDone`, `Status`, …).
+    /// A per-submission event (`Admitted`, `JobDone`, or the terminal
+    /// `Canceled`).
     Event(JobEvent),
     /// The terminal result set, one entry per job in submission order.
     Report(Vec<Result<CompilationReport, WireError>>),
@@ -279,7 +281,7 @@ impl Client {
     ///
     /// Fails if the connection is lost. Refusals (a live duplicate id, a server
     /// shutting down) surface on the returned job's stream, not here; so does
-    /// admission, as the `Queued` event, which a full server queue (and the
+    /// admission, as the `Admitted` event, which a full server queue (and the
     /// server's planning of a new circuit) delays.
     pub fn submit(&self, payload: SubmitPayload) -> Result<RemoteJob, RemoteError> {
         self.submit_with(payload, None)

@@ -7,16 +7,18 @@
 //!
 //! * [`wire`] — the typed protocol: length-prefixed, size-bounded, versioned
 //!   frames carrying bincode-encoded [`Request`] / [`Response`] messages
-//!   (`Hello`/`Submit`/`Status`/`Cancel`/`Stats`/`Metrics`/`Trace`/`Shutdown`
-//!   in, `Accepted`/`Event`/`Report`/`Rejected`/`Stats`/`Metrics`/`Trace`/
-//!   `Error` out).
+//!   (`Hello`/`Submit`/`Cancel`/`Stats`/`Metrics`/`Trace`/`Shutdown` in,
+//!   `Accepted`/`Event`/`Report`/`Rejected`/`Stats`/`Metrics`/`Trace`/`Error`
+//!   out).
 //! * [`Server`] — a multi-threaded `std::net` listener fronting a shared
 //!   [`vqc_runtime::CompilationRuntime`]. Each connection handshakes via
 //!   `Hello` (protocol-version check) and is mapped to a service client id at
-//!   its negotiated priority; submissions stream
-//!   per-job completion events as blocks finish, and a dropped connection
-//!   cancels its in-flight submissions so remote failures cannot pin queue
-//!   capacity. Graceful shutdown drains everything admitted.
+//!   its negotiated priority. A connection runs two threads, a request reader
+//!   and the one writer of its frames; the runtime pushes each submission's
+//!   `Admitted` and per-job completion events to that writer as blocks
+//!   finish, and a dropped connection cancels its in-flight submissions so
+//!   remote failures cannot pin queue capacity. Graceful shutdown drains
+//!   everything admitted.
 //! * [`Client`] / [`RemoteJob`] — the blocking client: one demux reader
 //!   thread routes interleaved responses to any number of in-flight
 //!   submissions ([`RemoteJob::wait`] for results, [`RemoteJob::next_update`]
@@ -78,6 +80,3 @@ pub use wire::{
 
 // audit:allow(dead_pub): RemoteJob is what Client::submit returns
 pub use client::RemoteJob;
-
-// audit:allow(dead_pub): WireStatus is the status field of Response::Status
-pub use wire::WireStatus;

@@ -1,17 +1,22 @@
 //! The TCP front-end of the compilation service.
 //!
-//! A [`Server`] owns a listener thread plus one handler thread per connection.
-//! Each connection authenticates with [`Request::Hello`] and is mapped to a
-//! fresh service client id, so every submission it makes is scheduled (and
-//! metered — see [`vqc_runtime::ClientMetrics`]) under that identity at the
-//! connection's negotiated priority. The handler thread
-//! itself admits and expands each submission (planning it, resolving its
-//! single-gate lookups, queueing its keyed blocks), then acknowledges it.
-//! Submissions stream their progress back as [`Response::Event`] frames —
-//! `Queued` (the acknowledgement), `Running`, one `JobDone` per job as blocks
-//! finish — followed by a terminal [`Response::Report`] with the full result
-//! set. `Stats`, `Metrics` and `Trace` are answered inline by the handler
-//! thread, in the order it reads them.
+//! A [`Server`] owns a listener thread plus two threads per connection: a
+//! handler that reads requests and a writer that owns the write half. Each
+//! connection authenticates with [`Request::Hello`] and is mapped to a fresh
+//! service client id, so every submission it makes is scheduled (and metered —
+//! see [`vqc_runtime::ClientMetrics`]) under that identity at the connection's
+//! negotiated priority. The handler writes the handshake reply itself, then
+//! hands the write half to the writer, which drains one channel of
+//! [`Response`]s: the handler's inline answers (`Stats`, `Metrics`, `Trace`,
+//! refusals, errors) in the order it reads the requests, and every
+//! submission's progress. The handler admits and expands each submission
+//! itself (planning it, resolving its single-gate lookups, queueing its keyed
+//! blocks); the runtime then pushes the submission's progress through a
+//! [`Submission::on_progress`] callback that turns each step into a frame —
+//! an `Admitted` [`Response::Event`], one `JobDone` event per job as blocks
+//! finish, and a terminal [`Response::Report`] with the full result set (or a
+//! `Canceled` event). No frame is written under a lock, and a connection runs
+//! two threads however many submissions it has in flight.
 //!
 //! Failure containment follows the frame contract: an undecodable payload gets
 //! a [`Response::Error`] and the connection continues (the stream is still
@@ -22,19 +27,23 @@
 //! the scheduler garbage-collect its queued block tasks, so a disconnected
 //! client cannot pin queue capacity. A server *shutdown* is different: it stops
 //! reading requests but drains in-flight submissions to their terminal
-//! `Report` frames before tearing the connections down.
+//! `Report` frames before tearing the connections down: the writer exits once
+//! the handler and every in-flight submission's callback have let go of the
+//! channel.
 
 use crate::wire::{
     read_frame, write_frame, FrameError, JobEvent, RejectReason, Request, Response, ServerStats,
     SubmitPayload, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use vqc_runtime::{CompilationRuntime, CompileJob, JobHandle, JobStatus, Priority, Submission};
+use vqc_runtime::{CompilationRuntime, CompileJob, JobHandle, Priority, Progress, Submission};
 
 /// Address the server (and the `vqc-submit` client) use when `VQC_LISTEN` is
 /// not set.
@@ -282,21 +291,8 @@ fn listen_loop(shared: Arc<ServerShared>, listener: TcpListener) {
     }
 }
 
-/// Sends one response frame under the connection's write lock (frames from the
-/// request loop and the per-submission streamer threads must not interleave).
-fn send(
-    writer: &Arc<Mutex<TcpStream>>,
-    response: &Response,
-    max_frame: usize,
-) -> Result<(), FrameError> {
-    // audit:allow(guard_blocking): the writer lock IS the frame serializer —
-    // holding it across write_frame is what keeps concurrent frames whole.
-    let mut stream = writer.lock();
-    write_frame(&mut *stream, response, max_frame)
-}
-
 fn handle_connection(shared: Arc<ServerShared>, stream: TcpStream, connection_id: u64) {
-    let outcome = serve_connection(&shared, stream);
+    let outcome = serve_connection(&shared, stream, connection_id);
     lock_connections(&shared).remove(&connection_id);
     // If the client asked for a server shutdown, start it after the connection
     // is fully torn down (so its own goodbye frame got out first).
@@ -311,13 +307,22 @@ enum ConnectionOutcome {
     ShutdownRequested,
 }
 
-fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutcome {
+/// A connection's live submissions, keyed by the client's correlation id. The
+/// handler reserves an id (`None`) before `submit` and fills in the handle
+/// after, if the id is still there; the writer removes it just before the
+/// submission's terminal frame goes out.
+type LiveSubmissions = Arc<Mutex<HashMap<u64, Option<JobHandle>>>>;
+
+fn serve_connection(
+    shared: &ServerShared,
+    mut stream: TcpStream,
+    connection_id: u64,
+) -> ConnectionOutcome {
     let max_frame = shared.options.max_frame;
     let mut reader = match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => return ConnectionOutcome::Closed,
     };
-    let writer = Arc::new(Mutex::new(stream));
 
     // Handshake: the first frame must be a version-matching Hello.
     let priority = match read_frame::<_, Request>(&mut reader, max_frame) {
@@ -332,68 +337,56 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
             // is computed client-side from the Accepted round trip, so the
             // server only needs to report its own clock below.
             sent_micros: _,
-        }) => {
-            if protocol != PROTOCOL_VERSION {
-                let _ = send(
-                    &writer,
-                    &Response::Rejected {
-                        id: 0,
-                        reason: RejectReason::VersionMismatch {
-                            server: PROTOCOL_VERSION,
-                            client: protocol,
-                        },
+        }) if protocol == PROTOCOL_VERSION => Priority(priority),
+        handshake => {
+            let refusal = match handshake {
+                Ok(Request::Hello { protocol, .. }) => Response::Rejected {
+                    id: 0,
+                    reason: RejectReason::VersionMismatch {
+                        server: PROTOCOL_VERSION,
+                        client: protocol,
                     },
-                    max_frame,
-                );
-                return ConnectionOutcome::Closed;
-            }
-            Priority(priority)
-        }
-        Ok(_) => {
-            let _ = send(
-                &writer,
-                &Response::Rejected {
+                },
+                Ok(_) => Response::Rejected {
                     id: 0,
                     reason: RejectReason::HelloRequired,
                 },
-                max_frame,
-            );
-            return ConnectionOutcome::Closed;
-        }
-        Err(error) => {
-            let _ = send(
-                &writer,
-                &Response::Error {
+                Err(error) => Response::Error {
                     message: error.to_string(),
                 },
-                max_frame,
-            );
+            };
+            let _ = write_frame(&mut stream, &refusal, max_frame);
             return ConnectionOutcome::Closed;
         }
     };
     let client_id = shared.next_client.fetch_add(1, Ordering::Relaxed);
-    if send(
-        &writer,
-        &Response::Accepted {
-            client_id,
-            protocol: PROTOCOL_VERSION,
-            // Stamped on the telemetry epoch — the same timebase as the
-            // TraceEvent stream — so the client's clock-offset estimate maps
-            // server trace events directly onto its own timeline.
-            server_micros: (shared.runtime.uptime_seconds() * 1_000_000.0) as u64,
-        },
-        max_frame,
-    )
-    .is_err()
-    {
+    let accepted = Response::Accepted {
+        client_id,
+        protocol: PROTOCOL_VERSION,
+        // Stamped on the telemetry epoch — the same timebase as the
+        // TraceEvent stream — so the client's clock-offset estimate maps
+        // server trace events directly onto its own timeline.
+        server_micros: (shared.runtime.uptime_seconds() * 1_000_000.0) as u64,
+    };
+    if write_frame(&mut stream, &accepted, max_frame).is_err() {
         return ConnectionOutcome::Closed;
     }
 
-    // Live submissions of this connection, keyed by the client's correlation id.
-    // Streamer threads remove their entry on terminal states; whatever remains
-    // at disconnect is canceled.
-    let jobs: Arc<Mutex<HashMap<u64, JobHandle>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut streamers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    // From here on the writer thread owns the write half. Whatever remains in
+    // `live` at disconnect is canceled.
+    let live: LiveSubmissions = Arc::default();
+    let (outbox, frames) = std::sync::mpsc::channel::<Response>();
+    let writer = {
+        let live = Arc::clone(&live);
+        spawn_named(&format!("vqc-writer-{connection_id}"), move || {
+            write_loop(stream, &frames, &live, max_frame)
+        })
+    };
+    let reply = |response: Response| {
+        // The writer runs until this sender is dropped; only a panicked
+        // writer refuses a frame.
+        let _ = outbox.send(response);
+    };
     let outcome = loop {
         match read_frame::<_, Request>(&mut reader, max_frame) {
             Ok(Request::Submit {
@@ -402,159 +395,89 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
                 priority: submit_priority,
                 trace,
             }) => {
-                // The lock is taken only to check the id and, below, to insert
-                // the handle, never across `submit` (which parks on a full queue
-                // and plans). Streamers only remove entries, and this thread is
-                // the map's only inserter, so the id is still free at insert.
-                if jobs.lock().contains_key(&id) {
-                    let _ = send(
-                        &writer,
-                        &Response::Rejected {
-                            id,
-                            reason: RejectReason::DuplicateSubmission,
-                        },
-                        max_frame,
-                    );
+                // The lock is never held across `submit`, which parks on a full
+                // queue and plans.
+                let reserved = match live.lock().entry(id) {
+                    Entry::Occupied(_) => false,
+                    Entry::Vacant(slot) => {
+                        slot.insert(None);
+                        true
+                    }
+                };
+                if !reserved {
+                    reply(Response::Rejected {
+                        id,
+                        reason: RejectReason::DuplicateSubmission,
+                    });
                     continue;
                 }
                 let mut submission = build_submission(payload)
                     .with_client(client_id)
-                    .with_priority(submit_priority.map(Priority).unwrap_or(priority));
+                    .with_priority(submit_priority.map(Priority).unwrap_or(priority))
+                    .on_progress(forward_progress(id, outbox.clone()));
                 if let Some(trace) = trace {
                     submission = submission.with_trace(trace);
                 }
                 match shared.runtime.submit(submission) {
+                    // A submission that finished inside `submit` may have had
+                    // its id released by the writer already.
                     Ok(handle) => {
-                        jobs.lock().insert(id, handle.clone());
-                        let _ = send(
-                            &writer,
-                            &Response::Event {
-                                id,
-                                event: JobEvent::Queued,
-                            },
-                            max_frame,
-                        );
-                        let writer = Arc::clone(&writer);
-                        let jobs = Arc::clone(&jobs);
-                        streamers.retain(|s| !s.is_finished());
-                        streamers.push(spawn_named(&format!("vqc-streamer-{id}"), move || {
-                            let terminal = stream_submission(&writer, &handle, id, max_frame);
-                            // Release the correlation id *before* the terminal
-                            // frame goes out, so a client that reuses the id the
-                            // moment it sees the Report is never spuriously
-                            // rejected as a duplicate.
-                            jobs.lock().remove(&id);
-                            let Some(terminal) = terminal else { return };
-                            if let Err(FrameError::Oversized { declared, max }) =
-                                send(&writer, &terminal, max_frame)
-                            {
-                                // The result set outgrew the frame bound: the
-                                // client must still receive *a* terminal frame,
-                                // or it would wait forever.
-                                let _ = send(
-                                    &writer,
-                                    &Response::Rejected {
-                                        id,
-                                        reason: RejectReason::ReportTooLarge { declared, max },
-                                    },
-                                    max_frame,
-                                );
-                            }
-                        }));
+                        if let Some(slot) = live.lock().get_mut(&id) {
+                            *slot = Some(handle);
+                        }
                     }
                     // Admission parks rather than refuses: submit fails only
                     // once the runtime is shutting down.
                     Err(_) => {
-                        let _ = send(
-                            &writer,
-                            &Response::Rejected {
-                                id,
-                                reason: RejectReason::ShuttingDown,
-                            },
-                            max_frame,
-                        );
+                        live.lock().remove(&id);
+                        reply(Response::Rejected {
+                            id,
+                            reason: RejectReason::ShuttingDown,
+                        });
                     }
                 }
             }
-            Ok(Request::Status { id }) => {
-                let handle = jobs.lock().get(&id).cloned();
-                let response = match handle {
-                    Some(handle) => Response::Event {
-                        id,
-                        event: JobEvent::Status {
-                            status: handle.try_status().into(),
-                            completed_jobs: handle.completed_jobs(),
-                        },
-                    },
-                    None => Response::Rejected {
-                        id,
-                        reason: RejectReason::UnknownSubmission,
-                    },
-                };
-                let _ = send(&writer, &response, max_frame);
-            }
             Ok(Request::Cancel { id }) => {
-                let handle = jobs.lock().get(&id).cloned();
+                let handle = live.lock().get(&id).cloned().flatten();
                 match handle {
-                    // The streamer observes the cancellation and reports the
-                    // terminal `Canceled` event; nothing to send here.
+                    // The runtime reports the terminal `Canceled` through the
+                    // submission's callback; nothing to send here.
                     Some(handle) => {
                         handle.cancel();
                     }
-                    None => {
-                        let _ = send(
-                            &writer,
-                            &Response::Rejected {
-                                id,
-                                reason: RejectReason::UnknownSubmission,
-                            },
-                            max_frame,
-                        );
-                    }
+                    None => reply(Response::Rejected {
+                        id,
+                        reason: RejectReason::UnknownSubmission,
+                    }),
                 }
             }
-            Ok(Request::Stats) => {
-                let stats = ServerStats {
+            Ok(Request::Stats) => reply(Response::Stats {
+                stats: ServerStats {
                     runtime: shared.runtime.metrics(),
                     client_id,
                     client: shared.runtime.client_metrics(client_id),
                     uptime_seconds: shared.runtime.uptime_seconds(),
-                };
-                let _ = send(&writer, &Response::Stats { stats }, max_frame);
-            }
-            Ok(Request::Metrics) => {
-                let snapshot = shared.runtime.telemetry_snapshot();
-                let _ = send(&writer, &Response::Metrics { snapshot }, max_frame);
-            }
-            Ok(Request::Trace) => {
-                let events = shared.runtime.trace_events();
-                let _ = send(&writer, &Response::Trace { events }, max_frame);
-            }
+                },
+            }),
+            Ok(Request::Metrics) => reply(Response::Metrics {
+                snapshot: shared.runtime.telemetry_snapshot(),
+            }),
+            Ok(Request::Trace) => reply(Response::Trace {
+                events: shared.runtime.trace_events(),
+            }),
             Ok(Request::Shutdown) => break ConnectionOutcome::ShutdownRequested,
-            Ok(Request::Hello { .. }) => {
-                let _ = send(
-                    &writer,
-                    &Response::Error {
-                        message: "connection is already authenticated".into(),
-                    },
-                    max_frame,
-                );
-            }
+            Ok(Request::Hello { .. }) => reply(Response::Error {
+                message: "connection is already authenticated".into(),
+            }),
             // A well-framed payload that does not decode: tell the client and
             // keep serving — the stream is still frame-aligned.
-            Err(FrameError::Decode(message)) => {
-                let _ = send(&writer, &Response::Error { message }, max_frame);
-            }
+            Err(FrameError::Decode(message)) => reply(Response::Error { message }),
             // Oversized frames poison the stream (the declared length cannot be
             // trusted to skip); everything else is a dead connection.
             Err(error @ FrameError::Oversized { .. }) => {
-                let _ = send(
-                    &writer,
-                    &Response::Error {
-                        message: error.to_string(),
-                    },
-                    max_frame,
-                );
+                reply(Response::Error {
+                    message: error.to_string(),
+                });
                 break ConnectionOutcome::Closed;
             }
             Err(_) => break ConnectionOutcome::Closed,
@@ -569,14 +492,15 @@ fn serve_connection(shared: &ServerShared, stream: TcpStream) -> ConnectionOutco
     let draining =
         outcome == ConnectionOutcome::ShutdownRequested || shared.shutdown.load(Ordering::SeqCst);
     if !draining {
-        for (_, handle) in jobs.lock().drain() {
+        let in_flight: Vec<JobHandle> = live.lock().drain().filter_map(|(_, h)| h).collect();
+        for handle in in_flight {
             handle.cancel();
         }
     }
-    // Streamers observe the terminal state (drained or canceled) and exit.
-    for streamer in streamers {
-        let _ = streamer.join();
-    }
+    // Every submission's callback is dropped at its terminal step (drained or
+    // canceled); with the handler's sender gone too, the writer exits.
+    drop(outbox);
+    let _ = writer.join();
     if !draining {
         // The id is never handed out again: reap its fair-share clock and
         // metrics slice so a long-lived server does not grow state per
@@ -602,72 +526,75 @@ fn build_submission(payload: SubmitPayload) -> Submission {
     }
 }
 
-/// Streams one submission's intermediate events to the client — `Running`
-/// (the submission was expanded before its handle existed), one `JobDone` per
-/// job as results land — and returns the terminal frame (`Report` or
-/// `Event{Canceled}`) for the caller to send *after* it has released the
-/// correlation id. `None` if the connection died mid-stream.
-fn stream_submission(
-    writer: &Arc<Mutex<TcpStream>>,
-    handle: &JobHandle,
-    id: u64,
+/// The progress callback of remote submission `id`: each step becomes one
+/// frame on the connection's writer channel. It runs under the submission's
+/// lock, so it only converts and sends.
+fn forward_progress(id: u64, outbox: Sender<Response>) -> impl FnMut(Progress<'_>) + Send {
+    move |progress| {
+        let response = match progress {
+            Progress::Admitted { jobs } => Response::Event {
+                id,
+                event: JobEvent::Admitted { jobs },
+            },
+            Progress::JobDone { job, result } => Response::Event {
+                id,
+                event: JobEvent::JobDone {
+                    job,
+                    ok: result.is_ok(),
+                    pulse_duration_ns: result.as_ref().map_or(0.0, |r| r.pulse_duration_ns),
+                },
+            },
+            Progress::Done(results) => Response::Report {
+                id,
+                results: results
+                    .into_iter()
+                    .map(|result| result.map_err(|error| WireError::from(&error)))
+                    .collect(),
+            },
+            Progress::Canceled => Response::Event {
+                id,
+                event: JobEvent::Canceled,
+            },
+        };
+        let _ = outbox.send(response);
+    }
+}
+
+/// The connection's one writer: writes every frame the channel carries, until
+/// the handler and every in-flight submission's callback have dropped their
+/// senders.
+fn write_loop(
+    mut stream: TcpStream,
+    frames: &Receiver<Response>,
+    live: &LiveSubmissions,
     max_frame: usize,
-) -> Option<Response> {
-    if handle.try_status() == JobStatus::Canceled {
-        return Some(Response::Event {
-            id,
-            event: JobEvent::Canceled,
-        });
-    }
-    let running = Response::Event {
-        id,
-        event: JobEvent::Running {
-            jobs: handle.job_count(),
-        },
-    };
-    if send(writer, &running, max_frame).is_err() {
-        return None;
-    }
-    let mut seen = 0usize;
-    loop {
-        match handle.wait_job(seen) {
-            Ok(Some((job, result))) => {
-                seen += 1;
-                let event = match &result {
-                    Ok(report) => JobEvent::JobDone {
-                        job,
-                        ok: true,
-                        pulse_duration_ns: report.pulse_duration_ns,
-                    },
-                    Err(_) => JobEvent::JobDone {
-                        job,
-                        ok: false,
-                        pulse_duration_ns: 0.0,
-                    },
-                };
-                if send(writer, &Response::Event { id, event }, max_frame).is_err() {
-                    return None;
-                }
-            }
-            Ok(None) => {
-                let results = match handle.wait() {
-                    Ok(results) => results,
-                    Err(_) => return None,
-                };
-                let results = results
-                    .iter()
-                    .map(|result| match result {
-                        Ok(report) => Ok(report.clone()),
-                        Err(error) => Err(WireError::from(error)),
-                    })
-                    .collect();
-                return Some(Response::Report { id, results });
-            }
-            Err(_) => {
-                return Some(Response::Event {
+) {
+    for response in frames {
+        let terminal = match &response {
+            Response::Report { id, .. } => Some(*id),
+            Response::Event {
+                id,
+                event: JobEvent::Canceled,
+            } => Some(*id),
+            _ => None,
+        };
+        // Release the correlation id *before* the terminal frame goes out, so
+        // a client that reuses the id the moment it sees the frame is never
+        // refused as a duplicate.
+        if let Some(id) = terminal {
+            live.lock().remove(&id);
+        }
+        if let Err(FrameError::Oversized { declared, max }) =
+            write_frame(&mut stream, &response, max_frame)
+        {
+            if let Some(id) = terminal {
+                // The result set outgrew the frame bound: the client must
+                // still receive *a* terminal frame, or it would wait forever.
+                let too_large = Response::Rejected {
                     id,
-                    event: JobEvent::Canceled,
-                })
+                    reason: RejectReason::ReportTooLarge { declared, max },
+                };
+                let _ = write_frame(&mut stream, &too_large, max_frame);
             }
         }
     }

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 use vqc_circuit::Circuit;
 use vqc_core::{CompilationReport, CompileError, Strategy};
-use vqc_runtime::{ClientMetrics, JobStatus, MetricsSnapshot, RuntimeMetrics, TraceEvent};
+use vqc_runtime::{ClientMetrics, MetricsSnapshot, RuntimeMetrics, TraceEvent};
 
 /// Version of the wire protocol spoken by this build. Bumped on any change to
 /// the frame layout or the message enums below. Version 2 added a pushed
@@ -36,15 +36,18 @@ use vqc_runtime::{ClientMetrics, JobStatus, MetricsSnapshot, RuntimeMetrics, Tra
 /// a full queue now parks the submitting connection instead. Version 5
 /// removed the not-yet-expanded stage: the `Queued` wire status and the
 /// snapshot's per-class count of submissions in it (a submission is expanded
-/// before its [`JobEvent::Queued`] acknowledgement is sent). Version 6 made
-/// metrics a pull: [`Request::Metrics`] is answered with one
-/// [`Response::Metrics`], each in the variant slot of the stream it replaces;
-/// [`ServerStats`] lost its snapshot cursor; and the server stopped reading
-/// the Hello's `weight`. [`Response::Rejected`] and
-/// [`RejectReason::VersionMismatch`] keep their variant indices, and
-/// [`Request::Hello`] its layout, so a client of any version can decode the
-/// refusal of its Hello.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// before it is acknowledged). Version 6 made metrics a pull:
+/// [`Request::Metrics`] is answered with one [`Response::Metrics`], each in
+/// the variant slot of the stream it replaces; [`ServerStats`] lost its
+/// snapshot cursor; and the server stopped reading the Hello's `weight`.
+/// Version 7 acknowledges a submission with one [`JobEvent::Admitted`],
+/// carrying its job count, in the slot of the two events that always went
+/// out back to back; and it drops the status poll that nothing sent (its
+/// request, its event and the wire status type).
+/// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
+/// variant indices, and [`Request::Hello`] its layout, so a client of any
+/// version can decode the refusal of its Hello.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -235,11 +238,6 @@ pub enum Request {
         /// two processes' spans.
         trace: Option<u64>,
     },
-    /// Poll one submission's life-cycle stage.
-    Status {
-        /// Correlation id of the submission.
-        id: u64,
-    },
     /// Cancel one running submission.
     Cancel {
         /// Correlation id of the submission.
@@ -259,37 +257,14 @@ pub enum Request {
     Shutdown,
 }
 
-/// Life-cycle stage of a submission, as reported over the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WireStatus {
-    /// Admitted and expanded; block tasks queued on or running on the worker
-    /// pool.
-    Running,
-    /// All jobs have results.
-    Done,
-    /// Canceled (by request or by disconnect).
-    Canceled,
-}
-
-impl From<JobStatus> for WireStatus {
-    fn from(status: JobStatus) -> Self {
-        match status {
-            JobStatus::Running => WireStatus::Running,
-            JobStatus::Done => WireStatus::Done,
-            JobStatus::Canceled => WireStatus::Canceled,
-        }
-    }
-}
-
 /// An asynchronous per-submission notification.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum JobEvent {
-    /// The submission was admitted (and expanded): the acknowledgement of a
-    /// `Submit`, which a full server queue delays.
-    Queued,
-    /// The submission expanded into block tasks and compilation began.
-    Running {
-        /// Number of jobs the submission plans to resolve.
+    /// The submission was admitted and planned: the acknowledgement of a
+    /// `Submit`, which a full server queue delays. Always the first event;
+    /// sent before the submission's block tasks reach the workers.
+    Admitted {
+        /// Number of jobs, and so of results, the submission resolves.
         jobs: usize,
     },
     /// One job of the submission completed — streamed as its blocks finish,
@@ -304,13 +279,6 @@ pub enum JobEvent {
     },
     /// The submission was canceled (client request or disconnect).
     Canceled,
-    /// Answer to a [`Request::Status`] poll.
-    Status {
-        /// Current life-cycle stage.
-        status: WireStatus,
-        /// Jobs completed so far.
-        completed_jobs: usize,
-    },
 }
 
 /// Why the server refused a request.
@@ -542,7 +510,6 @@ mod tests {
             priority: None,
             trace: None,
         });
-        round_trip_request(Request::Status { id: 7 });
         round_trip_request(Request::Cancel { id: 7 });
         round_trip_request(Request::Stats);
         round_trip_request(Request::Metrics);
@@ -557,6 +524,10 @@ mod tests {
                 client_id: 3,
                 protocol: PROTOCOL_VERSION,
                 server_micros: 42_000,
+            },
+            Response::Event {
+                id: 7,
+                event: JobEvent::Admitted { jobs: 3 },
             },
             Response::Event {
                 id: 7,

@@ -6,7 +6,7 @@
 
 use std::collections::HashSet;
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vqc_circuit::Circuit;
@@ -50,6 +50,50 @@ fn shared_plus_private(private_phase: f64) -> Circuit {
     circuit.rx(2, private_phase);
     circuit.cx(2, 3);
     circuit
+}
+
+/// Three single-gate parameterized rotations: under strict partial
+/// compilation every block is a lookup that resolves at expansion, so a
+/// submission of it completes inside the server's `submit`.
+fn lookup_only_circuit() -> Circuit {
+    let mut circuit = Circuit::new(3);
+    for qubit in 0..3 {
+        circuit.rz_expr(qubit, vqc_circuit::ParamExpr::theta(qubit));
+    }
+    circuit
+}
+
+/// A raw connection past its handshake.
+fn connect_raw(addr: SocketAddr, name: &str) -> TcpStream {
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    wire::write_frame(
+        &mut raw,
+        &Request::Hello {
+            protocol: PROTOCOL_VERSION,
+            client_name: name.into(),
+            priority: Priority::NORMAL.0,
+            weight: 1.0,
+            sent_micros: 0,
+        },
+        wire::DEFAULT_MAX_FRAME,
+    )
+    .unwrap();
+    match wire::read_frame::<_, Response>(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap() {
+        Response::Accepted { .. } => raw,
+        other => panic!("expected Accepted, got {other:?}"),
+    }
+}
+
+/// The names of this process's threads. Linux lists each in
+/// `/proc/self/task/*/comm`.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
 }
 
 fn serve(runtime: CompilationRuntime) -> (Server, Arc<CompilationRuntime>) {
@@ -102,16 +146,13 @@ fn two_remote_clients_share_blocks_exactly_once_with_priority_ordering() {
         .unwrap();
     // Let the low submission expand first so it owns the shared block's task
     // (the high client then coalesces and re-posts it at its own class).
-    loop {
-        match low_job.next_update().unwrap() {
-            JobUpdate::Event(JobEvent::Running { jobs }) => {
-                assert_eq!(jobs, 1);
-                break;
-            }
-            JobUpdate::Event(_) => continue,
-            other => panic!("unexpected update before Running: {other:?}"),
-        }
+    // `Admitted` goes out before expansion posts the tasks; a connection's
+    // requests are served in order, so once `stats()` answers they are posted.
+    match low_job.next_update().unwrap() {
+        JobUpdate::Event(JobEvent::Admitted { jobs }) => assert_eq!(jobs, 1),
+        other => panic!("expected Admitted, got {other:?}"),
     }
+    assert_eq!(low_client.stats().unwrap().client.submissions, 1);
     let high_job = high_client
         .submit(SubmitPayload::Batch(vec![wire::WireJob {
             circuit: shared_plus_private(1.9),
@@ -120,13 +161,11 @@ fn two_remote_clients_share_blocks_exactly_once_with_priority_ordering() {
         }]))
         .unwrap();
     // Both expanded into the paused ready queue, then dispatch.
-    loop {
-        match high_job.next_update().unwrap() {
-            JobUpdate::Event(JobEvent::Running { .. }) => break,
-            JobUpdate::Event(_) => continue,
-            other => panic!("unexpected update before Running: {other:?}"),
-        }
+    match high_job.next_update().unwrap() {
+        JobUpdate::Event(JobEvent::Admitted { .. }) => {}
+        other => panic!("expected Admitted, got {other:?}"),
     }
+    assert_eq!(high_client.stats().unwrap().client.submissions, 1);
     runtime.resume();
 
     let low_reports = low_job.wait().unwrap();
@@ -185,12 +224,12 @@ fn disconnect_mid_job_cancels_and_frees_queue_capacity() {
         .unwrap();
     // Ensure the submission was admitted before the disconnect.
     match doomed_job.next_update().unwrap() {
-        JobUpdate::Event(JobEvent::Queued) => {}
-        other => panic!("expected Queued, got {other:?}"),
+        JobUpdate::Event(JobEvent::Admitted { .. }) => {}
+        other => panic!("expected Admitted, got {other:?}"),
     }
 
     // The queue is at depth: the survivor's submit parks on the server, so no
-    // `Queued` event arrives. Its updates are forwarded from a helper thread so
+    // `Admitted` event arrives. Its updates are forwarded from a helper thread so
     // every wait below is bounded.
     let survivor = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
     let survivor_job = survivor
@@ -221,8 +260,8 @@ fn disconnect_mid_job_cancels_and_frees_queue_capacity() {
     // submission and releases the admission slot to the parked survivor.
     drop(doomed);
     match next() {
-        JobUpdate::Event(JobEvent::Queued) => {}
-        other => panic!("expected Queued, got {other:?}"),
+        JobUpdate::Event(JobEvent::Admitted { .. }) => {}
+        other => panic!("expected Admitted, got {other:?}"),
     }
     assert_eq!(runtime.metrics().canceled_submissions, 1);
     runtime.resume();
@@ -264,23 +303,7 @@ fn remote_cancel_terminates_the_stream() {
     runtime.resume();
 
     // Canceling an unknown id is a rejection, not a hang or a crash.
-    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-    wire::write_frame(
-        &mut raw,
-        &Request::Hello {
-            protocol: PROTOCOL_VERSION,
-            client_name: "canceler".into(),
-            priority: 8,
-            weight: 1.0,
-            sent_micros: 0,
-        },
-        wire::DEFAULT_MAX_FRAME,
-    )
-    .unwrap();
-    match wire::read_frame::<_, Response>(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap() {
-        Response::Accepted { .. } => {}
-        other => panic!("expected Accepted, got {other:?}"),
-    }
+    let mut raw = connect_raw(server.local_addr(), "canceler");
     wire::write_frame(
         &mut raw,
         &Request::Cancel { id: 99 },
@@ -293,6 +316,145 @@ fn remote_cancel_terminates_the_stream() {
             reason: RejectReason::UnknownSubmission,
         } => {}
         other => panic!("expected UnknownSubmission, got {other:?}"),
+    }
+}
+
+/// A correlation id is free again the moment its terminal frame arrives: a
+/// client that resubmits under the same id at once is admitted, never refused
+/// as a duplicate. Checked with a lookup-only circuit, whose terminal frame is
+/// queued inside the server's `submit` (the pool stays paused to prove it),
+/// and with a one-keyed-block circuit, whose terminal frame a worker queues.
+#[test]
+fn a_correlation_id_is_free_again_when_its_report_arrives() {
+    let (server, runtime) = serve(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(2),
+    ));
+    let frame = wire::DEFAULT_MAX_FRAME;
+    let mut raw = connect_raw(server.local_addr(), "reuser");
+    runtime.pause();
+    let cases = [
+        (lookup_only_circuit(), vec![0.1, 0.2, 0.3]),
+        (one_block_circuit(0.4), vec![]),
+    ];
+    for (case, (circuit, params)) in cases.into_iter().enumerate() {
+        if case == 1 {
+            runtime.resume();
+        }
+        for round in 0..10 {
+            let submit = Request::Submit {
+                id: 7,
+                payload: SubmitPayload::Batch(vec![wire::WireJob {
+                    circuit: circuit.clone(),
+                    params: params.clone(),
+                    strategy: Strategy::StrictPartial,
+                }]),
+                priority: None,
+                trace: None,
+            };
+            wire::write_frame(&mut raw, &submit, frame).unwrap();
+            match wire::read_frame::<_, Response>(&mut raw, frame).unwrap() {
+                Response::Event {
+                    id: 7,
+                    event: JobEvent::Admitted { jobs: 1 },
+                } => {}
+                other => panic!("case {case} round {round}: expected Admitted, got {other:?}"),
+            }
+            loop {
+                match wire::read_frame::<_, Response>(&mut raw, frame).unwrap() {
+                    Response::Event {
+                        id: 7,
+                        event: JobEvent::JobDone { ok: true, .. },
+                    } => {}
+                    Response::Report { id: 7, results } => {
+                        assert!(results[0].is_ok());
+                        break;
+                    }
+                    other => panic!("case {case} round {round}: unexpected frame {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A result set that outgrows the frame bound still ends its submission, as a
+/// `ReportTooLarge` refusal in place of the `Report`, and the connection keeps
+/// answering.
+#[test]
+fn an_oversized_report_is_refused_as_report_too_large() {
+    let runtime = Arc::new(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1),
+    ));
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&runtime),
+        ServerOptions::default().with_max_frame(1024),
+    )
+    .expect("bind loopback");
+    let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
+    let job = client
+        .submit(SubmitPayload::Iterations {
+            circuit: lookup_only_circuit(),
+            parameter_sets: (0..16).map(|i| vec![0.1 * i as f64; 3]).collect(),
+            strategy: Strategy::StrictPartial,
+        })
+        .unwrap();
+    match job.wait() {
+        Err(RemoteError::Rejected(RejectReason::ReportTooLarge { declared, max })) => {
+            assert_eq!(max, 1024);
+            assert!(declared > max, "{declared} bytes");
+        }
+        other => panic!("expected ReportTooLarge, got {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.client.submissions, 1);
+    assert_eq!(stats.client.completed, 1);
+}
+
+/// A connection runs the same two threads however many submissions it has in
+/// flight: with the pool paused and 20 submissions admitted on one
+/// connection, its writer is running and no per-submission thread is.
+#[cfg(target_os = "linux")]
+#[test]
+fn submissions_in_flight_start_no_thread_of_their_own() {
+    let (server, runtime) = serve(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1),
+    ));
+    runtime.pause();
+    let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
+    let jobs: Vec<RemoteJob> = (0..20)
+        .map(|_| {
+            client
+                .submit(SubmitPayload::Batch(vec![wire::WireJob {
+                    circuit: one_block_circuit(0.5),
+                    params: vec![],
+                    strategy: Strategy::StrictPartial,
+                }]))
+                .unwrap()
+        })
+        .collect();
+    for job in &jobs {
+        match job.next_update().unwrap() {
+            JobUpdate::Event(JobEvent::Admitted { jobs: 1 }) => {}
+            other => panic!("expected Admitted, got {other:?}"),
+        }
+    }
+    let names = thread_names();
+    assert!(
+        names.iter().any(|name| name.starts_with("vqc-writer")),
+        "each connection has a named writer: {names:?}"
+    );
+    // The thread kind a submission used to start, to wait for its events.
+    let retired = format!("vqc-{}", "streamer");
+    assert!(
+        !names.iter().any(|name| name.starts_with(&retired)),
+        "a per-submission thread is running: {names:?}"
+    );
+    runtime.resume();
+    for job in jobs {
+        assert!(job.wait().unwrap()[0].is_ok());
     }
 }
 
@@ -309,23 +471,7 @@ fn protocol_faults_do_not_kill_the_server() {
 
     // A well-framed but undecodable payload after a valid handshake: the
     // server answers Error and keeps the connection alive.
-    let mut raw = TcpStream::connect(addr).unwrap();
-    wire::write_frame(
-        &mut raw,
-        &Request::Hello {
-            protocol: PROTOCOL_VERSION,
-            client_name: "fault-injector".into(),
-            priority: 8,
-            weight: 1.0,
-            sent_micros: 0,
-        },
-        wire::DEFAULT_MAX_FRAME,
-    )
-    .unwrap();
-    match wire::read_frame::<_, Response>(&mut raw, wire::DEFAULT_MAX_FRAME).unwrap() {
-        Response::Accepted { .. } => {}
-        other => panic!("expected Accepted, got {other:?}"),
-    }
+    let mut raw = connect_raw(addr, "fault-injector");
     let garbage = [0xffu8; 8];
     raw.write_all(&(garbage.len() as u32).to_le_bytes())
         .unwrap();
@@ -410,8 +556,8 @@ fn protocol_version_mismatch_is_rejected_in_hello() {
     }
 }
 
-/// Submissions stream `Queued` → `Running` → one `JobDone` per job → `Report`,
-/// with job completions observable before the terminal frame.
+/// Submissions stream exactly one `Admitted { jobs }` → one `JobDone` per job
+/// → `Report`, with job completions observable before the terminal frame.
 #[test]
 fn events_stream_per_job_completions_before_the_report() {
     let (server, _runtime) = serve(CompilationRuntime::new(
@@ -428,10 +574,13 @@ fn events_stream_per_job_completions_before_the_report() {
             strategy: Strategy::StrictPartial,
         })
         .unwrap();
+    match job.next_update().unwrap() {
+        JobUpdate::Event(JobEvent::Admitted { jobs: 3 }) => {}
+        other => panic!("expected Admitted {{ jobs: 3 }} first, got {other:?}"),
+    }
     let mut done_jobs = Vec::new();
     let report = loop {
         match job.next_update().unwrap() {
-            JobUpdate::Event(JobEvent::Queued) | JobUpdate::Event(JobEvent::Running { .. }) => {}
             JobUpdate::Event(JobEvent::JobDone {
                 job: index,
                 ok,
@@ -454,7 +603,6 @@ fn events_stream_per_job_completions_before_the_report() {
         "every job completion was streamed"
     );
 
-    // Status polls answer out-of-band of the event stream.
     let idle = client.submit(SubmitPayload::Batch(vec![])).unwrap();
     match idle.wait() {
         Ok(results) => assert!(results.is_empty()),
@@ -551,7 +699,6 @@ fn metrics_polls_track_a_concurrent_workload() {
 
 /// Nothing runs beside the service to push metrics: a runtime and a server
 /// that have answered a `Metrics` poll hold no telemetry thread of their own.
-/// Linux lists each thread's name in `/proc/self/task/*/comm`.
 #[cfg(target_os = "linux")]
 #[test]
 fn serving_metrics_starts_no_telemetry_thread() {
@@ -561,11 +708,7 @@ fn serving_metrics_starts_no_telemetry_thread() {
     ));
     let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
     assert!(client.metrics().unwrap().seq > 0);
-    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim_end().to_string())
-        .collect();
+    let names = thread_names();
     assert!(
         names.iter().any(|name| name.starts_with("vqc-worker")),
         "the service's threads are named: {names:?}"
@@ -601,14 +744,19 @@ fn a_hello_weight_buys_no_larger_share() {
             strategy: Strategy::StrictPartial,
         }])
     };
-    // `Queued` is sent once the submission is expanded into the ready queue.
-    let queued = |job: &RemoteJob| match job.next_update().unwrap() {
-        JobUpdate::Event(JobEvent::Queued) => {}
-        other => panic!("expected Queued, got {other:?}"),
+    // `Admitted` goes out before expansion posts the submission's tasks; a
+    // connection's requests are served in order, so once the `stats()` that
+    // follows answers, the tasks are in the ready queue.
+    let posted = |client: &Client, job: &RemoteJob, submissions: u64| {
+        match job.next_update().unwrap() {
+            JobUpdate::Event(JobEvent::Admitted { .. }) => {}
+            other => panic!("expected Admitted, got {other:?}"),
+        }
+        assert_eq!(client.stats().unwrap().client.submissions, submissions);
     };
     let peer = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
     let first = peer.submit(block(0.1)).unwrap();
-    queued(&first);
+    posted(&peer, &first, 1);
 
     let frame = wire::DEFAULT_MAX_FRAME;
     let mut claimant = TcpStream::connect(server.local_addr()).unwrap();
@@ -654,7 +802,7 @@ fn a_hello_weight_buys_no_larger_share() {
         }
     }
     let second = peer.submit(block(0.2)).unwrap();
-    queued(&second);
+    posted(&peer, &second, 2);
     runtime.resume();
 
     assert!(first.wait().unwrap()[0].is_ok());
