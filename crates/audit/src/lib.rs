@@ -27,8 +27,8 @@
 //! 5. **`guard_blocking`** — heuristic: a lock guard bound by `let g = x.lock()`
 //!    (or `.read()` / `.write()`) must not be live across a blocking call
 //!    (`write_frame(`, a bare `send(`, `.join(`) in the same block. Sites where
-//!    holding the lock across the call is the point (the transport's writer
-//!    lock serializes frames) carry `// audit:allow(guard_blocking): <reason>`.
+//!    holding the lock across the call is the point carry
+//!    `// audit:allow(guard_blocking): <reason>`.
 //! 6. **`knob_budget`** — the number of distinct `VQC_*` variables the code
 //!    reads must equal [`KNOB_BUDGET`]. A new knob, or a deleted one whose
 //!    budget was not ratcheted down, fails in the diff that changes the count.

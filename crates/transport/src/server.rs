@@ -16,7 +16,12 @@
 //! an `Admitted` [`Response::Event`], one `JobDone` event per job as blocks
 //! finish, and a terminal [`Response::Report`] with the full result set (or a
 //! `Canceled` event). No frame is written under a lock, and a connection runs
-//! two threads however many submissions it has in flight.
+//! two threads however many submissions it has in flight. Queueing a frame
+//! never blocks (the callbacks run under a submission's lock), so the handler
+//! keeps the connection's backpressure itself: it reads no further request
+//! while more than [`WRITE_BACKLOG`] frames wait for the writer. A client that
+//! stops reading its answers therefore stalls its own requests, not the
+//! server's memory.
 //!
 //! Failure containment follows the frame contract: an undecodable payload gets
 //! a [`Response::Error`] and the connection continues (the stream is still
@@ -35,12 +40,12 @@ use crate::wire::{
     read_frame, write_frame, FrameError, JobEvent, RejectReason, Request, Response, ServerStats,
     SubmitPayload, WireError, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use vqc_runtime::{CompilationRuntime, CompileJob, JobHandle, Priority, Progress, Submission};
@@ -48,6 +53,11 @@ use vqc_runtime::{CompilationRuntime, CompileJob, JobHandle, Priority, Progress,
 /// Address the server (and the `vqc-submit` client) use when `VQC_LISTEN` is
 /// not set.
 pub const DEFAULT_LISTEN: &str = "127.0.0.1:7878";
+
+/// Frames a connection may have queued for its writer before its handler
+/// stops reading requests. Only the handler waits on it; a submission's
+/// callback may queue past it, by at most that submission's own frames.
+const WRITE_BACKLOG: usize = 16;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -313,6 +323,58 @@ enum ConnectionOutcome {
 /// submission's terminal frame goes out.
 type LiveSubmissions = Arc<Mutex<HashMap<u64, Option<JobHandle>>>>;
 
+/// The sending end of a connection's writer channel, shared by the handler and
+/// every submission's callback. It counts the frames queued but not yet
+/// written, so the handler can wait for the writer without the senders ever
+/// blocking.
+#[derive(Clone)]
+struct Outbox {
+    frames: Sender<Response>,
+    backlog: Arc<Backlog>,
+}
+
+#[derive(Default)]
+struct Backlog {
+    queued: AtomicUsize,
+    lock: Mutex<()>,
+    drained: Condvar,
+}
+
+impl Outbox {
+    /// Queues one frame. Never blocks and takes no lock; the writer runs until
+    /// every sender is dropped, so only a panicked writer refuses a frame.
+    fn send(&self, response: Response) {
+        self.backlog.queued.fetch_add(1, Ordering::SeqCst);
+        let _ = self.frames.send(response);
+    }
+
+    /// Parks the handler while more than [`WRITE_BACKLOG`] frames wait for the
+    /// writer.
+    fn wait_for_writer(&self) {
+        let backlog = &*self.backlog;
+        if backlog.queued.load(Ordering::SeqCst) <= WRITE_BACKLOG {
+            return;
+        }
+        let mut guard = backlog.lock.lock();
+        while backlog.queued.load(Ordering::SeqCst) > WRITE_BACKLOG {
+            backlog.drained.wait(&mut guard);
+        }
+    }
+}
+
+impl Backlog {
+    /// Counts one frame as written (or failed). Only the writer decrements, one
+    /// frame at a time, so the backlog falls back to [`WRITE_BACKLOG`] through
+    /// exactly this crossing; the notify takes the lock so a handler between
+    /// its check and its wait cannot miss it.
+    fn written(&self) {
+        if self.queued.fetch_sub(1, Ordering::SeqCst) == WRITE_BACKLOG + 1 {
+            let _guard = self.lock.lock();
+            self.drained.notify_all();
+        }
+    }
+}
+
 fn serve_connection(
     shared: &ServerShared,
     mut stream: TcpStream,
@@ -375,19 +437,23 @@ fn serve_connection(
     // From here on the writer thread owns the write half. Whatever remains in
     // `live` at disconnect is canceled.
     let live: LiveSubmissions = Arc::default();
-    let (outbox, frames) = std::sync::mpsc::channel::<Response>();
+    let (sender, frames) = std::sync::mpsc::channel::<Response>();
+    let outbox = Outbox {
+        frames: sender,
+        backlog: Arc::default(),
+    };
     let writer = {
         let live = Arc::clone(&live);
+        let backlog = Arc::clone(&outbox.backlog);
         spawn_named(&format!("vqc-writer-{connection_id}"), move || {
-            write_loop(stream, &frames, &live, max_frame)
+            write_loop(stream, &frames, &live, &backlog, max_frame)
         })
     };
-    let reply = |response: Response| {
-        // The writer runs until this sender is dropped; only a panicked
-        // writer refuses a frame.
-        let _ = outbox.send(response);
-    };
+    let reply = |response: Response| outbox.send(response);
     let outcome = loop {
+        // Backpressure: a client that does not read its answers stops being
+        // read.
+        outbox.wait_for_writer();
         match read_frame::<_, Request>(&mut reader, max_frame) {
             Ok(Request::Submit {
                 id,
@@ -529,7 +595,7 @@ fn build_submission(payload: SubmitPayload) -> Submission {
 /// The progress callback of remote submission `id`: each step becomes one
 /// frame on the connection's writer channel. It runs under the submission's
 /// lock, so it only converts and sends.
-fn forward_progress(id: u64, outbox: Sender<Response>) -> impl FnMut(Progress<'_>) + Send {
+fn forward_progress(id: u64, outbox: Outbox) -> impl FnMut(Progress<'_>) + Send {
     move |progress| {
         let response = match progress {
             Progress::Admitted { jobs } => Response::Event {
@@ -556,7 +622,7 @@ fn forward_progress(id: u64, outbox: Sender<Response>) -> impl FnMut(Progress<'_
                 event: JobEvent::Canceled,
             },
         };
-        let _ = outbox.send(response);
+        outbox.send(response);
     }
 }
 
@@ -567,6 +633,7 @@ fn write_loop(
     mut stream: TcpStream,
     frames: &Receiver<Response>,
     live: &LiveSubmissions,
+    backlog: &Backlog,
     max_frame: usize,
 ) {
     for response in frames {
@@ -597,5 +664,6 @@ fn write_loop(
                 let _ = write_frame(&mut stream, &too_large, max_frame);
             }
         }
+        backlog.written();
     }
 }

@@ -447,15 +447,104 @@ fn submissions_in_flight_start_no_thread_of_their_own() {
         "each connection has a named writer: {names:?}"
     );
     // The thread kind a submission used to start, to wait for its events.
-    let retired = format!("vqc-{}", "streamer");
     assert!(
-        !names.iter().any(|name| name.starts_with(&retired)),
+        !names.iter().any(|name| name.starts_with("vqc-streamer")),
         "a per-submission thread is running: {names:?}"
     );
     runtime.resume();
     for job in jobs {
         assert!(job.wait().unwrap()[0].is_ok());
     }
+}
+
+/// This process's resident set, in bytes (Linux: `/proc/self/statm`).
+#[cfg(target_os = "linux")]
+fn resident_bytes() -> usize {
+    let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+    let pages: usize = statm.split_whitespace().nth(1).unwrap().parse().unwrap();
+    pages * 4096
+}
+
+/// A client that sends requests but never reads the answers stalls only its
+/// own connection: once a few answers wait for its writer, the server stops
+/// reading that connection's requests, so the client's writes time out and the
+/// server's memory stays put, while another client is still served.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_client_that_never_reads_stalls_only_its_own_requests() {
+    let (server, runtime) = serve(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1),
+    ));
+    let frame = wire::DEFAULT_MAX_FRAME;
+    let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
+    // Fill the trace ring, so that every `Trace` answer is large.
+    let warmup = client
+        .submit(SubmitPayload::Iterations {
+            circuit: lookup_only_circuit(),
+            parameter_sets: (0..400).map(|i| vec![0.01 * i as f64; 3]).collect(),
+            strategy: Strategy::StrictPartial,
+        })
+        .unwrap();
+    assert_eq!(warmup.wait().unwrap().len(), 400);
+    let events = runtime.trace_events().len();
+    assert!(events >= 400, "{events} trace events");
+
+    let mut stalled = connect_raw(server.local_addr(), "stalled");
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut requests = Vec::new();
+    for _ in 0..4096 {
+        wire::write_frame(&mut requests, &Request::Trace, frame).unwrap();
+    }
+    // Unbounded buffering would queue a full trace per request: a few thousand
+    // requests exceed this margin, a stalled connection never does.
+    let ceiling = resident_bytes() + (256 << 20);
+    let mut sent = 0usize;
+    let check_memory = |sent: usize| {
+        let resident = resident_bytes();
+        assert!(
+            resident < ceiling,
+            "the server buffered answers for a client that does not read: \
+             {sent} request bytes in, {resident} bytes resident"
+        );
+    };
+    loop {
+        match stalled.write_all(&requests) {
+            Ok(()) => sent += requests.len(),
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break
+            }
+            Err(error) => panic!("write failed after {sent} bytes: {error}"),
+        }
+        check_memory(sent);
+        assert!(sent < 256 << 20, "the server read {sent} request bytes");
+    }
+    // A server that still reads, only slowly, would keep growing meanwhile.
+    for _ in 0..20 {
+        std::thread::sleep(Duration::from_millis(50));
+        check_memory(sent);
+    }
+
+    // The stalled connection holds no other client up.
+    assert_eq!(client.stats().unwrap().client.submissions, 1);
+    let job = client
+        .submit(SubmitPayload::Batch(vec![wire::WireJob {
+            circuit: lookup_only_circuit(),
+            params: vec![0.5, 0.6, 0.7],
+            strategy: Strategy::StrictPartial,
+        }]))
+        .unwrap();
+    assert!(job.wait().unwrap()[0].is_ok());
+    drop(stalled);
+    drop(client);
+    drop(server);
 }
 
 /// Malformed and oversized frames are contained: the offending connection gets
