@@ -12,7 +12,7 @@
 //! kind per pulse-store shard, default unbounded); the transport adds
 //! `VQC_MAX_FRAME` (frame-size bound in bytes) and `VQC_MAX_CONNS`
 //! (simultaneous connections). Telemetry is always on; watch it live with
-//! `vqc-top`, which asks for a snapshot once a second, and journal a run with
+//! `vqc-top`, which sends a `Stats` request once a second, and journal a run with
 //! `vqc-top --json > run.jsonl`. `VQC_EFFORT`
 //! (`fast` — the default, `standard`, `full`) picks the GRAPE effort;
 //! `VQC_SNAPSHOT` names a cache snapshot to warm-start from and to write back

@@ -9,15 +9,17 @@
 //! a QAOA MAXCUT variational workload — one 3-regular-graph circuit at
 //! `--iterations` parameter bindings, the paper's repeated-block shape — and
 //! streams completion events as the server's workers finish each iteration.
-//! `--stats` additionally prints the server's global metrics and this client's
-//! slice; `--shutdown` asks the server to drain and stop after the workload.
+//! `--stats` additionally prints the server's totals, from the snapshot a
+//! `Stats` request returns, and this client's slice; `--shutdown` asks the
+//! server to drain and stop after the workload.
 //!
 //! `--trace-out[=PATH]` turns the run into a cross-process causal trace: the
 //! submission carries a client-assigned trace id, the client stamps its own
 //! submit/await spans locally, fetches the server's lifecycle trace after the
 //! report, and merges both — server timestamps mapped onto the client's clock
 //! via the handshake's offset estimate — into one Chrome `trace_event` JSON
-//! file (default `vqc-causal-trace.json`, load at `chrome://tracing` or
+//! file with the transport's one renderer, `merged_chrome_trace` (default
+//! `vqc-causal-trace.json`, load at `chrome://tracing` or
 //! <https://ui.perfetto.dev>).
 
 use vqc_apps::graphs::Graph;
@@ -192,13 +194,14 @@ fn run(args: &Args) -> Result<(), RemoteError> {
 
     if args.stats {
         let stats = client.stats()?;
+        let totals = &stats.snapshot.runtime;
         eprintln!(
             "vqc-submit: server totals — {} submissions, {} unique compilations, {} hits / {} misses, {} coalesced",
-            stats.runtime.submissions,
-            stats.runtime.unique_compilations,
-            stats.runtime.cache.hits,
-            stats.runtime.cache.misses,
-            stats.runtime.coalesced_waits,
+            totals.submissions,
+            totals.unique_compilations,
+            totals.cache.hits,
+            totals.cache.misses,
+            totals.coalesced_waits,
         );
         eprintln!(
             "vqc-submit: this client — {} submitted, {} compiled, {} hits, {} coalesced, {:.3}s queued",

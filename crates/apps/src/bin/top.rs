@@ -5,26 +5,25 @@
 //! ```
 //!
 //! Connects to `ADDRESS` (or `VQC_LISTEN`, default `127.0.0.1:7878`), sends
-//! the `Metrics` request once a second, and redraws a plain-ANSI dashboard
-//! from each answer: worker utilization, queue depth, cache hit ratio,
-//! per-class latency percentiles, and the most recent lifecycle events. The
-//! server assembles each snapshot when the request arrives.
+//! the `Stats` request once a second, and redraws a plain-ANSI dashboard
+//! from the snapshot in each answer: worker utilization, queue depth, cache
+//! hit ratio, per-class latency percentiles, and the most recent lifecycle
+//! events. The server assembles each snapshot when the request arrives.
 //!
 //! `--once` renders a single snapshot and exits (CI smoke tests); `--json`
 //! prints each snapshot as one JSON line instead of the dashboard — the
 //! metrics journal `vqc-report` reads (`vqc-top --json > run.jsonl` records a
 //! run, `vqc-top --once --json >> run.jsonl` appends one snapshot);
 //! `--dump-trace[=PATH]` skips the dashboard entirely, fetches the server's
-//! lifecycle trace ring, and writes it as Chrome `trace_event` JSON (load it
-//! at `chrome://tracing` or <https://ui.perfetto.dev>) — default path
-//! `vqc-trace.json`.
+//! lifecycle trace ring, and writes it as Chrome `trace_event` JSON through
+//! the transport's one renderer, `merged_chrome_trace`, with no client spans
+//! (load it at `chrome://tracing` or <https://ui.perfetto.dev>) — default
+//! path `vqc-trace.json`.
 
 use std::time::Duration;
-use vqc_runtime::{
-    chrome_trace_json, MetricsSnapshot, TraceEvent, TraceStage, PRIORITY_CLASS_NAMES,
-};
+use vqc_runtime::{MetricsSnapshot, TraceEvent, TraceStage, PRIORITY_CLASS_NAMES};
 use vqc_transport::wire::FrameError;
-use vqc_transport::{Client, ClientOptions, RemoteError, DEFAULT_LISTEN};
+use vqc_transport::{merged_chrome_trace, Client, ClientOptions, RemoteError, DEFAULT_LISTEN};
 
 /// How often the dashboard asks the server for a fresh snapshot.
 const POLL_INTERVAL: Duration = Duration::from_secs(1);
@@ -104,6 +103,7 @@ fn stage_glyph(stage: TraceStage) -> char {
 }
 
 fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> String {
+    let runtime = &snapshot.runtime;
     let mut out = String::new();
     out.push_str(&format!(
         "vqc-top — {addr}   uptime {:.1}s   snapshot #{}\n\n",
@@ -112,7 +112,7 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
     out.push_str(&format!(
         "workers   {:>2}/{:<2} busy [{}] {:>5.1}%\n",
         snapshot.busy_workers,
-        snapshot.workers,
+        runtime.workers,
         utilization_bar(snapshot.worker_utilization(), 24),
         snapshot.worker_utilization() * 100.0,
     ));
@@ -122,17 +122,17 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
     ));
     out.push_str(&format!(
         "submits   {} total   {} completed   {} canceled\n",
-        snapshot.submissions, snapshot.completed, snapshot.canceled,
+        runtime.submissions, runtime.completed_submissions, runtime.canceled_submissions,
     ));
     out.push_str(&format!(
         "cache     {:.1}% hits ({}/{})   {} entries   {} evictions   {} unique compiles   {} coalesced\n",
         snapshot.cache_hit_ratio() * 100.0,
-        snapshot.cache_hits,
-        snapshot.cache_hits + snapshot.cache_misses,
+        runtime.cache.hits,
+        runtime.cache.hits + runtime.cache.misses,
         snapshot.cache_entries,
-        snapshot.cache_evictions,
-        snapshot.unique_compilations,
-        snapshot.coalesced_waits,
+        runtime.cache.evictions,
+        runtime.unique_compilations,
+        runtime.coalesced_waits,
     ));
     let warm = &snapshot.warm_start;
     out.push_str(&format!(
@@ -224,7 +224,7 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
 
 fn dump_trace(client: &Client, path: &str) -> Result<(), RemoteError> {
     let events = client.trace()?;
-    let json = chrome_trace_json(&events);
+    let json = merged_chrome_trace(&[], &events, 0);
     std::fs::write(path, &json)
         .map_err(|e| RemoteError::Protocol(format!("cannot write trace file {path}: {e}")))?;
     eprintln!("vqc-top: wrote {} trace events to {path}", events.len());
@@ -242,8 +242,8 @@ fn run(args: &Args) -> Result<(), RemoteError> {
     }
 
     loop {
-        let snapshot = match client.metrics() {
-            Ok(snapshot) => snapshot,
+        let snapshot = match client.stats() {
+            Ok(stats) => stats.snapshot,
             // The server shut down: there is nothing more to show. A poll
             // written into a connection the server just closed fails with an
             // I/O error rather than `Disconnected`; that is the same ending.

@@ -119,7 +119,7 @@ pub struct CachedTuning {
 /// signatures and [`crate::PartialCompiler::library`] remain because the driver
 /// benchmark (`benchmark/`, not this repository's to edit outside a `[benchmark]`
 /// change) imports the trait and calls through both; they go when it stops
-/// (ROADMAP item 1(c)).
+/// (ROADMAP items 1(a)(ii) and 9).
 pub trait PulseCache: Send + Sync + std::fmt::Debug {
     /// Looks up a cached block compilation.
     fn block(&self, key: &BlockKey) -> Option<CachedBlock>;

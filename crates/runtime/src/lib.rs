@@ -28,11 +28,12 @@
 //!   [`CompilationRuntime::compile_iterations`] are thin synchronous wrappers over
 //!   a submitted job, making the paper's cross-iteration reuse cross-request.
 //! * Telemetry — log-bucketed per-priority-class [`HistogramSnapshot`] latency
-//!   distributions, a bounded [`TraceStage`] lifecycle trace ring exportable as
-//!   Chrome `trace_event` JSON ([`chrome_trace_json`]), and
+//!   distributions, a bounded [`TraceStage`] lifecycle trace ring (the
+//!   transport renders it as Chrome `trace_event` JSON), and
 //!   [`MetricsSnapshot`]s assembled on demand by
-//!   [`CompilationRuntime::telemetry_snapshot`] ([`TelemetryOptions`] turns
-//!   recording on or off).
+//!   [`CompilationRuntime::telemetry_snapshot`], each embedding the
+//!   [`RuntimeMetrics`] that [`CompilationRuntime::metrics`] returns
+//!   ([`TelemetryOptions`] turns recording on or off).
 //! * [`persist`] — bincode snapshots of the store for warm-start across runs
 //!   ([`CompilationRuntime::save_snapshot`], [`CompilationRuntime::with_warm_start`]).
 //!
@@ -82,9 +83,9 @@ pub use service::{
     ClientMetrics, JobHandle, JobStatus, Priority, Progress, Submission, SubmitError,
 };
 pub use telemetry::{
-    chrome_trace_json, phase_row_name, priority_class, ClassLatency, HistogramSnapshot,
-    MetricsSnapshot, TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES,
-    PRIORITY_CLASS_NAMES, TRACE_CAPACITY,
+    phase_row_name, priority_class, ClassLatency, HistogramSnapshot, MetricsSnapshot,
+    TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES, PRIORITY_CLASS_NAMES,
+    TRACE_CAPACITY,
 };
 pub use vqc_core::{
     CacheConfig, CacheMetrics, CacheSnapshot, CompileProfile, SeedEntry, ShardedPulseCache,

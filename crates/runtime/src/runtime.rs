@@ -25,7 +25,6 @@ use crate::persist::{self, PersistError};
 use crate::service::{ClientMetrics, CompileService, JobHandle, Submission, SubmitError};
 use crate::telemetry::{MetricsSnapshot, TelemetryOptions, TraceEvent};
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use vqc_circuit::Circuit;
 use vqc_core::{
@@ -121,7 +120,7 @@ impl CompileJob {
 }
 
 /// Counters describing what a runtime has done so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RuntimeMetrics {
     /// Shared-cache counters (hits/misses/insertions/evictions).
     pub cache: CacheMetrics,
@@ -192,24 +191,13 @@ impl CompilationRuntime {
 
     /// Number of worker threads used for block compilation.
     pub fn workers(&self) -> usize {
-        self.service.workers
+        self.service.core.workers
     }
 
-    /// Current runtime counters.
+    /// Current runtime counters (the same read every
+    /// [`CompilationRuntime::telemetry_snapshot`] embeds).
     pub fn metrics(&self) -> RuntimeMetrics {
-        let core = &self.service.core;
-        // Read before `submissions`, so the counters never show more completions
-        // than admissions.
-        let completed_submissions = core.completed_submissions.load(Ordering::Acquire);
-        RuntimeMetrics {
-            cache: self.cache().metrics(),
-            unique_compilations: core.compilations.load(Ordering::Relaxed),
-            coalesced_waits: core.coalesced.load(Ordering::Relaxed),
-            submissions: core.submissions.load(Ordering::Relaxed),
-            completed_submissions,
-            canceled_submissions: core.canceled_submissions.load(Ordering::Relaxed),
-            workers: self.service.workers,
-        }
+        self.service.core.runtime_metrics()
     }
 
     /// This client's slice of the runtime counters (zeroes for an unseen id) —
@@ -228,7 +216,7 @@ impl CompilationRuntime {
     /// Assembles a [`MetricsSnapshot`] of the whole service right now (queue
     /// depth, worker utilization, rates, cache economics, per-class latency
     /// histograms) on the calling thread. This is the one source of snapshots
-    /// (the wire `Metrics` request calls it), and each takes the next
+    /// (the wire `Stats` request calls it), and each takes the next
     /// sequence number, so `seq` strictly increases from call to call.
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         self.service.core.build_snapshot()
@@ -236,7 +224,7 @@ impl CompilationRuntime {
 
     /// The buffered lifecycle trace events, oldest first (the ring keeps the
     /// most recent [`crate::TRACE_CAPACITY`] events). Render with
-    /// [`crate::chrome_trace_json`] for `chrome://tracing` / Perfetto.
+    /// `vqc_transport::merged_chrome_trace` for `chrome://tracing` / Perfetto.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.service.core.telemetry.trace_events()
     }

@@ -42,7 +42,7 @@
 //! so a low-priority request can never make a high-priority one late by having
 //! asked for a shared block first.
 
-use crate::runtime::CompileJob;
+use crate::runtime::{CompileJob, RuntimeMetrics};
 use crate::telemetry::{MetricsSnapshot, Telemetry, TelemetryOptions, TraceStage};
 use parking_lot::{lock_check, Condvar, Mutex};
 use std::collections::{BinaryHeap, HashMap};
@@ -550,15 +550,15 @@ pub(crate) struct ServiceCore {
     /// Signalled when a slot frees while a submitter is parked, and at shutdown.
     admitted: Condvar,
     shutdown: AtomicBool,
-    pub(crate) compilations: AtomicU64,
-    pub(crate) coalesced: AtomicU64,
-    pub(crate) submissions: AtomicU64,
-    pub(crate) completed_submissions: AtomicU64,
-    pub(crate) canceled_submissions: AtomicU64,
+    compilations: AtomicU64,
+    coalesced: AtomicU64,
+    submissions: AtomicU64,
+    completed_submissions: AtomicU64,
+    canceled_submissions: AtomicU64,
     client_metrics: Mutex<HashMap<u64, ClientMetrics>>,
     next_submission_id: AtomicU64,
     dispatch_seq: AtomicU64,
-    /// Size of the worker pool (for utilization in snapshots).
+    /// Size of the worker pool.
     pub(crate) workers: usize,
     /// The live instrumentation layer (histograms, trace ring).
     pub(crate) telemetry: Arc<Telemetry>,
@@ -603,6 +603,24 @@ impl ServiceCore {
         state.done.notify_all();
     }
 
+    /// The runtime's counters, read the one way both
+    /// [`crate::CompilationRuntime::metrics`] and every [`MetricsSnapshot`]
+    /// read them.
+    pub(crate) fn runtime_metrics(&self) -> RuntimeMetrics {
+        // Read before `submissions`, so the counters never show more
+        // completions than admissions.
+        let completed_submissions = self.completed_submissions.load(Ordering::Acquire);
+        RuntimeMetrics {
+            cache: self.compiler.cache().metrics(),
+            unique_compilations: self.compilations.load(Ordering::Relaxed),
+            coalesced_waits: self.coalesced.load(Ordering::Relaxed),
+            submissions: self.submissions.load(Ordering::Relaxed),
+            completed_submissions,
+            canceled_submissions: self.canceled_submissions.load(Ordering::Relaxed),
+            workers: self.workers,
+        }
+    }
+
     /// Assembles one [`MetricsSnapshot`] from the live counters, allocating the
     /// next snapshot sequence number. Each queue's lock is taken briefly and
     /// independently, so the snapshot is a consistent-enough observation without
@@ -612,27 +630,14 @@ impl ServiceCore {
         let ready_tasks = self.sched.lock().ready.len() as u64;
         let outstanding = self.admission.lock().outstanding as u64;
         let store = self.compiler.cache();
-        let cache = store.metrics();
-        // Read before `submissions`, so a snapshot never shows more completions
-        // than admissions.
-        let completed = self.completed_submissions.load(Ordering::Acquire);
         MetricsSnapshot {
             seq,
             uptime_seconds,
-            workers: self.workers as u64,
+            runtime: self.runtime_metrics(),
             busy_workers: self.telemetry.busy_workers(),
             outstanding,
             ready_tasks,
-            submissions: self.submissions.load(Ordering::Relaxed),
-            completed,
-            canceled: self.canceled_submissions.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_insertions: cache.insertions,
-            cache_evictions: cache.evictions,
             cache_entries: store.num_blocks() as u64,
-            unique_compilations: self.compilations.load(Ordering::Relaxed),
-            coalesced_waits: self.coalesced.load(Ordering::Relaxed),
             trace_dropped: self.telemetry.trace_dropped(),
             warm_start: store.warm_start_stats(),
             seed_entries: store.num_seeds() as u64,
@@ -1151,7 +1156,6 @@ impl ServiceCore {
 pub(crate) struct CompileService {
     pub(crate) core: Arc<ServiceCore>,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
-    pub(crate) workers: usize,
 }
 
 impl CompileService {
@@ -1212,7 +1216,6 @@ impl CompileService {
         CompileService {
             core,
             worker_threads,
-            workers,
         }
     }
 

@@ -12,16 +12,17 @@
 //! * **Lifecycle tracing** — [`TraceRing`] is a bounded ring buffer of
 //!   [`TraceEvent`]s (submitted → admitted → dispatched → compile-start →
 //!   cache-hit/compiled → job-done → report, plus canceled), each stamped
-//!   with microseconds since the service started. [`chrome_trace_json`] renders
-//!   the ring as Chrome `trace_event` JSON loadable in `chrome://tracing` or
-//!   Perfetto, so "where did this slow job spend its time" is one dump away.
+//!   with microseconds since the service started. The transport's one Chrome
+//!   `trace_event` renderer (`vqc_transport::merged_chrome_trace`) turns the
+//!   ring into JSON loadable in `chrome://tracing` or Perfetto, so "where did
+//!   this slow job spend its time" is one dump away.
 //! * **Metrics snapshots** — [`crate::CompilationRuntime::telemetry_snapshot`]
-//!   assembles a [`MetricsSnapshot`] (queue depth, worker utilization, rates,
-//!   cache economics, per-class histograms) on the calling thread whenever it
-//!   is asked. Nothing runs in the background: the `Metrics` wire request is
-//!   answered with one such snapshot, `vqc-top` polls it, and
-//!   `vqc-top --json` prints each poll as one JSON line, the journal
-//!   `vqc-report` reads.
+//!   assembles a [`MetricsSnapshot`] (the [`RuntimeMetrics`] counters plus
+//!   queue depth, worker utilization, cache residency, per-class histograms)
+//!   on the calling thread whenever it is asked. Nothing runs in the
+//!   background: the `Stats` wire request is answered with one such snapshot,
+//!   `vqc-top` polls it, and `vqc-top --json` prints each poll as one JSON
+//!   line, the journal `vqc-report` reads.
 //!
 //! Instrumentation is gated on [`TelemetryOptions::enabled`]: a disabled
 //! telemetry reduces every record call to one branch, which is what the
@@ -33,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vqc_core::{CompileProfile, PHASE_COUNT};
 
+use crate::runtime::RuntimeMetrics;
 use crate::service::Priority;
 
 /// Number of phase rows telemetry tracks: the [`PHASE_COUNT`] compiler phases
@@ -342,54 +344,6 @@ impl TraceRing {
     }
 }
 
-/// Renders trace events as Chrome `trace_event` JSON (the "JSON Array Format"
-/// with a `traceEvents` envelope), loadable in `chrome://tracing` and Perfetto.
-/// Each lifecycle stage becomes a thread-scoped instant event on the virtual
-/// thread of its submission, so one submission reads as one timeline row.
-/// Events carrying a `span_micros` duration — the armed profiler's
-/// [`TraceStage::Phase`] children — render as complete (`"ph":"X"`) spans
-/// named after their compile phase, nested under the block's compile span.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut json = String::with_capacity(events.len() * 96 + 64);
-    json.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (index, event) in events.iter().enumerate() {
-        if index > 0 {
-            json.push(',');
-        }
-        let client = event
-            .client
-            .map(|c| c.to_string())
-            .unwrap_or_else(|| "null".to_string());
-        let name = if event.stage == TraceStage::Phase {
-            phase_row_name(event.detail as usize)
-        } else {
-            event.stage.name()
-        };
-        if event.span_micros > 0 {
-            json.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"detail\":{},\"client\":{}}}}}",
-                name,
-                event.submission,
-                event.micros,
-                event.span_micros,
-                event.detail,
-                client,
-            ));
-        } else {
-            json.push_str(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"detail\":{},\"client\":{}}}}}",
-                name,
-                event.submission,
-                event.micros,
-                event.detail,
-                client,
-            ));
-        }
-    }
-    json.push_str("]}\n");
-    json
-}
-
 /// Configuration of the telemetry layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
@@ -444,7 +398,7 @@ pub struct ClassLatency {
 
 /// One observation of the whole service, assembled on demand by
 /// [`crate::CompilationRuntime::telemetry_snapshot`]. Serializable both over
-/// the wire (`Response::Metrics`) and as a JSON line
+/// the wire (inside the `Stats` reply) and as a JSON line
 /// ([`MetricsSnapshot::to_json_line`]).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -454,8 +408,9 @@ pub struct MetricsSnapshot {
     pub seq: u64,
     /// Seconds since the service started.
     pub uptime_seconds: f64,
-    /// Worker threads in the pool.
-    pub workers: u64,
+    /// The runtime's counters, read as [`crate::CompilationRuntime::metrics`]
+    /// reads them: admissions, completions, cancels, cache, compilations.
+    pub runtime: RuntimeMetrics,
     /// Workers executing a block task at snapshot time (utilization numerator).
     pub busy_workers: u64,
     /// Submissions admitted but not yet completed (queue depth incl. running).
@@ -463,26 +418,8 @@ pub struct MetricsSnapshot {
     /// Block tasks in the ready queue (stale priority-inheritance duplicates
     /// included — an upper bound on schedulable work).
     pub ready_tasks: u64,
-    /// Submissions admitted so far.
-    pub submissions: u64,
-    /// Submissions completed so far.
-    pub completed: u64,
-    /// Submissions canceled so far.
-    pub canceled: u64,
-    /// Pulse-cache lookups answered from the cache.
-    pub cache_hits: u64,
-    /// Pulse-cache lookups that missed.
-    pub cache_misses: u64,
-    /// Pulse-cache entries written by compilation.
-    pub cache_insertions: u64,
-    /// Pulse-cache entries displaced by capacity bounds.
-    pub cache_evictions: u64,
     /// Block entries currently resident in the cache.
     pub cache_entries: u64,
-    /// Block compilations that actually ran GRAPE / tuning.
-    pub unique_compilations: u64,
-    /// Block requests coalesced onto another request's task.
-    pub coalesced_waits: u64,
     /// Lifecycle events overwritten in the trace ring so far.
     pub trace_dropped: u64,
     /// Warm-start counters: seed probes (hit/miss/evicted) and GRAPE
@@ -506,20 +443,21 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Cache hit ratio over all lookups so far (`0.0` before any lookup).
     pub fn cache_hit_ratio(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
+        let cache = &self.runtime.cache;
+        let lookups = cache.hits + cache.misses;
         if lookups == 0 {
             0.0
         } else {
-            self.cache_hits as f64 / lookups as f64
+            cache.hits as f64 / lookups as f64
         }
     }
 
     /// Fraction of the worker pool busy at snapshot time.
     pub fn worker_utilization(&self) -> f64 {
-        if self.workers == 0 {
+        if self.runtime.workers == 0 {
             0.0
         } else {
-            self.busy_workers as f64 / self.workers as f64
+            self.busy_workers as f64 / self.runtime.workers as f64
         }
     }
 
@@ -557,6 +495,7 @@ impl MetricsSnapshot {
             })
             .collect::<Vec<_>>()
             .join(",");
+        let runtime = &self.runtime;
         format!(
             "{{\"seq\":{},\"uptime_seconds\":{:.6},\"workers\":{},\"busy_workers\":{},\
              \"outstanding\":{},\"ready_tasks\":{},\
@@ -571,21 +510,21 @@ impl MetricsSnapshot {
              \"classes\":[{}]}}",
             self.seq,
             self.uptime_seconds,
-            self.workers,
+            runtime.workers,
             self.busy_workers,
             self.outstanding,
             self.ready_tasks,
-            self.submissions,
-            self.completed,
-            self.canceled,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_insertions,
-            self.cache_evictions,
+            runtime.submissions,
+            runtime.completed_submissions,
+            runtime.canceled_submissions,
+            runtime.cache.hits,
+            runtime.cache.misses,
+            runtime.cache.insertions,
+            runtime.cache.evictions,
             self.cache_entries,
             self.cache_hit_ratio(),
-            self.unique_compilations,
-            self.coalesced_waits,
+            runtime.unique_compilations,
+            runtime.coalesced_waits,
             self.trace_dropped,
             self.warm_start.table_hits,
             self.warm_start.table_misses,
@@ -875,51 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_json_renders_every_event() {
-        let events = vec![
-            TraceEvent {
-                submission: 3,
-                client: Some(7),
-                stage: TraceStage::Submitted,
-                micros: 10,
-                detail: 0,
-                span_micros: 0,
-            },
-            TraceEvent {
-                submission: 3,
-                client: Some(7),
-                stage: TraceStage::Report,
-                micros: 450,
-                detail: 0,
-                span_micros: 0,
-            },
-        ];
-        let json = chrome_trace_json(&events);
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(json.contains("\"name\":\"submitted\""));
-        assert!(json.contains("\"name\":\"report\""));
-        assert!(json.contains("\"ts\":450"));
-        assert!(json.trim_end().ends_with("]}"));
-    }
-
-    #[test]
-    fn chrome_trace_renders_phase_spans_as_complete_events() {
-        let events = vec![TraceEvent {
-            submission: 5,
-            client: None,
-            stage: TraceStage::Phase,
-            micros: 100,
-            detail: 1, // eigendecomposition
-            span_micros: 250,
-        }];
-        let json = chrome_trace_json(&events);
-        assert!(json.contains("\"name\":\"eigendecomposition\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"dur\":250"));
-        assert!(json.contains("\"cat\":\"phase\""));
-    }
-
-    #[test]
     fn empty_histogram_quantile_is_zero() {
         // Pinned: an empty snapshot reports 0.0 for every quantile, never NaN
         // and never the overflow bucket's midpoint.
@@ -973,63 +867,110 @@ mod tests {
         assert_eq!(spans[0].micros, 1000);
     }
 
+    /// The `vqc-top --json` journal line of a snapshot with every field set,
+    /// as `vqc-report` and the CI journal checks read it: each key, its order
+    /// and its number format are part of the schema. The always-zero `memo_*`
+    /// warm-start counters stay out of it, whatever they read.
     #[test]
-    fn json_line_is_well_formed() {
-        let snapshot = MetricsSnapshot {
-            seq: 2,
-            uptime_seconds: 1.5,
-            workers: 4,
-            busy_workers: 1,
-            cache_hits: 3,
-            cache_misses: 1,
-            warm_start: vqc_core::WarmStartStats {
-                table_hits: 5,
-                table_misses: 2,
-                seeded_iterations: 120,
-                cold_iterations: 480,
-                memo_hits: 9,
-                ..vqc_core::WarmStartStats::default()
-            },
-            seed_entries: 7,
-            classes: vec![ClassLatency {
-                class: 1,
-                ..ClassLatency::default()
-            }],
-            ..MetricsSnapshot::default()
+    fn json_line_keeps_the_journal_schema() {
+        let histogram = |count: u64, total_seconds: f64, bucket: usize| {
+            let mut buckets = vec![0; HISTOGRAM_BUCKETS];
+            buckets[bucket] = count;
+            HistogramSnapshot {
+                count,
+                total_seconds,
+                buckets,
+            }
         };
-        let line = snapshot.to_json_line();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"seq\":2"));
-        assert!(line.contains("\"hit_ratio\":0.7500"));
-        assert!(line.contains("\"class\":\"normal\""));
-        assert!(line.contains(
-            "\"warm_start\":{\"table_hits\":5,\"table_misses\":2,\
-             \"table_evictions\":0,\"seed_entries\":7,\
-             \"seeded_iterations\":120,\"cold_iterations\":480}"
-        ));
-        // The always-zero memo counters are not journaled, whatever they read.
-        assert!(!line.contains("memo"));
-        assert!(line.contains("\"phases\":[],\"jacobi_sweeps\":0"));
-        assert!(!line.contains('\n'));
-    }
-
-    #[test]
-    fn json_line_renders_phase_rows() {
         let snapshot = MetricsSnapshot {
-            phases: vec![PhaseMetrics {
-                name: "propagation".to_string(),
-                histogram: HistogramSnapshot {
-                    count: 3,
-                    total_seconds: 0.6,
-                    buckets: vec![0; HISTOGRAM_BUCKETS],
+            seq: 17,
+            uptime_seconds: 12.345_678_9,
+            runtime: RuntimeMetrics {
+                cache: vqc_core::CacheMetrics {
+                    hits: 90,
+                    misses: 30,
+                    insertions: 28,
+                    evictions: 7,
+                    restored: 5,
                 },
-                share: 0.75,
-            }],
-            jacobi_sweeps: 42,
-            ..MetricsSnapshot::default()
+                unique_compilations: 29,
+                coalesced_waits: 11,
+                submissions: 40,
+                completed_submissions: 33,
+                canceled_submissions: 2,
+                workers: 4,
+            },
+            busy_workers: 3,
+            outstanding: 5,
+            ready_tasks: 6,
+            cache_entries: 21,
+            trace_dropped: 8,
+            warm_start: vqc_core::WarmStartStats {
+                table_hits: 12,
+                table_misses: 9,
+                table_evictions: 3,
+                memo_hits: 1,
+                memo_misses: 2,
+                seeded_iterations: 1500,
+                cold_iterations: 4200,
+            },
+            seed_entries: 14,
+            phases: vec![
+                PhaseMetrics {
+                    name: "propagation".to_string(),
+                    histogram: histogram(3, 0.6, 18),
+                    share: 0.75,
+                },
+                PhaseMetrics {
+                    name: "other".to_string(),
+                    histogram: histogram(3, 0.2, 16),
+                    share: 0.25,
+                },
+            ],
+            jacobi_sweeps: 640,
+            classes: vec![
+                ClassLatency {
+                    class: 0,
+                    queue_wait: histogram(2, 0.004, 12),
+                    submit_to_report: histogram(2, 0.5, 19),
+                },
+                ClassLatency {
+                    class: 1,
+                    queue_wait: histogram(5, 0.0001, 5),
+                    submit_to_report: histogram(5, 0.02, 13),
+                },
+                ClassLatency {
+                    class: 2,
+                    queue_wait: HistogramSnapshot::default(),
+                    submit_to_report: histogram(1, 3.0, 22),
+                },
+            ],
         };
-        let line = snapshot.to_json_line();
-        assert!(line.contains("\"phases\":[{\"name\":\"propagation\",\"share\":0.7500"));
-        assert!(line.contains("\"jacobi_sweeps\":42"));
+        let expected = concat!(
+            r#"{"seq":17,"uptime_seconds":12.345679,"workers":4,"busy_workers":3,"#,
+            r#""outstanding":5,"ready_tasks":6,"submissions":40,"completed":33,"canceled":2,"#,
+            r#""cache":{"hits":90,"misses":30,"insertions":28,"evictions":7,"entries":21,"#,
+            r#""hit_ratio":0.7500},"unique_compilations":29,"coalesced_waits":11,"#,
+            r#""trace_dropped":8,"warm_start":{"table_hits":12,"table_misses":9,"#,
+            r#""table_evictions":3,"seed_entries":14,"seeded_iterations":1500,"#,
+            r#""cold_iterations":4200},"phases":[{"name":"propagation","share":0.7500,"#,
+            r#""durations":{"count":3,"mean_seconds":0.200000000,"p50_seconds":0.185363800,"#,
+            r#""p95_seconds":0.185363800,"p99_seconds":0.185363800}},{"name":"other","#,
+            r#""share":0.2500,"durations":{"count":3,"mean_seconds":0.066666667,"#,
+            r#""p50_seconds":0.046340950,"p95_seconds":0.046340950,"p99_seconds":0.046340950}}],"#,
+            r#""jacobi_sweeps":640,"classes":[{"class":"low","queue_wait":{"count":2,"#,
+            r#""mean_seconds":0.002000000,"p50_seconds":0.002896309,"p95_seconds":0.002896309,"#,
+            r#""p99_seconds":0.002896309},"submit_to_report":{"count":2,"mean_seconds":0.250000000,"#,
+            r#""p50_seconds":0.370727600,"p95_seconds":0.370727600,"p99_seconds":0.370727600}},"#,
+            r#"{"class":"normal","queue_wait":{"count":5,"mean_seconds":0.000020000,"#,
+            r#""p50_seconds":0.000022627,"p95_seconds":0.000022627,"p99_seconds":0.000022627},"#,
+            r#""submit_to_report":{"count":5,"mean_seconds":0.004000000,"p50_seconds":0.005792619,"#,
+            r#""p95_seconds":0.005792619,"p99_seconds":0.005792619}},{"class":"high","#,
+            r#""queue_wait":{"count":0,"mean_seconds":0.000000000,"p50_seconds":0.000000000,"#,
+            r#""p95_seconds":0.000000000,"p99_seconds":0.000000000},"submit_to_report":{"count":1,"#,
+            r#""mean_seconds":3.000000000,"p50_seconds":2.965820801,"p95_seconds":2.965820801,"#,
+            r#""p99_seconds":2.965820801}}]}"#,
+        );
+        assert_eq!(snapshot.to_json_line(), expected);
     }
 }

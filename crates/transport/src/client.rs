@@ -10,7 +10,8 @@
 //! is the server's acknowledgement, sent once the submission is admitted and
 //! expanded; it carries the job count.
 //!
-//! [`Client::stats`], [`Client::metrics`] and [`Client::trace`] are plain
+//! [`Client::stats`] (this client's counters and one snapshot of the whole
+//! service, the one metrics pull) and [`Client::trace`] are plain
 //! request/response calls. Their answers carry no correlation id; the server
 //! answers them in the order it reads them, so one FIFO of waiters routes
 //! every reply.
@@ -27,7 +28,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 use vqc_core::CompilationReport;
-use vqc_runtime::{MetricsSnapshot, Priority, TraceEvent};
+use vqc_runtime::{Priority, TraceEvent};
 
 /// Why a remote operation failed.
 #[derive(Debug)]
@@ -124,8 +125,8 @@ enum Routed {
 struct RouteTable {
     /// Live per-submission channels, keyed by correlation id.
     routes: HashMap<u64, Sender<Routed>>,
-    /// Waiters for the responses that carry no id (`Stats`, `Metrics`,
-    /// `Trace`, and protocol `Error`s), oldest first.
+    /// Waiters for the responses that carry no id (`Stats`, `Trace`, and
+    /// protocol `Error`s), oldest first.
     replies: VecDeque<Sender<Result<Response, RemoteError>>>,
 }
 
@@ -284,24 +285,12 @@ impl Client {
     /// admission, as the `Admitted` event, which a full server queue (and the
     /// server's planning of a new circuit) delays.
     pub fn submit(&self, payload: SubmitPayload) -> Result<RemoteJob, RemoteError> {
-        self.submit_with(payload, None)
+        self.submit_traced(payload, None, None)
     }
 
-    /// Submits work, optionally overriding the negotiated priority.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the connection is lost.
-    pub fn submit_with(
-        &self,
-        payload: SubmitPayload,
-        priority: Option<Priority>,
-    ) -> Result<RemoteJob, RemoteError> {
-        self.submit_traced(payload, priority, None)
-    }
-
-    /// Submits work carrying a client-assigned causal trace id. The id lands
-    /// in the `detail` of the server's `submitted` trace event, correlating
+    /// Submits work, optionally overriding the negotiated priority and
+    /// carrying a client-assigned causal trace id. The id lands in the
+    /// `detail` of the server's `submitted` trace event, correlating
     /// client-side spans with the server's in a merged trace
     /// (`vqc-submit --trace-out`).
     ///
@@ -337,34 +326,23 @@ impl Client {
         })
     }
 
-    /// Fetches the server's global metrics plus this client's slice.
+    /// Fetches this client's slice of the counters and one snapshot of the
+    /// server's telemetry, assembled when the server reads the request. Every
+    /// snapshot takes the next `seq`, so successive calls see it strictly
+    /// increase.
     ///
     /// # Errors
     ///
     /// Fails if the connection is lost or the server reports an error.
     pub fn stats(&self) -> Result<ServerStats, RemoteError> {
         match self.request(&Request::Stats)? {
-            Response::Stats { stats } => Ok(stats),
-            other => Err(unexpected_reply(&other)),
-        }
-    }
-
-    /// Fetches one snapshot of the server's telemetry, assembled when the
-    /// server reads the request. Every snapshot takes the next `seq`, so
-    /// successive calls see it strictly increase.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the connection is lost or the server reports an error.
-    pub fn metrics(&self) -> Result<MetricsSnapshot, RemoteError> {
-        match self.request(&Request::Metrics)? {
-            Response::Metrics { snapshot } => Ok(snapshot),
+            Response::Stats { stats } => Ok(*stats),
             other => Err(unexpected_reply(&other)),
         }
     }
 
     /// Fetches the server's lifecycle trace ring (most recent events, oldest
-    /// first). Render it with [`vqc_runtime::chrome_trace_json`].
+    /// first). Render it with [`crate::merged_chrome_trace`].
     ///
     /// # Errors
     ///
@@ -433,10 +411,7 @@ fn route_response(shared: &ClientShared, response: Response) {
         Response::Event { id, event } => (id, JobUpdate::Event(event)),
         Response::Report { id, results } => (id, JobUpdate::Report(results)),
         Response::Rejected { id, reason } => (id, JobUpdate::Rejected(reason)),
-        Response::Stats { .. }
-        | Response::Metrics { .. }
-        | Response::Trace { .. }
-        | Response::Error { .. } => {
+        Response::Stats { .. } | Response::Trace { .. } | Response::Error { .. } => {
             let waiter = shared.table.lock().replies.pop_front();
             if let Some(waiter) = waiter {
                 let reply = match response {
@@ -462,8 +437,7 @@ fn route_response(shared: &ClientShared, response: Response) {
 }
 
 /// The error for an id-less reply of the wrong kind. The server answers
-/// `Stats`, `Metrics` and `Trace` in request order, so this is a protocol
-/// violation.
+/// `Stats` and `Trace` in request order, so this is a protocol violation.
 fn unexpected_reply(response: &Response) -> RemoteError {
     RemoteError::Protocol(format!("unexpected reply: {response:?}"))
 }

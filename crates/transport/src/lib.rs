@@ -7,9 +7,10 @@
 //!
 //! * [`wire`] — the typed protocol: length-prefixed, size-bounded, versioned
 //!   frames carrying bincode-encoded [`Request`] / [`Response`] messages
-//!   (`Hello`/`Submit`/`Cancel`/`Stats`/`Metrics`/`Trace`/`Shutdown` in,
-//!   `Accepted`/`Event`/`Report`/`Rejected`/`Stats`/`Metrics`/`Trace`/`Error`
-//!   out).
+//!   (`Hello`/`Submit`/`Cancel`/`Stats`/`Trace`/`Shutdown` in,
+//!   `Accepted`/`Event`/`Report`/`Rejected`/`Stats`/`Trace`/`Error` out).
+//!   `Stats` is the one metrics pull: the client's slice of the counters and
+//!   one [`vqc_runtime::MetricsSnapshot`] of the whole service.
 //! * [`Server`] — a multi-threaded `std::net` listener fronting a shared
 //!   [`vqc_runtime::CompilationRuntime`]. Each connection handshakes via
 //!   `Hello` (protocol-version check) and is mapped to a service client id at
@@ -23,9 +24,11 @@
 //!   thread routes interleaved responses to any number of in-flight
 //!   submissions ([`RemoteJob::wait`] for results, [`RemoteJob::next_update`]
 //!   for the event stream, [`RemoteJob::cancel`] to abort).
-//! * [`tracemerge`] — cross-process causal tracing: the client's local spans
-//!   and the server's lifecycle trace merged onto one Chrome timeline using
-//!   the `Hello`/`Accepted` clock-offset estimate (`vqc-submit --trace-out`).
+//! * [`tracemerge`] — the one Chrome `trace_event` renderer: the client's
+//!   local spans and the server's lifecycle trace merged onto one timeline
+//!   using the `Hello`/`Accepted` clock-offset estimate
+//!   (`vqc-submit --trace-out`), or the server's trace alone
+//!   (`vqc-top --dump-trace`).
 //!
 //! The `vqc-serve` / `vqc-submit` binaries in `crates/apps` wrap the two ends
 //! for the command line; `VQC_LISTEN`, `VQC_MAX_FRAME`, and `VQC_MAX_CONNS`

@@ -7,8 +7,8 @@
 //! see [`vqc_runtime::ClientMetrics`]) under that identity at the connection's
 //! negotiated priority. The handler writes the handshake reply itself, then
 //! hands the write half to the writer, which drains one channel of
-//! [`Response`]s: the handler's inline answers (`Stats`, `Metrics`, `Trace`,
-//! refusals, errors) in the order it reads the requests, and every
+//! [`Response`]s: the handler's inline answers (`Stats`, `Trace`, refusals,
+//! errors) in the order it reads the requests, and every
 //! submission's progress. The handler admits and expands each submission
 //! itself (planning it, resolving its single-gate lookups, queueing its keyed
 //! blocks); the runtime then pushes the submission's progress through a
@@ -518,15 +518,10 @@ fn serve_connection(
                 }
             }
             Ok(Request::Stats) => reply(Response::Stats {
-                stats: ServerStats {
-                    runtime: shared.runtime.metrics(),
-                    client_id,
+                stats: Box::new(ServerStats {
                     client: shared.runtime.client_metrics(client_id),
-                    uptime_seconds: shared.runtime.uptime_seconds(),
-                },
-            }),
-            Ok(Request::Metrics) => reply(Response::Metrics {
-                snapshot: shared.runtime.telemetry_snapshot(),
+                    snapshot: shared.runtime.telemetry_snapshot(),
+                }),
             }),
             Ok(Request::Trace) => reply(Response::Trace {
                 events: shared.runtime.trace_events(),
@@ -651,17 +646,24 @@ fn write_loop(
         if let Some(id) = terminal {
             live.lock().remove(&id);
         }
-        if let Err(FrameError::Oversized { declared, max }) =
+        if let Err(error @ FrameError::Oversized { declared, max }) =
             write_frame(&mut stream, &response, max_frame)
         {
-            if let Some(id) = terminal {
-                // The result set outgrew the frame bound: the client must
-                // still receive *a* terminal frame, or it would wait forever.
-                let too_large = Response::Rejected {
+            // The frame outgrew the bound, but the client must still receive
+            // *a* frame in its place, or it would wait forever: a refusal for
+            // a result set, an error for an id-less reply.
+            let stand_in = match (terminal, &response) {
+                (Some(id), _) => Some(Response::Rejected {
                     id,
                     reason: RejectReason::ReportTooLarge { declared, max },
-                };
-                let _ = write_frame(&mut stream, &too_large, max_frame);
+                }),
+                (None, Response::Stats { .. } | Response::Trace { .. }) => Some(Response::Error {
+                    message: error.to_string(),
+                }),
+                _ => None,
+            };
+            if let Some(stand_in) = stand_in {
+                let _ = write_frame(&mut stream, &stand_in, max_frame);
             }
         }
         backlog.written();

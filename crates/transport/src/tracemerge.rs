@@ -1,5 +1,5 @@
-//! Merging a client's local spans with the server's lifecycle trace into one
-//! Chrome `trace_event` timeline.
+//! The one Chrome `trace_event` renderer: a client's local spans and the
+//! server's lifecycle trace on one timeline.
 //!
 //! The two processes run on different monotonic clocks: the client's spans are
 //! stamped on its connection epoch ([`crate::Client::now_micros`]), the
@@ -9,6 +9,11 @@
 //! [`merged_chrome_trace`] subtracts it from every server timestamp so both
 //! processes land on the client's timeline, renders the client as `pid` 1 and
 //! the server as `pid` 2, and sorts the combined stream by adjusted time.
+//! Server events keep their submission as `tid`, their client id in `args`,
+//! and a `cat` of `lifecycle` (stage instants) or `phase` (the armed
+//! profiler's compile-phase spans). With no client spans and a zero offset,
+//! `merged_chrome_trace(&[], &events, 0)` renders the server ring alone, which
+//! is what `vqc-top --dump-trace` writes.
 
 use vqc_runtime::{phase_row_name, TraceEvent, TraceStage};
 
@@ -37,26 +42,43 @@ pub fn adjust_server_micros(micros: u64, clock_offset_micros: i64) -> u64 {
     (micros as i64 - clock_offset_micros).max(0) as u64
 }
 
-/// One merged event, ready to sort and render: `(adjusted_ts, json_object)`.
+/// One Chrome trace event as a JSON object: a complete span (`"ph":"X"`)
+/// when `dur > 0`, a thread-scoped instant otherwise. `args` is the rendered
+/// `args` object.
 fn render_event(
-    out: &mut Vec<(u64, String)>,
     pid: u32,
+    cat: &str,
     name: &str,
     ts: u64,
     dur: u64,
     tid: u64,
-    detail: u64,
-) {
-    let body = if dur > 0 {
+    args: &str,
+) -> String {
+    let name = escape_json(name);
+    if dur > 0 {
         format!(
-            "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{{\"detail\":{detail}}}}}"
+            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{args}}}"
         )
     } else {
         format!(
-            "{{\"name\":\"{name}\",\"cat\":\"causal\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{{\"detail\":{detail}}}}}"
+            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{args}}}"
         )
-    };
-    out.push((ts, body));
+    }
+}
+
+/// `text` as the contents of a JSON string: quotes, backslashes and control
+/// characters escaped.
+fn escape_json(text: &str) -> String {
+    let mut escaped = String::with_capacity(text.len());
+    for c in text.chars() {
+        match c {
+            '"' => escaped.push_str("\\\""),
+            '\\' => escaped.push_str("\\\\"),
+            c if c < ' ' => escaped.push_str(&format!("\\u{:04x}", c as u32)),
+            c => escaped.push(c),
+        }
+    }
+    escaped
 }
 
 /// Renders one merged Chrome `trace_event` JSON document from the client's own
@@ -74,31 +96,37 @@ pub fn merged_chrome_trace(
     let mut merged: Vec<(u64, String)> =
         Vec::with_capacity(client_spans.len() + server_events.len());
     for span in client_spans {
-        render_event(
-            &mut merged,
+        let body = render_event(
             CLIENT_PID,
+            "causal",
             &span.name,
             span.micros,
             span.span_micros,
             1,
-            0,
+            "{\"detail\":0}",
         );
+        merged.push((span.micros, body));
     }
     for event in server_events {
-        let name = if event.stage == TraceStage::Phase {
-            phase_row_name(event.detail as usize)
+        let (cat, name) = if event.stage == TraceStage::Phase {
+            ("phase", phase_row_name(event.detail as usize))
         } else {
-            event.stage.name()
+            ("lifecycle", event.stage.name())
         };
-        render_event(
-            &mut merged,
+        let client = event
+            .client
+            .map_or_else(|| "null".to_string(), |c| c.to_string());
+        let ts = adjust_server_micros(event.micros, clock_offset_micros);
+        let body = render_event(
             SERVER_PID,
+            cat,
             name,
-            adjust_server_micros(event.micros, clock_offset_micros),
+            ts,
             event.span_micros,
             event.submission,
-            event.detail,
+            &format!("{{\"detail\":{},\"client\":{client}}}", event.detail),
         );
+        merged.push((ts, body));
     }
     // Stable sort: same-timestamp events keep client-before-server order.
     merged.sort_by_key(|(ts, _)| *ts);
@@ -169,5 +197,53 @@ mod tests {
         assert!(submitted < report, "server chain stays ordered");
         assert!(json.contains("\"ts\":200"));
         assert!(json.contains("\"ts\":900"));
+    }
+    #[test]
+    fn a_server_ring_alone_renders_every_event_with_its_client() {
+        let events = [
+            server_event(TraceStage::Submitted, 10),
+            TraceEvent {
+                client: None,
+                ..server_event(TraceStage::Report, 450)
+            },
+        ];
+        let json = merged_chrome_trace(&[], &events, 0);
+        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(json.trim_end().ends_with("]}"));
+        assert!(json.contains(&format!(
+            "\"name\":\"submitted\",\"cat\":\"lifecycle\",\"ph\":\"i\",\"s\":\"t\",\
+             \"pid\":2,\"tid\":7,\"ts\":10,\"args\":{{\"detail\":0,\"client\":{}}}",
+            1u64 << 63
+        )));
+        assert!(json.contains("\"name\":\"report\""));
+        assert!(json.contains("\"ts\":450,\"args\":{\"detail\":0,\"client\":null}"));
+    }
+
+    #[test]
+    fn phase_spans_render_as_complete_events() {
+        let events = [TraceEvent {
+            detail: 1, // eigendecomposition
+            span_micros: 250,
+            ..server_event(TraceStage::Phase, 100)
+        }];
+        let json = merged_chrome_trace(&[], &events, 0);
+        assert!(json.contains(
+            "\"name\":\"eigendecomposition\",\"cat\":\"phase\",\"ph\":\"X\",\
+             \"pid\":2,\"tid\":7,\"ts\":100,\"dur\":250"
+        ));
+    }
+
+    #[test]
+    fn span_names_are_escaped() {
+        let spans = [ClientSpan {
+            name: "say \"hi\" \\ bye\n".into(),
+            micros: 5,
+            span_micros: 0,
+        }];
+        let json = merged_chrome_trace(&spans, &[], 0);
+        assert!(
+            json.contains(r#""name":"say \"hi\" \\ bye\u000a","#),
+            "{json}"
+        );
     }
 }

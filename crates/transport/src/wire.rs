@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 use vqc_circuit::Circuit;
 use vqc_core::{CompilationReport, CompileError, Strategy};
-use vqc_runtime::{ClientMetrics, MetricsSnapshot, RuntimeMetrics, TraceEvent};
+use vqc_runtime::{ClientMetrics, MetricsSnapshot, TraceEvent};
 
 /// Version of the wire protocol spoken by this build. Bumped on any change to
 /// the frame layout or the message enums below. Version 2 added a pushed
@@ -36,18 +36,22 @@ use vqc_runtime::{ClientMetrics, MetricsSnapshot, RuntimeMetrics, TraceEvent};
 /// a full queue now parks the submitting connection instead. Version 5
 /// removed the not-yet-expanded stage: the `Queued` wire status and the
 /// snapshot's per-class count of submissions in it (a submission is expanded
-/// before it is acknowledged). Version 6 made metrics a pull:
-/// [`Request::Metrics`] is answered with one [`Response::Metrics`], each in
-/// the variant slot of the stream it replaces; [`ServerStats`] lost its
-/// snapshot cursor; and the server stopped reading the Hello's `weight`.
+/// before it is acknowledged). Version 6 made metrics a pull: a `Metrics`
+/// request answered with one snapshot reply, each in the variant slot of the
+/// stream it replaced; [`ServerStats`] lost its snapshot cursor; and the
+/// server stopped reading the Hello's `weight`.
 /// Version 7 acknowledges a submission with one [`JobEvent::Admitted`],
 /// carrying its job count, in the slot of the two events that always went
 /// out back to back; and it drops the status poll that nothing sent (its
-/// request, its event and the wire status type).
+/// request, its event and the wire status type). Version 8 makes
+/// [`Request::Stats`] the one metrics pull: its [`ServerStats`] reply carries
+/// the requesting client's slice and one [`MetricsSnapshot`] (the runtime's
+/// counters and uptime among its fields), so the `Metrics` request and reply,
+/// and the stats' own counter, uptime and client-id fields, are gone.
 /// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
 /// variant indices, and [`Request::Hello`] its layout, so a client of any
 /// version can decode the refusal of its Hello.
-pub const PROTOCOL_VERSION: u32 = 7;
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -243,15 +247,14 @@ pub enum Request {
         /// Correlation id of the submission.
         id: u64,
     },
-    /// Request the server's global metrics plus this client's slice.
-    Stats,
     /// Fetch one telemetry snapshot, assembled when the server reads the
-    /// request, answered with [`Response::Metrics`]. Like `Stats` and
-    /// `Trace`, it is answered inline, in request order.
-    Metrics,
+    /// request, plus this client's slice of the counters, answered with
+    /// [`Response::Stats`]. Like `Trace`, it is answered inline, in request
+    /// order.
+    Stats,
     /// Fetch the server's buffered lifecycle trace ring (oldest event first),
     /// answered with [`Response::Trace`] — render it with
-    /// `vqc_runtime::chrome_trace_json` for `chrome://tracing` / Perfetto.
+    /// [`crate::merged_chrome_trace`] for `chrome://tracing` / Perfetto.
     Trace,
     /// Ask the server to shut down gracefully (drains in-flight work).
     Shutdown,
@@ -386,18 +389,15 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// The server's counters as returned by [`Request::Stats`].
+/// The answer to [`Request::Stats`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
-    /// Global runtime counters (cache, compilations, admissions, workers).
-    pub runtime: RuntimeMetrics,
-    /// The requesting connection's service client id.
-    pub client_id: u64,
     /// The requesting client's slice of the counters.
     pub client: ClientMetrics,
-    /// Seconds since the server's service core started. A poller seeing this
-    /// decrease knows the server restarted between reads.
-    pub uptime_seconds: f64,
+    /// The whole service, assembled when the server read the request. Every
+    /// snapshot takes the next `seq`, so successive answers carry strictly
+    /// increasing numbers.
+    pub snapshot: MetricsSnapshot,
 }
 
 /// A server-to-client message.
@@ -442,14 +442,9 @@ pub enum Response {
     },
     /// Answer to [`Request::Stats`].
     Stats {
-        /// The counters.
-        stats: ServerStats,
-    },
-    /// Answer to [`Request::Metrics`]: one snapshot. Every snapshot takes the
-    /// next `seq`, so successive answers carry strictly increasing numbers.
-    Metrics {
-        /// The snapshot.
-        snapshot: MetricsSnapshot,
+        /// The client's slice and the service snapshot (boxed: it is by far
+        /// the largest reply; the encoding is the unboxed one).
+        stats: Box<ServerStats>,
     },
     /// Answer to [`Request::Trace`]: the server's buffered lifecycle events,
     /// oldest first.
@@ -512,7 +507,6 @@ mod tests {
         });
         round_trip_request(Request::Cancel { id: 7 });
         round_trip_request(Request::Stats);
-        round_trip_request(Request::Metrics);
         round_trip_request(Request::Trace);
         round_trip_request(Request::Shutdown);
     }
@@ -547,23 +541,35 @@ mod tests {
             Response::Error {
                 message: "undecodable frame".into(),
             },
-            Response::Metrics {
-                snapshot: MetricsSnapshot {
-                    seq: 5,
-                    uptime_seconds: 12.25,
-                    workers: 4,
-                    busy_workers: 2,
-                    classes: vec![vqc_runtime::ClassLatency {
-                        class: 2,
-                        queue_wait: vqc_runtime::HistogramSnapshot {
-                            count: 3,
-                            total_seconds: 0.5,
-                            buckets: vec![0, 1, 2],
+            Response::Stats {
+                stats: Box::new(ServerStats {
+                    client: ClientMetrics {
+                        submissions: 3,
+                        cache_hits: 2,
+                        queue_seconds: 0.25,
+                        ..ClientMetrics::default()
+                    },
+                    snapshot: MetricsSnapshot {
+                        seq: 5,
+                        uptime_seconds: 12.25,
+                        runtime: vqc_runtime::RuntimeMetrics {
+                            workers: 4,
+                            completed_submissions: 3,
+                            ..vqc_runtime::RuntimeMetrics::default()
                         },
-                        ..vqc_runtime::ClassLatency::default()
-                    }],
-                    ..MetricsSnapshot::default()
-                },
+                        busy_workers: 2,
+                        classes: vec![vqc_runtime::ClassLatency {
+                            class: 2,
+                            queue_wait: vqc_runtime::HistogramSnapshot {
+                                count: 3,
+                                total_seconds: 0.5,
+                                buckets: vec![0, 1, 2],
+                            },
+                            ..vqc_runtime::ClassLatency::default()
+                        }],
+                        ..MetricsSnapshot::default()
+                    },
+                }),
             },
             Response::Trace {
                 events: vec![TraceEvent {

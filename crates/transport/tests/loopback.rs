@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vqc_circuit::Circuit;
 use vqc_core::{CompilerOptions, Strategy};
-use vqc_runtime::{chrome_trace_json, CompilationRuntime, Priority, RuntimeOptions, TraceStage};
+use vqc_runtime::{ClientMetrics, CompilationRuntime, Priority, RuntimeOptions, TraceStage};
 use vqc_transport::{
     merged_chrome_trace, wire, Client, ClientOptions, ClientSpan, JobEvent, JobUpdate,
     RejectReason, RemoteError, RemoteJob, Request, Response, Server, ServerOptions, SubmitPayload,
@@ -194,13 +194,12 @@ fn two_remote_clients_share_blocks_exactly_once_with_priority_ordering() {
     // private block and was served the shared one by fan-out.
     let low_stats = low_client.stats().unwrap();
     let high_stats = high_client.stats().unwrap();
-    assert_eq!(low_stats.client_id, low_client.client_id());
     assert_eq!(low_stats.client.submissions, 1);
     assert_eq!(low_stats.client.compilations, 2);
     assert_eq!(high_stats.client.compilations, 1);
     assert_eq!(high_stats.client.coalesced_waits, 1);
     assert_eq!(high_stats.client.cache_hits, 1);
-    assert_eq!(low_stats.runtime.unique_compilations, 3);
+    assert_eq!(low_stats.snapshot.runtime.unique_compilations, 3);
 }
 
 /// A client that disconnects mid-job has its submission canceled, which frees
@@ -254,7 +253,7 @@ fn disconnect_mid_job_cancels_and_frees_queue_capacity() {
             .expect("an update within the deadline")
     };
     assert!(updates.recv_timeout(Duration::from_millis(100)).is_err());
-    assert_eq!(runtime.telemetry_snapshot().submissions, 1);
+    assert_eq!(runtime.metrics().submissions, 1);
 
     // Drop the first client's connection mid-job: the server cancels its
     // submission and releases the admission slot to the parked survivor.
@@ -379,7 +378,7 @@ fn a_correlation_id_is_free_again_when_its_report_arrives() {
 
 /// A result set that outgrows the frame bound still ends its submission, as a
 /// `ReportTooLarge` refusal in place of the `Report`, and the connection keeps
-/// answering.
+/// answering: with an error in place of a reply that outgrows the bound too.
 #[test]
 fn an_oversized_report_is_refused_as_report_too_large() {
     let runtime = Arc::new(CompilationRuntime::new(
@@ -407,9 +406,12 @@ fn an_oversized_report_is_refused_as_report_too_large() {
         }
         other => panic!("expected ReportTooLarge, got {other:?}"),
     }
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.client.submissions, 1);
-    assert_eq!(stats.client.completed, 1);
+    // A `Stats` reply carries a whole snapshot and outgrows this bound too:
+    // the client hears an error in its place instead of waiting forever.
+    assert!(matches!(client.stats(), Err(RemoteError::Protocol(_))));
+    let slice = runtime.client_metrics(client.client_id());
+    assert_eq!(slice.submissions, 1);
+    assert_eq!(slice.completed, 1);
 }
 
 /// A connection runs the same two threads however many submissions it has in
@@ -699,9 +701,9 @@ fn events_stream_per_job_completions_before_the_report() {
     }
 }
 
-/// Metrics are a pull: two clients poll `metrics()` while a third runs a
+/// Metrics are a pull: two clients poll `stats()` while a third runs a
 /// workload. Every snapshot takes the next `seq`, so each poller sees it
-/// strictly increase and no two polls share a number; `stats()` keeps
+/// strictly increase and no two polls share a number; `trace()` keeps
 /// answering between polls on the same connection; and a final poll, and the
 /// submitter's `stats()` after it, show the whole workload completed.
 #[test]
@@ -738,16 +740,20 @@ fn metrics_polls_track_a_concurrent_workload() {
                 let deadline = Instant::now() + Duration::from_secs(30);
                 let mut snapshots = Vec::new();
                 loop {
-                    let snapshot = poller.metrics().unwrap();
-                    let done = snapshot.completed == total;
-                    snapshots.push(snapshot);
+                    let stats = poller.stats().unwrap();
+                    assert_eq!(
+                        stats.client,
+                        ClientMetrics::default(),
+                        "a poller submits nothing"
+                    );
+                    let done = stats.snapshot.runtime.completed_submissions == total;
+                    snapshots.push(stats.snapshot);
                     if done && snapshots.len() >= 2 {
                         return snapshots;
                     }
                     // Another id-less request between polls: its answer must
                     // not be taken for a snapshot, nor a snapshot for it.
-                    let stats = poller.stats().unwrap();
-                    assert_eq!(stats.client_id, poller.client_id());
+                    poller.trace().unwrap();
                     assert!(Instant::now() < deadline, "no poll saw the workload finish");
                     std::thread::sleep(Duration::from_millis(2));
                 }
@@ -770,9 +776,9 @@ fn metrics_polls_track_a_concurrent_workload() {
             assert!(pair[1].uptime_seconds >= pair[0].uptime_seconds);
         }
         let last = snapshots.last().unwrap();
-        assert_eq!(last.submissions, total);
-        assert_eq!(last.completed, total);
-        assert_eq!(last.workers, 2);
+        assert_eq!(last.runtime.submissions, total);
+        assert_eq!(last.runtime.completed_submissions, total);
+        assert_eq!(last.runtime.workers, 2);
         seqs.extend(snapshots.iter().map(|snapshot| snapshot.seq));
     }
     let distinct: HashSet<u64> = seqs.iter().copied().collect();
@@ -782,12 +788,13 @@ fn metrics_polls_track_a_concurrent_workload() {
         "one sequence serves every poller"
     );
     let stats = submitter.stats().unwrap();
-    assert!(stats.uptime_seconds > 0.0);
-    assert_eq!(stats.runtime.completed_submissions, total);
+    assert!(stats.snapshot.uptime_seconds > 0.0);
+    assert_eq!(stats.snapshot.runtime.completed_submissions, total);
+    assert_eq!(stats.client.completed, total);
 }
 
 /// Nothing runs beside the service to push metrics: a runtime and a server
-/// that have answered a `Metrics` poll hold no telemetry thread of their own.
+/// that have answered a `Stats` poll hold no telemetry thread of their own.
 #[cfg(target_os = "linux")]
 #[test]
 fn serving_metrics_starts_no_telemetry_thread() {
@@ -796,7 +803,7 @@ fn serving_metrics_starts_no_telemetry_thread() {
         RuntimeOptions::with_workers(1),
     ));
     let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
-    assert!(client.metrics().unwrap().seq > 0);
+    assert!(client.stats().unwrap().snapshot.seq > 0);
     let names = thread_names();
     assert!(
         names.iter().any(|name| name.starts_with("vqc-worker")),
@@ -978,9 +985,9 @@ fn trace_request_exports_the_chrome_lifecycle_chain() {
     // Lifecycle events are attributed to the transport-assigned client id.
     assert!(events.iter().any(|e| e.client == Some(client.client_id())));
 
-    let json = chrome_trace_json(&events);
+    let json = merged_chrome_trace(&[], &events, 0);
     assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-    assert!(json.contains("\"ph\":\"i\""));
+    assert!(json.contains("\"cat\":\"lifecycle\",\"ph\":\"i\""));
     for stage in expected {
         assert!(
             json.contains(&format!("\"name\":\"{}\"", stage.name())),

@@ -101,19 +101,20 @@ fn main() {
     );
 
     // Fairness is observable over the wire: each client reads its own slice of
-    // the runtime counters (plus the global view) with a Stats request.
+    // the runtime counters (plus a snapshot of the whole service) with a Stats
+    // request.
     for (name, client) in [("interactive", &interactive), ("batch", &batch)] {
         let stats = client.stats().expect("stats");
         println!(
             "{name}: client {} — {} compiled, {} cache hits, {} coalesced, {:.4}s queued",
-            stats.client_id,
+            client.client_id(),
             stats.client.compilations,
             stats.client.cache_hits,
             stats.client.coalesced_waits,
             stats.client.queue_seconds,
         );
     }
-    let totals = interactive.stats().expect("stats").runtime;
+    let totals = interactive.stats().expect("stats").snapshot.runtime;
     println!(
         "global: {} unique compilations for {} submissions ({} hits, {} coalesced)",
         totals.unique_compilations, totals.submissions, totals.cache.hits, totals.coalesced_waits

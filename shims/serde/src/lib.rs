@@ -217,6 +217,18 @@ impl<T: ser::Serialize + ?Sized> ser::Serialize for &T {
     }
 }
 
+impl<T: ser::Serialize + ?Sized> ser::Serialize for Box<T> {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (**self).serialize(out);
+    }
+}
+
+impl<T: de::Deserialize> de::Deserialize for Box<T> {
+    fn deserialize(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(Box::new(T::deserialize(reader)?))
+    }
+}
+
 impl<T: ser::Serialize> ser::Serialize for Option<T> {
     fn serialize(&self, out: &mut Vec<u8>) {
         match self {
