@@ -7,8 +7,9 @@
 //! Connects to `ADDRESS` (or `VQC_LISTEN`, default `127.0.0.1:7878`), sends
 //! the `Stats` request once a second, and redraws a plain-ANSI dashboard
 //! from the snapshot in each answer: worker utilization, queue depth, cache
-//! hit ratio, per-class latency percentiles, and the most recent lifecycle
-//! events. The server assembles each snapshot when the request arrives.
+//! hit ratio, per-class latency percentiles, and the newest lifecycle events
+//! (a `Trace` request for the last `EVENT_TAIL`, not the whole ring). The
+//! server assembles each snapshot when the request arrives.
 //!
 //! `--once` renders a single snapshot and exits (CI smoke tests); `--json`
 //! prints each snapshot as one JSON line instead of the dashboard — the
@@ -21,12 +22,16 @@
 //! path `vqc-trace.json`.
 
 use std::time::Duration;
-use vqc_runtime::{MetricsSnapshot, TraceEvent, TraceStage, PRIORITY_CLASS_NAMES};
+use vqc_apps::metrics_text::{latency_table, phase_table, utilization_bar};
+use vqc_runtime::{MetricsSnapshot, TraceEvent, TraceStage};
 use vqc_transport::wire::FrameError;
 use vqc_transport::{merged_chrome_trace, Client, ClientOptions, RemoteError, DEFAULT_LISTEN};
 
 /// How often the dashboard asks the server for a fresh snapshot.
 const POLL_INTERVAL: Duration = Duration::from_secs(1);
+
+/// How many of the newest lifecycle events the dashboard draws.
+const EVENT_TAIL: usize = 8;
 
 struct Args {
     addr: String,
@@ -58,28 +63,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-/// Renders a duration in the most readable unit for its magnitude.
-fn fmt_duration(seconds: f64) -> String {
-    if seconds <= 0.0 {
-        String::from("-")
-    } else if seconds < 1e-3 {
-        format!("{:.0}µs", seconds * 1e6)
-    } else if seconds < 1.0 {
-        format!("{:.2}ms", seconds * 1e3)
-    } else {
-        format!("{seconds:.2}s")
-    }
-}
-
-fn utilization_bar(ratio: f64, width: usize) -> String {
-    let filled = ((ratio.clamp(0.0, 1.0)) * width as f64).round() as usize;
-    let mut bar = String::with_capacity(width);
-    for i in 0..width {
-        bar.push(if i < filled { '#' } else { '.' });
-    }
-    bar
 }
 
 /// One-character severity glyph for the event tail. The match is exhaustive on
@@ -144,60 +127,8 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
         warm.cold_iterations,
     ));
 
-    if !snapshot.phases.is_empty() {
-        out.push_str("phases                          share    count      p50\n");
-        for phase in &snapshot.phases {
-            out.push_str(&format!(
-                "  {:<22} [{}] {:>5.1}% {:>8} {:>8}\n",
-                phase.name,
-                utilization_bar(phase.share, 10),
-                phase.share * 100.0,
-                phase.histogram.count,
-                fmt_duration(phase.histogram.p50()),
-            ));
-        }
-        if snapshot.jacobi_sweeps > 0 {
-            out.push_str(&format!(
-                "  {} eigensolver iterations across all eigendecompositions\n",
-                snapshot.jacobi_sweeps
-            ));
-        }
-        out.push('\n');
-    }
-
-    out.push_str("latency              count      p50      p95      p99\n");
-    for class in &snapshot.classes {
-        let name = PRIORITY_CLASS_NAMES
-            .get(class.class as usize)
-            .copied()
-            .unwrap_or("?");
-        if class.queue_wait.count > 0 {
-            out.push_str(&format!(
-                "  {name:<7} queue     {:>6} {:>8} {:>8} {:>8}\n",
-                class.queue_wait.count,
-                fmt_duration(class.queue_wait.p50()),
-                fmt_duration(class.queue_wait.p95()),
-                fmt_duration(class.queue_wait.p99()),
-            ));
-        }
-        if class.submit_to_report.count > 0 {
-            out.push_str(&format!(
-                "  {name:<7} e2e       {:>6} {:>8} {:>8} {:>8}\n",
-                class.submit_to_report.count,
-                fmt_duration(class.submit_to_report.p50()),
-                fmt_duration(class.submit_to_report.p95()),
-                fmt_duration(class.submit_to_report.p99()),
-            ));
-        }
-    }
-    if snapshot.classes.iter().all(|c| c.queue_wait.count == 0)
-        && snapshot
-            .classes
-            .iter()
-            .all(|c| c.submit_to_report.count == 0)
-    {
-        out.push_str("  (no completed submissions yet)\n");
-    }
+    out.push_str(&phase_table(snapshot, ""));
+    out.push_str(&latency_table(snapshot, ""));
 
     if !events.is_empty() {
         out.push_str("\nrecent events");
@@ -205,7 +136,7 @@ fn render(addr: &str, snapshot: &MetricsSnapshot, events: &[TraceEvent]) -> Stri
             out.push_str(&format!("   ({} older dropped)", snapshot.trace_dropped));
         }
         out.push('\n');
-        for event in events.iter().rev().take(8).rev() {
+        for event in events {
             out.push_str(&format!(
                 "  {:>12.3}ms {} sub {:<4} {:<13} {}\n",
                 event.micros as f64 / 1e3,
@@ -256,7 +187,7 @@ fn run(args: &Args) -> Result<(), RemoteError> {
             // Lifecycle tail for the dashboard; best-effort (an empty list is
             // rendered as no section, and a server without telemetry returns
             // an empty ring anyway).
-            let events = client.trace().unwrap_or_default();
+            let events = client.trace_newest(EVENT_TAIL).unwrap_or_default();
             if !args.once {
                 // Home the cursor and clear: a plain-ANSI refresh, no TUI.
                 print!("\x1b[H\x1b[2J");

@@ -16,6 +16,9 @@
 //! [Nelder–Mead](optimizer::NelderMead) optimizer and end-to-end [`variational`] drivers
 //! that evaluate circuits on the `vqc-sim` state-vector simulator.
 //!
+//! [`metrics_text`] holds the text renderings of a service metrics snapshot
+//! that the `vqc-top` dashboard and the `vqc-report` journal reader share.
+//!
 //! # Example
 //!
 //! ```
@@ -32,6 +35,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod graphs;
+pub mod metrics_text;
 pub mod molecules;
 pub mod optimizer;
 pub mod qaoa;

@@ -27,13 +27,18 @@
 //!   [`CompilationRuntime::compile_batch`] /
 //!   [`CompilationRuntime::compile_iterations`] are thin synchronous wrappers over
 //!   a submitted job, making the paper's cross-iteration reuse cross-request.
-//! * Telemetry — log-bucketed per-priority-class [`HistogramSnapshot`] latency
-//!   distributions, a bounded [`TraceStage`] lifecycle trace ring (the
-//!   transport renders it as Chrome `trace_event` JSON), and
-//!   [`MetricsSnapshot`]s assembled on demand by
+//! * Telemetry — log-bucketed per-priority-class latency histograms, each
+//!   read out as a [`LatencySummary`] (count, mean, p50/p95/p99), a bounded
+//!   [`TraceStage`] lifecycle trace ring (the transport renders it as Chrome
+//!   `trace_event` JSON), and [`MetricsSnapshot`]s assembled on demand by
 //!   [`CompilationRuntime::telemetry_snapshot`], each embedding the
 //!   [`RuntimeMetrics`] that [`CompilationRuntime::metrics`] returns
-//!   ([`TelemetryOptions`] turns recording on or off).
+//!   ([`TelemetryOptions`] turns recording on or off). One type goes from the
+//!   server to the report: the snapshot travels in the wire's `Stats` reply,
+//!   is journaled by [`MetricsSnapshot::to_json_line`] and read back by
+//!   [`MetricsSnapshot::from_json_line`].
+//! * [`json`] — the workspace's one JSON module: the string escaper and a
+//!   small reader.
 //! * [`persist`] — bincode snapshots of the store for warm-start across runs
 //!   ([`CompilationRuntime::save_snapshot`], [`CompilationRuntime::with_warm_start`]).
 //!
@@ -71,6 +76,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod json;
 pub mod persist;
 #[allow(clippy::module_inception)]
 mod runtime;
@@ -83,9 +89,8 @@ pub use service::{
     ClientMetrics, JobHandle, JobStatus, Priority, Progress, Submission, SubmitError,
 };
 pub use telemetry::{
-    phase_row_name, priority_class, ClassLatency, HistogramSnapshot, MetricsSnapshot,
-    TelemetryOptions, TraceEvent, TraceStage, PRIORITY_CLASSES, PRIORITY_CLASS_NAMES,
-    TRACE_CAPACITY,
+    phase_row_name, priority_class, ClassLatency, MetricsSnapshot, TelemetryOptions, TraceEvent,
+    TraceStage, PRIORITY_CLASSES, PRIORITY_CLASS_NAMES, TRACE_CAPACITY,
 };
 pub use vqc_core::{
     CacheConfig, CacheMetrics, CacheSnapshot, CompileProfile, SeedEntry, ShardedPulseCache,
@@ -94,3 +99,5 @@ pub use vqc_core::{
 
 // audit:allow(dead_pub): PhaseMetrics is the element type of MetricsSnapshot::phases
 pub use telemetry::PhaseMetrics;
+// audit:allow(dead_pub): LatencySummary is the type of ClassLatency's and PhaseMetrics' latency fields
+pub use telemetry::LatencySummary;

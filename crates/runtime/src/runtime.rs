@@ -226,7 +226,13 @@ impl CompilationRuntime {
     /// most recent [`crate::TRACE_CAPACITY`] events). Render with
     /// `vqc_transport::merged_chrome_trace` for `chrome://tracing` / Perfetto.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.service.core.telemetry.trace_events()
+        self.newest_trace_events(usize::MAX)
+    }
+
+    /// The newest `count` buffered lifecycle events, oldest first: the tail
+    /// of [`CompilationRuntime::trace_events`], without copying the rest.
+    pub fn newest_trace_events(&self, count: usize) -> Vec<TraceEvent> {
+        self.service.core.telemetry.trace_events(count)
     }
 
     /// Seconds since the runtime's service core started.

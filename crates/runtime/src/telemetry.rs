@@ -8,7 +8,8 @@
 //!   histogram (one power-of-two bucket per latency octave, preallocated atomic
 //!   counters, no allocation and no lock on record). The service keeps one pair
 //!   per priority class: queue wait (submit → end of expansion) and end-to-end
-//!   latency (submit → report). Percentiles come out of a [`HistogramSnapshot`].
+//!   latency (submit → report). A snapshot reduces each to a
+//!   [`LatencySummary`] (count, mean, p50/p95/p99); the buckets stay inside.
 //! * **Lifecycle tracing** — [`TraceRing`] is a bounded ring buffer of
 //!   [`TraceEvent`]s (submitted → admitted → dispatched → compile-start →
 //!   cache-hit/compiled → job-done → report, plus canceled), each stamped
@@ -22,7 +23,8 @@
 //!   on the calling thread whenever it is asked. Nothing runs in the
 //!   background: the `Stats` wire request is answered with one such snapshot,
 //!   `vqc-top` polls it, and `vqc-top --json` prints each poll as one JSON
-//!   line, the journal `vqc-report` reads.
+//!   line ([`MetricsSnapshot::to_json_line`]), the journal `vqc-report` reads
+//!   back with [`MetricsSnapshot::from_json_line`].
 //!
 //! Instrumentation is gated on [`TelemetryOptions::enabled`]: a disabled
 //! telemetry reduces every record call to one branch, which is what the
@@ -34,6 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use vqc_core::{CompileProfile, PHASE_COUNT};
 
+use crate::json::{self, Json};
 use crate::runtime::RuntimeMetrics;
 use crate::service::Priority;
 
@@ -74,7 +77,7 @@ pub fn priority_class(priority: Priority) -> usize {
 /// Number of buckets in a [`LatencyHistogram`]: bucket 0 holds sub-microsecond
 /// samples, bucket `i` holds `[2^(i-1), 2^i)` microseconds, and the last bucket
 /// overflows (≈ 2^42 µs ≈ 51 days — nothing the service measures gets there).
-pub const HISTOGRAM_BUCKETS: usize = 44;
+const HISTOGRAM_BUCKETS: usize = 44;
 
 /// A log-bucketed latency histogram with preallocated atomic buckets.
 ///
@@ -83,7 +86,9 @@ pub const HISTOGRAM_BUCKETS: usize = 44;
 /// lock, and no floating-point loop on the hot path, so the scheduler can stamp
 /// every submission without measurable overhead. Buckets are one latency octave
 /// wide (powers of two of a microsecond), which bounds any quantile estimate's
-/// relative error at √2 — plenty for p50/p95/p99 dashboards.
+/// relative error at √2 — plenty for p50/p95/p99 dashboards. The buckets never
+/// leave the histogram: [`LatencyHistogram::summary`] reduces them to a
+/// [`LatencySummary`].
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -107,8 +112,8 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
-    /// Bucket index of a sample (public so snapshot consumers can label axes).
-    pub fn bucket_index(seconds: f64) -> usize {
+    /// Bucket index of a sample.
+    fn bucket_index(seconds: f64) -> usize {
         let micros = (seconds * 1e6) as u64;
         if micros == 0 {
             0
@@ -120,7 +125,7 @@ impl LatencyHistogram {
 
     /// Representative latency (seconds) of a bucket: the geometric midpoint of
     /// its bounds (0.5 µs for the sub-microsecond bucket).
-    pub fn bucket_value_seconds(index: usize) -> f64 {
+    fn bucket_value_seconds(index: usize) -> f64 {
         if index == 0 {
             0.5e-6
         } else {
@@ -142,74 +147,74 @@ impl LatencyHistogram {
             .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
     }
 
-    /// Copies the counters into an immutable, serializable snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            total_seconds: self.total_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            buckets: self
-                .buckets
+    /// Sum of all samples, in seconds.
+    fn total_seconds(&self) -> f64 {
+        self.total_nanos.load(Ordering::Relaxed) as f64 * 1e-9
+    }
+
+    /// Reads the counters into a [`LatencySummary`]: each quantile is the
+    /// geometric midpoint of the bucket holding its rank, and every figure is
+    /// `0.0` for an empty histogram.
+    pub fn summary(&self) -> LatencySummary {
+        let count = self.count.load(Ordering::Relaxed);
+        if count == 0 {
+            return LatencySummary::default();
+        }
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|index| self.buckets[index].load(Ordering::Relaxed));
+        let quantile = |q: f64| {
+            let rank = ((q * count as f64).ceil() as u64).max(1);
+            let mut seen = 0u64;
+            let index = buckets
                 .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+                .position(|bucket| {
+                    seen += bucket;
+                    seen >= rank
+                })
+                .unwrap_or(HISTOGRAM_BUCKETS - 1);
+            Self::bucket_value_seconds(index)
+        };
+        LatencySummary {
+            count,
+            mean_seconds: self.total_seconds() / count as f64,
+            p50_seconds: quantile(0.50),
+            p95_seconds: quantile(0.95),
+            p99_seconds: quantile(0.99),
         }
     }
 }
 
-/// An immutable copy of a latency histogram's counters, with quantile
-/// extraction. Serializable, so it travels inside a [`MetricsSnapshot`] over
-/// the wire.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HistogramSnapshot {
+/// A latency distribution reduced where it is recorded: the sample count, the
+/// mean and three quantiles, in seconds. It is what a [`MetricsSnapshot`]
+/// carries over the wire and what the journal line writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LatencySummary {
     /// Number of samples.
     pub count: u64,
-    /// Sum of all samples, in seconds (for mean extraction).
-    pub total_seconds: f64,
-    /// Per-bucket sample counts: bucket 0 holds sub-microsecond samples, bucket
-    /// `i` holds `[2^(i-1), 2^i)` microseconds.
-    pub buckets: Vec<u64>,
+    /// Mean sample (`0.0` when empty).
+    pub mean_seconds: f64,
+    /// Median (`0.0` when empty).
+    pub p50_seconds: f64,
+    /// 95th percentile (`0.0` when empty).
+    pub p95_seconds: f64,
+    /// 99th percentile (`0.0` when empty).
+    pub p99_seconds: f64,
 }
 
-impl HistogramSnapshot {
-    /// The `q`-quantile (`0.0 ..= 1.0`) in seconds, estimated as the matching
-    /// bucket's geometric midpoint; `0.0` for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (index, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket;
-            if seen >= rank {
-                return LatencyHistogram::bucket_value_seconds(index);
-            }
-        }
-        LatencyHistogram::bucket_value_seconds(self.buckets.len().saturating_sub(1))
-    }
-
+impl LatencySummary {
     /// Median latency in seconds.
     pub fn p50(&self) -> f64 {
-        self.quantile(0.50)
+        self.p50_seconds
     }
 
     /// 95th-percentile latency in seconds.
     pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
+        self.p95_seconds
     }
 
     /// 99th-percentile latency in seconds.
     pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
-    }
-
-    /// Mean latency in seconds (`0.0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_seconds / self.count as f64
-        }
+        self.p99_seconds
     }
 }
 
@@ -329,13 +334,13 @@ impl TraceRing {
         }
     }
 
-    /// The buffered events in chronological order.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    /// The newest `count` buffered events (all of them when fewer are
+    /// buffered), in chronological order.
+    pub fn newest(&self, count: usize) -> Vec<TraceEvent> {
         let inner = self.inner.lock();
-        let mut out = Vec::with_capacity(inner.events.len());
-        out.extend_from_slice(&inner.events[inner.head..]);
-        out.extend_from_slice(&inner.events[..inner.head]);
-        out
+        let (older, newer) = inner.events.split_at(inner.head);
+        let skip = inner.events.len().saturating_sub(count);
+        newer.iter().chain(older).skip(skip).copied().collect()
     }
 
     /// How many events have been overwritten since the ring filled.
@@ -378,8 +383,8 @@ impl TelemetryOptions {
 pub struct PhaseMetrics {
     /// Stable phase name ([`phase_row_name`]).
     pub name: String,
-    /// Distribution of per-block durations spent in this phase (seconds).
-    pub histogram: HistogramSnapshot,
+    /// Per-block durations spent in this phase.
+    pub durations: LatencySummary,
     /// This phase's fraction of all profiled compile seconds (`0.0..=1.0`).
     pub share: f64,
 }
@@ -391,9 +396,9 @@ pub struct ClassLatency {
     pub class: u8,
     /// Submit → end of expansion, once per submission: time parked at a full
     /// admission queue plus planning.
-    pub queue_wait: HistogramSnapshot,
+    pub queue_wait: LatencySummary,
     /// Submit → report latency of completed submissions.
-    pub submit_to_report: HistogramSnapshot,
+    pub submit_to_report: LatencySummary,
 }
 
 /// One observation of the whole service, assembled on demand by
@@ -436,7 +441,7 @@ pub struct MetricsSnapshot {
     /// Jacobi sweeps below dim 8, implicit-QL iterations from there up (see
     /// `CompileProfile::jacobi_sweeps`; the name is wire- and journal-visible).
     pub jacobi_sweeps: u64,
-    /// Per-class latency distributions (index == class).
+    /// Per-class latency summaries (index == class).
     pub classes: Vec<ClassLatency>,
 }
 
@@ -462,8 +467,9 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as one JSON line (no trailing newline): the
-    /// `vqc-top --json` journal schema. Histograms are summarized
-    /// as count/mean/p50/p95/p99 (seconds); raw buckets stay wire-only.
+    /// `vqc-top --json` journal schema, read back by
+    /// [`MetricsSnapshot::from_json_line`]. Each [`LatencySummary`] is written
+    /// as count/mean/p50/p95/p99 (seconds).
     pub fn to_json_line(&self) -> String {
         let phases = self
             .phases
@@ -471,9 +477,9 @@ impl MetricsSnapshot {
             .map(|phase| {
                 format!(
                     "{{\"name\":\"{}\",\"share\":{:.4},\"durations\":{}}}",
-                    phase.name,
+                    json::escape(&phase.name),
                     phase.share,
-                    histogram_json(&phase.histogram),
+                    summary_json(&phase.durations),
                 )
             })
             .collect::<Vec<_>>()
@@ -489,8 +495,8 @@ impl MetricsSnapshot {
                 format!(
                     "{{\"class\":\"{}\",\"queue_wait\":{},\"submit_to_report\":{}}}",
                     name,
-                    histogram_json(&class.queue_wait),
-                    histogram_json(&class.submit_to_report),
+                    summary_json(&class.queue_wait),
+                    summary_json(&class.submit_to_report),
                 )
             })
             .collect::<Vec<_>>()
@@ -537,17 +543,115 @@ impl MetricsSnapshot {
             classes,
         )
     }
+
+    /// Reads one journal line back: the inverse of
+    /// [`MetricsSnapshot::to_json_line`] on every field it writes, so
+    /// `to_json_line(from_json_line(line)?) == line`. `cache.entries` is read
+    /// into `cache_entries` and class names into class indices;
+    /// `cache.hit_ratio` is derived and not read; the fields the line does
+    /// not carry (`cache.restored`, the `memo_*` counters) read 0.
+    ///
+    /// # Errors
+    ///
+    /// When the line is not JSON, when a key is missing or of the wrong type
+    /// (the message names the key, and the row of `phases` or `classes` it is
+    /// in), or when a class name is unknown.
+    pub fn from_json_line(line: &str) -> Result<MetricsSnapshot, String> {
+        let line = Json::parse(line)?;
+        let n = |key: &str| line.number_at::<u64>(key);
+        let phases = rows(&line, "phases", |phase| {
+            Ok(PhaseMetrics {
+                name: phase.str_at("name")?.to_string(),
+                share: phase.number_at("share")?,
+                durations: summary_from_json(phase, "durations")?,
+            })
+        })?;
+        let classes = rows(&line, "classes", |class| {
+            let name = class.str_at("class")?;
+            let index = PRIORITY_CLASS_NAMES
+                .iter()
+                .position(|known| *known == name)
+                .ok_or_else(|| format!("unknown class `{name}`"))?;
+            Ok(ClassLatency {
+                class: index as u8,
+                queue_wait: summary_from_json(class, "queue_wait")?,
+                submit_to_report: summary_from_json(class, "submit_to_report")?,
+            })
+        })?;
+        Ok(MetricsSnapshot {
+            seq: n("seq")?,
+            uptime_seconds: line.number_at("uptime_seconds")?,
+            runtime: RuntimeMetrics {
+                cache: vqc_core::CacheMetrics {
+                    hits: n("cache.hits")?,
+                    misses: n("cache.misses")?,
+                    insertions: n("cache.insertions")?,
+                    evictions: n("cache.evictions")?,
+                    restored: 0,
+                },
+                unique_compilations: n("unique_compilations")?,
+                coalesced_waits: n("coalesced_waits")?,
+                submissions: n("submissions")?,
+                completed_submissions: n("completed")?,
+                canceled_submissions: n("canceled")?,
+                workers: line.number_at("workers")?,
+            },
+            busy_workers: n("busy_workers")?,
+            outstanding: n("outstanding")?,
+            ready_tasks: n("ready_tasks")?,
+            cache_entries: n("cache.entries")?,
+            trace_dropped: n("trace_dropped")?,
+            warm_start: vqc_core::WarmStartStats {
+                table_hits: n("warm_start.table_hits")?,
+                table_misses: n("warm_start.table_misses")?,
+                table_evictions: n("warm_start.table_evictions")?,
+                memo_hits: 0,
+                memo_misses: 0,
+                seeded_iterations: n("warm_start.seeded_iterations")?,
+                cold_iterations: n("warm_start.cold_iterations")?,
+            },
+            seed_entries: n("warm_start.seed_entries")?,
+            phases,
+            jacobi_sweeps: n("jacobi_sweeps")?,
+            classes,
+        })
+    }
 }
 
-fn histogram_json(histogram: &HistogramSnapshot) -> String {
+fn summary_json(summary: &LatencySummary) -> String {
     format!(
         "{{\"count\":{},\"mean_seconds\":{:.9},\"p50_seconds\":{:.9},\"p95_seconds\":{:.9},\"p99_seconds\":{:.9}}}",
-        histogram.count,
-        histogram.mean(),
-        histogram.p50(),
-        histogram.p95(),
-        histogram.p99(),
+        summary.count,
+        summary.mean_seconds,
+        summary.p50_seconds,
+        summary.p95_seconds,
+        summary.p99_seconds,
     )
+}
+
+/// Reads each row of the array at `key`; an error names the row it is in.
+fn rows<T>(
+    line: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    line.array_at(key)?
+        .iter()
+        .enumerate()
+        .map(|(index, row)| read(row).map_err(|e| format!("{key}[{index}]: {e}")))
+        .collect()
+}
+
+/// Reads a [`summary_json`] object back.
+fn summary_from_json(value: &Json, key: &str) -> Result<LatencySummary, String> {
+    let field = |name: &str| value.number_at(&format!("{key}.{name}"));
+    Ok(LatencySummary {
+        count: value.number_at(&format!("{key}.count"))?,
+        mean_seconds: field("mean_seconds")?,
+        p50_seconds: field("p50_seconds")?,
+        p95_seconds: field("p95_seconds")?,
+        p99_seconds: field("p99_seconds")?,
+    })
 }
 
 /// The shared instrumentation state the service core records into.
@@ -663,26 +767,21 @@ impl Telemetry {
     /// shares normalized over all profiled compile seconds. Empty while the
     /// profiler has recorded nothing.
     pub(crate) fn phase_metrics(&self) -> Vec<PhaseMetrics> {
-        let snapshots: Vec<HistogramSnapshot> = self
+        let rows: Vec<(LatencySummary, f64)> = self
             .phase_durations
             .iter()
-            .map(LatencyHistogram::snapshot)
+            .map(|histogram| (histogram.summary(), histogram.total_seconds()))
             .collect();
-        if snapshots.iter().all(|s| s.count == 0) {
+        if rows.iter().all(|(durations, _)| durations.count == 0) {
             return Vec::new();
         }
-        let total: f64 = snapshots.iter().map(|s| s.total_seconds).sum();
-        snapshots
-            .into_iter()
+        let total: f64 = rows.iter().map(|(_, seconds)| seconds).sum();
+        rows.into_iter()
             .enumerate()
-            .map(|(index, histogram)| PhaseMetrics {
+            .map(|(index, (durations, seconds))| PhaseMetrics {
                 name: phase_row_name(index).to_string(),
-                share: if total > 0.0 {
-                    histogram.total_seconds / total
-                } else {
-                    0.0
-                },
-                histogram,
+                share: if total > 0.0 { seconds / total } else { 0.0 },
+                durations,
             })
             .collect()
     }
@@ -737,14 +836,15 @@ impl Telemetry {
         (0..PRIORITY_CLASSES)
             .map(|class| ClassLatency {
                 class: class as u8,
-                queue_wait: self.queue_wait[class].snapshot(),
-                submit_to_report: self.submit_to_report[class].snapshot(),
+                queue_wait: self.queue_wait[class].summary(),
+                submit_to_report: self.submit_to_report[class].summary(),
             })
             .collect()
     }
 
-    pub(crate) fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.events()
+    /// The newest `count` events of the trace ring, oldest first.
+    pub(crate) fn trace_events(&self, count: usize) -> Vec<TraceEvent> {
+        self.trace.newest(count)
     }
 
     pub(crate) fn trace_dropped(&self) -> u64 {
@@ -778,17 +878,13 @@ mod tests {
         for _ in 0..10 {
             histogram.record(1.3);
         }
-        let snapshot = histogram.snapshot();
-        assert_eq!(snapshot.count, 100);
-        let p50 = snapshot.p50();
+        let summary = histogram.summary();
+        assert_eq!(summary.count, 100);
+        let p50 = summary.p50();
         assert!((0.5e-3..4e-3).contains(&p50), "p50 {p50}");
-        let p99 = snapshot.p99();
+        let p99 = summary.p99();
         assert!((0.5..4.0).contains(&p99), "p99 {p99}");
-        assert!(snapshot.mean() > 0.1 && snapshot.mean() < 0.2);
-        // An empty histogram is all zeros, not NaN.
-        let empty = LatencyHistogram::new().snapshot();
-        assert_eq!(empty.p50(), 0.0);
-        assert_eq!(empty.mean(), 0.0);
+        assert!(summary.mean_seconds > 0.1 && summary.mean_seconds < 0.2);
     }
 
     #[test]
@@ -804,24 +900,23 @@ mod tests {
                 span_micros: 0,
             });
         }
-        let events = ring.events();
+        let events = ring.newest(usize::MAX);
         assert_eq!(events.len(), 16);
         assert_eq!(events.first().unwrap().submission, 4);
         assert_eq!(events.last().unwrap().submission, 19);
         assert_eq!(ring.dropped(), 4);
         // Chronological order is preserved across the wrap point.
         assert!(events.windows(2).all(|w| w[0].micros <= w[1].micros));
+        // A tail is the end of the whole ring, in the same order.
+        assert_eq!(ring.newest(3), events[13..]);
     }
 
     #[test]
     fn empty_histogram_quantile_is_zero() {
-        // Pinned: an empty snapshot reports 0.0 for every quantile, never NaN
-        // and never the overflow bucket's midpoint.
-        let empty = HistogramSnapshot::default();
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(empty.quantile(q), 0.0, "quantile({q}) of empty histogram");
-        }
-        let unrecorded = LatencyHistogram::new().snapshot();
+        // Pinned: an empty histogram summarizes to 0.0 for the mean and every
+        // quantile, never NaN and never the overflow bucket's midpoint.
+        let unrecorded = LatencyHistogram::new().summary();
+        assert_eq!(unrecorded, LatencySummary::default());
         assert_eq!(unrecorded.p50(), 0.0);
         assert_eq!(unrecorded.p95(), 0.0);
         assert_eq!(unrecorded.p99(), 0.0);
@@ -854,11 +949,12 @@ mod tests {
         assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");
         let other = phases.last().unwrap();
         assert_eq!(other.name, "other");
-        assert!((other.histogram.total_seconds - 0.3).abs() < 1e-6);
+        assert_eq!(other.durations.count, 1);
+        assert!((other.durations.mean_seconds - 0.3).abs() < 1e-6);
         assert_eq!(telemetry.jacobi_sweeps(), 12);
         // The trace ring gained one Phase child span per nonzero phase.
         let spans: Vec<TraceEvent> = telemetry
-            .trace_events()
+            .trace_events(usize::MAX)
             .into_iter()
             .filter(|e| e.stage == TraceStage::Phase)
             .collect();
@@ -867,22 +963,21 @@ mod tests {
         assert_eq!(spans[0].micros, 1000);
     }
 
-    /// The `vqc-top --json` journal line of a snapshot with every field set,
-    /// as `vqc-report` and the CI journal checks read it: each key, its order
-    /// and its number format are part of the schema. The always-zero `memo_*`
-    /// warm-start counters stay out of it, whatever they read.
-    #[test]
-    fn json_line_keeps_the_journal_schema() {
-        let histogram = |count: u64, total_seconds: f64, bucket: usize| {
-            let mut buckets = vec![0; HISTOGRAM_BUCKETS];
-            buckets[bucket] = count;
-            HistogramSnapshot {
-                count,
-                total_seconds,
-                buckets,
-            }
-        };
-        let snapshot = MetricsSnapshot {
+    /// A latency summary whose samples all fell into one bucket.
+    fn summary(count: u64, total_seconds: f64, bucket: usize) -> LatencySummary {
+        let quantile = LatencyHistogram::bucket_value_seconds(bucket);
+        LatencySummary {
+            count,
+            mean_seconds: total_seconds / count as f64,
+            p50_seconds: quantile,
+            p95_seconds: quantile,
+            p99_seconds: quantile,
+        }
+    }
+
+    /// A snapshot with every field set: [`JOURNAL_LINE`] is its journal line.
+    fn populated_snapshot() -> MetricsSnapshot {
+        MetricsSnapshot {
             seq: 17,
             uptime_seconds: 12.345_678_9,
             runtime: RuntimeMetrics {
@@ -918,12 +1013,12 @@ mod tests {
             phases: vec![
                 PhaseMetrics {
                     name: "propagation".to_string(),
-                    histogram: histogram(3, 0.6, 18),
+                    durations: summary(3, 0.6, 18),
                     share: 0.75,
                 },
                 PhaseMetrics {
                     name: "other".to_string(),
-                    histogram: histogram(3, 0.2, 16),
+                    durations: summary(3, 0.2, 16),
                     share: 0.25,
                 },
             ],
@@ -931,46 +1026,97 @@ mod tests {
             classes: vec![
                 ClassLatency {
                     class: 0,
-                    queue_wait: histogram(2, 0.004, 12),
-                    submit_to_report: histogram(2, 0.5, 19),
+                    queue_wait: summary(2, 0.004, 12),
+                    submit_to_report: summary(2, 0.5, 19),
                 },
                 ClassLatency {
                     class: 1,
-                    queue_wait: histogram(5, 0.0001, 5),
-                    submit_to_report: histogram(5, 0.02, 13),
+                    queue_wait: summary(5, 0.0001, 5),
+                    submit_to_report: summary(5, 0.02, 13),
                 },
                 ClassLatency {
                     class: 2,
-                    queue_wait: HistogramSnapshot::default(),
-                    submit_to_report: histogram(1, 3.0, 22),
+                    queue_wait: LatencySummary::default(),
+                    submit_to_report: summary(1, 3.0, 22),
                 },
             ],
-        };
-        let expected = concat!(
-            r#"{"seq":17,"uptime_seconds":12.345679,"workers":4,"busy_workers":3,"#,
-            r#""outstanding":5,"ready_tasks":6,"submissions":40,"completed":33,"canceled":2,"#,
-            r#""cache":{"hits":90,"misses":30,"insertions":28,"evictions":7,"entries":21,"#,
-            r#""hit_ratio":0.7500},"unique_compilations":29,"coalesced_waits":11,"#,
-            r#""trace_dropped":8,"warm_start":{"table_hits":12,"table_misses":9,"#,
-            r#""table_evictions":3,"seed_entries":14,"seeded_iterations":1500,"#,
-            r#""cold_iterations":4200},"phases":[{"name":"propagation","share":0.7500,"#,
-            r#""durations":{"count":3,"mean_seconds":0.200000000,"p50_seconds":0.185363800,"#,
-            r#""p95_seconds":0.185363800,"p99_seconds":0.185363800}},{"name":"other","#,
-            r#""share":0.2500,"durations":{"count":3,"mean_seconds":0.066666667,"#,
-            r#""p50_seconds":0.046340950,"p95_seconds":0.046340950,"p99_seconds":0.046340950}}],"#,
-            r#""jacobi_sweeps":640,"classes":[{"class":"low","queue_wait":{"count":2,"#,
-            r#""mean_seconds":0.002000000,"p50_seconds":0.002896309,"p95_seconds":0.002896309,"#,
-            r#""p99_seconds":0.002896309},"submit_to_report":{"count":2,"mean_seconds":0.250000000,"#,
-            r#""p50_seconds":0.370727600,"p95_seconds":0.370727600,"p99_seconds":0.370727600}},"#,
-            r#"{"class":"normal","queue_wait":{"count":5,"mean_seconds":0.000020000,"#,
-            r#""p50_seconds":0.000022627,"p95_seconds":0.000022627,"p99_seconds":0.000022627},"#,
-            r#""submit_to_report":{"count":5,"mean_seconds":0.004000000,"p50_seconds":0.005792619,"#,
-            r#""p95_seconds":0.005792619,"p99_seconds":0.005792619}},{"class":"high","#,
-            r#""queue_wait":{"count":0,"mean_seconds":0.000000000,"p50_seconds":0.000000000,"#,
-            r#""p95_seconds":0.000000000,"p99_seconds":0.000000000},"submit_to_report":{"count":1,"#,
-            r#""mean_seconds":3.000000000,"p50_seconds":2.965820801,"p95_seconds":2.965820801,"#,
-            r#""p99_seconds":2.965820801}}]}"#,
+        }
+    }
+
+    /// The `vqc-top --json` journal line of [`populated_snapshot`], as
+    /// `vqc-report` and the CI journal checks read it: each key, its order
+    /// and its number format are part of the schema. The always-zero `memo_*`
+    /// warm-start counters stay out of it, whatever they read.
+    const JOURNAL_LINE: &str = concat!(
+        r#"{"seq":17,"uptime_seconds":12.345679,"workers":4,"busy_workers":3,"#,
+        r#""outstanding":5,"ready_tasks":6,"submissions":40,"completed":33,"canceled":2,"#,
+        r#""cache":{"hits":90,"misses":30,"insertions":28,"evictions":7,"entries":21,"#,
+        r#""hit_ratio":0.7500},"unique_compilations":29,"coalesced_waits":11,"#,
+        r#""trace_dropped":8,"warm_start":{"table_hits":12,"table_misses":9,"#,
+        r#""table_evictions":3,"seed_entries":14,"seeded_iterations":1500,"#,
+        r#""cold_iterations":4200},"phases":[{"name":"propagation","share":0.7500,"#,
+        r#""durations":{"count":3,"mean_seconds":0.200000000,"p50_seconds":0.185363800,"#,
+        r#""p95_seconds":0.185363800,"p99_seconds":0.185363800}},{"name":"other","#,
+        r#""share":0.2500,"durations":{"count":3,"mean_seconds":0.066666667,"#,
+        r#""p50_seconds":0.046340950,"p95_seconds":0.046340950,"p99_seconds":0.046340950}}],"#,
+        r#""jacobi_sweeps":640,"classes":[{"class":"low","queue_wait":{"count":2,"#,
+        r#""mean_seconds":0.002000000,"p50_seconds":0.002896309,"p95_seconds":0.002896309,"#,
+        r#""p99_seconds":0.002896309},"submit_to_report":{"count":2,"mean_seconds":0.250000000,"#,
+        r#""p50_seconds":0.370727600,"p95_seconds":0.370727600,"p99_seconds":0.370727600}},"#,
+        r#"{"class":"normal","queue_wait":{"count":5,"mean_seconds":0.000020000,"#,
+        r#""p50_seconds":0.000022627,"p95_seconds":0.000022627,"p99_seconds":0.000022627},"#,
+        r#""submit_to_report":{"count":5,"mean_seconds":0.004000000,"p50_seconds":0.005792619,"#,
+        r#""p95_seconds":0.005792619,"p99_seconds":0.005792619}},{"class":"high","#,
+        r#""queue_wait":{"count":0,"mean_seconds":0.000000000,"p50_seconds":0.000000000,"#,
+        r#""p95_seconds":0.000000000,"p99_seconds":0.000000000},"submit_to_report":{"count":1,"#,
+        r#""mean_seconds":3.000000000,"p50_seconds":2.965820801,"p95_seconds":2.965820801,"#,
+        r#""p99_seconds":2.965820801}}]}"#,
+    );
+
+    #[test]
+    fn json_line_keeps_the_journal_schema() {
+        assert_eq!(populated_snapshot().to_json_line(), JOURNAL_LINE);
+    }
+
+    /// Reading the line back gives the snapshot on every journaled field;
+    /// the unjournaled ones read 0.
+    #[test]
+    fn a_journal_line_reads_back_as_written() {
+        let read = MetricsSnapshot::from_json_line(JOURNAL_LINE).unwrap();
+        assert_eq!(read.to_json_line(), JOURNAL_LINE);
+        let mut expected = populated_snapshot().runtime;
+        expected.cache.restored = 0;
+        assert_eq!(read.runtime, expected);
+        assert_eq!(
+            (read.warm_start.memo_hits, read.warm_start.memo_misses),
+            (0, 0)
         );
-        assert_eq!(snapshot.to_json_line(), expected);
+    }
+
+    /// A line of another schema is an error naming the key, not a zero.
+    #[test]
+    fn a_bad_journal_line_names_the_key() {
+        let without = JOURNAL_LINE.replacen("\"completed\":33,", "", 1);
+        assert_eq!(
+            MetricsSnapshot::from_json_line(&without).unwrap_err(),
+            "missing key `completed`"
+        );
+        let mistyped = JOURNAL_LINE.replacen("\"hits\":90", "\"hits\":\"90\"", 1);
+        assert_eq!(
+            MetricsSnapshot::from_json_line(&mistyped).unwrap_err(),
+            "key `cache.hits` does not read as u64"
+        );
+        let nested = JOURNAL_LINE.replacen("\"p99_seconds\":0.002896309", "\"p99\":0", 1);
+        assert_eq!(
+            MetricsSnapshot::from_json_line(&nested).unwrap_err(),
+            "classes[0]: missing key `queue_wait.p99_seconds`"
+        );
+        let renamed = JOURNAL_LINE.replacen("\"class\":\"high\"", "\"class\":\"urgent\"", 1);
+        assert_eq!(
+            MetricsSnapshot::from_json_line(&renamed).unwrap_err(),
+            "classes[2]: unknown class `urgent`"
+        );
+        assert!(MetricsSnapshot::from_json_line("{\"seq\":1}").is_err());
+        assert!(MetricsSnapshot::from_json_line("not json").is_err());
     }
 }

@@ -710,7 +710,7 @@ fn queue_seconds_charged_once_for_canceled_submissions() {
         .find(|class| class.class as usize == priority_class(Priority::HIGH))
         .expect("a class row per priority class");
     assert_eq!(high.queue_wait.count, 1, "one queue-wait sample");
-    assert!(high.queue_wait.total_seconds >= 0.015);
+    assert!(high.queue_wait.mean_seconds >= 0.015);
 }
 
 /// One [`Progress`] step, owned, as a recorder saw it.

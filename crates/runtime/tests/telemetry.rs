@@ -155,7 +155,7 @@ fn histogram_counts_equal_completed_submissions() {
             let p50 = latency.submit_to_report.p50();
             let p99 = latency.submit_to_report.p99();
             assert!(p50 > 0.0 && p99 >= p50);
-            assert!(latency.submit_to_report.mean() > 0.0);
+            assert!(latency.submit_to_report.mean_seconds > 0.0);
         }
     }
 }

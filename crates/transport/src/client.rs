@@ -341,14 +341,29 @@ impl Client {
         }
     }
 
-    /// Fetches the server's lifecycle trace ring (most recent events, oldest
-    /// first). Render it with [`crate::merged_chrome_trace`].
+    /// Fetches the server's whole lifecycle trace ring (most recent events,
+    /// oldest first). Render it with [`crate::merged_chrome_trace`].
+    ///
+    /// # Errors
+    ///
+    /// Fails if the connection is lost or the server reports an error (as it
+    /// does when the ring outgrows the frame bound).
+    pub fn trace(&self) -> Result<Vec<TraceEvent>, RemoteError> {
+        self.fetch_trace(None)
+    }
+
+    /// Fetches the newest `count` events of the server's trace ring, oldest
+    /// first: the tail of what [`Client::trace`] returns.
     ///
     /// # Errors
     ///
     /// Fails if the connection is lost or the server reports an error.
-    pub fn trace(&self) -> Result<Vec<TraceEvent>, RemoteError> {
-        match self.request(&Request::Trace)? {
+    pub fn trace_newest(&self, count: usize) -> Result<Vec<TraceEvent>, RemoteError> {
+        self.fetch_trace(Some(count))
+    }
+
+    fn fetch_trace(&self, newest: Option<usize>) -> Result<Vec<TraceEvent>, RemoteError> {
+        match self.request(&Request::Trace { newest })? {
             Response::Trace { events } => Ok(events),
             other => Err(unexpected_reply(&other)),
         }

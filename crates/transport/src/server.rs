@@ -523,8 +523,10 @@ fn serve_connection(
                     snapshot: shared.runtime.telemetry_snapshot(),
                 }),
             }),
-            Ok(Request::Trace) => reply(Response::Trace {
-                events: shared.runtime.trace_events(),
+            Ok(Request::Trace { newest }) => reply(Response::Trace {
+                events: shared
+                    .runtime
+                    .newest_trace_events(newest.unwrap_or(usize::MAX)),
             }),
             Ok(Request::Shutdown) => break ConnectionOutcome::ShutdownRequested,
             Ok(Request::Hello { .. }) => reply(Response::Error {

@@ -15,6 +15,7 @@
 //! `merged_chrome_trace(&[], &events, 0)` renders the server ring alone, which
 //! is what `vqc-top --dump-trace` writes.
 
+use vqc_runtime::json::escape;
 use vqc_runtime::{phase_row_name, TraceEvent, TraceStage};
 
 /// One client-side span or instant, stamped on the client's connection epoch.
@@ -54,7 +55,7 @@ fn render_event(
     tid: u64,
     args: &str,
 ) -> String {
-    let name = escape_json(name);
+    let name = escape(name);
     if dur > 0 {
         format!(
             "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"args\":{args}}}"
@@ -64,21 +65,6 @@ fn render_event(
             "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{args}}}"
         )
     }
-}
-
-/// `text` as the contents of a JSON string: quotes, backslashes and control
-/// characters escaped.
-fn escape_json(text: &str) -> String {
-    let mut escaped = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            c if c < ' ' => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
-    escaped
 }
 
 /// Renders one merged Chrome `trace_event` JSON document from the client's own

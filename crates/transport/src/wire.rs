@@ -48,10 +48,15 @@ use vqc_runtime::{ClientMetrics, MetricsSnapshot, TraceEvent};
 /// the requesting client's slice and one [`MetricsSnapshot`] (the runtime's
 /// counters and uptime among its fields), so the `Metrics` request and reply,
 /// and the stats' own counter, uptime and client-id fields, are gone.
+/// Version 9 sends each latency distribution of the snapshot as a
+/// [`vqc_runtime::LatencySummary`] (count, mean, p50/p95/p99) in place of its
+/// 44 raw histogram buckets, which cuts a `Stats` reply without phase rows
+/// from ~2.5 KB to under 1 KB; and [`Request::Trace`] carries how many of
+/// the newest events to send (`None`: the whole ring).
 /// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
 /// variant indices, and [`Request::Hello`] its layout, so a client of any
 /// version can decode the refusal of its Hello.
-pub const PROTOCOL_VERSION: u32 = 8;
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -255,7 +260,11 @@ pub enum Request {
     /// Fetch the server's buffered lifecycle trace ring (oldest event first),
     /// answered with [`Response::Trace`] — render it with
     /// [`crate::merged_chrome_trace`] for `chrome://tracing` / Perfetto.
-    Trace,
+    Trace {
+        /// How many of the newest events to send; `None` sends the whole
+        /// ring.
+        newest: Option<usize>,
+    },
     /// Ask the server to shut down gracefully (drains in-flight work).
     Shutdown,
 }
@@ -507,7 +516,8 @@ mod tests {
         });
         round_trip_request(Request::Cancel { id: 7 });
         round_trip_request(Request::Stats);
-        round_trip_request(Request::Trace);
+        round_trip_request(Request::Trace { newest: None });
+        round_trip_request(Request::Trace { newest: Some(8) });
         round_trip_request(Request::Shutdown);
     }
 
@@ -560,10 +570,12 @@ mod tests {
                         busy_workers: 2,
                         classes: vec![vqc_runtime::ClassLatency {
                             class: 2,
-                            queue_wait: vqc_runtime::HistogramSnapshot {
+                            queue_wait: vqc_runtime::LatencySummary {
                                 count: 3,
-                                total_seconds: 0.5,
-                                buckets: vec![0, 1, 2],
+                                mean_seconds: 0.5,
+                                p50_seconds: 0.25,
+                                p95_seconds: 1.0,
+                                p99_seconds: 2.0,
                             },
                             ..vqc_runtime::ClassLatency::default()
                         }],

@@ -378,7 +378,8 @@ fn a_correlation_id_is_free_again_when_its_report_arrives() {
 
 /// A result set that outgrows the frame bound still ends its submission, as a
 /// `ReportTooLarge` refusal in place of the `Report`, and the connection keeps
-/// answering: with an error in place of a reply that outgrows the bound too.
+/// answering: a `Stats` reply fits the bound, and an error stands in for a
+/// reply that outgrows it too.
 #[test]
 fn an_oversized_report_is_refused_as_report_too_large() {
     let runtime = Arc::new(CompilationRuntime::new(
@@ -392,26 +393,72 @@ fn an_oversized_report_is_refused_as_report_too_large() {
     )
     .expect("bind loopback");
     let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
-    let job = client
-        .submit(SubmitPayload::Iterations {
-            circuit: lookup_only_circuit(),
-            parameter_sets: (0..16).map(|i| vec![0.1 * i as f64; 3]).collect(),
-            strategy: Strategy::StrictPartial,
-        })
-        .unwrap();
-    match job.wait() {
-        Err(RemoteError::Rejected(RejectReason::ReportTooLarge { declared, max })) => {
-            assert_eq!(max, 1024);
-            assert!(declared > max, "{declared} bytes");
+    // Two submissions, so that the trace ring outgrows the bound too.
+    for _ in 0..2 {
+        let job = client
+            .submit(SubmitPayload::Iterations {
+                circuit: lookup_only_circuit(),
+                parameter_sets: (0..16).map(|i| vec![0.1 * i as f64; 3]).collect(),
+                strategy: Strategy::StrictPartial,
+            })
+            .unwrap();
+        match job.wait() {
+            Err(RemoteError::Rejected(RejectReason::ReportTooLarge { declared, max })) => {
+                assert_eq!(max, 1024);
+                assert!(declared > max, "{declared} bytes");
+            }
+            other => panic!("expected ReportTooLarge, got {other:?}"),
         }
-        other => panic!("expected ReportTooLarge, got {other:?}"),
     }
-    // A `Stats` reply carries a whole snapshot and outgrows this bound too:
-    // the client hears an error in its place instead of waiting forever.
-    assert!(matches!(client.stats(), Err(RemoteError::Protocol(_))));
-    let slice = runtime.client_metrics(client.client_id());
-    assert_eq!(slice.submissions, 1);
-    assert_eq!(slice.completed, 1);
+    // A `Stats` reply summarizes its latencies, so with no phase rows the
+    // whole framed reply fits in 1 KiB.
+    let stats = client
+        .stats()
+        .expect("a Stats reply fits a 1024-byte frame");
+    assert_eq!(stats.client.submissions, 2);
+    assert_eq!(stats.client.completed, 2);
+    assert!(stats.snapshot.phases.is_empty());
+    let mut framed = Vec::new();
+    let reply = Response::Stats {
+        stats: Box::new(stats),
+    };
+    wire::write_frame(&mut framed, &reply, wire::DEFAULT_MAX_FRAME).unwrap();
+    assert!(
+        framed.len() <= 1024,
+        "a framed Stats reply of {} bytes",
+        framed.len()
+    );
+    // The whole trace ring does outgrow the bound: the client hears an error
+    // in its place instead of waiting forever, and a short tail still fits.
+    assert!(matches!(client.trace(), Err(RemoteError::Protocol(_))));
+    assert_eq!(client.trace_newest(8).unwrap().len(), 8);
+}
+
+/// A dashboard's tail of the trace ring is the end of the whole ring, in the
+/// same order.
+#[test]
+fn a_trace_tail_is_the_newest_events_of_the_ring() {
+    let (server, _runtime) = serve(CompilationRuntime::new(
+        fast_options(),
+        RuntimeOptions::with_workers(1),
+    ));
+    let client = Client::connect(server.local_addr(), ClientOptions::default()).unwrap();
+    for _ in 0..2 {
+        client
+            .submit(SubmitPayload::Iterations {
+                circuit: lookup_only_circuit(),
+                parameter_sets: vec![vec![0.3; 3], vec![0.7; 3]],
+                strategy: Strategy::StrictPartial,
+            })
+            .unwrap()
+            .wait()
+            .unwrap();
+    }
+    let ring = client.trace().unwrap();
+    assert!(ring.len() > 8, "{} events", ring.len());
+    let tail = client.trace_newest(8).unwrap();
+    assert_eq!(tail, ring[ring.len() - 8..]);
+    assert_eq!(client.trace_newest(ring.len() + 10).unwrap(), ring);
 }
 
 /// A connection runs the same two threads however many submissions it has in
@@ -498,7 +545,7 @@ fn a_client_that_never_reads_stalls_only_its_own_requests() {
         .unwrap();
     let mut requests = Vec::new();
     for _ in 0..4096 {
-        wire::write_frame(&mut requests, &Request::Trace, frame).unwrap();
+        wire::write_frame(&mut requests, &Request::Trace { newest: None }, frame).unwrap();
     }
     // Unbounded buffering would queue a full trace per request: a few thousand
     // requests exceed this margin, a stalled connection never does.
