@@ -231,19 +231,37 @@ fn select(mask: u64, a: f64, b: f64) -> f64 {
 /// `n x n` eigenvectors.
 pub type QlLane<'a> = (&'a mut [f64], &'a mut [f64], &'a mut [f64]);
 
-/// Interleaves the first `n * n` entries of each lane's input into `soa`
-/// (entry `k` of all `L` matrices side by side), lanes past the end of
-/// `lanes` repeating the first matrix; checks every lane's storage.
+/// Checks every lane's storage: `n * n` entries, `n` eigenvalues and `n * n`
+/// eigenvectors.
 #[inline(always)]
-fn interleave<const L: usize>(n: usize, lanes: &[QlLane<'_>], soa: &mut [[f64; L]]) {
-    for lane in 0..L {
-        let (a, eigenvalues, vectors) = &lanes[if lane < lanes.len() { lane } else { 0 }];
+fn check_lanes(n: usize, lanes: &[QlLane<'_>]) {
+    for (a, eigenvalues, vectors) in lanes {
         assert!(
             a.len() == n * n && vectors.len() == n * n && eigenvalues.len() == n,
             "real-symmetric eigh expects {n}x{n} storage and {n} eigenvalues"
         );
+    }
+}
+
+/// Interleaves the first `n * n` entries of each lane's input into `soa`
+/// (entry `k` of all `L` matrices side by side); checks every lane's storage.
+#[inline(always)]
+fn interleave<const L: usize>(n: usize, lanes: &[QlLane<'_>], soa: &mut [[f64; L]]) {
+    check_lanes(n, lanes);
+    for (lane, (a, _, _)) in lanes.iter().enumerate() {
         for (slot, &x) in soa.iter_mut().zip(a.iter()) {
             slot[lane] = x;
+        }
+    }
+}
+
+/// Fills the lanes of `soa` from `count` up with lane 0: a batch of fewer
+/// than `L` matrices repeats its first, so the padding adds no lockstep steps.
+#[inline(always)]
+fn pad<const L: usize>(count: usize, soa: &mut [[f64; L]]) {
+    for slot in soa {
+        for k in count..L {
+            slot[k] = slot[0];
         }
     }
 }
@@ -325,6 +343,7 @@ pub fn eigh_jacobi<const L: usize>(
     let (a, soa) = soa.split_at_mut(n * n);
     let vt = &mut soa[..n * n];
     interleave(n, lanes, a);
+    pad(count, a);
     // Work on the symmetric part to be robust against tiny asymmetries.
     for r in 0..n {
         for c in (r + 1)..n {
@@ -489,8 +508,11 @@ const SWEEP_CHUNK: usize = 2;
 ///
 /// Both stages run on the *transpose* of the textbook's transformation matrix
 /// — which ends up holding `Vᵀ` — so every reflector dot product, rank-two
-/// update and QL plane rotation walks contiguous rows; the one transpose is
-/// the copy into a lane's eigenvector storage at the end.
+/// update and QL plane rotation walks contiguous rows. A lane's input storage
+/// is where its `Vᵀ` is rotated, and it is handed back holding it, rows
+/// sorted with the eigenvalues; the one transpose is the copy into the lane's
+/// eigenvector storage at the end. A caller that needs both `V` and `Vᵀ`
+/// takes the second from there instead of transposing `V` back.
 ///
 /// # Panics
 ///
@@ -503,12 +525,51 @@ pub fn eigh_ql<const L: usize>(
     lanes: &mut [QlLane<'_>],
     scratch: &mut [f64],
 ) -> [usize; L] {
+    let count = lanes.len();
+    assert!(
+        n >= 2 && (1..=L).contains(&count) && scratch.len() >= L * ql_scratch_len(n),
+        "real-symmetric QL expects 1..={L} matrices of dimension {n} >= 2 and their scratch"
+    );
+    interleave(n, lanes, ql_input::<L>(n, scratch));
+    eigh_ql_interleaved(n, lanes, scratch)
+}
+
+/// Where an [`eigh_ql_interleaved`] batch of `L` matrices of dimension `n`
+/// takes its input: the first `n * n` slots of `scratch` taken `L` at a time,
+/// slot `r * n + c` holding entry `(r, c)` of every matrix, matrix `k` in
+/// place `k`.
+///
+/// # Panics
+///
+/// Panics if `scratch` is shorter than `L * n * n`.
+#[inline(always)]
+pub fn ql_input<const L: usize>(n: usize, scratch: &mut [f64]) -> &mut [[f64; L]] {
+    &mut scratch.as_chunks_mut::<L>().0[..n * n]
+}
+
+/// [`eigh_ql`] on matrices already written into [`ql_input`]`(n, scratch)`:
+/// a caller that builds its matrices entry by entry (the GRAPE engine
+/// assembles each slice Hamiltonian there) skips the dense copy and the
+/// interleaving. A lane's first slot is then output only: it receives the
+/// lane's `Vᵀ`, as in [`eigh_ql`]. The places of `ql_input` past the end of
+/// `lanes` are filled here, with the first matrix. Same bits as [`eigh_ql`].
+///
+/// # Panics
+///
+/// As [`eigh_ql`].
+#[inline(always)]
+pub fn eigh_ql_interleaved<const L: usize>(
+    n: usize,
+    lanes: &mut [QlLane<'_>],
+    scratch: &mut [f64],
+) -> [usize; L] {
     use std::array::from_fn;
     let count = lanes.len();
     assert!(
         n >= 2 && (1..=L).contains(&count) && scratch.len() >= L * ql_scratch_len(n),
         "real-symmetric QL expects 1..={L} matrices of dimension {n} >= 2 and their scratch"
     );
+    check_lanes(n, lanes);
     let (soa, _) = scratch.as_chunks_mut::<L>();
     let (w, soa) = soa.split_at_mut(n * n);
     let (d, soa) = soa.split_at_mut(n);
@@ -516,9 +577,9 @@ pub fn eigh_ql<const L: usize>(
     let (cos, soa) = soa.split_at_mut(n);
     let sin = &mut soa[..n];
 
-    // Interleave the matrices, then fold each one's symmetric part into the
-    // upper triangle, the only one read.
-    interleave(n, lanes, w);
+    // Fill the padding places, then fold each matrix's symmetric part into
+    // the upper triangle, the only one read.
+    pad(count, w);
     for r in 0..n {
         for c in (r + 1)..n {
             w[r * n + c] = from_fn(|k| 0.5 * (w[r * n + c][k] + w[c * n + r][k]));

@@ -21,7 +21,8 @@
 
 use proptest::prelude::*;
 use vqc_linalg::real::{
-    eigh_jacobi, eigh_ql, eigh_scratch_len, jacobi_scratch_len, ql_scratch_len, QlLane, QL_MIN_DIM,
+    eigh_jacobi, eigh_ql, eigh_ql_interleaved, eigh_scratch_len, jacobi_scratch_len, ql_input,
+    ql_scratch_len, QlLane, QL_MIN_DIM,
 };
 use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
 use vqc_linalg::{c64, eigh, Matrix, RealMatrix, RealSmallMatrix, C64};
@@ -612,6 +613,36 @@ fn ql_alone(n: usize, a: &mut [f64], lambdas: &mut [f64], vectors: &mut [f64]) -
     eigh_ql::<1>(n, &mut [(a, lambdas, vectors)], &mut scratch)[0]
 }
 
+/// One to `L` matrices through [`eigh_ql_interleaved`], written into its
+/// batch entry by entry as the GRAPE engine assembles them there. Each
+/// lane's input storage is then overwritten with NaN — it is output only,
+/// where the `Vᵀ` must come back — and the places past the last matrix are
+/// left NaN for the solver to fill.
+fn ql_interleaved<const L: usize>(n: usize, lanes: &mut [QlLane<'_>]) -> [usize; L] {
+    let mut scratch = vec![f64::NAN; L * ql_scratch_len(n)];
+    let batch = ql_input::<L>(n, &mut scratch);
+    for (place, (a, _, _)) in lanes.iter_mut().enumerate() {
+        for (slot, &x) in batch.iter_mut().zip(a.iter()) {
+            slot[place] = x;
+        }
+        a.fill(f64::NAN);
+    }
+    eigh_ql_interleaved::<L>(n, lanes, &mut scratch)
+}
+
+fn ql_interleaved_batch(n: usize, lanes: &mut [QlLane<'_>]) -> [usize; 4] {
+    ql_interleaved::<4>(n, lanes)
+}
+
+fn ql_interleaved_alone(
+    n: usize,
+    a: &mut [f64],
+    lambdas: &mut [f64],
+    vectors: &mut [f64],
+) -> usize {
+    ql_interleaved::<1>(n, &mut [(a, lambdas, vectors)])[0]
+}
+
 /// One matrix through `batch`, as a group of three: it sits in the middle,
 /// and the padding repeats another matrix.
 fn middle_of_three(batch: Batch, n: usize, lane: QlLane<'_>) -> usize {
@@ -919,8 +950,9 @@ fn real_eigh_handles_the_spectra_a_device_produces() {
     }
 }
 
-/// One eigensystem as bits: eigenvalues, eigenvectors, iterations.
-type Bits = (Vec<u64>, Vec<u64>, usize);
+/// One eigensystem as bits: eigenvalues, eigenvectors, iterations, and what
+/// the input storage holds afterwards.
+type Bits = (Vec<u64>, Vec<u64>, usize, Vec<u64>);
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|x| x.to_bits()).collect()
@@ -931,7 +963,7 @@ fn solve_alone(n: usize, data: &[f64], solver: Solver) -> Bits {
     let (mut a, mut lambdas, mut vectors) =
         (data.to_vec(), vec![f64::NAN; n], vec![f64::NAN; n * n]);
     let count = solver(n, &mut a, &mut lambdas, &mut vectors);
-    (bits(&lambdas), bits(&vectors), count)
+    (bits(&lambdas), bits(&vectors), count, bits(&a))
 }
 
 /// Solves `group` — one to four matrices — as one `batch`.
@@ -951,7 +983,7 @@ fn solve_batch(n: usize, group: &[&Vec<f64>], batch: Batch) -> Vec<Bits> {
     );
     let solved = storage.iter().zip(counts);
     solved
-        .map(|((_, lambdas, vectors), count)| (bits(lambdas), bits(vectors), count))
+        .map(|((a, lambdas, vectors), count)| (bits(lambdas), bits(vectors), count, bits(a)))
         .collect()
 }
 
@@ -961,18 +993,41 @@ struct Body {
     oracle: Solver,
     alone: Solver,
     batch: Batch,
+    /// Whether the body hands each matrix's `Vᵀ` back in its input storage,
+    /// where the oracle leaves it too, so that is held to the oracle's bits
+    /// as well.
+    hands_back_vt: bool,
+}
+
+impl Body {
+    /// Whether `solved` is `expected`, bit for bit.
+    fn same(&self, solved: &Bits, expected: &Bits) -> bool {
+        let (lambdas, vectors, count, input) = solved;
+        (lambdas, vectors, count) == (&expected.0, &expected.1, &expected.2)
+            && (!self.hands_back_vt || *input == expected.3)
+    }
 }
 
 const QL: Body = Body {
     oracle: eispack::tred2_tql2,
     alone: ql_alone,
     batch: ql_batch,
+    hands_back_vt: true,
+};
+
+/// The QL body on input written straight into its batch.
+const QL_INTERLEAVED: Body = Body {
+    oracle: eispack::tred2_tql2,
+    alone: ql_interleaved_alone,
+    batch: ql_interleaved_batch,
+    hands_back_vt: true,
 };
 
 const JACOBI: Body = Body {
     oracle: scalar_jacobi::eigh_jacobi,
     alone: jacobi_alone,
     batch: jacobi_batch,
+    hands_back_vt: false,
 };
 
 /// Every matrix of `pool`, alone and in every place of a batch of every
@@ -987,7 +1042,7 @@ fn assert_batches_match(body: &Body, n: usize, pool: &[Vec<f64>]) {
         .collect();
     for (index, (data, expected)) in pool.iter().zip(&reference).enumerate() {
         assert!(
-            solve_alone(n, data, body.alone) == *expected,
+            body.same(&solve_alone(n, data, body.alone), expected),
             "n={n}: the one-lane body diverges from the one-matrix routine on matrix {index}"
         );
     }
@@ -998,7 +1053,7 @@ fn assert_batches_match(body: &Body, n: usize, pool: &[Vec<f64>]) {
             let solved = solve_batch(n, &group, body.batch);
             for (place, (solved, &index)) in solved.iter().zip(&members).enumerate() {
                 assert!(
-                    *solved == reference[index],
+                    body.same(solved, &reference[index]),
                     "n={n}: matrix {index} in place {place} of a batch of {size} \
                      (matrices {members:?}) diverges from the one-matrix routine; \
                      {} iterations against {}",
@@ -1047,11 +1102,15 @@ fn mixed_pool(n: usize) -> Vec<Vec<f64>> {
     pool
 }
 
-/// At the stack QL dimensions and at heap dims 9 and 27.
+/// At the stack QL dimensions and at heap dims 9 and 27, with the input
+/// interleaved by the solver and written into its batch by the caller; the
+/// `Vᵀ` each matrix's input storage hands back is held to the oracle's too.
 #[test]
 fn ql_batches_give_every_matrix_the_one_matrix_bits() {
     for n in [8, 16, 9, 27] {
-        assert_batches_match(&QL, n, &mixed_pool(n));
+        for body in [&QL, &QL_INTERLEAVED] {
+            assert_batches_match(body, n, &mixed_pool(n));
+        }
     }
 }
 
@@ -1065,9 +1124,11 @@ proptest! {
         c in arb_reals(16),
     ) {
         let pool = [a, zero(16), b, flux_only(16), c];
-        assert_batches_match(&QL, 16, &pool);
         let leading = |data: &Vec<f64>| data[..64].to_vec();
-        assert_batches_match(&QL, 8, &pool.each_ref().map(leading));
+        for body in [&QL, &QL_INTERLEAVED] {
+            assert_batches_match(body, 16, &pool);
+            assert_batches_match(body, 8, &pool.each_ref().map(leading));
+        }
     }
 
     #[test]
@@ -1117,7 +1178,7 @@ fn assert_jacobi_bits<const N: usize>(pool: &[Vec<f64>]) {
         let (stack, heap) = (stack_in_place::<N>, heap_in_place);
         for (storage, solver) in [("stack", stack as Solver), ("heap", heap)] {
             assert!(
-                solve_alone(N, data, solver) == expected,
+                JACOBI.same(&solve_alone(N, data, solver), &expected),
                 "n={N}: eigh_in_place on the {storage} diverges from the scalar routine \
                  on matrix {index}"
             );

@@ -44,8 +44,8 @@
 //! The `unsafe` in this module is the one lifetime erasure that lends a stack
 //! closure to the helper for the duration of `Claim::join`, and the
 //! `sched_getcpu` call the waits place themselves by. (The GRAPE kernel's
-//! only other `unsafe` is in [`crate::workspace`]: the call into a phase's
-//! AVX2 instantiation.)
+//! only other `unsafe` is in [`crate::workspace`]: the calls into a phase's
+//! AVX2 and AVX-512 instantiations.)
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -73,11 +73,17 @@ const MIN_DIM: usize = 8;
 /// | slices | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 12 | 16 | 24 | 40 |
 /// |---|---|---|---|---|---|---|---|---|---|---|---|---|---|
 /// | dim 8 | | | 0.57–0.77x | 0.86–1.02x | 1.13–1.29x | 1.04–1.08x | **1.20–1.22x** | 1.05–1.20x | 1.29–1.34x | 1.13–1.14x | 1.25–1.32x | 1.29–1.40x | 1.32–1.37x |
-/// | dim 16 | 1.36–1.48x | 0.86–0.90x | **1.01–1.05x** | 1.23–1.33x | 1.50–1.57x | 1.30–1.32x | 1.42–1.48x | | | 1.27–1.40x | | 1.64–1.80x | 1.57–1.77x |
+/// | dim 16 | 1.36–1.48x | 0.86–0.90x | **0.89–1.15x** | 1.04–1.39x | 1.20–1.51x | 1.10–1.29x | 1.42–1.48x | | | 1.27–1.40x | | 1.64–1.80x | 1.17–1.81x |
 ///
-/// (bold: where the rule starts to claim.) The product stays at 64: lower
-/// would admit dim 16 × 3, which splits 1 + 2 and loses; nothing it admits
-/// reads below 1.0x.
+/// (bold: where the rule starts to claim.) The dim-16 columns 4–7 and 40 are
+/// re-measured with the 16×16 phases at AVX-512 width, 3 to 14 passes each,
+/// leaving out the passes in which the host's second vCPU ran slow (there
+/// 40 slices read 0.99x and 4 slices 0.64–0.73x). A faster iteration makes the
+/// fixed hand-offs a larger share, and 4 slices are now break-even (median
+/// 1.06x, 4 of 11 passes below 1.0x): a half of 2 is two one-matrix solves,
+/// which cost what the one-lane form's batch of four does. The product stays
+/// at 64: 80 would leave out dim 8 × 8–9 (1.05–1.22x) with it, and lower
+/// would admit dim 16 × 3, which splits 1 + 2 and loses.
 const MIN_SPAN: usize = 64;
 
 /// Longest busy-wait for a peer that is known to be at work — the helper

@@ -49,7 +49,8 @@ impl MinimumTimeOptions {
         }
     }
 
-    /// Coarser 1 ns precision, used by the `fast` benchmark effort level.
+    /// The same window searched to `precision_ns`, whatever it is, in place
+    /// of the paper's 0.3 ns: bisection stops once the bracket is no wider.
     pub fn with_precision(mut self, precision_ns: f64) -> Self {
         self.precision_ns = precision_ns;
         self

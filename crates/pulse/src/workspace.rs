@@ -14,13 +14,14 @@
 //! once, in [`Engine`], generic over the crate-private [`RealStorage`] trait, as
 //! phases over slice ranges: a wide block's iteration runs them as two lanes,
 //! the second on the [`crate::lanes`] helper thread, bit for bit. Each phase
-//! is compiled twice from its one source (`lane_phase!`): for the build's
-//! baseline target, and for AVX2, which the engine picks once, at
-//! construction, where the CPU has it — again bit for bit, since neither
-//! fuses a multiply into an add; the call into that second instantiation is
-//! this module's one `unsafe`. Every
-//! matrix in a GRAPE run has a dimension fixed by the device, so the workspace
-//! picks the storage from `device.dim()` at construction and nothing else:
+//! is compiled three times from its one source (`lane_phase!`): for the
+//! build's baseline target, for AVX2 and for AVX-512, and the engine picks
+//! one once, at construction, by its dimension and what the CPU has
+//! (`width`: AVX-512 at dim 16, AVX2 elsewhere) — again bit for bit, since none
+//! fuses a multiply into an add; the calls into the two wide instantiations
+//! are this module's only `unsafe`. Every matrix in a GRAPE run has a
+//! dimension fixed by the device, so the workspace picks the storage from
+//! `device.dim()` at construction and nothing else:
 //! inline const-generic [`RealSmallMatrix`] for dims 2/4/8/16 — every width a
 //! compiler with `max_block_width = 4` can plan on a qubit device — and heap
 //! [`RealMatrix`] for every other dimension (qutrit devices at 3/9/27/81,
@@ -64,62 +65,129 @@ use crate::profile::{self, Phase};
 use crate::propagate::Propagation;
 use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
 use std::fmt::Debug;
-use vqc_linalg::real::{eigh_scratch_len, eigh_symmetric, QlLane, QL_MIN_DIM};
+use std::ops::Range;
+use vqc_linalg::real::{
+    eigh_ql_interleaved, eigh_scratch_len, eigh_symmetric, ql_input, QlLane, QL_MIN_DIM,
+};
 use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, C64};
 
-/// Proof that this CPU has AVX2, for the one `unsafe` call of [`lane_phase!`].
+/// Which instantiation of the lane phases ([`lane_phase!`]) an engine runs,
+/// and the proof that this CPU can run it, for that call's `unsafe`.
+///
+/// **The rule, per dimension.** The AVX-512 twin at dim 16 where the host has
+/// AVX-512 F/VL/DQ, the AVX2 twin everywhere else where it has AVX2, the
+/// baseline where it has neither. Every instantiation gives the same bits, so
+/// the rule decides speed only. Measured on an x86-64 host with AVX-512
+/// (2 vCPUs, one lane, 40 slices of a moving pulse, all four engines in one
+/// process taking turns, the median over 40–60 turns of each one's time
+/// against the baseline's in the same turn):
+///
+/// | dim | AVX2 / baseline | AVX-512 / baseline |
+/// |---|---|---|
+/// | 2 | 1.00 | 1.12 |
+/// | 4 | 0.75 | 0.83 |
+/// | 8 | 0.69 | 0.74 |
+/// | 16 | 0.61–0.63 | **0.57–0.60** |
+///
+/// At dim 16 the wider vectors pay in the products: the sweeps go from 0.45–0.47
+/// of the baseline's time to 0.39–0.41 and the contraction from 0.53–0.55 to
+/// 0.45–0.48, while `diagonalize` reads 0.74–0.77 at either width (the QL
+/// batch alone, outside the engine, is ~20 % slower at AVX-512 width; its
+/// `[f64; 4]` lockstep loops do not get wider). The heap dimensions keep
+/// AVX2; no workload of the benchmark runs them.
 mod width {
-    /// Exists only where [`Avx2::detect`] found the feature: the field is
+    /// Exists only where a detection below found its features: the field is
     /// private to this module, so nothing else can make one.
     #[derive(Debug, Clone, Copy)]
-    pub(super) struct Avx2(());
+    pub(super) struct Detected(());
 
-    impl Avx2 {
-        /// `Some` on an x86-64 CPU that reports AVX2, `None` everywhere else.
-        pub(super) fn detect() -> Option<Avx2> {
+    /// One variant per wide twin of a lane phase.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) enum Width {
+        /// `#[target_feature(enable = "avx2")]`: four `f64`s a vector.
+        Avx2(Detected),
+        /// `#[target_feature(enable = "avx2,avx512f,avx512vl,avx512dq")]`:
+        /// eight `f64`s a vector.
+        Avx512(Detected),
+    }
+
+    impl Width {
+        /// The AVX2 twin on an x86-64 CPU that reports AVX2, `None` elsewhere.
+        pub(super) fn avx2() -> Option<Width> {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
-                return Some(Avx2(()));
+                return Some(Width::Avx2(Detected(())));
             }
             None
         }
+
+        /// The AVX-512 twin on an x86-64 CPU that reports AVX2 and AVX-512
+        /// F, VL and DQ, `None` elsewhere.
+        pub(super) fn avx512() -> Option<Width> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                return Some(Width::Avx512(Detected(())));
+            }
+            None
+        }
+
+        /// The twin the rule (above) gives a `dim`-dimensional engine on
+        /// this host.
+        pub(super) fn for_dim(dim: usize) -> Option<Width> {
+            match dim {
+                16 => Width::avx512().or_else(Width::avx2),
+                _ => Width::avx2(),
+            }
+        }
     }
 }
-use width::Avx2;
+use width::Width;
 
 /// Defines one phase of an iteration over one lane's share of the buffers, as
-/// `$name(wide, …)`. The body is compiled twice from this one source: for the
-/// build's baseline target (SSE2 on x86-64), and — everything beneath a phase
-/// being `#[inline(always)]` — again inside a `#[target_feature(enable =
-/// "avx2")]` twin, which `wide` selects. Rust never contracts `a * b + c` and
-/// the twin enables no `fma`, so both run the same IEEE operations in the same
-/// order and agree bit for bit: the width decides how many of them one
-/// instruction carries, and a report does not depend on the host. Other
-/// architectures have the baseline only.
+/// `$name(width, …)`. The body is compiled three times from this one source:
+/// for the build's baseline target (SSE2 on x86-64), and — everything beneath
+/// a phase being `#[inline(always)]` — again inside an AVX2 and an AVX-512
+/// `#[target_feature]` twin, which `width` selects ([`Width`]). Rust never
+/// contracts `a * b + c` and no twin enables `fma`, so all three run the same
+/// IEEE operations in the same order and agree bit for bit: the width decides
+/// how many of them one instruction carries, and a report does not depend on
+/// the host. Other architectures have the baseline only.
 macro_rules! lane_phase {
     (
         $(#[$attribute:meta])*
         fn $name:ident<S: RealStorage>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
     ) => {
         $(#[$attribute])*
-        fn $name<S: RealStorage>(wide: Option<Avx2>, $($arg: $ty),*) $(-> $ret)? {
+        fn $name<S: RealStorage>(width: Option<Width>, $($arg: $ty),*) $(-> $ret)? {
             #[inline(always)]
             fn baseline<S: RealStorage>($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
-            fn twin<S: RealStorage>($($arg: $ty),*) $(-> $ret)? {
+            fn avx2<S: RealStorage>($($arg: $ty),*) $(-> $ret)? {
                 baseline($($arg),*)
             }
 
             #[cfg(target_arch = "x86_64")]
-            if wide.is_some() {
-                // SAFETY: `twin` needs AVX2, and an `Avx2` exists only where
-                // `is_x86_feature_detected!("avx2")` said the CPU has it.
-                return unsafe { twin($($arg),*) };
+            #[target_feature(enable = "avx2,avx512f,avx512vl,avx512dq")]
+            fn avx512<S: RealStorage>($($arg: $ty),*) $(-> $ret)? {
+                baseline($($arg),*)
             }
-            let _ = wide;
-            baseline($($arg),*)
+
+            match width {
+                // SAFETY: `avx2` needs AVX2, and a `Width::Avx2` exists only
+                // where `is_x86_feature_detected!` said the CPU has it.
+                #[cfg(target_arch = "x86_64")]
+                Some(Width::Avx2(_)) => unsafe { avx2($($arg),*) },
+                // SAFETY: likewise for AVX2 and AVX-512 F/VL/DQ.
+                #[cfg(target_arch = "x86_64")]
+                Some(Width::Avx512(_)) => unsafe { avx512($($arg),*) },
+                _ => baseline($($arg),*),
+            }
         }
     };
 }
@@ -292,19 +360,46 @@ struct Model<S> {
 }
 
 impl<S: RealStorage> Model<S> {
-    /// `H_t = drift + Σ_k u_k(t) · H_k` over the packed nonzero lists.
+    /// `H_t = drift + Σ_k u_k(t) · H_k` over the packed nonzero lists, for
+    /// the slices `t` of `group` side by side in a structure-of-arrays batch
+    /// (slot `r * dim + c` holds entry `(r, c)` of each, the first in place
+    /// 0), so each nonzero is one `L`-wide multiply-add. A control whose
+    /// amplitude is zero adds nothing to that slice, as it would alone. The
+    /// places past the group's end get the drift. A dense matrix is the batch
+    /// of one ([`Model::assemble_dense`]).
     #[inline(always)]
-    fn assemble(&self, pulse: &PulseSequence, t: usize, hamiltonian: &mut S) {
-        let hamiltonian = hamiltonian.entries_mut();
-        hamiltonian.copy_from_slice(self.drift.entries());
+    fn assemble<const L: usize>(
+        &self,
+        pulse: &PulseSequence,
+        group: Range<usize>,
+        batch: &mut [[f64; L]],
+    ) {
+        for (slot, &entry) in batch.iter_mut().zip(self.drift.entries()) {
+            *slot = [entry; L];
+        }
         for (k, entries) in self.control_sparse.iter().enumerate() {
-            let amp = pulse.amplitude(k, t);
-            if amp != 0.0 {
-                for &(index, value) in entries {
-                    hamiltonian[index] += value * amp;
+            let mut amps = [0.0; L];
+            for (amp, t) in amps.iter_mut().zip(group.clone()) {
+                *amp = pulse.amplitude(k, t);
+            }
+            if amps.iter().all(|&amp| amp == 0.0) {
+                continue;
+            }
+            for &(index, value) in entries {
+                let slot = &mut batch[index];
+                for (x, &amp) in slot.iter_mut().zip(&amps) {
+                    let sum = *x + value * amp;
+                    *x = if amp != 0.0 { sum } else { *x };
                 }
             }
         }
+    }
+
+    /// [`Model::assemble`] of slice `t` into a dense matrix.
+    #[inline(always)]
+    fn assemble_dense(&self, pulse: &PulseSequence, t: usize, hamiltonian: &mut S) {
+        let batch = hamiltonian.entries_mut().as_chunks_mut::<1>().0;
+        self.assemble(pulse, t..t + 1, batch);
     }
 }
 
@@ -312,10 +407,13 @@ impl<S: RealStorage> Model<S> {
 /// two read.
 #[derive(Debug, Clone)]
 struct Eigensystem<S> {
-    /// Assembled each propagation, then consumed by the eigensolver.
+    /// Assembled each propagation, then consumed by the eigensolver; below
+    /// `QL_MIN_DIM` only (from there up `H_t` is assembled straight into the
+    /// solver's batch).
     h: S,
     v: S,
-    /// `vᵀ`, refreshed after each eigensolve.
+    /// `vᵀ`, refreshed after each eigensolve: handed back by the QL solver,
+    /// transposed from `v` below `QL_MIN_DIM`.
     vt: S,
     /// The eigenvalues, ascending.
     lambdas: Vec<f64>,
@@ -366,9 +464,10 @@ impl<S: RealStorage> Eigensystem<S> {
         self.v.entries_mut().copy_from_slice(product.entries());
     }
 
-    /// This slice as one matrix of a batched eigensolve: `h` in, eigenvalues
-    /// and eigenvectors out — into `v` cold, into `vt` warm (the rotated
-    /// problem's eigenvectors, for [`Eigensystem::leave_eigenbasis`]).
+    /// This slice as one matrix of a batched eigensolve below `QL_MIN_DIM`:
+    /// `h` in, eigenvalues and eigenvectors out — into `v` cold, into `vt`
+    /// warm (the rotated problem's eigenvectors, for
+    /// [`Eigensystem::leave_eigenbasis`]).
     #[inline(always)]
     fn eigh_lane(&mut self, warm: bool) -> QlLane<'_> {
         let vectors = if warm { &mut self.vt } else { &mut self.v };
@@ -378,10 +477,23 @@ impl<S: RealStorage> Eigensystem<S> {
             vectors.entries_mut(),
         )
     }
+
+    /// This slice as one matrix of a QL batch whose input is already in
+    /// place ([`eigh_ql_interleaved`]): `Vᵀ` into `vt`, the eigenvalues, `V`
+    /// into `v`.
+    #[inline(always)]
+    fn ql_lane(&mut self) -> QlLane<'_> {
+        (
+            self.vt.entries_mut(),
+            &mut self.lambdas,
+            self.v.entries_mut(),
+        )
+    }
 }
 
 /// Slices the eigensolver takes side by side: one vector of four `f64`s at
-/// AVX2 width, two of two at the baseline.
+/// AVX2 width, two of two at the baseline, half a vector at AVX-512 width (an
+/// eight-slice batch was measured no faster than four there).
 const EIGH_LANES: usize = 4;
 
 /// One lane's scratch.
@@ -395,9 +507,8 @@ struct Scratch<S> {
 
 lane_phase! {
     /// Phase 1 of an iteration, for one lane's slices `first..`: Hamiltonians,
-    /// then eigensystems, then `Vᵀ` and the phases `e^{-iΔtλ}`. It is
-    /// pass-major so an armed profiler pays one `mark` per pass rather than
-    /// per slice. Returns the lane's eigensolver iterations, each slice's own.
+    /// then eigensystems, then `Vᵀ` and the phases `e^{-iΔtλ}`. Returns the
+    /// lane's eigensolver iterations, each slice's own.
     ///
     /// The slices are solved [`EIGH_LANES`] at a time, in lockstep
     /// ([`eigh_symmetric`]: warm-started Jacobi below `QL_MIN_DIM`, cold
@@ -410,6 +521,13 @@ lane_phase! {
     /// (a 4×4 warm batch ~1.2 µs against ~0.5 µs alone). A slice's
     /// eigensystem is the same bits whichever group and place it lands in, so
     /// how an iteration was split into lanes does not show.
+    ///
+    /// Below `QL_MIN_DIM` the pass is pass-major — every Hamiltonian, then
+    /// every solve — so an armed profiler pays one `mark` per pass. From there
+    /// up each group's Hamiltonians are assembled straight into the solver's
+    /// structure-of-arrays batch ([`eigh_ql_interleaved`]) and solved at once,
+    /// and the solver hands back each slice's `Vᵀ` beside `V`: no dense copy to
+    /// interleave and no transpose, at one pair of marks per group.
     fn diagonalize<S: RealStorage>(
         model: &Model<S>,
         pulse: &PulseSequence,
@@ -419,55 +537,78 @@ lane_phase! {
         lap: Option<&mut profile::Lap>,
     ) -> u64 {
         let ((first, slices), mut lap) = (lane, lap);
-        for (i, slice) in slices.iter_mut().enumerate() {
-            model.assemble(pulse, first + i, &mut slice.h);
-        }
-        if let Some(lap) = &mut lap {
-            lap.mark(Phase::HamiltonianAssembly);
-        }
         let dim = model.drift.dim();
-        // Only the Jacobi side of the dimension rule has a use for the
-        // previous eigenbasis; Householder–QL costs the same from any
-        // starting point. (So does the 2×2 closed form, but it keeps the
-        // rotation: dropping it would change the bits of every 1q pulse.)
-        let warm = warmed && dim < QL_MIN_DIM;
         let Scratch { planar, eigh } = scratch;
-        let product = &mut planar[0].re;
         let mut iterations = 0;
-        for group in slices.chunks_mut(EIGH_LANES) {
-            if warm {
-                for slice in group.iter_mut() {
-                    slice.enter_eigenbasis(product);
+        // Householder–QL costs the same from any starting point, so only the
+        // Jacobi side of the dimension rule warm-starts from the previous
+        // eigenbasis. (So does the 2×2 closed form, but it keeps the rotation:
+        // dropping it would change the bits of every 1q pulse.)
+        if dim >= QL_MIN_DIM {
+            for (index, group) in slices.chunks_mut(EIGH_LANES).enumerate() {
+                let first = first + index * EIGH_LANES;
+                if group.len() < EIGH_LANES - 1 {
+                    for (t, slice) in (first..).zip(group.iter_mut()) {
+                        model.assemble(pulse, t..t + 1, ql_input::<1>(dim, eigh));
+                        mark(&mut lap, Phase::HamiltonianAssembly);
+                        let lane = slice.ql_lane();
+                        iterations += eigh_ql_interleaved::<1>(dim, &mut [lane], eigh)[0] as u64;
+                        mark(&mut lap, Phase::Eigendecomposition);
+                    }
+                } else {
+                    // One call site for whole and padded groups: the solver's
+                    // body is inlined here, once.
+                    let size = group.len();
+                    model.assemble(pulse, first..first + size, ql_input::<EIGH_LANES>(dim, eigh));
+                    mark(&mut lap, Phase::HamiltonianAssembly);
+                    let mut lanes: [QlLane<'_>; EIGH_LANES] = Default::default();
+                    for (lane, slice) in lanes.iter_mut().zip(group.iter_mut()) {
+                        *lane = slice.ql_lane();
+                    }
+                    let counts = eigh_ql_interleaved::<EIGH_LANES>(dim, &mut lanes[..size], eigh);
+                    iterations += counts.iter().sum::<usize>() as u64;
+                    mark(&mut lap, Phase::Eigendecomposition);
                 }
             }
-            if group.len() < EIGH_LANES - 1 {
-                for slice in group.iter_mut() {
-                    let lane = slice.eigh_lane(warm);
-                    iterations += eigh_symmetric::<1>(dim, &mut [lane], eigh)[0] as u64;
-                }
-            } else {
-                // One call site for whole and padded groups: the solver's
-                // body is inlined here, once.
-                let size = group.len();
-                let mut lanes: [QlLane<'_>; EIGH_LANES] = Default::default();
-                for (lane, slice) in lanes.iter_mut().zip(group.iter_mut()) {
-                    *lane = slice.eigh_lane(warm);
-                }
-                let counts = eigh_symmetric::<EIGH_LANES>(dim, &mut lanes[..size], eigh);
-                iterations += counts.iter().sum::<usize>() as u64;
+        } else {
+            for (t, slice) in (first..).zip(slices.iter_mut()) {
+                model.assemble_dense(pulse, t, &mut slice.h);
             }
-            if warm {
-                for slice in group.iter_mut() {
-                    slice.leave_eigenbasis(product);
+            mark(&mut lap, Phase::HamiltonianAssembly);
+            let product = &mut planar[0].re;
+            for group in slices.chunks_mut(EIGH_LANES) {
+                if warmed {
+                    for slice in group.iter_mut() {
+                        slice.enter_eigenbasis(product);
+                    }
+                }
+                if group.len() < EIGH_LANES - 1 {
+                    for slice in group.iter_mut() {
+                        let lane = slice.eigh_lane(warmed);
+                        iterations += eigh_symmetric::<1>(dim, &mut [lane], eigh)[0] as u64;
+                    }
+                } else {
+                    let size = group.len();
+                    let mut lanes: [QlLane<'_>; EIGH_LANES] = Default::default();
+                    for (lane, slice) in lanes.iter_mut().zip(group.iter_mut()) {
+                        *lane = slice.eigh_lane(warmed);
+                    }
+                    let counts = eigh_symmetric::<EIGH_LANES>(dim, &mut lanes[..size], eigh);
+                    iterations += counts.iter().sum::<usize>() as u64;
+                }
+                if warmed {
+                    for slice in group.iter_mut() {
+                        slice.leave_eigenbasis(product);
+                    }
                 }
             }
-        }
-        if let Some(lap) = lap {
-            lap.mark(Phase::Eigendecomposition);
+            mark(&mut lap, Phase::Eigendecomposition);
         }
 
         for slice in slices {
-            slice.v.transpose_into(&mut slice.vt);
+            if dim < QL_MIN_DIM {
+                slice.v.transpose_into(&mut slice.vt);
+            }
             let phases = slice.cos.iter_mut().zip(&mut slice.sin);
             for ((cos, sin), &lambda) in phases.zip(&slice.lambdas) {
                 let phase = C64::cis(-pulse.dt_ns() * lambda);
@@ -556,22 +697,30 @@ lane_phase! {
 
             let slice = &eigen[t];
             let (lambdas, cos, sin) = (&slice.lambdas, &slice.cos, &slice.sin);
-            // Pᵀ ∘ Γ, written into g.
+            // Pᵀ ∘ Γ, written into g, Γ once per pair {i, j}: λ_i − λ_j and
+            // cos_i − cos_j (or sin) both change sign exactly when i and j
+            // swap, so their product does not. Only a zero's sign can differ,
+            // and the products below start their sums at +0.0, which absorbs
+            // it. Near degeneracy Γ_ij reads λ_i alone: one per ordered pair.
             let (p_re, p_im) = (p.re.entries(), p.im.entries());
             let (g_re, g_im) = (g.re.entries_mut(), g.im.entries_mut());
             for i in 0..dim {
-                for j in 0..dim {
+                let own = (dt * sin[i], -dt * cos[i]);
+                let ii = i * dim + i;
+                (g_re[ii], g_im[ii]) = times_gamma(p_re[ii], p_im[ii], own);
+                for j in i + 1..dim {
                     let gap = lambdas[i] - lambdas[j];
-                    let gamma = if gap.abs() < 1e-10 {
-                        // −iΔt · e^{-iΔtλ_i}
-                        (dt * sin[i], -dt * cos[i])
+                    let (gamma_ij, gamma_ji) = if gap.abs() < 1e-10 {
+                        // −iΔt · e^{-iΔtλ}, at each row's own λ
+                        (own, (dt * sin[j], -dt * cos[j]))
                     } else {
                         let inverse = 1.0 / gap;
-                        ((cos[i] - cos[j]) * inverse, (sin[i] - sin[j]) * inverse)
+                        let gamma = ((cos[i] - cos[j]) * inverse, (sin[i] - sin[j]) * inverse);
+                        (gamma, gamma)
                     };
-                    let (re, im) = (p_re[i * dim + j], p_im[i * dim + j]);
-                    g_re[j * dim + i] = re * gamma.0 - im * gamma.1;
-                    g_im[j * dim + i] = re * gamma.1 + im * gamma.0;
+                    let (ij, ji) = (i * dim + j, j * dim + i);
+                    (g_re[ji], g_im[ji]) = times_gamma(p_re[ij], p_im[ij], gamma_ij);
+                    (g_re[ij], g_im[ij]) = times_gamma(p_re[ji], p_im[ji], gamma_ji);
                 }
             }
             // G = V · (Pᵀ ∘ Γ) · Vᵀ
@@ -592,6 +741,20 @@ lane_phase! {
             }
         }
     }
+}
+
+/// Charges the time since the last mark to `phase`, on an armed lap.
+#[inline(always)]
+fn mark(lap: &mut Option<&mut profile::Lap>, phase: Phase) {
+    if let Some(lap) = lap {
+        lap.mark(phase);
+    }
+}
+
+/// `(re + i·im) · Γ`, for one entry of `Pᵀ ∘ Γ`.
+#[inline(always)]
+fn times_gamma(re: f64, im: f64, gamma: (f64, f64)) -> (f64, f64) {
+    (re * gamma.0 - im * gamma.1, re * gamma.1 + im * gamma.0)
 }
 
 /// The GRAPE engine: the entire hot loop, written once over a [`RealStorage`].
@@ -623,8 +786,9 @@ struct Engine<S> {
     /// The total evolution `F_{T-1}`.
     total: Planar<S>,
     scratch: [Scratch<S>; 2],
-    /// Whether the lane phases run their AVX2 instantiation ([`lane_phase!`]).
-    wide: Option<Avx2>,
+    /// Which wide instantiation of the lane phases runs ([`lane_phase!`]),
+    /// if any.
+    width: Option<Width>,
     /// Whether every slice holds a converged eigenbasis from a prior
     /// propagation, for the Jacobi dimensions to warm-start from.
     warmed: bool,
@@ -634,23 +798,17 @@ struct Engine<S> {
 }
 
 impl<S: RealStorage> Engine<S> {
-    /// An engine whose lane phases run at the host's vector width when
-    /// `wide`, at the build's baseline otherwise (what a host without AVX2
-    /// gets either way). Same bits both ways; only tests and benches pass
-    /// `false`. `controls` are `device`'s.
+    /// An engine whose lane phases run the `width` twin, or the build's
+    /// baseline for `None` (what a host without AVX2 gets either way). Same
+    /// bits every way. `controls` are `device`'s.
     fn new(
         device: &DeviceModel,
         controls: &[ControlHamiltonian],
         num_slices: usize,
-        wide: bool,
+        width: Option<Width>,
     ) -> Self {
-        Self::from_hamiltonians(
-            &device.drift(),
-            controls,
-            device.qubit_dim(),
-            num_slices,
-            if wide { Avx2::detect() } else { None },
-        )
+        let drift = device.drift();
+        Self::from_hamiltonians(&drift, controls, device.qubit_dim(), num_slices, width)
     }
 
     /// [`Engine::new`] on explicit operators (so the realness assert can be
@@ -664,7 +822,7 @@ impl<S: RealStorage> Engine<S> {
         controls: &[ControlHamiltonian],
         qubit_dim: usize,
         num_slices: usize,
-        wide: Option<Avx2>,
+        width: Option<Width>,
     ) -> Self {
         let dim = drift_operator.rows();
         let control_sparse = controls
@@ -704,7 +862,7 @@ impl<S: RealStorage> Engine<S> {
             b: vec![planar_zero.clone(); num_slices],
             total: planar_zero,
             scratch: [scratch.clone(), scratch],
-            wide,
+            width,
             warmed: false,
             gradient: vec![0.0; num_slices * controls.len()],
         }
@@ -748,7 +906,7 @@ impl<S: RealStorage> Engine<S> {
             pulse.num_slices()
         );
         let mid = self.lane_split(claim.is_some());
-        let (model, warmed, wide) = (&self.model, self.warmed, self.wide);
+        let (model, warmed, wide) = (&self.model, self.warmed, self.width);
         let (near, far) = self.eigen.split_at_mut(mid);
         let (near, far) = ((0, near), (mid, far));
         let [near_scratch, far_scratch] = &mut self.scratch;
@@ -808,7 +966,7 @@ impl<S: RealStorage> Engine<S> {
         let scalars = (pulse.dt_ns(), overlap.conj());
 
         let mid = self.lane_split(claim.is_some());
-        let (eigen, sweeps, wide) = (&self.eigen[..], (&self.a[..], &self.b[..]), self.wide);
+        let (eigen, sweeps, wide) = (&self.eigen[..], (&self.a[..], &self.b[..]), self.width);
         let (near, far) = self.gradient.split_at_mut(mid * model.control_sparse.len());
         let [near_scratch, far_scratch] = &mut self.scratch;
         lanes::pair(
@@ -937,12 +1095,17 @@ impl GrapeWorkspace {
         wide: bool,
     ) -> Self {
         assert!(num_slices > 0, "a pulse needs at least one time slice");
+        let width = if wide {
+            Width::for_dim(device.dim())
+        } else {
+            None
+        };
         let kernel = match device.dim() {
-            2 => Kernel::Dim2(Box::new(Engine::new(device, controls, num_slices, wide))),
-            4 => Kernel::Dim4(Box::new(Engine::new(device, controls, num_slices, wide))),
-            8 => Kernel::Dim8(Box::new(Engine::new(device, controls, num_slices, wide))),
-            16 => Kernel::Dim16(Box::new(Engine::new(device, controls, num_slices, wide))),
-            _ => Kernel::Heap(Box::new(Engine::new(device, controls, num_slices, wide))),
+            2 => Kernel::Dim2(Box::new(Engine::new(device, controls, num_slices, width))),
+            4 => Kernel::Dim4(Box::new(Engine::new(device, controls, num_slices, width))),
+            8 => Kernel::Dim8(Box::new(Engine::new(device, controls, num_slices, width))),
+            16 => Kernel::Dim16(Box::new(Engine::new(device, controls, num_slices, width))),
+            _ => Kernel::Heap(Box::new(Engine::new(device, controls, num_slices, width))),
         };
         GrapeWorkspace { kernel }
     }
@@ -1074,17 +1237,18 @@ mod tests {
         target: &Matrix,
         slices: usize,
     ) -> Engine<S> {
-        engine_at_width(device, target, slices, true)
+        engine_at_width(device, target, slices, Width::for_dim(device.dim()))
     }
 
-    /// [`engine_for`], at the host's vector width or pinned to the baseline.
+    /// [`engine_for`], running the `width` twin (the baseline for `None`)
+    /// rather than the one the rule picks.
     fn engine_at_width<S: RealStorage>(
         device: &DeviceModel,
         target: &Matrix,
         slices: usize,
-        wide: bool,
+        width: Option<Width>,
     ) -> Engine<S> {
-        let mut engine = Engine::<S>::new(device, &device.control_hamiltonians(), slices, wide);
+        let mut engine = Engine::<S>::new(device, &device.control_hamiltonians(), slices, width);
         let padded_dagger = device.pad_qubit_unitary(target).dagger();
         engine.model.target_dagger = Some(Planar::from_matrix(&padded_dagger));
         engine
@@ -1153,10 +1317,15 @@ mod tests {
     #[derive(Clone, Copy)]
     enum Forms {
         /// One lane against two (the helper forced, whatever the block's
-        /// width).
-        Lanes,
-        /// The host's vector width against the build's baseline.
-        Widths,
+        /// width), both running the given instantiation.
+        Lanes(Option<Width>),
+        /// The build's baseline against the given wide twin, one lane each.
+        Widths(Width),
+    }
+
+    /// Every wide twin this host can run.
+    fn host_widths() -> impl Iterator<Item = Width> {
+        [Width::avx2(), Width::avx512()].into_iter().flatten()
     }
 
     /// Runs the engine over `S` in both of `forms` and holds the infidelity
@@ -1169,33 +1338,33 @@ mod tests {
         (amps, perturbed): (&[f64], &[f64]),
         dt_ns: f64,
     ) {
-        let (mut claim, plain_is_wide) = match forms {
-            Forms::Lanes => match lanes::hold() {
-                Some(claim) => (Some(claim), true),
+        let (mut claim, plain_width, other_width) = match forms {
+            Forms::Lanes(width) => match lanes::hold() {
+                Some(claim) => (Some(claim), width, width),
                 None => return, // a single-CPU host has one form only
             },
-            Forms::Widths if Avx2::detect().is_none() => return, // one width only
-            Forms::Widths => (None, false),
+            Forms::Widths(width) => (None, None, Some(width)),
         };
-        let width = device.num_qubits();
-        let target = (1..width).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
-        let mut plain = engine_at_width::<S>(device, &target, slices, plain_is_wide);
-        let mut other = engine_for::<S>(device, &target, slices);
+        let qubits = device.num_qubits();
+        let target = (1..qubits).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
+        let mut plain = engine_at_width::<S>(device, &target, slices, plain_width);
+        let mut other = engine_at_width::<S>(device, &target, slices, other_width);
         for (amps, what) in [(amps, "cold"), (perturbed, "second")] {
             let pulse = pulse_from(device, slices, dt_ns, amps);
             let expected = plain.fidelity_gradient(&pulse, None);
             let got = other.fidelity_gradient(&pulse, claim.as_mut());
-            let dim = device.dim();
+            let (dim, width) = (device.dim(), other.width);
             assert_eq!(
                 expected.to_bits(),
                 got.to_bits(),
-                "dim {dim}, {slices} slices, {what}: infidelity {expected:e} vs {got:e}"
+                "dim {dim}, {slices} slices, {width:?}, {what}: infidelity {expected:e} vs {got:e}"
             );
             for (index, (a, b)) in plain.gradient.iter().zip(&other.gradient).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "dim {dim}, {slices} slices, {what}: gradient entry {index}, {a:e} vs {b:e}"
+                    "dim {dim}, {slices} slices, {width:?}, {what}: gradient entry {index}, \
+                     {a:e} vs {b:e}"
                 );
             }
         }
@@ -1223,20 +1392,23 @@ mod tests {
             let two_qutrits = DeviceModel::qubits_line(2).with_qutrit_levels();
             assert_eq!((qutrit.dim(), two_qutrits.dim()), (3, 9));
             let pulses = (&amps[..], &perturbed[..]);
+            let lane_forms = |dim| Forms::Lanes(Width::for_dim(dim));
+            // Dim 16 under the AVX-512 twin wherever the host has one.
+            let lanes_16 = Forms::Lanes(Width::avx512().or(Width::for_dim(16)));
             for slices in LANE_SLICE_COUNTS {
                 // The Jacobi dimensions, cold and then warm-started: stack 4
                 // and heap 3.
                 both_forms_agree::<RealSmallMatrix<4>>(
-                    Forms::Lanes, &DeviceModel::qubits_line(2), slices, pulses, dt,
+                    lane_forms(4), &DeviceModel::qubits_line(2), slices, pulses, dt,
                 );
-                both_forms_agree::<RealMatrix>(Forms::Lanes, &qutrit, slices, pulses, dt);
+                both_forms_agree::<RealMatrix>(lane_forms(3), &qutrit, slices, pulses, dt);
                 both_forms_agree::<RealSmallMatrix<8>>(
-                    Forms::Lanes, &DeviceModel::qubits_line(3), slices, pulses, dt,
+                    lane_forms(8), &DeviceModel::qubits_line(3), slices, pulses, dt,
                 );
                 both_forms_agree::<RealSmallMatrix<16>>(
-                    Forms::Lanes, &DeviceModel::qubits_line(4), slices, pulses, dt,
+                    lanes_16, &DeviceModel::qubits_line(4), slices, pulses, dt,
                 );
-                both_forms_agree::<RealMatrix>(Forms::Lanes, &two_qutrits, slices, pulses, dt);
+                both_forms_agree::<RealMatrix>(lane_forms(9), &two_qutrits, slices, pulses, dt);
             }
         }
 
@@ -1248,15 +1420,20 @@ mod tests {
         ) {
             let line = DeviceModel::qubits_line;
             let pulses = (&amps[..], &perturbed[..]);
-            // Whole groups, a padded one and a one-matrix remainder.
-            for slices in [3, 6, 11] {
-                both_forms_agree::<RealSmallMatrix<2>>(Forms::Widths, &line(1), slices, pulses, dt);
-                both_forms_agree::<RealSmallMatrix<4>>(Forms::Widths, &line(2), slices, pulses, dt);
-                both_forms_agree::<RealSmallMatrix<8>>(Forms::Widths, &line(3), slices, pulses, dt);
-                both_forms_agree::<RealSmallMatrix<16>>(Forms::Widths, &line(4), slices, pulses, dt);
-                for qutrits in [1, 2] {
-                    let device = line(qutrits).with_qutrit_levels();
-                    both_forms_agree::<RealMatrix>(Forms::Widths, &device, slices, pulses, dt);
+            // Every twin the host has, not only the one the rule picks, at
+            // every stack dimension and heap 3 and 9; whole groups, a padded
+            // one and a one-matrix remainder.
+            for width in host_widths() {
+                let forms = Forms::Widths(width);
+                for slices in [3, 6, 11] {
+                    both_forms_agree::<RealSmallMatrix<2>>(forms, &line(1), slices, pulses, dt);
+                    both_forms_agree::<RealSmallMatrix<4>>(forms, &line(2), slices, pulses, dt);
+                    both_forms_agree::<RealSmallMatrix<8>>(forms, &line(3), slices, pulses, dt);
+                    both_forms_agree::<RealSmallMatrix<16>>(forms, &line(4), slices, pulses, dt);
+                    for qutrits in [1, 2] {
+                        let device = line(qutrits).with_qutrit_levels();
+                        both_forms_agree::<RealMatrix>(forms, &device, slices, pulses, dt);
+                    }
                 }
             }
         }
@@ -1278,7 +1455,7 @@ mod tests {
             let counts: Vec<u64> = (0..slices)
                 .map(|t| {
                     let (mut h, mut v) = (RealSmallMatrix::<N>::ZERO, RealSmallMatrix::ZERO);
-                    engine.model.assemble(&pulse, t, &mut h);
+                    engine.model.assemble_dense(&pulse, t, &mut h);
                     let mut scratch = vec![0.0; eigh_scratch_len(N)];
                     h.eigh_in_place(&mut [0.0; N], &mut v, &mut scratch) as u64
                 })
@@ -1356,7 +1533,8 @@ mod tests {
                 let amps: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin()).collect();
                 let device = DeviceModel::qubits_line(4);
                 let pulses = (&amps[..], &amps[..]);
-                both_forms_agree::<RealSmallMatrix<16>>(Forms::Lanes, &device, 40, pulses, 0.5);
+                let forms = Forms::Lanes(Width::for_dim(16));
+                both_forms_agree::<RealSmallMatrix<16>>(forms, &device, 40, pulses, 0.5);
             });
         }
     }
