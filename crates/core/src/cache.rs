@@ -20,19 +20,19 @@
 //!
 //! # Eviction
 //!
-//! Every entry of every kind carries one cost: the model seconds of GRAPE work it
-//! would take to reproduce, derived by [`LatencyModel`] from the iterations the entry
-//! itself records — the economics of the paper's pulse library made explicit (a
-//! cached 4-qubit block stands for minutes of GRAPE, a 2-qubit block for a
-//! fraction of a second). One bound ([`CacheConfig::max_entries_per_shard`],
-//! `VQC_CACHE_BLOCKS`) applies to each kind's map in each shard. What a bounded
-//! map protects is that cost times the reuse it expects, and observed hits are the
-//! best available estimate of reuse, so a full map drops the entry with the
-//! smallest `cost × (1 + hits)` first, the oldest write first on ties. A cheap
-//! Fixed block hit on every variational iteration therefore outlasts costlier
-//! blocks nobody asks for twice. Hit counts are per-process (snapshots do not
-//! carry them): a warm-started cache ranks by cost alone and sharpens as traffic
-//! arrives.
+//! Every entry of every kind carries one cost: the GRAPE work units
+//! (iterations × slices × dim³ × controls) it would take to reproduce, counted
+//! from the iterations the entry itself records — the economics of the paper's
+//! pulse library made explicit (a cached 4-qubit block stands for ~140 times
+//! the work of a 2-qubit block of the same length and iteration count). One
+//! bound ([`CacheConfig::max_entries_per_shard`], `VQC_CACHE_BLOCKS`) applies to
+//! each kind's map in each shard. What a bounded map protects is that cost times
+//! the reuse it expects, and observed hits are the best available estimate of
+//! reuse, so a full map drops the entry with the smallest `cost × (1 + hits)`
+//! first, the oldest write first on ties. A cheap Fixed block hit on every
+//! variational iteration therefore outlasts costlier blocks nobody asks for
+//! twice. Hit counts are per-process (snapshots do not carry them): a
+//! warm-started cache ranks by cost alone and sharpens as traffic arrives.
 //!
 //! Seeds are a pure accelerator: with [`CacheConfig::seeds`] off (`VQC_TT=0`) the
 //! store never holds or serves one and every search runs cold, and
@@ -40,15 +40,15 @@
 //! was learned about redoing the work faster. Their traffic reports through
 //! [`WarmStartStats`]; [`CacheMetrics`] counts blocks and tunings only.
 
-use crate::latency::LatencyModel;
 use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
+use crate::plan::work_units;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use vqc_pulse::{SeedEntry, WarmStartStats};
+use vqc_pulse::{DeviceModel, SeedEntry, WarmStartStats};
 
 /// Configuration of a [`ShardedPulseCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +144,7 @@ fn record_lookup(hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
 #[derive(Debug)]
 struct Slot<V> {
     value: V,
-    /// Model seconds of GRAPE work to reproduce the value if evicted.
+    /// GRAPE work units to reproduce the value if evicted.
     cost: f64,
     /// Monotone write stamp. Overwriting a key refreshes its stamp, so an entry's
     /// age reflects its latest write.
@@ -294,10 +294,10 @@ struct Shard {
 }
 
 /// Serializable image of a store's contents, for warm-start persistence. Each
-/// block and tuning entry carries the recompute cost (model seconds) it was filed
-/// at; [`ShardedPulseCache::absorb`] ignores the stored figure and derives the cost
-/// from the entry again, so files from builds that stored other units rank on the
-/// same scale as fresh entries.
+/// block and tuning entry carries the recompute cost (GRAPE work units) it was
+/// filed at; [`ShardedPulseCache::absorb`] ignores the stored figure and derives
+/// the cost from the entry again, so files from builds that stored other units
+/// (model seconds, before work units) rank on the same scale as fresh entries.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheSnapshot {
     /// All cached block compilations, with per-entry recompute costs.
@@ -308,6 +308,20 @@ pub struct CacheSnapshot {
     pub seeds: Vec<(BlockKey, SeedEntry)>,
 }
 
+/// Sample period (ns) at which a stored entry's recompute cost is counted. An
+/// entry no longer carries the `GrapeOptions` it was produced with, and eviction
+/// needs only a consistent order, so the `GrapeOptions::fast` period serves.
+const RECOMPUTE_DT_NS: f64 = 0.5;
+
+/// [`work_units`] of the `iterations` an entry records, on the line device its
+/// key's qubit count implies, for a pulse spanning `duration_ns` at the
+/// [`RECOMPUTE_DT_NS`] sample period: the cost of every block, tuning and seed.
+fn recompute_cost(key: &BlockKey, iterations: usize, duration_ns: f64) -> f64 {
+    let device = DeviceModel::qubits_line(key.num_qubits().max(1));
+    let slices = (duration_ns / RECOMPUTE_DT_NS).ceil().max(1.0) as usize;
+    work_units(iterations, slices, device.dim(), device.num_controls())
+}
+
 /// The lock-striped, sharded, content-addressed pulse store — the one
 /// implementation of [`PulseCache`].
 #[derive(Debug)]
@@ -315,8 +329,6 @@ pub struct ShardedPulseCache {
     shards: Vec<Shard>,
     /// `shards.len() - 1`; shard count is a power of two so this masks a hash.
     mask: usize,
-    /// Converts an entry's recorded GRAPE iterations into its recompute cost.
-    latency: LatencyModel,
     /// [`CacheConfig::seeds`].
     seeds: bool,
 }
@@ -342,7 +354,6 @@ impl ShardedPulseCache {
                 })
                 .collect(),
             mask: shards - 1,
-            latency: LatencyModel::default(),
             seeds: config.seeds,
         }
     }
@@ -416,7 +427,7 @@ impl ShardedPulseCache {
     /// counters (an insertion or a restore).
     fn store_block(&self, key: BlockKey, value: CachedBlock) -> &Counters {
         let shard = self.shard(&key);
-        let cost = self.latency.block_recompute_seconds(&key, &value);
+        let cost = recompute_cost(&key, value.grape_iterations, value.duration_ns);
         let evicted = shard.blocks.lock().insert(key, value, cost);
         shard
             .counters
@@ -428,7 +439,7 @@ impl ShardedPulseCache {
     /// [`ShardedPulseCache::store_block`] for a tuning entry.
     fn store_tuning(&self, key: BlockKey, value: CachedTuning) -> &Counters {
         let shard = self.shard(&key);
-        let cost = self.latency.tuning_recompute_seconds(&key, &value);
+        let cost = recompute_cost(&key, value.precompute_iterations, value.duration_ns);
         let evicted = shard.tunings.lock().insert(key, value, cost);
         shard
             .counters
@@ -509,7 +520,12 @@ impl PulseCache for ShardedPulseCache {
             }
             None => entry,
         };
-        let cost = self.latency.seed_recompute_seconds(key, &merged);
+        // A seed distils every iteration its probe history records, at the
+        // duration the structure converged at (else the one it failed below).
+        let duration_ns = merged
+            .converged_duration_ns
+            .unwrap_or(merged.failed_below_ns);
+        let cost = recompute_cost(key, merged.depth() as usize, duration_ns);
         let evicted = seeds.insert(key.clone(), merged, cost);
         shard
             .counters
@@ -670,11 +686,14 @@ mod tests {
         let cache = bounded(2);
         cache.insert_block(key(1), entry(1));
         cache.insert_block(key(2), entry(2));
-        let model = LatencyModel::default();
-        assert_eq!(
-            model.block_recompute_seconds(&key(2), &entry(2)),
-            4.0 * model.block_recompute_seconds(&key(1), &entry(1))
-        );
+        let cost = |tag| {
+            recompute_cost(
+                &key(tag),
+                entry(tag).grape_iterations,
+                entry(tag).duration_ns,
+            )
+        };
+        assert_eq!(cost(2), 4.0 * cost(1));
         for _ in 0..5 {
             assert!(cache.block(&key(1)).is_some());
         }
@@ -875,9 +894,11 @@ mod tests {
         let snapshot = cache.snapshot();
         assert_eq!(snapshot.blocks.len(), 20);
         // Every snapshot entry carries the same cost the live cache computed.
-        let model = LatencyModel::default();
         for (key, value, cost) in &snapshot.blocks {
-            assert_eq!(*cost, model.block_recompute_seconds(key, value));
+            assert_eq!(
+                *cost,
+                recompute_cost(key, value.grape_iterations, value.duration_ns)
+            );
         }
 
         let restored = ShardedPulseCache::new(CacheConfig {

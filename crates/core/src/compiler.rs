@@ -3,7 +3,6 @@
 use crate::blocking::{Block, ParameterPolicy};
 use crate::cache::ShardedPulseCache;
 use crate::hyperparam::{tune_hyperparameters_keeping_winner, HyperparameterGrid};
-use crate::latency::{LatencyEstimate, LatencyModel};
 use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 use crate::plan::{self, BlockRecord, CacheSlot, CompilationPlan, PlanCache, PlanCacheStats};
 use crate::schedule::schedule_blocks;
@@ -89,8 +88,6 @@ pub struct CompilerOptions {
     pub search_precision_ns: f64,
     /// Gate durations used for the gate-based baseline and as GRAPE upper bounds.
     pub gate_times: GateTimes,
-    /// Latency model converting GRAPE work into estimated seconds.
-    pub latency_model: LatencyModel,
     /// Hyperparameter grid used by flexible partial compilation's pre-compute phase.
     pub hyperparameter_grid: HyperparameterGrid,
 }
@@ -107,7 +104,6 @@ impl CompilerOptions {
             grape,
             search_precision_ns: 1.0,
             gate_times: GateTimes::default(),
-            latency_model: LatencyModel::default(),
             hyperparameter_grid: HyperparameterGrid::fast(),
         }
     }
@@ -121,7 +117,6 @@ impl CompilerOptions {
             grape: GrapeOptions::standard(),
             search_precision_ns: 0.3,
             gate_times: GateTimes::default(),
-            latency_model: LatencyModel::default(),
             hyperparameter_grid: HyperparameterGrid::standard(),
         }
     }
@@ -134,7 +129,6 @@ impl CompilerOptions {
             grape: GrapeOptions::paper(),
             search_precision_ns: 0.3,
             gate_times: GateTimes::default(),
-            latency_model: LatencyModel::default(),
             hyperparameter_grid: HyperparameterGrid::standard(),
         }
     }
@@ -192,9 +186,28 @@ pub struct CompilationReport {
     pub blocks: Vec<BlockCompilation>,
     /// Compilation latency attributed to the pre-compute phase (before the variational
     /// loop starts).
-    pub precompute: LatencyEstimate,
+    pub precompute: PhaseLatency,
     /// Compilation latency attributed to runtime (paid at every variational iteration).
-    pub runtime: LatencyEstimate,
+    pub runtime: PhaseLatency,
+}
+
+/// The compilation latency of one phase (pre-compute or runtime) of one
+/// strategy: GRAPE iterations counted and wall-clock seconds measured, never an
+/// estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct PhaseLatency {
+    /// GRAPE iterations attributed to this phase.
+    pub grape_iterations: usize,
+    /// Wall-clock seconds this process spent on the phase's pulse-level work.
+    pub measured_seconds: f64,
+}
+
+impl PhaseLatency {
+    /// Adds another phase's latency into this one.
+    pub fn accumulate(&mut self, other: &PhaseLatency) {
+        self.grape_iterations += other.grape_iterations;
+        self.measured_seconds += other.measured_seconds;
+    }
 }
 
 impl CompilationReport {
@@ -215,9 +228,9 @@ pub struct BlockOutcome {
     /// Per-block compilation details.
     pub report: BlockCompilation,
     /// Latency attributed to the pre-compute phase by this block.
-    pub precompute: LatencyEstimate,
+    pub precompute: PhaseLatency,
     /// Latency attributed to the runtime phase by this block.
-    pub runtime: LatencyEstimate,
+    pub runtime: PhaseLatency,
 }
 
 /// The partial compiler: owns the configuration, a shared pulse store, and the
@@ -367,13 +380,13 @@ impl PartialCompiler {
                 gate_based_duration_ns: plan.gate_based_duration_ns,
                 num_blocks: plan.prepared.len(),
                 blocks: Vec::new(),
-                precompute: LatencyEstimate::default(),
-                runtime: LatencyEstimate::default(),
+                precompute: PhaseLatency::default(),
+                runtime: PhaseLatency::default(),
             };
         }
 
-        let mut precompute = LatencyEstimate::default();
-        let mut runtime = LatencyEstimate::default();
+        let mut precompute = PhaseLatency::default();
+        let mut runtime = PhaseLatency::default();
         let mut block_reports = Vec::with_capacity(outcomes.len());
         let mut durations: Vec<(Vec<usize>, f64)> = Vec::with_capacity(outcomes.len());
         for (block, outcome) in plan.blocks.iter().zip(outcomes) {
@@ -446,8 +459,8 @@ impl PartialCompiler {
             CacheSlot::Lookup => {
                 return Ok(BlockOutcome {
                     report: lookup_report(block, record),
-                    precompute: LatencyEstimate::default(),
-                    runtime: LatencyEstimate::default(),
+                    precompute: PhaseLatency::default(),
+                    runtime: PhaseLatency::default(),
                 })
             }
             CacheSlot::Block(key) | CacheSlot::Tuning(key) => key,
@@ -459,60 +472,13 @@ impl PartialCompiler {
         let hit = if let CacheSlot::Tuning(_) = record.slot {
             self.cache
                 .tuning(key)
-                .map(|tuning| self.tuned_outcome(block, record, &tuning))
+                .map(|tuning| tuned_outcome(block, record, &tuning))
         } else {
             self.cache
                 .block(key)
                 .map(|entry| grape_outcome(block, record, &entry))
         };
         hit.ok_or_else(|| key.clone())
-    }
-
-    /// The outcome of a flexible single-θ block served from its cached tuning. At
-    /// runtime every new θ needs one GRAPE run at the pre-computed duration with
-    /// the tuned hyperparameters; its cost is the tuned convergence profile
-    /// recorded during pre-compute.
-    fn tuned_outcome(
-        &self,
-        block: &Block,
-        record: &BlockRecord,
-        tuning: &CachedTuning,
-    ) -> BlockOutcome {
-        BlockOutcome {
-            report: BlockCompilation {
-                duration_ns: if tuning.converged {
-                    tuning.duration_ns
-                } else {
-                    record.gate_based_ns
-                },
-                grape_iterations: tuning.runtime_iterations,
-                used_grape: tuning.converged,
-                converged: tuning.converged,
-                cached: true,
-                ..lookup_report(block, record)
-            },
-            precompute: LatencyEstimate::default(),
-            runtime: self.latency_of(record, tuning.runtime_iterations, 0.0),
-        }
-    }
-
-    /// The latency-model estimate of `grape_iterations` spent on this block.
-    fn latency_of(
-        &self,
-        record: &BlockRecord,
-        grape_iterations: usize,
-        measured_seconds: f64,
-    ) -> LatencyEstimate {
-        LatencyEstimate {
-            grape_iterations,
-            estimated_seconds: self.options.latency_model.estimate_seconds(
-                grape_iterations,
-                record.slices,
-                record.dim,
-                record.controls,
-            ),
-            measured_seconds,
-        }
     }
 
     /// Does the pulse-level work of a block whose probe missed, files the result
@@ -535,8 +501,11 @@ impl PartialCompiler {
             let tuning = self.tune_flexible_block(&key, &bound, &device, upper_bound_ns)?;
             let measured = started.elapsed().as_secs_f64();
             let block_profile = profile::take_block().unwrap_or_default();
-            let mut outcome = self.tuned_outcome(block, record, &tuning);
-            outcome.precompute = self.latency_of(record, tuning.precompute_iterations, measured);
+            let mut outcome = tuned_outcome(block, record, &tuning);
+            outcome.precompute = PhaseLatency {
+                grape_iterations: tuning.precompute_iterations,
+                measured_seconds: measured,
+            };
             self.cache.insert_tuning(key, tuning);
             (outcome, measured, block_profile)
         } else {
@@ -546,7 +515,10 @@ impl PartialCompiler {
             // Strict and flexible partial compilation GRAPE-compile Fixed blocks
             // before the variational loop starts; full GRAPE pays the same work at
             // every iteration (with a fresh θ, so it rarely hits the cache).
-            let latency = self.latency_of(record, entry.grape_iterations, measured);
+            let latency = PhaseLatency {
+                grape_iterations: entry.grape_iterations,
+                measured_seconds: measured,
+            };
             match strategy {
                 Strategy::FullGrape => outcome.runtime = latency,
                 _ => outcome.precompute = latency,
@@ -767,8 +739,34 @@ fn grape_outcome(block: &Block, record: &BlockRecord, entry: &CachedBlock) -> Bl
             cached: true,
             ..lookup_report(block, record)
         },
-        precompute: LatencyEstimate::default(),
-        runtime: LatencyEstimate::default(),
+        precompute: PhaseLatency::default(),
+        runtime: PhaseLatency::default(),
+    }
+}
+
+/// The outcome of a flexible single-θ block served from its cached tuning.
+/// The paper runs one tuned GRAPE per new θ at the pre-computed duration; this
+/// compiler runs none and reports the iterations the tuned run took during
+/// pre-compute (`runtime_iterations`), so the runtime phase measures 0 s.
+fn tuned_outcome(block: &Block, record: &BlockRecord, tuning: &CachedTuning) -> BlockOutcome {
+    BlockOutcome {
+        report: BlockCompilation {
+            duration_ns: if tuning.converged {
+                tuning.duration_ns
+            } else {
+                record.gate_based_ns
+            },
+            grape_iterations: tuning.runtime_iterations,
+            used_grape: tuning.converged,
+            converged: tuning.converged,
+            cached: true,
+            ..lookup_report(block, record)
+        },
+        precompute: PhaseLatency::default(),
+        runtime: PhaseLatency {
+            grape_iterations: tuning.runtime_iterations,
+            measured_seconds: 0.0,
+        },
     }
 }
 
@@ -944,6 +942,20 @@ mod tests {
     }
 
     #[test]
+    fn accumulation() {
+        let mut a = PhaseLatency {
+            grape_iterations: 1000,
+            measured_seconds: 1.0,
+        };
+        a.accumulate(&PhaseLatency {
+            grape_iterations: 500,
+            measured_seconds: 0.5,
+        });
+        assert_eq!(a.grape_iterations, 1500);
+        assert!((a.measured_seconds - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
     fn block_cost_estimates_order_blocks_by_expense() {
         let compiler = compiler();
         let params = [0.4, 1.2];
@@ -958,11 +970,7 @@ mod tests {
         let strict = compiler
             .plan(&circuit, &params, Strategy::StrictPartial)
             .unwrap();
-        let costs: Vec<f64> = strict
-            .blocks
-            .iter()
-            .map(|b| strict.block_cost_seconds(b))
-            .collect();
+        let costs: Vec<f64> = strict.blocks.iter().map(|b| strict.block_cost(b)).collect();
         // Single-gate lookup blocks are free; multi-gate GRAPE blocks are not.
         for (block, cost) in strict.blocks.iter().zip(&costs) {
             if block.len() <= 1 {
@@ -986,12 +994,12 @@ mod tests {
         let wide_cost: f64 = wide_plan
             .blocks
             .iter()
-            .map(|b| wide_plan.block_cost_seconds(b))
+            .map(|b| wide_plan.block_cost(b))
             .fold(0.0, f64::max);
         let narrow_cost = costs.iter().copied().fold(0.0, f64::max);
         assert!(
             wide_cost > narrow_cost,
-            "4-qubit block ({wide_cost} s) must out-cost 2-qubit block ({narrow_cost} s)"
+            "4-qubit block ({wide_cost} units) must out-cost 2-qubit block ({narrow_cost} units)"
         );
     }
 

@@ -20,15 +20,15 @@
 //! 3. compiles each block either by lookup (gate-based) or by minimum-time GRAPE
 //!    (`vqc-pulse`), keeping the results in the pulse store ([`ShardedPulseCache`]),
 //! 4. ASAP-schedules the block pulses to get the circuit's total pulse duration, and
-//! 5. accounts compilation latency separately for the pre-compute phase and the
-//!    per-iteration runtime phase.
+//! 5. counts GRAPE iterations and measures wall seconds separately for the
+//!    pre-compute phase and the per-iteration runtime phase ([`PhaseLatency`]).
 //!
 //! Everything a compile leaves behind — block pulses' durations, flexible tunings,
 //! and the warm-start seeds that open the next search of a structure — lives in one
-//! [`ShardedPulseCache`]: sharded, ranked by `LatencyModel` recompute cost × reuse,
-//! bounded by one [`CacheConfig::max_entries_per_shard`], and snapshottable
-//! ([`CacheSnapshot`]; `vqc-runtime` persists it and shares one store across
-//! requests).
+//! [`ShardedPulseCache`]: sharded, ranked by the GRAPE work units an entry stands
+//! for × reuse, bounded by one [`CacheConfig::max_entries_per_shard`], and
+//! snapshottable ([`CacheSnapshot`]; `vqc-runtime` persists it and shares one
+//! store across requests).
 //!
 //! # Example
 //!
@@ -60,7 +60,6 @@ mod cache;
 mod compiler;
 mod error;
 pub mod hyperparam;
-pub mod latency;
 mod library;
 mod plan;
 pub mod schedule;
@@ -69,8 +68,9 @@ pub use cache::{CacheConfig, CacheMetrics, CacheSnapshot, ShardedPulseCache};
 pub use compiler::{
     BlockCompilation, BlockOutcome, CompilationReport, CompilerOptions, PartialCompiler, Strategy,
 };
+// audit:allow(dead_pub): CompilationReport and BlockOutcome hold one per phase
+pub use compiler::PhaseLatency;
 pub use error::CompileError;
-pub use latency::{LatencyEstimate, LatencyModel};
 pub use library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 pub use plan::{CompilationPlan, PlanCacheStats};
 pub use vqc_pulse::profile::{self, CompileProfile, Phase, PHASE_COUNT};

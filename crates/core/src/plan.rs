@@ -89,18 +89,22 @@ pub(crate) struct BlockRecord {
     /// Gate-based runtime of the block (ns): GRAPE's search upper bound. Table-1
     /// gate times ignore angles, so no binding is needed to know it.
     pub(crate) gate_based_ns: f64,
-    /// Pulse slices at the gate-based duration, and the device's Hilbert
-    /// dimension and control count — the latency model's inputs.
-    pub(crate) slices: usize,
-    pub(crate) dim: usize,
-    pub(crate) controls: usize,
     pub(crate) slot: CacheSlot,
-    /// Model seconds a cold compile of the block costs: every probe of the
+    /// [`work_units`] a cold compile of the block costs: every probe of the
     /// duration search (`⌈log₂(gate_based_ns / search_precision_ns)⌉ + 1` of them)
     /// spending `grape.max_iterations` iterations at the gate-based slice count.
     /// Zero for lookup blocks. It orders a submission's tasks and is what the
     /// submission is charged in its client's fair share; only ratios matter.
     pub(crate) cost: f64,
+}
+
+/// The one cost formula, `iterations × slices × dim³ × controls`: the GRAPE work
+/// of `iterations` iterations on a pulse of `slices` slices, on a device of
+/// Hilbert dimension `dim` with `controls` controls. It is a count, not a time:
+/// block costs and store entries are ranked by it, while reports carry only
+/// counted iterations and measured seconds.
+pub(crate) fn work_units(iterations: usize, slices: usize, dim: usize, controls: usize) -> f64 {
+    iterations as f64 * slices as f64 * (dim as f64).powi(3) * controls as f64
 }
 
 impl BlockRecord {
@@ -121,32 +125,28 @@ impl BlockRecord {
         } else {
             CacheSlot::BoundBlock
         };
-        // Lookup blocks never reach the latency model; only keyed blocks need a device.
-        let (dim, controls) = match slot {
-            CacheSlot::Lookup => (0, 0),
+        // Lookup blocks do no pulse work; only keyed blocks need a device.
+        let cost = match slot {
+            CacheSlot::Lookup => 0.0,
             _ => {
                 let device = DeviceModel::qubits_line(block.qubits.len());
-                (device.dim(), device.num_controls())
+                let slices = (gate_based_ns / options.grape.dt_ns).ceil().max(1.0) as usize;
+                let probes = (gate_based_ns / options.search_precision_ns.max(1e-9))
+                    .max(1.0)
+                    .log2()
+                    .ceil() as usize
+                    + 1;
+                work_units(
+                    probes * options.grape.max_iterations,
+                    slices,
+                    device.dim(),
+                    device.num_controls(),
+                )
             }
         };
-        let slices = (gate_based_ns / options.grape.dt_ns).ceil().max(1.0) as usize;
-        let probes = (gate_based_ns / options.search_precision_ns.max(1e-9))
-            .max(1.0)
-            .log2()
-            .ceil() as usize
-            + 1;
         BlockRecord {
             gate_based_ns,
-            slices,
-            dim,
-            controls,
-            // A lookup block's zero dimension makes this zero.
-            cost: options.latency_model.estimate_seconds(
-                probes * options.grape.max_iterations,
-                slices,
-                dim,
-                controls,
-            ),
+            cost,
             slot,
             subcircuit,
         }
@@ -207,12 +207,13 @@ impl CompilationPlan {
         self.record(block).key(params)
     }
 
-    /// Model seconds of GRAPE work a cold compile of the block costs — its
-    /// processing time for longest-first scheduling and fair-share charging. It is
-    /// fixed when the plan is made: zero for a block that needs no pulse work,
-    /// otherwise growing with the block's width (`dim³ × controls`), its gate-based
-    /// duration (slices and search probes) and the iteration cap.
-    pub fn block_cost_seconds(&self, block: &Block) -> f64 {
+    /// GRAPE work units (iterations × slices × dim³ × controls) a cold compile
+    /// of the block costs — its processing time for longest-first scheduling and
+    /// fair-share charging. It is fixed when the plan is made: zero for a block
+    /// that needs no pulse work, otherwise growing with the block's width
+    /// (`dim³ × controls`), its gate-based duration (slices and search probes) and
+    /// the iteration cap.
+    pub fn block_cost(&self, block: &Block) -> f64 {
         self.record(block).cost
     }
 
@@ -420,6 +421,13 @@ mod tests {
 
     fn plan_of(circuit: &Circuit, strategy: Strategy) -> CompilationPlan {
         CompilationPlan::build(circuit, strategy, &CompilerOptions::fast())
+    }
+
+    #[test]
+    fn work_units_are_exact_and_linear_in_iterations() {
+        // A 4-qubit line (dim 16, 11 controls) at 800 slices: an integer in f64.
+        assert_eq!(work_units(2000, 800, 16, 11), 72_089_600_000.0);
+        assert_eq!(work_units(200, 50, 4, 5), 2.0 * work_units(100, 50, 4, 5));
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub struct GrapeResult {
 }
 
 /// Number of gradient-descent parameters (controls × slices) in a run, a proxy for the
-/// per-iteration compilation cost used by the latency model.
+/// per-iteration compilation cost.
 pub fn parameter_count(device: &DeviceModel, num_slices: usize) -> usize {
     device.num_controls() * num_slices
 }

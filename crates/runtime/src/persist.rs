@@ -5,10 +5,11 @@
 //! from being misparsed as data, and snapshots are written via a temporary file +
 //! rename so a crash mid-write never leaves a truncated snapshot at the target path.
 //!
-//! The current layout is **v3**: `(key, entry, recompute_cost_seconds)` triples for
+//! The current layout is **v3**: `(key, entry, recompute_cost)` triples for
 //! blocks and tunings, then the warm-start seeds (`(structural key, SeedEntry)`
 //! pairs), so a restarted service opens its duration searches at the predecessor's
-//! converged windows. Any store's snapshot will do — the sequential compiler's
+//! converged windows. The cost is in GRAPE work units; files written before work
+//! units store model seconds there, and the loader re-derives it either way. Any store's snapshot will do — the sequential compiler's
 //! (`PartialCompiler::shared_cache().snapshot()`) as well as a runtime's. Files of
 //! the two earlier layouts are refused like any other unknown version.
 
@@ -120,7 +121,7 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<CacheSnapshot, PersistErr
 mod tests {
     use super::*;
     use vqc_circuit::Circuit;
-    use vqc_core::{BlockKey, CachedBlock, LatencyModel};
+    use vqc_core::{BlockKey, CachedBlock};
 
     fn sample_key() -> BlockKey {
         let mut circuit = Circuit::new(2);
@@ -157,7 +158,8 @@ mod tests {
     fn sample_snapshot() -> CacheSnapshot {
         let key = sample_key();
         let entry = sample_entry();
-        let cost = LatencyModel::default().block_recompute_seconds(&key, &entry);
+        // 310 iterations × 9 slices × 4³ × 5 controls: the entry's work units.
+        let cost = 892_800.0;
         CacheSnapshot {
             blocks: vec![(key, entry, cost)],
             tunings: Vec::new(),

@@ -25,9 +25,9 @@
 //!    valve that keeps that starvation visible at submit time instead of silent.
 //! 2. **Within a class, clients share the pool by virtual time** — each
 //!    submission is stamped with its client's virtual start time, and the client's
-//!    clock advances by the submission's estimated cost, so a client submitting
-//!    many requests interleaves fairly with its peers instead of draining its
-//!    whole backlog first (start-time fair queuing). Every client of a class
+//!    clock advances by the submission's cost in GRAPE work units, so a client
+//!    submitting many requests interleaves fairly with its peers instead of
+//!    draining its whole backlog first (start-time fair queuing). Every client of a class
 //!    gets an equal share; nothing a client sends can buy a larger one.
 //! 3. **Within a submission, blocks drain longest-processing-time-first**, by the
 //!    same per-block cost the plan records. The classic LPT bound keeps the
@@ -516,7 +516,7 @@ struct SchedState {
     ready: BinaryHeap<ReadyTask>,
     /// Keyed block work that is queued or running: the cross-request dedup table.
     pending: HashMap<BlockKey, KeyInterest>,
-    /// Per-client virtual time (seconds of estimated cost).
+    /// Per-client virtual time (GRAPE work units of cold-compile cost).
     clients: HashMap<u64, f64>,
     /// Virtual start time of the most recently dispatched task; late-joining
     /// clients start here rather than at zero, so idleness earns no credit.
@@ -791,7 +791,7 @@ impl ServiceCore {
                                 job: job_index,
                                 block: block_index,
                                 key,
-                                cost: plan.block_cost_seconds(block),
+                                cost: plan.block_cost(block),
                             });
                             slot.remaining += 1;
                             None

@@ -52,11 +52,14 @@ use vqc_runtime::{ClientMetrics, MetricsSnapshot, TraceEvent};
 /// [`vqc_runtime::LatencySummary`] (count, mean, p50/p95/p99) in place of its
 /// 44 raw histogram buckets, which cuts a `Stats` reply without phase rows
 /// from ~2.5 KB to under 1 KB; and [`Request::Trace`] carries how many of
-/// the newest events to send (`None`: the whole ring).
+/// the newest events to send (`None`: the whole ring). Version 10 drops the
+/// model-estimated seconds from each phase of a [`vqc_core::CompilationReport`]:
+/// a [`vqc_core::PhaseLatency`] is counted GRAPE iterations and measured
+/// seconds only.
 /// [`Response::Rejected`] and [`RejectReason::VersionMismatch`] keep their
 /// variant indices, and [`Request::Hello`] its layout, so a client of any
 /// version can decode the refusal of its Hello.
-pub const PROTOCOL_VERSION: u32 = 9;
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Default cap on one frame's payload size (8 MiB), server- and client-side.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
