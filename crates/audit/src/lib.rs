@@ -656,7 +656,7 @@ pub fn check_wire_exhaustive(
     }
 }
 
-/// Lint 4: lifecycle-stage exhaustiveness — each [`TraceStage`] variant must be
+/// Lint 4: lifecycle-stage exhaustiveness — each `TraceStage` variant must be
 /// mentioned as `TraceStage::<variant>` in every observability surface that
 /// renders stages (the telemetry exporter, the `vqc-top` event tail). Same
 /// mechanism as the wire lint, different enum and handler set.

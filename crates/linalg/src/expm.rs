@@ -1,6 +1,6 @@
 //! Matrix exponential via scaling-and-squaring with a truncated Taylor series.
 //!
-//! The pulse-level propagation in GRAPE repeatedly computes `exp(-i Δt H)` for small
+//! The independent pulse verifier computes `exp(-i Δt H)` per time slice for small
 //! (≤ 16x16, and 81x81 for the qutrit model) matrices. A scaled Taylor expansion is
 //! accurate to near machine precision for the norms encountered here and avoids the
 //! complexity of a Padé implementation.
@@ -74,8 +74,8 @@ pub fn expm_with_order(a: &Matrix, order: usize) -> Matrix {
 
 /// Computes `exp(-i t H)` for a Hermitian `H`, the unitary time-evolution operator.
 ///
-/// This is the form used by the pulse propagator: `H` is a control Hamiltonian for one
-/// time slice and `t` its duration.
+/// This is the form the pulse verifier uses: `H` is the Hamiltonian of one time slice
+/// and `t` its duration.
 ///
 /// # Panics
 ///

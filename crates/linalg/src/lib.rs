@@ -18,7 +18,7 @@
 //!   kernels and a Hermitian `eigh_into`: the oracle [`real`] is held to.
 //! * [`Vector`] — a dense complex column vector used for quantum state vectors.
 //! * [`expm`](expm::expm) — the matrix exponential via scaling-and-squaring with a
-//!   truncated Taylor series, which is the workhorse of pulse propagation in GRAPE.
+//!   truncated Taylor series, which the independent pulse verifier runs per slice.
 //! * [`fidelity`] — trace/process fidelities between unitaries, the cost functions that
 //!   GRAPE optimizes.
 //!

@@ -8,10 +8,10 @@
 //! automatic-differentiation exactness of the TensorFlow implementation the paper uses.
 //! The optimizer is ADAM with exponential learning-rate decay — the two hyperparameters
 //! that flexible partial compilation tunes per subcircuit (Section 7.2). Its step
-//! ([`Adam`]) is one loop, one control at a time over the control's contiguous
+//! (`Adam`) is one loop, one control at a time over the control's contiguous
 //! waveform and moment rows; the regularizers' gradients (energy, smoothness,
 //! envelope) are taken at the pulse as it stood before the step, so the step is
-//! along the gradient of the cost the iteration records ([`recorded_cost`]).
+//! along the gradient of the cost the iteration records (`recorded_cost`).
 
 use crate::lanes;
 use crate::workspace::GrapeWorkspace;
@@ -394,7 +394,8 @@ impl Adam {
 }
 
 /// Computes the trace infidelity of a pulse against a qubit-subspace target, without
-/// optimizing. Useful for verifying stored pulses.
+/// optimizing, by the independent verifier ([`crate::propagate::final_unitary`]).
+/// Useful for verifying stored pulses.
 pub fn evaluate_pulse(target: &Matrix, device: &DeviceModel, pulse: &PulseSequence) -> f64 {
     let padded_dagger = device.pad_qubit_unitary(target).dagger();
     let realized = crate::propagate::final_unitary(device, pulse);

@@ -10,8 +10,8 @@
 //!   Section 5.1.
 //! * [`PulseSequence`] — piecewise-constant control amplitudes, one waveform per
 //!   control knob, with a configurable sample period.
-//! * [`propagate`] — time-ordered propagation `U = Π exp(-i Δt H(t))` and the
-//!   forward/backward partial products needed for analytic gradients.
+//! * [`propagate`] — the independent verifier: time-ordered propagation
+//!   `U = Π exp(-i Δt H(t))`, dense and sharing no code with the GRAPE engine.
 //! * [`grape`] — the gradient-descent loop (ADAM with learning-rate decay), the cost
 //!   terms (infidelity, amplitude, smoothness regularization), and convergence control.
 //! * [`workspace`] — the reusable [`GrapeWorkspace`]: every buffer one GRAPE run

@@ -1,6 +1,6 @@
 //! Phase-scoped compile-time accounting for the GRAPE pipeline.
 //!
-//! [`BlockCompilation::measured_seconds`] (in `vqc-core`) times a whole block
+//! `BlockCompilation::measured_seconds` (in `vqc-core`) times a whole block
 //! compile at its outer boundary, which says nothing about *where* the time
 //! goes — eigendecomposition, propagation sweeps, gradient contraction,
 //! duration probes, or the hyperparameter grid. This module attributes that
@@ -26,7 +26,7 @@
 //!    `profile_invariants.rs` proptest in `vqc-core` pins this.
 //!
 //! Timing inside the per-slice kernels uses the [`Lap`] mark API rather than
-//! nested scopes: one raw-[`ticks`] read per mark (the TSC on x86_64, roughly
+//! nested scopes: one raw-`ticks` read per mark (the TSC on x86_64, roughly
 //! a third the cost of a vDSO `clock_gettime`), charging the interval since
 //! the previous mark into the lap's stack-local counters, flushed to the
 //! thread-local accumulator once when the lap drops. [`take_block`] calibrates
@@ -357,7 +357,7 @@ pub fn scope(phase: Phase) -> PhaseScope {
     PhaseScope { entered }
 }
 
-/// Mark-based timer for per-slice kernel loops: one raw-[`ticks`] read per
+/// Mark-based timer for per-slice kernel loops: one raw-`ticks` read per
 /// [`Lap::mark`], charging the interval since the previous mark into counters
 /// on the lap's own stack frame — no thread-local traffic in the loop body.
 /// The totals flush to the thread-local accumulator once, when the lap drops.

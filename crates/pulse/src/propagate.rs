@@ -1,42 +1,23 @@
-//! Time-ordered propagation of piecewise-constant control pulses.
+//! The independent verifier: time-ordered propagation of a piecewise-constant
+//! pulse, computed densely and sharing no code with the GRAPE engine.
 //!
-//! Slice propagators are built by the same eigendecomposition path the GRAPE
-//! gradient uses ([`crate::workspace::GrapeWorkspace`]), so the optimizer and the
-//! verifier can never drift apart. The independent Taylor
-//! [`expm`](vqc_linalg::expm::expm) survives as a reference implementation that a
-//! debug assertion checks the shared path against on small systems.
+//! The engine ([`crate::workspace`]) never forms a slice propagator: it sweeps
+//! real eigenbases on planar storage. [`final_unitary`] checks what it produces
+//! the long way round — the dense complex `H(t)` of every slice, its Taylor
+//! [`expm_i_hermitian`], and the product taken from the last slice down, the
+//! opposite association to the engine's forward sweep — so a pulse the
+//! optimizer reports converged is checked by arithmetic the optimizer does not
+//! run. Nothing on a compile path calls it.
 
-use crate::workspace::GrapeWorkspace;
 use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
+use vqc_linalg::expm::expm_i_hermitian;
 use vqc_linalg::{Matrix, C64};
-
-/// The result of propagating a pulse: every per-slice propagator plus the cumulative
-/// forward and backward partial products needed for analytic GRAPE gradients.
-#[derive(Debug, Clone)]
-pub struct Propagation {
-    /// `slice[t] = exp(-i Δt H(t))`.
-    pub slice_unitaries: Vec<Matrix>,
-    /// `forward[t] = slice[t] · slice[t-1] · … · slice[0]` (the state of the evolution
-    /// *after* slice `t`).
-    pub forward: Vec<Matrix>,
-    /// `backward[t] = slice[T-1] · … · slice[t+1]` (the remaining evolution *after*
-    /// slice `t`); `backward[T-1]` is the identity.
-    pub backward: Vec<Matrix>,
-}
-
-impl Propagation {
-    /// The total evolution operator of the pulse.
-    pub fn total(&self) -> &Matrix {
-        // audit:allow(unwrap): pulses are validated non-empty before propagation
-        self.forward.last().expect("propagation of an empty pulse")
-    }
-}
 
 /// Builds the Hamiltonian of one time slice: `H(t) = H_drift + Σ_k u_k(t) H_k`.
 ///
 /// The GRAPE engine assembles its own slice Hamiltonians from packed nonzero
-/// lists; this dense construction is the independent form the Taylor
-/// cross-check and the benchmarks use.
+/// lists; this dense construction is the independent form the verifier and the
+/// benchmarks use.
 pub fn slice_hamiltonian(
     drift: &Matrix,
     controls: &[ControlHamiltonian],
@@ -53,41 +34,27 @@ pub fn slice_hamiltonian(
     h
 }
 
-/// Propagates a pulse on a device, returning all intermediate products.
-///
-/// The slice propagators come from the eigendecomposition path shared with the GRAPE
-/// gradient kernel; in debug builds each one is cross-checked against the
-/// independent Taylor `expm` on small systems (agreement to `1e-10`).
+/// The total evolution operator of a pulse, `U_{T-1} ⋯ U_0` with
+/// `U_t = exp(-i Δt H(t))`, accumulated as `((U_{T-1}·U_{T-2})·…)·U_0`.
 ///
 /// # Panics
 ///
 /// Panics if the pulse was built for a different number of controls than the device.
-pub fn propagate(device: &DeviceModel, pulse: &PulseSequence) -> Propagation {
-    let propagation = GrapeWorkspace::new(device, pulse.num_slices()).propagate(pulse);
-
-    // The Taylor expm is the independent reference implementation: on systems small
-    // enough to pay for it, every debug build verifies the shared
-    // eigendecomposition propagator against it.
-    #[cfg(debug_assertions)]
-    if device.dim() <= 4 {
-        let (drift, controls) = (device.drift(), device.control_hamiltonians());
-        let dt = pulse.dt_ns();
-        for (t, slice_unitary) in propagation.slice_unitaries.iter().enumerate() {
-            let h = slice_hamiltonian(&drift, &controls, pulse, t);
-            let taylor = vqc_linalg::expm::expm(&h.scale(C64::new(0.0, -dt)));
-            debug_assert!(
-                slice_unitary.approx_eq(&taylor, 1e-10),
-                "eigendecomposition and Taylor propagators disagree at slice {t}"
-            );
-        }
-    }
-
-    propagation
-}
-
-/// Convenience wrapper returning only the total evolution operator of a pulse.
 pub fn final_unitary(device: &DeviceModel, pulse: &PulseSequence) -> Matrix {
-    propagate(device, pulse).total().clone()
+    let (drift, controls) = (device.drift(), device.control_hamiltonians());
+    assert_eq!(
+        pulse.num_controls(),
+        controls.len(),
+        "pulse has {} waveforms but the device has {} controls",
+        pulse.num_controls(),
+        controls.len()
+    );
+    (0..pulse.num_slices())
+        .rev()
+        .fold(Matrix::identity(device.dim()), |product, t| {
+            let h = slice_hamiltonian(&drift, &controls, pulse, t);
+            product.matmul(&expm_i_hermitian(&h, pulse.dt_ns()))
+        })
 }
 
 #[cfg(test)]
@@ -103,26 +70,6 @@ mod tests {
         let pulse = PulseSequence::zeros(device.num_controls(), 8, 0.5);
         let u = final_unitary(&device, &pulse);
         assert!(u.approx_eq(&Matrix::identity(4), 1e-10));
-    }
-
-    #[test]
-    fn propagation_products_are_consistent() {
-        let device = DeviceModel::qubits_line(1);
-        let pulse = PulseSequence::seeded_guess(&device, 10, 0.5, 7);
-        let prop = propagate(&device, &pulse);
-        // forward[t] · (nothing)  and  backward[t] · slice[t] · forward[t-1]  must give
-        // the same total for every t.
-        let total = prop.total().clone();
-        for t in 0..pulse.num_slices() {
-            let rebuilt = if t == 0 {
-                prop.backward[t].matmul(&prop.slice_unitaries[t])
-            } else {
-                prop.backward[t]
-                    .matmul(&prop.slice_unitaries[t])
-                    .matmul(&prop.forward[t - 1])
-            };
-            assert!(rebuilt.approx_eq(&total, 1e-9), "slice {t} inconsistent");
-        }
     }
 
     #[test]
@@ -197,6 +144,6 @@ mod tests {
     fn mismatched_pulse_is_rejected() {
         let device = DeviceModel::qubits_line(2);
         let pulse = PulseSequence::zeros(3, 5, 0.5);
-        propagate(&device, &pulse);
+        final_unitary(&device, &pulse);
     }
 }

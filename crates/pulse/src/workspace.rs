@@ -11,7 +11,7 @@
 //! `vqc-pulse`'s counting-allocator test asserts.
 //!
 //! The propagation pass and the Daleckii–Krein gradient pass are each written
-//! once, in [`Engine`], generic over the crate-private [`RealStorage`] trait, as
+//! once, in `Engine`, generic over the crate-private `RealStorage` trait, as
 //! phases over slice ranges: a wide block's iteration runs them as two lanes,
 //! the second on the [`crate::lanes`] helper thread, bit for bit. Each phase
 //! is compiled three times from its one source (`lane_phase!`): for the
@@ -33,7 +33,7 @@
 //! symmetric (Appendix A: charge `a + a†`, flux `a†a`, coupling
 //! `(a + a†)(a + a†)`, zero drift), so slice Hamiltonians and their
 //! eigenvectors are `f64` matrices, and every complex matrix of the engine is
-//! [`Planar`]: a pair `(re, im)` of the same real storage. A product with an
+//! `Planar`: a pair `(re, im)` of the same real storage. A product with an
 //! eigenvector matrix is then two real products and the one complex·complex
 //! product per slice four — every product of the engine is the same `f64`
 //! loop nest, and nothing multiplies interleaved complex entries. The
@@ -55,14 +55,11 @@
 //! slice per vector lane ([`vqc_linalg::real::eigh_symmetric`]), each slice
 //! getting the bits it would get alone (a 2q slice 0.80 → 0.56 µs at AVX2
 //! width when the Jacobi side went lockstep, PR 20).
-//! [`GrapeWorkspace::propagate`] multiplies `U_t` and `F_t` out of the same
-//! buffers for export; [`crate::propagate`] drives that path (the Taylor
-//! [`vqc_linalg::expm`] stays as an independent reference that a debug
-//! assertion checks it against).
+//! What checks a pulse is [`crate::propagate::final_unitary`], which shares
+//! none of this module's code.
 
 use crate::lanes::{self, Claim};
 use crate::profile::{self, Phase};
-use crate::propagate::Propagation;
 use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
 use std::fmt::Debug;
 use std::ops::Range;
@@ -781,7 +778,7 @@ struct Engine<S> {
     /// `a[t] = V_tᵀ · F_{t-1}`: the evolution before slice `t`, in its eigenbasis.
     a: Vec<Planar<S>>,
     /// `b[t] = K_t · V_t`: the gradient's co-state after slice `t`, in its
-    /// eigenbasis. Swept only once a target is set.
+    /// eigenbasis.
     b: Vec<Planar<S>>,
     /// The total evolution `F_{T-1}`.
     total: Planar<S>,
@@ -879,18 +876,23 @@ impl<S: RealStorage> Engine<S> {
     }
 
     /// Phases 1 and 2: per-slice eigensystems, then the forward and backward
-    /// sweeps through them. `lap` is the calling thread's; the helper's share
-    /// of a phase shows up in it as wall time only.
+    /// sweeps through them; returns the overlap `Tr(target† F_{T-1}) / d`.
+    /// `lap` is the calling thread's; the helper's share of a phase shows up
+    /// in it as wall time only.
     ///
     /// # Panics
     ///
-    /// Panics if the pulse geometry is not the one this engine was allocated for.
+    /// Panics if no target was set or the pulse geometry is not the one this
+    /// engine was allocated for.
     fn propagate(
         &mut self,
         pulse: &PulseSequence,
         mut claim: Option<&mut Claim>,
         lap: &mut profile::Lap,
-    ) {
+    ) -> C64 {
+        let Some(target_dagger) = &self.model.target_dagger else {
+            panic!("set_target must be called before fidelity_gradient");
+        };
         let num_controls = self.model.control_sparse.len();
         assert_eq!(
             pulse.num_controls(),
@@ -925,34 +927,18 @@ impl<S: RealStorage> Engine<S> {
         lanes::pair(
             claim,
             || sweep_forward(wide, eigen, a, total, near_scratch),
-            || {
-                if let Some(target_dagger) = &model.target_dagger {
-                    sweep_backward(wide, eigen, target_dagger, b, far_scratch);
-                }
-            },
+            || sweep_backward(wide, eigen, target_dagger, b, far_scratch),
         );
         lap.mark(Phase::Propagation);
 
         // Every slice now holds a converged eigenbasis the next propagation can
         // warm-start from.
         self.warmed = true;
-    }
 
-    /// Propagates `pulse`, then computes its trace infidelity against the
-    /// target and writes the exact gradient into `self.gradient`, as two lanes
-    /// when `claim` lends the helper thread.
-    fn fidelity_gradient(&mut self, pulse: &PulseSequence, mut claim: Option<&mut Claim>) -> f64 {
-        let mut lap = profile::Lap::start();
-        self.propagate(pulse, claim.as_deref_mut(), &mut lap);
-        let model = &self.model;
-        let Some(target_dagger) = model.target_dagger.as_ref() else {
-            panic!("set_target must be called before fidelity_gradient");
-        };
+        // Tr(V_target† U_total) / d, as Σ_ik V_target†[i,k]·U[k,i] in O(dim²).
         let dim = model.drift.dim();
-
-        // overlap = Tr(V_target† U_total) / d, as Σ_ik V_target†[i,k]·U[k,i] in O(dim²).
         let (target_re, target_im) = (target_dagger.re.entries(), target_dagger.im.entries());
-        let (total_re, total_im) = (self.total.re.entries(), self.total.im.entries());
+        let (total_re, total_im) = (total.re.entries(), total.im.entries());
         let mut overlap = C64::ZERO;
         for i in 0..dim {
             for k in 0..dim {
@@ -961,10 +947,19 @@ impl<S: RealStorage> Engine<S> {
                     * C64::new(total_re[transposed], total_im[transposed]);
             }
         }
-        overlap = overlap * (1.0 / model.qubit_dim);
+        overlap * (1.0 / model.qubit_dim)
+    }
+
+    /// Propagates `pulse`, then computes its trace infidelity against the
+    /// target and writes the exact gradient into `self.gradient`, as two lanes
+    /// when `claim` lends the helper thread.
+    fn fidelity_gradient(&mut self, pulse: &PulseSequence, mut claim: Option<&mut Claim>) -> f64 {
+        let mut lap = profile::Lap::start();
+        let overlap = self.propagate(pulse, claim.as_deref_mut(), &mut lap);
         let infidelity = 1.0 - overlap.norm_sqr();
         let scalars = (pulse.dt_ns(), overlap.conj());
 
+        let model = &self.model;
         let mid = self.lane_split(claim.is_some());
         let (eigen, sweeps, wide) = (&self.eigen[..], (&self.a[..], &self.b[..]), self.width);
         let (near, far) = self.gradient.split_at_mut(mid * model.control_sparse.len());
@@ -979,43 +974,6 @@ impl<S: RealStorage> Engine<S> {
         lap.mark(Phase::GradientContraction);
 
         infidelity
-    }
-
-    /// Multiplies the last propagation's products out as dynamic matrices —
-    /// the only place `U_t` and `F_t` exist: `U_t = V_t·D_t·V_tᵀ` from the
-    /// slice's eigensystem and `F_t = V_t·(D_t·a[t])` from the forward sweep.
-    /// The engine's own co-state carries the target, so the public,
-    /// identity-seeded backward family is multiplied out from the `U_t`.
-    fn export(&self) -> Propagation {
-        let dim = self.model.drift.dim();
-        let dynamic = |re: &S, im: Option<&S>| {
-            let im = |k: usize| im.map_or(0.0, |im| im.entries()[k]);
-            Matrix::from_fn(dim, dim, |r, c| {
-                C64::new(re.entries()[r * dim + c], im(r * dim + c))
-            })
-        };
-        let (mut slice_unitaries, mut forward) = (Vec::new(), Vec::new());
-        for (slice, a) in self.eigen.iter().zip(&self.a) {
-            let phase = |r: usize, c: usize| {
-                if r == c {
-                    C64::new(slice.cos[r], slice.sin[r])
-                } else {
-                    C64::ZERO
-                }
-            };
-            let vd = dynamic(&slice.v, None).matmul(&Matrix::from_fn(dim, dim, phase));
-            slice_unitaries.push(vd.matmul(&dynamic(&slice.vt, None)));
-            forward.push(vd.matmul(&dynamic(&a.re, Some(&a.im))));
-        }
-        let mut backward = vec![Matrix::identity(dim); self.num_slices];
-        for t in (0..self.num_slices - 1).rev() {
-            backward[t] = backward[t + 1].matmul(&slice_unitaries[t + 1]);
-        }
-        Propagation {
-            slice_unitaries,
-            forward,
-            backward,
-        }
     }
 }
 
@@ -1059,7 +1017,7 @@ impl GrapeWorkspace {
     /// Allocates every buffer needed to optimize `num_slices`-slice pulses on
     /// `device`, on stack storage when the device dimension is 2, 4, 8, or 16
     /// and on heap storage otherwise. The target is supplied separately via
-    /// [`GrapeWorkspace::set_target`] (propagation-only users never need one).
+    /// [`GrapeWorkspace::set_target`].
     ///
     /// # Panics
     ///
@@ -1137,21 +1095,6 @@ impl GrapeWorkspace {
     /// `gradient()[t * num_controls + k] = ∂(infidelity)/∂u_k(t)`.
     pub fn gradient(&self) -> &[f64] {
         with_engine!(&self.kernel, engine => &engine.gradient)
-    }
-
-    /// Propagates a pulse through the shared eigendecomposition path and
-    /// exports the per-slice propagators and forward/backward partial products
-    /// as dynamic matrices. The export allocates; the optimizer loop never
-    /// calls this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pulse shape does not match the workspace.
-    pub fn propagate(&mut self, pulse: &PulseSequence) -> Propagation {
-        with_engine!(&mut self.kernel, engine => {
-            engine.propagate(pulse, None, &mut profile::Lap::start());
-            engine.export()
-        })
     }
 
     /// Computes the trace infidelity of a pulse against the configured target and
@@ -1586,30 +1529,44 @@ mod tests {
     }
 
     #[test]
-    fn workspace_propagation_matches_taylor_expm() {
-        use vqc_linalg::expm::expm;
-        // One device per storage and per side of the eigensolver's dimension
-        // rule: a qubit (closed form, stack), a qutrit (Jacobi, heap), three
-        // qubits (QL, stack) and two qutrits (QL, heap). The debug assertion
-        // in `propagate.rs` stops at dim 4.
-        for device in [
-            DeviceModel::qubits_line(1),
-            DeviceModel::qubits_line(1).with_qutrit_levels(),
-            DeviceModel::qubits_line(3),
-            DeviceModel::qubits_line(2).with_qutrit_levels(),
-        ] {
-            let pulse = PulseSequence::seeded_guess(&device, 8, 0.5, 5);
-            let propagation = GrapeWorkspace::new(&device, pulse.num_slices()).propagate(&pulse);
-            let controls = device.control_hamiltonians();
-            let drift = device.drift();
-            for (t, slice_unitary) in propagation.slice_unitaries.iter().enumerate() {
-                let h = crate::propagate::slice_hamiltonian(&drift, &controls, &pulse, t);
-                let taylor = expm(&h.scale(C64::new(0.0, -pulse.dt_ns())));
-                assert!(
-                    slice_unitary.approx_eq(&taylor, 1e-12),
-                    "dim {} slice {t} diverges from the Taylor reference",
-                    device.dim()
-                );
+    fn engine_agrees_with_the_independent_verifier() {
+        // The gradient oracle's devices and targets: the closed form (stack
+        // 2), warm-started Jacobi (stack 4, heap 3) and cold QL (stack 8 and
+        // 16, heap 9), each checked by `final_unitary`, which shares none of
+        // the engine's code. Two pulses through each workspace: the second
+        // evaluation is the warm-started one wherever the dimension has a warm
+        // start, and it carries an idle slice (the zero Hamiltonian).
+        let cases = [
+            (DeviceModel::qubits_line(1), gates::h()),
+            (DeviceModel::qubits_line(2), gates::cx()),
+            (DeviceModel::qubits_line(3), gates::cx().kron(&gates::h())),
+            (DeviceModel::qubits_line(4), gates::cx().kron(&gates::cx())),
+            (DeviceModel::qubits_line(1).with_qutrit_levels(), gates::h()),
+            (
+                DeviceModel::qubits_line(2).with_qutrit_levels(),
+                gates::cx(),
+            ),
+        ];
+        for (device, target) in cases {
+            for slices in [8, 40, 80] {
+                let mut workspace = GrapeWorkspace::new(&device, slices);
+                workspace.set_target(&device, &target);
+                for seed in [3, 4] {
+                    let mut pulse = PulseSequence::seeded_guess(&device, slices, 0.5, seed);
+                    if seed == 4 {
+                        for k in 0..device.num_controls() {
+                            pulse.set_amplitude(k, 2, 0.0);
+                        }
+                    }
+                    let engine = workspace.fidelity_gradient(&pulse);
+                    let verifier = crate::grape::evaluate_pulse(&target, &device, &pulse);
+                    assert!(
+                        (engine - verifier).abs() < 1e-10,
+                        "dim {}, {slices} slices, seed {seed}: engine {engine} vs verifier \
+                         {verifier}",
+                        device.dim()
+                    );
+                }
             }
         }
     }
@@ -1629,6 +1586,7 @@ mod tests {
         let device = DeviceModel::qubits_line(1);
         let pulse = PulseSequence::seeded_guess(&device, 4, 0.5, 1);
         let mut workspace = GrapeWorkspace::new(&device, 5);
-        workspace.propagate(&pulse);
+        workspace.set_target(&device, &gates::h());
+        workspace.fidelity_gradient(&pulse);
     }
 }

@@ -1,29 +1,48 @@
 //! A dense oracle for the GRAPE gradient that shares none of the engine's
-//! identities.
+//! code or identities.
 //!
 //! The engine never forms a slice propagator: it sweeps in each slice's
 //! eigenbasis on planar real storage and reads the Daleckii–Krein matrix off
 //! the product of what the two sweeps left. This test recomputes the gradient
-//! the long way round — from the *exported* [`Propagation`] (slice
-//! propagators, forward products, identity-seeded backward products), with
-//! dynamic complex [`Matrix`] products and the complex `eigh` of each dense
-//! slice Hamiltonian — and holds `fidelity_gradient` to it at 1e-10, on every
-//! storage and on both sides of the eigensolver's dimension rule.
+//! the long way round, built independently from the complex `eigh` of each
+//! dense slice Hamiltonian: slice propagators `V·diag(e^{-iΔtλ})·V†`, their
+//! forward products and identity-seeded backward products, all dynamic
+//! complex [`Matrix`] products. It holds `fidelity_gradient` to that at
+//! 1e-10, on every storage and on both sides of the eigensolver's dimension
+//! rule.
 
-use vqc_linalg::{eigh, Matrix, C64};
-use vqc_pulse::propagate::{slice_hamiltonian, Propagation};
+use vqc_linalg::{eigh, EighResult, Matrix, C64};
+use vqc_pulse::propagate::slice_hamiltonian;
 use vqc_pulse::{DeviceModel, GrapeWorkspace, PulseSequence};
 use vqc_sim::gates;
 
-/// `∂U_t/∂u_k = V (Γ ∘ (V† H_k V)) V†` from the complex eigendecomposition of
-/// the dense slice Hamiltonian, `Γ` the divided differences of `e^{-iΔtλ}`.
-fn slice_derivative(hamiltonian: &Matrix, control: &Matrix, dt: f64) -> Matrix {
-    let dim = hamiltonian.rows();
-    let eigen = eigh(hamiltonian);
+/// `V · f(Λ) · V†` for one slice's eigendecomposition, `f` given per
+/// eigenvalue pair `(i, j)` of the inner matrix.
+fn in_eigenbasis(eigen: &EighResult, inner: impl Fn(usize, usize) -> C64) -> Matrix {
+    let (dim, v) = (eigen.eigenvalues.len(), &eigen.eigenvectors);
+    v.matmul(&Matrix::from_fn(dim, dim, inner))
+        .matmul(&v.dagger())
+}
+
+/// `U_t = V diag(e^{-iΔtλ}) V†`.
+fn slice_propagator(eigen: &EighResult, dt: f64) -> Matrix {
+    let lambdas = &eigen.eigenvalues;
+    in_eigenbasis(eigen, |i, j| {
+        if i == j {
+            C64::cis(-dt * lambdas[i])
+        } else {
+            C64::ZERO
+        }
+    })
+}
+
+/// `∂U_t/∂u_k = V (Γ ∘ (V† H_k V)) V†`, `Γ` the divided differences of
+/// `e^{-iΔtλ}`.
+fn slice_derivative(eigen: &EighResult, control: &Matrix, dt: f64) -> Matrix {
     let (lambdas, v) = (&eigen.eigenvalues, &eigen.eigenvectors);
     let rotated = v.dagger().matmul(control).matmul(v);
     let phase = |i: usize| C64::cis(-dt * lambdas[i]);
-    let inner = Matrix::from_fn(dim, dim, |i, j| {
+    in_eigenbasis(eigen, |i, j| {
         let gap = lambdas[i] - lambdas[j];
         let gamma = if gap.abs() < 1e-10 {
             C64::new(0.0, -dt) * phase(i)
@@ -31,34 +50,44 @@ fn slice_derivative(hamiltonian: &Matrix, control: &Matrix, dt: f64) -> Matrix {
             (phase(i) - phase(j)) * (1.0 / gap)
         };
         rotated[(i, j)] * gamma
-    });
-    v.matmul(&inner).matmul(&v.dagger())
+    })
 }
 
 /// Infidelity and slice-major gradient of `pulse`, densely.
-fn dense_gradient(
-    device: &DeviceModel,
-    target: &Matrix,
-    pulse: &PulseSequence,
-    propagation: &Propagation,
-) -> (f64, Vec<f64>) {
+fn dense_gradient(device: &DeviceModel, target: &Matrix, pulse: &PulseSequence) -> (f64, Vec<f64>) {
     let target_dagger = device.pad_qubit_unitary(target).dagger();
     let qubit_dim = device.qubit_dim() as f64;
     let (drift, controls) = (device.drift(), device.control_hamiltonians());
-    let overlap = target_dagger.matmul(propagation.total()).trace() / qubit_dim;
+    let (dt, slices) = (pulse.dt_ns(), pulse.num_slices());
+    let eigen: Vec<EighResult> = (0..slices)
+        .map(|t| eigh(&slice_hamiltonian(&drift, &controls, pulse, t)))
+        .collect();
+    let propagators: Vec<Matrix> = eigen.iter().map(|e| slice_propagator(e, dt)).collect();
+    // forward[t] = U_t ⋯ U_0; backward[t] = U_{T-1} ⋯ U_{t+1}, the identity at T-1.
+    let mut forward: Vec<Matrix> = Vec::with_capacity(slices);
+    for propagator in &propagators {
+        let next = match forward.last() {
+            Some(previous) => propagator.matmul(previous),
+            None => propagator.clone(),
+        };
+        forward.push(next);
+    }
+    let mut backward = vec![Matrix::identity(device.dim()); slices];
+    for t in (0..slices - 1).rev() {
+        backward[t] = backward[t + 1].matmul(&propagators[t + 1]);
+    }
+
+    let overlap = target_dagger.matmul(&forward[slices - 1]).trace() / qubit_dim;
     let mut gradient = Vec::new();
-    for t in 0..pulse.num_slices() {
-        let hamiltonian = slice_hamiltonian(&drift, &controls, pulse, t);
+    for (t, eigen) in eigen.iter().enumerate() {
         // Tr(target† · backward[t] · ∂U_t · forward[t-1]), cycled so the part
         // that does not depend on the control is multiplied once.
         let around = match t {
-            0 => target_dagger.matmul(&propagation.backward[0]),
-            _ => propagation.forward[t - 1]
-                .matmul(&target_dagger)
-                .matmul(&propagation.backward[t]),
+            0 => target_dagger.matmul(&backward[0]),
+            _ => forward[t - 1].matmul(&target_dagger).matmul(&backward[t]),
         };
         for control in &controls {
-            let derivative = slice_derivative(&hamiltonian, &control.operator, pulse.dt_ns());
+            let derivative = slice_derivative(eigen, &control.operator, dt);
             let d_overlap = around.matmul(&derivative).trace() / qubit_dim;
             gradient.push(-2.0 * (overlap.conj() * d_overlap).re);
         }
@@ -98,8 +127,7 @@ fn fidelity_gradient_matches_the_dense_oracle() {
                     pulse.set_amplitude(k, 2, 0.0);
                 }
             }
-            let propagation = workspace.propagate(&pulse);
-            let (dense_infidelity, dense) = dense_gradient(&device, &target, &pulse, &propagation);
+            let (dense_infidelity, dense) = dense_gradient(&device, &target, &pulse);
             let infidelity = workspace.fidelity_gradient(&pulse);
             assert!(
                 (infidelity - dense_infidelity).abs() < 1e-10,

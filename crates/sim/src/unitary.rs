@@ -21,7 +21,7 @@ pub const MAX_UNITARY_QUBITS: usize = 12;
 ///
 /// # Panics
 ///
-/// Panics if the circuit is wider than [`MAX_UNITARY_QUBITS`] or contains unbound
+/// Panics if the circuit is wider than `MAX_UNITARY_QUBITS` or contains unbound
 /// parameters.
 pub fn circuit_unitary(circuit: &Circuit) -> Matrix {
     let n = circuit.num_qubits();
