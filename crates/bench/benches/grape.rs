@@ -22,7 +22,7 @@ use std::hint::black_box;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vqc_linalg::real::{
-    eigh_jacobi, eigh_ql, jacobi_scratch_len, ql_scratch_len, QlLane, QL_MIN_DIM,
+    eigh_jacobi, eigh_ql, jacobi_scratch_len, ql_scratch_len, QlLane, Unfused, QL_MIN_DIM,
 };
 use vqc_linalg::{Matrix, RealSmallMatrix};
 use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
@@ -307,11 +307,11 @@ fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
             v.transpose_into(&mut vt);
             // Backwards, so the first warm solve is one step from the cold one.
             for h in hamiltonians.iter().rev() {
-                vt.matmul_into(black_box(h), &mut a);
-                a.matmul_into(&v, &mut b);
+                vt.matmul_into::<Unfused>(black_box(h), &mut a);
+                a.matmul_into::<Unfused>(&v, &mut b);
                 let lane = (b.as_mut_slice(), &mut lambdas[0][..], a.as_mut_slice());
                 eigh_jacobi::<1>(N, &mut [lane], &mut scratch);
-                v.matmul_into(&a, &mut b);
+                v.matmul_into::<Unfused>(&a, &mut b);
                 v = b;
                 v.transpose_into(&mut vt);
                 black_box(&v);
@@ -333,13 +333,13 @@ fn bench_eigh_real_at<const N: usize>(c: &mut Criterion, qubits: usize) {
             }
             for step in (0..STEPS).rev() {
                 for (lane, walk) in walks.iter().enumerate() {
-                    vts[lane].matmul_into(black_box(&walk[step]), &mut products[lane]);
-                    products[lane].matmul_into(&vs[lane], &mut problems[lane]);
+                    vts[lane].matmul_into::<Unfused>(black_box(&walk[step]), &mut products[lane]);
+                    products[lane].matmul_into::<Unfused>(&vs[lane], &mut problems[lane]);
                 }
                 let mut lanes = lanes_of(&mut problems, &mut lambdas, &mut products);
                 eigh_jacobi::<4>(N, &mut lanes, &mut scratch);
                 for lane in 0..4 {
-                    vs[lane].matmul_into(&products[lane], &mut problems[lane]);
+                    vs[lane].matmul_into::<Unfused>(&products[lane], &mut problems[lane]);
                     vs[lane] = problems[lane];
                     vs[lane].transpose_into(&mut vts[lane]);
                 }

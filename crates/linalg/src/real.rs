@@ -31,23 +31,65 @@
 //! [`eigh_into`](crate::eigh_into) stay as the general Hermitian solvers, and
 //! as the oracle the parity suite holds this module to.
 //!
-//! Nothing here names an instruction set, and nothing fuses a multiply into an
-//! add (Rust never does unasked): every kernel is `#[inline(always)]`, so a
-//! caller compiled for a wider vector unit (the GRAPE engine's
+//! Nothing here names an instruction set: every kernel is `#[inline(always)]`,
+//! so a caller compiled for a wider vector unit (the GRAPE engine's
 //! `#[target_feature]` phase twins) gets the same IEEE operations in the same
-//! order, more of them per instruction.
+//! order, more of them per instruction. The one choice left to the caller is
+//! the product's multiply-add ([`MulAdd`]): [`Unfused`] rounds the multiply
+//! and the add apart, as Rust does unasked, and [`Fused`] rounds once
+//! (`f64::mul_add`), which only a caller compiled with `fma` should pick. The
+//! eigensolvers never fuse.
 
 /// Column-block width of the heap product; the inline storage uses its row.
 const HEAP_BLOCK: usize = 8;
 
+/// How a product forms `a · b + c`. A type parameter, not a flag, so that each
+/// instantiation of a kernel carries exactly one of the two instructions and
+/// no branch.
+pub trait MulAdd {
+    /// `a · b + c`.
+    fn mul_add(a: f64, b: f64, c: f64) -> f64;
+}
+
+/// `a * b + c`: a multiply and an add, each rounded. Every target has it, and
+/// every instruction width gives it the same bits.
+#[derive(Debug, Clone, Copy)]
+pub struct Unfused;
+
+/// `a.mul_add(b, c)`: one rounding. A single instruction where the caller is
+/// compiled with `fma`, and a slow software routine where it is not.
+#[derive(Debug, Clone, Copy)]
+pub struct Fused;
+
+impl MulAdd for Unfused {
+    #[inline(always)]
+    fn mul_add(a: f64, b: f64, c: f64) -> f64 {
+        a * b + c
+    }
+}
+
+impl MulAdd for Fused {
+    #[inline(always)]
+    fn mul_add(a: f64, b: f64, c: f64) -> f64 {
+        a.mul_add(b, c)
+    }
+}
+
 /// Writes the row-major `n x n` product `lhs · rhs` into `out` — or, given
 /// `onto: Some(sign)`, adds `sign · lhs · rhs` to what `out` holds —
-/// accumulating over `k` in order. An output row is built in column blocks of
-/// `W` entries that stay in registers for the whole `k` loop (one block on the
-/// inline storage, where `W = n`), and whatever `n % W` columns are left over
-/// in place. This is the one product loop nest of the GRAPE engine.
+/// accumulating over `k` in order, each step one `M` multiply-add. An output
+/// row is built in column blocks of `W` entries that stay in registers for the
+/// whole `k` loop (one block on the inline storage, where `W = n`), and
+/// whatever `n % W` columns are left over in place. This is the one product
+/// loop nest of the GRAPE engine.
 #[inline(always)]
-fn matmul<const W: usize>(n: usize, lhs: &[f64], rhs: &[f64], onto: Option<f64>, out: &mut [f64]) {
+fn matmul<const W: usize, M: MulAdd>(
+    n: usize,
+    lhs: &[f64],
+    rhs: &[f64],
+    onto: Option<f64>,
+    out: &mut [f64],
+) {
     assert!(
         lhs.len() == n * n && rhs.len() == n * n && out.len() == n * n,
         "real-kernel product expects {n}x{n} operands"
@@ -60,7 +102,7 @@ fn matmul<const W: usize>(n: usize, lhs: &[f64], rhs: &[f64], onto: Option<f64>,
             for (&a, rhs_row) in lhs_row.iter().zip(rhs.chunks_exact(n)) {
                 let b = &rhs_row.as_chunks::<W>().0[index];
                 for (sum, &b) in sums.iter_mut().zip(b) {
-                    *sum += sign * a * b;
+                    *sum = M::mul_add(sign * a, b, *sum);
                 }
             }
             *block = sums;
@@ -71,7 +113,7 @@ fn matmul<const W: usize>(n: usize, lhs: &[f64], rhs: &[f64], onto: Option<f64>,
         }
         for (&a, rhs_row) in lhs_row.iter().zip(rhs.chunks_exact(n)) {
             for (sum, &b) in rest.iter_mut().zip(&rhs_row[done..]) {
-                *sum += sign * a * b;
+                *sum = M::mul_add(sign * a, b, *sum);
             }
         }
     }
@@ -847,17 +889,18 @@ impl<const N: usize> RealSmallMatrix<N> {
         self.rows.as_flattened_mut()
     }
 
-    /// Writes the real product `self · rhs` into `out`.
+    /// Writes the real product `self · rhs` into `out`, its multiply-adds
+    /// formed by `M`.
     #[inline(always)]
-    pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
-        matmul::<N>(N, self.as_slice(), rhs.as_slice(), None, out.as_mut_slice());
+    pub fn matmul_into<M: MulAdd>(&self, rhs: &Self, out: &mut Self) {
+        matmul::<N, M>(N, self.as_slice(), rhs.as_slice(), None, out.as_mut_slice());
     }
 
     /// Adds `sign · self · rhs` to `out` (a planar complex product is four of these).
     #[inline(always)]
-    pub fn matmul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
+    pub fn matmul_onto<M: MulAdd>(&self, sign: f64, rhs: &Self, out: &mut Self) {
         let onto = Some(sign);
-        matmul::<N>(N, self.as_slice(), rhs.as_slice(), onto, out.as_mut_slice());
+        matmul::<N, M>(N, self.as_slice(), rhs.as_slice(), onto, out.as_mut_slice());
     }
 
     /// Writes `selfᵀ` into `out`.
@@ -941,20 +984,22 @@ impl RealMatrix {
         &mut self.data
     }
 
-    /// Writes the real product `self · rhs` into `out`.
+    /// Writes the real product `self · rhs` into `out`, its multiply-adds
+    /// formed by `M`.
     ///
     /// # Panics
     ///
     /// Panics if the three dimensions differ (as do all the kernels below).
     #[inline(always)]
-    pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
-        matmul::<HEAP_BLOCK>(self.dim, &self.data, &rhs.data, None, &mut out.data);
+    pub fn matmul_into<M: MulAdd>(&self, rhs: &Self, out: &mut Self) {
+        matmul::<HEAP_BLOCK, M>(self.dim, &self.data, &rhs.data, None, &mut out.data);
     }
 
     /// Adds `sign · self · rhs` to `out`.
     #[inline(always)]
-    pub fn matmul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
-        matmul::<HEAP_BLOCK>(self.dim, &self.data, &rhs.data, Some(sign), &mut out.data);
+    pub fn matmul_onto<M: MulAdd>(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        let onto = Some(sign);
+        matmul::<HEAP_BLOCK, M>(self.dim, &self.data, &rhs.data, onto, &mut out.data);
     }
 
     /// Writes `selfᵀ` into `out`.

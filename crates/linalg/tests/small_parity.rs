@@ -14,7 +14,8 @@
 //! to the complex ones the same way: the complex eigensolvers are the oracle
 //! for both real-symmetric bodies (Jacobi and Householder–QL, each run at
 //! every dimension, whatever the dimension rule would pick), and
-//! promote-then-complex-matmul for the real and planar products. Both bodies
+//! promote-then-complex-matmul for the real and planar products (under either
+//! multiply-add, `Unfused` and `Fused`). Both bodies
 //! solve several matrices in lockstep; [`eispack`] and [`scalar_jacobi`] keep
 //! the one-matrix routines they were derived from, branches and all, and every
 //! batch — whatever shares it — must give each matrix that routine's bits.
@@ -22,7 +23,7 @@
 use proptest::prelude::*;
 use vqc_linalg::real::{
     eigh_jacobi, eigh_ql, eigh_ql_interleaved, eigh_scratch_len, jacobi_scratch_len, ql_input,
-    ql_scratch_len, QlLane, QL_MIN_DIM,
+    ql_scratch_len, Fused, MulAdd, QlLane, Unfused, QL_MIN_DIM,
 };
 use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
 use vqc_linalg::{c64, eigh, Matrix, RealMatrix, RealSmallMatrix, C64};
@@ -202,18 +203,23 @@ fn assert_real_kernels(
 }
 
 fn check_real_kernels<const N: usize>(a_data: &[f64], b_data: &[C64]) {
+    check_real_kernels_with::<N, Unfused>(a_data, b_data);
+    check_real_kernels_with::<N, Fused>(a_data, b_data);
+}
+
+fn check_real_kernels_with<const N: usize, M: MulAdd>(a_data: &[f64], b_data: &[C64]) {
     let a = RealSmallMatrix::<N>::from_fn(|r, c| a_data[r * N + c]);
     let b_re = RealSmallMatrix::<N>::from_fn(|r, c| b_data[r * N + c].re);
     let b_im = RealSmallMatrix::<N>::from_fn(|r, c| b_data[r * N + c].im);
     // Garbage-filled outputs: the kernels overwrite, never accumulate.
     let mut squared = RealSmallMatrix::<N>::from_fn(|r, c| (r + 2 * c) as f64);
     let (mut transposed, mut re, mut im) = (squared, squared, squared);
-    a.matmul_into(&a, &mut squared);
+    a.matmul_into::<M>(&a, &mut squared);
     a.transpose_into(&mut transposed);
-    a.matmul_into(&b_re, &mut re);
-    transposed.matmul_onto(-1.0, &b_im, &mut re);
-    a.matmul_into(&b_im, &mut im);
-    transposed.matmul_onto(1.0, &b_re, &mut im);
+    a.matmul_into::<M>(&b_re, &mut re);
+    transposed.matmul_onto::<M>(-1.0, &b_im, &mut re);
+    a.matmul_into::<M>(&b_im, &mut im);
+    transposed.matmul_onto::<M>(1.0, &b_re, &mut im);
     assert_real_kernels(
         N,
         (a_data, b_data),
@@ -223,17 +229,22 @@ fn check_real_kernels<const N: usize>(a_data: &[f64], b_data: &[C64]) {
 }
 
 fn check_real_kernels_heap(n: usize, a_data: &[f64], b_data: &[C64]) {
+    check_real_kernels_heap_with::<Unfused>(n, a_data, b_data);
+    check_real_kernels_heap_with::<Fused>(n, a_data, b_data);
+}
+
+fn check_real_kernels_heap_with<M: MulAdd>(n: usize, a_data: &[f64], b_data: &[C64]) {
     let a = RealMatrix::from_fn(n, |r, c| a_data[r * n + c]);
     let b_re = RealMatrix::from_fn(n, |r, c| b_data[r * n + c].re);
     let b_im = RealMatrix::from_fn(n, |r, c| b_data[r * n + c].im);
     let mut squared = RealMatrix::from_fn(n, |r, c| (r + 2 * c) as f64);
     let (mut transposed, mut re, mut im) = (squared.clone(), squared.clone(), squared.clone());
-    a.matmul_into(&a, &mut squared);
+    a.matmul_into::<M>(&a, &mut squared);
     a.transpose_into(&mut transposed);
-    a.matmul_into(&b_re, &mut re);
-    transposed.matmul_onto(-1.0, &b_im, &mut re);
-    a.matmul_into(&b_im, &mut im);
-    transposed.matmul_onto(1.0, &b_re, &mut im);
+    a.matmul_into::<M>(&b_re, &mut re);
+    transposed.matmul_onto::<M>(-1.0, &b_im, &mut re);
+    a.matmul_into::<M>(&b_im, &mut im);
+    transposed.matmul_onto::<M>(1.0, &b_re, &mut im);
     assert_real_kernels(
         n,
         (a_data, b_data),
@@ -1226,8 +1237,8 @@ fn adam_warm_inputs(device: &DeviceModel, target: &Matrix, steps: i32) -> Vec<Ve
             if let Some(v) = basis {
                 let (mut vt, mut vt_h) = (RealMatrix::zeros(n), RealMatrix::zeros(n));
                 v.transpose_into(&mut vt);
-                vt.matmul_into(&problem, &mut vt_h);
-                vt_h.matmul_into(v, &mut problem);
+                vt.matmul_into::<Unfused>(&problem, &mut vt_h);
+                vt_h.matmul_into::<Unfused>(v, &mut problem);
                 inputs.push(problem.as_slice().to_vec());
             }
             let (mut lambdas, mut vectors) = (vec![0.0; n], RealMatrix::zeros(n));
@@ -1236,7 +1247,7 @@ fn adam_warm_inputs(device: &DeviceModel, target: &Matrix, steps: i32) -> Vec<Ve
             *basis = Some(match basis.take() {
                 Some(v) => {
                     let mut composed = RealMatrix::zeros(n);
-                    v.matmul_into(&vectors, &mut composed);
+                    v.matmul_into::<Unfused>(&vectors, &mut composed);
                     composed
                 }
                 None => vectors,

@@ -15,8 +15,8 @@
 //! **The claim rule** ([`claim`]), re-evaluated by every iteration:
 //!
 //! * the block is wide and long enough to pay for three hand-offs per
-//!   iteration and for reading what the other CPU wrote (`MIN_DIM`,
-//!   `MIN_SPAN` — measured constants, not knobs);
+//!   iteration and for reading what the other CPU wrote (`min_slices`, a
+//!   measured floor per dimension, not a knob);
 //! * a CPU is actually free: GRAPE runs in flight (`enter_run`) plus claimed
 //!   helpers is below `available_parallelism()`, so two busy workers never
 //!   become three spinning threads, and a wide block picks the spare CPU up
@@ -55,36 +55,39 @@ use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Narrowest matrix dimension that engages the helper. A 2-qubit block
-/// (dim 4) spends ~0.7 µs per slice: at 40 slices two lanes take 1.3x as long
-/// as one.
-const MIN_DIM: usize = 8;
-
-/// Least `dim · slices` that engages the helper: 8 slices at dim 8, 4 at dim
-/// 16. The three hand-offs and reading what the other CPU wrote cost an
-/// iteration ~11 µs at dim 8 and ~20 µs at dim 16 on the 2-CPU benchmark host,
-/// and do not shrink when the iteration does; and from dim 8 up a lane's
-/// slices are eigensolved four at a time, so how a half divides into groups
-/// shows (a half of 4 is one batch, a half of 2 two single solves, of 3 a
-/// padded batch). Re-measured there on the batched, AVX2-width iteration, one
-/// lane against two, three passes, each form's best of eight alternating
-/// 40 ms stretches:
+/// Fewest slices at which a `dim`-dimensional block engages the helper, or
+/// `None` for a block too narrow ever to: a 2-qubit block (dim 4) spends
+/// ~0.7 µs per slice, and at 40 slices two lanes take 1.3x as long as one. The
+/// three hand-offs and reading what the other CPU wrote cost an iteration
+/// ~11 µs at dim 8 and ~20 µs at dim 16 on the 2-CPU benchmark host, and do
+/// not shrink when the iteration does; and from dim 8 up a lane's slices are
+/// eigensolved four at a time, so how a half divides into groups shows (a
+/// half of 4 is one batch, a half of 2 two single solves, of 3 a padded
+/// batch). Measured there, one lane against two, each form's best of
+/// alternating stretches of one process:
 ///
 /// | slices | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 | 10 | 12 | 16 | 24 | 40 |
 /// |---|---|---|---|---|---|---|---|---|---|---|---|---|---|
 /// | dim 8 | | | 0.57–0.77x | 0.86–1.02x | 1.13–1.29x | 1.04–1.08x | **1.20–1.22x** | 1.05–1.20x | 1.29–1.34x | 1.13–1.14x | 1.25–1.32x | 1.29–1.40x | 1.32–1.37x |
-/// | dim 16 | 1.36–1.48x | 0.86–0.90x | **0.89–1.15x** | 1.04–1.39x | 1.20–1.51x | 1.10–1.29x | 1.42–1.48x | | | 1.27–1.40x | | 1.64–1.80x | 1.17–1.81x |
+/// | dim 16 | 1.36–1.48x | 0.86–0.90x | 0.85–1.14x | **0.99–1.55x** | 1.21–1.71x | 1.10–1.29x | 1.42–1.48x | | | 1.27–1.40x | | 1.64–1.80x | 1.24–1.88x |
 ///
-/// (bold: where the rule starts to claim.) The dim-16 columns 4–7 and 40 are
-/// re-measured with the 16×16 phases at AVX-512 width, 3 to 14 passes each,
-/// leaving out the passes in which the host's second vCPU ran slow (there
-/// 40 slices read 0.99x and 4 slices 0.64–0.73x). A faster iteration makes the
-/// fixed hand-offs a larger share, and 4 slices are now break-even (median
-/// 1.06x, 4 of 11 passes below 1.0x): a half of 2 is two one-matrix solves,
-/// which cost what the one-lane form's batch of four does. The product stays
-/// at 64: 80 would leave out dim 8 × 8–9 (1.05–1.22x) with it, and lower
-/// would admit dim 16 × 3, which splits 1 + 2 and loses.
-const MIN_SPAN: usize = 64;
+/// (bold: where the rule starts to claim.) The dim-8 row is the batched,
+/// AVX2-width iteration, three passes of eight 40 ms stretches. The dim-16
+/// columns 4, 5, 6 and 40 are re-measured with the 16×16 phases fused at
+/// AVX-512 width and sweeping through `W_t`, twelve passes of eight 40 ms
+/// stretches (medians 0.93x, 1.26x, 1.54x and 1.59x; 4 slices read below
+/// 1.0x in 9 of 12 passes, 5 slices in 1); the other dim-16 columns are
+/// older. A faster iteration makes the fixed hand-offs a larger share: at 4
+/// slices a half of 2 is two one-matrix solves, which cost what the one-lane
+/// form's batch of four does. Dims 9–15 take the dim-8 floor and every dim
+/// above 16 the dim-16 one; no workload runs those heap dimensions.
+const fn min_slices(dim: usize) -> Option<usize> {
+    match dim {
+        0..8 => None,
+        8..16 => Some(8),
+        _ => Some(5),
+    }
+}
 
 /// Longest busy-wait for a peer that is known to be at work — the helper
 /// while an iteration holds it, the caller while the helper runs its job: the
@@ -336,7 +339,7 @@ impl Drop for Claim {
 /// Claims the helper for one iteration of a `dim`-dimensional, `slices`-slice
 /// block, if the claim rule in the module docs allows it.
 pub fn claim(dim: usize, slices: usize) -> Option<Claim> {
-    if dim < MIN_DIM || dim * slices < MIN_SPAN {
+    if min_slices(dim).is_none_or(|floor| slices < floor) {
         return None;
     }
     let claim = helper().and_then(|helper| {
@@ -470,6 +473,7 @@ mod tests {
         assert!(claim(4, 10_000).is_none(), "dim 4 stays single-lane");
         assert!(claim(8, 7).is_none(), "7 slices at dim 8 are too few");
         assert!(claim(16, 3).is_none(), "3 slices at dim 16 are too few");
+        assert!(claim(16, 4).is_none(), "4 slices at dim 16 are too few");
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! is compiled three times from its one source (`lane_phase!`): for the
 //! build's baseline target, for AVX2 and for AVX-512, and the engine picks
 //! one once, at construction, by its dimension and what the CPU has
-//! (`width`: AVX-512 at dim 16, AVX2 elsewhere) — again bit for bit, since none
-//! fuses a multiply into an add; the calls into the two wide instantiations
-//! are this module's only `unsafe`. Every matrix in a GRAPE run has a
+//! (`width`: AVX-512 at dim 16, AVX2 elsewhere). The baseline and the AVX2
+//! twin give the same bits; the AVX-512 twin is compiled with `fma` and fuses
+//! the multiply-adds of its products and its contraction, so it agrees with
+//! them within rounding (the in-crate parity test holds it to 1e-12). The
+//! calls into the two wide instantiations are this module's only `unsafe`.
+//! Every matrix in a GRAPE run has a
 //! dimension fixed by the device, so the workspace picks the storage from
 //! `device.dim()` at construction and nothing else:
 //! inline const-generic [`RealSmallMatrix`] for dims 2/4/8/16 — every width a
@@ -41,13 +44,21 @@
 //!
 //! **Sweeps in the eigenbasis.** With `H_t = V_t Λ_t V_tᵀ` the slice propagator
 //! is `U_t = V_t D_t V_tᵀ`, `D_t = e^{-iΔtΛ_t}`, and the engine never forms it.
-//! The forward sweep carries `F_t = U_t ⋯ U_0` through each slice's eigenbasis,
-//! `A_t = V_tᵀ·F_{t-1}`, `F_t = V_t·(D_t A_t)`, and the backward sweep carries
-//! the co-state `K_t = target†·U_{T-1} ⋯ U_{t+1}` the same way,
-//! `B_t = K_t·V_t`, `K_{t-1} = (B_t D_t)·V_tᵀ` — four real·planar products per
-//! slice, the diagonal `D_t` applied as a row or column scaling. What the
-//! sweeps keep per slice is `A_t` and `B_t`, and their product is the matrix
-//! the Daleckii–Krein formula wants: `Vᵀ·F_{t-1}·K_t·V = A_t·B_t`.
+//! What the sweeps keep per slice is the forward evolution `F_{t-1} = U_{t-1}
+//! ⋯ U_0` and the co-state `K_t = target†·U_{T-1} ⋯ U_{t+1}` in the slice's
+//! eigenbasis, `A_t = V_tᵀ·F_{t-1}` and `B_t = K_t·V_t`, whose product is the
+//! matrix the Daleckii–Krein formula wants: `Vᵀ·F_{t-1}·K_t·V = A_t·B_t`. Each
+//! slice forms the real change of basis into the next, `W_t = V_{t+1}ᵀ·V_t`,
+//! once, and both sweeps go through it: forward `A_{t+1} = W_t·(D_t A_t)` from
+//! `A_0 = V_0ᵀ`, backward `B_{t-1} = (B_t D_t)·W_{t-1}` from
+//! `B_{T-1} = target†·V_{T-1}`, the diagonal `D_t` applied as a row or column
+//! scaling. That is one real product per slice for `W_t` and two per sweep
+//! step, where carrying `F_t` and `K_t` themselves took four per sweep step:
+//! with the contraction's eight, 13 real products a slice instead of 16. The
+//! total evolution `F_{T-1} = V_{T-1}·(D_{T-1} A_{T-1})`, for the overlap, and
+//! `B_{T-1}` are the two ends' products, formed once each. Where two lanes
+//! split the slices at `mid`, `W_{mid-1}` needs both lanes' eigensystems and
+//! is formed between the phases, by the same product at the same width.
 //! Either eigensolver — Jacobi warm-started from the slice's previous
 //! eigenbasis below dim 8, cold Householder–QL from there up — is a chain of
 //! dependent square roots and divisions; the slices of one iteration are
@@ -64,7 +75,8 @@ use crate::{ControlHamiltonian, DeviceModel, PulseSequence};
 use std::fmt::Debug;
 use std::ops::Range;
 use vqc_linalg::real::{
-    eigh_ql_interleaved, eigh_scratch_len, eigh_symmetric, ql_input, QlLane, QL_MIN_DIM,
+    eigh_ql_interleaved, eigh_scratch_len, eigh_symmetric, ql_input, Fused, MulAdd, QlLane,
+    Unfused, QL_MIN_DIM,
 };
 use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, C64};
 
@@ -72,9 +84,11 @@ use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, C64};
 /// and the proof that this CPU can run it, for that call's `unsafe`.
 ///
 /// **The rule, per dimension.** The AVX-512 twin at dim 16 where the host has
-/// AVX-512 F/VL/DQ, the AVX2 twin everywhere else where it has AVX2, the
-/// baseline where it has neither. Every instantiation gives the same bits, so
-/// the rule decides speed only. Measured on an x86-64 host with AVX-512
+/// FMA and AVX-512 F/VL/DQ, the AVX2 twin everywhere else where it has AVX2,
+/// the baseline where it has neither. The AVX2 twin gives the baseline's bits,
+/// and the AVX-512 twin, the one that fuses, agrees with them within rounding,
+/// so the rule decides speed, and at dim 16 the last bits of a result.
+/// Measured on an x86-64 host with AVX-512, before the AVX-512 twin fused
 /// (2 vCPUs, one lane, 40 slices of a moving pulse, all four engines in one
 /// process taking turns, the median over 40–60 turns of each one's time
 /// against the baseline's in the same turn):
@@ -91,7 +105,12 @@ use vqc_linalg::{Matrix, RealMatrix, RealSmallMatrix, C64};
 /// 0.45–0.48, while `diagonalize` reads 0.74–0.77 at either width (the QL
 /// batch alone, outside the engine, is ~20 % slower at AVX-512 width; its
 /// `[f64; 4]` lockstep loops do not get wider). The heap dimensions keep
-/// AVX2; no workload of the benchmark runs them.
+/// AVX2; no workload of the benchmark runs them. Fusing the AVX-512 twin and
+/// sweeping through `W_t` took a one-lane 4q slice-iteration at 40 slices from
+/// 13.1–14.0 to 11.9–12.7 µs on that host; with the profiler armed (in a
+/// slower stretch of the host, 18–20 µs a slice) the sweeps went from 3.5–3.6
+/// to 2.3–2.5 µs and the contraction from 4.4–4.5 to 4.0–4.2, and the
+/// eigensolve did not move.
 mod width {
     /// Exists only where a detection below found its features: the field is
     /// private to this module, so nothing else can make one.
@@ -103,8 +122,8 @@ mod width {
     pub(super) enum Width {
         /// `#[target_feature(enable = "avx2")]`: four `f64`s a vector.
         Avx2(Detected),
-        /// `#[target_feature(enable = "avx2,avx512f,avx512vl,avx512dq")]`:
-        /// eight `f64`s a vector.
+        /// `#[target_feature(enable = "avx2,fma,avx512f,avx512vl,avx512dq")]`:
+        /// eight `f64`s a vector, and the one twin whose products fuse.
         Avx512(Detected),
     }
 
@@ -118,11 +137,12 @@ mod width {
             None
         }
 
-        /// The AVX-512 twin on an x86-64 CPU that reports AVX2 and AVX-512
-        /// F, VL and DQ, `None` elsewhere.
+        /// The AVX-512 twin on an x86-64 CPU that reports AVX2, FMA and
+        /// AVX-512 F, VL and DQ, `None` elsewhere.
         pub(super) fn avx512() -> Option<Width> {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
                 && std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512vl")
                 && std::arch::is_x86_feature_detected!("avx512dq")
@@ -148,31 +168,36 @@ use width::Width;
 /// `$name(width, …)`. The body is compiled three times from this one source:
 /// for the build's baseline target (SSE2 on x86-64), and — everything beneath
 /// a phase being `#[inline(always)]` — again inside an AVX2 and an AVX-512
-/// `#[target_feature]` twin, which `width` selects ([`Width`]). Rust never
-/// contracts `a * b + c` and no twin enables `fma`, so all three run the same
-/// IEEE operations in the same order and agree bit for bit: the width decides
-/// how many of them one instruction carries, and a report does not depend on
-/// the host. Other architectures have the baseline only.
+/// `#[target_feature]` twin, which `width` selects ([`Width`]). The body's
+/// `M` is the multiply-add its products and its contraction use
+/// ([`MulAdd`]): `Unfused` in the baseline and the AVX2 twin, which run the
+/// same IEEE operations in the same order and agree bit for bit (Rust never
+/// contracts `a * b + c` on its own), and `Fused` in the AVX-512 twin, the one
+/// compiled with `fma`, whose results agree with theirs within rounding. One
+/// binary at one width gives the same bits at any lane count. Other
+/// architectures have the baseline only.
 macro_rules! lane_phase {
     (
         $(#[$attribute:meta])*
-        fn $name:ident<S: RealStorage>($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+        fn $name:ident<S: RealStorage, M: MulAdd>(
+            $($arg:ident: $ty:ty),* $(,)?
+        ) $(-> $ret:ty)? $body:block
     ) => {
         $(#[$attribute])*
         fn $name<S: RealStorage>(width: Option<Width>, $($arg: $ty),*) $(-> $ret)? {
             #[inline(always)]
-            fn baseline<S: RealStorage>($($arg: $ty),*) $(-> $ret)? $body
+            fn body<S: RealStorage, M: MulAdd>($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
             fn avx2<S: RealStorage>($($arg: $ty),*) $(-> $ret)? {
-                baseline($($arg),*)
+                body::<S, Unfused>($($arg),*)
             }
 
             #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2,avx512f,avx512vl,avx512dq")]
+            #[target_feature(enable = "avx2,fma,avx512f,avx512vl,avx512dq")]
             fn avx512<S: RealStorage>($($arg: $ty),*) $(-> $ret)? {
-                baseline($($arg),*)
+                body::<S, Fused>($($arg),*)
             }
 
             match width {
@@ -180,10 +205,10 @@ macro_rules! lane_phase {
                 // where `is_x86_feature_detected!` said the CPU has it.
                 #[cfg(target_arch = "x86_64")]
                 Some(Width::Avx2(_)) => unsafe { avx2($($arg),*) },
-                // SAFETY: likewise for AVX2 and AVX-512 F/VL/DQ.
+                // SAFETY: likewise for AVX2, FMA and AVX-512 F/VL/DQ.
                 #[cfg(target_arch = "x86_64")]
                 Some(Width::Avx512(_)) => unsafe { avx512($($arg),*) },
-                _ => baseline($($arg),*),
+                _ => body::<S, Unfused>($($arg),*),
             }
         }
     };
@@ -201,15 +226,15 @@ trait RealStorage: Clone + Debug + Send + Sync {
     fn entries(&self) -> &[f64];
     fn entries_mut(&mut self) -> &mut [f64];
     /// Writes `self · rhs` into `out`.
-    fn mul_into(&self, rhs: &Self, out: &mut Self);
+    fn mul_into<M: MulAdd>(&self, rhs: &Self, out: &mut Self);
     /// Adds `sign · self · rhs` to `out`.
-    fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self);
+    fn mul_onto<M: MulAdd>(&self, sign: f64, rhs: &Self, out: &mut Self);
     /// Writes `selfᵀ` into `out`.
     fn transpose_into(&self, out: &mut Self);
 }
 
 // What a lane phase calls is `#[inline(always)]`, here and in `vqc-linalg`,
-// so that each of the phase's two instantiations ([`lane_phase!`]) compiles
+// so that each of the phase's three instantiations ([`lane_phase!`]) compiles
 // it at its own vector width.
 impl<const N: usize> RealStorage for RealSmallMatrix<N> {
     fn zeros(_dim: usize) -> Self {
@@ -228,12 +253,12 @@ impl<const N: usize> RealStorage for RealSmallMatrix<N> {
         self.as_mut_slice()
     }
     #[inline(always)]
-    fn mul_into(&self, rhs: &Self, out: &mut Self) {
-        self.matmul_into(rhs, out);
+    fn mul_into<M: MulAdd>(&self, rhs: &Self, out: &mut Self) {
+        self.matmul_into::<M>(rhs, out);
     }
     #[inline(always)]
-    fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
-        self.matmul_onto(sign, rhs, out);
+    fn mul_onto<M: MulAdd>(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        self.matmul_onto::<M>(sign, rhs, out);
     }
     #[inline(always)]
     fn transpose_into(&self, out: &mut Self) {
@@ -258,12 +283,12 @@ impl RealStorage for RealMatrix {
         self.as_mut_slice()
     }
     #[inline(always)]
-    fn mul_into(&self, rhs: &Self, out: &mut Self) {
-        self.matmul_into(rhs, out);
+    fn mul_into<M: MulAdd>(&self, rhs: &Self, out: &mut Self) {
+        self.matmul_into::<M>(rhs, out);
     }
     #[inline(always)]
-    fn mul_onto(&self, sign: f64, rhs: &Self, out: &mut Self) {
-        self.matmul_onto(sign, rhs, out);
+    fn mul_onto<M: MulAdd>(&self, sign: f64, rhs: &Self, out: &mut Self) {
+        self.matmul_onto::<M>(sign, rhs, out);
     }
     #[inline(always)]
     fn transpose_into(&self, out: &mut Self) {
@@ -299,25 +324,25 @@ impl<S: RealStorage> Planar<S> {
 
     /// Writes `lhs · rhs`, for a real `lhs`.
     #[inline(always)]
-    fn real_times(lhs: &S, rhs: &Self, out: &mut Self) {
-        lhs.mul_into(&rhs.re, &mut out.re);
-        lhs.mul_into(&rhs.im, &mut out.im);
+    fn real_times<M: MulAdd>(lhs: &S, rhs: &Self, out: &mut Self) {
+        lhs.mul_into::<M>(&rhs.re, &mut out.re);
+        lhs.mul_into::<M>(&rhs.im, &mut out.im);
     }
 
     /// Writes `lhs · rhs`, for a real `rhs`.
     #[inline(always)]
-    fn times_real(lhs: &Self, rhs: &S, out: &mut Self) {
-        lhs.re.mul_into(rhs, &mut out.re);
-        lhs.im.mul_into(rhs, &mut out.im);
+    fn times_real<M: MulAdd>(lhs: &Self, rhs: &S, out: &mut Self) {
+        lhs.re.mul_into::<M>(rhs, &mut out.re);
+        lhs.im.mul_into::<M>(rhs, &mut out.im);
     }
 
     /// Writes the complex product `lhs · rhs`: four real products.
     #[inline(always)]
-    fn times(lhs: &Self, rhs: &Self, out: &mut Self) {
-        lhs.re.mul_into(&rhs.re, &mut out.re);
-        lhs.im.mul_onto(-1.0, &rhs.im, &mut out.re);
-        lhs.re.mul_into(&rhs.im, &mut out.im);
-        lhs.im.mul_onto(1.0, &rhs.re, &mut out.im);
+    fn times<M: MulAdd>(lhs: &Self, rhs: &Self, out: &mut Self) {
+        lhs.re.mul_into::<M>(&rhs.re, &mut out.re);
+        lhs.im.mul_onto::<M>(-1.0, &rhs.im, &mut out.re);
+        lhs.re.mul_into::<M>(&rhs.im, &mut out.im);
+        lhs.im.mul_onto::<M>(1.0, &rhs.re, &mut out.im);
     }
 }
 
@@ -412,6 +437,9 @@ struct Eigensystem<S> {
     /// `vᵀ`, refreshed after each eigensolve: handed back by the QL solver,
     /// transposed from `v` below `QL_MIN_DIM`.
     vt: S,
+    /// `W_t = V_{t+1}ᵀ·V_t`, the change of basis from this slice's eigenbasis
+    /// into the next one's ([`Eigensystem::link`]); unused on the last slice.
+    w: S,
     /// The eigenvalues, ascending.
     lambdas: Vec<f64>,
     /// `cos(Δtλ)` and `−sin(Δtλ)`: the two planes of the diagonal `e^{-iΔtλ}`.
@@ -448,17 +476,24 @@ impl<S: RealStorage> Eigensystem<S> {
     /// diagonal and the Jacobi sweep count collapses (to zero when the slice
     /// is re-evaluated unchanged).
     #[inline(always)]
-    fn enter_eigenbasis(&mut self, product: &mut S) {
-        self.vt.mul_into(&self.h, product);
-        product.mul_into(&self.v, &mut self.h);
+    fn enter_eigenbasis<M: MulAdd>(&mut self, product: &mut S) {
+        self.vt.mul_into::<M>(&self.h, product);
+        product.mul_into::<M>(&self.v, &mut self.h);
     }
 
     /// Warm start, second half: `v ← v·V'`, with `V'` the eigenvectors of
     /// the rotated `h`, which the solve left in `vt`.
     #[inline(always)]
-    fn leave_eigenbasis(&mut self, product: &mut S) {
-        self.v.mul_into(&self.vt, product);
+    fn leave_eigenbasis<M: MulAdd>(&mut self, product: &mut S) {
+        self.v.mul_into::<M>(&self.vt, product);
         self.v.entries_mut().copy_from_slice(product.entries());
+    }
+
+    /// `w = V_{t+1}ᵀ·V_t`, with `next` slice `t + 1`: one real product per
+    /// slice, which saves both sweeps a real·planar product a slice.
+    #[inline(always)]
+    fn link<M: MulAdd>(&mut self, next: &Self) {
+        next.vt.mul_into::<M>(&self.v, &mut self.w);
     }
 
     /// This slice as one matrix of a batched eigensolve below `QL_MIN_DIM`:
@@ -504,7 +539,9 @@ struct Scratch<S> {
 
 lane_phase! {
     /// Phase 1 of an iteration, for one lane's slices `first..`: Hamiltonians,
-    /// then eigensystems, then `Vᵀ` and the phases `e^{-iΔtλ}`. Returns the
+    /// then eigensystems, then `Vᵀ`, the phases `e^{-iΔtλ}` and each slice's
+    /// `W_t` into the next but the lane's last ([`Eigensystem::link`];
+    /// [`link_boundary`] forms that one once both lanes are done). Returns the
     /// lane's eigensolver iterations, each slice's own.
     ///
     /// The slices are solved [`EIGH_LANES`] at a time, in lockstep
@@ -525,7 +562,7 @@ lane_phase! {
     /// structure-of-arrays batch ([`eigh_ql_interleaved`]) and solved at once,
     /// and the solver hands back each slice's `Vᵀ` beside `V`: no dense copy to
     /// interleave and no transpose, at one pair of marks per group.
-    fn diagonalize<S: RealStorage>(
+    fn diagonalize<S: RealStorage, M: MulAdd>(
         model: &Model<S>,
         pulse: &PulseSequence,
         warmed: bool,
@@ -576,7 +613,7 @@ lane_phase! {
             for group in slices.chunks_mut(EIGH_LANES) {
                 if warmed {
                     for slice in group.iter_mut() {
-                        slice.enter_eigenbasis(product);
+                        slice.enter_eigenbasis::<M>(product);
                     }
                 }
                 if group.len() < EIGH_LANES - 1 {
@@ -595,14 +632,14 @@ lane_phase! {
                 }
                 if warmed {
                     for slice in group.iter_mut() {
-                        slice.leave_eigenbasis(product);
+                        slice.leave_eigenbasis::<M>(product);
                     }
                 }
             }
             mark(&mut lap, Phase::Eigendecomposition);
         }
 
-        for slice in slices {
+        for slice in slices.iter_mut() {
             if dim < QL_MIN_DIM {
                 slice.v.transpose_into(&mut slice.vt);
             }
@@ -612,54 +649,76 @@ lane_phase! {
                 (*cos, *sin) = (phase.re, phase.im);
             }
         }
+        link_each::<S, M>(slices);
         iterations
     }
 }
 
+/// [`Eigensystem::link`] of every slice of `slices` into the next, the last
+/// one's next being out of range.
+#[inline(always)]
+fn link_each<S: RealStorage, M: MulAdd>(slices: &mut [Eigensystem<S>]) {
+    for t in 1..slices.len() {
+        let (head, tail) = slices.split_at_mut(t);
+        head[t - 1].link::<M>(&tail[0]);
+    }
+}
+
 lane_phase! {
-    /// Phase 2, one lane: `a[t] = V_tᵀ · F_{t-1}` for every slice, leaving the
-    /// total evolution `F_{T-1}` in `total`.
-    fn sweep_forward<S: RealStorage>(
+    /// Phase 1's one product no lane can form alone: where two lanes split
+    /// the slices at `mid`, `boundary` is slices `mid − 1` and `mid`, and
+    /// `W_{mid−1}` needs both lanes' eigensystems. It is the product every
+    /// other `W_t` is, at the same width, so one lane and two give the same
+    /// bits.
+    fn link_boundary<S: RealStorage, M: MulAdd>(boundary: &mut [Eigensystem<S>]) {
+        link_each::<S, M>(boundary);
+    }
+}
+
+lane_phase! {
+    /// Phase 2, one lane: `a[t] = V_tᵀ · F_{t-1}` for every slice, from
+    /// `a[0] = V_0ᵀ` (`F_{-1}` is the identity) through
+    /// `a[t+1] = W_t · (D_t a[t])`, and the total evolution
+    /// `F_{T-1} = V_{T-1} · (D_{T-1} a[T-1])` into `total`, formed once, at
+    /// the last slice.
+    fn sweep_forward<S: RealStorage, M: MulAdd>(
         eigen: &[Eigensystem<S>],
         a: &mut [Planar<S>],
         total: &mut Planar<S>,
         scratch: &mut Scratch<S>,
     ) {
         let scaled = &mut scratch.planar[0];
-        for (t, (slice, a)) in eigen.iter().zip(a).enumerate() {
-            if t == 0 {
-                // F_{-1} is the identity.
-                a.re.entries_mut().copy_from_slice(slice.vt.entries());
-                a.im.entries_mut().fill(0.0);
-            } else {
-                Planar::real_times(&slice.vt, total, a);
-            }
-            slice.scale(|row, _| row, a, scaled);
-            Planar::real_times(&slice.v, scaled, total);
+        let last = eigen.len() - 1;
+        a[0].re.entries_mut().copy_from_slice(eigen[0].vt.entries());
+        a[0].im.entries_mut().fill(0.0);
+        for t in 0..last {
+            let (done, next) = a.split_at_mut(t + 1);
+            eigen[t].scale(|row, _| row, &done[t], scaled);
+            Planar::real_times::<M>(&eigen[t].w, scaled, &mut next[0]);
         }
+        eigen[last].scale(|row, _| row, &a[last], scaled);
+        Planar::real_times::<M>(&eigen[last].v, scaled, total);
     }
 }
 
 lane_phase! {
-    /// Phase 2, the other lane: the gradient's co-state, seeded with the
-    /// target, `K_{T-1} = target†`: `b[t] = K_t · V_t` for every slice, with
-    /// `K_{t-1} = (b[t] · D_t) · V_tᵀ` carried in the lane's scratch.
-    fn sweep_backward<S: RealStorage>(
+    /// Phase 2, the other lane: `b[t] = K_t · V_t` for every slice, `K_t` the
+    /// gradient's co-state `target† · U_{T-1} ⋯ U_{t+1}`, from
+    /// `b[T-1] = target† · V_{T-1}`, formed once, at the last slice, through
+    /// `b[t-1] = (b[t] · D_t) · W_{t-1}`.
+    fn sweep_backward<S: RealStorage, M: MulAdd>(
         eigen: &[Eigensystem<S>],
         target_dagger: &Planar<S>,
         b: &mut [Planar<S>],
         scratch: &mut Scratch<S>,
     ) {
-        let [costate, scaled] = &mut scratch.planar;
-        let (re, im) = (target_dagger.re.entries(), target_dagger.im.entries());
-        costate.re.entries_mut().copy_from_slice(re);
-        costate.im.entries_mut().copy_from_slice(im);
-        for (t, (slice, b)) in eigen.iter().zip(b).enumerate().rev() {
-            Planar::times_real(costate, &slice.v, b);
-            if t > 0 {
-                slice.scale(|_, column| column, b, scaled);
-                Planar::times_real(scaled, &slice.vt, costate);
-            }
+        let scaled = &mut scratch.planar[0];
+        let last = eigen.len() - 1;
+        Planar::times_real::<M>(target_dagger, &eigen[last].v, &mut b[last]);
+        for t in (1..=last).rev() {
+            let (next, done) = b.split_at_mut(t);
+            eigen[t].scale(|_, column| column, &done[0], scaled);
+            Planar::times_real::<M>(scaled, &eigen[t - 1].w, &mut next[t - 1]);
         }
     }
 }
@@ -676,7 +735,7 @@ lane_phase! {
     /// sweeps left (the target is already inside K_t) —
     ///   Tr(V_target† ∂U_total/∂u_k) = Σ_ab H_k[a,b] · G[a,b]
     /// with  G = V · (Pᵀ ∘ Γ) · Vᵀ,  which is independent of k.
-    fn contract<S: RealStorage>(
+    fn contract<S: RealStorage, M: MulAdd>(
         model: &Model<S>,
         eigen: &[Eigensystem<S>],
         sweeps: (&[Planar<S>], &[Planar<S>]),
@@ -690,7 +749,7 @@ lane_phase! {
         let [p, g] = &mut scratch.planar;
         for n in 0..gradient.len() / num_controls.max(1) {
             let t = first + n;
-            Planar::times(&a[t], &b[t], p);
+            Planar::times::<M>(&a[t], &b[t], p);
 
             let slice = &eigen[t];
             let (lambdas, cos, sin) = (&slice.lambdas, &slice.cos, &slice.sin);
@@ -704,7 +763,7 @@ lane_phase! {
             for i in 0..dim {
                 let own = (dt * sin[i], -dt * cos[i]);
                 let ii = i * dim + i;
-                (g_re[ii], g_im[ii]) = times_gamma(p_re[ii], p_im[ii], own);
+                (g_re[ii], g_im[ii]) = times_gamma::<M>(p_re[ii], p_im[ii], own);
                 for j in i + 1..dim {
                     let gap = lambdas[i] - lambdas[j];
                     let (gamma_ij, gamma_ji) = if gap.abs() < 1e-10 {
@@ -716,21 +775,21 @@ lane_phase! {
                         (gamma, gamma)
                     };
                     let (ij, ji) = (i * dim + j, j * dim + i);
-                    (g_re[ji], g_im[ji]) = times_gamma(p_re[ij], p_im[ij], gamma_ij);
-                    (g_re[ij], g_im[ij]) = times_gamma(p_re[ji], p_im[ji], gamma_ji);
+                    (g_re[ji], g_im[ji]) = times_gamma::<M>(p_re[ij], p_im[ij], gamma_ij);
+                    (g_re[ij], g_im[ij]) = times_gamma::<M>(p_re[ji], p_im[ji], gamma_ji);
                 }
             }
             // G = V · (Pᵀ ∘ Γ) · Vᵀ
-            Planar::real_times(&slice.v, g, p);
-            Planar::times_real(p, &slice.vt, g);
+            Planar::real_times::<M>(&slice.v, g, p);
+            Planar::times_real::<M>(p, &slice.vt, g);
             let (g_re, g_im) = (g.re.entries(), g.im.entries());
 
             let slots = &mut gradient[n * num_controls..][..num_controls];
             for (slot, entries) in slots.iter_mut().zip(&model.control_sparse) {
                 let mut contraction = C64::ZERO;
                 for &(index, h_ab) in entries {
-                    contraction.re += g_re[index] * h_ab;
-                    contraction.im += g_im[index] * h_ab;
+                    contraction.re = M::mul_add(g_re[index], h_ab, contraction.re);
+                    contraction.im = M::mul_add(g_im[index], h_ab, contraction.im);
                 }
                 let dg = contraction / model.qubit_dim;
                 let dfidelity = 2.0 * (conj_overlap * dg).re;
@@ -748,10 +807,11 @@ fn mark(lap: &mut Option<&mut profile::Lap>, phase: Phase) {
     }
 }
 
-/// `(re + i·im) · Γ`, for one entry of `Pᵀ ∘ Γ`.
+/// `(re + i·im) · Γ`, for one entry of `Pᵀ ∘ Γ`, as two `M` multiply-adds.
 #[inline(always)]
-fn times_gamma(re: f64, im: f64, gamma: (f64, f64)) -> (f64, f64) {
-    (re * gamma.0 - im * gamma.1, re * gamma.1 + im * gamma.0)
+fn times_gamma<M: MulAdd>(re: f64, im: f64, gamma: (f64, f64)) -> (f64, f64) {
+    let re_part = M::mul_add(re, gamma.0, -(im * gamma.1));
+    (re_part, M::mul_add(re, gamma.1, im * gamma.0))
 }
 
 /// The GRAPE engine: the entire hot loop, written once over a [`RealStorage`].
@@ -762,8 +822,9 @@ fn times_gamma(re: f64, im: f64, gamma: (f64, f64)) -> (f64, f64) {
 /// `0..mid` beside `mid..T`. With a [`lanes::Claim`] the second lane of each
 /// pair runs on the helper thread and `mid = T/2`; without one both run here
 /// and `mid = T`, so the second lane's ranges are empty. Every product,
-/// association order and warm-start state is per slice and each lane has its
-/// own [`Scratch`], so the two forms are bit-identical.
+/// association order and warm-start state is per slice — the one `W_t` that
+/// spans the split, [`link_boundary`], is the same product as the rest — and
+/// each lane has its own [`Scratch`], so the two forms are bit-identical.
 ///
 /// All per-slice buffers are packed `Vec`s — one contiguous allocation each
 /// on the stack storage — so the passes stream through cache-resident data.
@@ -837,7 +898,8 @@ impl<S: RealStorage> Engine<S> {
         let eigensystem = Eigensystem {
             h: zero.clone(),
             v: zero.clone(),
-            vt: zero,
+            vt: zero.clone(),
+            w: zero,
             lambdas: vec![0.0; dim],
             cos: vec![0.0; dim],
             sin: vec![0.0; dim],
@@ -922,6 +984,9 @@ impl<S: RealStorage> Engine<S> {
             || far_iterations = diagonalize(wide, model, pulse, warmed, far, far_scratch, None),
         );
         lap.add_sweeps(near_iterations + far_iterations);
+        if (1..self.num_slices).contains(&mid) {
+            link_boundary(wide, &mut self.eigen[mid - 1..=mid]);
+        }
 
         let (eigen, a, b, total) = (&self.eigen[..], &mut self.a, &mut self.b, &mut self.total);
         lanes::pair(
@@ -1034,30 +1099,27 @@ impl GrapeWorkspace {
         controls: &[ControlHamiltonian],
         num_slices: usize,
     ) -> Self {
-        Self::at_width(device, controls, num_slices, true)
+        let width = Width::for_dim(device.dim());
+        Self::at_width(device, controls, num_slices, width)
     }
 
     /// [`GrapeWorkspace::new`] pinned to the build's baseline vector width
     /// whatever the host offers: what the benches and the allocation gate,
     /// which live outside this crate, measure the host's width against. The
-    /// results are the same bits.
+    /// results are the same bits as at AVX2 width, and within rounding of the
+    /// fused AVX-512 twin's.
     #[doc(hidden)]
     pub fn new_at_baseline_width(device: &DeviceModel, num_slices: usize) -> Self {
-        Self::at_width(device, &device.control_hamiltonians(), num_slices, false)
+        Self::at_width(device, &device.control_hamiltonians(), num_slices, None)
     }
 
     fn at_width(
         device: &DeviceModel,
         controls: &[ControlHamiltonian],
         num_slices: usize,
-        wide: bool,
+        width: Option<Width>,
     ) -> Self {
         assert!(num_slices > 0, "a pulse needs at least one time slice");
-        let width = if wide {
-            Width::for_dim(device.dim())
-        } else {
-            None
-        };
         let kernel = match device.dim() {
             2 => Kernel::Dim2(Box::new(Engine::new(device, controls, num_slices, width))),
             4 => Kernel::Dim4(Box::new(Engine::new(device, controls, num_slices, width))),
@@ -1256,7 +1318,8 @@ mod tests {
         assert!(stack.warmed && heap.warmed);
     }
 
-    /// Two ways to run one iteration that must not differ in a single bit.
+    /// Two ways to run one iteration: they must not differ in a single bit,
+    /// unless one of them fuses its multiply-adds and the other does not.
     #[derive(Clone, Copy)]
     enum Forms {
         /// One lane against two (the helper forced, whatever the block's
@@ -1273,7 +1336,10 @@ mod tests {
 
     /// Runs the engine over `S` in both of `forms` and holds the infidelity
     /// and every gradient entry to the same bits, on a cold pulse and on a
-    /// second one (warm-started, on the Jacobi dimensions).
+    /// second one (warm-started, on the Jacobi dimensions). The fused
+    /// AVX-512 twin against the unfused baseline rounds differently, so there
+    /// the infidelities must agree within 1e-12 and every gradient entry
+    /// within 1e-12 of the largest |entry|.
     fn both_forms_agree<S: RealStorage>(
         forms: Forms,
         device: &DeviceModel,
@@ -1292,11 +1358,29 @@ mod tests {
         let target = (1..qubits).fold(gates::h(), |acc, _| acc.kron(&gates::h()));
         let mut plain = engine_at_width::<S>(device, &target, slices, plain_width);
         let mut other = engine_at_width::<S>(device, &target, slices, other_width);
+        let fused = matches!(forms, Forms::Widths(Width::Avx512(_)));
         for (amps, what) in [(amps, "cold"), (perturbed, "second")] {
             let pulse = pulse_from(device, slices, dt_ns, amps);
             let expected = plain.fidelity_gradient(&pulse, None);
             let got = other.fidelity_gradient(&pulse, claim.as_mut());
             let (dim, width) = (device.dim(), other.width);
+            if fused {
+                let gap = (expected - got).abs();
+                assert!(
+                    gap < 1e-12,
+                    "dim {dim}, {slices} slices, {width:?}, {what}: infidelity {expected:e} vs \
+                     {got:e}"
+                );
+                let largest = plain.gradient.iter().fold(0.0f64, |m, g| m.max(g.abs()));
+                for (index, (a, b)) in plain.gradient.iter().zip(&other.gradient).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-12 * largest,
+                        "dim {dim}, {slices} slices, {width:?}, {what}: gradient entry {index}, \
+                         {a:e} vs {b:e}, largest |entry| {largest:e}"
+                    );
+                }
+                continue;
+            }
             assert_eq!(
                 expected.to_bits(),
                 got.to_bits(),
@@ -1356,7 +1440,7 @@ mod tests {
         }
 
         #[test]
-        fn wide_and_baseline_instantiations_agree_bit_for_bit(
+        fn avx2_twin_keeps_the_baseline_bits_and_the_fused_twin_its_bounds(
             amps in prop::collection::vec(-1.0..1.0f64, 64),
             perturbed in prop::collection::vec(-1.0..1.0f64, 64),
             dt in 0.1..1.0f64,
@@ -1365,7 +1449,8 @@ mod tests {
             let pulses = (&amps[..], &perturbed[..]);
             // Every twin the host has, not only the one the rule picks, at
             // every stack dimension and heap 3 and 9; whole groups, a padded
-            // one and a one-matrix remainder.
+            // one and a one-matrix remainder. AVX2 to the bit, the fused
+            // AVX-512 twin within bounds.
             for width in host_widths() {
                 let forms = Forms::Widths(width);
                 for slices in [3, 6, 11] {
@@ -1535,7 +1620,10 @@ mod tests {
         // 16, heap 9), each checked by `final_unitary`, which shares none of
         // the engine's code. Two pulses through each workspace: the second
         // evaluation is the warm-started one wherever the dimension has a warm
-        // start, and it carries an idle slice (the zero Hamiltonian).
+        // start, and it carries an idle slice (the zero Hamiltonian). Dim 16
+        // runs the fused AVX-512 twin wherever the host has it, whatever the
+        // rule picks, and also 400 slices at the paper's sample period (a
+        // 20 ns block): the `W_t` chain over a long product.
         let cases = [
             (DeviceModel::qubits_line(1), gates::h()),
             (DeviceModel::qubits_line(2), gates::cx()),
@@ -1547,12 +1635,23 @@ mod tests {
                 gates::cx(),
             ),
         ];
+        let paper_dt = crate::grape::GrapeOptions::paper().dt_ns;
         for (device, target) in cases {
-            for slices in [8, 40, 80] {
-                let mut workspace = GrapeWorkspace::new(&device, slices);
+            let dim = device.dim();
+            let (width, lengths) = match dim {
+                16 => (
+                    Width::avx512().or(Width::for_dim(16)),
+                    &[8, 40, 80, 400][..],
+                ),
+                _ => (Width::for_dim(dim), &[8, 40, 80][..]),
+            };
+            for &slices in lengths {
+                let controls = device.control_hamiltonians();
+                let mut workspace = GrapeWorkspace::at_width(&device, &controls, slices, width);
                 workspace.set_target(&device, &target);
+                let dt = if slices == 400 { paper_dt } else { 0.5 };
                 for seed in [3, 4] {
-                    let mut pulse = PulseSequence::seeded_guess(&device, slices, 0.5, seed);
+                    let mut pulse = PulseSequence::seeded_guess(&device, slices, dt, seed);
                     if seed == 4 {
                         for k in 0..device.num_controls() {
                             pulse.set_amplitude(k, 2, 0.0);
@@ -1562,9 +1661,8 @@ mod tests {
                     let verifier = crate::grape::evaluate_pulse(&target, &device, &pulse);
                     assert!(
                         (engine - verifier).abs() < 1e-10,
-                        "dim {}, {slices} slices, seed {seed}: engine {engine} vs verifier \
-                         {verifier}",
-                        device.dim()
+                        "dim {dim}, {slices} slices, {width:?}, seed {seed}: engine {engine} \
+                         vs verifier {verifier}"
                     );
                 }
             }
