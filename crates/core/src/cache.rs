@@ -358,6 +358,12 @@ impl ShardedPulseCache {
         }
     }
 
+    /// Whether the maps are bounded ([`CacheConfig::max_entries_per_shard`]),
+    /// so that what survives depends on the order of inserts.
+    pub(crate) fn is_bounded(&self) -> bool {
+        self.shards[0].blocks.lock().capacity.is_some()
+    }
+
     /// Number of warm-start seeds currently held.
     pub fn num_seeds(&self) -> usize {
         self.shards.iter().map(|s| s.seeds.lock().len()).sum()

@@ -7,8 +7,12 @@ use crate::library::{BlockKey, CachedBlock, CachedTuning, PulseCache};
 use crate::plan::{self, BlockRecord, CacheSlot, CompilationPlan, PlanCache, PlanCacheStats};
 use crate::schedule::schedule_blocks;
 use crate::CompileError;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use vqc_circuit::timing::{critical_path_ns, GateTimes};
@@ -192,13 +196,15 @@ pub struct CompilationReport {
 }
 
 /// The compilation latency of one phase (pre-compute or runtime) of one
-/// strategy: GRAPE iterations counted and wall-clock seconds measured, never an
+/// strategy: GRAPE iterations counted and per-block seconds measured, never an
 /// estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseLatency {
     /// GRAPE iterations attributed to this phase.
     pub grape_iterations: usize,
-    /// Wall-clock seconds this process spent on the phase's pulse-level work.
+    /// Seconds of the phase's pulse-level work: the sum of its blocks' own
+    /// wall-clock seconds. Blocks of one compile overlap on several CPUs, so
+    /// this is work, not the compile's wall time.
     pub measured_seconds: f64,
 }
 
@@ -299,10 +305,29 @@ impl PartialCompiler {
 
     /// Compiles a circuit under a strategy at a concrete parameter binding.
     ///
+    /// The report, the store and its counters end exactly as the block-order
+    /// loop leaves them ([`PartialCompiler::plan`], then
+    /// [`PartialCompiler::compile_block_outcome`] for each block in order, then
+    /// [`PartialCompiler::assemble`]), bit for bit; only the phases'
+    /// `measured_seconds` may differ. Blocks resolve in block order on the
+    /// calling thread until one misses the store. From there the remaining
+    /// blocks run as *chains*: blocks that name a common store key — the
+    /// structural key their seed and tuning live under, or the bound key of
+    /// their block entry — share a chain and keep their block order in it,
+    /// so no two chains touch one entry and every block sees the store it
+    /// would see in block order. Chains are taken longest first by plan cost,
+    /// on the calling thread and up to `available_parallelism() − 1` scoped
+    /// helper threads, all joined before this returns. A bounded store
+    /// ([`crate::CacheConfig::max_entries_per_shard`]) evicts in insert order,
+    /// so there the blocks run on the calling thread alone, in block order.
+    ///
     /// # Errors
     ///
     /// Returns [`CompileError::MissingParameters`] if `params` is shorter than the
-    /// highest θ index the circuit references, or propagates circuit/pulse errors.
+    /// highest θ index the circuit references, or propagates the circuit/pulse
+    /// error of the first failing block in block order. No block after a known
+    /// failure starts, but one already running beside it finishes and files its
+    /// result.
     pub fn compile(
         &self,
         circuit: &Circuit,
@@ -312,9 +337,74 @@ impl PartialCompiler {
         let plan = self.plan(circuit, params, strategy)?;
         let mut outcomes = Vec::with_capacity(plan.blocks.len());
         for (block, record) in plan.blocks.iter().zip(&plan.records) {
-            outcomes.push(self.compile_record(plan.strategy, block, record, params)?);
+            match self.resolve_without_pulse_work(block, record, params) {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(key) => {
+                    let missed = outcomes.len();
+                    outcomes.extend(self.compile_chains(&plan, params, missed, key)?);
+                    break;
+                }
+            }
         }
         Ok(self.assemble(&plan, outcomes))
+    }
+
+    /// The outcomes of blocks `first..` of a plan, block `first` having probed
+    /// the store and missed under `key`: compiled as [`store_chains`] on the
+    /// calling thread and its helpers (see [`PartialCompiler::compile`]).
+    fn compile_chains(
+        &self,
+        plan: &CompilationPlan,
+        params: &[f64],
+        first: usize,
+        key: BlockKey,
+    ) -> Result<Vec<BlockOutcome>, CompileError> {
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        let chains = if self.cache.is_bounded() || cpus < 2 {
+            vec![(first..plan.blocks.len()).collect()]
+        } else {
+            store_chains(plan, params, first)
+        };
+        let helpers = (cpus - 1).min(chains.len() - 1);
+        let missed = Mutex::new(Some(key));
+        let next_chain = AtomicUsize::new(0);
+        let failed = AtomicUsize::new(usize::MAX);
+        let run_chains = || {
+            let mut done = Vec::new();
+            while let Some(chain) = chains.get(next_chain.fetch_add(1, Ordering::Relaxed)) {
+                // A chain stops at its own failure too: its next block comes
+                // later in block order.
+                for &index in chain {
+                    if index > failed.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let (block, record) = (&plan.blocks[index], &plan.records[index]);
+                    // Block `first` has been probed once already.
+                    let outcome = match (index == first).then(|| missed.lock().take()).flatten() {
+                        Some(key) => self.compile_missed(plan.strategy, block, record, params, key),
+                        None => self.compile_record(plan.strategy, block, record, params),
+                    };
+                    if outcome.is_err() {
+                        failed.fetch_min(index, Ordering::Relaxed);
+                    }
+                    done.push((index, outcome));
+                }
+            }
+            done
+        };
+        let mut done = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(run_chains)).collect();
+            let mut done = run_chains();
+            for helper in helpers {
+                done.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
+            }
+            done
+        });
+        // Only blocks after a failure are skipped, and every block before the
+        // first failure in block order ran, so in block order the outcomes
+        // are whole or end at that failure.
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, outcome)| outcome).collect()
     }
 
     /// Prepares a circuit and decides its blocking under a strategy, without doing any
@@ -356,8 +446,8 @@ impl PartialCompiler {
         Ok(plan)
     }
 
-    /// Folds per-block outcomes back into the report [`PartialCompiler::compile`]
-    /// would have produced sequentially.
+    /// Folds per-block outcomes, in block order, back into the report
+    /// [`PartialCompiler::compile`] produces.
     ///
     /// # Panics
     ///
@@ -445,6 +535,10 @@ impl PartialCompiler {
     /// The outcome of a block that needs no pulse-level work — a single-gate
     /// lookup block, or one probe of the cache slot its record names that hits —
     /// or else the key the missing work is to be filed under.
+    // Forced: it is all a warm block costs, and with two callers the compiler
+    // stopped inlining it into `compile_record`, which read 3–5 % slower on a
+    // warm loop of `compile_block_outcome` calls.
+    #[inline(always)]
     fn resolve_without_pulse_work(
         &self,
         block: &Block,
@@ -708,6 +802,46 @@ impl PartialCompiler {
             runtime_iterations,
         })
     }
+}
+
+/// Blocks `first..` of a plan split into chains that share no store entry:
+/// two blocks land in one chain when they name a common key — the structural
+/// key every keyed block reads its seed (and a flexible block its tuning)
+/// under, or the bound key a block entry is filed under, which a
+/// parameterized block can share with a Fixed one of another structure.
+/// Each chain keeps block order; chains come longest first by summed plan
+/// cost, ties in block order. A lookup block is a chain of its own.
+fn store_chains(plan: &CompilationPlan, params: &[f64], first: usize) -> Vec<Vec<usize>> {
+    // Union-find over block indices: `parent[i] == i` marks a chain's root.
+    let mut parent: Vec<usize> = (0..plan.blocks.len()).collect();
+    fn root(parent: &mut [usize], mut index: usize) -> usize {
+        while parent[index] != index {
+            parent[index] = parent[parent[index]];
+            index = parent[index];
+        }
+        index
+    }
+    let mut first_named: HashMap<BlockKey, usize> = HashMap::new();
+    for (index, record) in plan.records.iter().enumerate().skip(first) {
+        // A tuning's key is the structural key itself.
+        let Some(slot_key) = record.key(params) else {
+            continue;
+        };
+        for key in [BlockKey::structural(&record.subcircuit), slot_key] {
+            let named = *first_named.entry(key).or_insert(index);
+            let (a, b) = (root(&mut parent, named), root(&mut parent, index));
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    let mut chains: Vec<Vec<usize>> = vec![Vec::new(); plan.blocks.len()];
+    for index in first..plan.blocks.len() {
+        let chain = root(&mut parent, index);
+        chains[chain].push(index);
+    }
+    chains.retain(|chain| !chain.is_empty());
+    let cost = |chain: &[usize]| -> f64 { chain.iter().map(|&i| plan.records[i].cost).sum() };
+    chains.sort_by(|a, b| cost(b).total_cmp(&cost(a)));
+    chains
 }
 
 /// The report of a block served by the Table-1 lookup table — and the base every
@@ -1145,6 +1279,37 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0, "the example has flexible single-θ blocks");
+    }
+
+    #[test]
+    fn blocks_that_bind_to_one_entry_share_a_chain() {
+        // A Fixed block on (0, 1) and a θ block of another structure on
+        // (2, 3) that binds to the same gates at θ = 0.3: one block entry,
+        // two structural keys.
+        let mut options = CompilerOptions::fast();
+        options.max_block_width = 2;
+        let compiler = PartialCompiler::new(options);
+        let mut circuit = Circuit::new(4);
+        circuit.h(0);
+        circuit.cx(0, 1);
+        circuit.rz(1, 0.3);
+        circuit.cx(0, 1);
+        circuit.h(2);
+        circuit.cx(2, 3);
+        circuit.rz_expr(3, ParamExpr::theta(0));
+        circuit.cx(2, 3);
+        let plan = compiler
+            .plan(&circuit, &[0.3], Strategy::FullGrape)
+            .unwrap();
+        let keyed = |params: &[f64]| -> Vec<Vec<usize>> {
+            let chains = store_chains(&plan, params, 0);
+            let keyed = chains
+                .into_iter()
+                .filter(|chain| chain.iter().any(|&i| plan.records[i].key(params).is_some()));
+            keyed.collect()
+        };
+        assert_eq!(keyed(&[0.7]).len(), 2, "apart at θ = 0.7");
+        assert_eq!(keyed(&[0.3]).len(), 1, "one chain at θ = 0.3");
     }
 
     #[test]

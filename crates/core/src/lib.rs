@@ -18,10 +18,14 @@
 //! 2. aggregates it into ≤4-qubit [`blocking`] blocks under the strategy's parameter
 //!    policy (Fixed-only for strict, single-θ for flexible, unrestricted for GRAPE),
 //! 3. compiles each block either by lookup (gate-based) or by minimum-time GRAPE
-//!    (`vqc-pulse`), keeping the results in the pulse store ([`ShardedPulseCache`]),
+//!    (`vqc-pulse`), keeping the results in the pulse store ([`ShardedPulseCache`]);
+//!    once a block misses the store, blocks that share no store entry run
+//!    concurrently on the available CPUs, with the report and the store equal,
+//!    bit for bit, to compiling the blocks one after another in block order,
 //! 4. ASAP-schedules the block pulses to get the circuit's total pulse duration, and
-//! 5. counts GRAPE iterations and measures wall seconds separately for the
-//!    pre-compute phase and the per-iteration runtime phase ([`PhaseLatency`]).
+//! 5. counts GRAPE iterations and sums per-block seconds of pulse work separately
+//!    for the pre-compute phase and the per-iteration runtime phase
+//!    ([`PhaseLatency`]).
 //!
 //! Everything a compile leaves behind — block pulses' durations, flexible tunings,
 //! and the warm-start seeds that open the next search of a structure — lives in one
