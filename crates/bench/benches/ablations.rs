@@ -10,7 +10,7 @@ use vqc_apps::uccsd::uccsd_circuit;
 use vqc_circuit::passes;
 use vqc_core::blocking::{aggregate_blocks_with_cap, ParameterPolicy};
 use vqc_core::hyperparam::{tune_hyperparameters, HyperparameterGrid};
-use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
+use vqc_pulse::grape::{try_optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time, MinimumTimeOptions};
 use vqc_pulse::DeviceModel;
 use vqc_sim::gates;
@@ -31,12 +31,13 @@ fn ablation_timestep(c: &mut Criterion) {
         options.dt_ns = dt;
         group.bench_function(format!("grape_h_dt_{dt}"), |b| {
             b.iter(|| {
-                optimize_pulse(
+                try_optimize_pulse(
                     black_box(&gates::h()),
                     black_box(&device),
                     2.0,
                     black_box(&options),
                 )
+                .expect("valid GRAPE inputs")
             })
         });
     }

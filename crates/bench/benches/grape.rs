@@ -25,7 +25,7 @@ use vqc_linalg::real::{
     eigh_jacobi, eigh_ql, jacobi_scratch_len, ql_scratch_len, QlLane, Unfused, QL_MIN_DIM,
 };
 use vqc_linalg::{Matrix, RealSmallMatrix};
-use vqc_pulse::grape::{optimize_pulse, GrapeOptions};
+use vqc_pulse::grape::{try_optimize_pulse, GrapeOptions};
 use vqc_pulse::minimum_time::{minimum_pulse_time_seeded, MinimumTimeOptions, MinimumTimeResult};
 use vqc_pulse::propagate::slice_hamiltonian;
 use vqc_pulse::{lanes, profile, DeviceModel, EigenMemo, GrapeWorkspace, PulseSequence, SeedEntry};
@@ -121,12 +121,13 @@ fn bench_grape(c: &mut Criterion) {
     options.target_infidelity = 1e-3;
     group.bench_function("optimize_rz_1q_50iters", |b| {
         b.iter(|| {
-            optimize_pulse(
+            try_optimize_pulse(
                 black_box(&gates::rz(1.0)),
                 black_box(&device),
                 1.0,
                 black_box(&options),
             )
+            .expect("valid GRAPE inputs")
         })
     });
 
@@ -375,28 +376,9 @@ fn bench_eigh_real(c: &mut Criterion) {
 }
 
 /// Folds one finished duration search into the seed of its structure, the way
-/// `PartialCompiler::record_search_feedback` and the pulse store do: the failed
-/// lower bound is the deepest non-converging probe, every probe lands in the
-/// iteration history, and the converged pulse rides along as the warm start
-/// for the next binding.
+/// `PartialCompiler::record_search_feedback` and the pulse store do.
 fn record_search(seed: &mut Option<SeedEntry>, result: &MinimumTimeResult) {
-    let mut entry = SeedEntry {
-        learning_rate: 0.0,
-        decay_rate: 0.0,
-        tuned: false,
-        converged_duration_ns: result.converged.then_some(result.duration_ns),
-        failed_below_ns: result
-            .probes
-            .iter()
-            .filter(|p| !p.converged)
-            .map(|p| p.duration_ns)
-            .fold(0.0, f64::max),
-        probe_iterations: Vec::new(),
-        pulse: result.best.as_ref().map(|b| b.pulse.clone()),
-    };
-    for probe in &result.probes {
-        entry.record_probe(probe.duration_ns, probe.iterations);
-    }
+    let entry = SeedEntry::from_search(result);
     match seed {
         Some(held) => held.merge(entry),
         None => *seed = Some(entry),

@@ -18,12 +18,9 @@ use std::time::Instant;
 use vqc_circuit::timing::{critical_path_ns, GateTimes};
 use vqc_circuit::{passes, Circuit};
 use vqc_pulse::grape::GrapeOptions;
-use vqc_pulse::minimum_time::{
-    minimum_pulse_time_after_opening, minimum_pulse_time_seeded, MinimumTimeOptions,
-    MinimumTimeResult,
-};
+use vqc_pulse::minimum_time::{duration_search, MinimumTimeOptions, MinimumTimeResult};
 use vqc_pulse::profile::{self, CompileProfile, Phase};
-use vqc_pulse::{DeviceModel, EigenMemo, SeedEntry};
+use vqc_pulse::{DeviceModel, SeedEntry};
 use vqc_sim::circuit_unitary;
 
 /// The compilation strategy to apply (Sections 2.3, 5, 6 and 7 of the paper).
@@ -655,13 +652,13 @@ impl PartialCompiler {
         let search = MinimumTimeOptions::new(0.0, upper_bound_ns)
             .with_precision(self.options.search_precision_ns);
         let search_seed = seed.as_ref().map(SeedEntry::search_seed);
-        let result = minimum_pulse_time_seeded(
+        let result = duration_search(
             &target,
             device,
             &search,
             &self.options.grape,
-            &mut EigenMemo::new(),
             search_seed.as_ref(),
+            None,
         )?;
         let measured = started.elapsed().as_secs_f64();
         let block_profile = profile::take_block().unwrap_or_default();
@@ -690,21 +687,12 @@ impl PartialCompiler {
         tuned: bool,
         result: &MinimumTimeResult,
     ) {
-        let mut entry = SeedEntry {
+        let entry = SeedEntry {
             learning_rate: grape.learning_rate,
             decay_rate: grape.decay_rate,
             tuned,
-            converged_duration_ns: result.converged.then_some(result.duration_ns),
-            failed_below_ns: 0.0,
-            probe_iterations: Vec::new(),
-            pulse: result.best.as_ref().map(|best| best.pulse.clone()),
+            ..SeedEntry::from_search(result)
         };
-        for probe in &result.probes {
-            if !probe.converged {
-                entry.failed_below_ns = entry.failed_below_ns.max(probe.duration_ns);
-            }
-            entry.record_probe(probe.duration_ns, probe.iterations);
-        }
         self.cache.record_seed(structural_key, entry);
         self.cache
             .record_search_outcome(result.seeded, result.total_iterations() as u64);
@@ -770,19 +758,14 @@ impl PartialCompiler {
         let search = MinimumTimeOptions::new(0.0, upper_bound_ns)
             .with_precision(self.options.search_precision_ns);
         let reused_iterations = opening.as_ref().map_or(0, |run| run.iterations);
-        let mintime = match opening {
-            Some(opening) => {
-                minimum_pulse_time_after_opening(&target, device, &search, &tuned_options, opening)?
-            }
-            None => minimum_pulse_time_seeded(
-                &target,
-                device,
-                &search,
-                &tuned_options,
-                &mut EigenMemo::new(),
-                seed.as_ref().map(SeedEntry::search_seed).as_ref(),
-            )?,
-        };
+        let mintime = duration_search(
+            &target,
+            device,
+            &search,
+            &tuned_options,
+            seed.as_ref().map(SeedEntry::search_seed).as_ref(),
+            opening,
+        )?;
         self.record_search_feedback(structural_key, &tuned_options, true, &mintime);
         let runtime_iterations = mintime
             .best
@@ -909,6 +892,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use vqc_circuit::ParamExpr;
+    use vqc_pulse::minimum_time::minimum_pulse_time;
 
     /// A Figure-3-style two-qubit variational circuit: deep fixed sections interleaved
     /// with parameterized Rz gates.
@@ -1250,15 +1234,8 @@ mod tests {
                 .with_hyperparameters(grid.learning_rate, grid.decay_rate);
             let search = MinimumTimeOptions::new(0.0, upper)
                 .with_precision(compiler.options().search_precision_ns);
-            let repeated = minimum_pulse_time_seeded(
-                &circuit_unitary(&bound),
-                &device,
-                &search,
-                &tuned,
-                &mut EigenMemo::new(),
-                None,
-            )
-            .unwrap();
+            let repeated =
+                minimum_pulse_time(&circuit_unitary(&bound), &device, &search, &tuned).unwrap();
             assert_eq!(
                 repeated.probes[0].iterations, grid.runtime_iterations,
                 "the opening probe repeats the winning candidate"

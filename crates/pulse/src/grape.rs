@@ -138,22 +138,6 @@ pub fn parameter_count(device: &DeviceModel, num_slices: usize) -> usize {
 /// devices it is embedded as the identity on leakage levels, so any population that
 /// leaks out of the computational subspace shows up as infidelity.
 ///
-/// # Panics
-///
-/// Panics if the target dimension does not match the device or the duration is shorter
-/// than one sample period. Use [`try_optimize_pulse`] for a fallible variant.
-pub fn optimize_pulse(
-    target: &Matrix,
-    device: &DeviceModel,
-    duration_ns: f64,
-    options: &GrapeOptions,
-) -> GrapeResult {
-    // audit:allow(unwrap): documented panicking variant; try_optimize_pulse is the fallible API
-    try_optimize_pulse(target, device, duration_ns, options).expect("invalid GRAPE inputs")
-}
-
-/// Fallible variant of [`optimize_pulse`].
-///
 /// # Errors
 ///
 /// * [`PulseError::DimensionMismatch`] if the target is not a qubit-subspace unitary of
@@ -414,7 +398,8 @@ mod tests {
     fn finds_x_gate_pulse_on_one_qubit() {
         let device = DeviceModel::qubits_line(1);
         let target = gates::x();
-        let result = optimize_pulse(&target, &device, 3.0, &GrapeOptions::fast());
+        let result = try_optimize_pulse(&target, &device, 3.0, &GrapeOptions::fast())
+            .expect("valid GRAPE inputs");
         assert!(
             result.infidelity < 1e-2,
             "infidelity {} after {} iterations",
@@ -428,7 +413,8 @@ mod tests {
     fn finds_hadamard_pulse_on_one_qubit() {
         let device = DeviceModel::qubits_line(1);
         let target = gates::h();
-        let result = optimize_pulse(&target, &device, 2.0, &GrapeOptions::fast());
+        let result = try_optimize_pulse(&target, &device, 2.0, &GrapeOptions::fast())
+            .expect("valid GRAPE inputs");
         assert!(result.infidelity < 1e-2, "infidelity {}", result.infidelity);
     }
 
@@ -437,7 +423,8 @@ mod tests {
         // The flux drive is 15x stronger, so an Rz(π/2) should converge even at 0.5 ns.
         let device = DeviceModel::qubits_line(1);
         let target = gates::rz(PI / 2.0);
-        let result = optimize_pulse(&target, &device, 0.5, &GrapeOptions::fast());
+        let result = try_optimize_pulse(&target, &device, 0.5, &GrapeOptions::fast())
+            .expect("valid GRAPE inputs");
         assert!(result.infidelity < 1e-2, "infidelity {}", result.infidelity);
     }
 
@@ -450,7 +437,8 @@ mod tests {
         let mut options = GrapeOptions::fast();
         options.max_iterations = 400;
         options.target_infidelity = 3e-2;
-        let result = optimize_pulse(&target, &device, 12.0, &options);
+        let result =
+            try_optimize_pulse(&target, &device, 12.0, &options).expect("valid GRAPE inputs");
         assert!(result.infidelity < 0.05, "infidelity {}", result.infidelity);
     }
 
@@ -459,7 +447,8 @@ mod tests {
         // An X gate needs ~2.5 ns at the hardware amplitude limit; 0.5 ns cannot work.
         let device = DeviceModel::qubits_line(1);
         let target = gates::x();
-        let result = optimize_pulse(&target, &device, 0.5, &GrapeOptions::fast());
+        let result = try_optimize_pulse(&target, &device, 0.5, &GrapeOptions::fast())
+            .expect("valid GRAPE inputs");
         assert!(!result.converged);
         assert!(result.infidelity > 0.1);
     }
@@ -468,7 +457,8 @@ mod tests {
     fn evaluate_pulse_matches_reported_infidelity() {
         let device = DeviceModel::qubits_line(1);
         let target = gates::h();
-        let result = optimize_pulse(&target, &device, 2.0, &GrapeOptions::fast());
+        let result = try_optimize_pulse(&target, &device, 2.0, &GrapeOptions::fast())
+            .expect("valid GRAPE inputs");
         let evaluated = evaluate_pulse(&target, &device, &result.pulse);
         assert!((evaluated - result.infidelity).abs() < 1e-6);
     }
@@ -618,7 +608,8 @@ mod tests {
     fn cost_history_tracks_iterations() {
         let device = DeviceModel::qubits_line(1);
         let target = gates::rz(0.3);
-        let result = optimize_pulse(&target, &device, 0.5, &GrapeOptions::fast());
+        let result = try_optimize_pulse(&target, &device, 0.5, &GrapeOptions::fast())
+            .expect("valid GRAPE inputs");
         assert_eq!(result.cost_history.len(), result.iterations);
         assert!(!result.cost_history.is_empty());
     }
@@ -628,7 +619,8 @@ mod tests {
         let device = DeviceModel::qubits_line(1).with_qutrit_levels();
         let mut options = GrapeOptions::fast();
         options.target_infidelity = 3e-2;
-        let result = optimize_pulse(&gates::rz(1.0), &device, 1.0, &options);
+        let result = try_optimize_pulse(&gates::rz(1.0), &device, 1.0, &options)
+            .expect("valid GRAPE inputs");
         assert!(result.infidelity < 5e-2, "infidelity {}", result.infidelity);
     }
 }

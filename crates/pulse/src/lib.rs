@@ -44,13 +44,13 @@
 //! # Example: finding a π rotation pulse
 //!
 //! ```
-//! use vqc_pulse::{DeviceModel, grape::{GrapeOptions, optimize_pulse}};
+//! use vqc_pulse::{DeviceModel, grape::{GrapeOptions, try_optimize_pulse}};
 //! use vqc_sim::gates;
 //!
 //! let device = DeviceModel::qubits_line(1);
 //! let target = gates::rx(std::f64::consts::PI);
 //! let options = GrapeOptions::fast();
-//! let result = optimize_pulse(&target, &device, 3.0, &options);
+//! let result = try_optimize_pulse(&target, &device, 3.0, &options).expect("valid GRAPE inputs");
 //! // 3 ns is enough for an Rx(π) on this device (Table 1 lists 2.5 ns).
 //! assert!(result.infidelity < 5e-2);
 //! ```

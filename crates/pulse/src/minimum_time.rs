@@ -1,23 +1,24 @@
 //! Binary search for the minimum pulse duration (Section 5.3).
 //!
 //! GRAPE is run at candidate durations; the shortest duration at which it still reaches
-//! the target fidelity is the pulse time reported for a block. The search is seeded with
-//! the gate-based runtime of the block as the upper bound, which guarantees that
-//! GRAPE-compiled blocks are never slower than the gate-based baseline — the property
-//! the paper's aggregation scheme is designed to preserve.
+//! the target fidelity is the pulse time reported for a block. The search's upper bound
+//! is the gate-based runtime of the block, which guarantees that GRAPE-compiled blocks
+//! are never slower than the gate-based baseline — the property the paper's
+//! aggregation scheme is designed to preserve.
 //!
-//! Probes share work: each bisection probe warm-starts from the converged pulse
-//! of the nearest-duration probe so far (resampled onto the new slice grid).
-//!
-//! A second sharing axis crosses *blocks*: [`minimum_pulse_time_seeded`] accepts a
-//! [`SearchSeed`] from a structural neighbor (a previously compiled binding of the
-//! same subcircuit structure, via its [`crate::transposition::SeedEntry`]) and
-//! opens the bisection at the neighbor's converged window — first probe at the
-//! neighbor's converged duration, warm-started from the neighbor's pulse — instead
-//! of at `[lower, gate_runtime]`. A stale seed (the neighbor's window does not hold
-//! at this θ) falls back to the full window, so correctness — target fidelity, never
-//! slower than the gate-based upper bound — is identical to the cold search; only
-//! the iterations spent differ.
+//! There is one search, [`duration_search`], in two stages. Its *openers* find the
+//! bracket's top: first the window of a [`SearchSeed`] from a structural neighbor (a
+//! previously compiled binding of the same subcircuit structure, via its
+//! [`crate::transposition::SeedEntry`]), probed at the neighbor's converged duration
+//! and warm-started from its pulse; then, if there was no window below the bound or it
+//! did not hold, the upper bound. Flexible compilation hands its tuning grid's
+//! winning run in as the upper-bound opener. A stale seed (the neighbor's window does
+//! not hold at this θ) thus falls back to the full window, so correctness — target
+//! fidelity, never slower than the gate-based upper bound — is identical to the cold
+//! search; only the iterations spent differ. *Bisection* then halves the bracket, each
+//! probe warm-started from the converged pulse of the nearest-duration probe so far
+//! (resampled onto the new slice grid). [`minimum_pulse_time`] and
+//! [`minimum_pulse_time_seeded`] are the search without a handed-in opener.
 
 use crate::grape::{try_optimize_pulse_with, GrapeOptions, GrapeResult};
 use crate::memo::EigenMemo;
@@ -110,7 +111,8 @@ impl MinimumTimeResult {
     }
 }
 
-/// Finds the minimum pulse duration for a target unitary by binary search.
+/// Finds the minimum pulse duration for a target unitary by binary search:
+/// [`duration_search`] with no seed and no opening probe.
 ///
 /// # Errors
 ///
@@ -122,20 +124,11 @@ pub fn minimum_pulse_time(
     search: &MinimumTimeOptions,
     grape: &GrapeOptions,
 ) -> Result<MinimumTimeResult, PulseError> {
-    minimum_pulse_time_seeded(target, device, search, grape, &mut EigenMemo::new(), None)
+    duration_search(target, device, search, grape, None, None)
 }
 
-/// [`minimum_pulse_time`] warm-started from a structural neighbor.
-///
-/// With a usable seed — a converged neighbor duration strictly inside the search
-/// window — the first probe runs at the neighbor's converged duration with the
-/// neighbor's pulse as the initial guess, and the bisection window opens at
-/// `[max(lower, neighbor's failed bound), neighbor's duration]`. If that probe
-/// fails (the seed is stale at this θ), the search falls back to the full window,
-/// keeping the failed probe as this block's own lower-bound evidence — so the
-/// result is exactly as correct as a cold search, it just normally spends far
-/// fewer iterations. Without a usable window the seed's pulse (if any) still
-/// warm-starts the upper-bound probe.
+/// [`minimum_pulse_time`] warm-started from a structural neighbor:
+/// [`duration_search`] with `seed` and no opening probe.
 ///
 /// The [`EigenMemo`] parameter is inert (see the type): the driver benchmark
 /// calls this signature and a performance change may not edit it.
@@ -151,29 +144,21 @@ pub fn minimum_pulse_time_seeded(
     _memo: &mut EigenMemo,
     seed: Option<&SearchSeed>,
 ) -> Result<MinimumTimeResult, PulseError> {
-    let upper = search.upper_bound_ns.max(grape.dt_ns);
-    let seed_pulse = seed.and_then(|s| s.pulse.as_ref());
-    // Probe the opening duration first: the neighbor's converged duration when
-    // seeded, else the upper bound — where a failure means falling back to
-    // gate-based compilation for this block.
-    let first = seed_window(seed, upper, grape).unwrap_or(upper);
-    // Each probe runs under a DurationProbe scope: the scope records *self
-    // time* (ADAM bookkeeping, convergence control, pulse resampling) while
-    // the kernel phases inside the probe charge themselves, so the profiler's
-    // per-phase sum still bounds the block's wall time.
-    let opening = {
-        let _probe = profile::scope(Phase::DurationProbe);
-        try_optimize_pulse_with(target, device, first, grape, seed_pulse)?
-    };
-    search_after_opening(target, device, search, grape, seed, opening)
+    duration_search(target, device, search, grape, seed, None)
 }
 
-/// [`minimum_pulse_time`] for a caller that has already run the cold
-/// search's opening probe — GRAPE at the window's upper bound, with `grape` and no
-/// warm start — and hands the result in rather than have it repeated. Flexible
-/// partial compilation's hyperparameter grid evaluates every candidate at exactly
-/// that point, so the winning candidate's run *is* the tuned search's opening probe.
-/// The probe is listed in the result like any other.
+/// The minimum-time search: openers, then bisection.
+///
+/// The openers run until one converges, which sets the bracket's top `hi`: the
+/// seed's window (its converged duration, if finite and at most the upper
+/// bound `U`), then `U` unless the window sat there. Both start from the seed's
+/// pulse. A failed opener raises the floor `lo`; a converged window raises it to
+/// the seed's `lower_bound_ns` and marks the result `seeded`. With no opener
+/// converged the result is unconverged at `U`, the gate-based fallback. A caller
+/// that already ran GRAPE at `U` with `grape` and no warm start (flexible
+/// tuning's winning candidate) hands that run in as `opening`, and it stands in
+/// for the `U` probe. Bisection then halves `[lo, hi]` to `search.precision_ns`,
+/// each probe warm-started from the converged probe nearest in duration.
 ///
 /// # Errors
 ///
@@ -181,144 +166,76 @@ pub fn minimum_pulse_time_seeded(
 ///
 /// # Panics
 ///
-/// Panics if `opening` was not run at the window's upper bound.
-pub fn minimum_pulse_time_after_opening(
-    target: &Matrix,
-    device: &DeviceModel,
-    search: &MinimumTimeOptions,
-    grape: &GrapeOptions,
-    opening: GrapeResult,
-) -> Result<MinimumTimeResult, PulseError> {
-    let upper = search.upper_bound_ns.max(grape.dt_ns);
-    assert_eq!(
-        opening.pulse.num_slices(),
-        (upper / grape.dt_ns).round() as usize,
-        "the opening probe must have run at the search's upper bound"
-    );
-    search_after_opening(target, device, search, grape, None, opening)
-}
-
-/// The neighbor's converged duration, when it opens a usable window: finite and
-/// at or below the gate-based upper bound. Anything above it degenerates to the
-/// cold search (the seed's pulse, if any, still warm-starts the opening probe). A
-/// seed exactly at the upper bound opens no smaller, but its non-converging lower
-/// bound still raises the bisection floor.
-fn seed_window(seed: Option<&SearchSeed>, upper: f64, grape: &GrapeOptions) -> Option<f64> {
-    seed.and_then(|s| s.converged_duration_ns)
-        .filter(|d| d.is_finite() && *d > 0.0)
-        .map(|d| d.max(grape.dt_ns))
-        .filter(|d| *d <= upper)
-}
-
-/// The search from its second probe on: `result` is the opening probe's outcome,
-/// run at the seed's window if it has one and at the upper bound otherwise.
-fn search_after_opening(
+/// Panics if `opening` comes with a seed, or was not run at `U`.
+pub fn duration_search(
     target: &Matrix,
     device: &DeviceModel,
     search: &MinimumTimeOptions,
     grape: &GrapeOptions,
     seed: Option<&SearchSeed>,
-    result: GrapeResult,
+    mut opening: Option<GrapeResult>,
 ) -> Result<MinimumTimeResult, PulseError> {
     let upper = search.upper_bound_ns.max(grape.dt_ns);
+    if let Some(opening) = &opening {
+        assert!(seed.is_none(), "a handed-in opening probe takes no seed");
+        assert_eq!(
+            opening.pulse.num_slices(),
+            (upper / grape.dt_ns).round() as usize,
+            "the opening probe must have run at the search's upper bound"
+        );
+    }
+    // Each probe runs under a DurationProbe scope: the scope records *self
+    // time* (ADAM bookkeeping, convergence control, pulse resampling) while
+    // the kernel phases inside the probe charge themselves, so the profiler's
+    // per-phase sum still bounds the block's wall time.
+    let run = |duration_ns: f64, warm: Option<&PulseSequence>| {
+        let _probe = profile::scope(Phase::DurationProbe);
+        try_optimize_pulse_with(target, device, duration_ns, grape, warm)
+    };
     let seed_pulse = seed.and_then(|s| s.pulse.as_ref());
-    let seed_upper = seed_window(seed, upper, grape);
-    let first = seed_upper.unwrap_or(upper);
-    // Converged pulses by duration, the warm-start pool for later probes.
-    let mut converged_pulses: Vec<(f64, PulseSequence)> = Vec::new();
-    let mut probes = vec![SearchProbe {
-        duration_ns: first,
-        converged: result.converged,
-        infidelity: result.infidelity,
-        iterations: result.iterations,
-    }];
-
-    let mut hi;
-    let mut lo;
-    let seeded;
-    let mut best;
-    if result.converged {
-        hi = first;
-        lo = search.lower_bound_ns.max(0.0);
-        seeded = seed_upper.is_some();
-        if seeded {
-            if let Some(seed) = seed {
-                // The neighbor's tightest non-converging bound; merged entries can
-                // carry a bound above the converged duration (different θ), so clamp.
-                lo = lo.max(seed.lower_bound_ns).min(hi);
-            }
-        }
-        converged_pulses.push((first, result.pulse.clone()));
-        best = Some(result);
-    } else if first < upper {
-        // Stale seed: the neighbor's window does not hold at this θ. Fall back to
-        // the full window; the failed probe stands as this block's own evidence
-        // for the new lower bound. (A seed exactly at the upper bound that failed
-        // needs no retry — the probe already was the full-window opener.)
-        let retry = {
-            let _probe = profile::scope(Phase::DurationProbe);
-            try_optimize_pulse_with(target, device, upper, grape, seed_pulse)?
+    // The openers, each with the floor it sets by converging: the window sets
+    // the seed's failed bound, `U` none.
+    let window = seed.and_then(|s| {
+        let d = s
+            .converged_duration_ns
+            .filter(|d| d.is_finite() && *d > 0.0)?;
+        Some((d.max(grape.dt_ns), Some(s.lower_bound_ns))).filter(|w| w.0 <= upper)
+    });
+    let at_upper = (window.map(|w| w.0) != Some(upper)).then_some((upper, None));
+    let mut probes = Probes::default();
+    let mut lo = search.lower_bound_ns.max(0.0);
+    let mut opened = None;
+    for (duration_ns, floor) in window.into_iter().chain(at_upper) {
+        // A handed-in opening comes without a seed, so `U` is the one opener.
+        let result = match opening.take() {
+            Some(result) => result,
+            None => run(duration_ns, seed_pulse)?,
         };
-        probes.push(SearchProbe {
-            duration_ns: upper,
-            converged: retry.converged,
-            infidelity: retry.infidelity,
-            iterations: retry.iterations,
-        });
-        if !retry.converged {
-            return Ok(MinimumTimeResult {
-                duration_ns: upper,
-                best: None,
-                probes,
-                converged: false,
-                seeded: false,
-            });
+        if probes.probe(duration_ns, result) {
+            opened = Some((duration_ns, floor));
+            break;
         }
-        hi = upper;
-        lo = search.lower_bound_ns.max(first).max(0.0).min(hi);
-        seeded = false;
-        converged_pulses.push((upper, retry.pulse.clone()));
-        best = Some(retry);
-    } else {
+        lo = lo.max(duration_ns);
+    }
+    let Some((mut hi, floor)) = opened else {
         return Ok(MinimumTimeResult {
             duration_ns: upper,
             best: None,
-            probes,
+            probes: probes.probes,
             converged: false,
             seeded: false,
         });
-    }
+    };
+    lo = floor.map_or(lo, |floor| lo.max(floor)).min(hi);
 
     while hi - lo > search.precision_ns {
         let mid = 0.5 * (hi + lo);
         if mid < grape.dt_ns {
             break;
         }
-        // Warm-start from the converged probe nearest in duration: its resampled
-        // pulse is a far better initial guess than the seeded sinusoid.
-        let warm = converged_pulses
-            .iter()
-            .min_by(|a, b| {
-                let da = (a.0 - mid).abs();
-                let db = (b.0 - mid).abs();
-                // audit:allow(unwrap): probe durations are finite by construction
-                da.partial_cmp(&db).expect("finite durations")
-            })
-            .map(|(_, pulse)| pulse.clone());
-        let result = {
-            let _probe = profile::scope(Phase::DurationProbe);
-            try_optimize_pulse_with(target, device, mid, grape, warm.as_ref())?
-        };
-        probes.push(SearchProbe {
-            duration_ns: mid,
-            converged: result.converged,
-            infidelity: result.infidelity,
-            iterations: result.iterations,
-        });
-        if result.converged {
+        let result = run(mid, probes.nearest_converged(mid))?;
+        if probes.probe(mid, result) {
             hi = mid;
-            converged_pulses.push((mid, result.pulse.clone()));
-            best = Some(result);
         } else {
             lo = mid;
         }
@@ -326,28 +243,86 @@ fn search_after_opening(
 
     Ok(MinimumTimeResult {
         duration_ns: hi,
-        best,
-        probes,
+        best: probes.best,
+        probes: probes.probes,
         converged: true,
-        seeded,
+        seeded: floor.is_some(),
     })
+}
+
+/// What a search's probes have found so far.
+#[derive(Default)]
+struct Probes {
+    probes: Vec<SearchProbe>,
+    /// Converged pulses by duration, the warm-start pool for later probes.
+    converged: Vec<(f64, PulseSequence)>,
+    /// The last converged run, the shortest so far.
+    best: Option<GrapeResult>,
+}
+
+impl Probes {
+    /// Records the run at `duration_ns`; returns whether it converged.
+    fn probe(&mut self, duration_ns: f64, result: GrapeResult) -> bool {
+        let converged = result.converged;
+        self.probes.push(SearchProbe {
+            duration_ns,
+            converged,
+            infidelity: result.infidelity,
+            iterations: result.iterations,
+        });
+        if converged {
+            self.converged.push((duration_ns, result.pulse.clone()));
+            self.best = Some(result);
+        }
+        converged
+    }
+
+    /// The converged pulse nearest in duration to `duration_ns`: its resampled
+    /// amplitudes are a far better initial guess than the seeded sinusoid.
+    fn nearest_converged(&self, duration_ns: f64) -> Option<&PulseSequence> {
+        self.converged
+            .iter()
+            .min_by(|a, b| {
+                let da = (a.0 - duration_ns).abs();
+                let db = (b.0 - duration_ns).abs();
+                // audit:allow(unwrap): probe durations are finite by construction
+                da.partial_cmp(&db).expect("finite durations")
+            })
+            .map(|(_, pulse)| pulse)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeedEntry;
     use vqc_sim::gates;
 
-    fn fast_grape() -> GrapeOptions {
-        GrapeOptions::fast()
+    /// The window `[lower, upper]` at 0.5 ns precision.
+    fn window(lower: f64, upper: f64) -> MinimumTimeOptions {
+        MinimumTimeOptions::new(lower, upper).with_precision(0.5)
+    }
+
+    /// The cold search on one qubit at `GrapeOptions::fast()`.
+    fn cold(target: &Matrix, search: &MinimumTimeOptions) -> MinimumTimeResult {
+        let device = DeviceModel::qubits_line(1);
+        minimum_pulse_time(target, &device, search, &GrapeOptions::fast()).unwrap()
+    }
+
+    /// [`cold`] warm-started from `seed`.
+    fn seeded(
+        target: &Matrix,
+        search: &MinimumTimeOptions,
+        seed: &SearchSeed,
+    ) -> MinimumTimeResult {
+        let (device, grape) = (DeviceModel::qubits_line(1), GrapeOptions::fast());
+        let memo = &mut EigenMemo::new();
+        minimum_pulse_time_seeded(target, &device, search, &grape, memo, Some(seed)).unwrap()
     }
 
     #[test]
     fn x_gate_minimum_time_is_near_table1() {
-        let device = DeviceModel::qubits_line(1);
-        let target = gates::x();
-        let search = MinimumTimeOptions::new(0.5, 6.0).with_precision(0.5);
-        let result = minimum_pulse_time(&target, &device, &search, &fast_grape()).unwrap();
+        let result = cold(&gates::x(), &window(0.5, 6.0));
         assert!(result.converged);
         // Table 1 lists 2.5 ns for Rx(π); the search works at 0.5 ns granularity so
         // anything in [2.0, 3.5] is the right ballpark.
@@ -362,16 +337,8 @@ mod tests {
 
     #[test]
     fn z_rotation_minimum_time_is_much_shorter_than_x() {
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.0, 4.0).with_precision(0.5);
-        let z = minimum_pulse_time(
-            &gates::rz(std::f64::consts::PI),
-            &device,
-            &search,
-            &fast_grape(),
-        )
-        .unwrap();
-        let x = minimum_pulse_time(&gates::x(), &device, &search, &fast_grape()).unwrap();
+        let z = cold(&gates::rz(std::f64::consts::PI), &window(0.0, 4.0));
+        let x = cold(&gates::x(), &window(0.0, 4.0));
         assert!(z.converged && x.converged);
         assert!(
             z.duration_ns < x.duration_ns,
@@ -384,46 +351,20 @@ mod tests {
     #[test]
     fn unreachable_target_falls_back_to_upper_bound() {
         // Give the search an upper bound far too short for an X gate.
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.0, 1.0).with_precision(0.5);
-        let result = minimum_pulse_time(&gates::x(), &device, &search, &fast_grape()).unwrap();
+        let result = cold(&gates::x(), &window(0.0, 1.0));
         assert!(!result.converged);
         assert_eq!(result.duration_ns, 1.0);
         assert!(result.best.is_none());
     }
 
-    /// Builds the seed a `SeedEntry` would hold after `result`.
-    fn seed_from(result: &MinimumTimeResult, search: &MinimumTimeOptions) -> SearchSeed {
-        let failed_below = result
-            .probes
-            .iter()
-            .filter(|p| !p.converged)
-            .map(|p| p.duration_ns)
-            .fold(search.lower_bound_ns, f64::max);
-        SearchSeed {
-            lower_bound_ns: failed_below,
-            converged_duration_ns: result.converged.then_some(result.duration_ns),
-            pulse: result.best.as_ref().map(|b| b.pulse.clone()),
-        }
-    }
-
     #[test]
     fn seeded_search_matches_cold_within_precision_with_fewer_probes() {
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.0, 4.0).with_precision(0.5);
-        let cold = minimum_pulse_time(&gates::rz(1.0), &device, &search, &fast_grape()).unwrap();
+        let search = window(0.0, 4.0);
+        let cold = cold(&gates::rz(1.0), &search);
         assert!(cold.converged && !cold.seeded);
 
-        let seed = seed_from(&cold, &search);
-        let seeded = minimum_pulse_time_seeded(
-            &gates::rz(1.0),
-            &device,
-            &search,
-            &fast_grape(),
-            &mut EigenMemo::new(),
-            Some(&seed),
-        )
-        .unwrap();
+        let seed = SeedEntry::from_search(&cold).search_seed();
+        let seeded = seeded(&gates::rz(1.0), &search, &seed);
         assert!(seeded.converged && seeded.seeded);
         assert!(
             (seeded.duration_ns - cold.duration_ns).abs() <= search.precision_ns + 1e-9,
@@ -439,8 +380,6 @@ mod tests {
 
     #[test]
     fn stale_seed_falls_back_to_the_full_window() {
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.5, 6.0).with_precision(0.5);
         // A seed claiming an X gate converges at 0.8 ns — far below the true
         // minimum, so the opening probe must fail and the search must recover.
         let seed = SearchSeed {
@@ -448,15 +387,7 @@ mod tests {
             converged_duration_ns: Some(0.8),
             pulse: None,
         };
-        let result = minimum_pulse_time_seeded(
-            &gates::x(),
-            &device,
-            &search,
-            &fast_grape(),
-            &mut EigenMemo::new(),
-            Some(&seed),
-        )
-        .unwrap();
+        let result = seeded(&gates::x(), &window(0.5, 6.0), &seed);
         assert!(result.converged);
         assert!(!result.seeded, "a stale seed must not count as seeded");
         assert!(!result.probes[0].converged);
@@ -475,9 +406,8 @@ mod tests {
 
     #[test]
     fn seed_at_or_above_the_upper_bound_degenerates_to_cold() {
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.0, 2.0).with_precision(0.5);
-        let cold = minimum_pulse_time(&gates::rz(1.0), &device, &search, &fast_grape()).unwrap();
+        let search = window(0.0, 2.0);
+        let cold = cold(&gates::rz(1.0), &search);
         // The neighbor's converged duration is no better than our gate-based
         // upper bound: no window to seed, only the pulse warm-starts.
         let seed = SearchSeed {
@@ -485,25 +415,72 @@ mod tests {
             converged_duration_ns: Some(5.0),
             pulse: cold.best.as_ref().map(|b| b.pulse.clone()),
         };
-        let result = minimum_pulse_time_seeded(
-            &gates::rz(1.0),
-            &device,
-            &search,
-            &fast_grape(),
-            &mut EigenMemo::new(),
-            Some(&seed),
-        )
-        .unwrap();
+        let result = seeded(&gates::rz(1.0), &search, &seed);
         assert!(result.converged && !result.seeded);
         assert_eq!(result.probes[0].duration_ns, 2.0);
         assert!((result.duration_ns - cold.duration_ns).abs() <= search.precision_ns + 1e-9);
     }
 
     #[test]
+    fn a_handed_in_opening_gives_the_cold_search() {
+        let (device, grape) = (DeviceModel::qubits_line(1), GrapeOptions::fast());
+        let (target, search) = (gates::rz(1.0), window(0.0, 4.0));
+        let cold = cold(&target, &search);
+        let opening = try_optimize_pulse_with(&target, &device, 4.0, &grape, None).unwrap();
+        let handed = duration_search(&target, &device, &search, &grape, None, Some(opening));
+        let handed = handed.unwrap();
+        assert!(cold.probes.len() >= 2);
+        assert_eq!(handed.probes, cold.probes);
+        assert_eq!(handed.duration_ns.to_bits(), cold.duration_ns.to_bits());
+        assert_eq!(handed.best.map(|b| b.pulse), cold.best.map(|b| b.pulse));
+        assert_eq!((handed.converged, handed.seeded), (true, false));
+    }
+
+    /// A seed that converged exactly at the upper bound, with a failed bound
+    /// that a cold search of the same window probes below.
+    fn seed_at_the_upper_bound(upper: f64) -> SearchSeed {
+        SearchSeed {
+            lower_bound_ns: 0.9,
+            converged_duration_ns: Some(upper),
+            pulse: None,
+        }
+    }
+
+    #[test]
+    fn a_converging_seed_at_the_upper_bound_raises_the_floor() {
+        let (seed, search) = (seed_at_the_upper_bound(2.0), window(0.0, 2.0));
+        let below = |r: &MinimumTimeResult| r.probes.iter().any(|p| p.duration_ns < 0.9);
+        assert!(
+            below(&cold(&gates::rz(1.0), &search)),
+            "cold probes below 0.9"
+        );
+        let result = seeded(&gates::rz(1.0), &search, &seed);
+        assert!(result.converged && result.seeded);
+        assert_eq!(result.probes[0].duration_ns, 2.0);
+        assert!(result.probes.len() >= 2);
+        assert!(
+            !below(&result),
+            "a probe below the floor: {:?}",
+            result.probes
+        );
+    }
+
+    #[test]
+    fn a_failing_seed_at_the_upper_bound_is_not_retried() {
+        let result = seeded(
+            &gates::x(),
+            &window(0.0, 1.0),
+            &seed_at_the_upper_bound(1.0),
+        );
+        assert_eq!(result.probes.len(), 1, "one probe, no retry");
+        assert_eq!(result.probes[0].duration_ns, 1.0);
+        assert!(!result.converged && !result.seeded && result.best.is_none());
+        assert_eq!(result.duration_ns, 1.0);
+    }
+
+    #[test]
     fn probes_shrink_the_window() {
-        let device = DeviceModel::qubits_line(1);
-        let search = MinimumTimeOptions::new(0.0, 2.0).with_precision(0.5);
-        let result = minimum_pulse_time(&gates::rz(1.0), &device, &search, &fast_grape()).unwrap();
+        let result = cold(&gates::rz(1.0), &window(0.0, 2.0));
         assert!(result.converged);
         // The first probe is always the upper bound, later probes bisect.
         assert!(result.probes.len() >= 2);

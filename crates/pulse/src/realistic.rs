@@ -79,7 +79,7 @@ impl Default for RealisticSettings {
 mod tests {
     use super::*;
     use crate::device::TransmonLevels;
-    use crate::grape::optimize_pulse;
+    use crate::grape::try_optimize_pulse;
     use vqc_sim::gates;
 
     #[test]
@@ -126,7 +126,8 @@ mod tests {
         let device = settings.apply_to_device(&DeviceModel::qubits_line(1));
         let mut options = settings.apply_to_options(&GrapeOptions::fast());
         options.target_infidelity = 5e-2;
-        let result = optimize_pulse(&gates::rz(1.2), &device, 2.0, &options);
+        let result = try_optimize_pulse(&gates::rz(1.2), &device, 2.0, &options)
+            .expect("valid GRAPE inputs");
         assert!(result.infidelity < 0.1, "infidelity {}", result.infidelity);
     }
 }

@@ -17,7 +17,7 @@
 //! structural block key — and [`WarmStartStats`] is how that store reports the
 //! seed traffic.
 
-use crate::minimum_time::SearchSeed;
+use crate::minimum_time::{MinimumTimeResult, SearchSeed};
 use crate::PulseSequence;
 use serde::{Deserialize, Serialize};
 
@@ -52,6 +52,24 @@ pub struct SeedEntry {
 }
 
 impl SeedEntry {
+    /// What one finished search teaches its structure, at default
+    /// hyperparameters: the converged duration and pulse, the deepest failed
+    /// probe as the lower bound, and every probe in the history.
+    pub fn from_search(result: &MinimumTimeResult) -> SeedEntry {
+        let mut entry = SeedEntry {
+            converged_duration_ns: result.converged.then_some(result.duration_ns),
+            pulse: result.best.as_ref().map(|best| best.pulse.clone()),
+            ..SeedEntry::default()
+        };
+        for probe in &result.probes {
+            if !probe.converged {
+                entry.failed_below_ns = entry.failed_below_ns.max(probe.duration_ns);
+            }
+            entry.record_probe(probe.duration_ns, probe.iterations);
+        }
+        entry
+    }
+
     /// Whether any binding of this structure has converged.
     pub fn converged(&self) -> bool {
         self.converged_duration_ns.is_some()

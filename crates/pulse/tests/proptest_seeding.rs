@@ -13,9 +13,7 @@
 
 use proptest::prelude::*;
 use vqc_pulse::grape::GrapeOptions;
-use vqc_pulse::minimum_time::{
-    minimum_pulse_time, minimum_pulse_time_seeded, MinimumTimeOptions, SearchSeed,
-};
+use vqc_pulse::minimum_time::{minimum_pulse_time, minimum_pulse_time_seeded, MinimumTimeOptions};
 use vqc_pulse::{DeviceModel, EigenMemo, PulseSequence, SeedEntry};
 use vqc_sim::gates;
 
@@ -78,16 +76,7 @@ proptest! {
         let cold = minimum_pulse_time(&target, &device, &search, &grape).unwrap();
         prop_assert!(cold.converged);
 
-        let seed = SearchSeed {
-            lower_bound_ns: cold
-                .probes
-                .iter()
-                .filter(|p| !p.converged)
-                .map(|p| p.duration_ns)
-                .fold(search.lower_bound_ns, f64::max),
-            converged_duration_ns: Some(cold.duration_ns),
-            pulse: cold.best.as_ref().map(|b| b.pulse.clone()),
-        };
+        let seed = SeedEntry::from_search(&cold).search_seed();
         let seeded = minimum_pulse_time_seeded(
             &target, &device, &search, &grape, &mut EigenMemo::new(), Some(&seed),
         )

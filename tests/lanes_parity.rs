@@ -31,10 +31,23 @@ fn lih_full_grape_is_identical_with_the_helper_free_and_with_it_held() {
     options.search_precision_ns = 16.0;
     let circuit = uccsd_circuit(Molecule::LiH);
     let theta = vec![0.4; Molecule::LiH.num_parameters()];
+    // The public block-order loop runs one GRAPE search at a time, so no other
+    // block's run holds a CPU when a wide block asks for the helper.
     let compile = || {
-        PartialCompiler::new(options.clone())
-            .compile(&circuit, &theta, Strategy::FullGrape)
-            .expect("LiH compiles under full GRAPE")
+        let compiler = PartialCompiler::new(options.clone());
+        let plan = compiler
+            .plan(&circuit, &theta, Strategy::FullGrape)
+            .expect("LiH plans under full GRAPE");
+        let outcomes = plan
+            .blocks
+            .iter()
+            .map(|block| {
+                compiler
+                    .compile_block_outcome(&plan, block, &theta)
+                    .expect("LiH compiles under full GRAPE")
+            })
+            .collect();
+        compiler.assemble(&plan, outcomes)
     };
 
     let before = lanes::stats();

@@ -5,7 +5,7 @@ use vqc::circuit::timing::{critical_path_ns, GateTimes};
 use vqc::circuit::{passes, Circuit};
 use vqc::core::blocking::{aggregate_blocks, ParameterPolicy};
 use vqc::linalg::fidelity::trace_infidelity;
-use vqc::pulse::grape::{evaluate_pulse, optimize_pulse, GrapeOptions};
+use vqc::pulse::grape::{evaluate_pulse, try_optimize_pulse, GrapeOptions};
 use vqc::pulse::minimum_time::{minimum_pulse_time, MinimumTimeOptions};
 use vqc::pulse::propagate::final_unitary;
 use vqc::pulse::DeviceModel;
@@ -27,7 +27,7 @@ fn grape_pulse_for_a_fixed_block_reaches_target_fidelity() {
     options.target_infidelity = 2e-2;
     options.max_iterations = 250;
     let upper = critical_path_ns(&prepared, &GateTimes::default());
-    let result = optimize_pulse(&target, &device, upper, &options);
+    let result = try_optimize_pulse(&target, &device, upper, &options).expect("valid GRAPE inputs");
     assert!(result.infidelity < 0.05, "infidelity {}", result.infidelity);
     // Re-evaluating the stored pulse reproduces the reported infidelity.
     let check = evaluate_pulse(&target, &device, &result.pulse);
@@ -49,7 +49,7 @@ fn three_qubit_block_pulse_repropagates_to_its_target() {
     let device = DeviceModel::qubits_line(3);
     let mut options = GrapeOptions::fast();
     options.target_infidelity = 2e-2;
-    let result = optimize_pulse(&target, &device, 3.0, &options);
+    let result = try_optimize_pulse(&target, &device, 3.0, &options).expect("valid GRAPE inputs");
     assert!(result.converged, "infidelity {}", result.infidelity);
     let realised = final_unitary(&device, &result.pulse);
     let infidelity = trace_infidelity(&target, &realised);
@@ -112,8 +112,10 @@ fn single_qubit_gate_pulses_match_table1_scale() {
     let device = DeviceModel::qubits_line(1);
     let mut grape = GrapeOptions::fast();
     grape.target_infidelity = 1e-2;
-    let fast_enough = optimize_pulse(&gates::x(), &device, 3.0, &grape);
+    let fast_enough =
+        try_optimize_pulse(&gates::x(), &device, 3.0, &grape).expect("valid GRAPE inputs");
     assert!(fast_enough.converged);
-    let too_fast = optimize_pulse(&gates::x(), &device, 1.0, &grape);
+    let too_fast =
+        try_optimize_pulse(&gates::x(), &device, 1.0, &grape).expect("valid GRAPE inputs");
     assert!(!too_fast.converged);
 }
