@@ -1,83 +1,26 @@
 //! Table 5: GRAPE speedups under standard vs "more realistic" settings (Section 8.3):
 //! 1 GSa/s sampling, qutrit leakage, and aggressive pulse regularization.
 
-use vqc_apps::graphs::Graph;
-use vqc_apps::molecules::Molecule;
-use vqc_apps::qaoa::qaoa_circuit;
-use vqc_apps::uccsd::uccsd_circuit;
-use vqc_bench::{print_header, reference_parameters, Effort};
-use vqc_circuit::passes;
-use vqc_circuit::timing::{critical_path_ns, GateTimes};
-use vqc_pulse::minimum_time::{minimum_pulse_time, MinimumTimeOptions};
-use vqc_pulse::realistic::RealisticSettings;
-use vqc_pulse::DeviceModel;
-use vqc_sim::circuit_unitary;
-
-fn grape_time(
-    circuit: &vqc_circuit::Circuit,
-    settings: RealisticSettings,
-    effort: Effort,
-    upper: f64,
-) -> (f64, bool) {
-    let device = settings.apply_to_device(&DeviceModel::qubits_line(circuit.num_qubits()));
-    let mut grape = settings.apply_to_options(&effort.compiler_options().grape);
-    // Leakage + regularization make the target fidelity harder to hit exactly; the
-    // paper's point is the relative speedup, so accept a slightly looser target.
-    grape.target_infidelity = grape.target_infidelity.max(3e-2);
-    let search = MinimumTimeOptions::new(0.0, upper).with_precision(
-        effort
-            .compiler_options()
-            .search_precision_ns
-            .max(settings.dt_ns()),
-    );
-    let target = circuit_unitary(circuit);
-    match minimum_pulse_time(&target, &device, &search, &grape) {
-        Ok(result) => (result.duration_ns, result.converged),
-        Err(_) => (upper, false),
-    }
-}
-
-fn report(name: &str, circuit: &vqc_circuit::Circuit, effort: Effort) {
-    let times = GateTimes::default();
-    let gate_ns = critical_path_ns(circuit, &times);
-    for (label, settings) in [
-        ("standard", RealisticSettings::standard()),
-        ("realistic", RealisticSettings::realistic()),
-    ] {
-        // Under 1 GSa/s sampling the gate-based baseline also coarsens to whole-ns
-        // pulses, mirroring the larger absolute times in the paper's realistic row.
-        let effective_gate_ns = if settings.sample_rate_gsa < 2.0 {
-            circuit.len() as f64 * settings.dt_ns().max(1.0) + gate_ns
-        } else {
-            gate_ns
-        };
-        let (grape_ns, converged) = grape_time(circuit, settings, effort, effective_gate_ns);
-        println!(
-            "  {:<22} {:<10} gate {:>8.1} ns -> GRAPE {:>8.1} ns  ({:.1}x){}",
-            name,
-            label,
-            effective_gate_ns,
-            grape_ns,
-            effective_gate_ns / grape_ns.max(1e-9),
-            if converged { "" } else { "  [fallback]" }
-        );
-    }
-}
+use vqc_bench::{print_header, table5_circuits, table5_rows, Effort};
 
 fn main() {
     let effort = Effort::from_env();
     print_header("Table 5: standard vs realistic GRAPE settings", effort);
 
-    // H2 VQE benchmark (2 qubits).
-    let h2 = passes::optimize(&uccsd_circuit(Molecule::H2));
-    let h2_bound = h2.bind(&reference_parameters(Molecule::H2.num_parameters()));
-    report("H2 VQE", &h2_bound, effort);
-
-    // Erdos-Renyi N=3 QAOA benchmark (3 qubits), as in the paper's Table 5.
-    let graph = Graph::erdos_renyi(3, 0.5, 11);
-    let qaoa = passes::optimize(&qaoa_circuit(&graph, 1));
-    let qaoa_bound = qaoa.bind(&reference_parameters(2));
-    report("Erdos-Renyi N=3 QAOA", &qaoa_bound, effort);
+    for (name, circuit) in table5_circuits() {
+        let rows = table5_rows(&circuit, effort);
+        for (label, row) in ["standard", "realistic"].into_iter().zip(rows) {
+            println!(
+                "  {:<22} {:<10} gate {:>8.1} ns -> GRAPE {:>8.1} ns  ({:.1}x){}",
+                name,
+                label,
+                row.gate_ns,
+                row.grape_ns,
+                row.speedup(),
+                if row.converged { "" } else { "  [fallback]" }
+            );
+        }
+    }
 
     println!(
         "\nPaper reference (Table 5): H2 11.4x standard vs 8.8x realistic; QAOA 4.5x vs 3.0x."

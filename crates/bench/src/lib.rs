@@ -11,10 +11,18 @@
 #![warn(missing_debug_implementations)]
 
 use std::time::Instant;
+use vqc_apps::graphs::Graph;
 use vqc_apps::molecules::Molecule;
-use vqc_apps::qaoa::QaoaBenchmark;
+use vqc_apps::qaoa::{qaoa_circuit, QaoaBenchmark};
+use vqc_apps::uccsd::uccsd_circuit;
+use vqc_circuit::timing::{critical_path_ns, GateTimes};
+use vqc_circuit::{passes, Circuit};
 use vqc_core::{CompilationReport, CompilerOptions, Strategy};
+use vqc_pulse::minimum_time::{minimum_pulse_time, MinimumTimeOptions};
+use vqc_pulse::realistic::RealisticSettings;
+use vqc_pulse::DeviceModel;
 use vqc_runtime::{CompilationRuntime, RuntimeOptions};
+use vqc_sim::circuit_unitary;
 
 /// How much compute a harness run is allowed to spend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +217,73 @@ pub fn qaoa_instance(num_nodes: usize, three_regular: bool, p: usize) -> QaoaBen
         three_regular,
         seed: 17 + num_nodes as u64,
     }
+}
+
+/// Table 5's two circuits (Section 8.3), optimized and bound: the H2 VQE
+/// ansatz and QAOA p = 1 on an Erdős–Rényi graph of three nodes.
+pub fn table5_circuits() -> [(&'static str, Circuit); 2] {
+    let h2 = passes::optimize(&uccsd_circuit(Molecule::H2))
+        .bind(&reference_parameters(Molecule::H2.num_parameters()));
+    let graph = Graph::erdos_renyi(3, 0.5, 11);
+    let qaoa = passes::optimize(&qaoa_circuit(&graph, 1)).bind(&reference_parameters(2));
+    [("H2 VQE", h2), ("Erdos-Renyi N=3 QAOA", qaoa)]
+}
+
+/// One row of Table 5: a circuit's minimum GRAPE pulse under one set of
+/// [`RealisticSettings`], against its gate-based duration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Table5Row {
+    /// The gate-based duration: Table 1's critical path, plus one sample
+    /// (at least 1 ns) per gate below 2 GSa/s, where pulses coarsen to whole
+    /// samples.
+    pub gate_ns: f64,
+    /// The searched pulse duration; `gate_ns` where the search fell back.
+    pub grape_ns: f64,
+    /// Whether the search found a converged pulse.
+    pub converged: bool,
+}
+
+impl Table5Row {
+    /// Gate-based duration over the GRAPE pulse's.
+    pub fn speedup(&self) -> f64 {
+        self.gate_ns / self.grape_ns.max(1e-9)
+    }
+}
+
+/// Table 5's standard and realistic rows, in that order, for one circuit.
+///
+/// Leakage and regularization make the target fidelity harder to hit, and the
+/// paper's point is the relative speedup, so both rows accept an infidelity of
+/// up to 3e-2.
+pub fn table5_rows(circuit: &Circuit, effort: Effort) -> [Table5Row; 2] {
+    let options = effort.compiler_options();
+    let table1_ns = critical_path_ns(circuit, &GateTimes::default());
+    [
+        RealisticSettings::standard(),
+        RealisticSettings::realistic(),
+    ]
+    .map(|settings| {
+        let gate_ns = if settings.sample_rate_gsa < 2.0 {
+            circuit.len() as f64 * settings.dt_ns().max(1.0) + table1_ns
+        } else {
+            table1_ns
+        };
+        let device = settings.apply_to_device(&DeviceModel::qubits_line(circuit.num_qubits()));
+        let mut grape = settings.apply_to_options(&options.grape);
+        grape.target_infidelity = grape.target_infidelity.max(3e-2);
+        let search = MinimumTimeOptions::new(0.0, gate_ns)
+            .with_precision(options.search_precision_ns.max(settings.dt_ns()));
+        let (grape_ns, converged) =
+            match minimum_pulse_time(&circuit_unitary(circuit), &device, &search, &grape) {
+                Ok(result) => (result.duration_ns, result.converged),
+                Err(_) => (gate_ns, false),
+            };
+        Table5Row {
+            gate_ns,
+            grape_ns,
+            converged,
+        }
+    })
 }
 
 #[cfg(test)]

@@ -43,12 +43,6 @@ impl C64 {
         C64 { re, im: 0.0 }
     }
 
-    /// Creates a purely imaginary complex number.
-    #[inline]
-    pub const fn from_imag(im: f64) -> Self {
-        C64 { re: 0.0, im }
-    }
-
     /// Returns the complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -280,7 +274,7 @@ mod tests {
 
     #[test]
     fn exponential_matches_euler() {
-        let z = C64::from_imag(PI / 2.0).exp();
+        let z = C64::new(0.0, PI / 2.0).exp();
         assert!(z.approx_eq(C64::I, 1e-15));
         assert!(C64::cis(PI / 2.0).approx_eq(C64::I, 1e-15));
     }

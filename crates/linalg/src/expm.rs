@@ -7,14 +7,14 @@
 
 use crate::{Matrix, C64};
 
-/// Default Taylor truncation order used by [`expm`].
-pub const DEFAULT_TAYLOR_ORDER: usize = 18;
+/// Taylor truncation order of [`expm`].
+const TAYLOR_ORDER: usize = 18;
 
 /// Computes the matrix exponential `exp(A)` of a square complex matrix.
 ///
 /// Uses scaling-and-squaring: `A` is divided by `2^s` so its 1-norm is below 0.5, the
-/// exponential of the scaled matrix is computed with an order-[`DEFAULT_TAYLOR_ORDER`]
-/// Taylor series, and the result is squared `s` times.
+/// exponential of the scaled matrix is computed with an order-18 Taylor series, and
+/// the result is squared `s` times.
 ///
 /// # Panics
 ///
@@ -29,20 +29,8 @@ pub const DEFAULT_TAYLOR_ORDER: usize = 18;
 /// assert!(u.approx_eq(&x.scale(C64::new(0.0, -1.0)), 1e-12));
 /// ```
 pub fn expm(a: &Matrix) -> Matrix {
-    expm_with_order(a, DEFAULT_TAYLOR_ORDER)
-}
-
-/// Computes `exp(A)` with an explicit Taylor truncation order.
-///
-/// Lower orders trade accuracy for speed; [`expm`] uses [`DEFAULT_TAYLOR_ORDER`].
-///
-/// # Panics
-///
-/// Panics if `a` is not square, contains non-finite entries, or `order == 0`.
-pub fn expm_with_order(a: &Matrix, order: usize) -> Matrix {
     assert!(a.is_square(), "expm requires a square matrix");
     assert!(a.is_finite(), "expm requires finite entries");
-    assert!(order > 0, "Taylor order must be positive");
 
     let norm = a.one_norm();
     // Choose s so that ||A / 2^s|| <= 0.5.
@@ -57,7 +45,7 @@ pub fn expm_with_order(a: &Matrix, order: usize) -> Matrix {
     let n = a.rows();
     let mut result = Matrix::identity(n);
     let mut term = Matrix::identity(n);
-    for k in 1..=order {
+    for k in 1..=TAYLOR_ORDER {
         term = term.matmul(&scaled).scale_real(1.0 / k as f64);
         result = &result + &term;
         if term.max_abs() < 1e-18 {

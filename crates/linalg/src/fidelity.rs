@@ -1,10 +1,10 @@
-//! Fidelity measures between unitaries and between states.
+//! Fidelity between unitaries.
 //!
 //! GRAPE's primary cost function is the *trace infidelity* between the realized unitary
 //! and the target unitary (Section 5 of the paper); the helpers here are shared by the
 //! pulse optimizer, its tests, and the benchmark harness.
 
-use crate::{Matrix, Vector};
+use crate::Matrix;
 
 /// Trace (gate) fidelity between two unitaries: `|Tr(U† V)|² / d²`.
 ///
@@ -29,22 +29,6 @@ pub fn trace_infidelity(u: &Matrix, v: &Matrix) -> f64 {
     1.0 - trace_fidelity(u, v)
 }
 
-/// State fidelity `|⟨ψ|φ⟩|²` between two pure states.
-///
-/// # Panics
-///
-/// Panics if the vectors have different dimensions.
-pub fn state_fidelity(psi: &Vector, phi: &Vector) -> f64 {
-    psi.inner(phi).norm_sqr()
-}
-
-/// Average gate fidelity for a `d`-dimensional unitary, derived from the trace fidelity
-/// via `F_avg = (d·F_tr + 1) / (d + 1)`.
-pub fn average_gate_fidelity(u: &Matrix, v: &Matrix) -> f64 {
-    let d = u.rows() as f64;
-    (d * trace_fidelity(u, v) + 1.0) / (d + 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,7 +44,6 @@ mod tests {
         let h = hadamard();
         assert!((trace_fidelity(&h, &h) - 1.0).abs() < 1e-14);
         assert!(trace_infidelity(&h, &h) < 1e-14);
-        assert!((average_gate_fidelity(&h, &h) - 1.0).abs() < 1e-14);
     }
 
     #[test]
@@ -76,14 +59,6 @@ mod tests {
         let z = Matrix::diag(&[C64::ONE, -C64::ONE]);
         // Tr(X† Z) = 0 so fidelity is zero.
         assert!(trace_fidelity(&x, &z) < 1e-14);
-    }
-
-    #[test]
-    fn state_fidelity_bounds() {
-        let e0 = Vector::basis_state(2, 0);
-        let e1 = Vector::basis_state(2, 1);
-        assert!((state_fidelity(&e0, &e0) - 1.0).abs() < 1e-15);
-        assert!(state_fidelity(&e0, &e1) < 1e-15);
     }
 
     #[test]

@@ -8,18 +8,21 @@
 //! * [`Matrix`] — a dense, row-major complex matrix with matrix multiplication,
 //!   Kronecker products, adjoints, traces, and unitarity checks. The allocating
 //!   operations are thin wrappers over in-place kernels ([`Matrix::matmul_into`],
-//!   [`Matrix::dagger_into`], [`Matrix::scale_into`], [`Matrix::add_scaled_into`],
-//!   [`eigh_into`]) that write into caller-owned buffers, which is what lets the
-//!   GRAPE optimizer iterate without touching the heap.
+//!   [`Matrix::dagger_into`], [`Matrix::scale_into`], [`Matrix::add_scaled_into`])
+//!   that write into caller-owned buffers.
+//! * [`eigh`](eigh::eigh) / [`eigh_into`] — the one complex Hermitian
+//!   eigensolver (cyclic Jacobi), the oracle the real kernels and the GRAPE
+//!   gradient are held to.
 //! * [`real`] — the GRAPE hot-loop storages: inline const-generic
 //!   [`RealSmallMatrix`] and heap [`RealMatrix`], with the `f64` product and
 //!   the eigensolvers a real-symmetric Hamiltonian allows.
-//! * [`small`] — inline const-generic complex [`SmallMatrix`] with unrolled
-//!   kernels and a Hermitian `eigh_into`: the oracle [`real`] is held to.
+//! * [`small`] — inline const-generic complex [`SmallMatrix`], its product, and
+//!   a copy through [`eigh_into`]: what the driver benchmark's `linalg.*` rows
+//!   time.
 //! * [`Vector`] — a dense complex column vector used for quantum state vectors.
 //! * [`expm`](expm::expm) — the matrix exponential via scaling-and-squaring with a
 //!   truncated Taylor series, which the independent pulse verifier runs per slice.
-//! * [`fidelity`] — trace/process fidelities between unitaries, the cost functions that
+//! * [`fidelity`] — the trace fidelity between unitaries, the cost function that
 //!   GRAPE optimizes.
 //!
 //! The sizes involved in this project are small (at most `2^4 x 2^4 = 16 x 16` complex

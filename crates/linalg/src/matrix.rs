@@ -271,16 +271,6 @@ impl Matrix {
         }
     }
 
-    /// Overwrites `self` with the contents of `src` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        assert_eq!(self.shape(), src.shape(), "copy_from shape mismatch");
-        self.data.copy_from_slice(&src.data);
-    }
-
     /// Transpose without conjugation.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])

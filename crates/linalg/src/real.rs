@@ -27,8 +27,7 @@
 //! getting the bits it gets alone; one matrix is the one-lane instantiation.
 //! (Four 4×4 QL solves in lockstep, also 0.36 µs each, tie the Jacobi batch;
 //! the engine keeps Jacobi there, which keeps every bit of every report.) The complex
-//! [`small::eigh_into`](crate::small::eigh_into) and
-//! [`eigh_into`](crate::eigh_into) stay as the general Hermitian solvers, and
+//! [`eigh_into`](crate::eigh_into) stays as the general Hermitian solver, and
 //! as the oracle the parity suite holds this module to.
 //!
 //! Nothing here names an instruction set: every kernel is `#[inline(always)]`,
@@ -347,11 +346,15 @@ fn rotate_lanes<const L: usize>(
 /// matrix, so they add no sweeps, and report 0. Every matrix gets, bit for
 /// bit, the result the one-lane instantiation gives it alone.
 ///
-/// The sweep schedule, convergence criteria and algebraic rotation (two square
-/// roots, no trigonometry) are those of the complex
-/// [`small::eigh_into`](crate::small::eigh_into). Symmetry halves the update:
-/// a rotation recomputes rows `p` and `q` only and mirrors them into the two
-/// columns, and the eigenvectors accumulate as *rows* (of `Vᵀ`).
+/// The sweep schedule and convergence criteria are those of the complex
+/// [`eigh_into`](crate::eigh_into); the rotation is this module's own,
+/// computed algebraically (two square roots, where the complex solver takes
+/// an arg/atan2/sin/cos/cis chain). The one-matrix routine it was derived
+/// from is kept in the parity suite (`scalar_jacobi` in `small_parity.rs`),
+/// which holds every lane of this body to it bit for bit. Symmetry halves
+/// the update: a rotation recomputes rows `p` and `q` only and mirrors them
+/// into the two columns, and the eigenvectors accumulate as *rows* (of
+/// `Vᵀ`).
 ///
 /// **Why lanes.** Jacobi gets cheaper the closer its input is to diagonal,
 /// so the engine warm-starts it, and a warm 4×4 solve is two or three sweeps
@@ -449,9 +452,9 @@ pub fn eigh_jacobi<const L: usize>(
                     // Algebraic rotation: the annihilation condition is
                     // tan 2θ = 2|apq| / (app − aqq); the smaller-angle root
                     // comes from t = tan θ via the stable quadratic form,
-                    // 1 / (|τ| + √(1 + τ²)) with τ's sign, and the complex
-                    // kernel's phase factor apq/|apq| is just the sign of apq
-                    // here. (−1/x and −(1/x) are the same bits.)
+                    // 1 / (|τ| + √(1 + τ²)) with τ's sign, and a complex
+                    // rotation's phase factor apq/|apq| is just the sign of
+                    // apq here. (−1/x and −(1/x) are the same bits.)
                     let magnitude = apq[k].abs();
                     let tau = (app[k] - aqq[k]) / (2.0 * magnitude);
                     let root = (1.0 + tau * tau).sqrt();
@@ -852,9 +855,8 @@ pub fn eigh_ql_interleaved<const L: usize>(
     from_fn(|k| if k < count { iterations[k] } else { 0 })
 }
 
-/// A dense real matrix whose dimension is a compile-time constant: the real
-/// companion of [`SmallMatrix<N>`](crate::SmallMatrix), stored inline and row-major as
-/// `[[f64; N]; N]`.
+/// A dense real matrix whose dimension is a compile-time constant, stored
+/// inline and row-major as `[[f64; N]; N]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RealSmallMatrix<const N: usize> {
     rows: [[f64; N]; N],

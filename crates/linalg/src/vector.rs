@@ -67,12 +67,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning the underlying buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<C64> {
-        self.data
-    }
-
     /// Returns the element at `i`.
     #[inline]
     pub fn get(&self, i: usize) -> C64 {

@@ -170,13 +170,6 @@ proptest! {
     }
 
     #[test]
-    fn copy_from_matches_clone(a in arb_matrix(4, 2.0)) {
-        let mut out = arb_dirty(4);
-        out.copy_from(&a);
-        prop_assert_eq!(out, a);
-    }
-
-    #[test]
     fn eigh_into_matches_eigh(h in arb_hermitian(4, 2.0)) {
         let reference = eigh(&h);
         let mut workspace = EighWorkspace::new(4);

@@ -1,23 +1,22 @@
-//! Property-based parity between the const-generic [`SmallMatrix`] kernels and
-//! the dynamic [`Matrix`] reference implementations, for the four GRAPE
-//! monomorphizations N = 2, 4, 8, 16 — and between the real-symmetric kernels
-//! of `vqc_linalg::real` (which the GRAPE engine runs on) and the complex
-//! ones, at the same four dimensions on the stack and at 3, 9 and 27 on the
-//! heap.
+//! Property-based parity between the const-generic [`SmallMatrix`] the
+//! driver benchmark times and the dynamic [`Matrix`] reference, for the four
+//! GRAPE monomorphizations N = 2, 4, 8, 16 — and between the real-symmetric
+//! kernels of `vqc_linalg::real` (which the GRAPE engine runs on) and the
+//! complex ones, at the same four dimensions on the stack and at 3, 9 and 27
+//! on the heap.
 //!
-//! The dynamic path is the ground truth: every unrolled kernel must reproduce
-//! it to near machine precision. The specialized `eigh` is the one exception —
+//! The dynamic path is the ground truth: `SmallMatrix::matmul_into` must give
+//! `Matrix::matmul`'s bits, and `small::eigh_into` the heap `eigh_into`'s. The
+//! one complex Hermitian solver, `eigh_into`, is checked phase-invariantly —
 //! its eigenbasis is only defined up to a per-column phase (and a rotation
-//! inside degenerate subspaces), so it is checked phase-invariantly via sorted
-//! eigenvalues, spectral reconstruction, and orthonormality rather than by
-//! entrywise comparison of the eigenvector matrix. The real kernels are held
-//! to the complex ones the same way: the complex eigensolvers are the oracle
-//! for both real-symmetric bodies (Jacobi and Householder–QL, each run at
-//! every dimension, whatever the dimension rule would pick), and
-//! promote-then-complex-matmul for the real and planar products (under either
-//! multiply-add, `Unfused` and `Fused`). Both bodies
-//! solve several matrices in lockstep; [`eispack`] and [`scalar_jacobi`] keep
-//! the one-matrix routines they were derived from, branches and all, and every
+//! inside degenerate subspaces) — via spectral reconstruction,
+//! orthonormality and workspace reuse. It is the oracle for both
+//! real-symmetric bodies (Jacobi and Householder–QL, each run at every
+//! dimension, whatever the dimension rule would pick), and
+//! promote-then-complex-matmul is the oracle for the real and planar products
+//! (under either multiply-add, `Unfused` and `Fused`). Both bodies solve
+//! several matrices in lockstep; [`eispack`] and [`scalar_jacobi`] keep the
+//! one-matrix routines they were derived from, branches and all, and every
 //! batch — whatever shares it — must give each matrix that routine's bits.
 
 use proptest::prelude::*;
@@ -26,7 +25,7 @@ use vqc_linalg::real::{
     ql_scratch_len, Fused, MulAdd, QlLane, Unfused, QL_MIN_DIM,
 };
 use vqc_linalg::small::{self, SmallEighWorkspace, SmallMatrix};
-use vqc_linalg::{c64, eigh, Matrix, RealMatrix, RealSmallMatrix, C64};
+use vqc_linalg::{c64, eigh, eigh_into, EighWorkspace, Matrix, RealMatrix, RealSmallMatrix, C64};
 use vqc_pulse::grape::GrapeOptions;
 use vqc_pulse::propagate::slice_hamiltonian;
 use vqc_pulse::{DeviceModel, GrapeWorkspace, PulseSequence};
@@ -42,127 +41,100 @@ fn arb_entries(n: usize, bound: f64) -> impl Strategy<Value = Vec<C64>> {
     prop::collection::vec(arb_c64(bound), n * n)
 }
 
-fn small_of<const N: usize>(data: &[C64]) -> SmallMatrix<N> {
-    SmallMatrix::from_fn(|r, c| data[r * N + c])
-}
-
 fn matrix_of(n: usize, data: &[C64]) -> Matrix {
     Matrix::from_vec(n, n, data.to_vec())
 }
 
+/// The Hermitian part of the matrix with row-major entries `data`.
+fn hermitian_of(n: usize, data: &[C64]) -> Matrix {
+    let a = matrix_of(n, data);
+    (&a + &a.dagger()).scale_real(0.5)
+}
+
 /// A deliberately garbage-filled output, so parity also proves the `_into`
 /// kernels overwrite (rather than accumulate into) their destination.
-fn dirty<const N: usize>() -> SmallMatrix<N> {
-    SmallMatrix::from_fn(|r, c| c64(1.0 + r as f64, -2.0 - c as f64))
+fn dirty(n: usize) -> Matrix {
+    Matrix::from_fn(n, n, |r, c| c64(1.0 + r as f64, -2.0 - c as f64))
 }
 
-/// Every arithmetic kernel against its allocating dynamic counterpart.
-fn check_kernels<const N: usize>(a_data: &[C64], b_data: &[C64], k: C64) {
-    let a = small_of::<N>(a_data);
-    let b = small_of::<N>(b_data);
-    let da = matrix_of(N, a_data);
-    let db = matrix_of(N, b_data);
-    let mut out = dirty::<N>();
-
-    a.matmul_into(&b, &mut out);
-    assert!(
-        out.to_matrix().approx_eq(&da.matmul(&db), 1e-12),
+/// `SmallMatrix::matmul_into` against `Matrix::matmul`, bit for bit (`Debug`
+/// prints each `f64` exactly, the sign of zero included).
+fn check_matmul<const N: usize>(a_data: &[C64], b_data: &[C64]) {
+    let (da, db) = (matrix_of(N, a_data), matrix_of(N, b_data));
+    let mut out = SmallMatrix::<N>::from_matrix(&dirty(N));
+    SmallMatrix::from_matrix(&da).matmul_into(&SmallMatrix::from_matrix(&db), &mut out);
+    assert_eq!(
+        format!("{out:?}"),
+        format!("{:?}", SmallMatrix::<N>::from_matrix(&da.matmul(&db))),
         "matmul_into diverges from Matrix::matmul at N={N}"
     );
-
-    a.dagger_into(&mut out);
-    assert!(
-        out.to_matrix().approx_eq(&da.dagger(), 1e-12),
-        "dagger_into diverges from Matrix::dagger at N={N}"
-    );
-
-    a.scale_into(k, &mut out);
-    assert!(
-        out.to_matrix().approx_eq(&da.scale(k), 1e-12),
-        "scale_into diverges from Matrix::scale at N={N}"
-    );
-
-    a.add_scaled_into(k, &b, &mut out);
-    let reference = &da + &db.scale(k);
-    assert!(
-        out.to_matrix().approx_eq(&reference, 1e-12),
-        "add_scaled_into diverges from add + scale at N={N}"
-    );
-
-    let mut acc = a;
-    acc.add_scaled_assign(k, &b);
-    assert!(
-        acc.to_matrix().approx_eq(&reference, 1e-12),
-        "add_scaled_assign diverges from add + scale at N={N}"
-    );
 }
 
-/// `from_matrix` / `write_to` / `to_matrix` / `entries` / `fill_from_entries`
-/// round trips preserve every entry bit-for-bit.
-fn check_round_trips<const N: usize>(a_data: &[C64]) {
-    let dynamic = matrix_of(N, a_data);
-    let small = SmallMatrix::<N>::from_matrix(&dynamic);
-    assert_eq!(small.to_matrix(), dynamic, "to_matrix round trip at N={N}");
-
-    let mut written = Matrix::zeros(N, N);
-    small.write_to(&mut written);
-    assert_eq!(written, dynamic, "write_to round trip at N={N}");
-
-    let collected: Vec<C64> = small.entries().collect();
-    assert_eq!(
-        collected, a_data,
-        "entries() must stream row-major at N={N}"
-    );
-    let mut refilled = dirty::<N>();
-    refilled.fill_from_entries(&collected);
-    assert_eq!(
-        refilled.max_abs_diff(&small),
-        0.0,
-        "fill_from_entries round trip at N={N}"
-    );
-}
-
-/// The specialized `eigh` against the dynamic solver, phase-invariantly:
-/// identical sorted spectra, exact spectral reconstruction, orthonormal basis.
-fn check_eigh<const N: usize>(a_data: &[C64]) {
-    let da = matrix_of(N, a_data);
-    let hermitian = (&da + &da.dagger()).scale_real(0.5);
-    let h = SmallMatrix::<N>::from_matrix(&hermitian);
-    let tol = 1e-11 * h.frobenius_norm().max(1.0);
-
+/// `small::eigh_into` gives the heap `eigh_into`'s eigenvalues and
+/// eigenvectors bit for bit, over two calls through one workspace.
+fn check_small_eigh<const N: usize>(a_data: &[C64]) {
+    let hermitian = hermitian_of(N, a_data);
     let reference = eigh(&hermitian);
+    let h = SmallMatrix::<N>::from_matrix(&hermitian);
     let mut workspace = SmallEighWorkspace::<N>::new();
-    let mut lambdas = [0.0; N];
-    let mut vectors = dirty::<N>();
-    // Run twice through the same workspace: the second call must not be
-    // perturbed by the first call's leftovers.
-    small::eigh_into(&h, &mut workspace, &mut lambdas, &mut vectors);
-    small::eigh_into(&h, &mut workspace, &mut lambdas, &mut vectors);
-
-    for (i, (&fast, &slow)) in lambdas.iter().zip(reference.eigenvalues.iter()).enumerate() {
-        assert!(
-            (fast - slow).abs() < tol,
-            "eigenvalue {i} diverges from dynamic eigh at N={N}: {fast} vs {slow}"
+    let mut lambdas = [f64::NAN; N];
+    let mut vectors = SmallMatrix::<N>::from_matrix(&dirty(N));
+    for call in 0..2 {
+        small::eigh_into(&h, &mut workspace, &mut lambdas, &mut vectors);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&lambdas),
+            bits(&reference.eigenvalues),
+            "eigenvalues differ from eigh_into's at N={N}, call {call}"
+        );
+        assert_eq!(
+            format!("{vectors:?}"),
+            format!(
+                "{:?}",
+                SmallMatrix::<N>::from_matrix(&reference.eigenvectors)
+            ),
+            "eigenvectors differ from eigh_into's at N={N}, call {call}"
         );
     }
+}
 
-    // V Λ V† reconstructs H.
-    let scaled = SmallMatrix::<N>::from_fn(|r, c| vectors.get(r, c) * c64(lambdas[c], 0.0));
-    let mut vdag = SmallMatrix::<N>::ZERO;
-    vectors.dagger_into(&mut vdag);
-    let mut reconstructed = SmallMatrix::<N>::ZERO;
-    scaled.matmul_into(&vdag, &mut reconstructed);
+/// The heap `eigh_into`, phase-invariantly: the allocating `eigh`'s spectrum
+/// after a second call through the same workspace, exact spectral
+/// reconstruction, orthonormal basis.
+fn check_eigh(n: usize, a_data: &[C64]) {
+    let h = hermitian_of(n, a_data);
+    let tol = 1e-11 * h.frobenius_norm().max(1.0);
+
+    let reference = eigh(&h);
+    let mut workspace = EighWorkspace::new(n);
+    let mut lambdas = Vec::new();
+    let mut vectors = dirty(n);
+    // Run twice through the same workspace: the second call must not be
+    // perturbed by the first call's leftovers.
+    eigh_into(&h, &mut workspace, &mut lambdas, &mut vectors);
+    eigh_into(&h, &mut workspace, &mut lambdas, &mut vectors);
+    assert_eq!(
+        lambdas, reference.eigenvalues,
+        "workspace reuse perturbs the spectrum at n={n}"
+    );
     assert!(
-        reconstructed.max_abs_diff(&h) < tol,
-        "V diag(lambda) V^dagger fails to reconstruct H at N={N}"
+        lambdas.windows(2).all(|pair| pair[0] <= pair[1]),
+        "eigenvalues are not ascending at n={n}: {lambdas:?}"
     );
 
-    // V† V = I.
-    let mut gram = SmallMatrix::<N>::ZERO;
-    vdag.matmul_into(&vectors, &mut gram);
+    // V Λ V† reconstructs H.
+    let scaled = Matrix::from_fn(n, n, |r, c| vectors[(r, c)] * lambdas[c]);
     assert!(
-        gram.max_abs_diff(&SmallMatrix::identity()) < tol,
-        "eigenbasis is not orthonormal at N={N}"
+        scaled.matmul(&vectors.dagger()).approx_eq(&h, tol),
+        "V diag(lambda) V^dagger fails to reconstruct H at n={n}"
+    );
+    // V† V = I.
+    assert!(
+        vectors
+            .dagger()
+            .matmul(&vectors)
+            .approx_eq(&Matrix::identity(n), tol),
+        "eigenbasis is not orthonormal at n={n}"
     );
 }
 
@@ -694,14 +666,15 @@ fn assert_both_bodies(n: usize, data: &[f64], oracle: &[f64]) {
 /// The real-symmetric stack solver, and each of its bodies from 3×3 up,
 /// against the complex `small::eigh_into`.
 fn check_real_eigh<const N: usize>(data: &[f64]) {
-    let symmetric = |r: usize, c: usize| 0.5 * (data[r * N + c] + data[c * N + r]);
-    let complex_h = SmallMatrix::<N>::from_fn(|r, c| c64(symmetric(r, c), 0.0));
+    let symmetric = Matrix::from_fn(N, N, |r, c| {
+        c64(0.5 * (data[r * N + c] + data[c * N + r]), 0.0)
+    });
     let mut oracle = [0.0; N];
     small::eigh_into(
-        &complex_h,
+        &SmallMatrix::<N>::from_matrix(&symmetric),
         &mut SmallEighWorkspace::new(),
         &mut oracle,
-        &mut dirty::<N>(),
+        &mut SmallMatrix::zeros(),
     );
 
     let mut h = RealSmallMatrix::<N>::from_fn(|r, c| data[r * N + c]);
@@ -737,48 +710,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn kernels_match_dynamic_2(a in arb_entries(2, 3.0), b in arb_entries(2, 3.0), k in arb_c64(2.0)) {
-        check_kernels::<2>(&a, &b, k);
+    fn matmul_matches_dynamic_2(a in arb_entries(2, 3.0), b in arb_entries(2, 3.0)) {
+        check_matmul::<2>(&a, &b);
     }
 
     #[test]
-    fn kernels_match_dynamic_4(a in arb_entries(4, 3.0), b in arb_entries(4, 3.0), k in arb_c64(2.0)) {
-        check_kernels::<4>(&a, &b, k);
+    fn matmul_matches_dynamic_4(a in arb_entries(4, 3.0), b in arb_entries(4, 3.0)) {
+        check_matmul::<4>(&a, &b);
     }
 
     #[test]
-    fn kernels_match_dynamic_8(a in arb_entries(8, 3.0), b in arb_entries(8, 3.0), k in arb_c64(2.0)) {
-        check_kernels::<8>(&a, &b, k);
+    fn matmul_matches_dynamic_8(a in arb_entries(8, 3.0), b in arb_entries(8, 3.0)) {
+        check_matmul::<8>(&a, &b);
     }
 
     #[test]
-    fn round_trips_preserve_entries_2(a in arb_entries(2, 3.0)) {
-        check_round_trips::<2>(&a);
+    fn small_eigh_is_the_heap_eigh_2(a in arb_entries(2, 2.0)) {
+        check_small_eigh::<2>(&a);
     }
 
     #[test]
-    fn round_trips_preserve_entries_4(a in arb_entries(4, 3.0)) {
-        check_round_trips::<4>(&a);
+    fn small_eigh_is_the_heap_eigh_4(a in arb_entries(4, 2.0)) {
+        check_small_eigh::<4>(&a);
     }
 
     #[test]
-    fn round_trips_preserve_entries_8(a in arb_entries(8, 3.0)) {
-        check_round_trips::<8>(&a);
+    fn small_eigh_is_the_heap_eigh_8(a in arb_entries(8, 2.0)) {
+        check_small_eigh::<8>(&a);
     }
 
     #[test]
-    fn eigh_matches_dynamic_2(a in arb_entries(2, 2.0)) {
-        check_eigh::<2>(&a);
+    fn eigh_decomposes_2(a in arb_entries(2, 2.0)) {
+        check_eigh(2, &a);
     }
 
     #[test]
-    fn eigh_matches_dynamic_4(a in arb_entries(4, 2.0)) {
-        check_eigh::<4>(&a);
+    fn eigh_decomposes_4(a in arb_entries(4, 2.0)) {
+        check_eigh(4, &a);
     }
 
     #[test]
-    fn eigh_matches_dynamic_8(a in arb_entries(8, 2.0)) {
-        check_eigh::<8>(&a);
+    fn eigh_decomposes_8(a in arb_entries(8, 2.0)) {
+        check_eigh(8, &a);
     }
 
     #[test]
@@ -836,23 +809,22 @@ proptest! {
 
 proptest! {
     // N = 16 cases are ~64x the work of N = 4; a smaller case count keeps the
-    // suite fast while still sweeping the Jacobi path well past its unrolled
-    // 2x2 sibling.
+    // suite fast at the widest block the GRAPE engine's stack storage holds.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn kernels_match_dynamic_16(a in arb_entries(16, 2.0), b in arb_entries(16, 2.0), k in arb_c64(2.0)) {
-        check_kernels::<16>(&a, &b, k);
+    fn matmul_matches_dynamic_16(a in arb_entries(16, 2.0), b in arb_entries(16, 2.0)) {
+        check_matmul::<16>(&a, &b);
     }
 
     #[test]
-    fn round_trips_preserve_entries_16(a in arb_entries(16, 2.0)) {
-        check_round_trips::<16>(&a);
+    fn small_eigh_is_the_heap_eigh_16(a in arb_entries(16, 1.0)) {
+        check_small_eigh::<16>(&a);
     }
 
     #[test]
-    fn eigh_matches_dynamic_16(a in arb_entries(16, 1.0)) {
-        check_eigh::<16>(&a);
+    fn eigh_decomposes_16(a in arb_entries(16, 1.0)) {
+        check_eigh(16, &a);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub enum Phase {
     /// copies included). The solvers' iteration counts — each slice's own,
     /// whatever it was batched with: a padding lane counts nothing, and a
     /// slice that converges before its group is not charged the group's
-    /// further rounds — are tallied separately via [`add_sweeps`].
+    /// further rounds — are tallied separately via [`Lap::add_sweeps`].
     Eigendecomposition,
     /// The forward and backward sweeps through the slices' eigenbases (and
     /// the phases `e^{-iΔtλ}` they scale by).
@@ -305,17 +305,6 @@ pub fn take_block() -> Option<CompileProfile> {
     })
 }
 
-/// Tallies an eigendecomposition's solver iterations (Jacobi sweeps or
-/// implicit-QL iterations). Single branch when the thread is not accumulating.
-#[inline]
-pub fn add_sweeps(sweeps: u64) {
-    ACCUM.with(|a| {
-        if a.active.get() {
-            a.sweeps.set(a.sweeps.get() + sweeps);
-        }
-    });
-}
-
 /// RAII guard charging *self time* to a phase: elapsed wall time minus
 /// whatever child scopes and [`Lap`] marks charged while it was open.
 /// Construction is a single branch when the thread is not accumulating.
@@ -398,31 +387,15 @@ impl Lap {
         }
     }
 
-    /// Restarts the lap from now *without* charging the elapsed interval —
-    /// used to skip stretches that belong to an enclosing scope's self time.
-    #[inline]
-    pub fn skip(&mut self) {
-        if self.last.is_some() {
-            self.last = Some(ticks());
-        }
-    }
-
     /// Tallies eigensolver iterations (Jacobi sweeps or implicit-QL
     /// iterations) into the lap's stack counter (flushed with the phase
-    /// totals on drop). Self-guarding: a no-op on an inert lap, so the
-    /// kernel needs no `is_active` branch around it.
+    /// totals on drop). A no-op on an inert lap, so the kernel needs no
+    /// branch around it.
     #[inline]
     pub fn add_sweeps(&mut self, sweeps: u64) {
         if self.last.is_some() {
             self.sweeps += sweeps;
         }
-    }
-
-    /// Whether this lap is recording (the thread was accumulating at
-    /// [`Lap::start`]). A plain stack read — cheaper than [`active`].
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.last.is_some()
     }
 }
 
@@ -477,7 +450,7 @@ mod tests {
             let mut lap = Lap::start();
             std::thread::sleep(std::time::Duration::from_millis(2));
             lap.mark(Phase::Eigendecomposition);
-            add_sweeps(3);
+            lap.add_sweeps(3);
         }
         let profile = take_block().expect("armed block must yield a profile");
         assert!(!active());
